@@ -2,14 +2,12 @@ package rnic
 
 import (
 	"fmt"
-	"strconv"
 
 	"odpsim/internal/congestion"
 	"odpsim/internal/hostmem"
 	"odpsim/internal/irn"
 	"odpsim/internal/packet"
 	"odpsim/internal/sim"
-	"odpsim/internal/telemetry"
 )
 
 // SendOp is the operation type of a send work request.
@@ -183,21 +181,8 @@ type QP struct {
 	pendingAtomicOrig uint64
 
 	Stats QPStats
-}
-
-// registerMetrics publishes the QP's requester statistics as per-QP
-// counters, the way `rdma statistic qp show` exposes them. The Stats
-// fields are the live storage.
-func (qp *QP) registerMetrics(reg *telemetry.Registry) {
-	l := telemetry.Labels{"qpn": strconv.FormatUint(uint64(qp.Num), 10)}
-	reg.Counter(telemetry.LocalAckTimeoutErr, "Local ACK Timeout expirations on the requester", l, &qp.Stats.Timeouts)
-	reg.Counter(telemetry.RNRNakRetryErr, "RNR NAKs received by the requester", l, &qp.Stats.RNRNakReceived)
-	reg.Counter(telemetry.PacketSeqErr, "PSN sequence error NAKs received by the requester", l, &qp.Stats.NakSeqReceived)
-	reg.Counter(telemetry.SimReqPosted, "send work requests posted", l, &qp.Stats.Posted)
-	reg.Counter(telemetry.SimReqCompleted, "send work requests completed", l, &qp.Stats.Completed)
-	reg.Counter(telemetry.SimRetransmits, "request packets retransmitted (go-back-N sends)", l, &qp.Stats.Retransmits)
-	reg.Counter(telemetry.SimResponsesDiscarded, "READ responses discarded (pending window or stale page)", l, &qp.Stats.ResponsesDiscarded)
-	reg.Counter(telemetry.SimClientFaultRounds, "client-side ODP fault rounds", l, &qp.Stats.ClientFaultRounds)
+	// labels is the QP's rendered telemetry label set (qptable.go).
+	labels string
 }
 
 // deliver pushes a CQE, tallying it in the device's per-status

@@ -80,10 +80,14 @@ type RNIC struct {
 	// from it and returns to it after final delivery or drop.
 	pool *packet.Pool
 
-	qps         map[uint32]*QP
-	udqps       map[uint32]*UDQP
+	// qps is the QP table indexed by QPN-1: QPNs are handed out
+	// sequentially from 1 to RC and UD QPs alike and never reused, so
+	// the table is dense and a lookup is one bounds check. numRC and
+	// numUD count its entries of each transport.
+	qps         []qpSlot
+	numRC       int
+	numUD       int
 	mrs         []*MR
-	nextQPN     uint32
 	nextKey     uint32
 	implicitODP bool
 	// npr, when non-nil, is the NP-RDMA driver pool (EnableNPR) and the
@@ -147,8 +151,6 @@ func New(fab *fabric.Fabric, lid uint16, name string, prof Profile, memCfg hostm
 		prof:    prof,
 		pool:    fab.Pool(),
 		tel:     telemetry.NewRegistryOn(eng, name, telemetry.Labels{"device": name}),
-		qps:     make(map[uint32]*QP),
-		nextQPN: 1,
 		nextKey: 1,
 	}
 	r.registerMetrics()
@@ -345,7 +347,7 @@ func (r *RNIC) lookupMR(addr hostmem.Addr, length int) (kind MemKind, ok bool) {
 func (r *RNIC) CreateQP(sendCQ, recvCQ *CQ) *QP {
 	qp := &QP{
 		rnic:   r,
-		Num:    r.nextQPN,
+		Num:    r.nextQPN(),
 		sendCQ: sendCQ,
 		recvCQ: recvCQ,
 	}
@@ -359,9 +361,7 @@ func (r *RNIC) CreateQP(sendCQ, recvCQ *CQ) *QP {
 		qp.irn.RB.Init(0)
 		qp.irn.TX.Init(r.irnBDP, 0)
 	}
-	r.nextQPN++
-	r.qps[qp.Num] = qp
-	qp.registerMetrics(r.tel)
+	r.addQP(qpSlot{rc: qp})
 	return qp
 }
 
@@ -372,7 +372,7 @@ func (r *RNIC) CreateQP(sendCQ, recvCQ *CQ) *QP {
 // rate) before normal dispatch.
 func (r *RNIC) receive(pkt *packet.Packet) {
 	if pkt.Opcode == packet.OpCNP {
-		if qp, ok := r.qps[pkt.DestQP]; ok && qp.rate != nil {
+		if qp := r.slot(pkt.DestQP).rc; qp != nil && qp.rate != nil {
 			r.CnpHandled++
 			qp.rate.HandleCNP()
 		}
@@ -383,13 +383,13 @@ func (r *RNIC) receive(pkt *packet.Packet) {
 		r.maybeSendCNP(pkt)
 	}
 	if pkt.Opcode == packet.OpUDSend {
-		if udqp, ok := r.udqps[pkt.DestQP]; ok {
+		if udqp := r.slot(pkt.DestQP).ud; udqp != nil {
 			udqp.receive(pkt)
 		}
 		return
 	}
-	qp, ok := r.qps[pkt.DestQP]
-	if !ok {
+	qp := r.slot(pkt.DestQP).rc
+	if qp == nil {
 		return // no such QP: silently dropped, like real hardware
 	}
 	if pkt.Opcode.IsRequest() {
@@ -404,8 +404,8 @@ func (r *RNIC) receive(pkt *packet.Packet) {
 // the notification-point pacing window (one CNP per MinCNPInterval, as
 // the mlx5 N_CNP timer does).
 func (r *RNIC) maybeSendCNP(marked *packet.Packet) {
-	qp, ok := r.qps[marked.DestQP]
-	if !ok {
+	qp := r.slot(marked.DestQP).rc
+	if qp == nil {
 		return
 	}
 	now := r.eng.Now()

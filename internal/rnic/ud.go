@@ -1,11 +1,8 @@
 package rnic
 
 import (
-	"strconv"
-
 	"odpsim/internal/hostmem"
 	"odpsim/internal/packet"
-	"odpsim/internal/telemetry"
 )
 
 // UDSendWR is a datagram send: the destination travels with the work
@@ -39,21 +36,14 @@ type UDQP struct {
 	Delivered     uint64
 	DroppedNoRecv uint64 // arrived with an empty receive queue
 	DroppedFault  uint64 // arrived into a stale ODP page
+
+	labels string // rendered telemetry label set (qptable.go)
 }
 
 // CreateUDQP creates a datagram QP. It shares the QPN space with RC QPs.
 func (r *RNIC) CreateUDQP(sendCQ, recvCQ *CQ) *UDQP {
-	qp := &UDQP{rnic: r, Num: r.nextQPN, sendCQ: sendCQ, recvCQ: recvCQ}
-	r.nextQPN++
-	if r.udqps == nil {
-		r.udqps = make(map[uint32]*UDQP)
-	}
-	r.udqps[qp.Num] = qp
-	l := telemetry.Labels{"qpn": strconv.FormatUint(uint64(qp.Num), 10)}
-	r.tel.Counter(telemetry.SimUDSent, "datagrams transmitted", l, &qp.Sent)
-	r.tel.Counter(telemetry.SimUDDelivered, "datagrams placed into receive buffers", l, &qp.Delivered)
-	r.tel.Counter(telemetry.SimUDDroppedNoRecv, "datagrams dropped for lack of a receive buffer", l, &qp.DroppedNoRecv)
-	r.tel.Counter(telemetry.SimUDDroppedFault, "datagrams dropped into a stale ODP page", l, &qp.DroppedFault)
+	qp := &UDQP{rnic: r, Num: r.nextQPN(), sendCQ: sendCQ, recvCQ: recvCQ}
+	r.addQP(qpSlot{ud: qp})
 	return qp
 }
 

@@ -9,10 +9,13 @@
 // The design is read-side: components keep counting into plain uint64
 // fields exactly as before (a single increment on the hot path, no
 // indirection), and the registry holds *pointers* to those fields plus
-// callback-backed gauges. A Snapshot reads every registered metric at one
-// virtual instant; snapshots subtract to deltas; a Sampler scrapes a Hub
-// of registries periodically on the sim clock into a TimeSeries; export
-// helpers render Prometheus text exposition and CSV. Because the struct
+// callback-backed gauges. Per-row counters (one per QP) are registered
+// once per component as families over a Rows table and enumerated at
+// snapshot time, so creating a row touches no registry. A Snapshot reads
+// every registered metric at one virtual instant; snapshots subtract to
+// deltas; a Sampler scrapes a Hub of registries periodically on the sim
+// clock into a TimeSeries; export helpers render Prometheus text
+// exposition and CSV. Because the struct
 // field *is* the counter's storage, the pre-existing exported fields
 // (rnic.RNIC.DammedDrops, odp.Engine.Faults, …) remain valid read-through
 // accessors of the registry values.
@@ -24,8 +27,10 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"odpsim/internal/sim"
@@ -103,19 +108,46 @@ type metric struct {
 	gauge   func() float64
 }
 
+// Rows is a table of rows that each carry the same counter fields — the
+// QPs of one device. Families registered over it enumerate it at
+// snapshot time instead of registering one metric per row.
+type Rows interface {
+	// Slots returns the number of slots a walk visits.
+	Slots() int
+	// Count returns how many slots Row reports.
+	Count() int
+	// Row returns slot's rendered labels and field's value, or ok false
+	// for a slot the table does not report.
+	Row(slot, field int) (labels string, v uint64, ok bool)
+}
+
+// family is one counter name reported for every row of a Rows table.
+type family struct {
+	name  string
+	help  string
+	rows  Rows
+	field int
+}
+
 // Registry holds the metrics of one component (a device, the fabric).
 // Registration happens at construction time; reads happen at snapshot
 // time. The zero value is not usable; create with NewRegistry.
 //
-// Registration runs per simulated device per trial, so it is built to
-// stay off the allocator: metrics are stored by value, label rendering
-// reuses scratch buffers and caches the last rendered label set
-// (registrations arrive in runs sharing one Labels map), and duplicate
-// detection scans the metric table instead of keeping a side map.
+// A registry holds two kinds of entries. Scalar metrics (Counter,
+// Gauge) are registered one by one, a few dozen per component; families
+// (Family) name one counter for every row of a Rows table and emit a
+// sample per row when snapshotted. Registration runs per simulated
+// device per trial, so it stays off the allocator: entries are stored by
+// value in tables recycled through NewRegistryOn, and label rendering
+// reuses scratch buffers and caches the last rendered label set.
+// Registration rejects a repeated scalar (name, labels) pair and a
+// repeated family name; a snapshot rejects any key that still repeats,
+// including across the registries of one Hub.
 type Registry struct {
 	common    []labelPair // sorted by key
 	commonStr string      // rendered form of common alone
 	metrics   []metric
+	families  []family
 
 	// Render cache and scratch. lastSpecific/lastRendered memoize the
 	// most recent non-empty specific label set; pairScratch and
@@ -195,6 +227,7 @@ func NewRegistryOn(eng *sim.Engine, name string, common Labels) *Registry {
 		r := l.all[l.next]
 		l.next++
 		r.metrics = r.metrics[:0]
+		r.families = r.families[:0]
 		return r
 	}
 	r := NewRegistry(common)
@@ -235,7 +268,7 @@ func (r *Registry) render(specific Labels) string {
 	if r.haveLast && len(specific) == len(r.lastSpecific) {
 		same := true
 		for _, p := range r.lastSpecific {
-			if specific[p.k] != p.v {
+			if v, ok := specific[p.k]; !ok || v != p.v {
 				same = false
 				break
 			}
@@ -298,8 +331,81 @@ func (r *Registry) Gauge(name, help string, labels Labels, read func() float64) 
 	r.add(metric{name: name, help: help, kind: KindGauge, gauge: read}, labels)
 }
 
-// Len returns the number of registered metrics.
+// Family registers name as a counter reported for every row of rows
+// that carries field, labelled by the row's own rendered labels. The
+// table is read at snapshot time, so rows added later appear in later
+// snapshots with nothing registered per row.
+func (r *Registry) Family(name, help string, rows Rows, field int) {
+	if rows == nil {
+		panic("telemetry: Family requires a row table")
+	}
+	for i := range r.families {
+		if r.families[i].name == name {
+			panic("telemetry: duplicate family " + name)
+		}
+	}
+	if r.families == nil {
+		// One allocation covers a device's QP families (12); a
+		// registry recycled through NewRegistryOn keeps it.
+		r.families = make([]family, 0, 16)
+	}
+	r.families = append(r.families, family{name: name, help: help, rows: rows, field: field})
+}
+
+// RowLabels renders the common labels plus key="v" (v in decimal, key
+// winning over a common label of the same name) in canonical form — the
+// labels a Rows table reports for a row. The result is interned, so a
+// label set seen before allocates nothing.
+func (r *Registry) RowLabels(key string, v uint64) string {
+	buf := append(r.bufScratch[:0], '{')
+	placed := false
+	for _, p := range r.common {
+		if !placed && key <= p.k {
+			buf = appendUintPair(buf, key, v)
+			placed = true
+			if key == p.k {
+				continue
+			}
+		}
+		if len(buf) > 1 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, p.k...)
+		buf = append(buf, '=')
+		buf = strconv.AppendQuote(buf, p.v)
+	}
+	if !placed {
+		buf = appendUintPair(buf, key, v)
+	}
+	buf = append(buf, '}')
+	r.bufScratch = buf
+	return intern(buf)
+}
+
+// appendUintPair appends `k="v"` with v in decimal, a comma first unless
+// it opens the label set.
+func appendUintPair(buf []byte, k string, v uint64) []byte {
+	if len(buf) > 1 {
+		buf = append(buf, ',')
+	}
+	buf = append(buf, k...)
+	buf = append(buf, '=', '"')
+	buf = strconv.AppendUint(buf, v, 10)
+	return append(buf, '"')
+}
+
+// Len returns the number of scalar metrics registered (families and
+// their rows are not counted).
 func (r *Registry) Len() int { return len(r.metrics) }
+
+// sampleCount returns how many samples a snapshot of the registry emits.
+func (r *Registry) sampleCount() int {
+	n := len(r.metrics)
+	for i := range r.families {
+		n += r.families[i].rows.Count()
+	}
+	return n
+}
 
 // Sample is one metric's value at one instant.
 type Sample struct {
@@ -329,37 +435,40 @@ func (r *Registry) snapshotInto(out []Sample) []Sample {
 		}
 		out = append(out, s)
 	}
+	for i := range r.families {
+		f := &r.families[i]
+		for slot, n := 0, f.rows.Slots(); slot < n; slot++ {
+			if labels, v, ok := f.rows.Row(slot, f.field); ok {
+				out = append(out, Sample{Name: f.name, Labels: labels, Help: f.help, Kind: KindCounter, Value: float64(v)})
+			}
+		}
+	}
 	return out
 }
 
 // Snapshot reads the registry at virtual time at.
 func (r *Registry) Snapshot(at sim.Time) Snapshot {
-	return finishSnapshot(at, r.snapshotInto(make([]Sample, 0, len(r.metrics))))
+	return finishSnapshot(at, r.snapshotInto(make([]Sample, 0, r.sampleCount())))
 }
 
-// sampleLess orders samples by (Name, Labels).
-func sampleLess(a, b *Sample) bool {
-	if a.Name != b.Name {
-		return a.Name < b.Name
+// compareSamples orders samples by (Name, Labels).
+func compareSamples(a, b Sample) int {
+	if c := strings.Compare(a.Name, b.Name); c != 0 {
+		return c
 	}
-	return a.Labels < b.Labels
+	return strings.Compare(a.Labels, b.Labels)
 }
 
+// finishSnapshot sorts samples by (Name, Labels) and panics on a key
+// that appears twice. Family rows interleave with each other and with
+// scalars (labels sort as strings, so qpn="10" precedes qpn="2"), so the
+// order comes from the sort alone, never from the registration order.
 func finishSnapshot(at sim.Time, samples []Sample) Snapshot {
-	// Insertion sort: stable, allocation-free (sort.Stable boxes the
-	// slice into an interface), and cheap here because registries emit
-	// samples in near-sorted runs.
+	slices.SortFunc(samples, compareSamples)
 	for i := 1; i < len(samples); i++ {
-		if !sampleLess(&samples[i], &samples[i-1]) {
-			continue
+		if samples[i].Name == samples[i-1].Name && samples[i].Labels == samples[i-1].Labels {
+			panic(fmt.Sprintf("telemetry: duplicate metric %s%s", samples[i].Name, samples[i].Labels))
 		}
-		s := samples[i]
-		j := i - 1
-		for j >= 0 && sampleLess(&s, &samples[j]) {
-			samples[j+1] = samples[j]
-			j--
-		}
-		samples[j+1] = s
 	}
 	return Snapshot{At: at, Samples: samples}
 }
@@ -443,7 +552,7 @@ func (h *Hub) Add(r *Registry) { h.regs = append(h.regs, r) }
 func (h *Hub) Snapshot(at sim.Time) Snapshot {
 	n := 0
 	for _, r := range h.regs {
-		n += r.Len()
+		n += r.sampleCount()
 	}
 	samples := make([]Sample, 0, n)
 	for _, r := range h.regs {

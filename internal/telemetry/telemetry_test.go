@@ -1,6 +1,10 @@
 package telemetry
 
 import (
+	"bytes"
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
 	"odpsim/internal/sim"
@@ -195,5 +199,148 @@ func TestSamplerClampsInterval(t *testing.T) {
 	s := NewSampler(eng, NewHub(), 1) // 1 ns would run wild
 	if s.interval != sim.Microsecond {
 		t.Errorf("interval = %v, want clamped to 1µs", s.interval)
+	}
+}
+
+// TestRenderCacheChecksKeyPresence registers {x=""} right after {y=""}:
+// a missing key must not read as a cached empty value.
+func TestRenderCacheChecksKeyPresence(t *testing.T) {
+	r := NewRegistry(Labels{"device": "d"})
+	var v uint64
+	r.Counter("m", "h", Labels{"y": ""}, &v)
+	r.Counter("m", "h", Labels{"x": ""}, &v)
+	s := r.Snapshot(0)
+	if _, ok := s.Get("m", `{device="d",x=""}`); !ok {
+		t.Errorf("{x=\"\"} rendered from the cached {y=\"\"}: %v", s.Samples)
+	}
+}
+
+// rowTable is a Rows table over plain counters; rows whose value is
+// zero are not reported.
+type rowTable struct {
+	reg    *Registry
+	vals   []uint64
+	labels []string
+}
+
+func (t *rowTable) Slots() int { return len(t.vals) }
+
+func (t *rowTable) Count() int {
+	n := 0
+	for _, v := range t.vals {
+		if v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func (t *rowTable) Row(slot, field int) (string, uint64, bool) {
+	if t.vals[slot] == 0 {
+		return "", 0, false
+	}
+	if t.labels[slot] == "" {
+		t.labels[slot] = t.reg.RowLabels("qpn", uint64(slot))
+	}
+	return t.labels[slot], t.vals[slot] * uint64(field+1), true
+}
+
+func newRowTable(reg *Registry, vals ...uint64) *rowTable {
+	return &rowTable{reg: reg, vals: vals, labels: make([]string, len(vals))}
+}
+
+func TestFamilyMatchesPerRowCounters(t *testing.T) {
+	fam := NewRegistry(Labels{"device": "d"})
+	rows := newRowTable(fam, 5, 0, 7, 0, 0, 0, 0, 0, 0, 0, 3, 9)
+	fam.Family("m", "per row", rows, 0)
+	fam.Family("n", "per row, doubled", rows, 1)
+	var solo uint64 = 1
+	fam.Counter("m", "per row", nil, &solo)
+
+	each := NewRegistry(Labels{"device": "d"})
+	each.Counter("m", "per row", nil, &solo)
+	vals := make([]uint64, 2*len(rows.vals))
+	for slot, v := range rows.vals {
+		if v == 0 {
+			continue
+		}
+		l := Labels{"qpn": strconv.Itoa(slot)}
+		vals[2*slot], vals[2*slot+1] = v, 2*v
+		each.Counter("m", "per row", l, &vals[2*slot])
+		each.Counter("n", "per row, doubled", l, &vals[2*slot+1])
+	}
+
+	var got, want bytes.Buffer
+	if err := fam.Snapshot(3).WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := each.Snapshot(3).WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("family export:\n%s\nper-row export:\n%s", got.String(), want.String())
+	}
+	if fam.Len() != 1 {
+		t.Errorf("Len = %d, want 1 (families are not scalar metrics)", fam.Len())
+	}
+}
+
+func TestRowLabelsMatchRender(t *testing.T) {
+	for _, common := range []Labels{nil, {"device": "d"}, {"a": "1", "z": "2"}, {"qpn": "old", "device": "d"}} {
+		r := NewRegistry(common)
+		for _, v := range []uint64{0, 7, 12345} {
+			want := r.render(Labels{"qpn": strconv.FormatUint(v, 10)})
+			if got := r.RowLabels("qpn", v); got != want {
+				t.Errorf("common %v, qpn %d: RowLabels = %s, render = %s", common, v, got, want)
+			}
+		}
+	}
+}
+
+func TestDuplicateRegistrationsPanic(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if msg := recover(); msg == nil {
+				t.Errorf("%s: no panic", name)
+			} else if !strings.Contains(fmt.Sprint(msg), "duplicate") {
+				t.Errorf("%s: panic %q does not name a duplicate", name, msg)
+			}
+		}()
+		f()
+	}
+	r := NewRegistry(Labels{"device": "d"})
+	rows := newRowTable(r, 1)
+	r.Family("m", "h", rows, 0)
+	mustPanic("family registered twice", func() { r.Family("m", "h", rows, 1) })
+
+	// Two registries sharing a device label collide only in the hub.
+	var v uint64
+	a, b := NewRegistry(Labels{"device": "d"}), NewRegistry(Labels{"device": "d"})
+	a.Counter("x", "h", nil, &v)
+	b.Counter("x", "h", nil, &v)
+	mustPanic("same key in two registries", func() { NewHub(a, b).Snapshot(0) })
+}
+
+// TestAllocBudgetFamilySnapshot pins the snapshot side of families: once
+// the row labels are interned, a snapshot of 1000 rows allocates only its
+// sample slice.
+func TestAllocBudgetFamilySnapshot(t *testing.T) {
+	r := NewRegistry(Labels{"device": "d"})
+	vals := make([]uint64, 1000)
+	for i := range vals {
+		vals[i] = uint64(i + 1)
+	}
+	rows := newRowTable(r, vals...)
+	for f := 0; f < 8; f++ {
+		r.Family("m"+strconv.Itoa(f), "h", rows, f)
+	}
+	hub := NewHub(r)
+	hub.Snapshot(0)
+	if avg := testing.AllocsPerRun(20, func() { hub.Snapshot(0) }); avg > 1 {
+		t.Errorf("8000-row snapshot allocates %.0f/op, want 1 (the sample slice)", avg)
+	}
+	if avg := testing.AllocsPerRun(20, func() { r.RowLabels("qpn", 999) }); avg != 0 {
+		t.Errorf("RowLabels of an interned label set allocates %.0f/op", avg)
 	}
 }
