@@ -559,8 +559,8 @@ func NewNetwork(eng *sim.Engine, cfg Config, linkGbps float64, propDelay sim.Tim
 		}
 	}
 	n.buildRoutes()
-	// Pre-size the engine's event storage from the link count: every link
-	// can hold a tx-done event plus propagation flights at once, and each
+	// Pre-size the engine's lite heap from the link count: every link can
+	// hold a tx-done event plus propagation flights at once, and each
 	// leaf adds host up/downlinks. Warm engines already have the capacity,
 	// so this is a cold-start courtesy, not a per-trial cost.
 	eng.PreallocEvents(8 * (topo.LinkCount() + 2*len(topo.Leaves)))

@@ -5,78 +5,85 @@ import (
 	"math/rand"
 )
 
-// event is a scheduled callback. Events at the same instant fire in the
-// order they were scheduled (seq breaks ties), which keeps runs
-// deterministic. Events are recycled through the engine's free list when
-// they fire or are cancelled; gen increments on every recycle so stale
-// Timer handles become inert instead of acting on the event's next life.
+// event is a tracked (cancellable) scheduled callback. Events at the same
+// instant fire in the order they were scheduled (seq breaks ties), which
+// keeps runs deterministic. Events are recycled through the engine's free
+// list when they fire or are cancelled; gen increments on every recycle
+// so stale Timer handles become inert instead of acting on the event's
+// next life.
 type event struct {
 	at    Time
 	seq   uint64
 	fn    func()
 	gen   uint64
-	index int // position in the heap, -1 when popped
+	index int // position in the timer heap, -1 when popped
 }
 
-// heapItem is one heap slot. The ordering key (at, seq) is stored by
-// value next to the payload, so sift comparisons stay inside the heap's
-// backing array instead of dereferencing each event — the heap is the
-// simulator's hottest structure (every send, timer and wakeup passes
-// through it), and the switched congestion path multiplies traffic
-// through it by its per-hop events.
+// The engine keeps two binary min-heaps over the same (at, seq) key,
+// split by event lifetime. Lite callbacks (Schedule, ScheduleSeq) are the
+// per-packet traffic: microseconds ahead, never cancelled, pushed and
+// popped millions of times. Tracked timers (At, After) are mostly
+// retransmit timeouts armed milliseconds ahead and cancelled on the next
+// ACK; hundreds sit pending at once. Kept apart, a lite sift is only as
+// deep as the handful of pending lite slots, never moves a timer (whose
+// moves write ev.index into scattered event structs), and tests no
+// ev != nil.
 //
-// A slot carries either a tracked event (ev != nil: cancellable, with a
-// Timer handle and heap-index maintenance) or a lite callback (ev == nil,
-// fn set: fire-and-forget). Lite slots are the fast path — they skip the
-// event free list entirely and sift moves never store a heap index for
-// them, so the per-hop tx-done and propagation callbacks of the switched
-// congestion path cost only the slice shuffle.
-type heapItem struct {
+// Sequence numbers come from one counter shared by At, Schedule and
+// ReserveSeq, so (at, seq) is a total order over both heaps, and Step
+// popping whichever head is smaller reproduces the single heap's pop
+// order exactly. The key is stored by value in each slot, so sift
+// comparisons stay inside the heap's backing array. The heaps are
+// hand-rolled rather than container/heap (interface-dispatched Less/Swap
+// dominated the congested-datapath profile). A 4-ary variant was
+// measured ~10% slower here: the min-of-four child scan mispredicts more
+// than the halved depth saves.
+
+// liteItem is one lite-heap slot: a fire-and-forget callback.
+type liteItem struct {
 	at  Time
 	seq uint64
-	fn  func() // lite payload; nil when ev is set
+	fn  func()
+}
+
+// timerItem is one timer-heap slot; ev.index tracks the slot for Cancel.
+type timerItem struct {
+	at  Time
+	seq uint64
 	ev  *event
 }
 
-// eventHeap is a hand-rolled binary min-heap over (at, seq). It replaces
-// container/heap: the interface-dispatched Less/Swap calls dominated the
-// congested-datapath profile, and pop order is a total order on
-// (at, seq), so a specialized heap is observably identical — runs stay
-// byte-for-byte deterministic. (A 4-ary variant was measured ~10% slower
-// here: the min-of-four child scan mispredicts more than the halved
-// depth saves.)
-type eventHeap []heapItem
+// initialHeapCap is each heap's first backing array, allocated on its
+// first push: one allocation per heap for a fresh engine instead of seven
+// doublings from zero.
+const initialHeapCap = 64
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// earlier reports whether key (a1, s1) orders before (a2, s2). Testing
+// at != first compiles to a faster sift than a1 < a2 || (a1 == a2 && ...).
+func earlier(a1 Time, s1 uint64, a2 Time, s2 uint64) bool {
+	if a1 != a2 {
+		return a1 < a2
 	}
-	return h[i].seq < h[j].seq
+	return s1 < s2
 }
 
-// siftUp restores the heap property from slot i toward the root.
-func (h eventHeap) siftUp(i int) {
+type liteHeap []liteItem
+
+func (h liteHeap) siftUp(i int) {
 	item := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
 		p := h[parent]
-		if p.at < item.at || (p.at == item.at && p.seq < item.seq) {
+		if earlier(p.at, p.seq, item.at, item.seq) {
 			break
 		}
 		h[i] = p
-		if p.ev != nil {
-			p.ev.index = i
-		}
 		i = parent
 	}
 	h[i] = item
-	if item.ev != nil {
-		item.ev.index = i
-	}
 }
 
-// siftDown restores the heap property from slot i toward the leaves.
-func (h eventHeap) siftDown(i int) {
+func (h liteHeap) siftDown(i int) {
 	n := len(h)
 	item := h[i]
 	for {
@@ -84,73 +91,117 @@ func (h eventHeap) siftDown(i int) {
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && h.less(r, child) {
+		if r := child + 1; r < n && earlier(h[r].at, h[r].seq, h[child].at, h[child].seq) {
 			child = r
 		}
 		c := h[child]
-		if item.at < c.at || (item.at == c.at && item.seq < c.seq) {
+		if earlier(item.at, item.seq, c.at, c.seq) {
 			break
 		}
 		h[i] = c
-		if c.ev != nil {
-			c.ev.index = i
-		}
 		i = child
 	}
 	h[i] = item
-	if item.ev != nil {
-		item.ev.index = i
+}
+
+type timerHeap []timerItem
+
+func (h timerHeap) siftUp(i int) {
+	item := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		p := h[parent]
+		if earlier(p.at, p.seq, item.at, item.seq) {
+			break
+		}
+		h[i] = p
+		p.ev.index = i
+		i = parent
 	}
+	h[i] = item
+	item.ev.index = i
 }
 
-// push adds ev to the heap.
-func (e *Engine) push(ev *event) {
-	e.events = append(e.events, heapItem{at: ev.at, seq: ev.seq, ev: ev})
-	e.events.siftUp(len(e.events) - 1)
+func (h timerHeap) siftDown(i int) {
+	n := len(h)
+	item := h[i]
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && earlier(h[r].at, h[r].seq, h[child].at, h[child].seq) {
+			child = r
+		}
+		c := h[child]
+		if earlier(item.at, item.seq, c.at, c.seq) {
+			break
+		}
+		h[i] = c
+		c.ev.index = i
+		i = child
+	}
+	h[i] = item
+	item.ev.index = i
 }
 
-// popMin removes and returns the earliest heap slot. The heap must be
-// non-empty.
-func (e *Engine) popMin() heapItem {
-	h := e.events
-	top := h[0]
+// pushLite adds a lite callback to the lite heap.
+func (e *Engine) pushLite(t Time, seq uint64, fn func()) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	if e.lite == nil {
+		e.lite = make(liteHeap, 0, initialHeapCap)
+	}
+	e.lite = append(e.lite, liteItem{at: t, seq: seq, fn: fn})
+	e.lite.siftUp(len(e.lite) - 1)
+}
+
+// pushTimer adds ev to the timer heap.
+func (e *Engine) pushTimer(ev *event) {
+	if e.timers == nil {
+		e.timers = make(timerHeap, 0, initialHeapCap)
+	}
+	e.timers = append(e.timers, timerItem{at: ev.at, seq: ev.seq, ev: ev})
+	e.timers.siftUp(len(e.timers) - 1)
+}
+
+// popLite removes and returns the lite heap's earliest callback. The
+// heap must be non-empty.
+func (e *Engine) popLite() func() {
+	h := e.lite
+	fn := h[0].fn
 	n := len(h) - 1
 	last := h[n]
-	h[n] = heapItem{}
-	e.events = h[:n]
+	h[n] = liteItem{}
+	e.lite = h[:n]
 	if n > 0 {
 		h[0] = last
-		if last.ev != nil {
-			last.ev.index = 0
-		}
-		e.events.siftDown(0)
+		e.lite.siftDown(0)
 	}
-	if top.ev != nil {
-		top.ev.index = -1
-	}
-	return top
+	return fn
 }
 
-// remove deletes the event at heap slot i (timer cancellation).
-func (e *Engine) remove(i int) {
-	h := e.events
+// removeTimer deletes the event at timer-heap slot i: a pop when i is 0,
+// a cancellation otherwise.
+func (e *Engine) removeTimer(i int) *event {
+	h := e.timers
 	n := len(h) - 1
 	ev := h[i].ev
 	last := h[n]
-	h[n] = heapItem{}
-	e.events = h[:n]
+	h[n] = timerItem{}
+	e.timers = h[:n]
 	if i < n {
 		h[i] = last
-		if last.ev != nil {
-			last.ev.index = i
-		}
-		if i > 0 && e.events.less(i, (i-1)/2) {
-			e.events.siftUp(i)
+		last.ev.index = i
+		if p := (i - 1) / 2; i > 0 && earlier(last.at, last.seq, h[p].at, h[p].seq) {
+			e.timers.siftUp(i)
 		} else {
-			e.events.siftDown(i)
+			e.timers.siftDown(i)
 		}
 	}
 	ev.index = -1
+	return ev
 }
 
 // Timer is a handle to a scheduled event; it allows cancellation. The
@@ -165,18 +216,17 @@ type Timer struct {
 }
 
 // Cancel prevents the timer's callback from firing. The event is removed
-// from the heap immediately and its storage recycled — cancelled timers
-// leave no dead entries behind (the RC requester cancels a retransmit
-// timer on nearly every ACK, so lazy deletion would carry a tail of dead
-// heap entries through timeout-heavy runs). Cancelling an already-fired
-// or already-cancelled timer is a no-op. Cancel reports whether the
-// callback was still pending.
+// from the timer heap immediately and its storage recycled — cancelled
+// timers leave no dead entries behind (the RC requester cancels a
+// retransmit timer on nearly every ACK, so lazy deletion would carry a
+// tail of dead heap entries through timeout-heavy runs). Cancelling an
+// already-fired or already-cancelled timer is a no-op. Cancel reports
+// whether the callback was still pending.
 func (t Timer) Cancel() bool {
 	if t.ev == nil || t.ev.gen != t.gen {
 		return false
 	}
-	t.eng.remove(t.ev.index)
-	t.eng.recycle(t.ev)
+	t.eng.recycle(t.eng.removeTimer(t.ev.index))
 	return true
 }
 
@@ -192,8 +242,9 @@ func (t Timer) Pending() bool {
 // may run on separate engines concurrently (see internal/parallel).
 type Engine struct {
 	now     Time
-	events  eventHeap
-	free    []*event // recycled event storage
+	lite    liteHeap  // Schedule/ScheduleSeq callbacks
+	timers  timerHeap // At/After events, cancellable
+	free    []*event  // recycled event storage
 	seq     uint64
 	rng     *rand.Rand
 	seed    int64
@@ -215,22 +266,23 @@ func New(seed int64) *Engine {
 }
 
 // Reset returns the engine to its just-constructed state with a new seed,
-// keeping allocated storage (the heap's backing array and the event free
-// list) so repeated trials reuse one engine instead of allocating a fresh
-// one per run. A reset engine behaves byte-identically to New(seed).
+// keeping allocated storage (both heaps' backing arrays and the event
+// free list) so repeated trials reuse one engine instead of allocating a
+// fresh one per run. A reset engine behaves byte-identically to New(seed).
 // Reset panics if live processes remain from an unfinished run.
 func (e *Engine) Reset(seed int64) {
 	if e.procs > 0 {
 		panic(fmt.Sprintf("sim: Reset with %d live process(es)", e.procs))
 	}
-	for i := range e.events {
-		if ev := e.events[i].ev; ev != nil {
-			ev.index = -1
-			e.recycle(ev)
-		}
-		e.events[i] = heapItem{}
+	for i := range e.timers {
+		ev := e.timers[i].ev
+		ev.index = -1
+		e.recycle(ev)
+		e.timers[i] = timerItem{}
 	}
-	e.events = e.events[:0]
+	e.timers = e.timers[:0]
+	clear(e.lite)
+	e.lite = e.lite[:0]
 	e.now = 0
 	e.seq = 0
 	e.fired = 0
@@ -277,7 +329,7 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) Seed() int64 { return e.seed }
 
 // schedule allocates (or recycles) an event for fn at absolute time t and
-// pushes it on the heap. Scheduling in the past panics: it would silently
+// pushes it on the timer heap. Scheduling in the past panics: it would silently
 // reorder causality.
 func (e *Engine) schedule(t Time, fn func()) *event {
 	if t < e.now {
@@ -295,7 +347,7 @@ func (e *Engine) schedule(t Time, fn func()) *event {
 	ev.seq = e.seq
 	ev.fn = fn
 	e.seq++
-	e.push(ev)
+	e.pushTimer(ev)
 	return ev
 }
 
@@ -307,7 +359,10 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// At schedules fn to run at absolute virtual time t.
+// At schedules fn to run at absolute virtual time t and returns a handle
+// that can cancel it. The event lives in the timer heap, apart from the
+// lite per-packet traffic, so hundreds of armed far-future timeouts do
+// not deepen every packet callback's sift.
 func (e *Engine) At(t Time, fn func()) Timer {
 	ev := e.schedule(t, fn)
 	return Timer{eng: e, ev: ev, gen: ev.gen}
@@ -323,19 +378,16 @@ func (e *Engine) After(d Time, fn func()) Timer {
 }
 
 // Schedule runs fn at absolute virtual time t with no Timer handle: the
-// callback rides in the heap slot itself, bypassing the event free list
-// and heap-index maintenance. It is the fast path for callers that never
+// callback rides in a lite-heap slot itself, bypassing the event free
+// list and heap-index maintenance, and shares that heap only with other
+// short-lived lite callbacks. It is the fast path for callers that never
 // cancel — per-hop tx-done and propagation callbacks, fabric deliveries,
 // process wakeups. Ordering is identical to At (one shared sequence
 // counter breaks same-instant ties), so mixing Schedule and At changes
 // nothing observable.
 func (e *Engine) Schedule(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	e.events = append(e.events, heapItem{at: t, seq: e.seq, fn: fn})
+	e.pushLite(t, e.seq, fn)
 	e.seq++
-	e.events.siftUp(len(e.events) - 1)
 }
 
 // ScheduleAfter is Schedule at d after the current time. Negative delays
@@ -362,11 +414,7 @@ func (e *Engine) ReserveSeq() uint64 {
 // ReserveSeq. Same-instant ties resolve by reservation order, not by
 // when the slot entered the heap.
 func (e *Engine) ScheduleSeq(t Time, seq uint64, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	e.events = append(e.events, heapItem{at: t, seq: seq, fn: fn})
-	e.events.siftUp(len(e.events) - 1)
+	e.pushLite(t, seq, fn)
 }
 
 // after is ScheduleAfter's internal alias, kept for the process layer's
@@ -375,32 +423,25 @@ func (e *Engine) after(d Time, fn func()) {
 	e.ScheduleAfter(d, fn)
 }
 
-// PreallocEvents grows the event heap's backing array and the free list
-// until the engine can hold at least n scheduled events without touching
-// the allocator. Like the heap and free list themselves, the storage
-// survives Reset, so callers with known fan-out (the switched congestion
-// network schedules a tx-done event plus propagation flights per link)
-// pay the cost once per engine, not per trial. Calling it on a warm
-// engine is a no-op.
+// PreallocEvents grows the lite heap's backing array until it holds at
+// least n callbacks (Schedule, ScheduleSeq) without touching the
+// allocator. Like the heaps themselves, the storage survives Reset, so
+// callers with known fan-out (the switched congestion network schedules a
+// lite tx-done event plus propagation flights per link) pay the cost once
+// per engine, not per trial. The timer heap and the event free list grow
+// on demand and are kept across Reset too. Calling it on a warm engine is
+// a no-op.
 func (e *Engine) PreallocEvents(n int) {
-	if cap(e.events) < n {
-		grown := make(eventHeap, len(e.events), n)
-		copy(grown, e.events)
-		e.events = grown
-	}
-	if cap(e.free) < n {
-		grown := make([]*event, len(e.free), n)
-		copy(grown, e.free)
-		e.free = grown
-	}
-	for len(e.free)+len(e.events) < n {
-		e.free = append(e.free, &event{})
+	if cap(e.lite) < n {
+		grown := make(liteHeap, len(e.lite), n)
+		copy(grown, e.lite)
+		e.lite = grown
 	}
 }
 
-// EventCapacity returns how many events the engine's heap can hold
-// before its backing array must grow (see PreallocEvents).
-func (e *Engine) EventCapacity() int { return cap(e.events) }
+// EventCapacity returns how many lite callbacks the engine can hold
+// before the lite heap's backing array must grow (see PreallocEvents).
+func (e *Engine) EventCapacity() int { return cap(e.lite) }
 
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
@@ -413,19 +454,23 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Stopped() bool { return e.stopped }
 
 // Step executes the single next event, advancing the clock. It reports
-// whether an event was executed.
+// whether an event was executed. The next event is whichever heap head
+// orders first by (at, seq).
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	var fn func()
+	if l := e.lite; len(l) > 0 && (len(e.timers) == 0 ||
+		earlier(l[0].at, l[0].seq, e.timers[0].at, e.timers[0].seq)) {
+		e.now = l[0].at
+		fn = e.popLite()
+	} else if len(e.timers) > 0 {
+		ev := e.removeTimer(0)
+		e.now = ev.at
+		fn = ev.fn
+		e.recycle(ev)
+	} else {
 		return false
 	}
-	top := e.popMin()
-	e.now = top.at
 	e.fired++
-	fn := top.fn
-	if top.ev != nil {
-		fn = top.ev.fn
-		e.recycle(top.ev)
-	}
 	fn()
 	return true
 }
@@ -441,10 +486,7 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
 	for !e.stopped {
-		if len(e.events) == 0 {
-			break
-		}
-		if e.events[0].at > t {
+		if at, ok := e.NextEventTime(); !ok || at > t {
 			break
 		}
 		e.Step()
@@ -459,10 +501,15 @@ func (e *Engine) RunUntil(t Time) {
 // layer's epoch coordinator reads every engine's next time to pick the
 // global window start (internal/shard).
 func (e *Engine) NextEventTime() (Time, bool) {
-	if len(e.events) == 0 {
+	switch {
+	case len(e.timers) == 0 && len(e.lite) == 0:
 		return 0, false
+	case len(e.timers) == 0:
+		return e.lite[0].at, true
+	case len(e.lite) == 0:
+		return e.timers[0].at, true
 	}
-	return e.events[0].at, true
+	return min(e.lite[0].at, e.timers[0].at), true
 }
 
 // RunHorizon executes events with timestamps strictly before h, then
@@ -473,7 +520,10 @@ func (e *Engine) NextEventTime() (Time, bool) {
 // merge decides its order against freshly landed flights.
 func (e *Engine) RunHorizon(h Time) {
 	e.stopped = false
-	for !e.stopped && len(e.events) > 0 && e.events[0].at < h {
+	for !e.stopped {
+		if at, ok := e.NextEventTime(); !ok || at >= h {
+			break
+		}
 		e.Step()
 	}
 	if e.now < h {
@@ -481,6 +531,7 @@ func (e *Engine) RunHorizon(h Time) {
 	}
 }
 
-// QueueLen returns the number of scheduled events. Cancelled events are
-// removed eagerly, so the count reflects only live work.
-func (e *Engine) QueueLen() int { return len(e.events) }
+// QueueLen returns the number of scheduled events in both heaps.
+// Cancelled events are removed eagerly, so the count reflects only live
+// work.
+func (e *Engine) QueueLen() int { return len(e.lite) + len(e.timers) }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -460,6 +461,91 @@ func TestEngineAllocsFlat(t *testing.T) {
 	}
 }
 
+// timerLoadTimeout is how far ahead timerLoad arms its timers: a Local
+// ACK Timeout is milliseconds, the lite traffic microseconds.
+const timerLoadTimeout = 10 * Millisecond
+
+// timerLoad is lite churn under armed timers, the shape of a busy RC run:
+// lite callbacks circulate, each firing re-scheduling itself 1 µs ahead
+// (a packet hop) and, when rearm is set, re-arming the next of n
+// far-future timers the way the RC requester's armTimeout does (Cancel,
+// then After). The callbacks are built once, so a warm loop allocates
+// nothing.
+type timerLoad struct {
+	e       *Engine
+	pending []Timer
+	next    int
+	tick    func()
+	expire  func()
+}
+
+func newTimerLoad(e *Engine, n int, rearm bool) *timerLoad {
+	l := &timerLoad{e: e, pending: make([]Timer, n), expire: func() {}}
+	l.tick = func() {
+		if rearm && len(l.pending) > 0 {
+			l.pending[l.next].Cancel()
+			l.pending[l.next] = l.e.After(timerLoadTimeout, l.expire)
+			l.next = (l.next + 1) % len(l.pending)
+		}
+		l.e.ScheduleAfter(Microsecond, l.tick)
+	}
+	return l
+}
+
+// start arms the timers and seeds burst circulating lite callbacks.
+func (l *timerLoad) start(burst int) {
+	for i := range l.pending {
+		l.pending[i] = l.e.After(timerLoadTimeout+Time(i), l.expire)
+	}
+	for i := 0; i < burst; i++ {
+		l.e.ScheduleAfter(Time(i), l.tick)
+	}
+}
+
+// TestEngineAllocsFlatMixed checks a warm mixed loop stays off the
+// allocator: 16 circulating lite callbacks re-arm 512 far-future timers,
+// one per event. The first run sizes both heaps and the free list; every
+// later run on the Reset engine must allocate nothing.
+func TestEngineAllocsFlatMixed(t *testing.T) {
+	e := New(1)
+	l := newTimerLoad(e, 512, true)
+	loop := func() {
+		e.Reset(1)
+		l.start(16)
+		e.RunUntil(200 * Microsecond) // 3200 lite events, 3200 re-arms
+	}
+	loop()
+	if avg := testing.AllocsPerRun(20, loop); avg != 0 {
+		t.Errorf("allocs per warm mixed loop = %v, want 0", avg)
+	}
+}
+
+// BenchmarkEngineTimerLoad times one event of timerLoad's churn, 16 lite
+// callbacks in flight, with 0 and 512 armed timers. The timers sit idle
+// or are re-armed one per event. Lite callbacks and timers live in
+// separate heaps, so the lite path's ns/event should not move with idle
+// timers; re-arming adds one timer-heap removal and push per event.
+func BenchmarkEngineTimerLoad(b *testing.B) {
+	for _, c := range []struct {
+		n     int
+		rearm bool
+	}{{0, false}, {512, false}, {512, true}} {
+		name := fmt.Sprintf("timers=%d/idle", c.n)
+		if c.rearm {
+			name = fmt.Sprintf("timers=%d/rearm", c.n)
+		}
+		b.Run(name, func(b *testing.B) {
+			e := New(1)
+			newTimerLoad(e, c.n, c.rearm).start(16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
+	}
+}
+
 // TestScheduleOrderingMatchesAt checks the lite fire-and-forget path
 // (Schedule/ScheduleAfter) shares one sequence counter with At/After:
 // same-instant callbacks fire in scheduling order regardless of which
@@ -502,10 +588,9 @@ func TestScheduleDroppedByReset(t *testing.T) {
 	}
 }
 
-// TestScheduleCancelInterleaved exercises Timer.Cancel against a heap
-// holding lite slots: removal sifts move both kinds, and only tracked
-// events carry a heap index. A cancelled timer must not disturb the lite
-// callbacks around it.
+// TestScheduleCancelInterleaved exercises Timer.Cancel with lite
+// callbacks pending at the same instants: the timer heap's removal must
+// not disturb the lite heap, and the two still merge into one order.
 func TestScheduleCancelInterleaved(t *testing.T) {
 	e := New(1)
 	var fired []int
@@ -532,10 +617,9 @@ func TestScheduleCancelInterleaved(t *testing.T) {
 	}
 }
 
-// TestPreallocEvents checks pre-sizing: after PreallocEvents(n), a burst
-// of n tracked and lite schedules plus the run to drain them allocates
-// nothing — the switched congestion network relies on this to keep cold
-// trials off the allocator too.
+// TestPreallocEvents checks a pre-sized, warmed engine: after
+// PreallocEvents(n) and one run, a burst of n tracked and lite schedules
+// plus the run to drain them allocates nothing.
 func TestPreallocEvents(t *testing.T) {
 	e := New(1)
 	e.PreallocEvents(64)

@@ -155,16 +155,18 @@ func (p *Proc) WaitTimeout(c *Cond, d Time, pred func() bool) bool {
 		c.waiters = append(c.waiters, p)
 		p.eng.blocked++
 		t := p.eng.At(deadline, func() {
-			// Remove ourselves from the waiter list and wake up.
+			// Wake only if still waiting: a Broadcast at the deadline
+			// instant may already have dequeued us and queued our wakeFn,
+			// and a second resume would return a later park early.
 			for i, w := range c.waiters {
 				if w == p {
 					c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-					break
+					p.eng.blocked--
+					woke = true
+					p.run()
+					return
 				}
 			}
-			p.eng.blocked--
-			woke = true
-			p.run()
 		})
 		p.park()
 		if !woke {

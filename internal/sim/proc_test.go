@@ -175,6 +175,35 @@ func TestWaitTimeoutSatisfied(t *testing.T) {
 	}
 }
 
+// TestWaitTimeoutBroadcastAtDeadline checks a Broadcast that runs at the
+// deadline instant, before the deadline timer: the Broadcast dequeues the
+// waiter and queues its wake, so the timer must not resume it a second
+// time. A double resume would end the process's next Sleep at the
+// deadline and leave the blocked count negative.
+func TestWaitTimeoutBroadcastAtDeadline(t *testing.T) {
+	e := New(1)
+	c := NewCond(e)
+	e.At(10, c.Broadcast) // scheduled before the deadline timer
+	var ok bool
+	slept, blocked := Time(-1), 0
+	e.Go("w", func(p *Proc) {
+		ok = p.WaitTimeout(c, 10, func() bool { return false })
+		p.Sleep(100)
+		slept = p.Now()
+		blocked = p.Engine().blocked
+	})
+	e.MustRun()
+	if ok {
+		t.Error("WaitTimeout reported success with a false predicate")
+	}
+	if slept != 110 {
+		t.Errorf("Sleep(100) after the timeout returned at %v, want 110", slept)
+	}
+	if blocked != 0 || e.blocked != 0 {
+		t.Errorf("blocked = %d after Sleep, %d after run, want 0, 0", blocked, e.blocked)
+	}
+}
+
 func TestMustRunDeadlockPanics(t *testing.T) {
 	e := New(1)
 	c := NewCond(e)
