@@ -1,9 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation. Each benchmark drives the corresponding experiment and
 // reports the headline quantity via b.ReportMetric (use -v to see the
-// underlying series). The full-resolution sweeps live in cmd/odpsweep and
-// cmd/odpapps; the benchmarks use reduced grids so the whole suite stays
-// runnable in minutes.
+// underlying series). The full-resolution runs are the registered
+// scenarios behind `odpsim run`; the benchmarks use reduced grids so the
+// whole suite stays runnable in minutes.
 package odpsim
 
 import (
@@ -194,7 +194,7 @@ func fig9Sweep(seed int64) *core.QPSweepResult {
 }
 
 // BenchmarkFig09a_QPSweepTime regenerates the execution-time-vs-QPs curves
-// (Figure 9a, reduced grid; full grid via cmd/odpsweep -fig 9).
+// (Figure 9a, reduced grid; full grid via `odpsim run fig9`).
 func BenchmarkFig09a_QPSweepTime(b *testing.B) {
 	var slowdown float64
 	for i := 0; i < b.N; i++ {
@@ -294,7 +294,7 @@ func BenchmarkFig12_ArgoDSM(b *testing.B) {
 }
 
 // BenchmarkTab13_SparkUCX regenerates one Table-13 row pair per example on
-// the KNL configuration (full table via cmd/odpapps -app sparkucx).
+// the KNL configuration (full table via `odpsim run tab13`).
 func BenchmarkTab13_SparkUCX(b *testing.B) {
 	knl := sparkucx.Table13Configs()[0]
 	for _, ex := range []sparkucx.Example{sparkucx.SparkTC, sparkucx.RecommendationExample, sparkucx.RankingMetricsExample} {
@@ -673,7 +673,7 @@ func BenchmarkExtension_SparkEngine(b *testing.B) {
 var _ = odp.DefaultConfig // keep the odp import for ablation docs references
 
 // --- BenchmarkSweep family: the parallel sweep runner and engine hot
-// path, tracked in BENCH_sweeps.json via `odpperf -write-bench` ---
+// path, tracked in BENCH_baseline.json via `odpperf -write-bench` ---
 
 // benchSweepGrid is the reduced Fig-4 sweep the runner benchmarks share.
 func benchSweepGrid(b *testing.B, jobs int) {

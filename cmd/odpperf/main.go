@@ -1,11 +1,13 @@
-// Command odpperf is the simulator's perftest: ib_read_lat / ib_read_bw
-// equivalents with the ODP options the real suite lacks.
+// Command odpperf records and checks the micro-benchmark snapshot
+// committed as BENCH_baseline.json: sweep-runner wall clock, engine,
+// datapath, shard and IRN loop costs and their allocations.
 //
-//	odpperf -test lat -size 8                     # pinned READ latency
-//	odpperf -test lat -mode server                # ODP first-access penalty
-//	odpperf -test lat -mode server -prefetch      # …removed by prefetch
-//	odpperf -test bw -size 4096 -window 16        # pipelined bandwidth
-//	odpperf -test compare                         # all modes side by side
+//	odpperf -write-bench BENCH_baseline.json   # record a fresh snapshot
+//	odpperf -check-bench BENCH_baseline.json   # fail on a regression beyond the noise band
+//
+// The perftest measurements (ib_read_lat / ib_read_bw with ODP options)
+// are the scenario layer's "perftest" workload: `odpsim run perf-compare`
+// or a spec such as examples/specs/perf-lat.json.
 package main
 
 import (
@@ -26,67 +28,31 @@ import (
 	"odpsim/internal/packet"
 	"odpsim/internal/parallel"
 	"odpsim/internal/rnic"
-	"odpsim/internal/scenario"
-	_ "odpsim/internal/scenario/paper"
 	"odpsim/internal/shard"
 	"odpsim/internal/sim"
 )
 
 func main() {
-	test := flag.String("test", "lat", "lat, bw, or compare")
 	writeBench := flag.String("write-bench", "", "write a perf snapshot (sequential-vs-parallel sweep wall clock, engine event-loop ns/op and allocs/op) as JSON to FILE, e.g. BENCH_baseline.json, and exit")
 	checkBench := flag.String("check-bench", "", "measure a fresh snapshot, compare it against the baseline JSON in FILE, and exit non-zero on a regression beyond the noise band")
-	size := flag.Int("size", 8, "message size in bytes")
-	iters := flag.Int("iters", 1000, "iterations")
-	mode := flag.String("mode", "none", "ODP mode: none, server, client, both")
-	implicit := flag.Bool("implicit", false, "use Implicit ODP")
-	prefetch := flag.Bool("prefetch", false, "prefetch ODP pages (ibv_advise_mr)")
-	window := flag.Int("window", 16, "outstanding operations (bw)")
-	pages := flag.Int("pages", 0, "rotate over this many pages (0 = one slot)")
-	system := flag.String("system", "KNL (Private servers B)", "system profile")
-	seed := flag.Int64("seed", 1, "seed")
 	flag.Parse()
 
-	if *writeBench != "" {
+	switch {
+	case *writeBench != "":
 		if err := writeBenchFile(*writeBench); err != nil {
 			log.Fatal(err)
 		}
-		return
-	}
-	if *checkBench != "" {
+	case *checkBench != "":
 		if err := checkBenchFile(*checkBench); err != nil {
 			log.Fatal(err)
 		}
-		return
-	}
-
-	// The measurement paths are a thin wrapper over the scenario layer's
-	// "perftest" workload (renderer = -test); the same run is declarable
-	// as a JSON spec for `odpsim run`.
-	m := *mode
-	if m == "none" {
-		m = "" // the workload's default
-	}
-	sc := scenario.Scenario{
-		Name:     "perf",
-		Workload: "perftest",
-		Renderer: *test,
-		System:   *system,
-		Seed:     *seed,
-		Size:     *size,
-		Ops:      *iters,
-		Mode:     m,
-		Implicit: *implicit,
-		Prefetch: *prefetch,
-		Window:   *window,
-		Pages:    *pages,
-	}
-	if err := scenario.Run(sc, os.Stdout, scenario.Options{}); err != nil {
-		log.Fatal(err)
+	default:
+		flag.Usage()
+		os.Exit(2)
 	}
 }
 
-// benchReport is the BENCH_sweeps.json schema: one snapshot of the sweep
+// benchReport is the BENCH_baseline.json schema: one snapshot of the sweep
 // runner's wall-clock behaviour and the engine hot path's per-event cost,
 // tracked across PRs.
 type benchReport struct {

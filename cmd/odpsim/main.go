@@ -12,7 +12,7 @@
 //
 // Run flags: -j N parallel workers (output is identical for any value),
 // -quick reduced-fidelity profiles, -seed, -trials, -waves and -memory
-// overrides,
+// overrides (applied after -quick, so they win over the profile),
 // plus the side outputs -counters (progress scenarios), -analyze, -csv
 // and -trace (trace scenarios).
 package main
@@ -66,7 +66,8 @@ func usage() {
 run flags:
   -o DIR      write each result to DIR/<name>.txt instead of stdout
   -j N        parallel workers (0 = GOMAXPROCS); output identical for any N
-  -quick      reduced-fidelity profiles (smaller grids, fewer trials)
+  -quick      reduced-fidelity profiles (smaller grids, fewer trials);
+              the overrides below still apply on top
   -short      with --all: skip scenarios marked slow
   -seed N     override the base seed
   -trials N   override the trial count
@@ -207,13 +208,17 @@ func run(args []string) {
 	}
 
 	opts := scenario.Options{
-		Quick:        *quick,
 		CounterCSV:   *counters,
 		CaptureCSV:   *csvOut,
 		CaptureTrace: *traceOut,
 		Analyze:      *analyze,
 	}
 	for i, sc := range scs {
+		if *quick {
+			// Fold the quick profile in before the overrides, so an
+			// explicit -trials or -waves wins over the profile's counts.
+			sc = sc.ApplyQuick()
+		}
 		if *seed != 0 {
 			sc.Seed = *seed
 		}

@@ -2,8 +2,7 @@
 // forced into (§IX-A: "detecting the pitfalls becomes extremely hard
 // without observing the raw packets"): capture a run to a trace file,
 // then analyze it offline — here, re-loading the binary capture and
-// running the damming detector over it, plus an MPI-RMA reproduction of
-// the ArgoDSM lock pattern.
+// running the damming detector over it.
 package main
 
 import (
@@ -15,45 +14,17 @@ import (
 )
 
 func main() {
-	// Phase 1: an MPI application run with ODP enabled, captured.
-	cl := odpsim.KNL().Build(3, 2)
-	cap := odpsim.AttachCapture(cl.Fab)
-	ucfg := odpsim.DefaultUCXConfig()
-	ucfg.EnableODP = true
-
-	var comm *odpsim.MPIComm
-	var win *odpsim.MPIWin
-	cl.Eng.Go("init", func(p *odpsim.Proc) {
-		comm = odpsim.NewMPIComm(p, cl, ucfg)
-		win = comm.CreateWin(p, 64*odpsim.PageSize)
-	})
-	cl.Eng.MustRun()
-
-	// The ArgoDSM pattern over MPI RMA: one thread GETs a fresh window
-	// page (which faults on the target), while another thread of the same
-	// rank takes the window lock 1 ms later — inside the pending window.
-	r1 := comm.Rank(1)
-	cl.Eng.Go("getter", func(p *odpsim.Proc) {
-		if err := win.Get(p, r1, win.Base(1), 0, 32*odpsim.PageSize, 8); err != nil {
-			log.Fatal(err)
-		}
-	})
-	cl.Eng.Go("locker", func(p *odpsim.Proc) {
-		p.Sleep(odpsim.Millisecond)
-		if err := win.Lock(p, r1, 0); err != nil {
-			log.Fatal(err)
-		}
-		if err := win.Unlock(p, r1, 0); err != nil {
-			log.Fatal(err)
-		}
-	})
-	cl.Eng.MustRun()
-
-	fmt.Printf("run finished at %v; %d packets captured\n", cl.Eng.Now(), cap.Total())
+	// Phase 1: the Figure-5 run, captured — two READs 1 ms apart with
+	// both-side ODP, the second posted inside the pending window.
+	cfg := odpsim.DefaultBench()
+	cfg.Interval = odpsim.Millisecond
+	cfg.WithCapture = true
+	r := odpsim.RunMicrobench(cfg)
+	fmt.Printf("run finished after %v; %d packets captured\n", r.ExecTime, r.Cap.Total())
 
 	// Phase 2: save the capture (the ibdump .pcap step)…
 	var traceFile bytes.Buffer
-	if err := cap.WriteTrace(&traceFile); err != nil {
+	if err := r.Cap.WriteTrace(&traceFile); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("binary trace: %d bytes\n", traceFile.Len())
@@ -66,13 +37,12 @@ func main() {
 	fmt.Printf("reloaded %d records\n", len(records))
 
 	reloaded := odpsim.CaptureFromRecords(records)
-	if incs := odpsim.DetectDamming(reloaded, 100*odpsim.Millisecond); len(incs) > 0 {
-		fmt.Println("offline analysis found packet damming:")
-		for _, inc := range incs {
-			fmt.Printf("  %s\n", inc)
-		}
-	} else {
-		fmt.Println("offline analysis: no damming in this trace (timing-dependent —")
-		fmt.Println("try other seeds; the GET and the lock raced outside the window).")
+	incs := odpsim.DetectDamming(reloaded, 100*odpsim.Millisecond)
+	if len(incs) == 0 {
+		log.Fatal("offline analysis found no damming in the Figure-5 trace")
+	}
+	fmt.Println("offline analysis found packet damming:")
+	for _, inc := range incs {
+		fmt.Printf("  %s\n", inc)
 	}
 }

@@ -9,8 +9,7 @@ import (
 )
 
 // The Figure-12 experiment as a scenario workload: init+finalize
-// distributions per system, with and without ODP, rendered exactly as
-// the historical odpapps driver did.
+// distributions per system, with and without ODP (`odpsim run fig12`).
 
 func init() { scenario.RegisterWorkload(workload{}) }
 

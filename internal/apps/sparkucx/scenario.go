@@ -7,8 +7,8 @@ import (
 )
 
 // Table 13 as a scenario workload: the three Spark examples across the
-// four system configurations, ODP enabled vs disabled, rendered exactly
-// as the historical odpapps driver did.
+// four system configurations, ODP enabled vs disabled (`odpsim run
+// tab13`).
 
 func init() { scenario.RegisterWorkload(scenarioWorkload{}) }
 

@@ -269,8 +269,9 @@ func writeCounterCSV(out *scenario.Output, ops int, r *BenchResult) {
 	fmt.Fprintf(out.W, "(wrote counters to %s)\n", path)
 }
 
-// benchWorkload is the Figure-3 micro-benchmark as odpbench runs it:
-// per-trial lines plus an execution-time summary and P(timeout).
+// benchWorkload is the Figure-3 micro-benchmark: per-trial lines plus an
+// execution-time summary and P(timeout)
+// (examples/specs/bench-damming.json).
 type benchWorkload struct{}
 
 func (benchWorkload) Kind() string { return "bench" }
@@ -318,7 +319,7 @@ func (benchWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 	return nil
 }
 
-// traceWorkload is odptrace: one captured micro-benchmark run rendered
+// traceWorkload is one captured micro-benchmark run rendered
 // ibdump-style (Figures 1, 5 and 8).
 type traceWorkload struct{}
 
@@ -332,7 +333,7 @@ func (traceWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 		return err
 	}
 	if sc.IntervalMs == 0 {
-		cfg.Interval = sim.Millisecond // odptrace's historical default
+		cfg.Interval = sim.Millisecond // the Figure-5 posting gap
 	}
 	cfg.WithCapture = true
 

@@ -5,8 +5,8 @@
 // validated as soon as the package initializes.
 //
 // Each scenario's full-fidelity run regenerates its results/ golden
-// byte-for-byte; the Quick profiles reproduce the historical -quick
-// grids and the trial counts odpexperiments used.
+// byte-for-byte; the Quick profiles are the reduced grids and trial
+// counts `odpsim run -quick` applies.
 package paper
 
 import (

@@ -8,9 +8,9 @@ import (
 )
 
 // Output is where a workload renders: the main writer plus the optional
-// side outputs some CLIs expose (counter CSV for the Figure-11 flood,
-// capture CSV/binary trace and the per-operation analysis report for
-// odptrace).
+// side outputs `odpsim run` exposes (counter CSV for the Figure-11
+// flood, capture CSV/binary trace and the per-operation analysis report
+// for trace scenarios).
 type Output struct {
 	W io.Writer
 	// CounterCSV, when non-empty, makes counter-sampling workloads also

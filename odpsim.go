@@ -16,30 +16,26 @@
 //     starve the per-QP page-status updates, provoking seconds of massive
 //     retransmission (§VI).
 //
-// This package is a façade: it re-exports the stable public surface of
-// the internal packages so downstream users and the bundled examples need
-// a single import.
+// This package is a façade: it re-exports the part of the internal
+// packages that the bundled examples call, so they need a single import.
+// Every figure and table of the paper is a registered scenario behind
+// `odpsim run` (cmd/odpsim); the scenario layer has no Go façade.
 package odpsim
 
 import (
 	"io"
 
-	"odpsim/internal/apps/kvstore"
 	"odpsim/internal/capture"
 	"odpsim/internal/cluster"
 	"odpsim/internal/core"
 	"odpsim/internal/fabric"
 	"odpsim/internal/hostmem"
-	"odpsim/internal/mpi"
-	"odpsim/internal/odp"
 	"odpsim/internal/perftest"
 	"odpsim/internal/regcache"
 	"odpsim/internal/rnic"
-	"odpsim/internal/scenario"
 	"odpsim/internal/sim"
 	"odpsim/internal/softrel"
 	"odpsim/internal/stats"
-	"odpsim/internal/telemetry"
 	"odpsim/internal/ucx"
 	"odpsim/internal/verbs"
 )
@@ -52,82 +48,39 @@ type Engine = sim.Engine
 // Proc is a simulated process (blocking-style code on the engine).
 type Proc = sim.Proc
 
-// Cond is a broadcast condition for processes.
-type Cond = sim.Cond
-
 // Time is virtual time in nanoseconds.
 type Time = sim.Time
 
 // Virtual-time units.
 const (
-	Nanosecond  = sim.Nanosecond
 	Microsecond = sim.Microsecond
 	Millisecond = sim.Millisecond
-	Second      = sim.Second
 )
-
-// NewEngine creates a simulation engine with the given random seed; the
-// same seed always reproduces the same run.
-func NewEngine(seed int64) *Engine { return sim.New(seed) }
 
 // FromMillis converts milliseconds to Time.
 func FromMillis(ms float64) Time { return sim.FromMillis(ms) }
 
-// FromMicros converts microseconds to Time.
-func FromMicros(us float64) Time { return sim.FromMicros(us) }
-
-// FromSeconds converts seconds to Time.
-func FromSeconds(s float64) Time { return sim.FromSeconds(s) }
-
-// --- Memory ---
+// --- Memory and devices ---
 
 // Addr is a virtual address in a node's address space.
 type Addr = hostmem.Addr
 
-// AddressSpace is one node's virtual memory.
-type AddressSpace = hostmem.AddressSpace
-
 // PageSize is the host page size (4096).
 const PageSize = hostmem.PageSize
 
-// --- Fabric and devices ---
-
-// Fabric is the simulated InfiniBand fabric.
-type Fabric = fabric.Fabric
-
-// DeviceProfile describes one RNIC model's timing and quirks.
-type DeviceProfile = rnic.Profile
-
 // RNIC is one simulated adapter.
 type RNIC = rnic.RNIC
-
-// Device profiles for the generations of Table I.
-var (
-	ConnectX3 = rnic.ConnectX3
-	ConnectX4 = rnic.ConnectX4
-	ConnectX5 = rnic.ConnectX5
-	ConnectX6 = rnic.ConnectX6
-)
-
-// ODPConfig tunes the ODP engine model.
-type ODPConfig = odp.Config
 
 // --- Systems (Tables I & II) ---
 
 // System is one of the paper's measured systems.
 type System = cluster.System
 
-// Cluster is a built simulation (engine + fabric + nodes).
-type Cluster = cluster.Cluster
-
-// The systems of Table I.
+// Systems of Table I; AllSystems and SystemByName reach the rest.
 var (
-	PrivateA  = cluster.PrivateA
 	KNL       = cluster.KNL
 	ReedbushH = cluster.ReedbushH
-	ReedbushL = cluster.ReedbushL
 	ABCI      = cluster.ABCI
-	ITO       = cluster.ITO
 	AzureHC   = cluster.AzureHC
 	AzureHBv2 = cluster.AzureHBv2
 )
@@ -140,98 +93,38 @@ func SystemByName(name string) (System, error) { return cluster.ByName(name) }
 
 // --- Verbs ---
 
-// Context is an opened device (the verbs entry point).
-type Context = verbs.Context
-
-// PD is a protection domain.
-type PD = verbs.PD
-
-// MR is a registered memory region.
-type MR = verbs.MR
-
-// CQ is a completion queue.
-type CQ = verbs.CQ
-
-// QP is a queue pair.
-type QP = verbs.QP
-
 // QPAttr carries modify-QP attributes (timeout, retry_cnt, min RNR).
 type QPAttr = verbs.QPAttr
 
-// AccessFlags are MR registration flags.
-type AccessFlags = verbs.AccessFlags
-
 // Registration flags; AccessOnDemand selects an ODP registration.
 const (
-	AccessLocalWrite  = verbs.AccessLocalWrite
-	AccessRemoteRead  = verbs.AccessRemoteRead
-	AccessRemoteWrite = verbs.AccessRemoteWrite
-	AccessOnDemand    = verbs.AccessOnDemand
+	AccessLocalWrite = verbs.AccessLocalWrite
+	AccessRemoteRead = verbs.AccessRemoteRead
+	AccessOnDemand   = verbs.AccessOnDemand
 )
 
-// CQE is a work completion.
-type CQE = rnic.CQE
-
-// WCStatus is a work completion status.
-type WCStatus = rnic.WCStatus
-
-// Completion statuses.
-const (
-	WCSuccess        = rnic.WCSuccess
-	WCRetryExcErr    = rnic.WCRetryExcErr
-	WCRNRRetryExcErr = rnic.WCRNRRetryExcErr
-	WCFlushErr       = rnic.WCFlushErr
-)
+// WCSuccess is the successful work-completion status.
+const WCSuccess = rnic.WCSuccess
 
 // OpenDevice wraps an RNIC into a verbs context.
-func OpenDevice(nic *RNIC) *Context { return verbs.Open(nic) }
+func OpenDevice(nic *RNIC) *verbs.Context { return verbs.Open(nic) }
 
 // --- Capture (ibdump) ---
 
-// Capture records packets crossing the fabric.
-type Capture = capture.Capture
-
-// AttachCapture taps a fabric like ibdump.
-func AttachCapture(f *Fabric) *Capture { return capture.Attach(f) }
-
-// CaptureRecord is one captured packet.
-type CaptureRecord = capture.Record
+// AttachCapture taps a cluster's fabric like ibdump.
+func AttachCapture(f *fabric.Fabric) *capture.Capture { return capture.Attach(f) }
 
 // ReadTrace parses a binary capture written with Capture.WriteTrace.
-func ReadTrace(r io.Reader) ([]CaptureRecord, error) { return capture.ReadTrace(r) }
+func ReadTrace(r io.Reader) ([]capture.Record, error) { return capture.ReadTrace(r) }
 
 // CaptureFromRecords rebuilds a capture from reloaded records so the
 // detectors can analyze saved traces offline.
-func CaptureFromRecords(rs []CaptureRecord) *Capture { return capture.FromRecords(rs) }
-
-// --- MPI (the middle layer the paper's applications run on) ---
-
-// MPIComm is a communicator over a cluster.
-type MPIComm = mpi.Comm
-
-// MPIRank is one process of a communicator.
-type MPIRank = mpi.Rank
-
-// MPIWin is a one-sided RMA window.
-type MPIWin = mpi.Win
-
-// NewMPIComm builds a fully connected communicator over the cluster's
-// nodes (one rank per node), on the given UCX configuration.
-func NewMPIComm(p *Proc, cl *Cluster, ucfg UCXConfig) *MPIComm { return mpi.NewComm(p, cl, ucfg) }
+func CaptureFromRecords(rs []capture.Record) *capture.Capture { return capture.FromRecords(rs) }
 
 // --- UCX-like layer ---
 
 // UCXConfig mirrors the UCX environment settings the paper toggles.
 type UCXConfig = ucx.Config
-
-// UCXContext binds a UCX configuration to a node.
-type UCXContext = ucx.Context
-
-// UCXWorker is a UCX progress context.
-type UCXWorker = ucx.Worker
-
-// UCXEndpoint is a UCX connection.
-type UCXEndpoint = ucx.Endpoint
 
 // Request is an in-flight asynchronous UCX operation.
 type Request = ucx.Request
@@ -241,22 +134,18 @@ type Request = ucx.Request
 func DefaultUCXConfig() UCXConfig { return ucx.DefaultConfig() }
 
 // NewUCXContext creates a UCX context on a node.
-func NewUCXContext(nic *RNIC, cfg UCXConfig) *UCXContext { return ucx.NewContext(nic, cfg) }
+func NewUCXContext(nic *RNIC, cfg UCXConfig) *ucx.Context { return ucx.NewContext(nic, cfg) }
 
 // UCXConnect wires two workers together.
-func UCXConnect(a, b *UCXWorker) (*UCXEndpoint, *UCXEndpoint) { return ucx.Connect(a, b) }
+func UCXConnect(a, b *ucx.Worker) (*ucx.Endpoint, *ucx.Endpoint) { return ucx.Connect(a, b) }
 
 // --- Pitfalls toolkit (the paper's contribution) ---
 
-// ODPMode selects which sides register buffers with ODP.
-type ODPMode = core.ODPMode
-
-// ODP modes.
+// ODP modes: which sides register buffers with ODP (DefaultBench uses
+// both).
 const (
-	NoODP     = core.NoODP
 	ServerODP = core.ServerODP
 	ClientODP = core.ClientODP
-	BothODP   = core.BothODP
 )
 
 // BenchConfig parameterizes the Figure-3 micro-benchmark.
@@ -276,131 +165,39 @@ func MeasureTimeout(sys System, cack int, seed int64) Time {
 	return core.MeasureTimeout(sys, cack, seed)
 }
 
-// DammingIncident is a detected packet-damming occurrence.
-type DammingIncident = core.DammingIncident
-
-// FloodIncident is a detected packet-flood burst.
-type FloodIncident = core.FloodIncident
-
 // DetectDamming scans a capture for timeout-scale request stalls.
-func DetectDamming(c *Capture, minStall Time) []DammingIncident {
+func DetectDamming(c *capture.Capture, minStall Time) []core.DammingIncident {
 	return core.DetectDamming(c, minStall)
 }
 
 // DetectFlood scans a capture for retransmission bursts.
-func DetectFlood(c *Capture, window Time, threshold int) []FloodIncident {
+func DetectFlood(c *capture.Capture, window Time, threshold int) []core.FloodIncident {
 	return core.DetectFlood(c, window, threshold)
 }
 
-// DummyPinger is the §IX-A dummy-communication damming workaround.
+// DummyPinger is the §IX-A dummy-communication damming workaround
+// (BenchConfig.DummyPing runs one).
 type DummyPinger = core.DummyPinger
-
-// --- Telemetry (vendor-counter observability) ---
-
-// TelemetryRegistry holds one component's counters and gauges under
-// mlx5-style names (local_ack_timeout_err, num_page_faults, …).
-type TelemetryRegistry = telemetry.Registry
-
-// TelemetryHub aggregates the registries of a whole simulation; get a
-// cluster's with Cluster.Telemetry().
-type TelemetryHub = telemetry.Hub
-
-// TelemetryLabels attach dimensions to a metric.
-type TelemetryLabels = telemetry.Labels
-
-// TelemetrySnapshot is a consistent counter reading at one instant; it
-// exports Prometheus text and CSV.
-type TelemetrySnapshot = telemetry.Snapshot
-
-// TelemetrySample is one metric's value inside a snapshot.
-type TelemetrySample = telemetry.Sample
-
-// TelemetryTimeSeries is a sequence of snapshots sampled on the sim
-// clock (BenchResult.Telemetry when BenchConfig.SampleEvery is set).
-type TelemetryTimeSeries = telemetry.TimeSeries
-
-// TelemetrySampler periodically scrapes a hub on the sim clock.
-type TelemetrySampler = telemetry.Sampler
-
-// NewTelemetrySampler creates a sampler; the workload driver Starts it
-// when the run begins and Stops it when the run ends.
-func NewTelemetrySampler(eng *Engine, hub *TelemetryHub, interval Time) *TelemetrySampler {
-	return telemetry.NewSampler(eng, hub, interval)
-}
-
-// TelemetryDelta subtracts counter snapshots (counters diff, gauges keep
-// their current value).
-func TelemetryDelta(prev, cur TelemetrySnapshot) TelemetrySnapshot {
-	return telemetry.Delta(prev, cur)
-}
-
-// CounterDammingIncident is damming diagnosed from counters alone.
-type CounterDammingIncident = core.CounterDammingIncident
-
-// CounterFloodIncident is flood diagnosed from counters alone.
-type CounterFloodIncident = core.CounterFloodIncident
-
-// CounterDiagnosis bundles both counter-only diagnoses.
-type CounterDiagnosis = core.CounterDiagnosis
-
-// DiagnoseDammingCounters finds damming in a sampled counter series
-// without a capture (minStall <= 0 selects 100 ms).
-func DiagnoseDammingCounters(ts *TelemetryTimeSeries, minStall Time) []CounterDammingIncident {
-	return core.DiagnoseDammingCounters(ts, minStall)
-}
-
-// DiagnoseFloodCounters finds flood in a sampled counter series without
-// a capture (ratePerSec <= 0 selects 100/s).
-func DiagnoseFloodCounters(ts *TelemetryTimeSeries, ratePerSec float64) []CounterFloodIncident {
-	return core.DiagnoseFloodCounters(ts, ratePerSec)
-}
-
-// DiagnoseCounters runs both counter-only diagnosers with defaults.
-func DiagnoseCounters(ts *TelemetryTimeSeries) CounterDiagnosis { return core.DiagnoseCounters(ts) }
 
 // SmallestRNRDelay is the smallest InfiniBand RNR timer encoding, the
 // paper's first workaround.
 const SmallestRNRDelay = core.SmallestRNRDelay
 
-// --- Unreliable Datagram + software reliability (§VIII-C) ---
-
-// UDQP is an Unreliable Datagram queue pair.
-type UDQP = rnic.UDQP
-
-// UDSendWR is a datagram send work request.
-type UDSendWR = rnic.UDSendWR
-
-// RPCConfig tunes the software-reliability RPC layer.
-type RPCConfig = softrel.Config
-
-// RPCClient issues RPCs over UD with software timeouts and retries.
-type RPCClient = softrel.Client
-
-// RPCServer answers RPCs over UD.
-type RPCServer = softrel.Server
-
-// ErrRPCTimeout is returned when an RPC exhausts its retry budget.
-var ErrRPCTimeout = softrel.ErrTimeout
+// --- Software reliability over Unreliable Datagram (§VIII-C) ---
 
 // DefaultRPCConfig returns a 1 ms software timeout with 5 retries.
-func DefaultRPCConfig() RPCConfig { return softrel.DefaultConfig() }
+func DefaultRPCConfig() softrel.Config { return softrel.DefaultConfig() }
 
 // NewRPCServer starts an RPC echo server on a node.
-func NewRPCServer(nic *RNIC, cfg RPCConfig) *RPCServer { return softrel.NewServer(nic, cfg) }
+func NewRPCServer(nic *RNIC, cfg softrel.Config) *softrel.Server { return softrel.NewServer(nic, cfg) }
 
 // NewRPCClient creates an RPC client on a node.
-func NewRPCClient(nic *RNIC, cfg RPCConfig) *RPCClient { return softrel.NewClient(nic, cfg) }
+func NewRPCClient(nic *RNIC, cfg softrel.Config) *softrel.Client { return softrel.NewClient(nic, cfg) }
 
 // --- Registration strategies (§VIII-A baselines) ---
 
 // RegStrategy manages memory registrations for communication buffers.
 type RegStrategy = regcache.Strategy
-
-// RegCosts models (de)registration and bounce-copy costs.
-type RegCosts = regcache.Costs
-
-// RegWorkloadResult compares one strategy on a trace.
-type RegWorkloadResult = regcache.WorkloadResult
 
 // Registration strategy constructors.
 var (
@@ -412,108 +209,28 @@ var (
 )
 
 // DefaultRegCosts calibrates the Frey & Alonso crossover near 256 KiB.
-func DefaultRegCosts() RegCosts { return regcache.DefaultCosts() }
-
-// TraceOp is one buffer use in a registration workload.
-type TraceOp = regcache.TraceOp
+func DefaultRegCosts() regcache.Costs { return regcache.DefaultCosts() }
 
 // RunRegWorkload replays a buffer-access trace against a strategy.
-func RunRegWorkload(eng *Engine, s RegStrategy, trace []TraceOp) RegWorkloadResult {
+func RunRegWorkload(eng *Engine, s RegStrategy, trace []regcache.TraceOp) regcache.WorkloadResult {
 	return regcache.RunWorkload(eng, s, trace)
 }
 
 // SyntheticTrace builds a hot/cold buffer-reuse trace for registration
 // workload comparisons.
-func SyntheticTrace(eng *Engine, nic *RNIC, nBuffers, size, n int, hotFraction float64) []TraceOp {
+func SyntheticTrace(eng *Engine, nic *RNIC, nBuffers, size, n int, hotFraction float64) []regcache.TraceOp {
 	return regcache.SyntheticTrace(eng, nic, nBuffers, size, n, hotFraction)
 }
 
-// --- perftest (ib_read_lat / ib_read_bw with ODP options) ---
-
-// PerfConfig parameterizes a latency/bandwidth measurement.
-type PerfConfig = perftest.Config
-
-// LatencyResult is a perftest-style latency row.
-type LatencyResult = perftest.LatencyResult
-
-// BandwidthResult is a perftest-style bandwidth row.
-type BandwidthResult = perftest.BandwidthResult
+// --- perftest (ib_read_lat with ODP options) ---
 
 // DefaultPerfConfig returns an ib_read_lat-like setup.
-func DefaultPerfConfig() PerfConfig { return perftest.DefaultConfig() }
+func DefaultPerfConfig() perftest.Config { return perftest.DefaultConfig() }
 
 // ReadLat measures RDMA READ latency (ib_read_lat).
-func ReadLat(cfg PerfConfig) LatencyResult { return perftest.ReadLat(cfg) }
-
-// ReadBW measures pipelined RDMA READ bandwidth (ib_read_bw).
-func ReadBW(cfg PerfConfig) BandwidthResult { return perftest.ReadBW(cfg) }
-
-// CompareRegistrationModes renders the Li et al. style latency table
-// across every ODP mode, with and without prefetch.
-func CompareRegistrationModes(base PerfConfig) string { return perftest.CompareModes(base) }
-
-// --- Key-value store over UD (§VIII-C's HERD pattern) ---
-
-// KVServer is a HERD-style key-value server over UD.
-type KVServer = kvstore.Server
-
-// KVClient issues KV operations with software reliability.
-type KVClient = kvstore.Client
-
-// NewKVServer starts a KV server on a node.
-func NewKVServer(nic *RNIC, cfg RPCConfig, handleCost Time) *KVServer {
-	return kvstore.NewServer(nic, cfg, handleCost)
-}
-
-// NewKVClient creates a client bound to the server.
-func NewKVClient(nic *RNIC, cfg RPCConfig, srv *KVServer) *KVClient {
-	return kvstore.NewClient(nic, cfg, srv)
-}
-
-// --- Scenario layer (one registry behind every figure and table) ---
-
-// Scenario is a declarative experiment: workload, system, ODP mode,
-// fault knobs, sweep grid and trials. Every paper artifact is one.
-type Scenario = scenario.Scenario
-
-// ScenarioOptions carries side outputs (counter CSV, capture files) and
-// the quick-fidelity switch for RunScenario.
-type ScenarioOptions = scenario.Options
-
-// ScenarioWorkload is the interface experiment families implement and
-// register (internal/core, the apps, perftest all do).
-type ScenarioWorkload = scenario.Workload
-
-// RunScenario validates and executes a scenario, rendering to w.
-func RunScenario(sc Scenario, w io.Writer, opts ScenarioOptions) error {
-	return scenario.Run(sc, w, opts)
-}
-
-// ScenarioNames lists the registered paper scenarios in paper order.
-func ScenarioNames() []string { return scenario.Names() }
-
-// LookupScenario returns a copy of a registered scenario by name.
-func LookupScenario(name string) (Scenario, error) { return scenario.Lookup(name) }
-
-// LoadScenarioSpec parses a JSON scenario spec (unknown fields rejected).
-func LoadScenarioSpec(data []byte) (Scenario, error) { return scenario.LoadSpec(data) }
-
-// SaveScenarioSpec renders a scenario as a JSON spec.
-func SaveScenarioSpec(sc Scenario) ([]byte, error) { return scenario.SaveSpec(sc) }
+func ReadLat(cfg perftest.Config) perftest.LatencyResult { return perftest.ReadLat(cfg) }
 
 // --- Statistics ---
 
-// Series is a labelled (x, y) sequence.
-type Series = stats.Series
-
-// Summary describes a sample (mean, std, percentiles).
-type Summary = stats.Summary
-
-// Histogram is a fixed-width-bin histogram.
-type Histogram = stats.Histogram
-
-// Summarize computes a Summary.
-func Summarize(xs []float64) Summary { return stats.Summarize(xs) }
-
-// NewHistogram creates a histogram.
-func NewHistogram(lo, hi float64, bins int) *Histogram { return stats.NewHistogram(lo, hi, bins) }
+// Summarize describes a sample (mean, std, percentiles).
+func Summarize(xs []float64) stats.Summary { return stats.Summarize(xs) }
