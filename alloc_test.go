@@ -10,6 +10,7 @@ package odpsim
 import (
 	"testing"
 
+	"odpsim/internal/apps/sparkucx"
 	"odpsim/internal/cluster"
 	"odpsim/internal/congestion"
 	"odpsim/internal/fabric"
@@ -88,8 +89,8 @@ func TestAllocBudgetClosSend(t *testing.T) {
 		f.EnableCongestion(ccfg)
 		pool := f.Pool()
 		for j := 0; j < 4096; j++ {
-			src := ports[j%4]                  // leaves 0..3
-			dst := uint16(5 + (j+1)%4)         // the other replica on each leaf
+			src := ports[j%4]          // leaves 0..3
+			dst := uint16(5 + (j+1)%4) // the other replica on each leaf
 			p := pool.Get()
 			p.Opcode = packet.OpReadRequest
 			p.DLID = dst
@@ -113,15 +114,16 @@ func TestAllocBudgetClosSend(t *testing.T) {
 // on a Reset-reused engine and floods 256 pinned-memory WRITEs over a
 // 10%-lossy fabric, so SACK frames, reorder-buffer stashes and
 // single-PSN retransmits are all on the measured path. The measured warm
-// figure is ~892: ~818 is the cluster rebuild itself (RNIC structs, MR
-// tables, CQs and QPs — fixed per rebuild, identical under the rc
-// transport) and the IRN delta is ~74 fixed per-node telemetry
-// registration. The figure is identical at 0% and 10% loss: the per-QP
-// State comes from the irn.StateFor engine-generation arena and the
-// SACK/stash/retransmit datapath allocates nothing per packet, which is
-// the contract this ceiling pins — any per-packet or per-SACK allocation
-// would add ≥256 and blow straight through it.
-const irnAllocCeiling = 960
+// figure is 56 (57 under -race), all of it per rebuild: RNIC structs,
+// MR tables, CQs, QPs and per-node telemetry. Work request objects come
+// from the engine's WR pool and the send, outstanding and completion
+// queues reuse their storage, so the 256 WRs add nothing; the per-QP
+// IRN State comes from the irn.StateFor arena and the
+// SACK/stash/retransmit datapath allocates nothing per packet. That is
+// the contract this ceiling pins — any per-WR, per-packet or per-SACK
+// allocation would add ≥256 and blow straight through it. The ceiling
+// is the measured figure plus ~8%.
+const irnAllocCeiling = 61
 
 func TestAllocBudgetIRNSend(t *testing.T) {
 	sys := cluster.KNL()
@@ -154,7 +156,7 @@ func TestAllocBudgetIRNSend(t *testing.T) {
 				LocalAddr: lbuf + off, RemoteAddr: rbuf + off, Len: size})
 		}
 		cl.Eng.Run()
-		if got := len(cq.Poll(0)); got != n {
+		if got := cq.Len(); got != n {
 			t.Fatalf("completed %d/%d WRITEs", got, n)
 		}
 	}
@@ -165,5 +167,42 @@ func TestAllocBudgetIRNSend(t *testing.T) {
 	if avg > irnAllocCeiling {
 		t.Errorf("irn trial allocates %.0f/op, ceiling %d — the selective-repeat path regressed off the warm-allocation contract",
 			avg, irnAllocCeiling)
+	}
+}
+
+// sparkWavePerFetchCeiling bounds the marginal allocation count of one
+// shuffle fetch in a pinned-memory SparkUCX wave: each fetch is one
+// ucx GET, one send work request and one CQE. The WR object comes from
+// the engine's WR pool, the send, outstanding and completion queues
+// reuse their storage, the CQ is polled into a fixed buffer and the
+// completion lands in the worker's dense table, so the per-fetch cost
+// is the amortized growth of those tables — a small fraction of an
+// allocation. Any per-WR or per-CQE allocation adds ≥1 per fetch.
+const sparkWavePerFetchCeiling = 0.1
+
+func TestAllocBudgetSparkWave(t *testing.T) {
+	// A READ of fetchSize bytes touches a 4 KiB page table entry only
+	// every 4096/fetchSize fetches per buffer, so page-table growth
+	// stays well below the per-fetch ceiling and the test measures the
+	// work-request path.
+	const qps, fetches, fetchSize = 16, 512, 32
+	wave := func(n int) func() {
+		cfg := sparkucx.WaveConfig{System: cluster.KNL(), Seed: 3, QPs: qps, Fetches: n, Size: fetchSize}
+		return func() {
+			if r := sparkucx.RunWave(cfg); r.Failed {
+				t.Fatal("wave failed")
+			}
+		}
+	}
+	small, large := wave(fetches), wave(4*fetches)
+	small()
+	large()
+	a, b := testing.AllocsPerRun(3, small), testing.AllocsPerRun(3, large)
+	perFetch := (b - a) / (3 * fetches)
+	t.Logf("wave allocates %.0f at %d fetches, %.0f at %d: %.3f per fetch (ceiling %.1f)",
+		a, fetches, b, 4*fetches, perFetch, sparkWavePerFetchCeiling)
+	if perFetch >= sparkWavePerFetchCeiling {
+		t.Errorf("%.3f allocations per fetch, ceiling %.1f — the WR, CQ or UCX completion path allocates per request",
+			perFetch, sparkWavePerFetchCeiling)
 	}
 }

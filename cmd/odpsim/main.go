@@ -141,6 +141,17 @@ func run(args []string) {
 	if err := fs.Parse(reorder(fs, args)); err != nil {
 		os.Exit(2)
 	}
+	// Zero means "keep the default"; a negative count is a usage error,
+	// not a request for the default.
+	for _, c := range []struct {
+		flag string
+		v    int
+	}{{"-j", *jobs}, {"-trials", *trials}, {"-waves", *waves}, {"-shards", *shards}} {
+		if c.v < 0 {
+			log.Printf("%s must not be negative, got %d", c.flag, c.v)
+			os.Exit(2)
+		}
+	}
 	parallel.SetJobs(*jobs)
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

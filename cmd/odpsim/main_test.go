@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -34,5 +36,35 @@ func TestQuickKeepsExplicitTrials(t *testing.T) {
 	// column header; the full grid would have 25.
 	if rows != 8 {
 		t.Errorf("%d lines after the title, want the quick grid's 8", rows)
+	}
+}
+
+// childArgsEnv carries a command line into a re-executed copy of this
+// test binary, which then runs it through main (the helper-process
+// pattern), so tests can observe main's exit status.
+const childArgsEnv = "ODPSIM_MAIN_TEST_ARGS"
+
+// TestRunRejectsNegativeCounts runs `odpsim run fig4 -quick <flag> -1`
+// for each count flag. Zero keeps the scenario's count, but a negative
+// value must be a usage error — exit status 2 with a message naming the
+// flag — instead of silently running the default.
+func TestRunRejectsNegativeCounts(t *testing.T) {
+	if args := os.Getenv(childArgsEnv); args != "" {
+		os.Args = append([]string{"odpsim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, flag := range []string{"-trials", "-waves", "-shards", "-j"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRunRejectsNegativeCounts$")
+		cmd.Env = append(os.Environ(), childArgsEnv+"=run fig4 -quick "+flag+" -1 -o "+t.TempDir())
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%s -1: %v, want exit status 2; output:\n%s", flag, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), flag+" must not be negative") {
+			t.Errorf("%s -1: output does not name the flag:\n%s", flag, out)
+		}
 	}
 }

@@ -124,9 +124,9 @@ func TestFaultKnobs(t *testing.T) {
 	cl.Nodes[1].RegisterMR(rb2, hostmem.PageSize)
 	qa.PostSend(rnic.SendWR{ID: 1, Op: rnic.OpRead, LocalAddr: lb, RemoteAddr: rb2, Len: 64})
 	cl.Eng.Run()
-	got := cqA.Poll(0)
-	if len(got) != 1 || got[0].Status == rnic.WCSuccess {
-		t.Fatalf("READ over a 100%%-loss fabric should abort: %+v", got)
+	var got [2]rnic.CQE
+	if n := cqA.Poll(got[:]); n != 1 || got[0].Status == rnic.WCSuccess {
+		t.Fatalf("READ over a 100%%-loss fabric should abort: %+v", got[:n])
 	}
 	if cl.Fab.Dropped == 0 {
 		t.Error("fabric should have counted drops")
@@ -165,7 +165,8 @@ func TestBuildCluster(t *testing.T) {
 	cl.Nodes[2].RegisterMR(rb2, hostmem.PageSize)
 	qa.PostSend(rnic.SendWR{ID: 1, Op: rnic.OpRead, LocalAddr: lb, RemoteAddr: rb2, Len: 64})
 	cl.Eng.Run()
-	if got := cqA.Poll(0); len(got) != 1 || got[0].Status != rnic.WCSuccess {
-		t.Fatalf("cross-node READ failed: %+v", got)
+	var got [2]rnic.CQE
+	if n := cqA.Poll(got[:]); n != 1 || got[0].Status != rnic.WCSuccess {
+		t.Fatalf("cross-node READ failed: %+v", got[:n])
 	}
 }

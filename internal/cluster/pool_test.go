@@ -44,7 +44,7 @@ func TestPoolConservationUnderLossAndRetransmit(t *testing.T) {
 	}
 	cl.Eng.Run()
 
-	if got := len(cq.Poll(0)); got != n {
+	if got := cq.Len(); got != n {
 		t.Fatalf("completed %d/%d READs despite retries", got, n)
 	}
 	if cl.Fab.Dropped == 0 {
@@ -127,7 +127,7 @@ func TestPoolConservationCongested(t *testing.T) {
 	}
 	cl.Eng.Run()
 
-	if got := len(cq.Poll(0)); got != nqp*n {
+	if got := cq.Len(); got != nqp*n {
 		t.Fatalf("completed %d/%d WRITEs despite retries", got, nqp*n)
 	}
 	if cl.Fab.Dropped == 0 {
@@ -221,7 +221,7 @@ func TestPoolConservationCongestedChurn(t *testing.T) {
 		}
 		cl.Eng.Run()
 
-		if got := len(cq.Poll(0)); got != n {
+		if got := cq.Len(); got != n {
 			t.Fatalf("gen %d: completed %d/%d WRITEs", gen, got, n)
 		}
 		if xoff == 0 || xon == 0 {
@@ -306,7 +306,7 @@ func TestPoolConservationIRNLossChurn(t *testing.T) {
 		}
 		cl.Eng.Run()
 
-		if got := len(cq.Poll(0)); got != n {
+		if got := cq.Len(); got != n {
 			t.Fatalf("gen %d: completed %d/%d WRITEs despite retries", gen, got, n)
 		}
 		if cl.Fab.Dropped == 0 {

@@ -191,12 +191,12 @@ func runCollective(sc *scenario.Scenario, sys cluster.System, nodes, ops, size i
 				}
 			}
 			want := ops * len(peers[i])
+			var wc [1]rnic.CQE
 			for done := 0; done < want; {
-				for _, e := range cqs[i].WaitN(p, 1) {
-					done++
-					if e.Status != rnic.WCSuccess {
-						res.failed = true
-					}
+				cqs[i].WaitN(p, wc[:])
+				done++
+				if wc[0].Status != rnic.WCSuccess {
+					res.failed = true
 				}
 			}
 			if now := p.Now(); now > res.exec {

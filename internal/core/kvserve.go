@@ -228,18 +228,18 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 				}
 			})
 			kp.cl.Eng.Go(fmt.Sprintf("kv-reap-%d-%d", p, c), func(pr *sim.Proc) {
+				var wc [1]rnic.CQE
 				for done := 0; done < ops; {
-					for _, e := range cq.WaitN(pr, 1) {
-						done++
-						lat := pr.Now() - postAt[e.WRID]
-						kp.sketch.Add(float64(lat) / float64(sim.Microsecond))
-						if now := pr.Now(); now > kp.done {
-							kp.done = now
-						}
-						completed++
-						if p > 0 && completed%kvDigestEvery == 0 {
-							links[p].Send(shard.Flight{Len: 64, Arg: uint64(completed)})
-						}
+					cq.WaitN(pr, wc[:])
+					done++
+					lat := pr.Now() - postAt[wc[0].WRID]
+					kp.sketch.Add(float64(lat) / float64(sim.Microsecond))
+					if now := pr.Now(); now > kp.done {
+						kp.done = now
+					}
+					completed++
+					if p > 0 && completed%kvDigestEvery == 0 {
+						links[p].Send(shard.Flight{Len: 64, Arg: uint64(completed)})
 					}
 				}
 			})

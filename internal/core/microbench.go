@@ -254,16 +254,15 @@ func RunMicrobench(cfg BenchConfig) *BenchResult {
 		// wait(): poll the CQ until every operation completed (or the
 		// QP died).
 		done := 0
+		var wc [1]rnic.CQE
 		for done < cfg.NumOps {
-			cqes := cqC.WaitN(p, 1)
-			for _, e := range cqes {
-				if int(e.WRID) < cfg.NumOps && res.CompletionTime[e.WRID] < 0 {
-					done++
-					if e.Status == rnic.WCSuccess {
-						res.CompletionTime[e.WRID] = e.At
-					} else {
-						res.Failed = true
-					}
+			cqC.WaitN(p, wc[:])
+			if e := &wc[0]; int(e.WRID) < cfg.NumOps && res.CompletionTime[e.WRID] < 0 {
+				done++
+				if e.Status == rnic.WCSuccess {
+					res.CompletionTime[e.WRID] = e.At
+				} else {
+					res.Failed = true
 				}
 			}
 		}

@@ -77,7 +77,7 @@ func TestDammingIndependentOfOtherQPs(t *testing.T) {
 	if q2.Stats.Timeouts != 0 {
 		t.Errorf("QP2 timeouts = %d: the dammed QP must not infect others", q2.Stats.Timeouts)
 	}
-	if n := len(cq.Poll(0)); n != 42 {
+	if n := cq.Len(); n != 42 {
 		t.Errorf("completions = %d, want 42", n)
 	}
 }

@@ -32,8 +32,9 @@ func MeasureTimeoutOn(eng *sim.Engine, sys cluster.System, cack int, seed int64)
 	cl.Eng.Go("probe", func(p *sim.Proc) {
 		start := p.Now()
 		qp.PostSend(rnic.SendWR{ID: 1, Op: rnic.OpRead, LocalAddr: lbuf, RemoteAddr: 0x1000, Len: 100})
-		cqes := cq.WaitN(p, 1)
-		if cqes[0].Status == rnic.WCRetryExcErr {
+		var wc [1]rnic.CQE
+		cq.WaitN(p, wc[:])
+		if wc[0].Status == rnic.WCRetryExcErr {
 			abortAt = p.Now() - start
 		}
 	})

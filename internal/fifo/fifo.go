@@ -1,0 +1,78 @@
+// Package fifo provides the first-in first-out queue the simulator's
+// work, completion and request queues share.
+//
+// Popping by reslicing (q = q[1:]) never reuses the freed front of the
+// backing array, so a queue that sees steady traffic keeps reallocating
+// as append runs out of tail capacity. Queue instead keeps a head index
+// into one backing slice: popped slots are zeroed (so the garbage
+// collector does not see stale pointers), the storage is reused from the
+// start once the queue drains, and the live elements are moved to the
+// front once the head passes half the length. A queue whose length stays
+// bounded therefore stops allocating after it first reaches that bound.
+package fifo
+
+// Queue is a FIFO of T. The zero value is an empty queue ready to use.
+type Queue[T any] struct {
+	buf  []T // buf[head:] are the queued elements, front first
+	head int
+}
+
+// Len returns the number of queued elements.
+func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
+
+// Push appends v at the back.
+func (q *Queue[T]) Push(v T) { q.buf = append(q.buf, v) }
+
+// Front returns the front element without removing it. It panics on an
+// empty queue.
+func (q *Queue[T]) Front() T { return q.buf[q.head] }
+
+// Pop removes and returns the front element. It panics on an empty
+// queue.
+func (q *Queue[T]) Pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	q.settle()
+	return v
+}
+
+// PopInto moves up to len(dst) elements from the front into dst, front
+// first, and returns how many it moved.
+func (q *Queue[T]) PopInto(dst []T) int {
+	n := copy(dst, q.buf[q.head:])
+	clear(q.buf[q.head : q.head+n])
+	q.head += n
+	q.settle()
+	return n
+}
+
+// Items returns the queued elements, front first. The slice aliases the
+// queue's storage: writes through it update the queued elements, and it
+// is valid only until the next Push, Pop, PopInto or Clear.
+func (q *Queue[T]) Items() []T { return q.buf[q.head:] }
+
+// Clear empties the queue, keeping its storage.
+func (q *Queue[T]) Clear() {
+	clear(q.buf)
+	q.buf = q.buf[:0]
+	q.head = 0
+}
+
+// settle restores the storage invariants after a pop: a drained queue
+// restarts at the front of its storage, and once the head passes half
+// the length the live elements move to the front, so the dead prefix
+// never outgrows the live tail and append finds its capacity again.
+func (q *Queue[T]) settle() {
+	switch {
+	case q.head == len(q.buf):
+		q.buf = q.buf[:0]
+		q.head = 0
+	case q.head > len(q.buf)/2:
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+}

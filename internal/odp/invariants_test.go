@@ -91,3 +91,32 @@ func TestInvalidationConsistencyProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPairTableMatchesMap drives the bitset pair table and a map through
+// the same random set/clear/zero sequence, over QP numbers and page
+// numbers that cross 64-bit word boundaries and grow rows several times.
+func TestPairTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var tbl pairTable
+	model := map[Key]bool{}
+	for step := 0; step < 20000; step++ {
+		k := Key{QP: uint32(rng.Intn(12)), Page: hostmem.PageNo(rng.Intn(300))}
+		switch op := rng.Intn(100); {
+		case op < 50:
+			tbl.set(k.QP, k.Page)
+			model[k] = true
+		case op < 99:
+			if was := tbl.clear(k.QP, k.Page); was != model[k] {
+				t.Fatalf("step %d: clear%v reported %v, want %v", step, k, was, model[k])
+			}
+			delete(model, k)
+		default:
+			tbl.zero()
+			clear(model)
+		}
+		probe := Key{QP: uint32(rng.Intn(14)), Page: hostmem.PageNo(rng.Intn(320))}
+		if got := tbl.get(probe.QP, probe.Page); got != model[probe] {
+			t.Fatalf("step %d: get%v = %v, want %v", step, probe, got, model[probe])
+		}
+	}
+}

@@ -29,6 +29,7 @@
 package odp
 
 import (
+	"odpsim/internal/fifo"
 	"odpsim/internal/hostmem"
 	"odpsim/internal/sim"
 	"odpsim/internal/telemetry"
@@ -76,7 +77,7 @@ func DefaultConfig() Config {
 	}
 }
 
-type itemKind int
+type itemKind uint8
 
 const (
 	kindSpurious itemKind = iota
@@ -84,26 +85,28 @@ const (
 	kindUpdate
 )
 
+// workItem is one pipeline item: a spurious access or a status update
+// for the (qp, page) pair, or the host resolution of page (qp unused).
 type workItem struct {
+	qp   uint32
 	kind itemKind
-	page hostmem.PageNo // resolve
-	key  Key            // update
+	page hostmem.PageNo
 }
 
 // pairTable is a dense (QP, page) → bool table: rows indexed by QP
-// number, columns by page number. QP numbers and page numbers are both
-// small consecutive integers (the RNIC assigns QPNs from 1, the address
-// space assigns pages from 1), so the table stays compact. get on an
-// entry that was never set is false without allocating; set grows rows
-// and columns on demand.
+// number, each row a bitset over page numbers. QP numbers and page
+// numbers are both small consecutive integers (the RNIC assigns QPNs
+// from 1, the address space assigns pages from 1), so the table stays
+// compact. get on an entry that was never set is false without
+// allocating; set grows rows and columns on demand.
 type pairTable struct {
-	rows [][]bool
+	rows [][]uint64
 }
 
 func (t *pairTable) get(qp uint32, p hostmem.PageNo) bool {
 	if int(qp) < len(t.rows) {
-		if row := t.rows[qp]; int(p) < len(row) {
-			return row[p]
+		if row := t.rows[qp]; int(p>>6) < len(row) {
+			return row[p>>6]&(1<<(p&63)) != 0
 		}
 	}
 	return false
@@ -112,7 +115,7 @@ func (t *pairTable) get(qp uint32, p hostmem.PageNo) bool {
 func (t *pairTable) set(qp uint32, p hostmem.PageNo) {
 	if int(qp) >= len(t.rows) {
 		if int(qp) >= cap(t.rows) {
-			rows := make([][]bool, int(qp)+1, 2*(int(qp)+1))
+			rows := make([][]uint64, int(qp)+1, 2*(int(qp)+1))
 			copy(rows, t.rows)
 			t.rows = rows
 		} else {
@@ -120,36 +123,39 @@ func (t *pairTable) set(qp uint32, p hostmem.PageNo) {
 		}
 	}
 	row := t.rows[qp]
-	if int(p) >= len(row) {
-		if int(p) >= cap(row) {
+	if w := int(p >> 6); w >= len(row) {
+		if w >= cap(row) {
 			// make zeroes the whole backing array, so extending len
-			// within cap later yields false entries as required.
-			grown := make([]bool, int(p)+1, 2*(int(p)+1))
+			// within cap later yields clear bits as required.
+			grown := make([]uint64, w+1, 2*(w+1))
 			copy(grown, row)
 			row = grown
 		} else {
-			row = row[:int(p)+1]
+			row = row[:w+1]
 		}
 	}
-	row[p] = true
+	row[p>>6] |= 1 << (p & 63)
 	t.rows[qp] = row
 }
 
-// clear resets an entry without growing the table.
-func (t *pairTable) clear(qp uint32, p hostmem.PageNo) {
+// clear resets an entry without growing the table; it reports whether
+// the entry was set.
+func (t *pairTable) clear(qp uint32, p hostmem.PageNo) bool {
 	if int(qp) < len(t.rows) {
-		if row := t.rows[qp]; int(p) < len(row) {
-			row[p] = false
+		if row := t.rows[qp]; int(p>>6) < len(row) {
+			bit := uint64(1) << (p & 63)
+			was := row[p>>6]&bit != 0
+			row[p>>6] &^= bit
+			return was
 		}
 	}
+	return false
 }
 
 // zero resets every entry, keeping the table's storage.
 func (t *pairTable) zero() {
 	for _, row := range t.rows {
-		for j := range row {
-			row[j] = false
-		}
+		clear(row)
 	}
 }
 
@@ -171,7 +177,7 @@ type Engine struct {
 	interested map[hostmem.PageNo][]Key
 
 	busy  bool
-	queue []workItem
+	queue fifo.Queue[workItem]
 	// queuedSpurious coalesces spurious work per stale pair: a pair
 	// whose discard is already queued contributes no further pipeline
 	// work until it is serviced (the microcode batches re-discards),
@@ -271,14 +277,14 @@ func New(as *hostmem.AddressSpace, cfg Config) *Engine {
 			}
 		}
 		for _, k := range pairs {
-			e.queue = append(e.queue, workItem{kind: kindUpdate, key: k})
+			e.queue.Push(workItem{kind: kindUpdate, qp: k.QP, page: k.Page})
 		}
 		e.busy = false
 		e.kick()
 	}
 	e.notifierFn = e.invalidate
 	e.staleFn = func() float64 { return float64(e.stale) }
-	e.depthFn = func() float64 { return float64(len(e.queue)) }
+	e.depthFn = func() float64 { return float64(e.queue.Len()) }
 	as.RegisterNotifier(e.notifierFn)
 	return e
 }
@@ -299,7 +305,7 @@ func (e *Engine) reset(as *hostmem.AddressSpace, cfg Config) {
 		e.interested[k] = v[:0]
 	}
 	e.busy = false
-	e.queue = e.queue[:0]
+	e.queue.Clear()
 	e.curKey = Key{}
 	e.curPage = 0
 	e.Faults, e.PairFaults, e.Updates = 0, 0, 0
@@ -330,7 +336,7 @@ func (e *Engine) StaleCount() int { return e.stale }
 
 // QueueLen returns the number of queued pipeline items (for tests and
 // load inspection).
-func (e *Engine) QueueLen() int { return len(e.queue) }
+func (e *Engine) QueueLen() int { return e.queue.Len() }
 
 // RetransInterval returns the requester retransmission period under the
 // current load (see Config.RetransPerStale).
@@ -391,10 +397,10 @@ func (e *Engine) Fault(qp uint32, addr hostmem.Addr, length int) {
 			switch e.as.State(p) {
 			case hostmem.Mapped, hostmem.Pinned:
 				// Host side is fine; only this QP's status needs updating.
-				e.queue = append(e.queue, workItem{kind: kindUpdate, key: Key{qp, p}})
+				e.queue.Push(workItem{kind: kindUpdate, qp: qp, page: p})
 			default:
 				if len(e.interested[p]) == 0 {
-					e.queue = append(e.queue, workItem{kind: kindResolve, page: p})
+					e.queue.Push(workItem{kind: kindResolve, page: p})
 					e.Faults++
 				}
 				e.interested[p] = append(e.interested[p], Key{qp, p})
@@ -433,7 +439,7 @@ func (e *Engine) Spurious(qp uint32, addr hostmem.Addr, length int) {
 		return
 	}
 	e.queuedSpurious.set(qp, p)
-	e.queue = append(e.queue, workItem{kind: kindSpurious, key: Key{qp, p}})
+	e.queue.Push(workItem{kind: kindSpurious, qp: qp, page: p})
 	e.kick()
 }
 
@@ -441,8 +447,7 @@ func (e *Engine) Spurious(qp uint32, addr hostmem.Addr, length int) {
 func (e *Engine) invalidate(inv hostmem.Invalidation) {
 	for _, p := range inv.Pages {
 		for qp := range e.visible.rows {
-			if row := e.visible.rows[qp]; int(p) < len(row) && row[p] {
-				row[p] = false
+			if e.visible.clear(uint32(qp), p) {
 				e.Invalidations++
 			}
 		}
@@ -451,21 +456,20 @@ func (e *Engine) invalidate(inv hostmem.Invalidation) {
 
 // kick advances the serial pipeline if it is idle.
 func (e *Engine) kick() {
-	if e.busy || len(e.queue) == 0 {
+	if e.busy || e.queue.Len() == 0 {
 		return
 	}
-	it := e.queue[0]
-	e.queue = e.queue[1:]
+	it := e.queue.Pop()
 	e.busy = true
 	switch it.kind {
 	case kindSpurious:
-		e.queuedSpurious.clear(it.key.QP, it.key.Page)
+		e.queuedSpurious.clear(it.qp, it.page)
 		e.eng.ScheduleAfter(e.eng.Jitter(e.cfg.SpuriousCost, 0.1), e.finishFn)
 	case kindResolve:
 		e.curPage = it.page
 		e.as.ResolveFault(it.page, e.resolveFn)
 	case kindUpdate:
-		e.curKey = it.key
+		e.curKey = Key{it.qp, it.page}
 		e.eng.ScheduleAfter(e.eng.Jitter(e.cfg.QPUpdateCost, 0.1), e.updateFn)
 	}
 }

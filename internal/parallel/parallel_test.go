@@ -125,7 +125,8 @@ func TestConcurrentTrialsAreIsolated(t *testing.T) {
 		var done sim.Time
 		cl.Eng.Go("t", func(p *sim.Proc) {
 			qc.PostSend(rnic.SendWR{ID: 1, Op: rnic.OpRead, LocalAddr: lbuf, RemoteAddr: rbuf, Len: 64})
-			cq.WaitN(p, 1)
+			var wc [1]rnic.CQE
+			cq.WaitN(p, wc[:])
 			done = p.Now()
 		})
 		cl.Eng.MustRun()

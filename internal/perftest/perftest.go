@@ -139,12 +139,13 @@ func ReadLat(cfg Config) LatencyResult {
 	samples := make([]float64, 0, cfg.Iters)
 	var first sim.Time
 	e.cl.Eng.Go("lat", func(p *sim.Proc) {
+		var wc [1]rnic.CQE
 		for i := 0; i < cfg.Iters; i++ {
 			off := hostmem.Addr((i % pages) * hostmem.PageSize)
 			start := p.Now()
 			e.qp.PostSend(rnic.SendWR{ID: uint64(i), Op: rnic.OpRead,
 				LocalAddr: e.lbuf + off, RemoteAddr: e.rbuf + off, Len: cfg.Size})
-			e.cq.WaitN(p, 1)
+			e.cq.WaitN(p, wc[:])
 			d := p.Now() - start
 			if i == 0 {
 				first = d
@@ -195,6 +196,7 @@ func ReadBW(cfg Config) BandwidthResult {
 	}
 	var elapsed sim.Time
 	e.cl.Eng.Go("bw", func(p *sim.Proc) {
+		var wc [1]rnic.CQE
 		start := p.Now()
 		posted, completed := 0, 0
 		for posted < cfg.Window && posted < cfg.Iters {
@@ -204,9 +206,9 @@ func ReadBW(cfg Config) BandwidthResult {
 			posted++
 		}
 		for completed < cfg.Iters {
-			n := len(e.cq.WaitN(p, 1))
-			completed += n
-			for i := 0; i < n && posted < cfg.Iters; i++ {
+			e.cq.WaitN(p, wc[:])
+			completed++
+			if posted < cfg.Iters {
 				off := hostmem.Addr((posted % pages) * hostmem.PageSize)
 				e.qp.PostSend(rnic.SendWR{ID: uint64(posted), Op: rnic.OpRead,
 					LocalAddr: e.lbuf + off, RemoteAddr: e.rbuf + off, Len: cfg.Size})

@@ -89,10 +89,9 @@ func (qp *QP) rememberAtomic(psn uint32, orig uint64) {
 		qp.atomicReplay = make(map[uint32]uint64)
 	}
 	qp.atomicReplay[psn] = orig
-	qp.atomicOrder = append(qp.atomicOrder, psn)
-	for len(qp.atomicOrder) > atomicReplayWindow {
-		delete(qp.atomicReplay, qp.atomicOrder[0])
-		qp.atomicOrder = qp.atomicOrder[1:]
+	qp.atomicOrder.Push(psn)
+	for qp.atomicOrder.Len() > atomicReplayWindow {
+		delete(qp.atomicReplay, qp.atomicOrder.Pop())
 	}
 }
 

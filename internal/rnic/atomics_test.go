@@ -12,7 +12,7 @@ func TestFetchAddBasics(t *testing.T) {
 	h.server.AS.WriteWord(h.rbuf, 40)
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpAtomicFA, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 8, CompareAdd: 2})
 	h.eng.Run()
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	if len(cqes) != 1 || cqes[0].Status != WCSuccess {
 		t.Fatalf("cqes = %+v", cqes)
 	}
@@ -36,7 +36,7 @@ func TestCmpSwap(t *testing.T) {
 	// Non-matching compare: no swap, returns current value.
 	h.qpC.PostSend(SendWR{ID: 2, Op: OpAtomicCS, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 8, CompareAdd: 7, Swap: 1})
 	h.eng.Run()
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	last := cqes[len(cqes)-1]
 	if last.AtomicOrig != 99 {
 		t.Errorf("AtomicOrig = %d, want 99", last.AtomicOrig)
@@ -55,7 +55,7 @@ func TestAtomicSequence(t *testing.T) {
 	if got := h.server.AS.ReadWord(h.rbuf); got != 50 {
 		t.Errorf("word = %d, want 50", got)
 	}
-	if n := h.cqC.Poll(0); len(n) != 50 {
+	if n := pollAll(h.cqC); len(n) != 50 {
 		t.Errorf("completions = %d", len(n))
 	}
 }
@@ -64,7 +64,7 @@ func TestAtomicODPFaultsLikeRead(t *testing.T) {
 	h := newHarness(t, 33, ConnectX4(), serverODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpAtomicFA, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 8, CompareAdd: 5})
 	h.eng.Run()
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	if len(cqes) != 1 || cqes[0].Status != WCSuccess {
 		t.Fatalf("cqes = %+v", cqes)
 	}
@@ -95,7 +95,7 @@ func TestAtomicDuplicateNotReExecuted(t *testing.T) {
 	})
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpAtomicFA, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 8, CompareAdd: 10})
 	h.eng.Run()
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	if len(cqes) != 1 || cqes[0].Status != WCSuccess {
 		t.Fatalf("cqes = %+v", cqes)
 	}
@@ -131,7 +131,7 @@ func TestAtomicToUnregisteredFails(t *testing.T) {
 	bad := h.server.AS.Alloc(4096)
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpAtomicCS, LocalAddr: h.lbuf, RemoteAddr: bad, Len: 8})
 	h.eng.Run()
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	if len(cqes) != 1 || cqes[0].Status != WCRemoteAccessErr {
 		t.Fatalf("cqes = %+v", cqes)
 	}
@@ -152,7 +152,7 @@ func TestAdviseMRPrefetchAvoidsFault(t *testing.T) {
 	if lat := h.eng.Now() - prefetchDone; lat > 20*sim.Microsecond {
 		t.Errorf("READ after prefetch took %v", lat)
 	}
-	if n := h.cqC.Poll(0); len(n) != 1 || n[0].Status != WCSuccess {
+	if n := pollAll(h.cqC); len(n) != 1 || n[0].Status != WCSuccess {
 		t.Fatalf("cqes = %+v", n)
 	}
 }

@@ -3,11 +3,12 @@ package rnic
 import (
 	"fmt"
 
+	"odpsim/internal/fifo"
 	"odpsim/internal/sim"
 )
 
 // WCStatus is a work completion status code, mirroring ibv_wc_status.
-type WCStatus int
+type WCStatus int32
 
 // Completion statuses.
 const (
@@ -72,7 +73,7 @@ type CQE struct {
 // CQ is a completion queue. Processes can block on it via Cond.
 type CQ struct {
 	eng     *sim.Engine
-	entries []CQE
+	entries fifo.Queue[CQE]
 	cond    *sim.Cond
 	// Completed counts all CQEs ever pushed (polled or not).
 	Completed uint64
@@ -88,36 +89,27 @@ func NewCQ(eng *sim.Engine) *CQ {
 func (cq *CQ) Cond() *sim.Cond { return cq.cond }
 
 // Len returns the number of unpolled completions.
-func (cq *CQ) Len() int { return len(cq.entries) }
+func (cq *CQ) Len() int { return cq.entries.Len() }
 
 // push appends a completion and wakes waiters.
 func (cq *CQ) push(e CQE) {
 	e.At = cq.eng.Now()
-	cq.entries = append(cq.entries, e)
+	cq.entries.Push(e)
 	cq.Completed++
 	cq.cond.Broadcast()
 }
 
-// Poll removes and returns up to max completions (all if max <= 0).
-func (cq *CQ) Poll(max int) []CQE {
-	n := len(cq.entries)
-	if max > 0 && max < n {
-		n = max
-	}
-	out := make([]CQE, n)
-	copy(out, cq.entries[:n])
-	cq.entries = cq.entries[n:]
-	return out
-}
+// Poll moves up to len(buf) completions, oldest first, into buf and
+// returns how many it moved — ibv_poll_cq's contract: the caller owns
+// buf, and the CQ keeps no reference to it.
+func (cq *CQ) Poll(buf []CQE) int { return cq.entries.PopInto(buf) }
 
-// WaitN blocks the process until n completions have been polled in total
-// by this call, returning them. It is the "wait()" of the paper's
-// Figure 3 micro-benchmark: poll the CQ until all communications finish.
-func (cq *CQ) WaitN(p *sim.Proc, n int) []CQE {
-	var got []CQE
-	for len(got) < n {
-		p.Wait(cq.cond, func() bool { return len(cq.entries) > 0 })
-		got = append(got, cq.Poll(n-len(got))...)
+// WaitN blocks the process until len(buf) completions have been polled
+// into buf. It is the "wait()" of the paper's Figure 3 micro-benchmark:
+// poll the CQ until all communications finish.
+func (cq *CQ) WaitN(p *sim.Proc, buf []CQE) {
+	for got := 0; got < len(buf); {
+		p.Wait(cq.cond, func() bool { return cq.entries.Len() > 0 })
+		got += cq.Poll(buf[got:])
 	}
-	return got
 }

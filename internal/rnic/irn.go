@@ -70,8 +70,8 @@ func (qp *QP) irnPump() {
 		return
 	}
 	sent := false
-	for len(qp.sq) > 0 {
-		w := qp.sq[0]
+	for qp.sq.Len() > 0 {
+		w := qp.sq.Front()
 		if (w.Op == OpRead || isAtomic(w.Op)) && qp.OutstandingReads() >= qp.params.MaxRdAtomic {
 			break
 		}
@@ -87,15 +87,15 @@ func (qp *QP) irnPump() {
 			qp.rnic.BdpStalls++
 			break
 		}
-		qp.sq = qp.sq[1:]
-		o := &outReq{w: w, firstPSN: qp.nextPSN, npsn: npsn}
+		qp.sq.Pop()
+		w.firstPSN, w.npsn = qp.nextPSN, int32(npsn)
 		qp.nextPSN = packet.PSNAdd(qp.nextPSN, npsn)
-		if len(qp.out) == 0 {
+		if qp.out.Len() == 0 {
 			qp.rnic.busyQPs++
 		}
-		qp.out = append(qp.out, o)
-		qp.irn.TX.OnSend(o.firstPSN, npsn, bytes)
-		qp.sendRequest(o)
+		qp.out.Push(w)
+		qp.irn.TX.OnSend(w.firstPSN, npsn, bytes)
+		qp.sendRequest(w)
 		sent = true
 	}
 	if sent && !qp.toTimer.Pending() {
@@ -106,7 +106,7 @@ func (qp *QP) irnPump() {
 // irnOnTimeout retransmits only the oldest unacknowledged request — the
 // per-packet replacement for the go-back-N window replay.
 func (qp *QP) irnOnTimeout() {
-	o := qp.out[0]
+	o := qp.out.Front()
 	o.attempts++
 	qp.Stats.Timeouts++
 	if o.attempts > qp.params.RetryCount {
@@ -172,14 +172,14 @@ func (qp *QP) irnHandleSack(pkt *packet.Packet) {
 	}
 	qp.ackThrough(pkt.AckPSN)
 	bm := pkt.SackBitmap
-	if bm == 0 || len(qp.out) == 0 {
+	if bm == 0 || qp.out.Len() == 0 {
 		return
 	}
 	base := pkt.SackBase
 	hi := 63 - bits.LeadingZeros64(bm)
 	hiPSN := packet.PSNAdd(base, hi)
 	resent := false
-	for _, o := range qp.out {
+	for _, o := range qp.out.Items() {
 		d := packet.PSNDiff(o.firstPSN, base)
 		if d >= 0 && d < 64 && bm&(1<<uint(d)) != 0 {
 			o.sacked = true
@@ -205,14 +205,14 @@ func (qp *QP) irnHandleSack(pkt *packet.Packet) {
 // fault, and reissue only the faulting READ after the retransmission
 // interval. Other responses keep landing — the packet-flood loop
 // shrinks from the whole window to one request.
-func (qp *QP) irnClientFault(o *outReq) {
+func (qp *QP) irnClientFault(o *wqe) {
 	qp.Stats.ResponsesDiscarded++
 	qp.Stats.ClientFaultRounds++
-	if !o.w.faulted {
-		o.w.faulted = true
-		qp.rnic.ODP.Fault(qp.Num, o.w.LocalAddr, o.w.Len)
+	if !o.faulted {
+		o.faulted = true
+		qp.rnic.ODP.Fault(qp.Num, o.LocalAddr, o.Len)
 	} else {
-		qp.rnic.ODP.Spurious(qp.Num, o.w.LocalAddr, o.w.Len)
+		qp.rnic.ODP.Spurious(qp.Num, o.LocalAddr, o.Len)
 	}
 	delay := qp.rnic.eng.Jitter(qp.rnic.ODP.RetransInterval(), 0.1)
 	psn := o.firstPSN
@@ -223,8 +223,8 @@ func (qp *QP) irnClientFault(o *outReq) {
 // the new head of the outstanding window has been delivered in order.
 func (qp *QP) irnReleaseTX() {
 	upto := qp.nextPSN
-	if len(qp.out) > 0 {
-		upto = qp.out[0].firstPSN
+	if qp.out.Len() > 0 {
+		upto = qp.out.Front().firstPSN
 	}
 	qp.irn.TX.Complete(upto)
 }
@@ -310,8 +310,10 @@ func (qp *QP) irnExecute(pkt *packet.Packet) (npsn int, ok bool) {
 		}
 		r.ReadsExecuted++
 		if stall > 0 {
-			psn := pkt.PSN
-			r.eng.ScheduleAfter(stall, func() { qp.sendReadResponse(psn, length, npsn) })
+			// Capture copies: a closure over the named result would
+			// move it to the heap on every call.
+			psn, n := pkt.PSN, npsn
+			r.eng.ScheduleAfter(stall, func() { qp.sendReadResponse(psn, length, n) })
 			return npsn, true
 		}
 		qp.sendReadResponse(pkt.PSN, length, npsn)
@@ -342,20 +344,20 @@ func (qp *QP) irnExecute(pkt *packet.Packet) (npsn int, ok bool) {
 		return 1, true
 
 	case packet.OpSendOnly:
-		if len(qp.rq) == 0 {
+		if qp.rq.Len() == 0 {
 			r.RNRNakSent++
 			r.OutOfBuffer++
 			qp.sendRNRNak(pkt.PSN)
 			return 1, false
 		}
-		rwr := qp.rq[0]
+		rwr := qp.rq.Front()
 		ok, stall := qp.translateRemote(rwr.Addr, pkt.PayloadLen)
 		if !ok {
 			r.RNRNakSent++
 			qp.sendRNRNak(pkt.PSN)
 			return 1, false
 		}
-		qp.rq = qp.rq[1:]
+		qp.rq.Pop()
 		if stall > 0 {
 			id, psn, plen := rwr.ID, pkt.PSN, pkt.PayloadLen
 			r.eng.ScheduleAfter(stall, func() {

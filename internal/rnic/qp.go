@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"odpsim/internal/congestion"
+	"odpsim/internal/fifo"
 	"odpsim/internal/hostmem"
 	"odpsim/internal/irn"
 	"odpsim/internal/packet"
@@ -76,7 +77,7 @@ type ConnParams struct {
 }
 
 // QPState is the (simplified) queue pair state.
-type QPState int
+type QPState uint8
 
 // QP states.
 const (
@@ -85,8 +86,14 @@ const (
 	QPError
 )
 
-// wqe is a send work request with the requester-side bookkeeping that the
-// damming quirk and client-side ODP need.
+// wqe is one send work request from post to completion: the posted
+// SendWR, the requester-side bookkeeping that the damming quirk and
+// client-side ODP need, and — once the send engine takes it from sq —
+// its PSN span and retry state. The same object sits in sq while it
+// waits and in out while it is outstanding. It returns to the engine's
+// WR pool (RNIC.freeWQE) when it completes, flushes or is dropped by
+// Reset, so steady traffic allocates no request objects; nothing may
+// keep a *wqe past that point (timers capture the PSN instead).
 type wqe struct {
 	SendWR
 	// postedPaused records that the WR was posted while the QP was in a
@@ -102,23 +109,23 @@ type wqe struct {
 	// responses always find a valid translation — no discard, no blind
 	// retransmission.
 	nprHeld bool
-}
-
-// outReq is a transmitted, uncompleted request.
-type outReq struct {
-	w           *wqe
-	firstPSN    uint32
-	npsn        int
-	attempts    int
-	rnrAttempts int
 	// IRN bookkeeping: sacked marks the request's arrival confirmed by
 	// a SACK bitmap; retxDone guards selective retransmission to once
 	// per recovery round (a persistent hole falls back to the timeout).
 	sacked   bool
 	retxDone bool
+
+	// Transmission state, set when the WR moves from sq to out.
+	firstPSN    uint32
+	npsn        int32
+	attempts    int
+	rnrAttempts int
+
+	// next links the WR pool's free list.
+	next *wqe
 }
 
-func (o *outReq) lastPSN() uint32 { return packet.PSNAdd(o.firstPSN, o.npsn-1) }
+func (o *wqe) lastPSN() uint32 { return packet.PSNAdd(o.firstPSN, int(o.npsn)-1) }
 
 // QPStats counts requester-side events.
 type QPStats struct {
@@ -146,8 +153,8 @@ type QP struct {
 	params ConnParams
 
 	// Requester state.
-	sq          []*wqe
-	out         []*outReq
+	sq          fifo.Queue[*wqe] // posted, not yet transmitted
+	out         fifo.Queue[*wqe] // transmitted, not yet completed
 	nextPSN     uint32
 	paused      bool
 	inResume    bool
@@ -171,11 +178,11 @@ type QP struct {
 
 	// Responder state.
 	ePSN uint32
-	rq   []RecvWR
+	rq   fifo.Queue[RecvWR]
 	// atomicReplay caches executed atomics' original values for
 	// duplicate replay (see atomics.go).
 	atomicReplay map[uint32]uint64
-	atomicOrder  []uint32
+	atomicOrder  fifo.Queue[uint32]
 	// pendingAtomicOrig carries an atomic response's value into the CQE
 	// built by completeThrough.
 	pendingAtomicOrig uint64
@@ -223,17 +230,24 @@ func (qp *QP) Connect(dlid uint16, dqpn uint32, params ConnParams) {
 func (qp *QP) Reset() {
 	qp.toTimer.Cancel()
 	qp.resumeTimer.Cancel()
-	if qp.state == QPReady && len(qp.out) > 0 {
+	if qp.state == QPReady && qp.out.Len() > 0 {
 		qp.rnic.busyQPs--
 	}
 	qp.state = QPReset
-	for _, o := range qp.out {
-		qp.releaseNPR(o.w)
+	for _, o := range qp.out.Items() {
+		qp.releaseNPR(o)
+		qp.rnic.freeWQE(o)
 	}
-	qp.sq, qp.out, qp.rq = nil, nil, nil
+	for _, w := range qp.sq.Items() {
+		qp.rnic.freeWQE(w)
+	}
+	qp.sq.Clear()
+	qp.out.Clear()
+	qp.rq.Clear()
 	qp.nextPSN, qp.ePSN = 0, 0
 	qp.paused, qp.inResume = false, false
-	qp.atomicReplay, qp.atomicOrder = nil, nil
+	qp.atomicReplay = nil
+	qp.atomicOrder.Clear()
 	if qp.irn != nil {
 		qp.irn.RB.Init(0)
 		qp.irn.TX.Init(qp.rnic.irnBDP, 0)
@@ -242,7 +256,7 @@ func (qp *QP) Reset() {
 
 // PostRecv posts a receive work request.
 func (qp *QP) PostRecv(wr RecvWR) {
-	qp.rq = append(qp.rq, wr)
+	qp.rq.Push(wr)
 }
 
 // PostSend posts a send work request. On an errored QP the WR completes
@@ -253,8 +267,10 @@ func (qp *QP) PostSend(wr SendWR) {
 		return
 	}
 	qp.Stats.Posted++
-	w := &wqe{SendWR: wr, postedPaused: qp.paused}
-	qp.sq = append(qp.sq, w)
+	w := qp.rnic.newWQE()
+	w.SendWR = wr
+	w.postedPaused = qp.paused
+	qp.sq.Push(w)
 	if !qp.paused {
 		qp.pump()
 	}
@@ -264,8 +280,8 @@ func (qp *QP) PostSend(wr SendWR) {
 // responder resources and share the MaxRdAtomic budget).
 func (qp *QP) OutstandingReads() int {
 	n := 0
-	for _, o := range qp.out {
-		if o.w.Op == OpRead || isAtomic(o.w.Op) {
+	for _, o := range qp.out.Items() {
+		if o.Op == OpRead || isAtomic(o.Op) {
 			n++
 		}
 	}
@@ -282,12 +298,12 @@ func (qp *QP) pump() {
 		return
 	}
 	sent := false
-	for len(qp.sq) > 0 {
-		w := qp.sq[0]
+	for qp.sq.Len() > 0 {
+		w := qp.sq.Front()
 		if (w.Op == OpRead || isAtomic(w.Op)) && qp.OutstandingReads() >= qp.params.MaxRdAtomic {
 			break
 		}
-		qp.sq = qp.sq[1:]
+		qp.sq.Pop()
 		npsn := 1
 		if w.Op == OpRead {
 			npsn = (w.Len + qp.rnic.prof.MTU - 1) / qp.rnic.prof.MTU
@@ -295,13 +311,13 @@ func (qp *QP) pump() {
 				npsn = 1
 			}
 		}
-		o := &outReq{w: w, firstPSN: qp.nextPSN, npsn: npsn}
+		w.firstPSN, w.npsn = qp.nextPSN, int32(npsn)
 		qp.nextPSN = packet.PSNAdd(qp.nextPSN, npsn)
-		if len(qp.out) == 0 {
+		if qp.out.Len() == 0 {
 			qp.rnic.busyQPs++
 		}
-		qp.out = append(qp.out, o)
-		qp.sendRequest(o)
+		qp.out.Push(w)
+		qp.sendRequest(w)
 		sent = true
 	}
 	// Arm the Local ACK Timeout when transmissions start; an already
@@ -325,17 +341,17 @@ func (qp *QP) pump() {
 // backlog shed it. Retransmission accounting counts wire sends only —
 // the counters mirror what a capture or the mlx5 hardware counters see,
 // and a shed packet never left the NIC.
-func (qp *QP) sendRequest(o *outReq) bool {
+func (qp *QP) sendRequest(o *wqe) bool {
 	// NP-RDMA local translation: the driver migrates the WR's local
 	// buffer into the DMA-able pool and references its frames before the
 	// first transmission. Cold pages stall the send by the synchronous
 	// migration time; warm pages cost nothing. The nil check is the only
 	// hot-path cost in pin/odp modes.
 	var nprStall sim.Time
-	if pool := qp.rnic.npr; pool != nil && !o.w.nprHeld {
-		if kind, ok := qp.rnic.lookupMR(o.w.LocalAddr, o.w.Len); ok && kind == KindNPR {
-			nprStall = pool.Acquire(o.w.LocalAddr, o.w.Len)
-			o.w.nprHeld = true
+	if pool := qp.rnic.npr; pool != nil && !o.nprHeld {
+		if kind, ok := qp.rnic.lookupMR(o.LocalAddr, o.Len); ok && kind == KindNPR {
+			nprStall = pool.Acquire(o.LocalAddr, o.Len)
+			o.nprHeld = true
 		}
 	}
 	pkt := qp.rnic.pool.Get()
@@ -344,23 +360,23 @@ func (qp *QP) sendRequest(o *outReq) bool {
 	pkt.SrcQP = qp.Num
 	pkt.PSN = o.firstPSN
 	pkt.AckReq = true
-	switch o.w.Op {
+	switch o.Op {
 	case OpRead:
 		pkt.Opcode = packet.OpReadRequest
-		pkt.RemoteAddr = uint64(o.w.RemoteAddr)
-		pkt.DMALen = uint32(o.w.Len)
+		pkt.RemoteAddr = uint64(o.RemoteAddr)
+		pkt.DMALen = uint32(o.Len)
 	case OpWrite:
 		pkt.Opcode = packet.OpWriteOnly
-		pkt.RemoteAddr = uint64(o.w.RemoteAddr)
-		pkt.DMALen = uint32(o.w.Len)
-		pkt.PayloadLen = o.w.Len
+		pkt.RemoteAddr = uint64(o.RemoteAddr)
+		pkt.DMALen = uint32(o.Len)
+		pkt.PayloadLen = o.Len
 	case OpSend:
 		pkt.Opcode = packet.OpSendOnly
-		pkt.PayloadLen = o.w.Len
+		pkt.PayloadLen = o.Len
 	case OpAtomicFA, OpAtomicCS:
-		buildAtomicPacket(pkt, o.w)
+		buildAtomicPacket(pkt, o)
 	}
-	if qp.rnic.prof.DammingQuirk && o.w.postedPaused {
+	if qp.rnic.prof.DammingQuirk && o.postedPaused {
 		if qp.inResume {
 			// Every transmission that happens as part of a replay
 			// batch is corrupted for a WR that entered the queue
@@ -372,7 +388,7 @@ func (qp *QP) sendRequest(o *outReq) bool {
 			// Once the WR goes out through the ordinary send path
 			// (timeout/NAK retransmission or a pump after progress)
 			// it is no longer entangled with the replay state.
-			o.w.postedPaused = false
+			o.postedPaused = false
 		}
 	}
 	if nprStall > 0 {
@@ -416,7 +432,7 @@ func (qp *QP) sendPaced(pkt *packet.Packet) bool {
 // request. CACK == 0 disables timeouts per the specification.
 func (qp *QP) armTimeout() {
 	qp.toTimer.Cancel()
-	if qp.params.CACK == 0 || len(qp.out) == 0 || qp.paused || qp.state != QPReady {
+	if qp.params.CACK == 0 || qp.out.Len() == 0 || qp.paused || qp.state != QPReady {
 		return
 	}
 	to := qp.rnic.prof.DrawTimeout(qp.rnic.eng, qp.params.CACK, qp.rnic.busyQPs)
@@ -424,14 +440,14 @@ func (qp *QP) armTimeout() {
 }
 
 func (qp *QP) onTimeout() {
-	if len(qp.out) == 0 || qp.state != QPReady {
+	if qp.out.Len() == 0 || qp.state != QPReady {
 		return
 	}
 	if qp.irn != nil {
 		qp.irnOnTimeout()
 		return
 	}
-	o := qp.out[0]
+	o := qp.out.Front()
 	o.attempts++
 	qp.Stats.Timeouts++
 	if o.attempts > qp.params.RetryCount {
@@ -446,7 +462,7 @@ func (qp *QP) onTimeout() {
 // (go-back-N). Only packets that reach the wire count as
 // retransmissions; sends shed by a full DCQCN TX backlog do not.
 func (qp *QP) retransmitFrom(psn uint32) {
-	for _, o := range qp.out {
+	for _, o := range qp.out.Items() {
 		if packet.PSNDiff(o.lastPSN(), psn) >= 0 {
 			if qp.sendRequest(o) {
 				qp.Stats.Retransmits++
@@ -480,10 +496,10 @@ func (qp *QP) resumePending() {
 }
 
 // findOut locates the outstanding request containing psn.
-func (qp *QP) findOut(psn uint32) *outReq {
-	for _, o := range qp.out {
+func (qp *QP) findOut(psn uint32) *wqe {
+	for _, o := range qp.out.Items() {
 		d := packet.PSNDiff(psn, o.firstPSN)
-		if d >= 0 && d < o.npsn {
+		if d >= 0 && d < int(o.npsn) {
 			return o
 		}
 	}
@@ -572,9 +588,9 @@ func (qp *QP) handleReadResponse(pkt *packet.Packet) {
 		// go-back-N every outstanding READ's re-executed response
 		// lands here, which is a large share of the flood load.
 		qp.Stats.ResponsesDiscarded++
-		if o := qp.findOut(pkt.PSN); o != nil && o.w.faulted &&
-			qp.localIsODP(o.w) && !qp.rnic.ODP.Access(qp.Num, o.w.LocalAddr, o.w.Len) {
-			qp.rnic.ODP.Spurious(qp.Num, o.w.LocalAddr, o.w.Len)
+		if o := qp.findOut(pkt.PSN); o != nil && o.faulted &&
+			qp.localIsODP(o) && !qp.rnic.ODP.Access(qp.Num, o.LocalAddr, o.Len) {
+			qp.rnic.ODP.Spurious(qp.Num, o.LocalAddr, o.Len)
 		}
 		return
 	}
@@ -582,7 +598,7 @@ func (qp *QP) handleReadResponse(pkt *packet.Packet) {
 	if o == nil {
 		return // ghost or duplicate response
 	}
-	if qp.localIsODP(o.w) && !qp.rnic.ODP.Access(qp.Num, o.w.LocalAddr, o.w.Len) {
+	if qp.localIsODP(o) && !qp.rnic.ODP.Access(qp.Num, o.LocalAddr, o.Len) {
 		if qp.irn != nil {
 			// IRN: only the faulting READ retries; no pending window.
 			qp.irnClientFault(o)
@@ -593,11 +609,11 @@ func (qp *QP) handleReadResponse(pkt *packet.Packet) {
 		// request — over and over until the page status update lands.
 		qp.Stats.ResponsesDiscarded++
 		qp.Stats.ClientFaultRounds++
-		if !o.w.faulted {
-			o.w.faulted = true
-			qp.rnic.ODP.Fault(qp.Num, o.w.LocalAddr, o.w.Len)
+		if !o.faulted {
+			o.faulted = true
+			qp.rnic.ODP.Fault(qp.Num, o.LocalAddr, o.Len)
 		} else {
-			qp.rnic.ODP.Spurious(qp.Num, o.w.LocalAddr, o.w.Len)
+			qp.rnic.ODP.Spurious(qp.Num, o.LocalAddr, o.Len)
 		}
 		delay := qp.rnic.eng.Jitter(qp.rnic.ODP.RetransInterval(), 0.1)
 		qp.enterPending(delay, o.firstPSN)
@@ -611,20 +627,22 @@ func (qp *QP) handleReadResponse(pkt *packet.Packet) {
 
 // completeThrough completes every outstanding request up to and including
 // o (a READ response implicitly acknowledges everything before it).
-func (qp *QP) completeThrough(o *outReq) {
-	for len(qp.out) > 0 {
-		h := qp.out[0]
-		if packet.PSNDiff(h.lastPSN(), o.lastPSN()) > 0 {
+func (qp *QP) completeThrough(o *wqe) {
+	last := o.lastPSN() // o itself is recycled inside the loop
+	for qp.out.Len() > 0 {
+		h := qp.out.Front()
+		if packet.PSNDiff(h.lastPSN(), last) > 0 {
 			break
 		}
-		qp.out = qp.out[1:]
-		qp.releaseNPR(h.w)
+		qp.out.Pop()
+		qp.releaseNPR(h)
 		qp.Stats.Completed++
-		cqe := CQE{WRID: h.w.ID, QPN: qp.Num, Status: WCSuccess, Op: h.w.Op, ByteLen: h.w.Len}
-		if isAtomic(h.w.Op) {
+		cqe := CQE{WRID: h.ID, QPN: qp.Num, Status: WCSuccess, Op: h.Op, ByteLen: h.Len}
+		if isAtomic(h.Op) {
 			cqe.AtomicOrig = qp.pendingAtomicOrig
 		}
 		qp.deliver(qp.sendCQ, cqe)
+		qp.rnic.freeWQE(h)
 	}
 	if qp.irn != nil {
 		qp.irnReleaseTX()
@@ -636,15 +654,16 @@ func (qp *QP) completeThrough(o *outReq) {
 // complete when their response data arrives.
 func (qp *QP) ackThrough(psn uint32) {
 	progressed := false
-	for len(qp.out) > 0 {
-		h := qp.out[0]
-		if h.w.Op == OpRead || isAtomic(h.w.Op) || packet.PSNDiff(h.lastPSN(), psn) > 0 {
+	for qp.out.Len() > 0 {
+		h := qp.out.Front()
+		if h.Op == OpRead || isAtomic(h.Op) || packet.PSNDiff(h.lastPSN(), psn) > 0 {
 			break
 		}
-		qp.out = qp.out[1:]
-		qp.releaseNPR(h.w)
+		qp.out.Pop()
+		qp.releaseNPR(h)
 		qp.Stats.Completed++
-		qp.deliver(qp.sendCQ, CQE{WRID: h.w.ID, QPN: qp.Num, Status: WCSuccess, Op: h.w.Op, ByteLen: h.w.Len})
+		qp.deliver(qp.sendCQ, CQE{WRID: h.ID, QPN: qp.Num, Status: WCSuccess, Op: h.Op, ByteLen: h.Len})
+		qp.rnic.freeWQE(h)
 		progressed = true
 	}
 	if progressed {
@@ -656,7 +675,7 @@ func (qp *QP) ackThrough(psn uint32) {
 }
 
 func (qp *QP) afterProgress() {
-	if len(qp.out) == 0 {
+	if qp.out.Len() == 0 {
 		qp.rnic.busyQPs--
 		qp.toTimer.Cancel()
 	} else {
@@ -666,24 +685,26 @@ func (qp *QP) afterProgress() {
 }
 
 // fatal moves the QP to the Error state: the culprit WR completes with
-// status, everything else flushes.
-func (qp *QP) fatal(culprit *outReq, status WCStatus) {
+// status, everything else flushes. Every WR returns to the free list.
+func (qp *QP) fatal(culprit *wqe, status WCStatus) {
 	qp.state = QPError
 	qp.toTimer.Cancel()
 	qp.resumeTimer.Cancel()
-	if len(qp.out) > 0 {
+	if qp.out.Len() > 0 {
 		qp.rnic.busyQPs--
 	}
-	qp.deliver(qp.sendCQ, CQE{WRID: culprit.w.ID, QPN: qp.Num, Status: status, Op: culprit.w.Op})
-	for _, o := range qp.out {
-		qp.releaseNPR(o.w)
+	qp.deliver(qp.sendCQ, CQE{WRID: culprit.ID, QPN: qp.Num, Status: status, Op: culprit.Op})
+	for _, o := range qp.out.Items() {
+		qp.releaseNPR(o)
 		if o != culprit {
-			qp.deliver(qp.sendCQ, CQE{WRID: o.w.ID, QPN: qp.Num, Status: WCFlushErr, Op: o.w.Op})
+			qp.deliver(qp.sendCQ, CQE{WRID: o.ID, QPN: qp.Num, Status: WCFlushErr, Op: o.Op})
 		}
+		qp.rnic.freeWQE(o)
 	}
-	for _, w := range qp.sq {
+	for _, w := range qp.sq.Items() {
 		qp.deliver(qp.sendCQ, CQE{WRID: w.ID, QPN: qp.Num, Status: WCFlushErr, Op: w.Op})
+		qp.rnic.freeWQE(w)
 	}
-	qp.out = nil
-	qp.sq = nil
+	qp.out.Clear()
+	qp.sq.Clear()
 }

@@ -149,21 +149,21 @@ func (qp *QP) respondSend(pkt *packet.Packet, dup bool) {
 		qp.sendAck(packet.SynACK, pkt.PSN)
 		return
 	}
-	if len(qp.rq) == 0 {
+	if qp.rq.Len() == 0 {
 		// The genuine Receiver-Not-Ready condition.
 		r.RNRNakSent++
 		r.OutOfBuffer++
 		qp.sendRNRNak(pkt.PSN)
 		return
 	}
-	rwr := qp.rq[0]
+	rwr := qp.rq.Front()
 	ok, stall := qp.translateRemote(rwr.Addr, pkt.PayloadLen)
 	if !ok {
 		r.RNRNakSent++
 		qp.sendRNRNak(pkt.PSN)
 		return
 	}
-	qp.rq = qp.rq[1:]
+	qp.rq.Pop()
 	qp.ePSN = packet.PSNAdd(pkt.PSN, 1)
 	if stall > 0 {
 		// The receive completes and the ACK goes out once the driver

@@ -98,6 +98,8 @@ type RNIC struct {
 	// busyQPs counts QPs with outstanding requests (the load signal for
 	// the §VI-C timeout-lengthening effect).
 	busyQPs int
+	// wqes is the engine's free list of send work request objects.
+	wqes *wqePool
 	// DCQCN state (EnableDCQCN): dcqcn holds the loop parameters, and
 	// lineGbps is the port rate new QPs' rate limiters start at.
 	dcqcnOn  bool
@@ -150,6 +152,7 @@ func New(fab *fabric.Fabric, lid uint16, name string, prof Profile, memCfg hostm
 		ODP:     odp.New(as, prof.ODP),
 		prof:    prof,
 		pool:    fab.Pool(),
+		wqes:    wqePoolFor(eng),
 		tel:     telemetry.NewRegistryOn(eng, name, telemetry.Labels{"device": name}),
 		nextKey: 1,
 	}
@@ -341,6 +344,44 @@ func (r *RNIC) lookupMR(addr hostmem.Addr, length int) (kind MemKind, ok bool) {
 		return KindODP, true
 	}
 	return KindPinned, false
+}
+
+// wqePool is a free list, linked through wqe.next, of send work request
+// objects whose WR completed, flushed or was dropped by Reset. One pool
+// serves every RNIC on an engine and lives in the engine's Aux storage,
+// so it survives Reset: clusters rebuilt on a reused engine take the
+// previous run's objects, as the packet pool's users do.
+type wqePool struct{ free *wqe }
+
+// wqePoolKey is the engine Aux key the WR pool lives under.
+const wqePoolKey = "rnic.wqes"
+
+func wqePoolFor(eng *sim.Engine) *wqePool {
+	p, _ := eng.Aux(wqePoolKey).(*wqePool)
+	if p == nil {
+		p = &wqePool{}
+		eng.SetAux(wqePoolKey, p)
+	}
+	return p
+}
+
+// newWQE takes a zeroed send work request object from the free list,
+// allocating only when the list is empty.
+func (r *RNIC) newWQE() *wqe {
+	w := r.wqes.free
+	if w == nil {
+		return new(wqe)
+	}
+	r.wqes.free = w.next
+	w.next = nil
+	return w
+}
+
+// freeWQE zeroes a WR object that left its QP's queues and returns it to
+// the free list.
+func (r *RNIC) freeWQE(w *wqe) {
+	*w = wqe{next: r.wqes.free}
+	r.wqes.free = w
 }
 
 // CreateQP creates a queue pair bound to the completion queues.

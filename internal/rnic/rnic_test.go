@@ -73,7 +73,7 @@ func TestReadNoODP(t *testing.T) {
 	h := newHarness(t, 1, ConnectX4(), noODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.Run()
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	if len(cqes) != 1 || cqes[0].Status != WCSuccess {
 		t.Fatalf("cqes = %+v", cqes)
 	}
@@ -92,7 +92,7 @@ func TestReadServerODPWorkflow(t *testing.T) {
 	h := newHarness(t, 2, ConnectX4(), serverODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.Run()
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	if len(cqes) != 1 || cqes[0].Status != WCSuccess {
 		t.Fatalf("cqes = %+v", cqes)
 	}
@@ -115,7 +115,7 @@ func TestReadClientODPWorkflow(t *testing.T) {
 	h := newHarness(t, 3, ConnectX4(), clientODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.Run()
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	if len(cqes) != 1 || cqes[0].Status != WCSuccess {
 		t.Fatalf("cqes = %+v", cqes)
 	}
@@ -146,7 +146,7 @@ func TestTwoReadDammingTimeout(t *testing.T) {
 		h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf + 100, RemoteAddr: h.rbuf + 100, Len: 100})
 	})
 	h.eng.Run()
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	if len(cqes) != 2 {
 		t.Fatalf("got %d completions", len(cqes))
 	}
@@ -177,7 +177,7 @@ func TestTwoReadNoQuirkNoTimeout(t *testing.T) {
 		h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf + 100, RemoteAddr: h.rbuf + 100, Len: 100})
 	})
 	h.eng.Run()
-	if n := h.cqC.Poll(0); len(n) != 2 {
+	if n := pollAll(h.cqC); len(n) != 2 {
 		t.Fatalf("got %d completions", len(n))
 	}
 	if h.qpC.Stats.Timeouts != 0 {
@@ -196,7 +196,7 @@ func TestTwoReadOutsideWindowNoTimeout(t *testing.T) {
 		h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf + 100, RemoteAddr: h.rbuf + 100, Len: 100})
 	})
 	h.eng.Run()
-	if n := h.cqC.Poll(0); len(n) != 2 {
+	if n := pollAll(h.cqC); len(n) != 2 {
 		t.Fatalf("got %d completions", len(n))
 	}
 	if h.qpC.Stats.Timeouts != 0 {
@@ -212,7 +212,7 @@ func TestTwoReadImmediateNoTimeout(t *testing.T) {
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf + 100, RemoteAddr: h.rbuf + 100, Len: 100})
 	h.eng.Run()
-	if n := h.cqC.Poll(0); len(n) != 2 {
+	if n := pollAll(h.cqC); len(n) != 2 {
 		t.Fatalf("got %d completions", len(n))
 	}
 	if h.qpC.Stats.Timeouts != 0 {
@@ -236,7 +236,7 @@ func TestThreeReadNakSeqRescue(t *testing.T) {
 		h.qpC.PostSend(SendWR{ID: 3, Op: OpRead, LocalAddr: h.lbuf + 200, RemoteAddr: h.rbuf + 200, Len: 100})
 	})
 	h.eng.Run()
-	if n := h.cqC.Poll(0); len(n) != 3 {
+	if n := pollAll(h.cqC); len(n) != 3 {
 		t.Fatalf("got %d completions", len(n))
 	}
 	if h.server.DammedDrops == 0 {
@@ -260,7 +260,7 @@ func TestWrongLIDRetryExceeded(t *testing.T) {
 	h.qpC.Connect(99 /* bogus LID */, h.qpS.Num, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.Run()
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	if len(cqes) != 1 || cqes[0].Status != WCRetryExcErr {
 		t.Fatalf("cqes = %+v, want IBV_WC_RETRY_EXC_ERR", cqes)
 	}
@@ -284,7 +284,7 @@ func TestCACKZeroDisablesTimeout(t *testing.T) {
 	h.qpC.Connect(99, h.qpS.Num, p)
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.RunUntil(10 * sim.Second)
-	if len(h.cqC.Poll(0)) != 0 {
+	if len(pollAll(h.cqC)) != 0 {
 		t.Error("with C_ACK=0 the request should hang forever")
 	}
 	if h.qpC.Stats.Timeouts != 0 {
@@ -297,9 +297,9 @@ func TestPostToErroredQPFlushes(t *testing.T) {
 	h.qpC.Connect(99, h.qpS.Num, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.Run()
-	h.cqC.Poll(0)
+	pollAll(h.cqC)
 	h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	if len(cqes) != 1 || cqes[0].Status != WCFlushErr {
 		t.Fatalf("cqes = %+v, want flush error", cqes)
 	}
@@ -311,11 +311,11 @@ func TestWriteAndSend(t *testing.T) {
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpWrite, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 200})
 	h.qpC.PostSend(SendWR{ID: 2, Op: OpSend, LocalAddr: h.lbuf, Len: 64})
 	h.eng.Run()
-	send := h.cqC.Poll(0)
+	send := pollAll(h.cqC)
 	if len(send) != 2 || send[0].Status != WCSuccess || send[1].Status != WCSuccess {
 		t.Fatalf("send cqes = %+v", send)
 	}
-	recv := h.cqS.Poll(0)
+	recv := pollAll(h.cqS)
 	if len(recv) != 1 || !recv[0].Recv || recv[0].ByteLen != 64 {
 		t.Fatalf("recv cqes = %+v", recv)
 	}
@@ -329,14 +329,14 @@ func TestSendWithoutRecvGetsRNR(t *testing.T) {
 		h.qpS.PostRecv(RecvWR{ID: 100, Addr: h.rbuf, Len: 4096})
 	})
 	h.eng.Run()
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	if len(cqes) != 1 || cqes[0].Status != WCSuccess {
 		t.Fatalf("cqes = %+v", cqes)
 	}
 	if h.qpC.Stats.RNRNakReceived == 0 {
 		t.Error("expected a genuine RNR NAK")
 	}
-	if len(h.cqS.Poll(0)) != 1 {
+	if len(pollAll(h.cqS)) != 1 {
 		t.Error("server should complete the receive")
 	}
 }
@@ -346,7 +346,7 @@ func TestUnregisteredRemoteIsAccessError(t *testing.T) {
 	bad := h.server.AS.Alloc(hostmem.PageSize) // never registered
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: bad, Len: 100})
 	h.eng.Run()
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	if len(cqes) != 1 || cqes[0].Status != WCRemoteAccessErr {
 		t.Fatalf("cqes = %+v, want remote access error", cqes)
 	}
@@ -358,7 +358,7 @@ func TestImplicitODPCoversEverything(t *testing.T) {
 	extra := h.server.AS.Alloc(hostmem.PageSize) // unregistered but implicit
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: extra, Len: 100})
 	h.eng.Run()
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	if len(cqes) != 1 || cqes[0].Status != WCSuccess {
 		t.Fatalf("cqes = %+v", cqes)
 	}
@@ -372,7 +372,7 @@ func TestMultiPacketRead(t *testing.T) {
 	const size = 3*4096 + 100 // 4 response packets
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: size})
 	h.eng.Run()
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	if len(cqes) != 1 || cqes[0].Status != WCSuccess || cqes[0].ByteLen != size {
 		t.Fatalf("cqes = %+v", cqes)
 	}
@@ -380,7 +380,7 @@ func TestMultiPacketRead(t *testing.T) {
 	h.qpC.PostSend(SendWR{ID: 2, Op: OpSend, LocalAddr: h.lbuf, Len: 8})
 	h.qpS.PostRecv(RecvWR{ID: 3, Addr: h.rbuf, Len: 4096})
 	h.eng.Run()
-	if n := h.cqC.Poll(0); len(n) != 1 || n[0].Status != WCSuccess {
+	if n := pollAll(h.cqC); len(n) != 1 || n[0].Status != WCSuccess {
 		t.Fatalf("follow-up after multi-packet READ failed: %+v", n)
 	}
 }
@@ -396,7 +396,7 @@ func TestMaxRdAtomicLimitsOutstanding(t *testing.T) {
 		t.Errorf("outstanding reads = %d, want ≤ 2", h.qpC.OutstandingReads())
 	}
 	h.eng.Run()
-	if n := h.cqC.Poll(0); len(n) != 5 {
+	if n := pollAll(h.cqC); len(n) != 5 {
 		t.Fatalf("got %d completions", len(n))
 	}
 }
@@ -410,7 +410,7 @@ func TestPinnedBuffersNeverFault(t *testing.T) {
 	if h.server.RNRNakSent != 0 || h.qpC.Stats.ClientFaultRounds != 0 {
 		t.Error("pinned memory must not fault")
 	}
-	if n := h.cqC.Poll(0); len(n) != 20 {
+	if n := pollAll(h.cqC); len(n) != 20 {
 		t.Fatalf("got %d completions", len(n))
 	}
 }
@@ -423,7 +423,7 @@ func TestBothSideODPTwoReadsTimeout(t *testing.T) {
 		h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf + 100, RemoteAddr: h.rbuf + 100, Len: 100})
 	})
 	h.eng.Run()
-	if n := h.cqC.Poll(0); len(n) != 2 {
+	if n := pollAll(h.cqC); len(n) != 2 {
 		t.Fatalf("got %d completions", len(n))
 	}
 	if h.qpC.Stats.Timeouts == 0 {
@@ -482,16 +482,124 @@ func TestDrawTimeoutWithinSpecBounds(t *testing.T) {
 
 func TestCQWaitN(t *testing.T) {
 	h := newHarness(t, 20, ConnectX4(), noODP, defaultParams())
-	var got []CQE
+	var got [3]CQE
 	h.eng.Go("bench", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
 			h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 			p.Sleep(10 * sim.Microsecond)
 		}
-		got = h.cqC.WaitN(p, 3)
+		h.cqC.WaitN(p, got[:])
 	})
 	h.eng.MustRun()
-	if len(got) != 3 {
-		t.Fatalf("WaitN returned %d", len(got))
+	for i, e := range got {
+		if e.WRID != uint64(i) || e.Status != WCSuccess {
+			t.Fatalf("WaitN slot %d = WR %d %v, want WR %d success", i, e.WRID, e.Status, i)
+		}
+	}
+	if h.cqC.Len() != 0 {
+		t.Errorf("%d completions left on the CQ", h.cqC.Len())
+	}
+}
+
+// pollAll drains every pending completion into a fresh slice.
+func pollAll(cq *CQ) []CQE {
+	buf := make([]CQE, cq.Len())
+	return buf[:cq.Poll(buf)]
+}
+
+// TestCQPollFillsCallerBuffer checks ibv_poll_cq's contract: Poll moves
+// at most len(buf) completions, oldest first, leaves the rest queued and
+// reports how many it moved.
+func TestCQPollFillsCallerBuffer(t *testing.T) {
+	h := newHarness(t, 21, ConnectX4(), noODP, defaultParams())
+	for i := 0; i < 5; i++ {
+		h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpWrite, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 64})
+	}
+	h.eng.Run()
+	var buf [2]CQE
+	var ids []uint64
+	for {
+		n := h.cqC.Poll(buf[:])
+		for _, e := range buf[:n] {
+			ids = append(ids, e.WRID)
+		}
+		if n < len(buf) {
+			break
+		}
+	}
+	if len(ids) != 5 {
+		t.Fatalf("polled %d completions, want 5", len(ids))
+	}
+	for i, id := range ids {
+		if id != uint64(i) {
+			t.Fatalf("completion %d is WR %d, want oldest first", i, id)
+		}
+	}
+	if n := h.cqC.Poll(buf[:]); n != 0 {
+		t.Errorf("Poll on a drained CQ moved %d", n)
+	}
+}
+
+// pooledWQEs counts the WR objects on the engine's free list, failing
+// the test if one of them was not zeroed on its way back.
+func pooledWQEs(t *testing.T, r *RNIC) int {
+	t.Helper()
+	n := 0
+	for w := r.wqes.free; w != nil; w = w.next {
+		if *w != (wqe{next: w.next}) {
+			t.Fatalf("pooled WR %d not zeroed: %+v", n, *w)
+		}
+		n++
+	}
+	return n
+}
+
+// TestWQEPoolRecycles checks the WR ownership rule: a WR object returns
+// to the pool, zeroed, when its WR completes, when Reset drops it and
+// when a fatal error flushes it, and later posts reuse pooled objects.
+func TestWQEPoolRecycles(t *testing.T) {
+	p := defaultParams()
+	p.RetryCount = 0
+	h := newHarness(t, 30, ConnectX4(), noODP, p)
+	post := func(n int) {
+		for i := 0; i < n; i++ {
+			h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpWrite, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 64})
+		}
+	}
+
+	post(4)
+	h.eng.Run()
+	if got := len(pollAll(h.cqC)); got != 4 {
+		t.Fatalf("%d completions, want 4", got)
+	}
+	if got := pooledWQEs(t, h.client); got != 4 {
+		t.Fatalf("%d WRs pooled after completion, want 4", got)
+	}
+
+	post(4)
+	if got := pooledWQEs(t, h.client); got != 0 {
+		t.Fatalf("%d WRs still pooled after reposting, want all 4 reused", got)
+	}
+	h.qpC.Reset()
+	if got := pooledWQEs(t, h.client); got != 4 {
+		t.Fatalf("%d WRs pooled after Reset, want 4", got)
+	}
+
+	h.qpS.Reset()
+	ConnectPair(h.qpC, h.qpS, p, p)
+	h.fab.SetLossRate(1)
+	post(4)
+	h.eng.Run()
+	cqes := pollAll(h.cqC)
+	if len(cqes) != 4 || cqes[0].Status != WCRetryExcErr {
+		t.Fatalf("completions after total loss = %+v, want RETRY_EXC then 3 flushes", cqes)
+	}
+	for i, e := range cqes[1:] {
+		if e.Status != WCFlushErr || e.WRID != uint64(i+1) {
+			t.Errorf("completion %d = WR %d %s, want WR %d flushed", i+1, e.WRID, e.Status, i+1)
+		}
+	}
+	if got := pooledWQEs(t, h.client); got != 4 {
+		t.Fatalf("%d WRs pooled after the flush, want 4", got)
 	}
 }

@@ -28,7 +28,7 @@ func TestReliabilityUnderRandomLoss(t *testing.T) {
 				h.qpC.PostSend(SendWR{ID: uint64(i), Op: op, LocalAddr: h.lbuf + off, RemoteAddr: h.rbuf + off, Len: 64})
 			}
 			h.eng.Run()
-			cqes := h.cqC.Poll(0)
+			cqes := pollAll(h.cqC)
 			if len(cqes) != n {
 				t.Fatalf("loss=%v seed=%d: %d/%d completions", loss, seed, len(cqes), n)
 			}
@@ -57,7 +57,7 @@ func TestCompletionOrderPreserved(t *testing.T) {
 		h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 32})
 	}
 	h.eng.Run()
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	if len(cqes) != n {
 		t.Fatalf("%d completions", len(cqes))
 	}
@@ -80,7 +80,7 @@ func TestODPUnderRandomLoss(t *testing.T) {
 		h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpRead, LocalAddr: h.lbuf + off, RemoteAddr: h.rbuf + off, Len: 128})
 	}
 	h.eng.Run()
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	ok := 0
 	for _, e := range cqes {
 		if e.Status == WCSuccess {
@@ -136,7 +136,7 @@ func TestManyNodesStar(t *testing.T) {
 		}
 	}
 	eng.Run()
-	cqes := cq.Poll(0)
+	cqes := pollAll(cq)
 	if len(cqes) != servers*4 {
 		t.Fatalf("completions = %d, want %d", len(cqes), servers*4)
 	}
@@ -153,7 +153,7 @@ func TestInvalidationMidTraffic(t *testing.T) {
 	h := newHarness(t, 600, ConnectX4(), serverODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 64})
 	h.eng.Run()
-	if len(h.cqC.Poll(0)) != 1 {
+	if len(pollAll(h.cqC)) != 1 {
 		t.Fatal("first READ failed")
 	}
 	faultsBefore := h.server.AS.FaultsResolved
@@ -163,7 +163,7 @@ func TestInvalidationMidTraffic(t *testing.T) {
 
 	h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 64})
 	h.eng.Run()
-	cqes := h.cqC.Poll(0)
+	cqes := pollAll(h.cqC)
 	if len(cqes) != 1 || cqes[0].Status != WCSuccess {
 		t.Fatalf("post-invalidation READ: %+v", cqes)
 	}
@@ -184,10 +184,10 @@ func TestBackToBackBidirectional(t *testing.T) {
 		h.qpS.PostSend(SendWR{ID: uint64(100 + i), Op: OpRead, LocalAddr: h.rbuf, RemoteAddr: h.lbuf + 4*hostmem.PageSize, Len: 64})
 	}
 	h.eng.Run()
-	if n := h.cqC.Poll(0); len(n) != 10 {
+	if n := pollAll(h.cqC); len(n) != 10 {
 		t.Errorf("client completions = %d", len(n))
 	}
-	if n := h.cqS.Poll(0); len(n) != 10 {
+	if n := pollAll(h.cqS); len(n) != 10 {
 		t.Errorf("server completions = %d", len(n))
 	}
 }

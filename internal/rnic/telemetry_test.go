@@ -19,7 +19,8 @@ func TestTelemetryRegistryMirrorsFields(t *testing.T) {
 	h := newHarness(t, 1, ConnectX4(), serverODP, defaultParams())
 	h.eng.Go("client", func(p *sim.Proc) {
 		h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
-		h.cqC.WaitN(p, 1)
+		var wc [1]CQE
+		h.cqC.WaitN(p, wc[:])
 	})
 	h.eng.MustRun()
 

@@ -1,6 +1,7 @@
 package rnic
 
 import (
+	"odpsim/internal/fifo"
 	"odpsim/internal/hostmem"
 	"odpsim/internal/packet"
 )
@@ -29,7 +30,7 @@ type UDQP struct {
 	Num    uint32
 	sendCQ *CQ
 	recvCQ *CQ
-	rq     []RecvWR
+	rq     fifo.Queue[RecvWR]
 
 	// Counters.
 	Sent          uint64
@@ -48,10 +49,10 @@ func (r *RNIC) CreateUDQP(sendCQ, recvCQ *CQ) *UDQP {
 }
 
 // PostRecv posts a receive buffer.
-func (qp *UDQP) PostRecv(wr RecvWR) { qp.rq = append(qp.rq, wr) }
+func (qp *UDQP) PostRecv(wr RecvWR) { qp.rq.Push(wr) }
 
 // RecvDepth returns the number of posted receive buffers.
-func (qp *UDQP) RecvDepth() int { return len(qp.rq) }
+func (qp *UDQP) RecvDepth() int { return qp.rq.Len() }
 
 // PostSend transmits one datagram. UD sends complete as soon as the
 // packet leaves the port; there is no acknowledgement.
@@ -74,11 +75,11 @@ func (qp *UDQP) PostSend(wr UDSendWR) {
 // datagram that cannot be placed — no receive buffer, or a stale ODP page
 // — is silently dropped, and nobody retransmits it.
 func (qp *UDQP) receive(pkt *packet.Packet) {
-	if len(qp.rq) == 0 {
+	if qp.rq.Len() == 0 {
 		qp.DroppedNoRecv++
 		return
 	}
-	rwr := qp.rq[0]
+	rwr := qp.rq.Front()
 	r := qp.rnic
 	if kind, ok := r.lookupMR(rwr.Addr, pkt.PayloadLen); ok {
 		switch kind {
@@ -95,7 +96,7 @@ func (qp *UDQP) receive(pkt *packet.Packet) {
 			r.npr.EnsureRange(rwr.Addr, pkt.PayloadLen)
 		}
 	}
-	qp.rq = qp.rq[1:]
+	qp.rq.Pop()
 	qp.Delivered++
 	qp.rnic.countWC(WCSuccess)
 	qp.recvCQ.push(CQE{

@@ -93,8 +93,10 @@ func (s *Server) repost() {
 }
 
 func (s *Server) loop(p *sim.Proc) {
+	var wc [1]rnic.CQE
 	for {
-		e := s.cq.WaitN(p, 1)[0]
+		s.cq.WaitN(p, wc[:])
+		e := wc[0]
 		if !e.Recv {
 			continue
 		}
@@ -151,11 +153,18 @@ func NewClient(nic *rnic.RNIC, cfg Config) *Client {
 
 // drain collects arrived responses.
 func (c *Client) drain() {
-	for _, e := range c.cq.Poll(0) {
-		if e.Recv {
-			c.responses[e.AppSeq] = e.AppWords
-			c.seen[e.AppSeq] = true
-			c.qp.PostRecv(rnic.RecvWR{Addr: c.buf, Len: hostmem.PageSize})
+	var buf [16]rnic.CQE
+	for {
+		n := c.cq.Poll(buf[:])
+		for _, e := range buf[:n] {
+			if e.Recv {
+				c.responses[e.AppSeq] = e.AppWords
+				c.seen[e.AppSeq] = true
+				c.qp.PostRecv(rnic.RecvWR{Addr: c.buf, Len: hostmem.PageSize})
+			}
+		}
+		if n < len(buf) {
+			return
 		}
 	}
 }

@@ -142,7 +142,8 @@ func TestSoftwareVsHardwareDetection(t *testing.T) {
 	cl2.Eng.Go("caller", func(p *sim.Proc) {
 		start := p.Now()
 		qp.PostSend(rnic.SendWR{ID: 1, Op: rnic.OpRead, LocalAddr: lbuf, RemoteAddr: 0x1000, Len: 64})
-		cq.WaitN(p, 1)
+		var wc [1]rnic.CQE
+		cq.WaitN(p, wc[:])
 		hardDetect = p.Now() - start
 	})
 	cl2.Eng.MustRun()
@@ -170,8 +171,9 @@ func TestUDDropsWithoutRecvBuffer(t *testing.T) {
 		t.Error("nothing should be delivered")
 	}
 	// The send still completed locally — UD has no acknowledgement.
-	if got := cqA.Poll(0); len(got) != 1 || got[0].Status != rnic.WCSuccess {
-		t.Errorf("send completion = %+v", got)
+	var got [2]rnic.CQE
+	if n := cqA.Poll(got[:]); n != 1 || got[0].Status != rnic.WCSuccess {
+		t.Errorf("send completions = %+v", got[:n])
 	}
 }
 

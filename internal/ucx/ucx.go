@@ -9,6 +9,7 @@ package ucx
 import (
 	"fmt"
 
+	"odpsim/internal/fifo"
 	"odpsim/internal/hostmem"
 	"odpsim/internal/rnic"
 	"odpsim/internal/sim"
@@ -65,17 +66,27 @@ type Worker struct {
 	ctx    *Context
 	cq     *rnic.CQ
 	nextID uint64
-	done   map[uint64]rnic.CQE
-	recvs  []rnic.CQE
+	// done is the completion table of requests doneBase, doneBase+1, …
+	// Request IDs are issued sequentially, so the table is dense and
+	// indexed by ID−doneBase; claimed entries leave from the front, so
+	// it spans only requests still outstanding or unclaimed.
+	done     fifo.Queue[completion]
+	doneBase uint64
+	recvs    fifo.Queue[rnic.CQE]
+}
+
+// completion is what a waiter needs from a request's CQE.
+type completion struct {
+	atomicOrig uint64
+	status     rnic.WCStatus
+	// completed is set when the CQE is drained, claimed when a waiter
+	// has taken the result.
+	completed, claimed bool
 }
 
 // NewWorker creates a worker.
 func (c *Context) NewWorker() *Worker {
-	return &Worker{
-		ctx:  c,
-		cq:   rnic.NewCQ(c.nic.Engine()),
-		done: make(map[uint64]rnic.CQE),
-	}
+	return &Worker{ctx: c, cq: rnic.NewCQ(c.nic.Engine())}
 }
 
 // RegisterBuffer registers a buffer according to the context's ODP
@@ -116,52 +127,106 @@ func Connect(a, b *Worker) (*Endpoint, *Endpoint) {
 // Request identifies an in-flight asynchronous operation.
 type Request uint64
 
+// issue hands out the next request ID and opens its completion slot.
+func (w *Worker) issue() uint64 {
+	id := w.nextID
+	w.nextID++
+	w.done.Push(completion{})
+	return id
+}
+
 // drain moves completions from the CQ into the worker's tables.
 func (w *Worker) drain() {
-	for _, e := range w.cq.Poll(0) {
-		if e.Recv {
-			w.recvs = append(w.recvs, e)
-		} else {
-			w.done[e.WRID] = e
+	var buf [16]rnic.CQE
+	for {
+		n := w.cq.Poll(buf[:])
+		for i := range buf[:n] {
+			e := &buf[i]
+			if e.Recv {
+				w.recvs.Push(*e)
+			} else if slot := w.slot(e.WRID); slot != nil {
+				*slot = completion{atomicOrig: e.AtomicOrig, status: e.Status, completed: true}
+			}
+		}
+		if n < len(buf) {
+			return
 		}
 	}
 }
 
-func (w *Worker) statusErr(e rnic.CQE) error {
-	if e.Status == rnic.WCSuccess {
+// slot returns request id's completion-table entry, or nil when id was
+// not issued by this worker or has already been claimed.
+func (w *Worker) slot(id uint64) *completion {
+	if id < w.doneBase || id-w.doneBase >= uint64(w.done.Len()) {
 		return nil
 	}
-	return fmt.Errorf("ucx: operation %d failed: %s", e.WRID, e.Status)
+	c := &w.done.Items()[id-w.doneBase]
+	if c.claimed {
+		return nil
+	}
+	return c
+}
+
+// claim drains the CQ and, once request r has completed, takes its
+// result and trims claimed entries from the front of the table.
+func (w *Worker) claim(r Request) (completion, bool) {
+	w.drain()
+	c := w.slot(uint64(r))
+	if c == nil || !c.completed {
+		return completion{}, false
+	}
+	got := *c
+	c.claimed = true
+	for w.done.Len() > 0 && w.done.Front().claimed {
+		w.done.Pop()
+		w.doneBase++
+	}
+	return got, true
+}
+
+func statusErr(r Request, c completion) error {
+	if c.status == rnic.WCSuccess {
+		return nil
+	}
+	return fmt.Errorf("ucx: operation %d failed: %s", uint64(r), c.status)
+}
+
+// wait blocks the process until request r completes and returns its
+// completion.
+func (w *Worker) wait(p *sim.Proc, r Request) completion {
+	var got completion
+	p.Wait(w.cq.Cond(), func() bool {
+		var ok bool
+		got, ok = w.claim(r)
+		return ok
+	})
+	return got
 }
 
 // GetAsync starts an RMA GET (RDMA READ) and returns its request handle.
 func (e *Endpoint) GetAsync(local, remote hostmem.Addr, length int) Request {
-	id := e.worker.nextID
-	e.worker.nextID++
+	id := e.worker.issue()
 	e.qp.PostSend(rnic.SendWR{ID: id, Op: rnic.OpRead, LocalAddr: local, RemoteAddr: remote, Len: length})
 	return Request(id)
 }
 
 // PutAsync starts an RMA PUT (RDMA WRITE).
 func (e *Endpoint) PutAsync(local, remote hostmem.Addr, length int) Request {
-	id := e.worker.nextID
-	e.worker.nextID++
+	id := e.worker.issue()
 	e.qp.PostSend(rnic.SendWR{ID: id, Op: rnic.OpWrite, LocalAddr: local, RemoteAddr: remote, Len: length})
 	return Request(id)
 }
 
 // FetchAddAsync starts an 8-byte remote fetch-and-add.
 func (e *Endpoint) FetchAddAsync(local, remote hostmem.Addr, add uint64) Request {
-	id := e.worker.nextID
-	e.worker.nextID++
+	id := e.worker.issue()
 	e.qp.PostSend(rnic.SendWR{ID: id, Op: rnic.OpAtomicFA, LocalAddr: local, RemoteAddr: remote, Len: 8, CompareAdd: add})
 	return Request(id)
 }
 
 // CASAsync starts an 8-byte remote compare-and-swap.
 func (e *Endpoint) CASAsync(local, remote hostmem.Addr, compare, swap uint64) Request {
-	id := e.worker.nextID
-	e.worker.nextID++
+	id := e.worker.issue()
 	e.qp.PostSend(rnic.SendWR{ID: id, Op: rnic.OpAtomicCS, LocalAddr: local, RemoteAddr: remote, Len: 8, CompareAdd: compare, Swap: swap})
 	return Request(id)
 }
@@ -169,23 +234,13 @@ func (e *Endpoint) CASAsync(local, remote hostmem.Addr, compare, swap uint64) Re
 // WaitAtomic blocks until the atomic completes and returns the original
 // remote value.
 func (w *Worker) WaitAtomic(p *sim.Proc, r Request) (uint64, error) {
-	var got rnic.CQE
-	p.Wait(w.cq.Cond(), func() bool {
-		w.drain()
-		e, ok := w.done[uint64(r)]
-		if ok {
-			got = e
-			delete(w.done, uint64(r))
-		}
-		return ok
-	})
-	return got.AtomicOrig, w.statusErr(got)
+	got := w.wait(p, r)
+	return got.atomicOrig, statusErr(r, got)
 }
 
 // SendAsync starts a two-sided send (the peer must have posted a recv).
 func (e *Endpoint) SendAsync(local hostmem.Addr, length int) Request {
-	id := e.worker.nextID
-	e.worker.nextID++
+	id := e.worker.issue()
 	e.qp.PostSend(rnic.SendWR{ID: id, Op: rnic.OpSend, LocalAddr: local, Len: length})
 	return Request(id)
 }
@@ -198,17 +253,7 @@ func (e *Endpoint) PostRecv(addr hostmem.Addr, length int) {
 // Wait blocks the process until the request completes, returning its
 // error status.
 func (w *Worker) Wait(p *sim.Proc, r Request) error {
-	var got rnic.CQE
-	p.Wait(w.cq.Cond(), func() bool {
-		w.drain()
-		e, ok := w.done[uint64(r)]
-		if ok {
-			got = e
-			delete(w.done, uint64(r))
-		}
-		return ok
-	})
-	return w.statusErr(got)
+	return statusErr(r, w.wait(p, r))
 }
 
 // WaitAll blocks until every request completes; it returns the first
@@ -228,11 +273,10 @@ func (w *Worker) WaitRecv(p *sim.Proc) rnic.CQE {
 	var got rnic.CQE
 	p.Wait(w.cq.Cond(), func() bool {
 		w.drain()
-		if len(w.recvs) == 0 {
+		if w.recvs.Len() == 0 {
 			return false
 		}
-		got = w.recvs[0]
-		w.recvs = w.recvs[1:]
+		got = w.recvs.Pop()
 		return true
 	})
 	return got

@@ -134,11 +134,24 @@ type CQ struct {
 	inner *rnic.CQ
 }
 
-// Poll returns up to max completions (all if max <= 0).
-func (q *CQ) Poll(max int) []rnic.CQE { return q.inner.Poll(max) }
+// Poll returns up to max completions (all if max <= 0) in a new slice.
+func (q *CQ) Poll(max int) []rnic.CQE {
+	n := q.inner.Len()
+	if max > 0 && max < n {
+		n = max
+	}
+	out := make([]rnic.CQE, n)
+	q.inner.Poll(out)
+	return out
+}
 
-// WaitN blocks the simulated process until n completions arrive.
-func (q *CQ) WaitN(p *sim.Proc, n int) []rnic.CQE { return q.inner.WaitN(p, n) }
+// WaitN blocks the simulated process until n completions arrive and
+// returns them in a new slice.
+func (q *CQ) WaitN(p *sim.Proc, n int) []rnic.CQE {
+	out := make([]rnic.CQE, n)
+	q.inner.WaitN(p, out)
+	return out
+}
 
 // Inner exposes the underlying CQ for integration with internal packages.
 func (q *CQ) Inner() *rnic.CQ { return q.inner }
