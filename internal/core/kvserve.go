@@ -276,10 +276,10 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 		for _, n := range kp.cl.Nodes {
 			rnrNaks += n.RNRNakSent
 		}
-		snap := kp.cl.Telemetry().Snapshot(kp.cl.Eng.Now())
-		pause += snap.Total(telemetry.TxPauseDuration)
-		ecn += snap.Total(telemetry.SimSwitchEcnMarked)
-		drops += snap.Total(telemetry.SimSwitchDrops)
+		hub := kp.cl.Telemetry()
+		pause += hub.Total(telemetry.TxPauseDuration)
+		ecn += hub.Total(telemetry.SimSwitchEcnMarked)
+		drops += hub.Total(telemetry.SimSwitchDrops)
 		for _, t := range kp.cl.Fab.Network().TierStats() {
 			agg, ok := tiers[t.Tier]
 			if !ok {

@@ -74,6 +74,10 @@ type Port struct {
 	Name    string
 	fab     *Fabric
 	handler Handler
+	// line caches the delay line to lineDst, the last destination this
+	// port's packets flew to, so a port with one peer never hashes.
+	line    *deliveryLine
+	lineDst uint16
 
 	// Counters, in the sysfs port-counter vocabulary. TxPackets/TxBytes
 	// count at Send time, RxPackets/RxBytes at delivery, TxDiscards on
@@ -132,12 +136,13 @@ func (d *delivery) run() {
 }
 
 // deliveryLine is one (src, dst) pair's propagation delay line. The
-// per-pair FIFO clamp (lastArrival) makes arrival deadlines monotone per
-// pair, so in-flight deliveries land strictly in order — only the head
-// delivery holds a scheduled engine callback, and landing re-arms the
-// next head. With a 2 µs wire over nanosecond-scale packet spacing this
-// keeps hundreds of in-flight packets out of the event heap (heap depth
-// is what every push and pop pays for).
+// per-pair FIFO clamp (no deadline earlier than the line's tail) makes
+// arrival deadlines monotone per pair, so in-flight deliveries land
+// strictly in order — only the head delivery holds a scheduled engine
+// callback, and landing re-arms the next head. With a 2 µs wire over
+// nanosecond-scale packet spacing this keeps hundreds of in-flight
+// packets out of the event heap (heap depth is what every push and pop
+// pays for).
 type deliveryLine struct {
 	f    *Fabric
 	buf  []*delivery // power-of-two ring
@@ -195,24 +200,23 @@ func (l *deliveryLine) clear(s *scratch) {
 // scratchKey is the engine Aux key the fabric's recycled storage lives
 // under. Keyed on the engine (not the fabric) so trial loops that rebuild
 // the cluster per run on a Reset-reused engine keep one warm set of
-// packet storage, delivery events, LID tables and ports.
+// packet storage, delivery events, LID tables, delay lines and ports.
 const scratchKey = "fabric.scratch"
 
 // scratch is the per-engine storage a fabric draws from. The packet pool
 // and delivery free list are shared unconditionally (their objects are
-// self-contained). The LID tables and port arena are claimed by the
+// self-contained). The LID tables and delay lines are claimed by the
 // first fabric built in each engine generation: a second fabric on the
 // same un-Reset engine allocates its own, so tests that run two fabrics
-// side by side stay correct.
+// side by side stay correct. The port arena is shared by generation.
 type scratch struct {
 	pool    *packet.Pool
 	freeDel []*delivery
 
-	tableGen    uint64 // engine Generation()+1 that claimed the tables; 0 = unclaimed
-	ports       []*Port
-	egressFree  []sim.Time
-	lastArrival [][]sim.Time
-	lines       [][]*deliveryLine
+	tableGen   uint64 // engine Generation()+1 that claimed the tables; 0 = unclaimed
+	ports      []*Port
+	egressFree []sim.Time
+	lines      map[uint32]*deliveryLine
 
 	portGen  uint64
 	portAll  []*Port
@@ -234,15 +238,15 @@ type Fabric struct {
 	eng  *sim.Engine
 	cfg  Config
 	taps []Tap
-	// ports, egressFree and lastArrival are dense tables indexed by LID
-	// (LIDs are small integers the cluster layer assigns): ports is the
-	// attachment table, egressFree is when each source port's wire
-	// becomes free (ModelCongestion only), and lastArrival[src][dst]
-	// enforces FIFO per pair despite delay jitter.
-	ports       []*Port
-	egressFree  []sim.Time
-	lastArrival [][]sim.Time
-	lines       [][]*deliveryLine
+	// ports and egressFree are dense tables indexed by LID (LIDs are
+	// small integers the cluster layer assigns): ports is the attachment
+	// table and egressFree is when each source port's wire becomes free
+	// (ModelCongestion only). lines holds the delay line of every
+	// (src, dst) pair that has carried a packet, keyed src<<16 | dst, so
+	// per-pair state grows with the pairs that talk, not with LIDs².
+	ports      []*Port
+	egressFree []sim.Time
+	lines      map[uint32]*deliveryLine
 	// pool recycles packet storage through the datapath; the delivery
 	// free list lives in the shared scratch. ownsTables records that this
 	// fabric claimed the scratch's LID tables for its generation and must
@@ -287,30 +291,24 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 	f.scratch = s
 	f.pool = s.pool
 	if gen := eng.Generation() + 1; s.tableGen != gen {
-		// First fabric of this generation: take over last run's tables,
-		// cleared of their stale contents but keeping every backing array
-		// (including the per-source FIFO rows).
+		// First fabric of this generation: take over last run's tables
+		// and delay lines, cleared of their stale contents but keeping
+		// every backing array.
 		s.tableGen = gen
 		f.ownsTables = true
-		f.ports = s.ports
-		f.egressFree = s.egressFree
-		f.lastArrival = s.lastArrival
-		f.lines = s.lines
-		for i := range f.ports {
-			f.ports[i] = nil
-			f.egressFree[i] = 0
-			row := f.lastArrival[i]
-			for j := range row {
-				row[j] = 0
+		if s.lines == nil {
+			s.lines = make(map[uint32]*deliveryLine)
+		}
+		f.ports, f.egressFree, f.lines = s.ports, s.egressFree, s.lines
+		clear(f.ports)
+		clear(f.egressFree)
+		for _, l := range f.lines {
+			if l.n > 0 {
+				l.clear(s)
 			}
 		}
-		for _, row := range f.lines {
-			for _, l := range row {
-				if l != nil && l.n > 0 {
-					l.clear(s)
-				}
-			}
-		}
+	} else {
+		f.lines = make(map[uint32]*deliveryLine)
 	}
 	f.tel.Counter(telemetry.SimFabricPacketsSent, "packets handed to the fabric", nil, &f.Sent)
 	f.tel.Counter(telemetry.SimFabricPacketsDelivered, "packets delivered to a port", nil, &f.Delivered)
@@ -342,12 +340,6 @@ func (f *Fabric) EnableCongestion(cfg congestion.Config) *congestion.Network {
 		Drop:    f.dropFromNet,
 		Pause:   f.tapPause,
 	})
-	// Size the per-pair delivery tables from the graph rather than the
-	// attach sequence: a multi-tier fabric hosts at least one node per
-	// leaf, so pre-growing to the leaf count turns the doubling during
-	// AttachPort into one cold-start growth. Warm rebuilds on a Reset
-	// engine find the recycled tables already big enough.
-	f.grow(len(f.net.Topology().Leaves) + 1)
 	return f.net
 }
 
@@ -357,18 +349,13 @@ func (f *Fabric) Network() *congestion.Network { return f.net }
 
 // deliverFromNet schedules final delivery for a packet leaving the
 // switched network's last hop: the fabric's jittered propagation delay
-// covers the downlink wire, and the per-pair FIFO clamp is preserved
-// (jitter must not reorder an RC flow).
+// covers the downlink wire, and scheduleDelivery's per-pair FIFO clamp
+// keeps jitter from reordering an RC flow.
 func (f *Fabric) deliverFromNet(dstLID uint16, pkt *packet.Packet, ws int) {
-	dst := f.ports[dstLID]
 	at := f.eng.Now() + f.eng.Jitter(f.cfg.PropDelay, f.cfg.DelayJitter)
-	if last := f.lastArrival[pkt.SLID][dstLID]; at < last {
-		at = last
-	}
-	f.lastArrival[pkt.SLID][dstLID] = at
 	d := f.getDelivery()
-	d.dst, d.pkt, d.ws = dst, pkt, uint64(ws)
-	f.scheduleDelivery(pkt.SLID, dstLID, d, at)
+	d.dst, d.pkt, d.ws = f.ports[dstLID], pkt, uint64(ws)
+	f.scheduleDelivery(f.ports[pkt.SLID].lineTo(dstLID), d, at)
 }
 
 // dropFromNet accounts a switch tail drop. The packet was already
@@ -380,7 +367,9 @@ func (f *Fabric) dropFromNet(srcLID uint16, pkt *packet.Packet, reason string) {
 	if src := f.ports[srcLID]; src != nil {
 		src.TxDiscards++
 	}
-	f.emitTap(TapEvent{At: f.eng.Now(), Pkt: pkt, SrcName: f.portName(srcLID), Dropped: true, Reason: reason})
+	if len(f.taps) > 0 {
+		f.emitTap(TapEvent{At: f.eng.Now(), Pkt: pkt, SrcName: f.portName(srcLID), Dropped: true, Reason: reason})
+	}
 	f.pool.Put(pkt)
 }
 
@@ -418,64 +407,23 @@ func (f *Fabric) Pool() *packet.Pool { return f.pool }
 // live on the owning device's registry; see Port.RegisterMetrics).
 func (f *Fabric) Telemetry() *telemetry.Registry { return f.tel }
 
-// grow extends the LID-indexed tables to hold n entries.
+// grow extends the LID-indexed tables to hold n entries. Capacity at
+// least doubles, so a cluster attaching LIDs one by one reallocates
+// O(log n) times.
 func (f *Fabric) grow(n int) {
 	if n <= len(f.ports) {
 		return
 	}
-	// Round the capacity up so a cluster attaching LIDs one by one grows
-	// each table once, not once per port.
-	capHint := n
-	if capHint < 16 {
-		capHint = 16
-	}
 	if cap(f.ports) < n {
-		ports := make([]*Port, len(f.ports), capHint)
-		copy(ports, f.ports)
-		f.ports = ports
-		free := make([]sim.Time, len(f.egressFree), capHint)
-		copy(free, f.egressFree)
-		f.egressFree = free
-		rows := make([][]sim.Time, len(f.lastArrival), capHint)
-		copy(rows, f.lastArrival)
-		f.lastArrival = rows
-		lineRows := make([][]*deliveryLine, len(f.lines), capHint)
-		copy(lineRows, f.lines)
-		f.lines = lineRows
+		c := max(n, 2*cap(f.ports), 16)
+		f.ports = append(make([]*Port, 0, c), f.ports...)
+		f.egressFree = append(make([]sim.Time, 0, c), f.egressFree...)
 	}
 	f.ports = f.ports[:n]
 	f.egressFree = f.egressFree[:n]
-	for i := range f.lastArrival {
-		row := f.lastArrival[i]
-		if cap(row) < n {
-			grown := make([]sim.Time, n, capHint)
-			copy(grown, row)
-			f.lastArrival[i] = grown
-		} else {
-			f.lastArrival[i] = row[:n]
-		}
-	}
-	for len(f.lastArrival) < n {
-		f.lastArrival = append(f.lastArrival, make([]sim.Time, n, capHint))
-	}
-	for i := range f.lines {
-		row := f.lines[i]
-		if cap(row) < n {
-			grown := make([]*deliveryLine, n, capHint)
-			copy(grown, row)
-			f.lines[i] = grown
-		} else {
-			f.lines[i] = row[:n]
-		}
-	}
-	for len(f.lines) < n {
-		f.lines = append(f.lines, make([]*deliveryLine, n, capHint))
-	}
 	if f.ownsTables {
 		f.scratch.ports = f.ports
 		f.scratch.egressFree = f.egressFree
-		f.scratch.lastArrival = f.lastArrival
-		f.scratch.lines = f.lines
 	}
 }
 
@@ -536,19 +484,33 @@ func (f *Fabric) emitTap(ev TapEvent) {
 	}
 }
 
-// getDelivery pops a recycled delivery event, or allocates one with its
-// run method value cached.
-// scheduleDelivery queues d to land at the (already FIFO-clamped)
-// deadline at on the (src, dst) pair's delay line, arming the line's
-// callback only when d is the new head.
-func (f *Fabric) scheduleDelivery(src, dst uint16, d *delivery, at sim.Time) {
-	l := f.lines[src][dst]
+// lineTo returns the delay line from p to dst, creating it on the pair's
+// first packet. The port's one-entry cache answers repeat lookups.
+func (p *Port) lineTo(dst uint16) *deliveryLine {
+	if p.line != nil && p.lineDst == dst {
+		return p.line
+	}
+	f := p.fab
+	key := uint32(p.LID)<<16 | uint32(dst)
+	l := f.lines[key]
 	if l == nil {
 		l = &deliveryLine{}
 		l.fn = l.land
-		f.lines[src][dst] = l
+		f.lines[key] = l
 	}
 	l.f = f // lines outlive per-trial fabrics, like the delivery free list
+	p.line, p.lineDst = l, dst
+	return l
+}
+
+// scheduleDelivery queues d on its pair's delay line l to land at at,
+// arming the line's callback only when d is the new head. The FIFO clamp
+// lifts at to the line's tail so jitter never reorders a pair; an empty
+// line needs none, because its last flight has landed and at ≥ now.
+func (f *Fabric) scheduleDelivery(l *deliveryLine, d *delivery, at sim.Time) {
+	if l.n > 0 {
+		at = max(at, l.buf[(l.head+l.n-1)&(len(l.buf)-1)].at)
+	}
 	d.at = at
 	d.seq = f.eng.ReserveSeq()
 	if l.n == 0 {
@@ -557,6 +519,8 @@ func (f *Fabric) scheduleDelivery(src, dst uint16, d *delivery, at sim.Time) {
 	l.push(d)
 }
 
+// getDelivery pops a recycled delivery event, or allocates one with its
+// run method value cached.
 func (f *Fabric) getDelivery() *delivery {
 	s := f.scratch
 	n := len(s.freeDel)
@@ -607,11 +571,13 @@ func (p *Port) Send(pkt *packet.Packet) {
 		drop, reason, reasonCtr = true, "random loss", &f.DropsLoss
 	}
 
-	dstName := ""
-	if dst != nil {
-		dstName = dst.Name
+	if len(f.taps) > 0 {
+		dstName := ""
+		if dst != nil {
+			dstName = dst.Name
+		}
+		f.emitTap(TapEvent{At: f.eng.Now(), Pkt: pkt, SrcName: p.Name, DstName: dstName, Dropped: drop, Reason: reason})
 	}
-	f.emitTap(TapEvent{At: f.eng.Now(), Pkt: pkt, SrcName: p.Name, DstName: dstName, Dropped: drop, Reason: reason})
 	if drop {
 		f.Dropped++
 		*reasonCtr++
@@ -639,11 +605,7 @@ func (p *Port) Send(pkt *packet.Packet) {
 		f.egressFree[p.LID] = start + ser
 	}
 	at := start + ser + f.eng.Jitter(f.cfg.PropDelay, f.cfg.DelayJitter)
-	if last := f.lastArrival[p.LID][pkt.DLID]; at < last {
-		at = last // keep the wire FIFO
-	}
-	f.lastArrival[p.LID][pkt.DLID] = at
 	d := f.getDelivery()
 	d.dst, d.pkt, d.ws = dst, pkt, ws
-	f.scheduleDelivery(p.LID, pkt.DLID, d, at)
+	f.scheduleDelivery(p.lineTo(pkt.DLID), d, at)
 }

@@ -108,6 +108,14 @@ type metric struct {
 	gauge   func() float64
 }
 
+// value reads the metric's current value.
+func (m *metric) value() float64 {
+	if m.kind == KindCounter {
+		return float64(*m.counter)
+	}
+	return m.gauge()
+}
+
 // Rows is a table of rows that each carry the same counter fields — the
 // QPs of one device. Families registered over it enumerate it at
 // snapshot time instead of registering one metric per row.
@@ -427,13 +435,7 @@ type Snapshot struct {
 func (r *Registry) snapshotInto(out []Sample) []Sample {
 	for i := range r.metrics {
 		m := &r.metrics[i]
-		s := Sample{Name: m.name, Labels: m.labels, Help: m.help, Kind: m.kind}
-		if m.kind == KindCounter {
-			s.Value = float64(*m.counter)
-		} else {
-			s.Value = m.gauge()
-		}
-		out = append(out, s)
+		out = append(out, Sample{Name: m.name, Labels: m.labels, Help: m.help, Kind: m.kind, Value: m.value()})
 	}
 	for i := range r.families {
 		f := &r.families[i]
@@ -559,4 +561,34 @@ func (h *Hub) Snapshot(at sim.Time) Snapshot {
 		samples = r.snapshotInto(samples)
 	}
 	return finishSnapshot(at, samples)
+}
+
+// Total sums every metric with the given name across the hub's
+// registries, the same value Snapshot(at).Total(name) returns, without
+// materialising or sorting a snapshot. It visits samples in registration
+// order rather than sorted order, so it suits names whose sum does not
+// depend on order: integer counters (exact in float64 below 2^53) or a
+// name with a single sample. It does not check for duplicate keys;
+// Snapshot does.
+func (h *Hub) Total(name string) float64 {
+	var sum float64
+	for _, r := range h.regs {
+		for i := range r.metrics {
+			if m := &r.metrics[i]; m.name == name {
+				sum += m.value()
+			}
+		}
+		for i := range r.families {
+			f := &r.families[i]
+			if f.name != name {
+				continue
+			}
+			for slot, n := 0, f.rows.Slots(); slot < n; slot++ {
+				if _, v, ok := f.rows.Row(slot, f.field); ok {
+					sum += float64(v)
+				}
+			}
+		}
+	}
+	return sum
 }

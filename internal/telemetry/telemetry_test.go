@@ -285,6 +285,28 @@ func TestFamilyMatchesPerRowCounters(t *testing.T) {
 	}
 }
 
+// TestHubTotalMatchesSnapshot checks Hub.Total against a snapshot's
+// Total over scalars, gauges and family rows spread across registries.
+func TestHubTotalMatchesSnapshot(t *testing.T) {
+	ra := NewRegistry(Labels{"device": "a"})
+	rb := NewRegistry(Labels{"device": "b"})
+	var x, y uint64 = 3, 11
+	ra.Counter("m", "h", nil, &x)
+	ra.Family("m", "h", newRowTable(ra, 5, 0, 7), 0)
+	rb.Counter("m", "h", Labels{"port": "1"}, &y)
+	rb.Gauge("g", "h", nil, func() float64 { return 2.5 })
+	hub := NewHub(ra, rb)
+	snap := hub.Snapshot(0)
+	for _, name := range []string{"m", "g", "absent"} {
+		if got, want := hub.Total(name), snap.Total(name); got != want {
+			t.Errorf("Hub.Total(%q) = %v, snapshot total %v", name, got, want)
+		}
+	}
+	if got := hub.Total("m"); got != 26 {
+		t.Errorf("Hub.Total(m) = %v, want 26", got)
+	}
+}
+
 func TestRowLabelsMatchRender(t *testing.T) {
 	for _, common := range []Labels{nil, {"device": "d"}, {"a": "1", "z": "2"}, {"qpn": "old", "device": "d"}} {
 		r := NewRegistry(common)
