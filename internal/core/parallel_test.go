@@ -49,9 +49,9 @@ func sweepOutputs() []any {
 		Mode: "server", Shards: 8,
 		Congestion: &scenario.CongestionSpec{
 			Topology: &scenario.TopologySpec{Kind: "clos", Tiers: 2, Radix: 4, Oversubscription: 4},
-			PFC:     true,
-			XOffKB:  1,
-			XOnKB:   0.5,
+			PFC:      true,
+			XOffKB:   1,
+			XOnKB:    0.5,
 		},
 	}
 	sys, err := shardSc.ResolvedSystem()

@@ -142,7 +142,7 @@ func TestTxAccountBDPAndSpan(t *testing.T) {
 		t.Fatal("cap freed after completion")
 	}
 	// Span: fill the window with 1-byte sends.
-	tx.Init(1 << 30, 100)
+	tx.Init(1<<30, 100)
 	for i := 0; i < Window; i++ {
 		if !tx.CanSend(1, 1) {
 			t.Fatalf("send %d should fit the window", i)

@@ -34,31 +34,16 @@ func buildAtomicPacket(pkt *packet.Packet, w *wqe) {
 	}
 }
 
-// respondAtomic executes an atomic request against the host word store.
-// Real responders must not re-execute a replayed atomic: the original
-// result is kept in a small replay cache keyed by PSN, exactly the kind
-// of limited on-chip state §IX highlights.
-func (qp *QP) respondAtomic(pkt *packet.Packet, dup bool) {
+// atomicReplayWindow bounds the responder's atomic replay cache.
+const atomicReplayWindow = 16
+
+// executeAtomic applies an atomic request to the host word at addr and
+// returns the word's original value. Real responders must not
+// re-execute a replayed atomic: the original result is kept in a small
+// replay cache keyed by PSN, exactly the kind of limited on-chip state
+// §IX highlights.
+func (qp *QP) executeAtomic(pkt *packet.Packet, addr hostmem.Addr) uint64 {
 	r := qp.rnic
-	addr := hostmem.Addr(pkt.RemoteAddr)
-	if _, ok := r.lookupMR(addr, 8); !ok {
-		qp.sendAck(packet.SynNAKRemoteAccessErr, pkt.PSN)
-		return
-	}
-	if dup {
-		if orig, ok := qp.atomicReplay[pkt.PSN]; ok {
-			qp.sendAtomicResp(pkt.PSN, orig)
-		}
-		// A dup beyond the replay window is silently dropped; the
-		// requester's timeout machinery handles it.
-		return
-	}
-	ok, stall := qp.translateRemote(addr, 8)
-	if !ok {
-		r.RNRNakSent++
-		qp.sendRNRNak(pkt.PSN)
-		return
-	}
 	orig := r.AS.ReadWord(addr)
 	switch pkt.Opcode {
 	case packet.OpFetchAdd:
@@ -68,30 +53,24 @@ func (qp *QP) respondAtomic(pkt *packet.Packet, dup bool) {
 			r.AS.WriteWord(addr, pkt.AtomicSwap)
 		}
 	}
-	qp.ePSN = packet.PSNAdd(pkt.PSN, 1)
 	r.AtomicsExecuted++
-	qp.rememberAtomic(pkt.PSN, orig)
-	if stall > 0 {
-		// NP-RDMA: the atomic executed; its response waits out the
-		// driver migration of the target page.
-		psn := pkt.PSN
-		r.eng.ScheduleAfter(stall, func() { qp.sendAtomicResp(psn, orig) })
-		return
-	}
-	qp.sendAtomicResp(pkt.PSN, orig)
-}
-
-// atomicReplayWindow bounds the responder's atomic replay cache.
-const atomicReplayWindow = 16
-
-func (qp *QP) rememberAtomic(psn uint32, orig uint64) {
 	if qp.atomicReplay == nil {
 		qp.atomicReplay = make(map[uint32]uint64)
 	}
-	qp.atomicReplay[psn] = orig
-	qp.atomicOrder.Push(psn)
+	qp.atomicReplay[pkt.PSN] = orig
+	qp.atomicOrder.Push(pkt.PSN)
 	for qp.atomicOrder.Len() > atomicReplayWindow {
 		delete(qp.atomicReplay, qp.atomicOrder.Pop())
+	}
+	return orig
+}
+
+// replayAtomic answers a duplicate atomic from the replay cache. A
+// duplicate beyond the replay window is silently dropped; the
+// requester's timeout machinery handles it.
+func (qp *QP) replayAtomic(pkt *packet.Packet) {
+	if orig, ok := qp.atomicReplay[pkt.PSN]; ok {
+		qp.sendAtomicResp(pkt.PSN, orig)
 	}
 }
 

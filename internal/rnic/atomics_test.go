@@ -8,7 +8,7 @@ import (
 )
 
 func TestFetchAddBasics(t *testing.T) {
-	h := newHarness(t, 30, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, 30, ConnectX4(), rcTransport, noODP, defaultParams())
 	h.server.AS.WriteWord(h.rbuf, 40)
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpAtomicFA, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 8, CompareAdd: 2})
 	h.eng.Run()
@@ -25,7 +25,7 @@ func TestFetchAddBasics(t *testing.T) {
 }
 
 func TestCmpSwap(t *testing.T) {
-	h := newHarness(t, 31, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, 31, ConnectX4(), rcTransport, noODP, defaultParams())
 	h.server.AS.WriteWord(h.rbuf, 7)
 	// Matching compare: swaps.
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpAtomicCS, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 8, CompareAdd: 7, Swap: 99})
@@ -47,7 +47,7 @@ func TestCmpSwap(t *testing.T) {
 }
 
 func TestAtomicSequence(t *testing.T) {
-	h := newHarness(t, 32, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, 32, ConnectX4(), rcTransport, noODP, defaultParams())
 	for i := 0; i < 50; i++ {
 		h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpAtomicFA, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 8, CompareAdd: 1})
 	}
@@ -61,7 +61,7 @@ func TestAtomicSequence(t *testing.T) {
 }
 
 func TestAtomicODPFaultsLikeRead(t *testing.T) {
-	h := newHarness(t, 33, ConnectX4(), serverODP, defaultParams())
+	h := newHarness(t, 33, ConnectX4(), rcTransport, serverODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpAtomicFA, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 8, CompareAdd: 5})
 	h.eng.Run()
 	cqes := pollAll(h.cqC)
@@ -84,7 +84,7 @@ func TestAtomicDuplicateNotReExecuted(t *testing.T) {
 	// Drop the first atomic *response*: the retransmitted request must
 	// be answered from the replay cache, not re-executed (otherwise the
 	// add would apply twice).
-	h := newHarness(t, 34, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, 34, ConnectX4(), rcTransport, noODP, defaultParams())
 	dropped := false
 	h.fab.SetDropFilter(func(pkt *packet.Packet) bool {
 		if !dropped && pkt.Opcode == packet.OpAtomicResp {
@@ -113,7 +113,7 @@ func TestAtomicDuplicateNotReExecuted(t *testing.T) {
 func TestAtomicsShareRdAtomicBudget(t *testing.T) {
 	p := defaultParams()
 	p.MaxRdAtomic = 2
-	h := newHarness(t, 35, ConnectX4(), noODP, p)
+	h := newHarness(t, 35, ConnectX4(), rcTransport, noODP, p)
 	for i := 0; i < 3; i++ {
 		h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpAtomicFA, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 8, CompareAdd: 1})
 	}
@@ -127,7 +127,7 @@ func TestAtomicsShareRdAtomicBudget(t *testing.T) {
 }
 
 func TestAtomicToUnregisteredFails(t *testing.T) {
-	h := newHarness(t, 36, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, 36, ConnectX4(), rcTransport, noODP, defaultParams())
 	bad := h.server.AS.Alloc(4096)
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpAtomicCS, LocalAddr: h.lbuf, RemoteAddr: bad, Len: 8})
 	h.eng.Run()
@@ -138,7 +138,7 @@ func TestAtomicToUnregisteredFails(t *testing.T) {
 }
 
 func TestAdviseMRPrefetchAvoidsFault(t *testing.T) {
-	h := newHarness(t, 37, ConnectX4(), serverODP, defaultParams())
+	h := newHarness(t, 37, ConnectX4(), rcTransport, serverODP, defaultParams())
 	// Prefetch the remote region into the server QP's context before
 	// issuing the READ: no RNR NAK, microsecond-scale completion.
 	h.server.AdviseMR(h.qpS.Num, h.rbuf, 4096)

@@ -288,12 +288,10 @@ func (qp *QP) OutstandingReads() int {
 	return n
 }
 
-// pump transmits queued WRs while flow-control allows.
+// pump transmits queued WRs while flow-control allows. Only go-back-N
+// pauses; IRN has no pending windows, so the damming preconditions
+// (postedPaused, inResume) never arise there.
 func (qp *QP) pump() {
-	if qp.irn != nil {
-		qp.irnPump()
-		return
-	}
 	if qp.paused || qp.state != QPReady {
 		return
 	}
@@ -303,14 +301,21 @@ func (qp *QP) pump() {
 		if (w.Op == OpRead || isAtomic(w.Op)) && qp.OutstandingReads() >= qp.params.MaxRdAtomic {
 			break
 		}
-		qp.sq.Pop()
 		npsn := 1
 		if w.Op == OpRead {
-			npsn = (w.Len + qp.rnic.prof.MTU - 1) / qp.rnic.prof.MTU
-			if npsn < 1 {
-				npsn = 1
-			}
+			npsn = qp.rnic.span(w.Len)
 		}
+		if qp.irn != nil {
+			// IRN bounds injection by bandwidth × base RTT and the
+			// reorder window instead of relying on PFC backpressure.
+			bytes := w.Len + irnHeaderBytes
+			if !qp.irn.TX.CanSend(bytes, npsn) {
+				qp.rnic.BdpStalls++
+				break
+			}
+			qp.irn.TX.OnSend(qp.nextPSN, npsn, bytes)
+		}
+		qp.sq.Pop()
 		w.firstPSN, w.npsn = qp.nextPSN, int32(npsn)
 		qp.nextPSN = packet.PSNAdd(qp.nextPSN, npsn)
 		if qp.out.Len() == 0 {
@@ -439,12 +444,10 @@ func (qp *QP) armTimeout() {
 	qp.toTimer = qp.rnic.eng.After(to, qp.onTimeoutFn)
 }
 
+// onTimeout charges the oldest outstanding request an attempt and
+// retransmits: from it onwards under go-back-N, only it under IRN.
 func (qp *QP) onTimeout() {
 	if qp.out.Len() == 0 || qp.state != QPReady {
-		return
-	}
-	if qp.irn != nil {
-		qp.irnOnTimeout()
 		return
 	}
 	o := qp.out.Front()
@@ -454,7 +457,11 @@ func (qp *QP) onTimeout() {
 		qp.fatal(o, WCRetryExcErr)
 		return
 	}
-	qp.retransmitFrom(o.firstPSN)
+	if qp.irn != nil {
+		qp.retransmitOne(o)
+	} else {
+		qp.retransmitFrom(o.firstPSN)
+	}
 	qp.armTimeout()
 }
 
@@ -469,6 +476,31 @@ func (qp *QP) retransmitFrom(psn uint32) {
 			}
 		}
 	}
+}
+
+// retransmitOne resends the single request o (IRN's selective repeat)
+// and reports whether it reached the wire.
+func (qp *QP) retransmitOne(o *wqe) bool {
+	if !qp.sendRequest(o) {
+		return false
+	}
+	qp.Stats.Retransmits++
+	qp.rnic.IrnRetrans++
+	return true
+}
+
+// backOff retries after delay, the last step of RNR and client-fault
+// recovery. Go-back-N suspends the send engine in a pending window and
+// replays everything from fromPSN; IRN reissues only the request o, and
+// every other in-flight packet keeps flowing — no response discards,
+// no damming.
+func (qp *QP) backOff(delay sim.Time, o *wqe, fromPSN uint32) {
+	if qp.irn == nil {
+		qp.enterPending(delay, fromPSN)
+		return
+	}
+	psn := o.firstPSN // timers capture the PSN, never the recycled wqe
+	qp.rnic.eng.ScheduleAfter(delay, func() { qp.irnRetransmitPSN(psn) })
 }
 
 // enterPending puts the requester into a pending window: the send engine
@@ -546,15 +578,15 @@ func (qp *QP) handleAck(pkt *packet.Packet) {
 	case packet.SynACK:
 		qp.ackThrough(pkt.AckPSN)
 	case packet.SynRNRNAK:
-		if qp.irn != nil {
-			qp.irnHandleRNR(pkt)
-			return
-		}
 		qp.Stats.RNRNakReceived++
 		if qp.paused {
 			return
 		}
-		if o := qp.findOut(pkt.AckPSN); o != nil && qp.params.RNRRetry < 7 {
+		o := qp.findOut(pkt.AckPSN)
+		if o == nil && qp.irn != nil {
+			return // the one request IRN would retry has completed
+		}
+		if o != nil && qp.params.RNRRetry < 7 {
 			o.rnrAttempts++
 			if o.rnrAttempts > qp.params.RNRRetry {
 				qp.fatal(o, WCRNRRetryExcErr)
@@ -565,7 +597,7 @@ func (qp *QP) handleAck(pkt *packet.Packet) {
 		// minimum (observed ≈3.5× on ConnectX-4, Figure 1).
 		wait := qp.rnic.eng.Jitter(
 			sim.Time(float64(pkt.RNRTimerNs)*qp.rnic.prof.RNRWaitFactor), 0.05)
-		qp.enterPending(wait, pkt.AckPSN)
+		qp.backOff(wait, o, pkt.AckPSN)
 	case packet.SynNAKSeqErr:
 		qp.Stats.NakSeqReceived++
 		if qp.paused {
@@ -599,14 +631,11 @@ func (qp *QP) handleReadResponse(pkt *packet.Packet) {
 		return // ghost or duplicate response
 	}
 	if qp.localIsODP(o) && !qp.rnic.ODP.Access(qp.Num, o.LocalAddr, o.Len) {
-		if qp.irn != nil {
-			// IRN: only the faulting READ retries; no pending window.
-			qp.irnClientFault(o)
-			return
-		}
 		// Client-side ODP: the RNIC cannot scatter the payload, drops
 		// the response, and schedules a blind retransmission of the
 		// request — over and over until the page status update lands.
+		// Under IRN only the faulting READ retries, so the packet-flood
+		// loop shrinks from the whole window to one request.
 		qp.Stats.ResponsesDiscarded++
 		qp.Stats.ClientFaultRounds++
 		if !o.faulted {
@@ -616,7 +645,7 @@ func (qp *QP) handleReadResponse(pkt *packet.Packet) {
 			qp.rnic.ODP.Spurious(qp.Num, o.LocalAddr, o.Len)
 		}
 		delay := qp.rnic.eng.Jitter(qp.rnic.ODP.RetransInterval(), 0.1)
-		qp.enterPending(delay, o.firstPSN)
+		qp.backOff(delay, o, o.firstPSN)
 		return
 	}
 	last := pkt.Opcode == packet.OpReadRespOnly || pkt.Opcode == packet.OpReadRespLast
@@ -644,9 +673,6 @@ func (qp *QP) completeThrough(o *wqe) {
 		qp.deliver(qp.sendCQ, cqe)
 		qp.rnic.freeWQE(h)
 	}
-	if qp.irn != nil {
-		qp.irnReleaseTX()
-	}
 	qp.afterProgress()
 }
 
@@ -667,14 +693,17 @@ func (qp *QP) ackThrough(psn uint32) {
 		progressed = true
 	}
 	if progressed {
-		if qp.irn != nil {
-			qp.irnReleaseTX()
-		}
 		qp.afterProgress()
 	}
 }
 
+// afterProgress follows completions: IRN releases their BDP charges,
+// the timeout re-arms for the new oldest request (or stops when none is
+// left) and the pump sends what the freed window allows.
 func (qp *QP) afterProgress() {
+	if qp.irn != nil {
+		qp.irnReleaseTX()
+	}
 	if qp.out.Len() == 0 {
 		qp.rnic.busyQPs--
 		qp.toTimer.Cancel()

@@ -6,9 +6,10 @@ import (
 	"odpsim/internal/sim"
 )
 
-// responderReceive handles inbound requests: PSN sequencing, translation
-// (with server-side ODP faults answered by RNR NAK), execution and
-// acknowledgement.
+// responderReceive handles inbound requests: PSN sequencing and the
+// duplicate policy are per transport, execution (translation with
+// server-side ODP faults answered by RNR NAK, the operation and its
+// acknowledgement) is shared through execute.
 func (qp *QP) responderReceive(pkt *packet.Packet) {
 	if qp.state != QPReady {
 		return
@@ -26,28 +27,117 @@ func (qp *QP) responderReceive(pkt *packet.Packet) {
 		return
 	}
 	d := packet.PSNDiff(pkt.PSN, qp.ePSN)
-	if d > 0 {
+	switch {
+	case d > 0:
 		// A gap: an earlier request was lost. NAK with the PSN we
 		// expected so the requester retransmits from there (Figure 8).
 		r.NakSeqSent++
 		qp.sendAck(packet.SynNAKSeqErr, qp.ePSN)
-		return
-	}
-	dup := d < 0
-	if dup {
+	case d < 0:
 		r.DuplicateRequests++
+		switch pkt.Opcode {
+		case packet.OpSendOnly:
+			// Already consumed a receive buffer for it; just re-ACK.
+			qp.sendAck(packet.SynACK, pkt.PSN)
+		case packet.OpFetchAdd, packet.OpCmpSwap:
+			if _, found := r.lookupMR(hostmem.Addr(pkt.RemoteAddr), 8); !found {
+				qp.sendAck(packet.SynNAKRemoteAccessErr, pkt.PSN)
+				return
+			}
+			qp.replayAtomic(pkt)
+		default:
+			qp.execute(pkt) // READs and WRITEs execute again
+		}
+	default:
+		if npsn, ok := qp.execute(pkt); ok {
+			qp.ePSN = packet.PSNAdd(pkt.PSN, npsn)
+		}
 	}
+}
 
+// execute performs one request its transport has sequenced: the
+// protection check, translation, the operation, its counter and the
+// reply. It returns the PSN span the request occupies and whether it
+// executed. On an ODP miss it registers the fault and sends the RNR NAK
+// (ok=false): the reliability of RC leaves the request on the requester
+// side, so nothing needs to be stored here (§III-B). An NP-RDMA stall
+// defers only the reply; the request itself is accepted. Only the five
+// request opcodes reach here (Opcode.IsRequest).
+func (qp *QP) execute(pkt *packet.Packet) (npsn int, ok bool) {
+	r := qp.rnic
+	npsn = 1
+	addr, length := hostmem.Addr(pkt.RemoteAddr), int(pkt.DMALen)
+	if pkt.Opcode == packet.OpSendOnly {
+		if qp.rq.Len() == 0 {
+			// The genuine Receiver-Not-Ready condition.
+			r.OutOfBuffer++
+			r.RNRNakSent++
+			qp.sendRNRNak(pkt.PSN)
+			return npsn, false
+		}
+		addr, length = qp.rq.Front().Addr, pkt.PayloadLen
+	} else {
+		if pkt.Opcode == packet.OpReadRequest {
+			npsn = r.span(length)
+		}
+		if _, found := r.lookupMR(addr, length); !found {
+			qp.sendAck(packet.SynNAKRemoteAccessErr, pkt.PSN)
+			return npsn, false
+		}
+	}
+	ok, stall := qp.translateRemote(addr, length)
+	if !ok {
+		r.RNRNakSent++
+		qp.sendRNRNak(pkt.PSN)
+		return npsn, false
+	}
+	// The stall closures capture fresh copies: a closure over a
+	// variable that is reassigned (npsn, addr, length) would move it to
+	// the heap on every call.
 	switch pkt.Opcode {
 	case packet.OpReadRequest:
-		qp.respondRead(pkt, dup)
+		r.ReadsExecuted++
+		if stall > 0 {
+			psn, l, n := pkt.PSN, length, npsn
+			r.eng.ScheduleAfter(stall, func() { qp.sendReadResponse(psn, l, n) })
+		} else {
+			qp.sendReadResponse(pkt.PSN, length, npsn)
+		}
 	case packet.OpWriteOnly:
-		qp.respondWrite(pkt, dup)
+		r.WritesExecuted++
+		if !pkt.AckReq {
+			break
+		}
+		if stall > 0 {
+			psn := pkt.PSN
+			r.eng.ScheduleAfter(stall, func() { qp.sendAck(packet.SynACK, psn) })
+		} else {
+			qp.sendAck(packet.SynACK, pkt.PSN)
+		}
 	case packet.OpSendOnly:
-		qp.respondSend(pkt, dup)
+		id := qp.rq.Pop().ID
+		if stall > 0 {
+			psn, plen := pkt.PSN, pkt.PayloadLen
+			r.eng.ScheduleAfter(stall, func() { qp.completeRecv(id, psn, plen) })
+		} else {
+			qp.completeRecv(id, pkt.PSN, pkt.PayloadLen)
+		}
 	case packet.OpFetchAdd, packet.OpCmpSwap:
-		qp.respondAtomic(pkt, dup)
+		orig := qp.executeAtomic(pkt, addr)
+		if stall > 0 {
+			psn := pkt.PSN
+			r.eng.ScheduleAfter(stall, func() { qp.sendAtomicResp(psn, orig) })
+		} else {
+			qp.sendAtomicResp(pkt.PSN, orig)
+		}
 	}
+	return npsn, true
+}
+
+// completeRecv completes the receive WR a SEND landed in and ACKs it.
+func (qp *QP) completeRecv(id uint64, psn uint32, length int) {
+	qp.deliver(qp.recvCQ, CQE{WRID: id, QPN: qp.Num, Status: WCSuccess, Op: OpSend, ByteLen: length, Recv: true})
+	qp.sendAck(packet.SynACK, psn)
 }
 
 // translateRemote checks responder-side access to the range. On an ODP
@@ -77,106 +167,6 @@ func (qp *QP) translateRemote(addr hostmem.Addr, length int) (ok bool, stall sim
 	// the client-side discard path loads the ODP pipeline.
 	r.ODP.Fault(qp.Num, addr, length)
 	return false, 0
-}
-
-func (qp *QP) respondRead(pkt *packet.Packet, dup bool) {
-	r := qp.rnic
-	addr := hostmem.Addr(pkt.RemoteAddr)
-	length := int(pkt.DMALen)
-	if _, ok := r.lookupMR(addr, length); !ok {
-		qp.sendAck(packet.SynNAKRemoteAccessErr, pkt.PSN)
-		return
-	}
-	ok, stall := qp.translateRemote(addr, length)
-	if !ok {
-		// Server-side ODP: suspend the requester; the reliability of
-		// RC leaves the request on the requester side, so nothing
-		// needs to be stored here (§III-B).
-		r.RNRNakSent++
-		qp.sendRNRNak(pkt.PSN)
-		return
-	}
-	npsn := (length + r.prof.MTU - 1) / r.prof.MTU
-	if npsn < 1 {
-		npsn = 1
-	}
-	if !dup {
-		qp.ePSN = packet.PSNAdd(pkt.PSN, npsn)
-	}
-	r.ReadsExecuted++
-	if stall > 0 {
-		// NP-RDMA cold pages: ePSN already advanced (the request *is*
-		// accepted); only the response waits out the driver migration.
-		psn := pkt.PSN
-		r.eng.ScheduleAfter(stall, func() { qp.sendReadResponse(psn, length, npsn) })
-		return
-	}
-	qp.sendReadResponse(pkt.PSN, length, npsn)
-}
-
-func (qp *QP) respondWrite(pkt *packet.Packet, dup bool) {
-	r := qp.rnic
-	addr := hostmem.Addr(pkt.RemoteAddr)
-	length := int(pkt.DMALen)
-	if _, ok := r.lookupMR(addr, length); !ok {
-		qp.sendAck(packet.SynNAKRemoteAccessErr, pkt.PSN)
-		return
-	}
-	ok, stall := qp.translateRemote(addr, length)
-	if !ok {
-		r.RNRNakSent++
-		qp.sendRNRNak(pkt.PSN)
-		return
-	}
-	if !dup {
-		qp.ePSN = packet.PSNAdd(pkt.PSN, 1)
-	}
-	r.WritesExecuted++
-	if pkt.AckReq {
-		if stall > 0 {
-			psn := pkt.PSN
-			r.eng.ScheduleAfter(stall, func() { qp.sendAck(packet.SynACK, psn) })
-			return
-		}
-		qp.sendAck(packet.SynACK, pkt.PSN)
-	}
-}
-
-func (qp *QP) respondSend(pkt *packet.Packet, dup bool) {
-	r := qp.rnic
-	if dup {
-		// Already consumed a receive buffer for it; just re-ACK.
-		qp.sendAck(packet.SynACK, pkt.PSN)
-		return
-	}
-	if qp.rq.Len() == 0 {
-		// The genuine Receiver-Not-Ready condition.
-		r.RNRNakSent++
-		r.OutOfBuffer++
-		qp.sendRNRNak(pkt.PSN)
-		return
-	}
-	rwr := qp.rq.Front()
-	ok, stall := qp.translateRemote(rwr.Addr, pkt.PayloadLen)
-	if !ok {
-		r.RNRNakSent++
-		qp.sendRNRNak(pkt.PSN)
-		return
-	}
-	qp.rq.Pop()
-	qp.ePSN = packet.PSNAdd(pkt.PSN, 1)
-	if stall > 0 {
-		// The receive completes and the ACK goes out once the driver
-		// has migrated the landing buffer (scalar captures only).
-		id, psn, plen := rwr.ID, pkt.PSN, pkt.PayloadLen
-		r.eng.ScheduleAfter(stall, func() {
-			qp.deliver(qp.recvCQ, CQE{WRID: id, QPN: qp.Num, Status: WCSuccess, Op: OpSend, ByteLen: plen, Recv: true})
-			qp.sendAck(packet.SynACK, psn)
-		})
-		return
-	}
-	qp.deliver(qp.recvCQ, CQE{WRID: rwr.ID, QPN: qp.Num, Status: WCSuccess, Op: OpSend, ByteLen: pkt.PayloadLen, Recv: true})
-	qp.sendAck(packet.SynACK, pkt.PSN)
 }
 
 // sendAck emits an Acknowledge with the given syndrome for psn.

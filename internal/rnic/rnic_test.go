@@ -5,11 +5,14 @@ import (
 
 	"odpsim/internal/fabric"
 	"odpsim/internal/hostmem"
+	"odpsim/internal/irn"
+	"odpsim/internal/npr"
 	"odpsim/internal/sim"
 )
 
 // harness wires a client and a server RNIC across a fabric, with one QP
-// pair and a 1-page buffer on each side, in the chosen ODP mode.
+// pair and a bufPages buffer on each side, over the chosen transport and
+// memory mode.
 type harness struct {
 	eng      *sim.Engine
 	fab      *fabric.Fabric
@@ -21,6 +24,22 @@ type harness struct {
 	lbuf, rbuf hostmem.Addr
 }
 
+// transport selects the QP transport both devices run.
+type transport int
+
+const (
+	rcTransport  transport = iota // go-back-N
+	irnTransport                  // selective repeat (EnableIRN)
+)
+
+func (tr transport) String() string {
+	if tr == irnTransport {
+		return "irn"
+	}
+	return "rc"
+}
+
+// odpMode selects how each side's buffer is registered.
 type odpMode int
 
 const (
@@ -28,11 +47,16 @@ const (
 	serverODP
 	clientODP
 	bothODP
+	bothNPR // NP-RDMA on both devices, default 2 MiB pool
 )
+
+func (m odpMode) String() string {
+	return [...]string{"pin", "server-odp", "client-odp", "both-odp", "npr"}[m]
+}
 
 const bufPages = 8
 
-func newHarness(t *testing.T, seed int64, prof Profile, mode odpMode, params ConnParams) *harness {
+func newHarness(t *testing.T, seed int64, prof Profile, tr transport, mode odpMode, params ConnParams) *harness {
 	t.Helper()
 	eng := sim.New(seed)
 	fab := fabric.New(eng, fabric.DefaultConfig())
@@ -42,23 +66,38 @@ func newHarness(t *testing.T, seed int64, prof Profile, mode odpMode, params Con
 		client: New(fab, 1, "client", prof, hostmem.DefaultConfig()),
 		server: New(fab, 2, "server", prof, hostmem.DefaultConfig()),
 	}
+	for _, r := range []*RNIC{h.client, h.server} {
+		if tr == irnTransport {
+			r.EnableIRN(irn.Config{})
+		}
+		if mode == bothNPR {
+			r.EnableNPR(npr.DefaultConfig())
+		}
+	}
 	h.cqC = NewCQ(eng)
 	h.cqS = NewCQ(eng)
 	h.qpC = h.client.CreateQP(h.cqC, h.cqC)
 	h.qpS = h.server.CreateQP(h.cqS, h.cqS)
 	ConnectPair(h.qpC, h.qpS, params, params)
 
-	h.lbuf = h.client.AS.Alloc(bufPages * hostmem.PageSize)
-	h.rbuf = h.server.AS.Alloc(bufPages * hostmem.PageSize)
-	if mode == clientODP || mode == bothODP {
-		h.client.RegisterODPMR(h.lbuf, bufPages*hostmem.PageSize)
-	} else {
-		h.client.RegisterMR(h.lbuf, bufPages*hostmem.PageSize)
+	const size = bufPages * hostmem.PageSize
+	h.lbuf = h.client.AS.Alloc(size)
+	h.rbuf = h.server.AS.Alloc(size)
+	switch mode {
+	case clientODP, bothODP:
+		h.client.RegisterODPMR(h.lbuf, size)
+	case bothNPR:
+		h.client.RegisterNPRMR(h.lbuf, size)
+	default:
+		h.client.RegisterMR(h.lbuf, size)
 	}
-	if mode == serverODP || mode == bothODP {
-		h.server.RegisterODPMR(h.rbuf, bufPages*hostmem.PageSize)
-	} else {
-		h.server.RegisterMR(h.rbuf, bufPages*hostmem.PageSize)
+	switch mode {
+	case serverODP, bothODP:
+		h.server.RegisterODPMR(h.rbuf, size)
+	case bothNPR:
+		h.server.RegisterNPRMR(h.rbuf, size)
+	default:
+		h.server.RegisterMR(h.rbuf, size)
 	}
 	return h
 }
@@ -70,7 +109,7 @@ func defaultParams() ConnParams {
 }
 
 func TestReadNoODP(t *testing.T) {
-	h := newHarness(t, 1, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, 1, ConnectX4(), rcTransport, noODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.Run()
 	cqes := pollAll(h.cqC)
@@ -89,7 +128,7 @@ func TestReadNoODP(t *testing.T) {
 func TestReadServerODPWorkflow(t *testing.T) {
 	// Figure 1, left: request → RNR NAK → ≈4.5 ms wait → retransmit →
 	// response.
-	h := newHarness(t, 2, ConnectX4(), serverODP, defaultParams())
+	h := newHarness(t, 2, ConnectX4(), rcTransport, serverODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.Run()
 	cqes := pollAll(h.cqC)
@@ -112,7 +151,7 @@ func TestReadServerODPWorkflow(t *testing.T) {
 func TestReadClientODPWorkflow(t *testing.T) {
 	// Figure 1, right: response discarded, blind retransmission every
 	// ≈0.5 ms until the page status update lands.
-	h := newHarness(t, 3, ConnectX4(), clientODP, defaultParams())
+	h := newHarness(t, 3, ConnectX4(), rcTransport, clientODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.Run()
 	cqes := pollAll(h.cqC)
@@ -140,7 +179,7 @@ func TestReadClientODPWorkflow(t *testing.T) {
 func TestTwoReadDammingTimeout(t *testing.T) {
 	// Figure 5: a second READ posted 1 ms into the first's pending
 	// window is lost and only recovers via the ≈500 ms timeout.
-	h := newHarness(t, 4, ConnectX4(), serverODP, defaultParams())
+	h := newHarness(t, 4, ConnectX4(), rcTransport, serverODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.After(sim.Millisecond, func() {
 		h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf + 100, RemoteAddr: h.rbuf + 100, Len: 100})
@@ -171,7 +210,7 @@ func TestTwoReadDammingTimeout(t *testing.T) {
 func TestTwoReadNoQuirkNoTimeout(t *testing.T) {
 	// Ablation / ConnectX-6: without the quirk the same schedule
 	// completes right after the RNR wait.
-	h := newHarness(t, 4, ConnectX6(), serverODP, defaultParams())
+	h := newHarness(t, 4, ConnectX6(), rcTransport, serverODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.After(sim.Millisecond, func() {
 		h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf + 100, RemoteAddr: h.rbuf + 100, Len: 100})
@@ -190,7 +229,7 @@ func TestTwoReadNoQuirkNoTimeout(t *testing.T) {
 
 func TestTwoReadOutsideWindowNoTimeout(t *testing.T) {
 	// Figure 6a: beyond the ≈4.5 ms pending window, no damming.
-	h := newHarness(t, 5, ConnectX4(), serverODP, defaultParams())
+	h := newHarness(t, 5, ConnectX4(), rcTransport, serverODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.After(sim.FromMillis(5.5), func() {
 		h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf + 100, RemoteAddr: h.rbuf + 100, Len: 100})
@@ -208,7 +247,7 @@ func TestTwoReadImmediateNoTimeout(t *testing.T) {
 	// Figure 4 at interval ≈ 0: the second request reaches the wire
 	// before the RNR NAK arrives, so it is a legitimate retransmission
 	// at resume and survives.
-	h := newHarness(t, 6, ConnectX4(), serverODP, defaultParams())
+	h := newHarness(t, 6, ConnectX4(), rcTransport, serverODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf + 100, RemoteAddr: h.rbuf + 100, Len: 100})
 	h.eng.Run()
@@ -227,7 +266,7 @@ func TestThreeReadNakSeqRescue(t *testing.T) {
 	// Figure 8: the third READ, posted after the pending window, makes
 	// the responder notice the PSN gap and NAK, rescuing the dammed
 	// second READ without a timeout.
-	h := newHarness(t, 7, ConnectX4(), serverODP, defaultParams())
+	h := newHarness(t, 7, ConnectX4(), rcTransport, serverODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.After(sim.FromMillis(2.5), func() {
 		h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf + 100, RemoteAddr: h.rbuf + 100, Len: 100})
@@ -256,7 +295,7 @@ func TestThreeReadNakSeqRescue(t *testing.T) {
 func TestWrongLIDRetryExceeded(t *testing.T) {
 	// The Figure 2 experiment: wrong destination LID, C_retry = 7 ⇒
 	// 8 timeouts then IBV_WC_RETRY_EXC_ERR; T_o = t/8.
-	h := newHarness(t, 8, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, 8, ConnectX4(), rcTransport, noODP, defaultParams())
 	h.qpC.Connect(99 /* bogus LID */, h.qpS.Num, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.Run()
@@ -280,7 +319,7 @@ func TestWrongLIDRetryExceeded(t *testing.T) {
 func TestCACKZeroDisablesTimeout(t *testing.T) {
 	p := defaultParams()
 	p.CACK = 0
-	h := newHarness(t, 9, ConnectX4(), noODP, p)
+	h := newHarness(t, 9, ConnectX4(), rcTransport, noODP, p)
 	h.qpC.Connect(99, h.qpS.Num, p)
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.RunUntil(10 * sim.Second)
@@ -293,7 +332,7 @@ func TestCACKZeroDisablesTimeout(t *testing.T) {
 }
 
 func TestPostToErroredQPFlushes(t *testing.T) {
-	h := newHarness(t, 10, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, 10, ConnectX4(), rcTransport, noODP, defaultParams())
 	h.qpC.Connect(99, h.qpS.Num, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.Run()
@@ -306,7 +345,7 @@ func TestPostToErroredQPFlushes(t *testing.T) {
 }
 
 func TestWriteAndSend(t *testing.T) {
-	h := newHarness(t, 11, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, 11, ConnectX4(), rcTransport, noODP, defaultParams())
 	h.qpS.PostRecv(RecvWR{ID: 100, Addr: h.rbuf + 4096, Len: 4096})
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpWrite, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 200})
 	h.qpC.PostSend(SendWR{ID: 2, Op: OpSend, LocalAddr: h.lbuf, Len: 64})
@@ -322,7 +361,7 @@ func TestWriteAndSend(t *testing.T) {
 }
 
 func TestSendWithoutRecvGetsRNR(t *testing.T) {
-	h := newHarness(t, 12, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, 12, ConnectX4(), rcTransport, noODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpSend, LocalAddr: h.lbuf, Len: 64})
 	// Post the receive 2 ms later; the SEND should retry and land.
 	h.eng.After(2*sim.Millisecond, func() {
@@ -342,7 +381,7 @@ func TestSendWithoutRecvGetsRNR(t *testing.T) {
 }
 
 func TestUnregisteredRemoteIsAccessError(t *testing.T) {
-	h := newHarness(t, 13, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, 13, ConnectX4(), rcTransport, noODP, defaultParams())
 	bad := h.server.AS.Alloc(hostmem.PageSize) // never registered
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: bad, Len: 100})
 	h.eng.Run()
@@ -353,7 +392,7 @@ func TestUnregisteredRemoteIsAccessError(t *testing.T) {
 }
 
 func TestImplicitODPCoversEverything(t *testing.T) {
-	h := newHarness(t, 14, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, 14, ConnectX4(), rcTransport, noODP, defaultParams())
 	h.server.EnableImplicitODP()
 	extra := h.server.AS.Alloc(hostmem.PageSize) // unregistered but implicit
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: extra, Len: 100})
@@ -368,7 +407,7 @@ func TestImplicitODPCoversEverything(t *testing.T) {
 }
 
 func TestMultiPacketRead(t *testing.T) {
-	h := newHarness(t, 15, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, 15, ConnectX4(), rcTransport, noODP, defaultParams())
 	const size = 3*4096 + 100 // 4 response packets
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: size})
 	h.eng.Run()
@@ -388,7 +427,7 @@ func TestMultiPacketRead(t *testing.T) {
 func TestMaxRdAtomicLimitsOutstanding(t *testing.T) {
 	p := defaultParams()
 	p.MaxRdAtomic = 2
-	h := newHarness(t, 16, ConnectX4(), noODP, p)
+	h := newHarness(t, 16, ConnectX4(), rcTransport, noODP, p)
 	for i := 0; i < 5; i++ {
 		h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	}
@@ -402,7 +441,7 @@ func TestMaxRdAtomicLimitsOutstanding(t *testing.T) {
 }
 
 func TestPinnedBuffersNeverFault(t *testing.T) {
-	h := newHarness(t, 17, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, 17, ConnectX4(), rcTransport, noODP, defaultParams())
 	for i := 0; i < 20; i++ {
 		h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpRead, LocalAddr: h.lbuf + hostmem.Addr(i*100), RemoteAddr: h.rbuf + hostmem.Addr(i*100), Len: 100})
 	}
@@ -417,7 +456,7 @@ func TestPinnedBuffersNeverFault(t *testing.T) {
 
 func TestBothSideODPTwoReadsTimeout(t *testing.T) {
 	// Figure 4's main result at interval 1 ms, both-side ODP.
-	h := newHarness(t, 18, ConnectX4(), bothODP, defaultParams())
+	h := newHarness(t, 18, ConnectX4(), rcTransport, bothODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 	h.eng.After(sim.Millisecond, func() {
 		h.qpC.PostSend(SendWR{ID: 2, Op: OpRead, LocalAddr: h.lbuf + 100, RemoteAddr: h.rbuf + 100, Len: 100})
@@ -481,7 +520,7 @@ func TestDrawTimeoutWithinSpecBounds(t *testing.T) {
 }
 
 func TestCQWaitN(t *testing.T) {
-	h := newHarness(t, 20, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, 20, ConnectX4(), rcTransport, noODP, defaultParams())
 	var got [3]CQE
 	h.eng.Go("bench", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
@@ -511,7 +550,7 @@ func pollAll(cq *CQ) []CQE {
 // at most len(buf) completions, oldest first, leaves the rest queued and
 // reports how many it moved.
 func TestCQPollFillsCallerBuffer(t *testing.T) {
-	h := newHarness(t, 21, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, 21, ConnectX4(), rcTransport, noODP, defaultParams())
 	for i := 0; i < 5; i++ {
 		h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpWrite, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 64})
 	}
@@ -560,7 +599,7 @@ func pooledWQEs(t *testing.T, r *RNIC) int {
 func TestWQEPoolRecycles(t *testing.T) {
 	p := defaultParams()
 	p.RetryCount = 0
-	h := newHarness(t, 30, ConnectX4(), noODP, p)
+	h := newHarness(t, 30, ConnectX4(), rcTransport, noODP, p)
 	post := func(n int) {
 		for i := 0; i < n; i++ {
 			h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpWrite, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 64})

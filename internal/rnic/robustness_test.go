@@ -16,7 +16,7 @@ func TestReliabilityUnderRandomLoss(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			p := defaultParams()
 			p.RetryCount = 7
-			h := newHarness(t, 100+seed, ConnectX4(), noODP, p)
+			h := newHarness(t, 100+seed, ConnectX4(), rcTransport, noODP, p)
 			h.fab.SetLossRate(loss)
 			const n = 40
 			for i := 0; i < n; i++ {
@@ -50,7 +50,7 @@ func TestReliabilityUnderRandomLoss(t *testing.T) {
 // on one QP, regardless of retransmissions.
 func TestCompletionOrderPreserved(t *testing.T) {
 	p := defaultParams()
-	h := newHarness(t, 200, ConnectX4(), noODP, p)
+	h := newHarness(t, 200, ConnectX4(), rcTransport, noODP, p)
 	h.fab.SetLossRate(0.1)
 	const n = 30
 	for i := 0; i < n; i++ {
@@ -72,7 +72,7 @@ func TestCompletionOrderPreserved(t *testing.T) {
 // random loss; reliability must still hold.
 func TestODPUnderRandomLoss(t *testing.T) {
 	p := defaultParams()
-	h := newHarness(t, 300, ConnectX4(), bothODP, p)
+	h := newHarness(t, 300, ConnectX4(), rcTransport, bothODP, p)
 	h.fab.SetLossRate(0.05)
 	const n = 16
 	for i := 0; i < n; i++ {
@@ -96,7 +96,7 @@ func TestODPUnderRandomLoss(t *testing.T) {
 // even with random loss and ODP.
 func TestDeterminismUnderLoss(t *testing.T) {
 	run := func() (uint64, sim.Time) {
-		h := newHarness(t, 400, ConnectX4(), bothODP, defaultParams())
+		h := newHarness(t, 400, ConnectX4(), rcTransport, bothODP, defaultParams())
 		h.fab.SetLossRate(0.1)
 		for i := 0; i < 10; i++ {
 			h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 64})
@@ -150,7 +150,7 @@ func TestManyNodesStar(t *testing.T) {
 // TestInvalidationMidTraffic: releasing pages under an active ODP MR
 // invalidates translations; subsequent READs re-fault and succeed.
 func TestInvalidationMidTraffic(t *testing.T) {
-	h := newHarness(t, 600, ConnectX4(), serverODP, defaultParams())
+	h := newHarness(t, 600, ConnectX4(), rcTransport, serverODP, defaultParams())
 	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 64})
 	h.eng.Run()
 	if len(pollAll(h.cqC)) != 1 {
@@ -176,7 +176,7 @@ func TestInvalidationMidTraffic(t *testing.T) {
 // same QP pair simultaneously (each QP is requester and responder at
 // once).
 func TestBackToBackBidirectional(t *testing.T) {
-	h := newHarness(t, 700, ConnectX4(), noODP, defaultParams())
+	h := newHarness(t, 700, ConnectX4(), rcTransport, noODP, defaultParams())
 	// Register reverse-direction MRs.
 	h.client.RegisterMR(h.lbuf+4*hostmem.PageSize, hostmem.PageSize)
 	for i := 0; i < 10; i++ {

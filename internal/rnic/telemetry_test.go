@@ -16,7 +16,7 @@ import (
 // checks the device registry exposes the transport, port and ODP
 // counters with the values the legacy exported fields show.
 func TestTelemetryRegistryMirrorsFields(t *testing.T) {
-	h := newHarness(t, 1, ConnectX4(), serverODP, defaultParams())
+	h := newHarness(t, 1, ConnectX4(), rcTransport, serverODP, defaultParams())
 	h.eng.Go("client", func(p *sim.Proc) {
 		h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 100})
 		var wc [1]CQE
@@ -58,7 +58,7 @@ func TestTelemetryRegistryMirrorsFields(t *testing.T) {
 // TestTelemetryPrefetchCounter checks AdviseMR prefetches land in
 // num_prefetch and warm the pages.
 func TestTelemetryPrefetchCounter(t *testing.T) {
-	h := newHarness(t, 1, ConnectX4(), serverODP, defaultParams())
+	h := newHarness(t, 1, ConnectX4(), rcTransport, serverODP, defaultParams())
 	h.eng.Go("warm", func(p *sim.Proc) {
 		h.server.AdviseMR(h.qpS.Num, h.rbuf, bufPages*4096)
 		p.Sleep(50 * sim.Millisecond)

@@ -74,7 +74,7 @@ type Flight struct {
 // touch the same slice concurrently, with the pool barrier providing the
 // happens-before edge. Both buffers recycle their backing arrays.
 type Link struct {
-	src, dst *Domain
+	src, dst  *Domain
 	nsPerByte float64
 	prop      sim.Time
 	free      sim.Time // egress serialization cursor, in src time
