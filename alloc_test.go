@@ -114,16 +114,18 @@ func TestAllocBudgetClosSend(t *testing.T) {
 // on a Reset-reused engine and floods 256 pinned-memory WRITEs over a
 // 10%-lossy fabric, so SACK frames, reorder-buffer stashes and
 // single-PSN retransmits are all on the measured path. The measured warm
-// figure is 56 (57 under -race), all of it per rebuild: RNIC structs,
-// MR tables, CQs, QPs and per-node telemetry. Work request objects come
-// from the engine's WR pool and the send, outstanding and completion
-// queues reuse their storage, so the 256 WRs add nothing; the per-QP
-// IRN State comes from the irn.StateFor arena and the
+// figure is 14 (15 under -race), all of it per rebuild: cluster and
+// fabric headers, node names, MR objects, ODP engine headers and the
+// receive method value each device binds. RNIC structs, CQs and QPs come from the
+// engine-generation arenas (56 before they did). Work request objects
+// come from the engine's WR pool and the send, outstanding and
+// completion queues reuse their storage, so the 256 WRs add nothing; the
+// per-QP IRN State comes from the irn.StateFor arena and the
 // SACK/stash/retransmit datapath allocates nothing per packet. That is
 // the contract this ceiling pins — any per-WR, per-packet or per-SACK
 // allocation would add ≥256 and blow straight through it. The ceiling
-// is the measured figure plus ~8%.
-const irnAllocCeiling = 61
+// is the -race figure plus ~8%.
+const irnAllocCeiling = 16
 
 func TestAllocBudgetIRNSend(t *testing.T) {
 	sys := cluster.KNL()
@@ -204,5 +206,36 @@ func TestAllocBudgetSparkWave(t *testing.T) {
 	if perFetch >= sparkWavePerFetchCeiling {
 		t.Errorf("%.3f allocations per fetch, ceiling %.1f — the WR, CQ or UCX completion path allocates per request",
 			perFetch, sparkWavePerFetchCeiling)
+	}
+}
+
+// sparkWaveWarmPerQPCeiling bounds the allocations of a whole shuffle
+// wave rebuilt on a reused engine, per QP. Table 13 builds every wave of
+// a scenario run on one engine per worker, so the engine-generation
+// arenas hand each wave the previous wave's devices, QPs, CQs, UCX
+// workers and endpoints, fabric ports, address spaces, ODP state and
+// telemetry registries. The measured warm wave allocates 37 objects with
+// ODP off and 33 with it on, whatever the QP count: cluster and context
+// headers, the two executor processes and their request lists — 0.07 per
+// QP at 256 QPs per direction. Any per-QP allocation adds ≥1 per QP.
+const sparkWaveWarmPerQPCeiling = 0.25
+
+func TestAllocBudgetSparkWaveWarm(t *testing.T) {
+	const qps = 256
+	for _, odp := range []bool{false, true} {
+		eng := sim.New(0)
+		cfg := sparkucx.WaveConfig{System: cluster.KNL(), Seed: 3, QPs: qps, Fetches: 1024, Size: 256, ODP: odp, Eng: eng}
+		wave := func() {
+			if r := sparkucx.RunWave(cfg); r.Failed {
+				t.Fatal("wave failed")
+			}
+		}
+		wave() // the first wave fills the arenas
+		perQP := testing.AllocsPerRun(3, wave) / (2 * qps)
+		t.Logf("ODP %v: a warm wave allocates %.3f per QP (ceiling %.2f)", odp, perQP, sparkWaveWarmPerQPCeiling)
+		if perQP >= sparkWaveWarmPerQPCeiling {
+			t.Errorf("ODP %v: a warm wave allocates %.3f per QP, ceiling %.2f — a per-wave object (QP, CQ, worker, endpoint, device) is no longer recycled",
+				odp, perQP, sparkWaveWarmPerQPCeiling)
+		}
 	}
 }

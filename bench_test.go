@@ -300,8 +300,9 @@ func BenchmarkTab13_SparkUCX(b *testing.B) {
 	for _, ex := range []sparkucx.Example{sparkucx.SparkTC, sparkucx.RecommendationExample, sparkucx.RankingMetricsExample} {
 		b.Run(ex.String(), func(b *testing.B) {
 			var row sparkucx.Row
+			engs := parallel.NewEngines()
 			for i := 0; i < b.N; i++ {
-				row = sparkucx.MeasureRow(ex, knl, 2, int64(i+1), 1)
+				row = sparkucx.MeasureRow(ex, knl, 2, int64(i+1), 1, engs)
 			}
 			b.ReportMetric(row.Disable.Mean, "s-disable")
 			b.ReportMetric(row.Enable.Mean, "s-enable")

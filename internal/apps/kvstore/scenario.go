@@ -77,7 +77,10 @@ func (workload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 	})
 	// Run, not MustRun: the server's receive loop parks forever once the
 	// client is done — that is the daemon shape, not a deadlock.
+	// Shutdown then unwinds it, so its goroutine and the cluster it
+	// references do not outlive the run.
 	cl.Eng.Run()
+	cl.Eng.Shutdown()
 
 	calls, retrans, rpcFailures := cli.Stats()
 	fmt.Fprintf(out.W, "per-op latency [µs]: %s\n", stats.Summarize(lats))

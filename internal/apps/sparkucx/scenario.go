@@ -3,6 +3,7 @@ package sparkucx
 import (
 	"fmt"
 
+	"odpsim/internal/parallel"
 	"odpsim/internal/scenario"
 )
 
@@ -30,11 +31,14 @@ func (scenarioWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 	for i := range configs {
 		configs[i].System = sc.ApplyFaults(configs[i].System)
 	}
+	// One engine per worker for the whole run: every row's waves
+	// recycle its arenas, which die with the run.
+	engs := parallel.NewEngines()
 	for _, ex := range []Example{SparkTC, RecommendationExample, RankingMetricsExample} {
 		fmt.Fprintf(out.W, "\n=== %v ===\n", ex)
 		fmt.Fprintf(out.W, "%-16s %6s %16s %16s %8s %8s\n", "", "QPs", "Disable [s]", "Enable [s]", "ratio", "omitted")
 		for _, cfg := range configs {
-			row := MeasureRow(ex, cfg, sc.Trials, sc.SeedOrDefault(), waves)
+			row := MeasureRow(ex, cfg, sc.Trials, sc.SeedOrDefault(), waves, engs)
 			fmt.Fprintf(out.W, "%-16s %6d %9.1f ±%4.1f %9.1f ±%4.1f %8.2f %8d\n",
 				row.Label, row.QPs,
 				row.Disable.Mean, row.Disable.Std,

@@ -115,6 +115,9 @@ type Config struct {
 	// QPCap bounds the simulated QP count for tractability (0 = 256);
 	// the flood severity saturates well below the real counts.
 	QPCap int
+	// Eng, when non-nil, is the engine every sampled wave is built on
+	// (WaveConfig.Eng).
+	Eng *sim.Engine
 }
 
 // Result is one run's outcome.
@@ -159,6 +162,7 @@ func Run(cfg Config) Result {
 			Fetches: w.fetches / 2, // per direction
 			Size:    w.size,
 			ODP:     cfg.ODP,
+			Eng:     cfg.Eng,
 		})
 		if r.Failed {
 			res.Failed = true
@@ -186,8 +190,11 @@ type Row struct {
 }
 
 // MeasureRow runs trials with and without ODP and summarizes, mirroring
-// the paper's 10-trial methodology with failed samples omitted.
-func MeasureRow(e Example, sc SystemConfig, trials int, seed int64, sampleWaves int) Row {
+// the paper's 10-trial methodology with failed samples omitted. Each
+// trial's waves run on its worker's engine from engs, so one cache
+// passed to every row of a scenario run recycles one engine per worker
+// across all of them; a nil cache builds every wave on a fresh engine.
+func MeasureRow(e Example, sc SystemConfig, trials int, seed int64, sampleWaves int, engs parallel.Engines) Row {
 	// A trial's disable and enable runs share a seed but no state, so
 	// both fan across the worker pool; the summaries are assembled from
 	// the index-ordered results, exactly as the sequential loop did.
@@ -196,9 +203,11 @@ func MeasureRow(e Example, sc SystemConfig, trials int, seed int64, sampleWaves 
 		ena     float64
 		omitted bool
 	}
-	results := parallel.Map(trials, func(i int) trial {
-		cfg := Config{Example: e, Sys: sc, Seed: seed + int64(i)*3547, SampleWaves: sampleWaves}
-		t := trial{dis: Run(cfg).ExecTime.Seconds()}
+	results := make([]trial, trials)
+	parallel.Run(trials, func(w, i int) {
+		cfg := Config{Example: e, Sys: sc, Seed: seed + int64(i)*3547, SampleWaves: sampleWaves, Eng: engs.Get(w)}
+		t := &results[i]
+		t.dis = Run(cfg).ExecTime.Seconds()
 		cfg.ODP = true
 		r := Run(cfg)
 		if r.Failed {
@@ -206,7 +215,6 @@ func MeasureRow(e Example, sc SystemConfig, trials int, seed int64, sampleWaves 
 		} else {
 			t.ena = r.ExecTime.Seconds()
 		}
-		return t
 	})
 	var dis, ena []float64
 	omitted := 0

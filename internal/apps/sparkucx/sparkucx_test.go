@@ -37,7 +37,7 @@ func TestEnableDegradesAndFloods(t *testing.T) {
 }
 
 func TestMeasureRow(t *testing.T) {
-	row := MeasureRow(RecommendationExample, knl2(), 2, 7, 1)
+	row := MeasureRow(RecommendationExample, knl2(), 2, 7, 1, nil)
 	if row.Disable.N != 2 {
 		t.Fatalf("row = %+v", row)
 	}

@@ -22,6 +22,12 @@ type WaveConfig struct {
 	Size int
 	// ODP registers all shuffle buffers with on-demand paging.
 	ODP bool
+	// Eng, when non-nil, is Reset with Seed and reused as the wave's
+	// engine, so its arenas (QPs, CQs, fabric, memory, ODP state) carry
+	// over from the previous wave built on it. The wave is byte-identical
+	// to one on a fresh engine. An engine must not be shared by
+	// concurrent waves.
+	Eng *sim.Engine
 }
 
 // WaveResult measures one wave.
@@ -40,12 +46,12 @@ func (w WaveResult) FloodDetected(fetches int) bool {
 }
 
 // RunWave executes one bidirectional shuffle wave on a fresh two-node
-// cluster and returns its measurements.
+// cluster (on cfg.Eng when set) and returns its measurements.
 func RunWave(cfg WaveConfig) WaveResult {
 	if cfg.QPs <= 0 || cfg.Fetches <= 0 || cfg.Size <= 0 {
 		panic("sparkucx: QPs, Fetches and Size must be positive")
 	}
-	cl := cfg.System.Build(cfg.Seed, 2)
+	cl := cfg.System.BuildOn(cfg.Eng, cfg.Seed, 2)
 	ucfg := ucx.DefaultConfig()
 	ucfg.EnableODP = cfg.ODP
 	wA := ucx.NewContext(cl.Nodes[0], ucfg).NewWorker()

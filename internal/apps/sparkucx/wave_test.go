@@ -61,3 +61,24 @@ func TestWaveInvalidPanics(t *testing.T) {
 	}()
 	RunWave(WaveConfig{System: cluster.KNL(), QPs: 0, Fetches: 1, Size: 1})
 }
+
+// TestWaveOnReusedEngineMatchesFresh runs a sequence of waves that
+// differ in system, QP count and ODP on one engine, the way a Table-13
+// scenario run does, and checks each against the same wave on a fresh
+// engine: recycled devices, QPs, CQs and UCX workers must not carry
+// anything over.
+func TestWaveOnReusedEngineMatchesFresh(t *testing.T) {
+	eng := sim.New(0)
+	for i, cfg := range []WaveConfig{
+		{System: cluster.KNL(), Seed: 7, QPs: 32, Fetches: 256, Size: 256, ODP: true},
+		{System: cluster.ReedbushH(), Seed: 8, QPs: 8, Fetches: 128, Size: 512},
+		{System: cluster.KNL(), Seed: 9, QPs: 48, Fetches: 256, Size: 256, ODP: true},
+		{System: cluster.ABCI(), Seed: 10, QPs: 16, Fetches: 256, Size: 256, ODP: true},
+	} {
+		want := RunWave(cfg)
+		cfg.Eng = eng
+		if got := RunWave(cfg); got != want {
+			t.Errorf("wave %d on the reused engine = %+v, on a fresh one %+v", i, got, want)
+		}
+	}
+}

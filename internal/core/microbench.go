@@ -97,7 +97,7 @@ type BenchConfig struct {
 	// simulation engine, recycling event storage across a sweep's
 	// trials. The run is byte-identical to one on a fresh engine. An
 	// engine must not be shared by concurrent trials; the sweep layer
-	// keeps one per parallel worker (see Engines).
+	// keeps one per parallel worker (see parallel.Engines).
 	Eng *sim.Engine
 }
 

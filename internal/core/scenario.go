@@ -290,7 +290,7 @@ func (benchWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 
 	// Trials fan across the worker pool (each derives its seed from its
 	// index); the per-trial lines print in index order afterwards.
-	engs := NewEngines()
+	engs := parallel.NewEngines()
 	results := make([]*BenchResult, sc.Trials)
 	parallel.Run(sc.Trials, func(w, i int) {
 		c := cfg

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"odpsim/internal/apps/sparkucx"
+	"odpsim/internal/parallel"
 	"odpsim/internal/rnic"
 	"odpsim/internal/scenario"
 	"odpsim/internal/telemetry"
@@ -111,7 +112,7 @@ func (stormWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 	}
 	knl := sparkucx.Table13Configs()[0]
 	knl.System = sc.ApplyFaults(knl.System)
-	row := sparkucx.MeasureRow(sparkucx.SparkTC, knl, sc.Trials, sc.SeedOrDefault(), waves)
+	row := sparkucx.MeasureRow(sparkucx.SparkTC, knl, sc.Trials, sc.SeedOrDefault(), waves, parallel.NewEngines())
 	fmt.Fprintf(out.W, "\nTable-13 SparkTC on the congested fabric (%d trials):\n", sc.Trials)
 	fmt.Fprintf(out.W, "%-16s %6s %16s %16s %8s %8s\n", "", "QPs", "Disable [s]", "Enable [s]", "ratio", "omitted")
 	fmt.Fprintf(out.W, "%-16s %6d %9.1f ±%4.1f %9.1f ±%4.1f %8.2f %8d\n",

@@ -17,31 +17,12 @@ import (
 // engine and cluster, and results are committed in index order — so
 // output is byte-identical to sequential execution for any -j.
 
-// Engines is a per-worker engine cache for parallel sweeps: Get(worker)
-// lazily creates one engine per worker, and passing it as BenchConfig.Eng
-// recycles event storage across that worker's trials. Index only with the
-// worker argument parallel.Run supplies — that is what makes the reuse
-// race-free.
-type Engines []*sim.Engine
-
-// NewEngines sizes a cache for the current worker bound.
-func NewEngines() Engines { return make(Engines, parallel.Jobs()) }
-
-// Get returns worker w's engine, creating it on first use. The seed is
-// irrelevant: every run Resets the engine with its own trial seed.
-func (e Engines) Get(w int) *sim.Engine {
-	if e[w] == nil {
-		e[w] = sim.New(0)
-	}
-	return e[w]
-}
-
 // SweepTimeouts regenerates Figure 2: the measured timeout T_o as a
 // function of C_ACK for each system, one series per system (Y in
 // seconds). Points run across the worker pool.
 func SweepTimeouts(systems []cluster.System, cacks []int, seed int64) []*stats.Series {
 	tos := make([]sim.Time, len(systems)*len(cacks))
-	engs := NewEngines()
+	engs := parallel.NewEngines()
 	parallel.Run(len(tos), func(w, i int) {
 		si, ci := i/len(cacks), i%len(cacks)
 		tos[i] = MeasureTimeoutOn(engs.Get(w), systems[si], cacks[ci], seed+int64(si*1000+cacks[ci]))
@@ -84,7 +65,7 @@ func IntervalRange(fromMs, toMs, stepMs float64) []sim.Time {
 // to the sequential sum.
 func SweepExecTime(base BenchConfig, intervals []sim.Time, trials int) *stats.Series {
 	execs := make([]float64, len(intervals)*trials)
-	engs := NewEngines()
+	engs := parallel.NewEngines()
 	parallel.Run(len(execs), func(w, i int) {
 		cfg := base
 		cfg.Eng = engs.Get(w)
@@ -108,7 +89,7 @@ func SweepExecTime(base BenchConfig, intervals []sim.Time, trials int) *stats.Se
 // The interval×trial grid runs across the worker pool.
 func SweepTimeoutProbability(base BenchConfig, intervals []sim.Time, trials int, label string) *stats.Series {
 	timedOut := make([]bool, len(intervals)*trials)
-	engs := NewEngines()
+	engs := parallel.NewEngines()
 	parallel.Run(len(timedOut), func(w, i int) {
 		cfg := base
 		cfg.Eng = engs.Get(w)
@@ -146,7 +127,7 @@ func SweepQPs(base BenchConfig, qps []int, modes []ODPMode) *QPSweepResult {
 		packets float64
 	}
 	pts := make([]point, len(qps)*len(modes))
-	engs := NewEngines()
+	engs := parallel.NewEngines()
 	parallel.Run(len(pts), func(w, i int) {
 		cfg := base
 		cfg.Eng = engs.Get(w)

@@ -78,10 +78,11 @@ type ReorderBuffer struct {
 	slots [Window]packet.Packet
 }
 
-// Init points the buffer at the connection's starting ePSN.
+// Init points the empty buffer at the connection's starting ePSN. It
+// also zeroes the slots, so a buffer recycled through the State arena
+// keeps no previous connection's packets.
 func (rb *ReorderBuffer) Init(epsn uint32) {
-	rb.epsn = epsn
-	rb.mask = 0
+	*rb = ReorderBuffer{epsn: epsn}
 }
 
 // EPSN returns the next PSN the responder will execute.

@@ -1,13 +1,13 @@
 // Package parallel fans independent, deterministic simulation trials
 // across a bounded worker pool. Every figure of the paper's evaluation is
 // a sweep of hundreds of runs that share no state — each trial builds its
-// own engine, cluster and telemetry registries from a seed derived from
-// its grid index — so the sweep layer can execute points in any order as
-// long as results are committed in index order. That is the package's
-// determinism contract: callers derive each point's seed from the point's
-// index (never from execution order), workers write only to their own
-// index's slot, and the assembled output is byte-identical to sequential
-// execution whatever the worker count.
+// own cluster and telemetry registries, on its worker's engine (Engines)
+// Reset with a seed derived from its grid index — so the sweep layer can
+// execute points in any order as long as results are committed in index
+// order. That is the package's determinism contract: callers derive each
+// point's seed from the point's index (never from execution order),
+// workers write only to their own index's slot, and the assembled output
+// is byte-identical to sequential execution whatever the worker count.
 //
 // The pool is bounded by GOMAXPROCS and overridable with SetJobs (the
 // CLIs' -j flag). Jobs()==1 degenerates to a plain loop on the calling
@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"odpsim/internal/sim"
 	"odpsim/internal/stats"
 )
 
@@ -48,8 +49,8 @@ func Jobs() int {
 // across Jobs() workers and blocking until all complete. worker is the
 // invoking worker's index in [0, Jobs()): fn is never called concurrently
 // with the same worker value, so callers can keep per-worker scratch
-// state (e.g. a Reset-reused sim engine). A panic in fn is re-raised on
-// the calling goroutine after the pool drains.
+// state (e.g. a Reset-reused sim engine, Engines). A panic in fn is
+// re-raised on the calling goroutine after the pool drains.
 func Run(n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
@@ -117,4 +118,29 @@ func Map[T any](n int, fn func(i int) T) []T {
 // figure drivers.
 func MapSeries(label string, xs []float64, y func(i int) float64) *stats.Series {
 	return &stats.Series{Label: label, X: append([]float64(nil), xs...), Y: Map(len(xs), y)}
+}
+
+// Engines is a per-worker engine cache for parallel sweeps: Get(worker)
+// lazily creates one engine per worker, and building each trial on it
+// (System.BuildOn) recycles the engine's event storage and its
+// generation arenas across that worker's trials. Index only with the
+// worker argument Run supplies — that is what makes the reuse
+// race-free. Create one cache per sweep or scenario run, so the arenas
+// die with it instead of outliving the run.
+type Engines []*sim.Engine
+
+// NewEngines sizes a cache for the current worker bound.
+func NewEngines() Engines { return make(Engines, Jobs()) }
+
+// Get returns worker w's engine, creating it on first use. The seed is
+// irrelevant: every run Resets the engine with its own trial seed. A nil
+// cache returns nil, which BuildOn treats as "build a fresh engine".
+func (e Engines) Get(w int) *sim.Engine {
+	if e == nil {
+		return nil
+	}
+	if e[w] == nil {
+		e[w] = sim.New(0)
+	}
+	return e[w]
 }

@@ -148,3 +148,19 @@ func TestConcurrentTrialsAreIsolated(t *testing.T) {
 		}
 	})
 }
+
+func TestEnginesPerWorker(t *testing.T) {
+	defer SetJobs(0)
+	SetJobs(2)
+	engs := NewEngines()
+	if len(engs) != 2 {
+		t.Fatalf("NewEngines sized %d, want the worker bound 2", len(engs))
+	}
+	if a := engs.Get(1); a == nil || engs.Get(1) != a || engs.Get(0) == a {
+		t.Error("Get must create one engine per worker and keep returning it")
+	}
+	var none Engines
+	if none.Get(0) != nil {
+		t.Error("a nil cache must return nil, BuildOn's fresh-engine signal")
+	}
+}

@@ -77,11 +77,27 @@ type CQ struct {
 	cond    *sim.Cond
 	// Completed counts all CQEs ever pushed (polled or not).
 	Completed uint64
+
+	// arenaNext links the engine's CQ arena (NewCQ).
+	arenaNext *CQ
 }
 
-// NewCQ creates a completion queue on engine eng.
+// NewCQ creates a completion queue on engine eng, taking it from the
+// engine's CQ arena: a recycled CQ keeps its entry storage (cleared) and
+// its Cond (reset), and nothing else.
 func NewCQ(eng *sim.Engine) *CQ {
-	return &CQ{eng: eng, cond: sim.NewCond(eng)}
+	s := scratchFor(eng)
+	cq := s.cqs.Take(eng)
+	if cq == nil {
+		cq = &CQ{eng: eng, cond: sim.NewCond(eng)}
+		s.cqs.Add(cq)
+		return cq
+	}
+	entries, cond := cq.entries, cq.cond
+	entries.Clear()
+	cond.Reset(eng)
+	*cq = CQ{eng: eng, entries: entries, cond: cond, arenaNext: cq.arenaNext}
+	return cq
 }
 
 // Cond returns the condition broadcast on every new completion; use it

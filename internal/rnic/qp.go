@@ -142,8 +142,12 @@ type QPStats struct {
 // QP is a queue pair: both the requester and the responder state machines
 // of one Reliable Connection endpoint.
 type QP struct {
-	rnic   *RNIC
-	Num    uint32
+	rnic *RNIC
+	Num  uint32
+	// ePSN is the responder's expected PSN. It sits here, apart from the
+	// rest of the responder state, to fill Num's padding, which keeps
+	// the QP in the 416-byte allocation size class.
+	ePSN   uint32
 	sendCQ *CQ
 	recvCQ *CQ
 
@@ -176,9 +180,8 @@ type QP struct {
 	// devices; see EnableIRN and internal/rnic/irn.go).
 	irn *irn.State
 
-	// Responder state.
-	ePSN uint32
-	rq   fifo.Queue[RecvWR]
+	// Responder state (and ePSN above).
+	rq fifo.Queue[RecvWR]
 	// atomicReplay caches executed atomics' original values for
 	// duplicate replay (see atomics.go).
 	atomicReplay map[uint32]uint64
@@ -190,6 +193,30 @@ type QP struct {
 	Stats QPStats
 	// labels is the QP's rendered telemetry label set (qptable.go).
 	labels string
+
+	// arenaNext links the engine's QP arena (CreateQP); recycle keeps it.
+	arenaNext *QP
+}
+
+// recycle returns a QP taken back from the engine's arena to the zero
+// state CreateQP fills in, field by field: it keeps only the arena link,
+// the queues' storage (cleared) and the cached method values, which
+// bind this same pointer.
+func (qp *QP) recycle() {
+	kept := QP{
+		sq:          qp.sq,
+		out:         qp.out,
+		rq:          qp.rq,
+		atomicOrder: qp.atomicOrder,
+		onTimeoutFn: qp.onTimeoutFn,
+		resumeFn:    qp.resumeFn,
+		arenaNext:   qp.arenaNext,
+	}
+	kept.sq.Clear()
+	kept.out.Clear()
+	kept.rq.Clear()
+	kept.atomicOrder.Clear()
+	*qp = kept
 }
 
 // deliver pushes a CQE, tallying it in the device's per-status

@@ -98,8 +98,8 @@ type RNIC struct {
 	// busyQPs counts QPs with outstanding requests (the load signal for
 	// the §VI-C timeout-lengthening effect).
 	busyQPs int
-	// wqes is the engine's free list of send work request objects.
-	wqes *wqePool
+	// scratch is the engine's WR free list and RNIC, QP and CQ arenas.
+	scratch *scratch
 	// DCQCN state (EnableDCQCN): dcqcn holds the loop parameters, and
 	// lineGbps is the port rate new QPs' rate limiters start at.
 	dcqcnOn  bool
@@ -138,23 +138,49 @@ type RNIC struct {
 	IrnRetrans uint64
 	// wcByStatus counts work completions per WCStatus.
 	wcByStatus [numWCStatuses]uint64
+
+	// arenaNext links the engine's RNIC arena (New).
+	arenaNext *RNIC
+}
+
+// clearSlice empties s for reuse, zeroing its whole storage so no stale
+// pointer outlives the run that stored it.
+func clearSlice[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // New creates an RNIC attached to fab at the given LID, with its own
 // address space.
+//
+// The device struct comes from the engine's RNIC arena. A recycled one
+// keeps only its QP table's and MR list's storage, cleared.
 func New(fab *fabric.Fabric, lid uint16, name string, prof Profile, memCfg hostmem.Config) *RNIC {
 	eng := fab.Engine()
+	s := scratchFor(eng)
+	r := s.rnics.Take(eng)
+	var qps []qpSlot
+	var mrs []*MR
+	if r == nil {
+		r = new(RNIC)
+		s.rnics.Add(r)
+	} else {
+		qps, mrs = clearSlice(r.qps), clearSlice(r.mrs)
+	}
 	as := hostmem.NewAddressSpace(eng, memCfg)
-	r := &RNIC{
-		Name:    name,
-		eng:     eng,
-		AS:      as,
-		ODP:     odp.New(as, prof.ODP),
-		prof:    prof,
-		pool:    fab.Pool(),
-		wqes:    wqePoolFor(eng),
-		tel:     telemetry.NewRegistryOn(eng, name, telemetry.Labels{"device": name}),
-		nextKey: 1,
+	*r = RNIC{
+		Name:      name,
+		eng:       eng,
+		AS:        as,
+		ODP:       odp.New(as, prof.ODP),
+		prof:      prof,
+		pool:      fab.Pool(),
+		scratch:   s,
+		tel:       telemetry.NewRegistryOn(eng, name, telemetry.Labels{"device": name}),
+		nextKey:   1,
+		qps:       qps,
+		mrs:       mrs,
+		arenaNext: r.arenaNext,
 	}
 	r.registerMetrics()
 	r.ODP.RegisterMetrics(r.tel)
@@ -352,33 +378,45 @@ func (r *RNIC) lookupMR(addr hostmem.Addr, length int) (kind MemKind, ok bool) {
 	return KindPinned, false
 }
 
-// wqePool is a free list, linked through wqe.next, of send work request
-// objects whose WR completed, flushed or was dropped by Reset. One pool
-// serves every RNIC on an engine and lives in the engine's Aux storage,
-// so it survives Reset: clusters rebuilt on a reused engine take the
-// previous run's objects, as the packet pool's users do.
-type wqePool struct{ free *wqe }
+// scratch is the storage every RNIC on an engine draws from. It lives
+// in the engine's Aux storage, so it survives Reset: clusters rebuilt on
+// a reused engine take the previous run's objects, as the packet pool's
+// users do.
+type scratch struct {
+	// freeWQEs is the free list, linked through wqe.next, of send work
+	// request objects whose WR completed, flushed or was dropped by
+	// Reset.
+	freeWQEs *wqe
+	// rnics, qps and cqs are the engine-generation arenas New, CreateQP
+	// and NewCQ take from.
+	rnics sim.Arena[RNIC]
+	qps   sim.Arena[QP]
+	cqs   sim.Arena[CQ]
+}
 
-// wqePoolKey is the engine Aux key the WR pool lives under.
-const wqePoolKey = "rnic.wqes"
+// scratchKey is the engine Aux key the scratch lives under.
+const scratchKey = "rnic.scratch"
 
-func wqePoolFor(eng *sim.Engine) *wqePool {
-	p, _ := eng.Aux(wqePoolKey).(*wqePool)
-	if p == nil {
-		p = &wqePool{}
-		eng.SetAux(wqePoolKey, p)
+func scratchFor(eng *sim.Engine) *scratch {
+	s, _ := eng.Aux(scratchKey).(*scratch)
+	if s == nil {
+		s = &scratch{}
+		s.rnics.Link = func(r *RNIC) **RNIC { return &r.arenaNext }
+		s.qps.Link = func(qp *QP) **QP { return &qp.arenaNext }
+		s.cqs.Link = func(cq *CQ) **CQ { return &cq.arenaNext }
+		eng.SetAux(scratchKey, s)
 	}
-	return p
+	return s
 }
 
 // newWQE takes a zeroed send work request object from the free list,
 // allocating only when the list is empty.
 func (r *RNIC) newWQE() *wqe {
-	w := r.wqes.free
+	w := r.scratch.freeWQEs
 	if w == nil {
 		return new(wqe)
 	}
-	r.wqes.free = w.next
+	r.scratch.freeWQEs = w.next
 	w.next = nil
 	return w
 }
@@ -386,20 +424,25 @@ func (r *RNIC) newWQE() *wqe {
 // freeWQE zeroes a WR object that left its QP's queues and returns it to
 // the free list.
 func (r *RNIC) freeWQE(w *wqe) {
-	*w = wqe{next: r.wqes.free}
-	r.wqes.free = w
+	*w = wqe{next: r.scratch.freeWQEs}
+	r.scratch.freeWQEs = w
 }
 
-// CreateQP creates a queue pair bound to the completion queues.
+// CreateQP creates a queue pair bound to the completion queues, taking
+// it from the engine's QP arena.
 func (r *RNIC) CreateQP(sendCQ, recvCQ *CQ) *QP {
-	qp := &QP{
-		rnic:   r,
-		Num:    r.nextQPN(),
-		sendCQ: sendCQ,
-		recvCQ: recvCQ,
+	qp := r.scratch.qps.Take(r.eng)
+	if qp != nil {
+		qp.recycle()
+	} else {
+		qp = new(QP)
+		r.scratch.qps.Add(qp)
+		qp.onTimeoutFn = qp.onTimeout
+		qp.resumeFn = qp.resumePending
 	}
-	qp.onTimeoutFn = qp.onTimeout
-	qp.resumeFn = qp.resumePending
+	qp.rnic = r
+	qp.Num = r.nextQPN()
+	qp.sendCQ, qp.recvCQ = sendCQ, recvCQ
 	if r.dcqcnOn {
 		qp.rate = congestion.NewRateStateOn(r.eng, r.dcqcn, r.lineGbps)
 	}

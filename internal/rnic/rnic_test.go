@@ -584,7 +584,7 @@ func TestCQPollFillsCallerBuffer(t *testing.T) {
 func pooledWQEs(t *testing.T, r *RNIC) int {
 	t.Helper()
 	n := 0
-	for w := r.wqes.free; w != nil; w = w.next {
+	for w := r.scratch.freeWQEs; w != nil; w = w.next {
 		if *w != (wqe{next: w.next}) {
 			t.Fatalf("pooled WR %d not zeroed: %+v", n, *w)
 		}

@@ -147,9 +147,11 @@ func qpTelemetryTrial(eng *sim.Engine, n int) (*RNIC, telemetry.Snapshot) {
 	return dev, hub.Snapshot(0)
 }
 
-// qpOwnAllocs is what creating one QP allocates outside telemetry: the
-// QP itself and its two cached timer method values.
-const qpOwnAllocs = 3
+// qpOwnAllocs is what creating one QP allocates outside telemetry on a
+// warm engine: nothing, because the engine's QP arena hands back the
+// previous trial's QP with its cached timer method values (a cold QP
+// costs 3: the QP and the two method values).
+const qpOwnAllocs = 0
 
 // TestAllocBudgetQPTelemetry pins per-QP telemetry at zero allocations:
 // a warm trial with 1000 more QPs allocates only the QPs' own objects,

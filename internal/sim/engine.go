@@ -251,8 +251,9 @@ type Engine struct {
 	fired   uint64
 	resets  uint64
 	stopped bool
-	procs   int // live (not finished, not aborted) processes
-	blocked int // processes currently parked on a Cond or sleep
+	procs   int   // live (not finished, not aborted) processes
+	live    *Proc // the live processes, linked through Proc.next
+	blocked int   // processes currently parked on a Cond or sleep
 	// aux holds storage attached to the engine that, like the event free
 	// list, survives Reset — e.g. the fabric's packet pool, so trial
 	// loops that rebuild the fabric per run keep recycling one pool.

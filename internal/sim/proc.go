@@ -3,7 +3,7 @@ package sim
 import "fmt"
 
 // procAbort is the panic value used to unwind a process goroutine when the
-// simulation shuts down while the process is parked.
+// simulation shuts down while the process is parked (Engine.Shutdown).
 type procAbort struct{}
 
 // Proc is a simulated process: a goroutine whose execution is interleaved
@@ -23,6 +23,9 @@ type Proc struct {
 	// wakeFn is the cached unblock-and-resume callback, so sleeps and
 	// broadcasts schedule it without allocating a closure per wake.
 	wakeFn func()
+	// prev and next link the engine's live processes (Engine.live), so
+	// Shutdown can find the ones still parked.
+	prev, next *Proc
 }
 
 // Name returns the name given to Go.
@@ -49,6 +52,11 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 		p.run()
 	}
 	e.procs++
+	p.next = e.live
+	if e.live != nil {
+		e.live.prev = p
+	}
+	e.live = p
 	go p.main(fn)
 	// The start event pairs with the increment so blocked is unchanged
 	// once the process actually begins running.
@@ -57,24 +65,39 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// main is the process goroutine's body.
+// main is the process goroutine's body. A process unwound by Shutdown
+// exits through the same path as one whose fn returned.
 func (p *Proc) main(fn func(p *Proc)) {
-	<-p.tok // wait for the start event
 	defer func() {
 		if r := recover(); r != nil {
-			if _, ok := r.(procAbort); ok {
-				// Simulation shut down; exit quietly.
-				p.done = true
-				p.tok <- struct{}{}
-				return
+			if _, ok := r.(procAbort); !ok {
+				panic(r)
 			}
-			panic(r)
 		}
+		p.exit()
+		p.tok <- struct{}{}
 	}()
+	<-p.tok // wait for the start event
+	if p.abort {
+		return // shut down before it ever ran
+	}
 	fn(p)
+}
+
+// exit retires a finished or aborted process from the engine's live set.
+func (p *Proc) exit() {
 	p.done = true
-	p.eng.procs--
-	p.tok <- struct{}{}
+	e := p.eng
+	e.procs--
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		e.live = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	}
+	p.prev, p.next = nil, nil
 }
 
 // run hands control to the process goroutine and blocks the event loop
@@ -120,6 +143,16 @@ type Cond struct {
 
 // NewCond creates a condition bound to engine e.
 func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
+
+// Reset returns the condition to NewCond(e)'s state, keeping the waiter
+// list's storage, for holders that recycle a Cond across engine
+// Resets. It also clears the storage past the list's end, where
+// Broadcast leaves the previous run's processes.
+func (c *Cond) Reset(e *Engine) {
+	clear(c.waiters[:cap(c.waiters)])
+	c.waiters = c.waiters[:0]
+	c.eng = e
+}
 
 // Broadcast wakes every process currently waiting on the condition. The
 // woken processes run (and re-check their predicates) as events at the
@@ -180,6 +213,24 @@ func (p *Proc) WaitTimeout(c *Cond, d Time, pred func() bool) bool {
 // parked with no scheduled events — i.e. the simulation cannot progress.
 func (e *Engine) Deadlocked() bool {
 	return e.procs > 0 && e.QueueLen() == 0
+}
+
+// Shutdown unwinds every live process: each parked one resumes with its
+// blocking call (Sleep, Wait, WaitTimeout, Yield) panicking inside its
+// own goroutine, so its deferred calls run and the goroutine exits, and
+// a process whose start event never fired exits without running. Call
+// it once a run is over and daemon processes (server loops that park
+// forever) are still parked; it releases their goroutines and
+// everything they reference, and lets the engine be Reset. Events
+// still queued to resume an unwound process do nothing. Shutdown must
+// not be called from inside a process.
+func (e *Engine) Shutdown() {
+	for e.live != nil {
+		p := e.live
+		p.abort = true
+		p.tok <- struct{}{}
+		<-p.tok
+	}
 }
 
 // MustRun runs the simulation and panics if it ends with live processes

@@ -240,3 +240,56 @@ func TestProcDeterminism(t *testing.T) {
 		}
 	}
 }
+
+func TestShutdownUnwindsParkedProcesses(t *testing.T) {
+	e := New(1)
+	c := NewCond(e)
+	var unwound []string
+	e.Go("waiter", func(p *Proc) {
+		defer func() { unwound = append(unwound, "waiter") }()
+		p.Wait(c, func() bool { return false })
+	})
+	e.Go("sleeper", func(p *Proc) {
+		defer func() { unwound = append(unwound, "sleeper") }()
+		for {
+			p.Sleep(Second)
+		}
+	})
+	e.RunUntil(10 * Second)
+	e.Go("unstarted", func(p *Proc) { t.Error("a process shut down before its start event ran") })
+	e.Shutdown()
+	if e.procs != 0 || e.live != nil {
+		t.Fatalf("after Shutdown: %d live process(es)", e.procs)
+	}
+	if len(unwound) != 2 {
+		t.Errorf("deferred calls ran for %v, want both parked processes", unwound)
+	}
+	e.Run() // the sleeper's queued wake-up must do nothing
+	e.Reset(2)
+	e.Shutdown() // nothing live: a no-op
+}
+
+func TestCondResetClearsStaleWaiters(t *testing.T) {
+	e := New(1)
+	c := NewCond(e)
+	e.Go("w", func(p *Proc) {
+		n := 0
+		p.Wait(c, func() bool { n++; return n > 1 })
+	})
+	e.Schedule(1, c.Broadcast)
+	e.MustRun()
+	full := c.waiters[:cap(c.waiters)]
+	if len(full) == 0 || full[0] == nil {
+		t.Fatal("expected Broadcast to leave the woken process past the list's end")
+	}
+	e2 := New(2)
+	c.Reset(e2)
+	if c.eng != e2 || len(c.waiters) != 0 {
+		t.Errorf("Reset left eng %p, %d waiters", c.eng, len(c.waiters))
+	}
+	for i, p := range c.waiters[:cap(c.waiters)] {
+		if p != nil {
+			t.Errorf("waiter storage slot %d still holds %q", i, p.name)
+		}
+	}
+}

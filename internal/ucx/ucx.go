@@ -73,6 +73,9 @@ type Worker struct {
 	done     fifo.Queue[completion]
 	doneBase uint64
 	recvs    fifo.Queue[rnic.CQE]
+
+	// arenaNext links the engine's worker arena (NewWorker).
+	arenaNext *Worker
 }
 
 // completion is what a waiter needs from a request's CQE.
@@ -84,9 +87,45 @@ type completion struct {
 	completed, claimed bool
 }
 
-// NewWorker creates a worker.
+// arenas are the engine-generation arenas (see sim.Arena) workers and
+// endpoints are taken from, kept in the engine's Aux storage.
+type arenas struct {
+	workers   sim.Arena[Worker]
+	endpoints sim.Arena[Endpoint]
+}
+
+// arenasKey is the engine Aux key the arenas live under.
+const arenasKey = "ucx.arenas"
+
+func arenasFor(eng *sim.Engine) *arenas {
+	a, _ := eng.Aux(arenasKey).(*arenas)
+	if a == nil {
+		a = &arenas{}
+		a.workers.Link = func(w *Worker) **Worker { return &w.arenaNext }
+		a.endpoints.Link = func(e *Endpoint) **Endpoint { return &e.arenaNext }
+		eng.SetAux(arenasKey, a)
+	}
+	return a
+}
+
+// NewWorker creates a worker, taking it from the engine's worker arena:
+// a recycled worker keeps its completion table's and receive queue's
+// storage, cleared, and nothing else.
 func (c *Context) NewWorker() *Worker {
-	return &Worker{ctx: c, cq: rnic.NewCQ(c.nic.Engine())}
+	eng := c.nic.Engine()
+	a := &arenasFor(eng).workers
+	w := a.Take(eng)
+	if w == nil {
+		w = new(Worker)
+		a.Add(w)
+	} else {
+		done, recvs := w.done, w.recvs
+		done.Clear()
+		recvs.Clear()
+		*w = Worker{done: done, recvs: recvs, arenaNext: w.arenaNext}
+	}
+	w.ctx, w.cq = c, rnic.NewCQ(eng)
+	return w
 }
 
 // RegisterBuffer registers a buffer according to the context's ODP
@@ -108,6 +147,21 @@ func (w *Worker) RegisterBuffer(addr hostmem.Addr, length int) sim.Time {
 type Endpoint struct {
 	worker *Worker
 	qp     *rnic.QP
+	// arenaNext links the engine's endpoint arena (Connect).
+	arenaNext *Endpoint
+}
+
+// newEndpoint takes an endpoint of w over qp from the engine's arena.
+func newEndpoint(w *Worker, qp *rnic.QP) *Endpoint {
+	eng := w.ctx.nic.Engine()
+	a := &arenasFor(eng).endpoints
+	e := a.Take(eng)
+	if e == nil {
+		e = new(Endpoint)
+		a.Add(e)
+	}
+	*e = Endpoint{worker: w, qp: qp, arenaNext: e.arenaNext}
+	return e
 }
 
 // QP exposes the underlying queue pair (stats, state).
@@ -121,7 +175,7 @@ func Connect(a, b *Worker) (*Endpoint, *Endpoint) {
 	pa := rnic.ConnParams{CACK: a.ctx.cfg.CACK, RetryCount: a.ctx.cfg.RetryCnt, MinRNRDelay: a.ctx.cfg.MinRNRDelay}
 	pb := rnic.ConnParams{CACK: b.ctx.cfg.CACK, RetryCount: b.ctx.cfg.RetryCnt, MinRNRDelay: b.ctx.cfg.MinRNRDelay}
 	rnic.ConnectPair(qa, qb, pa, pb)
-	return &Endpoint{worker: a, qp: qa}, &Endpoint{worker: b, qp: qb}
+	return newEndpoint(a, qa), newEndpoint(b, qb)
 }
 
 // Request identifies an in-flight asynchronous operation.
