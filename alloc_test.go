@@ -1,10 +1,13 @@
-// Alloc-budget guard for the congested datapath. The switched-fabric
-// stage is on the same zero-allocation ownership contract as the analytic
-// datapath (DESIGN.md §8–§9): entries, VL rings, ports, switches, rate
-// states and delivery lines are all recycled through engine-generation
-// arenas, so a warm trial — rebuild the two-switch topology, run a
-// 4096-packet PFC-paused burst to completion — stays within a handful of
-// allocations (down from ~12,450 before the pooling work landed).
+// The root package's measured loops: one fixture per loop, shared by
+// its Benchmark in bench_test.go, its warm alloc budget and the exact
+// work-count pin below. The fabric and transport datapaths are on the
+// zero-allocation ownership contract (DESIGN.md §8–§9): packets, entries,
+// VL rings, ports, switches, rate states, delivery lines, QPs and WRs
+// are all recycled through engine-generation arenas, so a warm trial
+// stays within a handful of allocations (the congested trial was
+// ~12,450 before the pooling work landed). Allocations are measured with
+// testing.AllocsPerRun after a warm-up trial, which reads the same with
+// and without -race; wall clock is left to the benchmarks and perfbench.
 package odpsim
 
 import (
@@ -13,6 +16,7 @@ import (
 	"odpsim/internal/apps/sparkucx"
 	"odpsim/internal/cluster"
 	"odpsim/internal/congestion"
+	"odpsim/internal/core"
 	"odpsim/internal/fabric"
 	"odpsim/internal/hostmem"
 	"odpsim/internal/packet"
@@ -20,156 +24,230 @@ import (
 	"odpsim/internal/sim"
 )
 
-// congestedAllocCeiling bounds the warm-trial allocation count for the
-// BenchmarkCongestedSend loop body. The measured warm figure is ~4
-// (telemetry registration method values); the ceiling leaves headroom
-// for allocator noise, not for growth — investigate anything above
-// single digits.
-const congestedAllocCeiling = 32
+// burstPackets is how many packets one fabric trial sends.
+const burstPackets = 4096
 
-func TestAllocBudgetCongestedSend(t *testing.T) {
-	eng := sim.New(1)
-	seed := int64(0)
-	trial := func() {
-		seed++
-		eng.Reset(seed)
-		f := fabric.New(eng, fabric.DefaultConfig())
-		src := f.AttachPort(1, "src", func(*packet.Packet) {})
-		f.AttachPort(2, "dst", func(*packet.Packet) {})
-		ccfg := congestion.DefaultConfig()
-		ccfg.PFC = true
-		f.EnableCongestion(ccfg)
-		pool := f.Pool()
-		for j := 0; j < 4096; j++ {
-			p := pool.Get()
-			p.Opcode = packet.OpReadRequest
-			p.DLID = 2
-			p.PSN = uint32(j)
-			src.Send(p)
-		}
-		eng.Run()
-	}
-	trial() // first trial warms the arenas
-
-	avg := testing.AllocsPerRun(10, trial)
-	t.Logf("congested send→deliver trial allocates %.0f/op (ceiling %d)", avg, congestedAllocCeiling)
-	if avg > congestedAllocCeiling {
-		t.Errorf("congested trial allocates %.0f/op, ceiling %d — the switched datapath regressed off the warm-allocation contract",
-			avg, congestedAllocCeiling)
+// sendBurst sends burstPackets pooled READ requests from the first half
+// of ports to the second: packet j leaves host j%h for LID h+1+(j+1)%h,
+// so on the Clos every flow crosses a spine.
+func sendBurst(pool *packet.Pool, ports []*fabric.Port) {
+	h := len(ports) / 2
+	for j := 0; j < burstPackets; j++ {
+		p := pool.Get()
+		p.Opcode = packet.OpReadRequest
+		p.DLID = uint16(h + 1 + (j+1)%h)
+		p.PSN = uint32(j)
+		ports[j%h].Send(p)
 	}
 }
 
-// closAllocCeiling bounds the warm-trial allocation count when the
-// rebuilt fabric is a leaf-spine Clos instead of the chain: the graph is
-// bigger (6 switches, 16 links, per-switch CSR routing tables), but the
-// arenas, egress slices and table backing arrays all recycle across
-// Reset, so a warm trial must stay as flat as the chain's.
-const closAllocCeiling = 32
+// fabricBurst is the send→deliver fixture of the analytic datapath, the
+// congested chain and the Clos: each trial resets the engine, rebuilds
+// the fabric and its hosts, enables the switched stage when ccfg is set
+// and runs one sendBurst to completion.
+type fabricBurst struct {
+	eng   *sim.Engine
+	ccfg  *congestion.Config // nil: the analytic datapath, no switches
+	ports []*fabric.Port
+	fab   *fabric.Fabric // the last trial's fabric
+}
 
-func TestAllocBudgetClosSend(t *testing.T) {
+func newFabricBurst(hosts int, ccfg *congestion.Config) *fabricBurst {
+	return &fabricBurst{eng: sim.New(1), ccfg: ccfg, ports: make([]*fabric.Port, hosts)}
+}
+
+func (fb *fabricBurst) trial(seed int64) {
+	fb.eng.Reset(seed)
+	fb.fab = fabric.New(fb.eng, fabric.DefaultConfig())
+	for i := range fb.ports {
+		fb.ports[i] = fb.fab.AttachPort(uint16(i+1), "host", func(*packet.Packet) {})
+	}
+	if fb.ccfg != nil {
+		fb.fab.EnableCongestion(*fb.ccfg)
+	}
+	sendBurst(fb.fab.Pool(), fb.ports)
+	fb.eng.Run()
+}
+
+// datapathBurst is two hosts on the analytic fabric.
+func datapathBurst() *fabricBurst { return newFabricBurst(2, nil) }
+
+// congestedBurst is two hosts on opposite edge switches of the default
+// chain with PFC on: every packet crosses the 4×-oversubscribed
+// inter-switch link, and the host uplink is XOFF/XON-paused while the
+// burst drains.
+func congestedBurst() *fabricBurst {
 	ccfg := congestion.DefaultConfig()
-	ccfg.Topology = congestion.ClosTopology(2, 4, 4)
+	ccfg.PFC = true
+	return newFabricBurst(2, &ccfg)
+}
+
+// closBurst is eight hosts round-robin across the four leaves of a
+// radix-4 leaf-spine Clos (6 switches, 16 links, per-switch CSR routing
+// tables, seeded-hash ECMP on the spine hop).
+func closBurst() *fabricBurst {
+	ccfg := smallPFC(congestion.ClosTopology(2, 4, 4))
+	return newFabricBurst(8, &ccfg)
+}
+
+// smallPFC is PFC on topo with a 1 KiB XOFF and a 512 B XON threshold,
+// so a small cell pauses under the burst.
+func smallPFC(topo congestion.Topology) congestion.Config {
+	ccfg := congestion.DefaultConfig()
+	ccfg.Topology = topo
 	ccfg.PFC = true
 	ccfg.XOffBytes = 1 << 10
 	ccfg.XOnBytes = 512
-
-	eng := sim.New(1)
-	seed := int64(0)
-	trial := func() {
-		seed++
-		eng.Reset(seed)
-		f := fabric.New(eng, fabric.DefaultConfig())
-		// Eight hosts round-robin across the four leaves; every flow
-		// below crosses a spine, so ECMP and the routing tables are on
-		// the measured path.
-		ports := make([]*fabric.Port, 8)
-		for lid := uint16(1); lid <= 8; lid++ {
-			ports[lid-1] = f.AttachPort(lid, "host", func(*packet.Packet) {})
-		}
-		f.EnableCongestion(ccfg)
-		pool := f.Pool()
-		for j := 0; j < 4096; j++ {
-			src := ports[j%4]          // leaves 0..3
-			dst := uint16(5 + (j+1)%4) // the other replica on each leaf
-			p := pool.Get()
-			p.Opcode = packet.OpReadRequest
-			p.DLID = dst
-			p.PSN = uint32(j)
-			src.Send(p)
-		}
-		eng.Run()
-	}
-	trial() // first trial warms the arenas (incl. CSR routing tables)
-
-	avg := testing.AllocsPerRun(10, trial)
-	t.Logf("clos send→deliver trial allocates %.0f/op (ceiling %d)", avg, closAllocCeiling)
-	if avg > closAllocCeiling {
-		t.Errorf("clos trial allocates %.0f/op, ceiling %d — graph rebuild or ECMP routing left the warm-allocation contract",
-			avg, closAllocCeiling)
-	}
+	return ccfg
 }
 
-// irnAllocCeiling bounds the warm-trial allocation count for the IRN
-// selective-repeat send path. The trial rebuilds a two-node IRN cluster
-// on a Reset-reused engine and floods 256 pinned-memory WRITEs over a
-// 10%-lossy fabric, so SACK frames, reorder-buffer stashes and
-// single-PSN retransmits are all on the measured path. The measured warm
-// figure is 14 (15 under -race), all of it per rebuild: cluster and
-// fabric headers, node names, MR objects, ODP engine headers and the
-// receive method value each device binds. RNIC structs, CQs and QPs come from the
-// engine-generation arenas (56 before they did). Work request objects
-// come from the engine's WR pool and the send, outstanding and
-// completion queues reuse their storage, so the 256 WRs add nothing; the
-// per-QP IRN State comes from the irn.StateFor arena and the
-// SACK/stash/retransmit datapath allocates nothing per packet. That is
-// the contract this ceiling pins — any per-WR, per-packet or per-SACK
-// allocation would add ≥256 and blow straight through it. The ceiling
-// is the -race figure plus ~8%.
-const irnAllocCeiling = 16
-
-func TestAllocBudgetIRNSend(t *testing.T) {
+// irnTrial is the IRN selective-repeat fixture: a two-node KNL cluster on
+// the IRN transport, rebuilt on eng, floods 256 pinned-memory WRITEs over
+// a 10%-lossy fabric, so SACK frames, reorder-buffer stashes and
+// single-PSN retransmits are all on the path. It returns the client QP
+// once every WRITE has completed.
+func irnTrial(tb testing.TB, eng *sim.Engine, seed int64) *rnic.QP {
 	sys := cluster.KNL()
 	sys.LossRate = 0.1
 	sys.Transport = "irn"
+	cl := sys.BuildOn(eng, seed, 2)
+	client, server := cl.Nodes[0], cl.Nodes[1]
+
+	const n, size = 256, 512
+	lbuf := client.AS.Alloc(n * size)
+	rbuf := server.AS.Alloc(n * size)
+	client.AS.Touch(lbuf, n*size)
+	server.AS.Touch(rbuf, n*size)
+	client.RegisterMR(lbuf, n*size)
+	server.RegisterMR(rbuf, n*size)
+
+	cq := rnic.NewCQ(cl.Eng)
+	scq := rnic.NewCQ(cl.Eng)
+	params := rnic.ConnParams{CACK: 8, RetryCount: 7, MinRNRDelay: sim.FromMillis(1.28)}
+	qc := client.CreateQP(cq, cq)
+	qs := server.CreateQP(scq, scq)
+	rnic.ConnectPair(qc, qs, params, params)
+	for i := 0; i < n; i++ {
+		off := hostmem.Addr(i * size)
+		qc.PostSend(rnic.SendWR{ID: uint64(i), Op: rnic.OpWrite,
+			LocalAddr: lbuf + off, RemoteAddr: rbuf + off, Len: size})
+	}
+	cl.Eng.Run()
+	if got := cq.Len(); got != n {
+		tb.Fatalf("completed %d/%d WRITEs", got, n)
+	}
+	return qc
+}
+
+// warmAllocs runs trial once to fill the arenas, then returns its mean
+// allocations over 10 warm runs.
+func warmAllocs(trial func()) float64 {
+	trial()
+	return testing.AllocsPerRun(10, trial)
+}
+
+// checkAllocCeiling logs a warm reading next to its ceiling and fails
+// the test above it.
+func checkAllocCeiling(t *testing.T, what string, avg float64, ceiling int, why string) {
+	t.Helper()
+	t.Logf("%s allocates %.0f/op (ceiling %d)", what, avg, ceiling)
+	if avg > float64(ceiling) {
+		t.Errorf("%s allocates %.0f/op, ceiling %d — %s", what, avg, ceiling, why)
+	}
+}
+
+// The warm-trial ceilings sit at the measured readings, the same with
+// and without -race; they leave no headroom, so any new allocation in a
+// trial fails its test. The chain's 4 are per-rebuild telemetry
+// registration method values; the Clos rebuild adds 2.
+const (
+	congestedAllocCeiling = 4
+	closAllocCeiling      = 6
+)
+
+func TestAllocBudgetCongestedSend(t *testing.T) {
+	fb, seed := congestedBurst(), int64(0)
+	avg := warmAllocs(func() { seed++; fb.trial(seed) })
+	checkAllocCeiling(t, "congested send→deliver trial", avg, congestedAllocCeiling,
+		"the switched datapath regressed off the warm-allocation contract")
+}
+
+func TestAllocBudgetClosSend(t *testing.T) {
+	fb, seed := closBurst(), int64(0)
+	avg := warmAllocs(func() { seed++; fb.trial(seed) })
+	checkAllocCeiling(t, "clos send→deliver trial", avg, closAllocCeiling,
+		"graph rebuild or ECMP routing left the warm-allocation contract")
+}
+
+// irnAllocCeiling bounds the warm IRN trial. The measured figure is 14
+// (15 or 16 under -race), all of it per rebuild: cluster and fabric headers,
+// node names, MR objects, ODP engine headers and the receive method
+// value each device binds. RNIC structs, CQs and QPs come from the
+// engine-generation arenas (56 before they did), WRs from the engine's
+// WR pool, and the per-QP IRN State from the irn.StateFor arena; the
+// send, outstanding and completion queues reuse their storage and the
+// SACK/stash/retransmit datapath allocates nothing per packet. Any
+// per-WR, per-packet or per-SACK allocation adds ≥256. The ceiling is
+// the highest -race reading.
+const irnAllocCeiling = 16
+
+func TestAllocBudgetIRNSend(t *testing.T) {
+	eng := sim.New(1)
+	avg := warmAllocs(func() { irnTrial(t, eng, 7) })
+	checkAllocCeiling(t, "irn send trial", avg, irnAllocCeiling,
+		"the selective-repeat path regressed off the warm-allocation contract")
+}
+
+// TestWorkCountsExact pins the work each measured loop does: the events
+// its engine fires and the counts its fixture exposes. They are pure
+// functions of the code and the seed, the same on any host, at any
+// GOMAXPROCS or lane count and under -race, so they gate exactly what
+// the alloc budgets cannot see: work that allocates nothing, such as one
+// extra event per packet or one more retransmit. A changed count is
+// explained in its change like a changed golden line.
+func TestWorkCountsExact(t *testing.T) {
+	check := func(what string, got, want uint64) {
+		t.Helper()
+		t.Logf("%s = %d", what, got)
+		if got != want {
+			t.Errorf("%s = %d, want %d", what, got, want)
+		}
+	}
 
 	eng := sim.New(1)
-	trial := func() {
-		cl := sys.BuildOn(eng, 7, 2)
-		client, server := cl.Nodes[0], cl.Nodes[1]
+	cfg := core.DefaultBench()
+	cfg.Eng, cfg.Seed = eng, 1
+	r := core.RunMicrobench(cfg) // resets eng first, so read the count after
+	check("microbench events", eng.EventsFired(), 22)
+	check("microbench packets on wire", r.PacketsOnWire, 12)
+	check("microbench retransmits", r.Retransmits, 4)
 
-		const n, size = 256, 512
-		lbuf := client.AS.Alloc(n * size)
-		rbuf := server.AS.Alloc(n * size)
-		client.AS.Touch(lbuf, n*size)
-		server.AS.Touch(rbuf, n*size)
-		client.RegisterMR(lbuf, n*size)
-		server.RegisterMR(rbuf, n*size)
-
-		cq := rnic.NewCQ(cl.Eng)
-		scq := rnic.NewCQ(cl.Eng)
-		params := rnic.ConnParams{CACK: 8, RetryCount: 7, MinRNRDelay: sim.FromMillis(1.28)}
-		qc := client.CreateQP(cq, cq)
-		qs := server.CreateQP(scq, scq)
-		rnic.ConnectPair(qc, qs, params, params)
-
-		for i := 0; i < n; i++ {
-			off := hostmem.Addr(i * size)
-			qc.PostSend(rnic.SendWR{ID: uint64(i), Op: rnic.OpWrite,
-				LocalAddr: lbuf + off, RemoteAddr: rbuf + off, Len: size})
-		}
-		cl.Eng.Run()
-		if got := cq.Len(); got != n {
-			t.Fatalf("completed %d/%d WRITEs", got, n)
-		}
+	for _, c := range []struct {
+		name   string
+		fb     *fabricBurst
+		events uint64
+	}{
+		{"datapath", datapathBurst(), 4096},
+		{"congested", congestedBurst(), 24576},
+		{"clos", closBurst(), 32768},
+	} {
+		c.fb.trial(1)
+		check(c.name+" events", c.fb.eng.EventsFired(), c.events)
+		check(c.name+" delivered", c.fb.fab.Delivered, burstPackets)
 	}
-	trial() // first trial warms the arenas (incl. the IRN state arena)
 
-	avg := testing.AllocsPerRun(10, trial)
-	t.Logf("irn send trial allocates %.0f/op (ceiling %d)", avg, irnAllocCeiling)
-	if avg > irnAllocCeiling {
-		t.Errorf("irn trial allocates %.0f/op, ceiling %d — the selective-repeat path regressed off the warm-allocation contract",
-			avg, irnAllocCeiling)
+	sf := newShardedFabric(8, 2)
+	sf.trial(7)
+	var events uint64
+	for _, e := range sf.engs {
+		events += e.EventsFired()
 	}
+	check("sharded events", events, 262256)
+	check("sharded digests", uint64(sf.digests), 112)
+
+	qc := irnTrial(t, eng, 7)
+	check("irn events", eng.EventsFired(), 698)
+	check("irn retransmits", qc.Stats.Retransmits, 35)
 }
 
 // sparkWavePerFetchCeiling bounds the marginal allocation count of one

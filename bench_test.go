@@ -14,12 +14,9 @@ import (
 	"odpsim/internal/apps/kvstore"
 	"odpsim/internal/apps/sparkucx"
 	"odpsim/internal/cluster"
-	"odpsim/internal/congestion"
 	"odpsim/internal/core"
-	"odpsim/internal/fabric"
 	"odpsim/internal/hostmem"
 	"odpsim/internal/odp"
-	"odpsim/internal/packet"
 	"odpsim/internal/parallel"
 	"odpsim/internal/perftest"
 	"odpsim/internal/regcache"
@@ -674,8 +671,10 @@ func BenchmarkExtension_SparkEngine(b *testing.B) {
 
 var _ = odp.DefaultConfig // keep the odp import for ablation docs references
 
-// --- BenchmarkSweep family: the parallel sweep runner and engine hot
-// path, tracked in BENCH_baseline.json via `odpperf -write-bench` ---
+// --- Micro-loops: the sweep runner, the engine hot path and the
+// datapaths. They time the loops; the warm alloc budgets and
+// TestWorkCountsExact gate allocations and work, and perfbench measures
+// wall clock end to end. ---
 
 // benchSweepGrid is the reduced Fig-4 sweep the runner benchmarks share.
 func benchSweepGrid(b *testing.B, jobs int) {
@@ -710,8 +709,8 @@ func BenchmarkSweepTimeoutProbability(b *testing.B) {
 
 // BenchmarkSweepEngineEventLoop measures the engine hot path alone: the
 // RC requester's schedule-ACK-cancel pattern on a Reset-reused engine.
-// The event free list and eager Cancel keep allocs/op flat (one Timer
-// handle per After is all that escapes).
+// The event free list and value Timers keep a warm loop allocation-free
+// (TestEngineAllocsFlat pins it at zero).
 func BenchmarkSweepEngineEventLoop(b *testing.B) {
 	eng := sim.New(1)
 	b.ReportAllocs()
@@ -728,94 +727,31 @@ func BenchmarkSweepEngineEventLoop(b *testing.B) {
 }
 
 // BenchmarkSweepDatapathSendDeliver measures the pooled packet datapath:
-// a rebuilt fabric and a 4096-packet send→deliver stream per iteration,
-// everything drawn from the engine-generation arenas. Warm, the whole
-// loop stays within a couple of allocations (DESIGN.md §8;
-// TestAllocBudgetSendDeliver pins the steady-state budget).
-func BenchmarkSweepDatapathSendDeliver(b *testing.B) {
-	eng := sim.New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng.Reset(int64(i))
-		f := fabric.New(eng, fabric.DefaultConfig())
-		src := f.AttachPort(1, "src", func(*packet.Packet) {})
-		f.AttachPort(2, "dst", func(*packet.Packet) {})
-		pool := f.Pool()
-		for j := 0; j < 4096; j++ {
-			p := pool.Get()
-			p.Opcode = packet.OpReadRequest
-			p.DLID = 2
-			p.PSN = uint32(j)
-			src.Send(p)
-		}
-		eng.Run()
-	}
-}
+// the datapathBurst fixture, a rebuilt fabric and a 4096-packet
+// send→deliver stream per iteration, everything drawn from the
+// engine-generation arenas (DESIGN.md §8). Cold construction is inside
+// the timed loop, so allocs/op falls with b.N; the warm budgets in
+// internal/fabric and TestWorkCountsExact gate it.
+func BenchmarkSweepDatapathSendDeliver(b *testing.B) { benchFabricBurst(b, datapathBurst()) }
 
-// BenchmarkCongestedSend measures the same pooled send→deliver stream
-// through the switched lossless-fabric stage of internal/congestion: two
-// hosts on opposite edge switches with PFC on, so every packet crosses
-// the 4×-oversubscribed inter-switch link and the host uplink is
-// XOFF/XON-paused while the burst drains. The delta against
-// BenchmarkSweepDatapathSendDeliver is the per-packet cost of the switch
-// model (buffer accounting, VL queues, the PFC state machine). The
-// switched stage is on the warm zero-allocation contract (DESIGN.md §9):
-// entries, VL rings, wires and topology come from engine-generation
-// arenas, and TestAllocBudgetCongestedSend pins the warm trial budget.
-func BenchmarkCongestedSend(b *testing.B) {
-	eng := sim.New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng.Reset(int64(i))
-		f := fabric.New(eng, fabric.DefaultConfig())
-		src := f.AttachPort(1, "src", func(*packet.Packet) {})
-		f.AttachPort(2, "dst", func(*packet.Packet) {})
-		ccfg := congestion.DefaultConfig()
-		ccfg.PFC = true
-		f.EnableCongestion(ccfg)
-		pool := f.Pool()
-		for j := 0; j < 4096; j++ {
-			p := pool.Get()
-			p.Opcode = packet.OpReadRequest
-			p.DLID = 2
-			p.PSN = uint32(j)
-			src.Send(p)
-		}
-		eng.Run()
-	}
-}
+// BenchmarkCongestedSend measures the same stream through the switched
+// lossless-fabric stage of internal/congestion (congestedBurst). The
+// delta against BenchmarkSweepDatapathSendDeliver is the per-packet cost
+// of the switch model: buffer accounting, VL queues, the PFC state
+// machine. TestAllocBudgetCongestedSend pins the warm trial budget.
+func BenchmarkCongestedSend(b *testing.B) { benchFabricBurst(b, congestedBurst()) }
 
-// BenchmarkCongestedSendClos is BenchmarkCongestedSend on a leaf-spine
-// Clos (radix 4, 4× oversubscription) with eight hosts spread across the
-// four leaves: every packet is routed by the per-switch CSR tables and
+// BenchmarkCongestedSendClos is the stream on a leaf-spine Clos
+// (closBurst): every packet is routed by the per-switch CSR tables and
 // the spine hop is picked by seeded-hash ECMP, so the delta against
 // BenchmarkCongestedSend is the cost of graph routing over the
 // hard-wired chain. TestAllocBudgetClosSend pins the warm trial budget.
-func BenchmarkCongestedSendClos(b *testing.B) {
-	ccfg := congestion.DefaultConfig()
-	ccfg.Topology = congestion.ClosTopology(2, 4, 4)
-	ccfg.PFC = true
-	ccfg.XOffBytes = 1 << 10
-	ccfg.XOnBytes = 512
-	eng := sim.New(1)
+func BenchmarkCongestedSendClos(b *testing.B) { benchFabricBurst(b, closBurst()) }
+
+func benchFabricBurst(b *testing.B, fb *fabricBurst) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		eng.Reset(int64(i))
-		f := fabric.New(eng, fabric.DefaultConfig())
-		ports := make([]*fabric.Port, 8)
-		for lid := uint16(1); lid <= 8; lid++ {
-			ports[lid-1] = f.AttachPort(lid, "host", func(*packet.Packet) {})
-		}
-		f.EnableCongestion(ccfg)
-		pool := f.Pool()
-		for j := 0; j < 4096; j++ {
-			p := pool.Get()
-			p.Opcode = packet.OpReadRequest
-			p.DLID = uint16(5 + (j+1)%4)
-			p.PSN = uint32(j)
-			ports[j%4].Send(p)
-		}
-		eng.Run()
+		fb.trial(int64(i))
 	}
 }
 
@@ -824,10 +760,10 @@ func BenchmarkCongestedSendClos(b *testing.B) {
 // engines, each absorbing a 4096-packet cross-edge burst through the
 // switched PFC fabric, with digest flights converging on pod 0 over the
 // shard boundary links. The shards=8/shards=1 wall-clock ratio is the
-// scale-out speedup (recorded in BENCH_baseline.json; ≈1x on a
-// single-core host since the lanes are OS threads — see README's
-// scale-out section). Output is byte-identical at both counts, so the
-// only thing the lane count may change is the wall clock.
+// scale-out speedup (≈1x on a single-core host since the lanes are OS
+// threads — see README's scale-out section). Output is byte-identical at
+// both counts, so the only thing the lane count may change is the wall
+// clock.
 func BenchmarkShardedIncast(b *testing.B) {
 	for _, lanes := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", lanes), func(b *testing.B) {
@@ -843,42 +779,15 @@ func BenchmarkShardedIncast(b *testing.B) {
 	}
 }
 
-// BenchmarkIRNSend measures the IRN selective-repeat datapath: a
-// two-node cluster rebuilt per trial on a Reset-reused engine, flooding
-// 256 pinned-memory WRITEs over a 10%-lossy fabric so drops exercise
-// the SACK, reorder-buffer and single-PSN retransmit paths on every
-// iteration. TestAllocBudgetIRNSend pins the warm trial budget.
+// BenchmarkIRNSend measures the IRN selective-repeat datapath: the
+// irnTrial fixture, a two-node cluster rebuilt per iteration on a
+// Reset-reused engine, flooding 256 pinned-memory WRITEs over a
+// 10%-lossy fabric. TestAllocBudgetIRNSend pins the warm trial budget.
 func BenchmarkIRNSend(b *testing.B) {
-	sys := cluster.KNL()
-	sys.LossRate = 0.1
-	sys.Transport = "irn"
 	eng := sim.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cl := sys.BuildOn(eng, int64(i+1), 2)
-		client, server := cl.Nodes[0], cl.Nodes[1]
-		const n, size = 256, 512
-		lbuf := client.AS.Alloc(n * size)
-		rbuf := server.AS.Alloc(n * size)
-		client.AS.Touch(lbuf, n*size)
-		server.AS.Touch(rbuf, n*size)
-		client.RegisterMR(lbuf, n*size)
-		server.RegisterMR(rbuf, n*size)
-		cq := rnic.NewCQ(cl.Eng)
-		scq := rnic.NewCQ(cl.Eng)
-		params := rnic.ConnParams{CACK: 8, RetryCount: 7, MinRNRDelay: sim.FromMillis(1.28)}
-		qc := client.CreateQP(cq, cq)
-		qs := server.CreateQP(scq, scq)
-		rnic.ConnectPair(qc, qs, params, params)
-		for j := 0; j < n; j++ {
-			off := hostmem.Addr(j * size)
-			qc.PostSend(rnic.SendWR{ID: uint64(j), Op: rnic.OpWrite,
-				LocalAddr: lbuf + off, RemoteAddr: rbuf + off, Len: size})
-		}
-		cl.Eng.Run()
-		if got := cq.Len(); got != n {
-			b.Fatalf("completed %d/%d WRITEs", got, n)
-		}
+		irnTrial(b, eng, int64(i+1))
 	}
 }
 

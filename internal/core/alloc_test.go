@@ -6,11 +6,16 @@ import (
 	"odpsim/internal/sim"
 )
 
+// microbenchAllocCeiling is the highest warm reading of one
+// RunMicrobench trial on a Reset-reused engine, the loop every sweep
+// runs. The seed's datapath cost was 937 allocations a trial; the pooled
+// datapath and the engine-generation arenas (DESIGN.md §8) bring a
+// steady trial to 22. The first warm trials in a fresh process still
+// grow a few tables, which lifts the 20-trial mean to 23.
+const microbenchAllocCeiling = 23
+
 // TestAllocBudgetMicrobench pins the per-trial allocation budget of the
-// whole stack on a Reset-reused engine — the loop every sweep runs. The
-// seed's datapath cost was 937 allocs per trial; the pooled datapath and
-// the engine-generation arenas (DESIGN.md §8) bring a warm trial to ~60,
-// and this test fails the build if it creeps past 100.
+// whole stack at microbenchAllocCeiling.
 func TestAllocBudgetMicrobench(t *testing.T) {
 	eng := sim.New(1)
 	seed := int64(0)
@@ -23,7 +28,9 @@ func TestAllocBudgetMicrobench(t *testing.T) {
 	}
 	trial() // first trial warms the arenas
 
-	if avg := testing.AllocsPerRun(20, trial); avg > 100 {
-		t.Errorf("warm RunMicrobench trial allocates %.0f/op, budget 100", avg)
+	avg := testing.AllocsPerRun(20, trial)
+	t.Logf("warm RunMicrobench trial allocates %.0f/op (ceiling %d)", avg, microbenchAllocCeiling)
+	if avg > microbenchAllocCeiling {
+		t.Errorf("warm RunMicrobench trial allocates %.0f/op, ceiling %d", avg, microbenchAllocCeiling)
 	}
 }

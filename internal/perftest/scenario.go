@@ -9,7 +9,7 @@ import (
 
 // The perftest suite as a scenario workload: ib_read_lat / ib_read_bw /
 // the registration-mode comparison, selected by the scenario's renderer,
-// printed exactly as the historical odpperf driver did.
+// each printed in perftest's own report format.
 
 func init() { scenario.RegisterWorkload(workload{}) }
 
