@@ -5,6 +5,7 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"odpsim/internal/congestion"
@@ -223,7 +224,9 @@ func (s System) BuildOn(eng *sim.Engine, seed int64, nodes int) *Cluster {
 	}
 	c := &Cluster{Eng: eng, Fab: fab, Sys: s}
 	for i := 0; i < nodes; i++ {
-		name := fmt.Sprintf("node%d", i)
+		// Not fmt.Sprintf: its printer pool drops entries under -race and
+		// at each GC, which made warm-trial allocation counts wander.
+		name := "node" + strconv.Itoa(i)
 		n := rnic.New(fab, uint16(i+1), name, s.Device, s.Memory())
 		if s.Congestion != nil && s.Congestion.DCQCN.Enabled {
 			// Before any QPs exist, so every QP gets a rate limiter.

@@ -1,0 +1,23 @@
+package core
+
+import (
+	"fmt"
+
+	"odpsim/internal/scenario"
+)
+
+// IRNCell returns the configuration irn-compare runs for one cell of sc,
+// for the external tests: they need the scenario registry, whose
+// internal/scenario/paper imports this package.
+func IRNCell(sc *scenario.Scenario, mem, tport, fabric string) (BenchConfig, error) {
+	base, _, err := floodConfig(sc)
+	if err != nil {
+		return BenchConfig{}, err
+	}
+	for _, c := range irnCells(sc, base) {
+		if c.cfg.System.MemMode == mem && c.tport == tport && c.fabric == fabric {
+			return c.cfg, nil
+		}
+	}
+	return BenchConfig{}, fmt.Errorf("%s has no cell %s/%s/%s", sc.Name, mem, tport, fabric)
+}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"odpsim/internal/rnic"
+	"odpsim/internal/parallel"
 	"odpsim/internal/scenario"
 	"odpsim/internal/telemetry"
 )
@@ -70,49 +70,71 @@ func irnFabrics(sc *scenario.Scenario) []irnFabric {
 	}
 }
 
+// irnCell is one comparison cell: the flood on one memory mode,
+// transport and fabric.
+type irnCell struct {
+	cfg    BenchConfig
+	tport  string
+	fabric string
+}
+
+// irnCells lists the cells of the flood base in print order: memory
+// mode, then transport, then fabric.
+func irnCells(sc *scenario.Scenario, base BenchConfig) []irnCell {
+	fabrics := irnFabrics(sc)
+	cells := make([]irnCell, 0, len(memModes)*len(irnTransports)*len(fabrics))
+	for _, mem := range memModes {
+		for _, tr := range irnTransports {
+			for _, fb := range fabrics {
+				b := base
+				b.System.MemMode, b.System.Transport = mem, tr
+				c := fb.spec.Config()
+				b.System.Congestion = &c
+				cells = append(cells, irnCell{cfg: b, tport: tr, fabric: fb.label})
+			}
+		}
+	}
+	return cells
+}
+
 func (irnCompare) Run(sc *scenario.Scenario, out *scenario.Output) error {
-	cfg, err := benchConfig(sc)
+	cfg, op, err := floodConfig(sc)
 	if err != nil {
 		return err
 	}
-	// Same flood direction rule as the storm workload: server-side ODP
-	// drives WRITE bursts so the storm's own data contends; client-side
-	// ODP keeps the READ shape (the response stream contends instead).
-	op := "READ"
-	if cfg.Mode == ServerODP || cfg.Mode == BothODP {
-		cfg.OpOverride = func(int) rnic.SendOp { return rnic.OpWrite }
-		op = "WRITE"
-	}
+	// The cells fan across the worker pool on per-worker reused engines;
+	// the table prints from the result slots afterwards, in cell order.
+	cells := irnCells(sc, cfg)
+	results := make([]*BenchResult, len(cells))
+	engs := parallel.NewEngines()
+	parallel.Run(len(cells), func(w, i int) {
+		b := cells[i].cfg
+		b.Eng = engs.Get(w)
+		results[i] = RunMicrobench(b)
+	})
 	fmt.Fprintln(out.W, sc.ExpandedTitle())
 	fmt.Fprintf(out.W, "\nflood (%d %ss × %d B over %d QPs, %s, C_ACK=%d):\n",
 		cfg.NumOps, op, cfg.Size, cfg.NumQPs, cfg.Mode, cfg.CACK)
-	for mi, mem := range memModes {
-		if mi > 0 {
-			fmt.Fprintln(out.W)
-		}
-		fmt.Fprintf(out.W, "=== memory: %s ===\n", mem)
-		fmt.Fprintf(out.W, "%-5s %-9s %12s %8s %8s %8s %7s %8s %6s %6s %6s %9s %6s %9s\n",
-			"tport", "fabric", "exec", "retrans", "timeouts", "rnr_nak", "dammed", "discard", "flt", "ooo", "sack", "bdp_stall", "drops", "pause[us]")
-		for _, tr := range irnTransports {
-			for _, fb := range irnFabrics(sc) {
-				b := cfg
-				b.System.MemMode = mem
-				b.System.Transport = tr
-				c := fb.spec.Config()
-				b.System.Congestion = &c
-				r := RunMicrobench(b)
-				fmt.Fprintf(out.W, "%-5s %-9s %12v %8d %8d %8d %7d %8.0f %6d %6.0f %6.0f %9.0f %6.0f %9.0f\n",
-					tr, fb.label, time.Duration(r.ExecTime),
-					r.Retransmits, r.Timeouts, r.RNRNaksSent, r.DammedDrops,
-					r.Final.Total(telemetry.SimResponsesDiscarded),
-					r.ClientFaults,
-					r.Final.Total(telemetry.IrnOooLanded),
-					r.Final.Total(telemetry.IrnSackSent),
-					r.Final.Total(telemetry.IrnBdpStalls),
-					r.Final.Total(telemetry.SimSwitchDrops),
-					r.Final.Total(telemetry.TxPauseDuration))
+	for i, r := range results {
+		c := &cells[i]
+		if mem := c.cfg.System.MemMode; i == 0 || mem != cells[i-1].cfg.System.MemMode {
+			if i > 0 {
+				fmt.Fprintln(out.W)
 			}
+			fmt.Fprintf(out.W, "=== memory: %s ===\n", mem)
+			fmt.Fprintf(out.W, "%-5s %-9s %12s %8s %8s %8s %7s %8s %6s %6s %6s %9s %6s %9s\n",
+				"tport", "fabric", "exec", "retrans", "timeouts", "rnr_nak", "dammed", "discard", "flt", "ooo", "sack", "bdp_stall", "drops", "pause[us]")
 		}
+		fmt.Fprintf(out.W, "%-5s %-9s %12v %8d %8d %8d %7d %8.0f %6d %6.0f %6.0f %9.0f %6.0f %9.0f\n",
+			c.tport, c.fabric, time.Duration(r.ExecTime),
+			r.Retransmits, r.Timeouts, r.RNRNaksSent, r.DammedDrops,
+			r.Final.Total(telemetry.SimResponsesDiscarded),
+			r.ClientFaults,
+			r.Final.Total(telemetry.IrnOooLanded),
+			r.Final.Total(telemetry.IrnSackSent),
+			r.Final.Total(telemetry.IrnBdpStalls),
+			r.Final.Total(telemetry.SimSwitchDrops),
+			r.Final.Total(telemetry.TxPauseDuration))
 	}
 	return nil
 }

@@ -1,0 +1,61 @@
+package core_test
+
+import (
+	"bytes"
+	"testing"
+
+	"odpsim/internal/core"
+	"odpsim/internal/parallel"
+	"odpsim/internal/scenario"
+	_ "odpsim/internal/scenario/paper"
+	"odpsim/internal/sim"
+)
+
+// irnCellAllocCeiling is the warm reading of one irn-incast cell (IRN,
+// lossy Clos, server-side ODP, 512 WRITEs over 8 QPs) on a Reset-reused
+// engine, the loop irn-compare's workers run: QPs, CQs, RNICs, IRN
+// reorder state, switch ports, packets and the IRN back-off timers all
+// come back from the engine's arenas and free lists. It reads 23 with
+// and without -race; with a closure per RNR back-off it read 535.
+const irnCellAllocCeiling = 23
+
+// TestAllocBudgetIRNCompareCell pins the warm per-cell allocation budget
+// of irn-compare at irnCellAllocCeiling.
+func TestAllocBudgetIRNCompareCell(t *testing.T) {
+	sc, err := scenario.Lookup("irn-incast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := core.IRNCell(&sc, "odp", "irn", "lossy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Eng = sim.New(1)
+	core.RunMicrobench(cfg) // the first cell warms the arenas
+
+	avg := testing.AllocsPerRun(20, func() { core.RunMicrobench(cfg) })
+	t.Logf("warm irn-incast cell allocates %.0f/op (ceiling %d)", avg, irnCellAllocCeiling)
+	if avg > irnCellAllocCeiling {
+		t.Errorf("warm irn-incast cell allocates %.0f/op, ceiling %d", avg, irnCellAllocCeiling)
+	}
+}
+
+// TestStormOutputIndependentOfJobs runs the storm and irn-compare
+// workloads, whose cells fan across per-worker reused engines, at one
+// and at four workers: the bytes must not depend on which worker's
+// engine ran which cell, or in what order.
+func TestStormOutputIndependentOfJobs(t *testing.T) {
+	t.Cleanup(func() { parallel.SetJobs(0) })
+	for _, name := range []string{"irn-storm", "irn-incast", "storm-lossless"} {
+		var out [2]bytes.Buffer
+		for k, jobs := range []int{1, 4} {
+			parallel.SetJobs(jobs)
+			if err := scenario.RunNamed(name, &out[k], scenario.Options{Quick: true}); err != nil {
+				t.Fatalf("%s -j %d: %v", name, jobs, err)
+			}
+		}
+		if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
+			t.Errorf("%s: -j 4 output differs from -j 1:\n%s\nwant:\n%s", name, out[1].String(), out[0].String())
+		}
+	}
+}

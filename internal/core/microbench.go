@@ -66,7 +66,8 @@ type BenchConfig struct {
 
 	// OpOverride, when non-nil, chooses the operation type per index
 	// (used by the §V-C variants where the second operation is a WRITE
-	// or SEND). Default is READ for every op.
+	// or SEND). Default is READ for every op. RunMicrobench posts one
+	// server receive per SEND, none for the other operations.
 	OpOverride func(i int) rnic.SendOp
 
 	// TouchAllButFirst pre-touches every communication page except the
@@ -206,9 +207,13 @@ func RunMicrobench(cfg BenchConfig) *BenchResult {
 		rnic.ConnectPair(qc, qs, params, params)
 		qps[i] = qc
 		if cfg.OpOverride != nil {
-			// SEND variants need receive buffers on the server side.
-			for j := 0; j < cfg.NumOps; j++ {
-				qs.PostRecv(rnic.RecvWR{ID: uint64(j), Addr: rbuf, Len: cfg.Size})
+			// Each SEND consumes one receive on the server QP it lands
+			// on; op j posts on QP j mod NumQPs, so that QP gets one
+			// receive per SEND among its ops, in post order.
+			for j := i; j < cfg.NumOps; j += cfg.NumQPs {
+				if cfg.OpOverride(j) == rnic.OpSend {
+					qs.PostRecv(rnic.RecvWR{ID: uint64(j), Addr: rbuf, Len: cfg.Size})
+				}
 			}
 		}
 	}
@@ -223,41 +228,45 @@ func RunMicrobench(cfg BenchConfig) *BenchResult {
 		res.CompletionTime[i] = -1
 	}
 
-	var pinger *DummyPinger
 	var sampler *telemetry.Sampler
 	if cfg.SampleEvery > 0 {
 		sampler = telemetry.NewSampler(cl.Eng, cl.Telemetry(), cfg.SampleEvery)
 	}
+	// The process reads the knobs it needs from locals: capturing cfg
+	// would move the whole BenchConfig to the heap on every trial.
+	numOps, numQPs, size, interval := cfg.NumOps, cfg.NumQPs, cfg.Size, cfg.Interval
+	opAt, dummyPing, pingEvery := cfg.OpOverride, cfg.DummyPing, cfg.DummyPingInterval
 	cl.Eng.Go("microbench", func(p *sim.Proc) {
 		start := p.Now()
 		if sampler != nil {
 			sampler.Start()
 		}
-		if cfg.DummyPing {
-			pinger = StartDummyPinger(cl.Eng, qps[0], lbuf, rbuf, cfg.DummyPingInterval)
+		var pinger *DummyPinger
+		if dummyPing {
+			pinger = StartDummyPinger(cl.Eng, qps[0], lbuf, rbuf, pingEvery)
 		}
-		for i := 0; i < cfg.NumOps; i++ {
+		for i := 0; i < numOps; i++ {
 			op := rnic.OpRead
-			if cfg.OpOverride != nil {
-				op = cfg.OpOverride(i)
+			if opAt != nil {
+				op = opAt(i)
 			}
-			off := hostmem.Addr(cfg.Size * i)
-			qps[i%cfg.NumQPs].PostSend(rnic.SendWR{
+			off := hostmem.Addr(size * i)
+			qps[i%numQPs].PostSend(rnic.SendWR{
 				ID: uint64(i), Op: op,
-				LocalAddr: lbuf + off, RemoteAddr: rbuf + off, Len: cfg.Size,
+				LocalAddr: lbuf + off, RemoteAddr: rbuf + off, Len: size,
 			})
 			p.Sleep(post)
-			if cfg.Interval > 0 {
-				p.Sleep(cfg.Interval)
+			if interval > 0 {
+				p.Sleep(interval)
 			}
 		}
 		// wait(): poll the CQ until every operation completed (or the
 		// QP died).
 		done := 0
 		var wc [1]rnic.CQE
-		for done < cfg.NumOps {
+		for done < numOps {
 			cqC.WaitN(p, wc[:])
-			if e := &wc[0]; int(e.WRID) < cfg.NumOps && res.CompletionTime[e.WRID] < 0 {
+			if e := &wc[0]; int(e.WRID) < numOps && res.CompletionTime[e.WRID] < 0 {
 				done++
 				if e.Status == rnic.WCSuccess {
 					res.CompletionTime[e.WRID] = e.At

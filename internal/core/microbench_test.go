@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"odpsim/internal/cluster"
 	"odpsim/internal/rnic"
@@ -149,6 +150,40 @@ func TestSecondOpWriteOrSendAlsoDams(t *testing.T) {
 		r := RunMicrobench(cfg)
 		if !r.TimedOut() {
 			t.Errorf("second op %v: want damming timeout", op)
+		}
+	}
+}
+
+func TestMixedSendWriteOverrideNeedsNoRNR(t *testing.T) {
+	// RunMicrobench posts one server receive per SEND: a mixed override
+	// over 3 QPs, with op counts that do not divide evenly, must find a
+	// receive for every SEND (no RNR NAK) and complete every op.
+	cfg := DefaultBench()
+	cfg.Mode = NoODP
+	cfg.NumOps = 20
+	cfg.NumQPs = 3
+	cfg.OpOverride = func(i int) rnic.SendOp {
+		if i%4 == 1 || i%5 == 0 {
+			return rnic.OpSend
+		}
+		return rnic.OpWrite
+	}
+	// A SEND without a receive retries RNR forever (RNR retry 7), so a
+	// missing receive shows as a run that never ends.
+	done := make(chan *BenchResult, 1)
+	go func() { done <- RunMicrobench(cfg) }()
+	var r *BenchResult
+	select {
+	case r = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not finish: a SEND is retrying RNR NAKs without a receive")
+	}
+	if r.Failed || r.RNRNaksSent != 0 {
+		t.Fatalf("failed=%v, %d RNR NAKs; want every SEND to find a receive", r.Failed, r.RNRNaksSent)
+	}
+	for i, at := range r.CompletionTime {
+		if at < 0 {
+			t.Errorf("op %d did not complete with WCSuccess", i)
 		}
 	}
 }

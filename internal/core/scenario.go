@@ -230,21 +230,30 @@ func (progressSweep) Validate(sc *scenario.Scenario) error {
 }
 
 func (progressSweep) Run(sc *scenario.Scenario, out *scenario.Output) error {
-	for _, v := range sc.ResolvedVariants() {
+	base, err := benchConfig(sc)
+	if err != nil {
+		return err
+	}
+	if out.CounterCSV != "" {
+		base.SampleEvery = 10 * sim.Millisecond
+	}
+	// The variants fan across the worker pool on per-worker reused
+	// engines; each prints from its result slot, in order, afterwards.
+	variants := sc.ResolvedVariants()
+	results := make([]*BenchResult, len(variants))
+	engs := parallel.NewEngines()
+	parallel.Run(len(variants), func(w, i int) {
+		cfg := base
+		cfg.Eng = engs.Get(w)
+		cfg.NumOps = variants[i].Ops
+		results[i] = RunMicrobench(cfg)
+	})
+	for i, v := range variants {
 		fmt.Fprintln(out.W, sc.VariantTitle(v))
-		cfg, err := benchConfig(sc)
-		if err != nil {
-			return err
-		}
-		cfg.NumOps = v.Ops
 		if out.CounterCSV != "" {
-			cfg.SampleEvery = 10 * sim.Millisecond
+			writeCounterCSV(out, v.Ops, results[i])
 		}
-		r := RunMicrobench(cfg)
-		if out.CounterCSV != "" {
-			writeCounterCSV(out, v.Ops, r)
-		}
-		series := ProgressByPage(r, cfg.Size, sim.FromMillis(v.StepMs))
+		series := ProgressByPage(results[i], base.Size, sim.FromMillis(v.StepMs))
 		fmt.Fprint(out.W, stats.Table("t[ms]", series...))
 		fmt.Fprintln(out.W)
 	}

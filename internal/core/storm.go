@@ -66,20 +66,31 @@ func stormVariants(sc *scenario.Scenario) []stormVariant {
 	}
 }
 
+// floodConfig is the flood the storm and irn-compare workloads run: the
+// scenario's micro-benchmark, sending data *toward* the ODP side so the
+// storm itself is what contends in the fabric. Server-side ODP drives
+// WRITE bursts (RNR NAK → blind go-back-N replays of full data packets),
+// while client-side ODP keeps Fig-11's READ shape (the response stream
+// contends instead). op names the operation for the header line.
+func floodConfig(sc *scenario.Scenario) (cfg BenchConfig, op string, err error) {
+	cfg, err = benchConfig(sc)
+	if err != nil {
+		return cfg, "", err
+	}
+	if cfg.Mode == ServerODP || cfg.Mode == BothODP {
+		cfg.OpOverride = writeOnly
+		return cfg, "WRITE", nil
+	}
+	return cfg, "READ", nil
+}
+
+// writeOnly is the WRITE flood's OpOverride.
+func writeOnly(int) rnic.SendOp { return rnic.OpWrite }
+
 func (stormWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
-	cfg, err := benchConfig(sc)
+	cfg, op, err := floodConfig(sc)
 	if err != nil {
 		return err
-	}
-	// The flood sends data *toward* the ODP side so the storm itself is
-	// what contends in the fabric: server-side ODP drives WRITE bursts
-	// (RNR NAK → blind go-back-N replays of full data packets), while
-	// client-side ODP keeps Fig-11's READ shape (the response stream
-	// contends instead).
-	op := "READ"
-	if cfg.Mode == ServerODP || cfg.Mode == BothODP {
-		cfg.OpOverride = func(int) rnic.SendOp { return rnic.OpWrite }
-		op = "WRITE"
 	}
 	fmt.Fprintln(out.W, sc.ExpandedTitle())
 
@@ -87,16 +98,25 @@ func (stormWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 		cfg.NumOps, op, cfg.Size, cfg.NumQPs, cfg.Mode, cfg.CACK)
 	fmt.Fprintf(out.W, "%-20s %12s %9s %9s %7s %9s %8s %6s\n",
 		"fabric", "exec", "retrans", "timeouts", "drops", "pause[us]", "ecn", "cnps")
-	for _, v := range stormVariants(sc) {
+	// The variants fan across the worker pool on per-worker reused
+	// engines and print in order afterwards; the Table-13 row below
+	// recycles the same engines.
+	variants := stormVariants(sc)
+	results := make([]*BenchResult, len(variants))
+	engs := parallel.NewEngines()
+	parallel.Run(len(variants), func(w, i int) {
 		b := cfg
+		b.Eng = engs.Get(w)
 		b.System.Congestion = nil
-		if v.spec != nil {
-			c := v.spec.Config()
+		if spec := variants[i].spec; spec != nil {
+			c := spec.Config()
 			b.System.Congestion = &c
 		}
-		r := RunMicrobench(b)
+		results[i] = RunMicrobench(b)
+	})
+	for i, r := range results {
 		fmt.Fprintf(out.W, "%-20s %12v %9d %9d %7.0f %9.0f %8.0f %6.0f\n",
-			v.label, time.Duration(r.ExecTime), r.Retransmits, r.Timeouts,
+			variants[i].label, time.Duration(r.ExecTime), r.Retransmits, r.Timeouts,
 			r.Final.Total(telemetry.SimSwitchDrops),
 			r.Final.Total(telemetry.TxPauseDuration),
 			r.Final.Total(telemetry.SimSwitchEcnMarked),
@@ -112,7 +132,7 @@ func (stormWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 	}
 	knl := sparkucx.Table13Configs()[0]
 	knl.System = sc.ApplyFaults(knl.System)
-	row := sparkucx.MeasureRow(sparkucx.SparkTC, knl, sc.Trials, sc.SeedOrDefault(), waves, parallel.NewEngines())
+	row := sparkucx.MeasureRow(sparkucx.SparkTC, knl, sc.Trials, sc.SeedOrDefault(), waves, engs)
 	fmt.Fprintf(out.W, "\nTable-13 SparkTC on the congested fabric (%d trials):\n", sc.Trials)
 	fmt.Fprintf(out.W, "%-16s %6s %16s %16s %8s %8s\n", "", "QPs", "Disable [s]", "Enable [s]", "ratio", "omitted")
 	fmt.Fprintf(out.W, "%-16s %6d %9.1f ±%4.1f %9.1f ±%4.1f %8.2f %8d\n",

@@ -194,8 +194,9 @@ func NewAddressSpace(eng *sim.Engine, cfg Config) *AddressSpace {
 
 // reset returns a recycled address space to its just-constructed state,
 // keeping allocated storage: page entries (and their cached completion
-// closures, which capture only this AddressSpace and the page), the word
-// store's buckets, and the notifier list's backing array.
+// closures, which capture only this AddressSpace and the page, and both
+// waiter arrays), the word store's buckets, and the notifier list's
+// backing array.
 func (as *AddressSpace) reset(cfg Config) {
 	as.cfg = cfg
 	as.brk = PageSize
@@ -210,6 +211,13 @@ func (as *AddressSpace) reset(cfg Config) {
 		pg.state = Unmapped
 		pg.pins = 0
 		pg.resolveWaiters = pg.resolveWaiters[:0]
+		// A page that faulted once holds one waiter array and no spare
+		// until its second fault; allocating the spare here lets a
+		// recycled space reach steady state in its first warm trial
+		// instead of whichever later trial faults the page again.
+		if pg.resolveWaiters == nil && pg.waiterSpare != nil {
+			pg.resolveWaiters = make([]func(), 0, cap(pg.waiterSpare))
+		}
 	}
 }
 

@@ -226,3 +226,25 @@ func TestAllocNonPositivePanics(t *testing.T) {
 	}()
 	as.Alloc(0)
 }
+
+// TestResetReadiesSpareWaiters checks that a recycled address space
+// hands a page that faulted once its second waiter array at reset, so
+// the page's next fault in a later generation does not allocate it.
+func TestResetReadiesSpareWaiters(t *testing.T) {
+	eng, as := newAS(t)
+	p := PageOf(as.Alloc(PageSize))
+	as.ResolveFault(p, func() {})
+	eng.Run()
+	eng.Reset(2)
+	as = NewAddressSpace(eng, DefaultConfig()) // the same space, recycled
+	pg := as.lookup(p)
+	if pg == nil || cap(pg.resolveWaiters) == 0 || cap(pg.waiterSpare) == 0 {
+		t.Fatal("recycled page should hold both waiter arrays")
+	}
+	done := 0
+	as.ResolveFault(PageOf(as.Alloc(PageSize)), func() { done++ })
+	eng.Run()
+	if done != 1 || as.FaultsResolved != 1 {
+		t.Errorf("recycled fault: done=%d resolved=%d, want 1 and 1", done, as.FaultsResolved)
+	}
+}

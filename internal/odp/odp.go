@@ -113,6 +113,12 @@ func (t *pairTable) get(qp uint32, p hostmem.PageNo) bool {
 }
 
 func (t *pairTable) set(qp uint32, p hostmem.PageNo) {
+	t.grow(qp, p)[p>>6] |= 1 << (p & 63)
+}
+
+// grow extends the table to cover (qp, p) without setting it and returns
+// qp's row.
+func (t *pairTable) grow(qp uint32, p hostmem.PageNo) []uint64 {
 	if int(qp) >= len(t.rows) {
 		if int(qp) >= cap(t.rows) {
 			rows := make([][]uint64, int(qp)+1, 2*(int(qp)+1))
@@ -133,9 +139,19 @@ func (t *pairTable) set(qp uint32, p hostmem.PageNo) {
 		} else {
 			row = row[:w+1]
 		}
+		t.rows[qp] = row
 	}
-	row[p>>6] |= 1 << (p & 63)
-	t.rows[qp] = row
+	return row
+}
+
+// cover grows t to o's shape, so every pair o can hold fits in t
+// without allocating.
+func (t *pairTable) cover(o *pairTable) {
+	for qp, row := range o.rows {
+		if len(row) > 0 {
+			t.grow(uint32(qp), hostmem.PageNo(64*len(row)-1))
+		}
+	}
 }
 
 // clear resets an entry without growing the table; it reports whether
@@ -299,6 +315,11 @@ func (e *Engine) reset(as *hostmem.AddressSpace, cfg Config) {
 	e.pending.zero()
 	e.queuedSpurious.zero()
 	e.stale = 0
+	// Spurious re-accesses only follow faults, so queuedSpurious takes
+	// pending's shape here: a recycled engine is full-sized in its first
+	// warm trial, not in whichever later trial first sees spurious
+	// traffic.
+	e.queuedSpurious.cover(&e.pending)
 	// Keep each page's registrant list backing: entries go empty, and
 	// Fault treats an empty list as no resolve in flight.
 	for k, v := range e.interested {

@@ -291,3 +291,27 @@ func TestAccessPartialRange(t *testing.T) {
 		t.Error("range spilling into unfaulted page must not be accessible")
 	}
 }
+
+// TestRecycledEngineSizesSpuriousTable checks that a recycled engine
+// sizes its spurious table to the pairs the previous generation faulted,
+// so spurious traffic on them in a later generation does not grow it.
+func TestRecycledEngineSizesSpuriousTable(t *testing.T) {
+	eng, as, e := setup(t, DefaultConfig())
+	as.Alloc(129 * hostmem.PageSize)
+	a := as.Alloc(hostmem.PageSize) // page 130
+	e.Fault(3, a, 32)
+	eng.Run()
+	eng.Reset(2)
+	as = hostmem.NewAddressSpace(eng, hostmem.DefaultConfig())
+	e = New(as, DefaultConfig()) // the same engine, recycled
+	p := hostmem.PageOf(a)
+	if rows := e.queuedSpurious.rows; len(rows) <= 3 || len(rows[3]) <= int(p>>6) {
+		t.Fatal("recycled spurious table does not cover the faulted pair")
+	}
+	e.Fault(3, a, 32)
+	e.Spurious(3, a, 32)
+	eng.Run()
+	if e.Updates != 1 || e.SpuriousTotal != 1 {
+		t.Errorf("recycled engine: updates=%d spurious=%d, want 1 and 1", e.Updates, e.SpuriousTotal)
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"odpsim/internal/irn"
 	"odpsim/internal/packet"
+	"odpsim/internal/sim"
 	"odpsim/internal/telemetry"
 )
 
@@ -72,6 +73,36 @@ func (qp *QP) irnRetransmitPSN(psn uint32) {
 	if !qp.toTimer.Pending() {
 		qp.armTimeout()
 	}
+}
+
+// irnRetry is one scheduled irnRetransmitPSN. Its callback is bound
+// once, at allocation, and the record returns to the engine's free list
+// (scratch.freeRetries) as it fires, so RNR and client-fault back-offs
+// do not allocate a closure each.
+type irnRetry struct {
+	qp   *QP
+	psn  uint32
+	next *irnRetry
+	fn   func()
+}
+
+// irnRetryAfter retransmits the request containing psn after delay.
+func (qp *QP) irnRetryAfter(delay sim.Time, psn uint32) {
+	s := qp.rnic.scratch
+	t := s.freeRetries
+	if t == nil {
+		t = new(irnRetry)
+		t.fn = func() {
+			owner, p := t.qp, t.psn
+			t.qp, t.next = nil, s.freeRetries
+			s.freeRetries = t
+			owner.irnRetransmitPSN(p)
+		}
+	} else {
+		s.freeRetries, t.next = t.next, nil
+	}
+	t.qp, t.psn = qp, psn
+	qp.rnic.eng.ScheduleAfter(delay, t.fn)
 }
 
 // irnHandleSack processes a selective acknowledgement: complete through

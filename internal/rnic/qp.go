@@ -526,8 +526,7 @@ func (qp *QP) backOff(delay sim.Time, o *wqe, fromPSN uint32) {
 		qp.enterPending(delay, fromPSN)
 		return
 	}
-	psn := o.firstPSN // timers capture the PSN, never the recycled wqe
-	qp.rnic.eng.ScheduleAfter(delay, func() { qp.irnRetransmitPSN(psn) })
+	qp.irnRetryAfter(delay, o.firstPSN) // the PSN, never the recycled wqe
 }
 
 // enterPending puts the requester into a pending window: the send engine

@@ -98,7 +98,8 @@ type RNIC struct {
 	// busyQPs counts QPs with outstanding requests (the load signal for
 	// the §VI-C timeout-lengthening effect).
 	busyQPs int
-	// scratch is the engine's WR free list and RNIC, QP and CQ arenas.
+	// scratch is the engine's WR and IRN-retry free lists and RNIC, QP
+	// and CQ arenas.
 	scratch *scratch
 	// DCQCN state (EnableDCQCN): dcqcn holds the loop parameters, and
 	// lineGbps is the port rate new QPs' rate limiters start at.
@@ -387,6 +388,9 @@ type scratch struct {
 	// request objects whose WR completed, flushed or was dropped by
 	// Reset.
 	freeWQEs *wqe
+	// freeRetries is the free list, linked through irnRetry.next, of
+	// fired IRN retransmission timers.
+	freeRetries *irnRetry
 	// rnics, qps and cqs are the engine-generation arenas New, CreateQP
 	// and NewCQ take from.
 	rnics sim.Arena[RNIC]
