@@ -755,13 +755,13 @@ func benchFabricBurst(b *testing.B, fb *fabricBurst) {
 	}
 }
 
-// BenchmarkShardedIncast measures the bounded-lag shard layer on a
-// 64-host fat-tree: eight radix-4 pod cells (8 hosts each) on per-pod
-// engines, each absorbing a 4096-packet cross-edge burst through the
-// switched PFC fabric, with digest flights converging on pod 0 over the
-// shard boundary links. The shards=8/shards=1 wall-clock ratio is the
-// scale-out speedup (≈1x on a single-core host since the lanes are OS
-// threads — see README's scale-out section). Output is byte-identical at
+// BenchmarkShardedIncast measures the shard layer on a 64-host
+// fat-tree: eight radix-4 pod cells (8 hosts each) on per-pod engines,
+// each absorbing a 4096-packet cross-edge burst through the switched PFC
+// fabric, with digest flights converging on pod 0 over the shard
+// boundary links (two topological waves). The shards=8/shards=1
+// wall-clock ratio is the scale-out speedup, bounded by the host's cores
+// since the lanes are OS threads (README's scale-out section). Output is byte-identical at
 // both counts, so the only thing the lane count may change is the wall
 // clock.
 func BenchmarkShardedIncast(b *testing.B) {

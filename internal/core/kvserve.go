@@ -20,12 +20,14 @@ import (
 // fat-tree, where every pod runs one server host and a rack of open-loop
 // GET clients hammering it over RDMA READ. The pattern is pod-local by
 // construction — a client only ever talks to its own pod's server — so
-// shard.Decompose splits it into one causal domain per pod and the shard
-// group runs the pods on parallel lanes, each pod simulating its own
-// PodTopology cell in full switch-level detail. The core tier the pods
-// would share carries only the periodic replication digests every pod
-// streams to pod 0, modelled as shard boundary links with the core's
-// oversubscribed rate.
+// shard.Decompose splits it into one causal domain per pod, each pod
+// simulating its own PodTopology cell in full switch-level detail. The
+// core tier the pods would share carries only the periodic replication
+// digests every pod streams to pod 0, modelled as shard boundary links
+// with the core's oversubscribed rate. Those links are a star into pod
+// 0, so the shard group runs in two topological waves: pods 1–15 run
+// dry first (in parallel on the lanes), buffering their digests on the
+// links, and then pod 0 runs once with every digest landed.
 //
 // What the scenario measures is the paper's pitfall at serving scale:
 // with the server region under Explicit ODP, first-touch GETs RNR-storm

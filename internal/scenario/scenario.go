@@ -95,7 +95,7 @@ type Scenario struct {
 	Pattern string `json:"pattern,omitempty"`
 
 	// Shards is the worker-lane count for workloads that execute through
-	// the bounded-lag shard layer (internal/shard): how many OS threads
+	// the shard layer (internal/shard): how many OS threads
 	// run the scenario's causal domains. The partition itself derives
 	// from the traffic structure, never from this knob, so output is
 	// byte-identical at every value — 0 means one lane. The odpsim

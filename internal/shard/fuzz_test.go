@@ -1,0 +1,149 @@
+package shard
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"odpsim/internal/sim"
+)
+
+// fuzzArg packs what a landing needs to check its own timing into the
+// flight's payload word: the send instant, the sending domain and a
+// per-domain send counter (which keeps every Arg unique).
+func fuzzArg(sent sim.Time, from, n int) uint64 {
+	return uint64(sent)<<24 | uint64(from)<<16 | uint64(n&0xffff)
+}
+
+// fuzzGroup decodes prog into a linked group of 2–6 domains and runs it
+// on lanes lanes, through the epoch loop when epochs is set. It returns
+// each domain's trace — local firings, landings, and the follow-ups
+// both schedule, each with Now, From and Arg — and whether the run took
+// the wave path.
+//
+// The decoded program: the domain count; an acyclic or cyclic mode (a
+// cyclic program always carries the 0⇄1 pair, an acyclic one only links
+// that climb a rotated domain rank); per ordered pair, whether a link
+// exists, its propagation delay and its rate; per domain, a handler send
+// budget and local events at coarse instants that may send on one of the
+// domain's outbound links and may schedule a follow-up. Every instant
+// and delay is a multiple of 10 ns, so landings often tie local events,
+// among them follow-ups scheduled after one path has drained the landing
+// and before the other has.
+func fuzzGroup(t *testing.T, prog []byte, lanes int, epochs bool) ([][]string, bool) {
+	next := 0
+	arg := func() int {
+		if next >= len(prog) {
+			return 0
+		}
+		next++
+		return int(prog[next-1])
+	}
+	n := 2 + arg()%5
+	cyclic := arg()&1 == 1
+	rot := arg()
+	g := NewGroup(lanes)
+	g.forceEpochs = epochs
+	ds := make([]*Domain, n)
+	for i := range ds {
+		ds[i] = g.AddDomain(sim.New(int64(i + 1)))
+	}
+	links := make([][]*Link, n) // outbound, in Connect order
+	prop := make([][]sim.Time, n)
+	for i := range prop {
+		prop[i] = make([]sim.Time, n)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			b, rate := arg(), arg()%4
+			forced := cyclic && i+j == 1
+			climbs := (i+rot)%n < (j+rot)%n
+			if !forced && (b%3 != 0 || (!cyclic && !climbs)) {
+				continue
+			}
+			prop[i][j] = sim.Time(10*(1+b/3%4)) * sim.Nanosecond
+			gbps := [...]float64{0, 8, 25, 100}[rate]
+			links[i] = append(links[i], g.Connect(ds[i], ds[j], gbps, prop[i][j]))
+		}
+	}
+
+	traces := make([][]string, n)
+	for i := range ds {
+		d := ds[i]
+		sends, budget := 0, arg()%8
+		send := func(pick, length int) {
+			out := links[i]
+			if len(out) == 0 {
+				return
+			}
+			sends++
+			out[pick%len(out)].Send(Flight{Len: length, Arg: fuzzArg(d.Eng.Now(), i, sends)})
+		}
+		record := func(kind string, from int, a uint64) {
+			traces[i] = append(traces[i], fmt.Sprintf("%d %s %d %d", int64(d.Eng.Now()), kind, from, a))
+		}
+		d.OnFlight(func(f Flight) {
+			now := d.Eng.Now()
+			sent := sim.Time(f.Arg >> 24)
+			if now != f.At || now < sent+prop[f.From][i] {
+				t.Errorf("domain %d: flight %d from %d sent at %v (prop %v) fired at %v, stamped At %v",
+					i, f.Arg, f.From, sent, prop[f.From][i], now, f.At)
+			}
+			record("land", f.From, f.Arg)
+			if f.Arg%3 == 0 {
+				later := sim.Time(10*(f.Arg>>8%3)) * sim.Nanosecond
+				d.Eng.Schedule(now+later, func() { record("echo", f.From, f.Arg) })
+			}
+			if budget > 0 {
+				budget--
+				send(int(f.Arg>>8), int(f.Arg%64))
+			}
+		})
+		for k := arg() % 6; k > 0; k-- {
+			at := sim.Time(10*(arg()%8)) * sim.Nanosecond
+			act, length := arg(), arg()%64
+			d.Eng.Schedule(at, func() {
+				record("local", i, uint64(act))
+				if act%2 == 0 {
+					send(act/2, length)
+				}
+				if later := sim.Time(10*(act/2%4)) * sim.Nanosecond; later > 0 {
+					d.Eng.Schedule(d.Eng.Now()+later, func() { record("follow", i, uint64(act)) })
+				}
+			})
+		}
+	}
+	g.Run()
+	if !g.cyclic && !epochs && g.ranEpochs != 0 {
+		t.Errorf("acyclic group ran %d epoch windows on the wave path", g.ranEpochs)
+	}
+	return traces, g.ranEpochs == 0
+}
+
+// FuzzGroupOrder holds the group to one trace per domain whatever runs
+// it: 1 or 3 lanes, the wave path or the forced epoch loop. Landing
+// order against same-instant local events is where drain timing could
+// leak into the trace, so the decoder makes such ties common.
+func FuzzGroupOrder(f *testing.F) {
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 3, 1, 3, 2, 0, 0, 0, 0, 4, 2, 0, 5, 1, 0, 9, 3, 2, 2, 4, 6})
+	f.Add([]byte{2, 1, 0, 3, 2, 6, 0, 5, 3, 1, 4, 0, 2, 1, 3, 10, 4, 0, 1, 2, 5, 2, 0, 1})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 512 {
+			prog = prog[:512]
+		}
+		want, waves := fuzzGroup(t, prog, 1, false)
+		for _, c := range []struct {
+			lanes  int
+			epochs bool
+		}{{3, false}, {1, true}, {3, true}} {
+			got, _ := fuzzGroup(t, prog, c.lanes, c.epochs)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("lanes=%d epochs=%v trace differs from lanes=1 (waves=%v):\n got %q\nwant %q",
+					c.lanes, c.epochs, waves, got, want)
+			}
+		}
+	})
+}

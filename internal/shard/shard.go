@@ -1,8 +1,7 @@
-// Package shard is the conservative bounded-lag parallel layer: it runs
-// one simulation as a Group of causal domains, each with its own
-// sim.Engine, and executes the domains' event loops concurrently on a
-// fixed pool of worker lanes without ever reordering an observable
-// event.
+// Package shard is the conservative parallel layer: it runs one
+// simulation as a Group of causal domains, each with its own sim.Engine,
+// and executes the domains' event loops concurrently on a fixed pool of
+// worker lanes without ever reordering an observable event.
 //
 // The unit of partitioning is the causal domain — a subgraph of the
 // simulated system (hosts, RNICs, ODP/NPR state, the switches between
@@ -14,27 +13,47 @@
 // OS threads execute the domains: output is byte-identical at any value,
 // the same contract internal/parallel established for sweep points.
 //
-// Cross-domain traffic moves as Flight values over boundary Links.
-// Execution proceeds in epochs: at each barrier the coordinator flips
-// every link's double buffer (flights emitted during the previous window
-// become visible to their destination), picks the global next event time
-// T, and releases every domain to drain its inbound flights and run
+// Cross-domain traffic moves as Flight values over directed boundary
+// Links, and the links form the group's link graph. A domain's safe time
+// follows from that graph (Chandy–Misra–Bryant): it may run up to the
+// earliest instant any upstream domain can still reach it, and a domain
+// with no inbound links may run to completion at once. When the graph is
+// acyclic, Run executes the domains in topological waves: wave 0 is
+// every domain without inbound links, wave k every domain whose sources
+// all sit in earlier waves. Each domain of a wave flips its inbound
+// links, lands every flight it will ever receive, and runs its engine
+// dry; the domains of one wave run concurrently on the lanes. A source
+// domain's flights stay buffered on their links until its wave ends.
+// Domains never wait on each other inside a wave, so each engine's heap,
+// RNICs and switches stay hot in cache for its whole run.
+//
+// A cycle in the link graph falls back to the global bounded-lag epoch
+// loop (Lubachevsky). At each barrier the coordinator flips every link's
+// double buffer (flights emitted during the previous window become
+// visible to their destination), picks the global next event time T,
+// and releases every domain to drain its inbound flights and run
 // RunHorizon(T + lookahead) in parallel. Lookahead is the minimum
 // boundary-link propagation delay: a flight emitted at or after T lands
 // at or after T + lookahead, so no domain can be surprised inside its
-// window — the classic conservative bounded-lag guarantee (Lubachevsky).
+// window.
 //
-// Determinism across lane counts holds because the only cross-domain
-// interaction is the barrier-ordered flight exchange: each domain drains
-// its inbound links in declaration order, merge-sorts the landed flights
-// by (At, source domain, source ReserveSeq), and schedules them in that
-// total order. Nothing a worker lane does can change what any domain
-// observes.
+// Determinism across lane counts, and between the wave and epoch paths,
+// holds because a landing's place in its destination's event order is
+// fixed when it is sent, not when it is drained. Each domain merge-sorts
+// its landed flights by (At, source domain, source ReserveSeq) and
+// schedules each at its At with a sequence number from a reserved band
+// derived from (From, Seq): the band's top bit orders a landing after
+// every local event at the same instant, and (From, Seq) orders landings
+// among themselves. Both paths insert every landing before the
+// destination's clock reaches it, so nothing a worker lane does, and
+// neither path, can change what any domain observes.
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"odpsim/internal/sim"
@@ -48,9 +67,8 @@ type Flight struct {
 	// At is the landing time at the destination domain, stamped by Send
 	// from the link's serialization cursor plus propagation delay.
 	At sim.Time
-	// Seq is the source engine's ReserveSeq claim, the tie-break that
-	// makes the destination's merge order identical to a single-engine
-	// interleaving of the same sends.
+	// Seq is the source engine's ReserveSeq claim, the tie-break among
+	// flights from one source landing at the same instant.
 	Seq uint64
 	// From is the source domain's index, stamped by Send: the middle
 	// component of the (At, From, Seq) merge key.
@@ -68,10 +86,11 @@ type Flight struct {
 // Link is a directed boundary link between two domains: a serializing
 // egress (one flight on the wire at a time at the configured rate)
 // followed by a fixed propagation delay. Flights are double-buffered:
-// the source appends to pending during its window, the coordinator flips
-// pending into ready at the epoch barrier, and the destination drains
-// ready at the start of its next window — so producer and consumer never
-// touch the same slice concurrently, with the pool barrier providing the
+// the source appends to pending while it runs, pending is flipped into
+// ready when the source can send no more before the destination drains
+// (at the epoch barrier, or when the destination's wave starts), and
+// the destination drains ready — so producer and consumer never touch
+// the same slice concurrently, with the pool barrier providing the
 // happens-before edge. Both buffers recycle their backing arrays.
 type Link struct {
 	src, dst  *Domain
@@ -96,9 +115,28 @@ func (l *Link) Send(f Flight) {
 	l.free = start + sim.Time(float64(f.Len)*l.nsPerByte)
 	f.At = l.free + l.prop
 	f.Seq = eng.ReserveSeq()
+	if f.Seq >= 1<<fromShift {
+		panic("shard: source engine sequence outgrew the landing tie-break band")
+	}
 	f.From = l.src.id
 	l.pending = append(l.pending, f)
 }
+
+// A landing is scheduled at its At with the sequence number
+// landBand | From<<fromShift | Seq. Local sequence numbers never reach
+// the band's top bit, so a landing orders after every local event at
+// the same instant, and the (From, Seq) tail orders landings among
+// themselves exactly as the merge does. The key is fixed at Send, so
+// when a flight is drained — early in a wave, or in whichever epoch the
+// barrier lets it through — cannot change what fires first.
+const (
+	landBand   = uint64(1) << 63
+	fromShift  = 47
+	maxDomains = 1 << (63 - fromShift)
+)
+
+// landSeq is f's landing tie-break in its destination engine.
+func landSeq(f Flight) uint64 { return landBand | uint64(f.From)<<fromShift | f.Seq }
 
 // Domain is one causal partition: an engine plus its inbound boundary
 // links. The owner builds whatever system it likes on Eng (clusters,
@@ -112,10 +150,9 @@ type Domain struct {
 	// inbox holds drained flights whose landing events are scheduled
 	// but not yet fired, kept sorted by (At, From, Seq) from inboxHead
 	// on; landFn pops the head. One landing event is scheduled per
-	// flight, and events fire in time order, so by the time an event at
-	// time t fires every flight ordered before the head has already
-	// been popped and the head's At is exactly t — even when a later
-	// epoch's drain merges in flights that land before a previous
+	// flight, and landing events fire in (At, From, Seq) order (landSeq),
+	// so the firing event's flight is always the head — even when a
+	// later epoch's drain merges in flights that land before a previous
 	// epoch's beyond-horizon leftovers.
 	inbox     []Flight
 	inboxHead int
@@ -132,16 +169,17 @@ func (d *Domain) ID() int { return d.id }
 // install a handler before the group runs.
 func (d *Domain) OnFlight(h func(Flight)) { d.handler = h }
 
-// flightAfter reports whether a orders after b in the (At, From, Seq)
-// total order — the group's canonical cross-domain delivery order.
-func flightAfter(a, b Flight) bool {
-	if a.At != b.At {
-		return a.At > b.At
+// compareFlights orders flights by (At, From, Seq), the group's
+// canonical cross-domain delivery order; it is total, since Seq is
+// unique per source.
+func compareFlights(a, b Flight) int {
+	if c := cmp.Compare(a.At, b.At); c != 0 {
+		return c
 	}
-	if a.From != b.From {
-		return a.From > b.From
+	if c := cmp.Compare(a.From, b.From); c != 0 {
+		return c
 	}
-	return a.Seq > b.Seq
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // land pops the inbox head — the minimal un-popped flight, which is the
@@ -157,11 +195,8 @@ func (d *Domain) land() {
 }
 
 // drain moves every ready inbound flight into the engine as a landing
-// event. Flights are merged across links and sorted by
-// (At, From, Seq) — a total order, since Seq is unique per source — with
-// an insertion sort: each link's ready slice is already sorted (egress
-// cursors are monotone), so the merge is nearly ordered and the sort is
-// cheap and allocation-free. The sorted batch is then merged into the
+// event. Flights are merged across links and sorted by (At, From, Seq),
+// in place and allocation-free. The sorted batch is then merged into the
 // inbox's un-popped tail rather than appended: a previous epoch can
 // leave flights whose At lies beyond its horizon (heterogeneous link
 // props, a congested egress cursor), and a later batch may land before
@@ -176,15 +211,7 @@ func (d *Domain) drain() {
 		return
 	}
 	m := d.merge
-	for i := 1; i < len(m); i++ {
-		f := m[i]
-		j := i - 1
-		for j >= 0 && flightAfter(m[j], f) {
-			m[j+1] = m[j]
-			j--
-		}
-		m[j+1] = f
-	}
+	slices.SortFunc(m, compareFlights)
 	// Compact the consumed prefix so an inbox that never fully empties
 	// cannot grow without bound across epochs.
 	if d.inboxHead > 0 {
@@ -200,7 +227,7 @@ func (d *Domain) drain() {
 	d.inbox = append(d.inbox, m...)
 	i, j, k := old-1, len(m)-1, len(d.inbox)-1
 	for j >= 0 {
-		if i >= 0 && flightAfter(d.inbox[i], m[j]) {
+		if i >= 0 && compareFlights(d.inbox[i], m[j]) > 0 {
 			d.inbox[k] = d.inbox[i]
 			i--
 		} else {
@@ -210,19 +237,35 @@ func (d *Domain) drain() {
 		k--
 	}
 	for _, f := range m {
-		d.Eng.Schedule(f.At, d.landFn)
+		d.Eng.ScheduleSeq(f.At, landSeq(f), d.landFn)
 	}
 }
 
 // Group runs a set of domains to completion over a fixed number of
 // worker lanes. Domains and links are added before Run; the group is
 // single-use per run but domains' engines may be Reset and the group
-// rebuilt, arena-style, by the caller.
+// rewound, arena-style, by the caller.
 type Group struct {
 	lanes     int
 	domains   []*Domain
 	links     []*Link
 	lookahead sim.Time
+
+	// The wave schedule, derived from the link graph by plan and kept
+	// until the next AddDomain or Connect (Rewind keeps it too, so a warm
+	// rerun plans nothing). waves[k] lists wave k's domains in id order;
+	// cyclic means the graph has a cycle and Run takes the epoch loop.
+	planned bool
+	cyclic  bool
+	waves   [][]*Domain
+	width   int // the most domains one wave runs at once
+
+	// forceEpochs routes an acyclic linked group through the epoch loop,
+	// so in-package tests can hold both paths to the same traces.
+	forceEpochs bool
+	// ranWaves and ranEpochs count the last Run's waves and epoch
+	// windows.
+	ranWaves, ranEpochs int
 
 	jobs   chan *Domain
 	wg     sync.WaitGroup
@@ -240,7 +283,7 @@ type Group struct {
 
 // NewGroup creates a group executing on lanes worker lanes. Values below
 // 1 auto-tune to the process's GOMAXPROCS (startWorkers further caps at
-// the domain count, so small fabrics never spawn idle lanes); the lane
+// the widest phase, so small fabrics never spawn idle lanes); the lane
 // count never affects simulation output, only wall-clock.
 func NewGroup(lanes int) *Group {
 	if lanes < 1 {
@@ -254,16 +297,21 @@ func (g *Group) Lanes() int { return g.lanes }
 
 // AddDomain wraps eng as the group's next causal domain.
 func (g *Group) AddDomain(eng *sim.Engine) *Domain {
+	if len(g.domains) == maxDomains {
+		panic(fmt.Sprintf("shard: a group holds at most %d domains", maxDomains))
+	}
 	d := &Domain{Eng: eng, id: len(g.domains)}
 	d.landFn = d.land
 	g.domains = append(g.domains, d)
+	g.planned = false
 	return d
 }
 
 // Connect creates a directed boundary link from src to dst with the
 // given serialization rate (gbps ≤ 0 means latency-only) and propagation
 // delay. The propagation delay must be positive: it is what bounds the
-// group's lookahead, and a zero-latency boundary would force lockstep.
+// epoch loop's lookahead, and a zero-latency boundary would force
+// lockstep.
 func (g *Group) Connect(src, dst *Domain, gbps float64, prop sim.Time) *Link {
 	if src == dst {
 		panic("shard: a boundary link must cross domains")
@@ -280,28 +328,105 @@ func (g *Group) Connect(src, dst *Domain, gbps float64, prop sim.Time) *Link {
 	if g.lookahead == 0 || prop < g.lookahead {
 		g.lookahead = prop
 	}
+	g.planned = false
 	return l
 }
 
-// Run executes every domain to completion. Without boundary links the
-// domains are independent and each engine simply runs dry on its lane.
-// With links, execution is the bounded-lag epoch loop described in the
-// package comment; Run returns when no domain has a scheduled event and
-// no flight is in transit.
-func (g *Group) Run() {
-	stop := g.startWorkers()
-	defer stop()
-	if len(g.links) == 0 {
-		g.runEach(runDry)
+// plan derives the wave schedule from the link graph (Kahn's algorithm):
+// a domain's wave is one past the latest wave among its sources, so
+// every flight a domain receives was sent in an earlier wave. A domain
+// left with unresolved inbound links sits on a cycle.
+func (g *Group) plan() {
+	if g.planned {
 		return
 	}
-	if g.epochFn == nil {
-		g.epochFn = g.epochRun
+	g.planned = true
+	n := len(g.domains)
+	wave := make([]int, n)
+	indeg := make([]int, n)
+	out := make([][]*Domain, n)
+	for _, l := range g.links {
+		indeg[l.dst.id]++
+		out[l.src.id] = append(out[l.src.id], l.dst)
 	}
+	ready := make([]*Domain, 0, n)
+	for _, d := range g.domains {
+		if indeg[d.id] == 0 {
+			ready = append(ready, d)
+		}
+	}
+	last := 0
+	for i := 0; i < len(ready); i++ {
+		src := ready[i]
+		for _, dst := range out[src.id] {
+			wave[dst.id] = max(wave[dst.id], wave[src.id]+1)
+			if indeg[dst.id]--; indeg[dst.id] == 0 {
+				ready = append(ready, dst)
+				last = max(last, wave[dst.id])
+			}
+		}
+	}
+	g.cyclic = len(ready) < n
+	g.waves, g.width = nil, 0
+	if g.cyclic {
+		return
+	}
+	g.waves = make([][]*Domain, last+1)
+	for _, d := range g.domains {
+		g.waves[wave[d.id]] = append(g.waves[wave[d.id]], d)
+	}
+	for _, w := range g.waves {
+		g.width = max(g.width, len(w))
+	}
+}
+
+// Run executes every domain to completion: in topological waves when the
+// link graph is acyclic (always so without links), in the bounded-lag
+// epoch loop otherwise — both as described in the package comment. Run
+// returns when no domain has a scheduled event and no flight is in
+// transit, or after the phase in which some domain's engine called Stop.
+func (g *Group) Run() {
 	for _, d := range g.domains {
 		if len(d.in) > 0 && d.handler == nil {
 			panic(fmt.Sprintf("shard: domain %d has inbound links but no OnFlight handler", d.id))
 		}
+	}
+	g.plan()
+	g.ranWaves, g.ranEpochs = 0, 0
+	if g.cyclic || (g.forceEpochs && len(g.links) > 0) {
+		stop := g.startWorkers(len(g.domains))
+		defer stop()
+		g.runEpochs()
+		return
+	}
+	stop := g.startWorkers(g.width)
+	defer stop()
+	for _, w := range g.waves {
+		g.runEach(w, waveRun)
+		g.ranWaves++
+		for _, d := range w {
+			if d.Eng.Stopped() {
+				return
+			}
+		}
+	}
+}
+
+// waveRun is one domain's share of a wave. Every domain upstream of it
+// has run dry, so its inbound links hold every flight it will ever
+// receive: land them all, then run the engine dry.
+func waveRun(d *Domain) {
+	for _, l := range d.in {
+		l.ready, l.pending = l.pending, l.ready[:0]
+	}
+	d.drain()
+	d.Eng.Run()
+}
+
+// runEpochs is the cycle fallback: the global bounded-lag epoch loop.
+func (g *Group) runEpochs() {
+	if g.epochFn == nil {
+		g.epochFn = g.epochRun
 	}
 	const inf = sim.Time(1<<63 - 1)
 	for {
@@ -325,7 +450,8 @@ func (g *Group) Run() {
 			return
 		}
 		g.horizon = t + g.lookahead
-		g.runEach(g.epochFn)
+		g.runEach(g.domains, g.epochFn)
+		g.ranEpochs++
 		// RunHorizon clears the stopped flag on entry, so a Stop issued
 		// inside a window only survives until the next epoch; honour it
 		// here so Stop ends the group run, mirroring Engine.Run.
@@ -358,8 +484,9 @@ func (g *Group) MustRun() {
 
 // Rewind returns the group to its pre-run state — link egress cursors
 // and flight buffers cleared, inboxes emptied — keeping every
-// allocation, so a caller that Resets its engines can rerun the same
-// group arena-style without per-trial garbage. Installed handlers stay.
+// allocation and the wave schedule, so a caller that Resets its engines
+// can rerun the same group arena-style without per-trial garbage.
+// Installed handlers stay.
 func (g *Group) Rewind() {
 	for _, l := range g.links {
 		l.free = 0
@@ -377,17 +504,15 @@ func (g *Group) Rewind() {
 	g.once = sync.Once{}
 }
 
-// startWorkers launches the persistent lane goroutines (none when one
-// lane or one domain suffices — then runEach executes inline, which is
-// also the allocation-free path the alloc budget pins). The returned
-// stop function tears the pool down.
-func (g *Group) startWorkers() func() {
-	if g.lanes <= 1 || len(g.domains) <= 1 {
+// startWorkers launches the persistent lane goroutines for phases that
+// run at most width domains at once (none when one lane or one domain
+// suffices — then runEach executes inline, which is also the
+// allocation-free path the alloc budget pins). The returned stop
+// function tears the pool down.
+func (g *Group) startWorkers(width int) func() {
+	n := min(g.lanes, width)
+	if n <= 1 {
 		return func() {}
-	}
-	n := g.lanes
-	if n > len(g.domains) {
-		n = len(g.domains)
 	}
 	jobs := make(chan *Domain)
 	g.jobs = jobs
@@ -400,10 +525,6 @@ func (g *Group) startWorkers() func() {
 	}
 	return func() { g.jobs = nil; close(jobs) }
 }
-
-// runDry is the link-free phase function: each independent domain's
-// engine simply runs to completion on its lane.
-func runDry(d *Domain) { d.Eng.Run() }
 
 // runOne executes the current phase function on one domain, capturing
 // the first panic so the coordinator can re-raise it after the barrier
@@ -419,17 +540,17 @@ func (g *Group) runOne(d *Domain) {
 	g.fn(d)
 }
 
-// runEach runs fn over every domain, on the lane pool when one exists.
-func (g *Group) runEach(fn func(*Domain)) {
+// runEach runs fn over ds, on the lane pool when one exists.
+func (g *Group) runEach(ds []*Domain, fn func(*Domain)) {
 	if g.jobs == nil {
-		for _, d := range g.domains {
+		for _, d := range ds {
 			fn(d)
 		}
 		return
 	}
 	g.fn = fn
-	g.wg.Add(len(g.domains))
-	for _, d := range g.domains {
+	g.wg.Add(len(ds))
+	for _, d := range ds {
 		g.jobs <- d
 	}
 	g.wg.Wait()

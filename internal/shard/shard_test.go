@@ -85,27 +85,31 @@ func TestLookaheadSafety(t *testing.T) {
 
 // TestFlightMergeOrder pins the (At, From, Seq) merge: two source
 // domains emit flights landing at the same instant, and the destination
-// must observe the lower domain id first, then reservation order.
+// must observe the lower domain id first, then reservation order — on
+// the wave path and through the epoch loop.
 func TestFlightMergeOrder(t *testing.T) {
-	g := NewGroup(1)
-	s0 := g.AddDomain(sim.New(1))
-	s1 := g.AddDomain(sim.New(2))
-	dst := g.AddDomain(sim.New(3))
-	l0 := g.Connect(s0, dst, 0, sim.Microsecond) // latency-only: same landing instants
-	l1 := g.Connect(s1, dst, 0, sim.Microsecond)
-	var got []string
-	dst.OnFlight(func(f Flight) {
-		got = append(got, fmt.Sprintf("%d/%d", f.From, f.Arg))
-	})
-	// Emitted in interleaved order; all land at t=1µs.
-	l1.Send(Flight{Arg: 0})
-	l0.Send(Flight{Arg: 0})
-	l1.Send(Flight{Arg: 1})
-	l0.Send(Flight{Arg: 1})
-	g.Run()
-	want := []string{"0/0", "0/1", "1/0", "1/1"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merge order %v, want %v", got, want)
+	for _, epochs := range []bool{false, true} {
+		g := NewGroup(1)
+		g.forceEpochs = epochs
+		s0 := g.AddDomain(sim.New(1))
+		s1 := g.AddDomain(sim.New(2))
+		dst := g.AddDomain(sim.New(3))
+		l0 := g.Connect(s0, dst, 0, sim.Microsecond) // latency-only: same landing instants
+		l1 := g.Connect(s1, dst, 0, sim.Microsecond)
+		var got []string
+		dst.OnFlight(func(f Flight) {
+			got = append(got, fmt.Sprintf("%d/%d", f.From, f.Arg))
+		})
+		// Emitted in interleaved order; all land at t=1µs.
+		l1.Send(Flight{Arg: 0})
+		l0.Send(Flight{Arg: 0})
+		l1.Send(Flight{Arg: 1})
+		l0.Send(Flight{Arg: 1})
+		g.Run()
+		want := []string{"0/0", "0/1", "1/0", "1/1"}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("epochs=%v: merge order %v, want %v", epochs, got, want)
+		}
 	}
 }
 
@@ -115,10 +119,17 @@ func TestFlightMergeOrder(t *testing.T) {
 // while a later epoch drained a fast flight landing before it — so the
 // fast flight's landing event delivered the slow flight's payload and
 // timestamp. The sorted-inbox merge must deliver each flight at its own
-// At with its own Arg, at every lane count.
+// At with its own Arg, at every lane count. The graph is acyclic, so
+// the test forces the epoch loop, where the two flights arrive in
+// separate drains; the wave path, which drains both at once, must agree.
 func TestHeterogeneousPropDelivery(t *testing.T) {
-	for _, lanes := range []int{1, 2, 4} {
+	for _, c := range []struct {
+		lanes  int
+		epochs bool
+	}{{1, true}, {2, true}, {4, true}, {1, false}, {2, false}} {
+		lanes := c.lanes
 		g := NewGroup(lanes)
+		g.forceEpochs = c.epochs
 		slow := g.AddDomain(sim.New(1))
 		fast := g.AddDomain(sim.New(2))
 		dst := g.AddDomain(sim.New(3))
@@ -140,9 +151,118 @@ func TestHeterogeneousPropDelivery(t *testing.T) {
 		g.Run()
 		want := []string{"9@3", "7@100"}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("lanes=%d: deliveries %v, want %v", lanes, got, want)
+			t.Fatalf("lanes=%d epochs=%v: deliveries %v, want %v", lanes, c.epochs, got, want)
+		}
+		if c.epochs && g.ranEpochs < 3 {
+			t.Fatalf("lanes=%d: %d epoch windows, want the flights drained in separate epochs", lanes, g.ranEpochs)
 		}
 	}
+}
+
+// TestSameInstantLandingOrder pins the landing tie rule: a flight
+// landing at the same instant as a local event on its destination fires
+// after it, however early the flight was drained. The local event at
+// 10 ns is scheduled by an event at `at`; the flight is drained before
+// everything on the wave path, and in the epoch loop in the first epoch
+// after its send, which comes before the scheduling event (at 5 ns) or
+// after it (at 0 ns). A drain-time sequence number would order the
+// landing first in three of these four runs and last in one.
+func TestSameInstantLandingOrder(t *testing.T) {
+	for _, at := range []sim.Time{0, 5 * sim.Nanosecond} {
+		for _, epochs := range []bool{false, true} {
+			g := NewGroup(1)
+			g.forceEpochs = epochs
+			src := g.AddDomain(sim.New(1))
+			dst := g.AddDomain(sim.New(2))
+			slow := g.Connect(src, dst, 0, 10*sim.Nanosecond)
+			g.Connect(src, dst, 0, sim.Nanosecond) // carries nothing; makes the epochs 1 ns
+			var got []string
+			dst.OnFlight(func(f Flight) {
+				got = append(got, fmt.Sprintf("land@%d", int64(dst.Eng.Now())))
+			})
+			src.Eng.Schedule(0, func() { slow.Send(Flight{Arg: 1}) })
+			dst.Eng.Schedule(at, func() {
+				dst.Eng.Schedule(10*sim.Nanosecond, func() {
+					got = append(got, fmt.Sprintf("local@%d", int64(dst.Eng.Now())))
+				})
+			})
+			g.Run()
+			want := []string{"local@10", "land@10"}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("scheduler at %v, epochs=%v: order %v, want %v", at, epochs, got, want)
+			}
+		}
+	}
+}
+
+// star builds leaves domains each sending one flight per local event to
+// a hub (domain 0), and returns the group, the hub and the hub's
+// landing count.
+func star(lanes, leaves, events int) (*Group, *Domain, *int) {
+	g := NewGroup(lanes)
+	hub := g.AddDomain(sim.New(1))
+	landed := new(int)
+	hub.OnFlight(func(Flight) { *landed++ })
+	for i := 1; i <= leaves; i++ {
+		d := g.AddDomain(sim.New(int64(i + 1)))
+		l := g.Connect(d, hub, 25, 2*sim.Microsecond)
+		for k := 0; k < events; k++ {
+			d.Eng.Schedule(sim.Time(k)*sim.Microsecond, func() { l.Send(Flight{Len: 64}) })
+		}
+	}
+	return g, hub, landed
+}
+
+// TestStarRunsInTwoWaves checks the wave schedule on kv-serve's link
+// shape: leaves into one hub run as two waves and no epoch windows,
+// where the epoch loop needs a window per lookahead (2 µs) of traffic.
+func TestStarRunsInTwoWaves(t *testing.T) {
+	for _, lanes := range []int{1, 3} {
+		g, _, landed := star(lanes, 4, 10)
+		g.Run()
+		if g.ranWaves != 2 || g.ranEpochs != 0 || *landed != 40 {
+			t.Errorf("lanes=%d: %d waves, %d epochs, %d landings; want 2, 0, 40",
+				lanes, g.ranWaves, g.ranEpochs, *landed)
+		}
+	}
+	g, _, landed := star(1, 4, 10)
+	g.forceEpochs = true
+	g.Run()
+	if g.ranWaves != 0 || g.ranEpochs < 5 || *landed != 40 {
+		t.Errorf("forced epochs: %d waves, %d epochs, %d landings; want 0, ≥5, 40",
+			g.ranWaves, g.ranEpochs, *landed)
+	}
+}
+
+// TestStopEndsWave checks Stop on the wave path: a leaf stopping its
+// engine ends the group run once its wave is done, so the hub's wave
+// never starts.
+func TestStopEndsWave(t *testing.T) {
+	for _, lanes := range []int{1, 3} {
+		g, hub, landed := star(lanes, 3, 10)
+		leaf := g.domains[2]
+		leaf.Eng.Schedule(3*sim.Microsecond, leaf.Eng.Stop)
+		g.Run()
+		if g.ranWaves != 1 || *landed != 0 || hub.Eng.Now() != 0 {
+			t.Errorf("lanes=%d: %d waves and %d hub landings after Stop, want 1 and 0", lanes, g.ranWaves, *landed)
+		}
+		if leaf.Eng.QueueLen() == 0 {
+			t.Errorf("lanes=%d: the stopped leaf ran dry", lanes)
+		}
+	}
+}
+
+// TestWavePanicReraised checks that a panic on a lane inside a wave
+// surfaces from Run with its value.
+func TestWavePanicReraised(t *testing.T) {
+	g, hub, _ := star(3, 4, 2)
+	hub.OnFlight(func(Flight) { panic("hub failure") })
+	defer func() {
+		if r := recover(); r != "hub failure" {
+			t.Fatalf("Run recovered %v, want the hub's panic", r)
+		}
+	}()
+	g.Run()
 }
 
 // TestStopEndsGroupRun pins Stop semantics under the epoch loop: a
@@ -267,6 +387,24 @@ func TestMustRunPanicsOnDeadlock(t *testing.T) {
 		}
 		if !strings.Contains(fmt.Sprint(r), "deadlock") {
 			t.Fatalf("panic %v does not mention deadlock", r)
+		}
+	}()
+	g.MustRun()
+}
+
+// TestMustRunNamesDeadlockedWaveDomain checks the deadlock diagnostic on
+// the wave path: the hub of a star parks a process forever, and MustRun
+// must name it.
+func TestMustRunNamesDeadlockedWaveDomain(t *testing.T) {
+	g, hub, _ := star(2, 3, 2)
+	hub.Eng.Go("stuck", func(p *sim.Proc) {
+		c := sim.NewCond(hub.Eng)
+		p.Wait(c, func() bool { return false })
+	})
+	defer func() {
+		r := fmt.Sprint(recover())
+		if !strings.Contains(r, "deadlock") || !strings.Contains(r, "domain 0") {
+			t.Fatalf("MustRun panicked with %q, want a deadlock naming domain 0", r)
 		}
 	}()
 	g.MustRun()

@@ -449,9 +449,9 @@ func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether Stop has been called since the engine last
 // began running (Run, RunUntil and RunHorizon clear the flag on entry).
-// The shard group polls it between epoch windows so a Stop issued
-// inside one window ends the whole group run rather than only that
-// window (internal/shard).
+// The shard group polls it after each wave and epoch window, so a Stop
+// issued inside one ends the whole group run rather than only that
+// domain's run or window (internal/shard).
 func (e *Engine) Stopped() bool { return e.stopped }
 
 // Step executes the single next event, advancing the clock. It reports
@@ -517,8 +517,8 @@ func (e *Engine) NextEventTime() (Time, bool) {
 // advances the clock to h. It is the bounded-lag window primitive: a
 // shard may safely execute [now, h) in parallel with its peers when no
 // cross-shard flight can land before h, and the strict upper bound keeps
-// an event scheduled exactly at h for the next window — where the epoch
-// merge decides its order against freshly landed flights.
+// an event scheduled exactly at h for the next window, where it meets
+// the flights landing at h in the order the shard layer fixes for them.
 func (e *Engine) RunHorizon(h Time) {
 	e.stopped = false
 	for !e.stopped {

@@ -1,4 +1,4 @@
-// Contract tests for the bounded-lag shard layer (internal/shard,
+// Contract tests for the shard layer (internal/shard,
 // DESIGN.md §12): sharded execution is a pure throughput knob. The same
 // scenario must produce byte-identical output at every `-shards` value —
 // including against the committed goldens, which were recorded through
