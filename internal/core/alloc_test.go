@@ -6,16 +6,17 @@ import (
 	"odpsim/internal/sim"
 )
 
-// microbenchAllocCeiling is the highest warm reading of one
-// RunMicrobench trial on a Reset-reused engine, the loop every sweep
-// runs. The seed's datapath cost was 937 allocations a trial; the pooled
-// datapath and the engine-generation arenas (DESIGN.md §8) bring a
-// steady trial to 21. A recycled engine's first warm trial also sizes
-// the tables its first trial left short (a page's spare fault-waiter
-// array, the ODP spurious table), so later trials only add the odd
-// runtime allocation and a seed-dependent ODP queue growth: the 20-trial
-// mean reads 21.1 in a fresh process.
-const microbenchAllocCeiling = 21
+// microbenchAllocCeiling is the warm reading of one RunMicrobench trial
+// on a Reset-reused engine, the loop every sweep runs. The seed's
+// datapath cost was 937 allocations a trial; the pooled datapath and the
+// engine-generation arenas (DESIGN.md §8) bring a warm trial to 13. The
+// client is a recycled callback record with no goroutine of its own, so
+// no runtime allocation rides along: the reading is 13 in every run,
+// with and without -race, at GOMAXPROCS 1, 2 and 4. What remains is
+// mostly per-run state the trial returns or rebuilds: the BenchResult
+// and its completion times, the final counter snapshot, and the
+// cluster, node list and fabric shells.
+const microbenchAllocCeiling = 13
 
 // TestAllocBudgetMicrobench pins the per-trial allocation budget of the
 // whole stack at microbenchAllocCeiling.

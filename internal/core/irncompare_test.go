@@ -15,9 +15,10 @@ import (
 // lossy Clos, server-side ODP, 512 WRITEs over 8 QPs) on a Reset-reused
 // engine, the loop irn-compare's workers run: QPs, CQs, RNICs, IRN
 // reorder state, switch ports, packets and the IRN back-off timers all
-// come back from the engine's arenas and free lists. It reads 23 with
-// and without -race; with a closure per RNR back-off it read 535.
-const irnCellAllocCeiling = 23
+// come back from the engine's arenas and free lists, and the client is
+// a recycled callback record, not a goroutine. It reads 17 with and
+// without -race; with a closure per RNR back-off it read 535.
+const irnCellAllocCeiling = 17
 
 // TestAllocBudgetIRNCompareCell pins the warm per-cell allocation budget
 // of irn-compare at irnCellAllocCeiling.

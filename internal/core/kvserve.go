@@ -71,12 +71,14 @@ func (kvServeWorkload) Validate(sc *scenario.Scenario) error {
 // kvPod is one pod's simulation state, kept so post-run aggregation can
 // walk the pods in index order (the determinism contract).
 type kvPod struct {
-	cl      *cluster.Cluster
-	qps     []*rnic.QP // one per client, client order
-	sketch  *stats.QuantileSketch
-	done    sim.Time // last completion observed in this pod
-	retrans uint64
-	timeout uint64
+	cl        *cluster.Cluster
+	qps       []*rnic.QP // one per client, client order
+	sketch    *stats.QuantileSketch
+	done      sim.Time    // last completion observed in this pod
+	completed int         // pod-wide completions, for the digest stride
+	link      *shard.Link // digest link to pod 0 (nil for pod 0)
+	retrans   uint64
+	timeout   uint64
 }
 
 // kvDigestEvery is the pod-wide completion stride between replication
@@ -155,7 +157,6 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 
 	pod := make([]*kvPod, pods)
 	domains := make([]*shard.Domain, pods)
-	links := make([]*shard.Link, pods) // digest link per pod (nil for pod 0)
 
 	// Pod 0 is the frontend: it serves its own rack and aggregates the
 	// other pods' replication digests off the core links.
@@ -165,7 +166,6 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 	lastArg := make([]uint64, pods)
 
 	for p := 0; p < pods; p++ {
-		p := p
 		// Per-pod seeds stride by a large prime so the pods' RNG streams
 		// are decorrelated while staying a pure function of the scenario
 		// seed (pod 0 keeps the base seed for continuity with the
@@ -176,7 +176,7 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 		kp.cl = podSys.BuildOn(nil, podSeed, hostsPer)
 		domains[p] = g.AddDomain(kp.cl.Eng)
 		if p > 0 {
-			links[p] = g.Connect(domains[p], domains[0], coreGbps, coreProp)
+			kp.link = g.Connect(domains[p], domains[0], coreGbps, coreProp)
 		}
 
 		// The server's value region: one size*ops slice per client, every
@@ -191,9 +191,7 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 			server.RegisterMR(region, slotLen*clients)
 		}
 
-		completed := 0 // pod-wide, for the digest stride
 		for c := 1; c < hostsPer; c++ {
-			c := c
 			node := kp.cl.Nodes[c]
 			lbuf := node.AS.Alloc(slotLen)
 			if mode == ClientODP || mode == BothODP {
@@ -206,45 +204,20 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 			qs := server.CreateQP(rnic.NewCQ(kp.cl.Eng), rnic.NewCQ(kp.cl.Eng))
 			rnic.ConnectPair(qc, qs, params, params)
 			kp.qps = append(kp.qps, qc)
-			roff := region + hostmem.Addr(slotLen*(c-1))
 
-			postAt := make([]sim.Time, ops)
 			// Open loop: the poster fires a GET every interval regardless
 			// of completions — precisely the regime where fault-delayed
 			// responses pile latency onto the tail instead of throttling
 			// the offered load.
-			kp.cl.Eng.Go(fmt.Sprintf("kv-post-%d-%d", p, c), func(pr *sim.Proc) {
-				for k := 0; k < ops; k++ {
-					off := hostmem.Addr(size * k)
-					postAt[k] = pr.Now()
-					qc.PostSend(rnic.SendWR{
-						ID: uint64(k), Op: rnic.OpRead,
-						LocalAddr:  lbuf + off,
-						RemoteAddr: roff + off,
-						Len:        size,
-					})
-					pr.Sleep(post)
-					if interval > post {
-						pr.Sleep(interval - post)
-					}
-				}
-			})
-			kp.cl.Eng.Go(fmt.Sprintf("kv-reap-%d-%d", p, c), func(pr *sim.Proc) {
-				var wc [1]rnic.CQE
-				for done := 0; done < ops; {
-					cq.WaitN(pr, wc[:])
-					done++
-					lat := pr.Now() - postAt[wc[0].WRID]
-					kp.sketch.Add(float64(lat) / float64(sim.Microsecond))
-					if now := pr.Now(); now > kp.done {
-						kp.done = now
-					}
-					completed++
-					if p > 0 && completed%kvDigestEvery == 0 {
-						links[p].Send(shard.Flight{Len: 64, Arg: uint64(completed)})
-					}
-				}
-			})
+			kc := &kvClient{
+				pod: kp, eng: kp.cl.Eng, qp: qc, cq: cq,
+				lbuf: lbuf, rbuf: region + hostmem.Addr(slotLen*(c-1)),
+				size: size, post: post, gap: interval - post,
+				postAt: make([]sim.Time, ops),
+			}
+			kc.stepFn, kc.reapFn = kc.step, kc.reap
+			kp.cl.Eng.ScheduleAfter(0, kc.stepFn)
+			kp.cl.Eng.ScheduleAfter(0, kc.reapFn)
 		}
 	}
 	domains[0].OnFlight(func(f shard.Flight) {
@@ -318,4 +291,79 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 			t.Tier, t.Switches, t.PeakBytes, t.PauseFrames, t.EcnMarked, t.Drops)
 	}
 	return nil
+}
+
+// kvClient is one open-loop GET client as engine callbacks: a poster
+// that posts a READ, sleeps post and then gap (when positive), and a
+// reaper beside it that polls the CQ, parking on the CQ's Cond with
+// Notify while it is empty. Each starts from an event of its own and
+// schedules one event per sleep and one wake per CQ Broadcast while the
+// reaper waits: the events a process running the same loop schedules,
+// without its goroutine hand-offs.
+type kvClient struct {
+	pod        *kvPod
+	eng        *sim.Engine
+	qp         *rnic.QP
+	cq         *rnic.CQ
+	lbuf, rbuf hostmem.Addr // GET k reads size bytes at offset size*k
+	size       int
+	post, gap  sim.Time
+	postAt     []sim.Time // post instant per GET, for the latency sample
+
+	posted, reaped int
+	slept          bool // the next step ends a post overhead
+
+	stepFn, reapFn func() // bound method values of step and reap
+}
+
+// step is the poster's event: the start event, the end of a post
+// overhead or the end of a gap.
+func (c *kvClient) step() {
+	if c.slept {
+		c.slept = false
+		if c.gap > 0 {
+			c.eng.ScheduleAfter(c.gap, c.stepFn)
+			return
+		}
+	}
+	k := c.posted
+	if k == len(c.postAt) {
+		return
+	}
+	off := hostmem.Addr(c.size * k)
+	c.postAt[k] = c.eng.Now()
+	c.qp.PostSend(rnic.SendWR{
+		ID: uint64(k), Op: rnic.OpRead,
+		LocalAddr:  c.lbuf + off,
+		RemoteAddr: c.rbuf + off,
+		Len:        c.size,
+	})
+	c.posted++
+	c.slept = true
+	c.eng.ScheduleAfter(c.post, c.stepFn)
+}
+
+// reap polls every GET's completion into the pod's latency sketch and
+// ships a replication digest to pod 0 on every kvDigestEvery-th
+// completion in the pod.
+func (c *kvClient) reap() {
+	var wc [1]rnic.CQE
+	kp := c.pod
+	for c.reaped < len(c.postAt) {
+		if c.cq.Poll(wc[:]) == 0 {
+			c.cq.Cond().Notify(c.reapFn)
+			return
+		}
+		c.reaped++
+		now := c.eng.Now()
+		lat := now - c.postAt[wc[0].WRID]
+		kp.sketch.Add(float64(lat) / float64(sim.Microsecond))
+		if now > kp.done {
+			kp.done = now
+		}
+		kp.completed++
+		if kp.link != nil && kp.completed%kvDigestEvery == 0 {
+			kp.link.Send(shard.Flight{Len: 64, Arg: uint64(kp.completed)})
+		}
+	}
 }

@@ -199,13 +199,16 @@ func RunMicrobench(cfg BenchConfig) *BenchResult {
 
 	cqC := rnic.NewCQ(cl.Eng)
 	cqS := rnic.NewCQ(cl.Eng)
+	// Every completion piles up in the client CQ until the last post, so
+	// size it once (a recycled CQ keeps the room).
+	cqC.Reserve(cfg.NumOps)
+	c := newBenchClient(cl.Eng)
 	params := rnic.ConnParams{CACK: cfg.CACK, RetryCount: cfg.RetryCount, MinRNRDelay: cfg.MinRNRDelay}
-	qps := make([]*rnic.QP, cfg.NumQPs)
-	for i := range qps {
+	for i := 0; i < cfg.NumQPs; i++ {
 		qc := client.CreateQP(cqC, cqC)
 		qs := server.CreateQP(cqS, cqS)
 		rnic.ConnectPair(qc, qs, params, params)
-		qps[i] = qc
+		c.qps = append(c.qps, qc)
 		if cfg.OpOverride != nil {
 			// Each SEND consumes one receive on the server QP it lands
 			// on; op j posts on QP j mod NumQPs, so that QP gets one
@@ -232,57 +235,11 @@ func RunMicrobench(cfg BenchConfig) *BenchResult {
 	if cfg.SampleEvery > 0 {
 		sampler = telemetry.NewSampler(cl.Eng, cl.Telemetry(), cfg.SampleEvery)
 	}
-	// The process reads the knobs it needs from locals: capturing cfg
-	// would move the whole BenchConfig to the heap on every trial.
-	numOps, numQPs, size, interval := cfg.NumOps, cfg.NumQPs, cfg.Size, cfg.Interval
-	opAt, dummyPing, pingEvery := cfg.OpOverride, cfg.DummyPing, cfg.DummyPingInterval
-	cl.Eng.Go("microbench", func(p *sim.Proc) {
-		start := p.Now()
-		if sampler != nil {
-			sampler.Start()
-		}
-		var pinger *DummyPinger
-		if dummyPing {
-			pinger = StartDummyPinger(cl.Eng, qps[0], lbuf, rbuf, pingEvery)
-		}
-		for i := 0; i < numOps; i++ {
-			op := rnic.OpRead
-			if opAt != nil {
-				op = opAt(i)
-			}
-			off := hostmem.Addr(size * i)
-			qps[i%numQPs].PostSend(rnic.SendWR{
-				ID: uint64(i), Op: op,
-				LocalAddr: lbuf + off, RemoteAddr: rbuf + off, Len: size,
-			})
-			p.Sleep(post)
-			if interval > 0 {
-				p.Sleep(interval)
-			}
-		}
-		// wait(): poll the CQ until every operation completed (or the
-		// QP died).
-		done := 0
-		var wc [1]rnic.CQE
-		for done < numOps {
-			cqC.WaitN(p, wc[:])
-			if e := &wc[0]; int(e.WRID) < numOps && res.CompletionTime[e.WRID] < 0 {
-				done++
-				if e.Status == rnic.WCSuccess {
-					res.CompletionTime[e.WRID] = e.At
-				} else {
-					res.Failed = true
-				}
-			}
-		}
-		if pinger != nil {
-			pinger.Stop()
-		}
-		if sampler != nil {
-			sampler.Stop()
-		}
-		res.ExecTime = p.Now() - start
-	})
+	c.cq, c.lbuf, c.rbuf = cqC, lbuf, rbuf
+	c.size, c.ops, c.post, c.interval, c.opAt = cfg.Size, cfg.NumOps, post, cfg.Interval, cfg.OpOverride
+	c.res, c.sampler = res, sampler
+	c.dummyPing, c.pingEvery = cfg.DummyPing, cfg.DummyPingInterval
+	cl.Eng.ScheduleAfter(0, c.stepFn)
 	cl.Eng.MustRun()
 
 	if sampler != nil {
@@ -290,7 +247,7 @@ func RunMicrobench(cfg BenchConfig) *BenchResult {
 	}
 	res.Final = cl.Telemetry().Snapshot(cl.Eng.Now())
 
-	for _, qp := range qps {
+	for _, qp := range c.qps {
 		res.Timeouts += qp.Stats.Timeouts
 		res.Retransmits += qp.Stats.Retransmits
 		res.ClientFaults += qp.Stats.ClientFaultRounds
@@ -302,4 +259,134 @@ func RunMicrobench(cfg BenchConfig) *BenchResult {
 	res.PacketsOnWire = cl.Fab.Sent
 	res.Cap = cap_
 	return res
+}
+
+// benchClient is the Figure-3 client as engine callbacks: it posts ops
+// operations round-robin over its QPs, sleeping post and then interval
+// (when positive) after each, and then polls the CQ until every
+// operation completed, parking on the CQ's Cond with Notify while it is
+// empty. It schedules one start event, one event per sleep and one wake
+// per CQ Broadcast while it waits: the events a process running the
+// same loop schedules, without its two goroutine hand-offs per event.
+type benchClient struct {
+	eng            *sim.Engine
+	qps            []*rnic.QP // op i posts on qps[i%len(qps)]
+	cq             *rnic.CQ
+	lbuf, rbuf     hostmem.Addr // op i moves size bytes at offset size*i
+	size, ops      int
+	post, interval sim.Time
+	opAt           func(i int) rnic.SendOp // nil: every op is a READ
+
+	res       *BenchResult
+	sampler   *telemetry.Sampler
+	dummyPing bool
+	pingEvery sim.Time
+	pinger    *DummyPinger
+
+	start        sim.Time
+	posted, done int
+	slept        bool // the next step ends a post overhead
+
+	// stepFn and reapFn are the method values of step and reap, bound
+	// once when the record is first allocated.
+	stepFn, reapFn func()
+	arenaNext      *benchClient
+}
+
+// benchClientsKey is the engine Aux key of the benchClient arena.
+const benchClientsKey = "core.benchClients"
+
+// newBenchClient takes a zeroed client from eng's arena. A recycled
+// record keeps its bound callbacks and its QP list's storage, so a
+// trial on a reused engine allocates nothing for its client.
+func newBenchClient(eng *sim.Engine) *benchClient {
+	a, _ := eng.Aux(benchClientsKey).(*sim.Arena[benchClient])
+	if a == nil {
+		a = &sim.Arena[benchClient]{Link: func(c *benchClient) **benchClient { return &c.arenaNext }}
+		eng.SetAux(benchClientsKey, a)
+	}
+	c := a.Take(eng)
+	if c == nil {
+		c = new(benchClient)
+		c.stepFn, c.reapFn = c.step, c.reap
+		a.Add(c)
+	} else {
+		*c = benchClient{qps: c.qps[:0], stepFn: c.stepFn, reapFn: c.reapFn, arenaNext: c.arenaNext}
+	}
+	c.eng = eng
+	return c
+}
+
+// step is the poster's event: the start event, the end of a post
+// overhead or the end of an interval.
+func (c *benchClient) step() {
+	switch {
+	case c.slept:
+		c.slept = false
+		if c.interval > 0 {
+			c.eng.ScheduleAfter(c.interval, c.stepFn)
+			return
+		}
+	case c.posted == 0:
+		c.begin()
+	}
+	if c.posted == c.ops {
+		c.reap() // wait(): poll the CQ until every operation completed
+		return
+	}
+	i := c.posted
+	op := rnic.OpRead
+	if c.opAt != nil {
+		op = c.opAt(i)
+	}
+	off := hostmem.Addr(c.size * i)
+	c.qps[i%len(c.qps)].PostSend(rnic.SendWR{
+		ID: uint64(i), Op: op,
+		LocalAddr: c.lbuf + off, RemoteAddr: c.rbuf + off, Len: c.size,
+	})
+	c.posted++
+	c.slept = true
+	c.eng.ScheduleAfter(c.post, c.stepFn)
+}
+
+// begin starts the sampler and the dummy pinger in the start event.
+func (c *benchClient) begin() {
+	c.start = c.eng.Now()
+	if c.sampler != nil {
+		c.sampler.Start()
+	}
+	if c.dummyPing {
+		c.pinger = StartDummyPinger(c.eng, c.qps[0], c.lbuf, c.rbuf, c.pingEvery)
+	}
+}
+
+// reap polls the CQ until every operation completed (or the QP died),
+// parking on the CQ's Cond whenever it is empty. Dummy pings and
+// repeated completions are polled and ignored.
+func (c *benchClient) reap() {
+	var wc [1]rnic.CQE
+	for c.done < c.ops {
+		if c.cq.Poll(wc[:]) == 0 {
+			c.cq.Cond().Notify(c.reapFn)
+			return
+		}
+		if e := &wc[0]; int(e.WRID) < c.ops && c.res.CompletionTime[e.WRID] < 0 {
+			c.done++
+			if e.Status == rnic.WCSuccess {
+				c.res.CompletionTime[e.WRID] = e.At
+			} else {
+				c.res.Failed = true
+			}
+		}
+	}
+	if c.pinger != nil {
+		c.pinger.Stop()
+	}
+	if c.sampler != nil {
+		c.sampler.Stop()
+	}
+	c.res.ExecTime = c.eng.Now() - c.start
+	// The arena keeps the record until the engine's next Reset; drop
+	// what the caller owns.
+	c.res, c.sampler, c.pinger, c.opAt = nil, nil, nil, nil
 }

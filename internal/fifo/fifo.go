@@ -23,6 +23,29 @@ func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
 // Push appends v at the back.
 func (q *Queue[T]) Push(v T) { q.buf = append(q.buf, v) }
 
+// Reserve makes room for n more elements behind the queued ones, so the
+// next n Pushes do not allocate. It first reuses the dead prefix before
+// the head, moving the queued elements to the front in order, and
+// reallocates only when that is not enough. A holder whose queue depth
+// is known up front calls it once instead of letting Push double the
+// storage on its way there.
+func (q *Queue[T]) Reserve(n int) {
+	if cap(q.buf)-len(q.buf) >= n {
+		return
+	}
+	live := q.buf[q.head:]
+	if cap(q.buf)-len(live) >= n {
+		m := copy(q.buf, live)
+		clear(q.buf[m:])
+		q.buf = q.buf[:m]
+	} else {
+		buf := make([]T, len(live), len(live)+n)
+		copy(buf, live)
+		q.buf = buf
+	}
+	q.head = 0
+}
+
 // Front returns the front element without removing it. It panics on an
 // empty queue.
 func (q *Queue[T]) Front() T { return q.buf[q.head] }

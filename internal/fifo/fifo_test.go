@@ -141,3 +141,64 @@ func TestQueueReusesStorage(t *testing.T) {
 		t.Errorf("sliding window allocates %.1f per run, want 0", a)
 	}
 }
+
+// TestQueueReserve reserves room on a queue whose head is past its
+// first slot, once where the dead prefix makes enough room and once
+// where the storage must grow: the queued elements stay in order, and
+// pushes within the reserved room allocate nothing.
+func TestQueueReserve(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"dead prefix", 3},
+		{"grown storage", 64},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// Two identical queues: AllocsPerRun's warm-up call pushes
+			// onto the first, its measured call onto the second.
+			var qs [2]Queue[int]
+			for k := range qs {
+				q := &qs[k]
+				for i := 1; i <= 8; i++ {
+					q.Push(i)
+				}
+				for i := 0; i < 3; i++ {
+					q.Pop()
+				}
+				if q.head == 0 {
+					t.Fatal("setup left the head at the front")
+				}
+				q.Reserve(c.n)
+				checkInvariants(t, q)
+			}
+			k := 0
+			allocs := testing.AllocsPerRun(1, func() {
+				q := &qs[k]
+				k++
+				for i := 0; i < c.n; i++ {
+					q.Push(100 + i)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%d pushes after Reserve(%d) allocate %.0f, want 0", c.n, c.n, allocs)
+			}
+			for k := range qs {
+				got := qs[k].Items()
+				if len(got) != 5+c.n {
+					t.Fatalf("queue %d holds %d elements, want %d", k, len(got), 5+c.n)
+				}
+				for i, v := range got {
+					want := 4 + i
+					if i >= 5 {
+						want = 100 + i - 5
+					}
+					if v != want {
+						t.Fatalf("queue %d element %d = %d, want %d", k, i, v, want)
+					}
+				}
+				checkInvariants(t, &qs[k])
+			}
+		})
+	}
+}

@@ -70,7 +70,8 @@ type CQE struct {
 	At         sim.Time
 }
 
-// CQ is a completion queue. Processes can block on it via Cond.
+// CQ is a completion queue. Processes block on it with WaitN or
+// Proc.Wait on Cond; callback clients park on Cond().Notify.
 type CQ struct {
 	eng     *sim.Engine
 	entries fifo.Queue[CQE]
@@ -101,8 +102,15 @@ func NewCQ(eng *sim.Engine) *CQ {
 }
 
 // Cond returns the condition broadcast on every new completion; use it
-// with Proc.Wait to implement blocking polls.
+// with Proc.Wait to implement blocking polls, or with Cond.Notify to
+// have a callback re-poll once a completion arrives.
 func (cq *CQ) Cond() *sim.Cond { return cq.cond }
+
+// Reserve makes room for n more unpolled completions, so a holder that
+// knows how many will pile up before it polls (the Figure-3 client
+// reaps only after posting every operation) sizes the queue once
+// instead of doubling it on the way. The room survives CQ recycling.
+func (cq *CQ) Reserve(n int) { cq.entries.Reserve(n) }
 
 // Len returns the number of unpolled completions.
 func (cq *CQ) Len() int { return cq.entries.Len() }
@@ -121,8 +129,10 @@ func (cq *CQ) push(e CQE) {
 func (cq *CQ) Poll(buf []CQE) int { return cq.entries.PopInto(buf) }
 
 // WaitN blocks the process until len(buf) completions have been polled
-// into buf. It is the "wait()" of the paper's Figure 3 micro-benchmark:
-// poll the CQ until all communications finish.
+// into buf: poll the CQ, and park on its Cond while it is empty. The
+// Figure-3 micro-benchmark and kv-serve's clients do the same as
+// callbacks (Poll, then Cond().Notify on an empty CQ), which costs no
+// goroutine hand-off per wake; WaitN serves the process-based apps.
 func (cq *CQ) WaitN(p *sim.Proc, buf []CQE) {
 	for got := 0; got < len(buf); {
 		p.Wait(cq.cond, func() bool { return cq.entries.Len() > 0 })

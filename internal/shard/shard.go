@@ -471,13 +471,13 @@ func (g *Group) epochRun(d *Domain) {
 }
 
 // MustRun is Run plus the engine layer's deadlock check: it panics if
-// any domain ends with processes parked forever, mirroring
-// sim.Engine.MustRun for the whole group.
+// any domain ends with processes or Notify callbacks parked forever,
+// mirroring sim.Engine.MustRun for the whole group.
 func (g *Group) MustRun() {
 	g.Run()
 	for _, d := range g.domains {
 		if d.Eng.Deadlocked() {
-			panic(fmt.Sprintf("shard: deadlock, domain %d has process(es) parked forever at %v", d.id, d.Eng.Now()))
+			panic(fmt.Sprintf("shard: deadlock, domain %d has process(es) or callback(s) parked forever at %v", d.id, d.Eng.Now()))
 		}
 	}
 }

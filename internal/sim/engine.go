@@ -254,6 +254,7 @@ type Engine struct {
 	procs   int   // live (not finished, not aborted) processes
 	live    *Proc // the live processes, linked through Proc.next
 	blocked int   // processes currently parked on a Cond or sleep
+	parked  int   // callbacks parked on a Cond by Notify
 	// aux holds storage attached to the engine that, like the event free
 	// list, survives Reset — e.g. the fabric's packet pool, so trial
 	// loops that rebuild the fabric per run keep recycling one pool.
@@ -270,7 +271,9 @@ func New(seed int64) *Engine {
 // keeping allocated storage (both heaps' backing arrays and the event
 // free list) so repeated trials reuse one engine instead of allocating a
 // fresh one per run. A reset engine behaves byte-identically to New(seed).
-// Reset panics if live processes remain from an unfinished run.
+// Reset panics if live processes remain from an unfinished run; callbacks
+// still parked by Cond.Notify hold no goroutine and are simply forgotten
+// (their Conds drop them on Cond.Reset).
 func (e *Engine) Reset(seed int64) {
 	if e.procs > 0 {
 		panic(fmt.Sprintf("sim: Reset with %d live process(es)", e.procs))
@@ -289,6 +292,7 @@ func (e *Engine) Reset(seed int64) {
 	e.fired = 0
 	e.stopped = false
 	e.blocked = 0
+	e.parked = 0
 	e.resets++
 	e.rng.Seed(seed)
 	e.seed = seed

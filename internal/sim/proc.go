@@ -134,11 +134,21 @@ func (p *Proc) Sleep(d Time) {
 // before the process continues.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// Cond is a broadcast condition for processes. The zero value is not
-// usable; create with NewCond.
+// Cond is a broadcast condition. Two kinds of waiter park on it in one
+// list, in the order they began waiting: processes (Proc.Wait,
+// Proc.WaitTimeout) and callbacks (Notify). A client that never blocks
+// between events, such as an open-loop poster or a CQ reaper, parks a
+// callback and pays no goroutine hand-off per wake. The zero value is
+// not usable; create with NewCond.
 type Cond struct {
 	eng     *Engine
-	waiters []*Proc
+	waiters []waiter
+}
+
+// waiter is one parked process (p) or one parked callback (fn).
+type waiter struct {
+	p  *Proc
+	fn func()
 }
 
 // NewCond creates a condition bound to engine e.
@@ -146,23 +156,41 @@ func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
 
 // Reset returns the condition to NewCond(e)'s state, keeping the waiter
 // list's storage, for holders that recycle a Cond across engine
-// Resets. It also clears the storage past the list's end, where
-// Broadcast leaves the previous run's processes.
+// Resets. It drops parked callbacks (Engine.Reset already forgot their
+// count) and also clears the storage past the list's end, where
+// Broadcast leaves the previous run's waiters.
 func (c *Cond) Reset(e *Engine) {
 	clear(c.waiters[:cap(c.waiters)])
 	c.waiters = c.waiters[:0]
 	c.eng = e
 }
 
-// Broadcast wakes every process currently waiting on the condition. The
-// woken processes run (and re-check their predicates) as events at the
-// current instant, in the order they began waiting.
+// Broadcast wakes every waiter currently parked on the condition. Each
+// runs as an event at the current instant, in the order they began
+// waiting: a process resumes (and re-checks its predicate), a callback
+// is called once and forgotten.
 func (c *Cond) Broadcast() {
 	ws := c.waiters
 	c.waiters = c.waiters[:0]
-	for _, p := range ws {
-		c.eng.after(0, p.wakeFn)
+	for _, w := range ws {
+		if w.p != nil {
+			c.eng.after(0, w.p.wakeFn)
+		} else {
+			c.eng.parked--
+			c.eng.after(0, w.fn)
+		}
 	}
+}
+
+// Notify parks fn on the condition until the next Broadcast, which
+// schedules it at that instant in wait order. It is Wait for code that
+// runs as event callbacks instead of a process: fn re-checks its own
+// condition and calls Notify again if it must keep waiting. A parked
+// callback counts as a parked waiter for Deadlocked and MustRun, so a
+// client that is never woken is reported like a stuck process.
+func (c *Cond) Notify(fn func()) {
+	c.waiters = append(c.waiters, waiter{fn: fn})
+	c.eng.parked++
 }
 
 // Wait parks the process until pred() is true, re-checking after every
@@ -170,7 +198,7 @@ func (c *Cond) Broadcast() {
 // any simulation state.
 func (p *Proc) Wait(c *Cond, pred func() bool) {
 	for !pred() {
-		c.waiters = append(c.waiters, p)
+		c.waiters = append(c.waiters, waiter{p: p})
 		p.eng.blocked++
 		p.park()
 	}
@@ -185,14 +213,14 @@ func (p *Proc) WaitTimeout(c *Cond, d Time, pred func() bool) bool {
 			return false
 		}
 		woke := false
-		c.waiters = append(c.waiters, p)
+		c.waiters = append(c.waiters, waiter{p: p})
 		p.eng.blocked++
 		t := p.eng.At(deadline, func() {
 			// Wake only if still waiting: a Broadcast at the deadline
 			// instant may already have dequeued us and queued our wakeFn,
 			// and a second resume would return a later park early.
 			for i, w := range c.waiters {
-				if w == p {
+				if w.p == p {
 					c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
 					p.eng.blocked--
 					woke = true
@@ -209,10 +237,11 @@ func (p *Proc) WaitTimeout(c *Cond, d Time, pred func() bool) bool {
 	return true
 }
 
-// Deadlocked reports whether live processes exist but everything is
-// parked with no scheduled events — i.e. the simulation cannot progress.
+// Deadlocked reports whether live processes or callbacks parked by
+// Cond.Notify exist but no event is scheduled — i.e. the simulation
+// cannot progress.
 func (e *Engine) Deadlocked() bool {
-	return e.procs > 0 && e.QueueLen() == 0
+	return (e.procs > 0 || e.parked > 0) && e.QueueLen() == 0
 }
 
 // Shutdown unwinds every live process: each parked one resumes with its
@@ -234,10 +263,10 @@ func (e *Engine) Shutdown() {
 }
 
 // MustRun runs the simulation and panics if it ends with live processes
-// still parked (a deadlock in the modelled system).
+// or Notify callbacks still parked (a deadlock in the modelled system).
 func (e *Engine) MustRun() {
 	e.Run()
-	if e.procs > 0 {
-		panic(fmt.Sprintf("sim: deadlock, %d process(es) parked forever at %v", e.procs, e.now))
+	if e.procs > 0 || e.parked > 0 {
+		panic(fmt.Sprintf("sim: deadlock, %d process(es) and %d callback(s) parked forever at %v", e.procs, e.parked, e.now))
 	}
 }

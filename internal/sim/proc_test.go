@@ -279,7 +279,7 @@ func TestCondResetClearsStaleWaiters(t *testing.T) {
 	e.Schedule(1, c.Broadcast)
 	e.MustRun()
 	full := c.waiters[:cap(c.waiters)]
-	if len(full) == 0 || full[0] == nil {
+	if len(full) == 0 || full[0].p == nil {
 		t.Fatal("expected Broadcast to leave the woken process past the list's end")
 	}
 	e2 := New(2)
@@ -287,9 +287,9 @@ func TestCondResetClearsStaleWaiters(t *testing.T) {
 	if c.eng != e2 || len(c.waiters) != 0 {
 		t.Errorf("Reset left eng %p, %d waiters", c.eng, len(c.waiters))
 	}
-	for i, p := range c.waiters[:cap(c.waiters)] {
-		if p != nil {
-			t.Errorf("waiter storage slot %d still holds %q", i, p.name)
+	for i, w := range c.waiters[:cap(c.waiters)] {
+		if w.p != nil || w.fn != nil {
+			t.Errorf("waiter storage slot %d still holds %+v", i, w)
 		}
 	}
 }
