@@ -118,8 +118,8 @@ func irnTrial(tb testing.TB, eng *sim.Engine, seed int64) *rnic.QP {
 	rbuf := server.AS.Alloc(n * size)
 	client.AS.Touch(lbuf, n*size)
 	server.AS.Touch(rbuf, n*size)
-	client.RegisterMR(lbuf, n*size)
-	server.RegisterMR(rbuf, n*size)
+	client.RegisterMR(lbuf, n*size, false)
+	server.RegisterMR(rbuf, n*size, false)
 
 	cq := rnic.NewCQ(cl.Eng)
 	scq := rnic.NewCQ(cl.Eng)

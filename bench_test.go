@@ -563,8 +563,8 @@ func runFloodWithPrefetch(seed int64, prefetch bool) sim.Time {
 	buflen := nqp * size
 	lbuf := client.AS.Alloc(buflen)
 	rbuf := server.AS.Alloc(buflen)
-	client.RegisterODPMR(lbuf, buflen)
-	server.RegisterMR(rbuf, buflen)
+	client.RegisterMR(lbuf, buflen, true)
+	server.RegisterMR(rbuf, buflen, false)
 	cq := rnic.NewCQ(cl.Eng)
 	scq := rnic.NewCQ(cl.Eng)
 	params := rnic.ConnParams{CACK: 18, RetryCount: 7, MinRNRDelay: sim.FromMillis(1.28)}

@@ -222,6 +222,20 @@ func (s System) BuildOn(eng *sim.Engine, seed int64, nodes int) *Cluster {
 	if s.Congestion != nil {
 		fab.EnableCongestion(*s.Congestion)
 	}
+	mode, nprCfg := rnic.KindODP, npr.DefaultConfig()
+	switch s.MemMode {
+	case "", "odp":
+		// The default: on-demand registrations use Explicit ODP.
+	case "pin":
+		mode = rnic.KindPinned
+	case "npr":
+		mode = rnic.KindNPR
+		if s.NPRPoolBytes > 0 {
+			nprCfg.PoolBytes = s.NPRPoolBytes
+		}
+	default:
+		panic(fmt.Sprintf("cluster: unknown memory mode %q", s.MemMode))
+	}
 	c := &Cluster{Eng: eng, Fab: fab, Sys: s}
 	for i := 0; i < nodes; i++ {
 		// Not fmt.Sprintf: its printer pool drops entries under -race and
@@ -241,20 +255,7 @@ func (s System) BuildOn(eng *sim.Engine, seed int64, nodes int) *Cluster {
 		default:
 			panic(fmt.Sprintf("cluster: unknown transport %q", s.Transport))
 		}
-		switch s.MemMode {
-		case "", "odp":
-			// The default: managed registrations use Explicit ODP.
-		case "pin":
-			n.ForcePinned()
-		case "npr":
-			cfg := npr.DefaultConfig()
-			if s.NPRPoolBytes > 0 {
-				cfg.PoolBytes = s.NPRPoolBytes
-			}
-			n.EnableNPR(cfg)
-		default:
-			panic(fmt.Sprintf("cluster: unknown memory mode %q", s.MemMode))
-		}
+		n.SetMemoryMode(mode, nprCfg)
 		c.Nodes = append(c.Nodes, n)
 	}
 	return c

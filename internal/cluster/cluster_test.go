@@ -120,8 +120,8 @@ func TestFaultKnobs(t *testing.T) {
 	rnic.ConnectPair(qa, qb, p, p)
 	lb := cl.Nodes[0].AS.Alloc(hostmem.PageSize)
 	rb2 := cl.Nodes[1].AS.Alloc(hostmem.PageSize)
-	cl.Nodes[0].RegisterMR(lb, hostmem.PageSize)
-	cl.Nodes[1].RegisterMR(rb2, hostmem.PageSize)
+	cl.Nodes[0].RegisterMR(lb, hostmem.PageSize, false)
+	cl.Nodes[1].RegisterMR(rb2, hostmem.PageSize, false)
 	qa.PostSend(rnic.SendWR{ID: 1, Op: rnic.OpRead, LocalAddr: lb, RemoteAddr: rb2, Len: 64})
 	cl.Eng.Run()
 	var got [2]rnic.CQE
@@ -161,8 +161,8 @@ func TestBuildCluster(t *testing.T) {
 	rnic.ConnectPair(qa, qb, p, p)
 	lb := cl.Nodes[0].AS.Alloc(hostmem.PageSize)
 	rb2 := cl.Nodes[2].AS.Alloc(hostmem.PageSize)
-	cl.Nodes[0].RegisterMR(lb, hostmem.PageSize)
-	cl.Nodes[2].RegisterMR(rb2, hostmem.PageSize)
+	cl.Nodes[0].RegisterMR(lb, hostmem.PageSize, false)
+	cl.Nodes[2].RegisterMR(rb2, hostmem.PageSize, false)
 	qa.PostSend(rnic.SendWR{ID: 1, Op: rnic.OpRead, LocalAddr: lb, RemoteAddr: rb2, Len: 64})
 	cl.Eng.Run()
 	var got [2]rnic.CQE

@@ -27,8 +27,8 @@ func TestPoolConservationUnderLossAndRetransmit(t *testing.T) {
 	rbuf := server.AS.Alloc(n * size)
 	client.AS.Touch(lbuf, n*size)
 	server.AS.Touch(rbuf, n*size)
-	client.RegisterMR(lbuf, n*size)
-	server.RegisterMR(rbuf, n*size)
+	client.RegisterMR(lbuf, n*size, false)
+	server.RegisterMR(rbuf, n*size, false)
 
 	cq := rnic.NewCQ(cl.Eng)
 	scq := rnic.NewCQ(cl.Eng)
@@ -106,8 +106,8 @@ func TestPoolConservationCongested(t *testing.T) {
 	rbuf := server.AS.Alloc(buflen)
 	client.AS.Touch(lbuf, buflen)
 	server.AS.Touch(rbuf, buflen)
-	client.RegisterMR(lbuf, buflen)
-	server.RegisterMR(rbuf, buflen)
+	client.RegisterMR(lbuf, buflen, false)
+	server.RegisterMR(rbuf, buflen, false)
 
 	cq := rnic.NewCQ(cl.Eng)
 	scq := rnic.NewCQ(cl.Eng)
@@ -204,8 +204,8 @@ func TestPoolConservationCongestedChurn(t *testing.T) {
 		rbuf := server.AS.Alloc(n * size)
 		client.AS.Touch(lbuf, n*size)
 		server.AS.Touch(rbuf, n*size)
-		client.RegisterMR(lbuf, n*size)
-		server.RegisterMR(rbuf, n*size)
+		client.RegisterMR(lbuf, n*size, false)
+		server.RegisterMR(rbuf, n*size, false)
 
 		cq := rnic.NewCQ(cl.Eng)
 		scq := rnic.NewCQ(cl.Eng)
@@ -289,8 +289,8 @@ func TestPoolConservationIRNLossChurn(t *testing.T) {
 		rbuf := server.AS.Alloc(n * size)
 		client.AS.Touch(lbuf, n*size)
 		server.AS.Touch(rbuf, n*size)
-		client.RegisterMR(lbuf, n*size)
-		server.RegisterMR(rbuf, n*size)
+		client.RegisterMR(lbuf, n*size, false)
+		server.RegisterMR(rbuf, n*size, false)
 
 		cq := rnic.NewCQ(cl.Eng)
 		scq := rnic.NewCQ(cl.Eng)

@@ -114,11 +114,7 @@ func runCollective(sc *scenario.Scenario, sys cluster.System, nodes, ops, size i
 		}
 		buflen := size * ops * inbound[j]
 		rbuf[j] = cl.Nodes[j].AS.Alloc(buflen)
-		if mode == ServerODP || mode == BothODP {
-			cl.Nodes[j].RegisterManagedMR(rbuf[j], buflen)
-		} else {
-			cl.Nodes[j].RegisterMR(rbuf[j], buflen)
-		}
+		cl.Nodes[j].RegisterMR(rbuf[j], buflen, mode.Server())
 	}
 	lbuf := make([]hostmem.Addr, nodes)
 	for i := 0; i < nodes; i++ {
@@ -127,11 +123,7 @@ func runCollective(sc *scenario.Scenario, sys cluster.System, nodes, ops, size i
 		}
 		buflen := size * ops * len(peers[i])
 		lbuf[i] = cl.Nodes[i].AS.Alloc(buflen)
-		if mode == ClientODP || mode == BothODP {
-			cl.Nodes[i].RegisterManagedMR(lbuf[i], buflen)
-		} else {
-			cl.Nodes[i].RegisterMR(lbuf[i], buflen)
-		}
+		cl.Nodes[i].RegisterMR(lbuf[i], buflen, mode.Client())
 	}
 
 	// One send CQ per node; qpsPer connected QPs per directed pair, used

@@ -9,11 +9,10 @@ import (
 	"odpsim/internal/telemetry"
 )
 
-// This file asks the question ROADMAP item 2 promises an answer to: do
-// the paper's two pitfalls (pending-window loss / packet damming, and
-// the page-status update failure behind packet floods) shrink, survive
-// or change shape when the transport stops amplifying them? The
-// irn-compare workload reruns one flood shape across every cell of
+// This file asks whether the paper's two pitfalls (pending-window loss
+// / packet damming, and the page-status update failure behind packet
+// floods) shrink, survive or change shape when the transport stops
+// amplifying them. The irn-compare workload reruns one flood shape across every cell of
 // {rc, irn} × {lossy, lossless} × {pin, odp, npr}:
 //
 //   rc        — the hardware go-back-N machine (the paper's transport),

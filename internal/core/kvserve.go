@@ -185,20 +185,12 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 		server := kp.cl.Nodes[0]
 		slotLen := size * ops
 		region := server.AS.Alloc(slotLen * clients)
-		if mode == ServerODP || mode == BothODP {
-			server.RegisterManagedMR(region, slotLen*clients)
-		} else {
-			server.RegisterMR(region, slotLen*clients)
-		}
+		server.RegisterMR(region, slotLen*clients, mode.Server())
 
 		for c := 1; c < hostsPer; c++ {
 			node := kp.cl.Nodes[c]
 			lbuf := node.AS.Alloc(slotLen)
-			if mode == ClientODP || mode == BothODP {
-				node.RegisterManagedMR(lbuf, slotLen)
-			} else {
-				node.RegisterMR(lbuf, slotLen)
-			}
+			node.RegisterMR(lbuf, slotLen, mode.Client())
 			cq := rnic.NewCQ(kp.cl.Eng)
 			qc := node.CreateQP(cq, cq)
 			qs := server.CreateQP(rnic.NewCQ(kp.cl.Eng), rnic.NewCQ(kp.cl.Eng))

@@ -38,11 +38,11 @@ func TestKVServePodHubSnapshot(t *testing.T) {
 	params := rnic.ConnParams{CACK: 8, RetryCount: 7, MinRNRDelay: sc.RNRDelay()}
 	server := cl.Nodes[0]
 	region := server.AS.Alloc(sc.Size * (hosts - 1))
-	server.RegisterManagedMR(region, sc.Size*(hosts-1))
+	server.RegisterMR(region, sc.Size*(hosts-1), true)
 	for c := 1; c < hosts; c++ {
 		node := cl.Nodes[c]
 		lbuf := node.AS.Alloc(sc.Size)
-		node.RegisterMR(lbuf, sc.Size)
+		node.RegisterMR(lbuf, sc.Size, false)
 		cq := rnic.NewCQ(cl.Eng)
 		qc := node.CreateQP(cq, cq)
 		qs := server.CreateQP(rnic.NewCQ(cl.Eng), rnic.NewCQ(cl.Eng))

@@ -46,6 +46,12 @@ func (m ODPMode) String() string {
 	}
 }
 
+// Client reports whether the client registers its buffers on demand.
+func (m ODPMode) Client() bool { return m == ClientODP || m == BothODP }
+
+// Server reports whether the server registers its buffers on demand.
+func (m ODPMode) Server() bool { return m == ServerODP || m == BothODP }
+
 // BenchConfig parameterizes the micro-benchmark exactly like the
 // simplified C code of Figure 3: message size, number of operations,
 // number of QPs and the interval between posts, plus the connection
@@ -167,21 +173,12 @@ func RunMicrobench(cfg BenchConfig) *BenchResult {
 	buflen := cfg.Size * cfg.NumOps
 	lbuf := client.AS.Alloc(buflen)
 	rbuf := server.AS.Alloc(buflen)
-	// The "ODP side" of each mode is a managed registration: it follows
-	// the node's memory mode (odp normally, npr/pin when the System says
-	// so), which is how `memory:` sweeps reroute every benchmark.
-	switch cfg.Mode {
-	case ClientODP, BothODP:
-		client.RegisterManagedMR(lbuf, buflen)
-	default:
-		client.RegisterMR(lbuf, buflen)
-	}
-	switch cfg.Mode {
-	case ServerODP, BothODP:
-		server.RegisterManagedMR(rbuf, buflen)
-	default:
-		server.RegisterMR(rbuf, buflen)
-	}
+	// The "ODP side" of each mode is an on-demand registration: it
+	// follows the node's memory mode (odp normally, npr/pin when the
+	// System says so), which is how `memory:` sweeps reroute every
+	// benchmark.
+	client.RegisterMR(lbuf, buflen, cfg.Mode.Client())
+	server.RegisterMR(rbuf, buflen, cfg.Mode.Server())
 	if cfg.TouchAllButFirst {
 		firstPage := hostmem.PageOf(lbuf)
 		for _, p := range hostmem.PagesSpanned(lbuf, buflen) {

@@ -44,8 +44,8 @@ func TestDammingIndependentOfOtherQPs(t *testing.T) {
 	buflen := 16 * 4096
 	lbuf := client.AS.Alloc(buflen)
 	rbuf := server.AS.Alloc(buflen)
-	client.RegisterMR(lbuf, buflen)
-	server.RegisterODPMR(rbuf, buflen)
+	client.RegisterMR(lbuf, buflen, false)
+	server.RegisterMR(rbuf, buflen, true)
 	cq := rnic.NewCQ(cl.Eng)
 	scq := rnic.NewCQ(cl.Eng)
 	params := rnic.ConnParams{CACK: 1, RetryCount: 7, MinRNRDelay: sim.FromMillis(1.28)}

@@ -77,7 +77,7 @@ func floodConfig(sc *scenario.Scenario) (cfg BenchConfig, op string, err error) 
 	if err != nil {
 		return cfg, "", err
 	}
-	if cfg.Mode == ServerODP || cfg.Mode == BothODP {
+	if cfg.Mode.Server() {
 		cfg.OpOverride = writeOnly
 		return cfg, "WRITE", nil
 	}

@@ -21,7 +21,7 @@ func MeasureTimeoutOn(eng *sim.Engine, sys cluster.System, cack int, seed int64)
 	cl := sys.BuildOn(eng, seed, 2)
 	client := cl.Nodes[0]
 	lbuf := client.AS.Alloc(4096)
-	client.RegisterMR(lbuf, 4096)
+	client.RegisterMR(lbuf, 4096, false)
 
 	cq := rnic.NewCQ(cl.Eng)
 	qp := client.CreateQP(cq, cq)

@@ -112,10 +112,10 @@ func TestConcurrentTrialsAreIsolated(t *testing.T) {
 		cl := cluster.KNL().Build(seed, 2)
 		client := cl.Nodes[0]
 		lbuf := client.AS.Alloc(4096)
-		client.RegisterODPMR(lbuf, 4096)
+		client.RegisterMR(lbuf, 4096, true)
 		server := cl.Nodes[1]
 		rbuf := server.AS.Alloc(4096)
-		server.RegisterMR(rbuf, 4096)
+		server.RegisterMR(rbuf, 4096, false)
 		cq := rnic.NewCQ(cl.Eng)
 		scq := rnic.NewCQ(cl.Eng)
 		qc := client.CreateQP(cq, cq)

@@ -92,21 +92,18 @@ func newEnv(cfg Config) *env {
 	e.lbuf = client.AS.Alloc(buflen)
 	e.rbuf = server.AS.Alloc(buflen)
 
-	reg := func(nic *rnic.RNIC, addr hostmem.Addr, odp bool) {
-		if !odp {
-			nic.RegisterMR(addr, buflen)
-			return
-		}
-		if cfg.Implicit {
+	// On demand: Explicit ODP normally, rerouted through the NPR shadow
+	// table (or pinning) when the node's mode says so. Implicit ODP
+	// registers nothing on the on-demand side.
+	reg := func(nic *rnic.RNIC, addr hostmem.Addr, onDemand bool) {
+		if onDemand && cfg.Implicit {
 			nic.EnableImplicitODP()
 		} else {
-			// Managed: Explicit ODP normally, rerouted through the NPR
-			// shadow table (or pinning) when the node's mode says so.
-			nic.RegisterManagedMR(addr, buflen)
+			nic.RegisterMR(addr, buflen, onDemand)
 		}
 	}
-	reg(client, e.lbuf, cfg.Mode == core.ClientODP || cfg.Mode == core.BothODP)
-	reg(server, e.rbuf, cfg.Mode == core.ServerODP || cfg.Mode == core.BothODP)
+	reg(client, e.lbuf, cfg.Mode.Client())
+	reg(server, e.rbuf, cfg.Mode.Server())
 
 	e.cq = rnic.NewCQ(cl.Eng)
 	scq := rnic.NewCQ(cl.Eng)
@@ -116,10 +113,10 @@ func newEnv(cfg Config) *env {
 	rnic.ConnectPair(e.qp, qs, params, params)
 
 	if cfg.Prefetch {
-		if cfg.Mode == core.ClientODP || cfg.Mode == core.BothODP {
+		if cfg.Mode.Client() {
 			client.AdviseMR(e.qp.Num, e.lbuf, buflen)
 		}
-		if cfg.Mode == core.ServerODP || cfg.Mode == core.BothODP {
+		if cfg.Mode.Server() {
 			server.AdviseMR(qs.Num, e.rbuf, buflen)
 		}
 		cl.Eng.Run() // drain the prefetch before measuring

@@ -89,7 +89,7 @@ func NewDirectPin(nic *rnic.RNIC, costs Costs) Strategy {
 func (d *directPin) Name() string { return "direct-pin" }
 
 func (d *directPin) Acquire(p *sim.Proc, addr hostmem.Addr, length int) (*rnic.MR, func()) {
-	mr, pinCost := d.nic.RegisterMR(addr, length)
+	mr, pinCost := d.nic.RegisterMR(addr, length, false)
 	d.stats.Registrations++
 	d.pinned += length
 	p.Sleep(d.costs.RegFixed + pinCost)
@@ -246,7 +246,7 @@ func (c *pinDownCache) Acquire(p *sim.Proc, addr hostmem.Addr, length int) (*rni
 			break // everything is in use; exceed the budget rather than fail
 		}
 	}
-	mr, pinCost := c.nic.RegisterMR(addr, length)
+	mr, pinCost := c.nic.RegisterMR(addr, length, false)
 	c.pinned += length
 	c.stats.Registrations++
 	p.Sleep(c.costs.RegFixed + pinCost)
@@ -287,7 +287,7 @@ func NewCopyPath(nic *rnic.RNIC, costs Costs, threshold, bounceBytes int) Strate
 		panic("regcache: bounce buffer smaller than threshold")
 	}
 	addr := nic.AS.Alloc(bounceBytes)
-	mr, _ := nic.RegisterMR(addr, bounceBytes)
+	mr, _ := nic.RegisterMR(addr, bounceBytes, false)
 	return &copyPath{
 		nic: nic, costs: costs, threshold: threshold,
 		bounce: mr, bounceSz: bounceBytes,
@@ -329,9 +329,10 @@ type odpOnce struct {
 	stats Stats
 }
 
-// NewODPOnce registers each buffer once with ODP — no pinning, no
-// footprint, but every first access costs a network page fault (and the
-// pitfalls of the paper apply).
+// NewODPOnce registers each buffer once on demand, which on an ODP
+// device (the default) means no pinning, no footprint, but every first
+// access costs a network page fault (and the pitfalls of the paper
+// apply).
 func NewODPOnce(nic *rnic.RNIC) Strategy {
 	return &odpOnce{nic: nic, mrs: make(map[hostmem.Addr]*rnic.MR)}
 }
@@ -345,7 +346,7 @@ func (o *odpOnce) Acquire(p *sim.Proc, addr hostmem.Addr, length int) (*rnic.MR,
 	}
 	o.stats.Misses++
 	o.stats.Registrations++
-	mr := o.nic.RegisterODPMR(addr, length)
+	mr, _ := o.nic.RegisterMR(addr, length, true)
 	o.mrs[addr] = mr
 	return mr, func() {}
 }
@@ -365,10 +366,11 @@ type nprOnce struct {
 // table: registration is as cheap as ODP, but the translation cost is a
 // bounded synchronous driver migration (charged here at acquire time,
 // the moment the driver would migrate for a host-initiated transfer)
-// instead of a network page fault. The device must have EnableNPR on.
+// instead of a network page fault. The device must be in NPR mode
+// (SetMemoryMode).
 func NewNPROnce(nic *rnic.RNIC) Strategy {
 	if nic.NPR() == nil {
-		panic("regcache: NewNPROnce needs EnableNPR on the device")
+		panic("regcache: NewNPROnce needs an NPR-mode device")
 	}
 	return &nprOnce{nic: nic, mrs: make(map[hostmem.Addr]*rnic.MR)}
 }
@@ -382,7 +384,7 @@ func (o *nprOnce) Acquire(p *sim.Proc, addr hostmem.Addr, length int) (*rnic.MR,
 	} else {
 		o.stats.Misses++
 		o.stats.Registrations++
-		mr = o.nic.RegisterNPRMR(addr, length)
+		mr, _ = o.nic.RegisterMR(addr, length, true)
 		o.mrs[addr] = mr
 	}
 	pool := o.nic.NPR()

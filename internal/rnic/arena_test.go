@@ -37,8 +37,8 @@ func arenaPair(eng *sim.Engine, seed int64, tr transport, dcqcn bool) (fab *fabr
 	}
 	const size = bufPages * hostmem.PageSize
 	lbuf, rbuf = client.AS.Alloc(size), server.AS.Alloc(size)
-	client.RegisterMR(lbuf, size)
-	server.RegisterODPMR(rbuf, size)
+	client.RegisterMR(lbuf, size, false)
+	server.RegisterMR(rbuf, size, true)
 	return fab, client, server, lbuf, rbuf
 }
 

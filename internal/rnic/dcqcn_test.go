@@ -30,8 +30,8 @@ func dcqcnPair(t *testing.T, congCfg congestion.Config) (*sim.Engine, *fabric.Fa
 	ConnectPair(qpC, qpS, params, params)
 	lbuf := client.AS.Alloc(bufPages * hostmem.PageSize)
 	rbuf := server.AS.Alloc(bufPages * hostmem.PageSize)
-	client.RegisterMR(lbuf, bufPages*hostmem.PageSize)
-	server.RegisterMR(rbuf, bufPages*hostmem.PageSize)
+	client.RegisterMR(lbuf, bufPages*hostmem.PageSize, false)
+	server.RegisterMR(rbuf, bufPages*hostmem.PageSize, false)
 	return eng, fab, qpC, client, server, rbuf
 }
 

@@ -106,8 +106,8 @@ func TestOpMixEveryTransportAndMemoryMode(t *testing.T) {
 						recvOK = recvOK && e.WRID == uint64(100+i)
 					}
 
-					// Two open defects show in this matrix (ROADMAP item
-					// 9, "Open defects"). A READ or atomic response
+					// Two open defects show in this matrix (ROADMAP,
+					// "Open defects"). A READ or atomic response
 					// completes an earlier atomic whose own response was
 					// lost, and that CQE carries the later response's
 					// value; here it strikes go-back-N's lossy runs. An

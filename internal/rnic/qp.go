@@ -114,6 +114,12 @@ type wqe struct {
 	// per recovery round (a persistent hole falls back to the timeout).
 	sacked   bool
 	retxDone bool
+	// local is how the WR's local buffer translates, classified once
+	// when the WR moves from sq to out. Only KindODP locals take the
+	// client-fault discard path: NP-RDMA locals are driver-held for the
+	// WR's lifetime (nprHeld). It sits in the bools' padding, which
+	// keeps the wqe in the 96-byte allocation size class.
+	local MemKind
 
 	// Transmission state, set when the WR moves from sq to out.
 	firstPSN    uint32
@@ -344,6 +350,7 @@ func (qp *QP) pump() {
 		}
 		qp.sq.Pop()
 		w.firstPSN, w.npsn = qp.nextPSN, int32(npsn)
+		w.local, _ = qp.rnic.lookupMR(w.LocalAddr, w.Len)
 		qp.nextPSN = packet.PSNAdd(qp.nextPSN, npsn)
 		if qp.out.Len() == 0 {
 			qp.rnic.busyQPs++
@@ -377,14 +384,12 @@ func (qp *QP) sendRequest(o *wqe) bool {
 	// NP-RDMA local translation: the driver migrates the WR's local
 	// buffer into the DMA-able pool and references its frames before the
 	// first transmission. Cold pages stall the send by the synchronous
-	// migration time; warm pages cost nothing. The nil check is the only
-	// hot-path cost in pin/odp modes.
+	// migration time; warm pages cost nothing. The cached kind is the
+	// only hot-path cost in pin/odp modes.
 	var nprStall sim.Time
-	if pool := qp.rnic.npr; pool != nil && !o.nprHeld {
-		if kind, ok := qp.rnic.lookupMR(o.LocalAddr, o.Len); ok && kind == KindNPR {
-			nprStall = pool.Acquire(o.LocalAddr, o.Len)
-			o.nprHeld = true
-		}
+	if o.local == KindNPR && !o.nprHeld {
+		nprStall = qp.rnic.npr.Acquire(o.LocalAddr, o.Len)
+		o.nprHeld = true
 	}
 	pkt := qp.rnic.pool.Get()
 	pkt.DLID = qp.dlid
@@ -564,15 +569,6 @@ func (qp *QP) findOut(psn uint32) *wqe {
 	return nil
 }
 
-// localIsODP reports whether the WR's local buffer lies in an ODP
-// registration (client-side ODP applies to its READ responses). NPR
-// locals return false on purpose: their translations are driver-held
-// for the WR's lifetime, so the client-fault discard path never runs.
-func (qp *QP) localIsODP(w *wqe) bool {
-	kind, ok := qp.rnic.lookupMR(w.LocalAddr, w.Len)
-	return ok && kind == KindODP
-}
-
 // releaseNPR drops the WR's NP-RDMA frame references once it leaves
 // the outstanding window (completion, fatal error or reset).
 func (qp *QP) releaseNPR(w *wqe) {
@@ -647,7 +643,7 @@ func (qp *QP) handleReadResponse(pkt *packet.Packet) {
 		// lands here, which is a large share of the flood load.
 		qp.Stats.ResponsesDiscarded++
 		if o := qp.findOut(pkt.PSN); o != nil && o.faulted &&
-			qp.localIsODP(o) && !qp.rnic.ODP.Access(qp.Num, o.LocalAddr, o.Len) {
+			o.local == KindODP && !qp.rnic.ODP.Access(qp.Num, o.LocalAddr, o.Len) {
 			qp.rnic.ODP.Spurious(qp.Num, o.LocalAddr, o.Len)
 		}
 		return
@@ -656,7 +652,7 @@ func (qp *QP) handleReadResponse(pkt *packet.Packet) {
 	if o == nil {
 		return // ghost or duplicate response
 	}
-	if qp.localIsODP(o) && !qp.rnic.ODP.Access(qp.Num, o.LocalAddr, o.Len) {
+	if o.local == KindODP && !qp.rnic.ODP.Access(qp.Num, o.LocalAddr, o.Len) {
 		// Client-side ODP: the RNIC cannot scatter the payload, drops
 		// the response, and schedules a blind retransmission of the
 		// request — over and over until the page status update lands.

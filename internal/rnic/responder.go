@@ -3,7 +3,6 @@ package rnic
 import (
 	"odpsim/internal/hostmem"
 	"odpsim/internal/packet"
-	"odpsim/internal/sim"
 )
 
 // responderReceive handles inbound requests: PSN sequencing and the
@@ -58,16 +57,19 @@ func (qp *QP) responderReceive(pkt *packet.Packet) {
 // execute performs one request its transport has sequenced: the
 // protection check, translation, the operation, its counter and the
 // reply. It returns the PSN span the request occupies and whether it
-// executed. On an ODP miss it registers the fault and sends the RNR NAK
-// (ok=false): the reliability of RC leaves the request on the requester
-// side, so nothing needs to be stored here (§III-B). An NP-RDMA stall
-// defers only the reply; the request itself is accepted. Only the five
-// request opcodes reach here (Opcode.IsRequest).
+// executed. A target outside every registration, a SEND's receive
+// buffer included, is a remote access error. On an ODP miss it
+// registers the fault and sends the RNR NAK (ok=false): the reliability
+// of RC leaves the request on the requester side, so nothing needs to
+// be stored here (§III-B). An NP-RDMA stall defers only the reply; the
+// request itself is accepted. Only the five request opcodes reach here
+// (Opcode.IsRequest).
 func (qp *QP) execute(pkt *packet.Packet) (npsn int, ok bool) {
 	r := qp.rnic
 	npsn = 1
 	addr, length := hostmem.Addr(pkt.RemoteAddr), int(pkt.DMALen)
-	if pkt.Opcode == packet.OpSendOnly {
+	switch pkt.Opcode {
+	case packet.OpSendOnly:
 		if qp.rq.Len() == 0 {
 			// The genuine Receiver-Not-Ready condition.
 			r.OutOfBuffer++
@@ -76,16 +78,15 @@ func (qp *QP) execute(pkt *packet.Packet) (npsn int, ok bool) {
 			return npsn, false
 		}
 		addr, length = qp.rq.Front().Addr, pkt.PayloadLen
-	} else {
-		if pkt.Opcode == packet.OpReadRequest {
-			npsn = r.span(length)
-		}
-		if _, found := r.lookupMR(addr, length); !found {
-			qp.sendAck(packet.SynNAKRemoteAccessErr, pkt.PSN)
-			return npsn, false
-		}
+	case packet.OpReadRequest:
+		npsn = r.span(length)
 	}
-	ok, stall := qp.translateRemote(addr, length)
+	kind, found := r.lookupMR(addr, length)
+	if !found {
+		qp.sendAck(packet.SynNAKRemoteAccessErr, pkt.PSN)
+		return npsn, false
+	}
+	stall, ok := r.ready(qp.Num, kind, addr, length)
 	if !ok {
 		r.RNRNakSent++
 		qp.sendRNRNak(pkt.PSN)
@@ -138,35 +139,6 @@ func (qp *QP) execute(pkt *packet.Packet) (npsn int, ok bool) {
 func (qp *QP) completeRecv(id uint64, psn uint32, length int) {
 	qp.deliver(qp.recvCQ, CQE{WRID: id, QPN: qp.Num, Status: WCSuccess, Op: OpSend, ByteLen: length, Recv: true})
 	qp.sendAck(packet.SynACK, psn)
-}
-
-// translateRemote checks responder-side access to the range. On an ODP
-// miss it registers the fault (or spurious re-access) and reports
-// ok=false — the RNR NAK path. An NP-RDMA region always translates
-// (ok=true) but may return a nonzero stall: the driver migrates the
-// cold pages synchronously and the response leaves that much later.
-// The NIC never sees a miss, so no NAK, no pending window, no damming.
-func (qp *QP) translateRemote(addr hostmem.Addr, length int) (ok bool, stall sim.Time) {
-	r := qp.rnic
-	kind, found := r.lookupMR(addr, length)
-	if !found {
-		return false, 0 // protection error, handled by caller
-	}
-	switch kind {
-	case KindPinned:
-		return true, 0 // pinned region: always translatable
-	case KindNPR:
-		return true, r.npr.EnsureRange(addr, length)
-	}
-	if r.ODP.Access(qp.Num, addr, length) {
-		return true, 0
-	}
-	// Re-arrivals while the fault is pending are free on the responder:
-	// the server is stateless — it just NAKs again and "the requests
-	// that cannot be processed can be completely ignored" (§VI-C). Only
-	// the client-side discard path loads the ODP pipeline.
-	r.ODP.Fault(qp.Num, addr, length)
-	return false, 0
 }
 
 // sendAck emits an Acknowledge with the given syndrome for psn.

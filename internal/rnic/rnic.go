@@ -16,7 +16,9 @@ import (
 
 // MemKind says how a memory range is translated for DMA: pinned up
 // front, faulted on demand by the NIC (ODP), or migrated on demand by
-// the driver through the NP-RDMA pool.
+// the driver through the NP-RDMA pool. A registration's kind is fixed
+// when it is made (RegisterMR); every access then asks the device one
+// question about it (ready).
 type MemKind uint8
 
 const (
@@ -25,41 +27,14 @@ const (
 	KindNPR
 )
 
-func (k MemKind) String() string {
-	switch k {
-	case KindODP:
-		return "odp"
-	case KindNPR:
-		return "npr"
-	default:
-		return "pin"
-	}
-}
-
 // MR is a registered memory region.
 type MR struct {
 	Key  uint32
 	Addr hostmem.Addr
 	Len  int
-	// ODP marks an on-demand-paging registration: no pinning, network
-	// page faults on access.
-	ODP bool
-	// NPR marks an NP-RDMA registration: no pinning either, but
-	// translation goes through the driver's shadow table and bounded
-	// DMA-able pool instead of NIC page faults.
-	NPR bool
-}
-
-// Kind returns the region's translation kind.
-func (m *MR) Kind() MemKind {
-	switch {
-	case m.NPR:
-		return KindNPR
-	case m.ODP:
-		return KindODP
-	default:
-		return KindPinned
-	}
+	// Kind is how the region translates: KindPinned for a conventional
+	// registration, the device's memory mode for an on-demand one.
+	Kind MemKind
 }
 
 // Contains reports whether the byte range lies inside the region.
@@ -90,11 +65,11 @@ type RNIC struct {
 	mrs         []*MR
 	nextKey     uint32
 	implicitODP bool
-	// npr, when non-nil, is the NP-RDMA driver pool (EnableNPR) and the
-	// device's managed registrations translate through it instead of the
-	// ODP fault engine; forcePinned makes managed registrations pin.
-	npr         *npr.Pool
-	forcePinned bool
+	// mode is the kind on-demand registrations take (SetMemoryMode):
+	// KindODP unless the device was set to pin or to NP-RDMA. npr is the
+	// NP-RDMA driver pool, non-nil exactly when mode is KindNPR.
+	mode MemKind
+	npr  *npr.Pool
 	// busyQPs counts QPs with outstanding requests (the load signal for
 	// the §VI-C timeout-lengthening effect).
 	busyQPs int
@@ -179,6 +154,7 @@ func New(fab *fabric.Fabric, lid uint16, name string, prof Profile, memCfg hostm
 		scratch:   s,
 		tel:       telemetry.NewRegistryOn(eng, name, telemetry.Labels{"device": name}),
 		nextKey:   1,
+		mode:      KindODP,
 		qps:       qps,
 		mrs:       mrs,
 		arenaNext: r.arenaNext,
@@ -211,29 +187,22 @@ func (r *RNIC) EnableDCQCN(cfg congestion.DCQCNConfig, lineGbps float64) {
 	r.tel.Counter(telemetry.RpCnpHandled, "CNPs handled by the reaction point (rate cuts)", nil, &r.CnpHandled)
 }
 
-// EnableNPR turns on the NP-RDMA no-pinning mode for this device: a
-// bounded DMA-able pool plus a driver-maintained shadow translation
-// table replaces the NIC page-fault path for managed registrations.
-// Call before registering memory; the npr_* counters register here so
+// SetMemoryMode sets the kind on-demand registrations take, the
+// device's end of the `memory: pin|odp|npr` comparison: KindODP (the
+// default) faults pages through the NIC, KindPinned pins them, and
+// KindNPR translates through an NP-RDMA pool built from nprCfg (a
+// bounded DMA-able pool plus a driver-maintained shadow table). Call
+// before registering memory; the npr_* counters register here so
 // devices without NPR keep their exact pre-existing metric set.
-func (r *RNIC) EnableNPR(cfg npr.Config) {
-	if r.npr != nil {
-		panic("rnic: EnableNPR called twice")
+func (r *RNIC) SetMemoryMode(mode MemKind, nprCfg npr.Config) {
+	if r.mode != KindODP {
+		panic("rnic: SetMemoryMode called twice")
 	}
-	if r.forcePinned {
-		panic("rnic: EnableNPR after ForcePinned")
+	r.mode = mode
+	if mode == KindNPR {
+		r.npr = npr.New(r.AS, nprCfg)
+		r.npr.RegisterMetrics(r.tel)
 	}
-	r.npr = npr.New(r.AS, cfg)
-	r.npr.RegisterMetrics(r.tel)
-}
-
-// ForcePinned makes RegisterManagedMR pin instead of using ODP — the
-// `memory: pin` end of the pin|odp|npr comparison.
-func (r *RNIC) ForcePinned() {
-	if r.npr != nil {
-		panic("rnic: ForcePinned after EnableNPR")
-	}
-	r.forcePinned = true
 }
 
 // NPR returns the device's NP-RDMA pool, or nil when NPR is off.
@@ -285,55 +254,26 @@ func (r *RNIC) LID() uint16 { return r.Port.LID }
 // accessible through on-demand paging without explicit registration.
 func (r *RNIC) EnableImplicitODP() { r.implicitODP = true }
 
-// RegisterMR registers a conventional (pinned) memory region, paying the
-// per-page pinning cost in bookkeeping (the time cost is returned so a
-// caller process can charge it).
-func (r *RNIC) RegisterMR(addr hostmem.Addr, length int) (*MR, sim.Time) {
-	cost := r.AS.Pin(addr, length)
+// RegisterMR registers a memory region. A conventional registration
+// (onDemand false) pins the range, paying the per-page pinning cost in
+// bookkeeping; the time cost is returned so a caller process can charge
+// it. An on-demand registration (ibv_reg_mr's IBV_ACCESS_ON_DEMAND)
+// takes the device's memory mode: Explicit ODP normally, which is free
+// at registration time and faults on access, an NP-RDMA region under
+// KindNPR, also free, whose cost moves to first touch as a migration
+// stall, or a pinned region under KindPinned.
+func (r *RNIC) RegisterMR(addr hostmem.Addr, length int, onDemand bool) (*MR, sim.Time) {
 	mr := &MR{Key: r.nextKey, Addr: addr, Len: length}
+	if onDemand {
+		mr.Kind = r.mode
+	}
+	var cost sim.Time
+	if mr.Kind == KindPinned {
+		cost = r.AS.Pin(addr, length)
+	}
 	r.nextKey++
 	r.mrs = append(r.mrs, mr)
 	return mr, cost
-}
-
-// RegisterODPMR registers an Explicit-ODP memory region: no pinning, and
-// RDMA access triggers network page faults.
-func (r *RNIC) RegisterODPMR(addr hostmem.Addr, length int) *MR {
-	mr := &MR{Key: r.nextKey, Addr: addr, Len: length, ODP: true}
-	r.nextKey++
-	r.mrs = append(r.mrs, mr)
-	return mr
-}
-
-// RegisterNPRMR registers an NP-RDMA region: no pinning, and access
-// translates through the driver's shadow table, migrating cold pages
-// into the bounded pool on demand. Registration itself is free, like
-// ODP — the cost moves to first touch as a translation stall.
-func (r *RNIC) RegisterNPRMR(addr hostmem.Addr, length int) *MR {
-	if r.npr == nil {
-		panic("rnic: RegisterNPRMR without EnableNPR")
-	}
-	mr := &MR{Key: r.nextKey, Addr: addr, Len: length, NPR: true}
-	r.nextKey++
-	r.mrs = append(r.mrs, mr)
-	return mr
-}
-
-// RegisterManagedMR registers according to the device's memory mode:
-// pinned under ForcePinned (cost returned), NPR under EnableNPR, and
-// Explicit ODP otherwise (both free at registration time). Every layer
-// that used to choose between RegisterMR and RegisterODPMR by an ODP
-// flag funnels through here, which is what makes `memory: pin|odp|npr`
-// a per-node switch instead of a per-callsite one.
-func (r *RNIC) RegisterManagedMR(addr hostmem.Addr, length int) (*MR, sim.Time) {
-	switch {
-	case r.forcePinned:
-		return r.RegisterMR(addr, length)
-	case r.npr != nil:
-		return r.RegisterNPRMR(addr, length), 0
-	default:
-		return r.RegisterODPMR(addr, length), 0
-	}
 }
 
 // AdviseMR prefetches ODP translations for the range into qp's context,
@@ -350,7 +290,7 @@ func (r *RNIC) DeregisterMR(mr *MR) {
 	for i, m := range r.mrs {
 		if m == mr {
 			r.mrs = append(r.mrs[:i], r.mrs[i+1:]...)
-			if !mr.ODP && !mr.NPR {
+			if mr.Kind == KindPinned {
 				r.AS.Unpin(mr.Addr, mr.Len)
 			}
 			return
@@ -362,21 +302,46 @@ func (r *RNIC) DeregisterMR(mr *MR) {
 // lookupMR finds a registration covering the range. ok is false when
 // the range is not registered and implicit registration is off; kind
 // reports how the covering registration translates. Under implicit ODP
-// the fallback kind follows the device's memory mode, so an
-// NPR-enabled node's implicit ranges go through the shadow table too.
+// the fallback kind is NP-RDMA on an NPR device, so its implicit ranges
+// go through the shadow table too, and ODP otherwise.
 func (r *RNIC) lookupMR(addr hostmem.Addr, length int) (kind MemKind, ok bool) {
 	for _, m := range r.mrs {
 		if m.Contains(addr, length) {
-			return m.Kind(), true
+			return m.Kind, true
 		}
 	}
 	if r.implicitODP {
-		if r.npr != nil {
+		if r.mode == KindNPR {
 			return KindNPR, true
 		}
 		return KindODP, true
 	}
 	return KindPinned, false
+}
+
+// ready is the one question an access asks of a buffer's translation:
+// when can qpn's access to the range proceed? Pinned memory is ready at
+// once. NP-RDMA memory is always translatable, after stall, the driver's
+// synchronous migration of the range's cold pages into the pool; the
+// NIC never sees a miss, so no NAK, no pending window, no damming. ODP
+// memory is ready at once when the NIC holds a valid translation;
+// otherwise ready registers the network page fault and reports
+// ok=false. Re-arrivals while the fault is pending are free on a
+// responder: the server is stateless, it just NAKs again, and "the
+// requests that cannot be processed can be completely ignored" (§VI-C).
+// Only the client-side discard path loads the ODP pipeline.
+func (r *RNIC) ready(qpn uint32, kind MemKind, addr hostmem.Addr, length int) (stall sim.Time, ok bool) {
+	switch kind {
+	case KindNPR:
+		return r.npr.EnsureRange(addr, length), true
+	case KindODP:
+		if r.ODP.Access(qpn, addr, length) {
+			return 0, true
+		}
+		r.ODP.Fault(qpn, addr, length)
+		return 0, false
+	}
+	return 0, true
 }
 
 // scratch is the storage every RNIC on an engine draws from. It lives

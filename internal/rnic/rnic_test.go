@@ -71,7 +71,7 @@ func newHarness(t *testing.T, seed int64, prof Profile, tr transport, mode odpMo
 			r.EnableIRN(irn.Config{})
 		}
 		if mode == bothNPR {
-			r.EnableNPR(npr.DefaultConfig())
+			r.SetMemoryMode(KindNPR, npr.DefaultConfig())
 		}
 	}
 	h.cqC = NewCQ(eng)
@@ -83,22 +83,10 @@ func newHarness(t *testing.T, seed int64, prof Profile, tr transport, mode odpMo
 	const size = bufPages * hostmem.PageSize
 	h.lbuf = h.client.AS.Alloc(size)
 	h.rbuf = h.server.AS.Alloc(size)
-	switch mode {
-	case clientODP, bothODP:
-		h.client.RegisterODPMR(h.lbuf, size)
-	case bothNPR:
-		h.client.RegisterNPRMR(h.lbuf, size)
-	default:
-		h.client.RegisterMR(h.lbuf, size)
-	}
-	switch mode {
-	case serverODP, bothODP:
-		h.server.RegisterODPMR(h.rbuf, size)
-	case bothNPR:
-		h.server.RegisterNPRMR(h.rbuf, size)
-	default:
-		h.server.RegisterMR(h.rbuf, size)
-	}
+	// An on-demand registration takes the device's mode: NP-RDMA on
+	// bothNPR's devices, ODP on the others.
+	h.client.RegisterMR(h.lbuf, size, mode == clientODP || mode == bothODP || mode == bothNPR)
+	h.server.RegisterMR(h.rbuf, size, mode == serverODP || mode == bothODP || mode == bothNPR)
 	return h
 }
 
@@ -381,13 +369,78 @@ func TestSendWithoutRecvGetsRNR(t *testing.T) {
 }
 
 func TestUnregisteredRemoteIsAccessError(t *testing.T) {
-	h := newHarness(t, 13, ConnectX4(), rcTransport, noODP, defaultParams())
-	bad := h.server.AS.Alloc(hostmem.PageSize) // never registered
-	h.qpC.PostSend(SendWR{ID: 1, Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: bad, Len: 100})
-	h.eng.Run()
-	cqes := pollAll(h.cqC)
-	if len(cqes) != 1 || cqes[0].Status != WCRemoteAccessErr {
-		t.Fatalf("cqes = %+v, want remote access error", cqes)
+	// READ and WRITE targets and a SEND's receive buffer pass the same
+	// protection check: a range outside every registration is a remote
+	// access error, not an RNR NAK retried forever at RNRRetry 7.
+	for _, op := range []SendOp{OpRead, OpWrite, OpSend} {
+		t.Run(op.String(), func(t *testing.T) {
+			h := newHarness(t, 13, ConnectX4(), rcTransport, noODP, defaultParams())
+			bad := h.server.AS.Alloc(hostmem.PageSize) // never registered
+			if op == OpSend {
+				h.qpS.PostRecv(RecvWR{ID: 100, Addr: bad, Len: hostmem.PageSize})
+			}
+			h.qpC.PostSend(SendWR{ID: 1, Op: op, LocalAddr: h.lbuf, RemoteAddr: bad, Len: 100})
+			h.eng.RunUntil(100 * sim.Millisecond) // bounded: an RNR loop never drains
+			cqes := pollAll(h.cqC)
+			if len(cqes) != 1 || cqes[0].Status != WCRemoteAccessErr {
+				t.Fatalf("cqes = %+v, want remote access error", cqes)
+			}
+			if h.server.RNRNakSent != 0 {
+				t.Errorf("RNRNakSent = %d, want 0", h.server.RNRNakSent)
+			}
+			if recv := pollAll(h.cqS); len(recv) != 0 {
+				t.Errorf("recv cqes = %+v, want none", recv)
+			}
+		})
+	}
+}
+
+// TestUDLandingByMemoryMode sends one datagram into a cold on-demand
+// landing buffer on an NP-RDMA device and on an ODP device. The NPR
+// driver migrates the touched pages synchronously and the datagram is
+// delivered; the ODP miss starts a fault and the datagram is dropped,
+// since UD has nobody to retransmit it.
+func TestUDLandingByMemoryMode(t *testing.T) {
+	eng := sim.New(21)
+	fab := fabric.New(eng, fabric.DefaultConfig())
+	src := New(fab, 1, "src", ConnectX4(), hostmem.DefaultConfig())
+	nprDev := New(fab, 2, "npr", ConnectX4(), hostmem.DefaultConfig())
+	nprDev.SetMemoryMode(KindNPR, npr.DefaultConfig())
+	odpDev := New(fab, 3, "odp", ConnectX4(), hostmem.DefaultConfig())
+	cq := NewCQ(eng)
+	tx := src.CreateUDQP(cq, cq)
+	const length = 2*hostmem.PageSize + 100
+	land := func(dev *RNIC) (qp *UDQP, rcq *CQ, pages int) {
+		rcq = NewCQ(eng)
+		qp = dev.CreateUDQP(rcq, rcq)
+		buf := dev.AS.Alloc(4 * hostmem.PageSize)
+		dev.RegisterMR(buf, 4*hostmem.PageSize, true)
+		qp.PostRecv(RecvWR{ID: 7, Addr: buf, Len: 4 * hostmem.PageSize})
+		tx.PostSend(UDSendWR{ID: 1, DestLID: dev.LID(), DestQPN: qp.Num, Len: length})
+		return qp, rcq, len(hostmem.PagesSpanned(buf, length))
+	}
+	nprQP, nprCQ, pages := land(nprDev)
+	odpQP, odpCQ, _ := land(odpDev)
+	eng.Run()
+
+	if got := pollAll(nprCQ); len(got) != 1 || got[0].Status != WCSuccess || got[0].ByteLen != length {
+		t.Errorf("npr recv cqes = %+v, want one %d B success", got, length)
+	}
+	if nprQP.Delivered != 1 || nprQP.DroppedFault != 0 {
+		t.Errorf("npr: delivered %d, dropped %d; want 1, 0", nprQP.Delivered, nprQP.DroppedFault)
+	}
+	if got := nprDev.NPR().Migrations; got != uint64(pages) {
+		t.Errorf("npr_migrations = %d, want %d (the pages the datagram touched)", got, pages)
+	}
+	if got := pollAll(odpCQ); len(got) != 0 {
+		t.Errorf("odp recv cqes = %+v, want none", got)
+	}
+	if odpQP.Delivered != 0 || odpQP.DroppedFault != 1 || odpQP.RecvDepth() != 1 {
+		t.Errorf("odp: delivered %d, dropped %d, recv depth %d; want 0, 1, 1",
+			odpQP.Delivered, odpQP.DroppedFault, odpQP.RecvDepth())
+	}
+	if odpDev.ODP.Faults == 0 {
+		t.Error("odp: the cold landing buffer should have faulted")
 	}
 }
 

@@ -120,12 +120,12 @@ func TestManyNodesStar(t *testing.T) {
 	client := New(fab, 1, "client", ConnectX4(), hostmem.DefaultConfig())
 	cq := NewCQ(eng)
 	lbuf := client.AS.Alloc(servers * hostmem.PageSize)
-	client.RegisterMR(lbuf, servers*hostmem.PageSize)
+	client.RegisterMR(lbuf, servers*hostmem.PageSize, false)
 
 	for s := 0; s < servers; s++ {
 		srv := New(fab, uint16(2+s), "server", ConnectX4(), hostmem.DefaultConfig())
 		rbuf := srv.AS.Alloc(hostmem.PageSize)
-		srv.RegisterMR(rbuf, hostmem.PageSize)
+		srv.RegisterMR(rbuf, hostmem.PageSize, false)
 		scq := NewCQ(eng)
 		qc := client.CreateQP(cq, cq)
 		qs := srv.CreateQP(scq, scq)
@@ -178,7 +178,7 @@ func TestInvalidationMidTraffic(t *testing.T) {
 func TestBackToBackBidirectional(t *testing.T) {
 	h := newHarness(t, 700, ConnectX4(), rcTransport, noODP, defaultParams())
 	// Register reverse-direction MRs.
-	h.client.RegisterMR(h.lbuf+4*hostmem.PageSize, hostmem.PageSize)
+	h.client.RegisterMR(h.lbuf+4*hostmem.PageSize, hostmem.PageSize, false)
 	for i := 0; i < 10; i++ {
 		h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 64})
 		h.qpS.PostSend(SendWR{ID: uint64(100 + i), Op: OpRead, LocalAddr: h.rbuf, RemoteAddr: h.lbuf + 4*hostmem.PageSize, Len: 64})

@@ -82,18 +82,13 @@ func (qp *UDQP) receive(pkt *packet.Packet) {
 	rwr := qp.rq.Front()
 	r := qp.rnic
 	if kind, ok := r.lookupMR(rwr.Addr, pkt.PayloadLen); ok {
-		switch kind {
-		case KindODP:
-			if !r.ODP.Access(qp.Num, rwr.Addr, pkt.PayloadLen) {
-				// Start the fault for next time, but this datagram is gone.
-				r.ODP.Fault(qp.Num, rwr.Addr, pkt.PayloadLen)
-				qp.DroppedFault++
-				return
-			}
-		case KindNPR:
-			// The driver migrates the landing buffer synchronously; a UD
-			// datagram is never dropped for translation under NP-RDMA.
-			r.npr.EnsureRange(rwr.Addr, pkt.PayloadLen)
+		// The driver migrates an NP-RDMA landing buffer synchronously, so
+		// a datagram is never dropped for translation under NP-RDMA. An
+		// ODP miss starts the fault for next time, but this datagram is
+		// gone.
+		if _, ready := r.ready(qp.Num, kind, rwr.Addr, pkt.PayloadLen); !ready {
+			qp.DroppedFault++
+			return
 		}
 	}
 	qp.rq.Pop()

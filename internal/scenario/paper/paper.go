@@ -186,7 +186,7 @@ func init() {
 
 	// Mitigation comparison: the Figure-4 sweep, Table 13 and the PFC
 	// storm rerun under pin | odp | npr — the "does NP-RDMA dodge both
-	// pitfalls?" result set (ROADMAP item 4; NP-RDMA in PAPERS.md).
+	// pitfalls?" result set (NP-RDMA in PAPERS.md).
 	scenario.Register(scenario.Scenario{
 		Name:     "npr-exec",
 		Title:    "NP-RDMA comparison (Figure 4): mean exec time [s] of 2 READs vs interval ({trials} trials)",
@@ -223,10 +223,10 @@ func init() {
 		Quick: &scenario.Quick{Trials: 2, Ops: 128, Waves: 1},
 	})
 
-	// Clos-topology collectives: the patterns a chain cannot express
-	// (ROADMAP item 1). Incast converges eight senders on one sink, so
-	// the contention lives on the sink leaf's downlink and the spine
-	// uplinks feeding it; shuffle is the SparkUCX exchange shape,
+	// Clos-topology collectives: the patterns a chain cannot express.
+	// Incast converges eight senders on one sink, so the contention
+	// lives on the sink leaf's downlink and the spine uplinks feeding
+	// it; shuffle is the SparkUCX exchange shape,
 	// spreading pauses across every leaf. Both run on a 2-tier
 	// leaf-spine (radix 4: four leaves, two spines) with 4x
 	// oversubscribed uplinks and PFC on.
@@ -249,12 +249,12 @@ func init() {
 		},
 		Quick: &scenario.Quick{Ops: 8},
 	})
-	// IRN transport comparison (ROADMAP item 2): the storm, damming and
-	// incast shapes rerun across {rc, irn} × {lossy, lossless} ×
-	// {pin, odp, npr}. Each asks whether a pitfall survives a transport
-	// that recovers per-packet instead of go-back-N: the storm's
-	// retransmission amplification, the ConnectX-4 damming window, and
-	// incast fan-in behind PFC vs tail-drop.
+	// IRN transport comparison (Mittal et al. in PAPERS.md): the storm,
+	// damming and incast shapes rerun across {rc, irn} × {lossy,
+	// lossless} × {pin, odp, npr}. Each asks whether a pitfall survives
+	// a transport that recovers per-packet instead of go-back-N: the
+	// storm's retransmission amplification, the ConnectX-4 damming
+	// window, and incast fan-in behind PFC vs tail-drop.
 	scenario.Register(scenario.Scenario{
 		Name:     "irn-storm",
 		Title:    "IRN vs go-back-N (storm shape): write flood, 2 switches, rc|irn x lossy|lossless x pin|odp|npr",

@@ -73,7 +73,7 @@ func NewServerWithHandler(nic *rnic.RNIC, cfg Config, h Handler) *Server {
 	s.qp = nic.CreateUDQP(cq, cq)
 	s.buf = nic.AS.Alloc(cfg.RecvDepth * hostmem.PageSize)
 	nic.AS.Touch(s.buf, cfg.RecvDepth*hostmem.PageSize)
-	nic.RegisterMR(s.buf, cfg.RecvDepth*hostmem.PageSize)
+	nic.RegisterMR(s.buf, cfg.RecvDepth*hostmem.PageSize, false)
 	s.repost()
 	nic.Engine().Go("softrel-server", s.loop)
 	return s
@@ -144,7 +144,7 @@ func NewClient(nic *rnic.RNIC, cfg Config) *Client {
 	c.qp = nic.CreateUDQP(cq, cq)
 	c.buf = nic.AS.Alloc(cfg.RecvDepth * hostmem.PageSize)
 	nic.AS.Touch(c.buf, cfg.RecvDepth*hostmem.PageSize)
-	nic.RegisterMR(c.buf, cfg.RecvDepth*hostmem.PageSize)
+	nic.RegisterMR(c.buf, cfg.RecvDepth*hostmem.PageSize, false)
 	for i := 0; i < cfg.RecvDepth; i++ {
 		c.qp.PostRecv(rnic.RecvWR{Addr: c.buf + hostmem.Addr(i)*hostmem.PageSize, Len: hostmem.PageSize})
 	}

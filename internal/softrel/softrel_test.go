@@ -137,7 +137,7 @@ func TestSoftwareVsHardwareDetection(t *testing.T) {
 	qp := cl2.Nodes[0].CreateQP(cq, cq)
 	qp.Connect(99, 1, rnic.ConnParams{CACK: 1, RetryCount: 3})
 	lbuf := cl2.Nodes[0].AS.Alloc(4096)
-	cl2.Nodes[0].RegisterMR(lbuf, 4096)
+	cl2.Nodes[0].RegisterMR(lbuf, 4096, false)
 	var hardDetect sim.Time
 	cl2.Eng.Go("caller", func(p *sim.Proc) {
 		start := p.Now()
@@ -161,7 +161,7 @@ func TestUDDropsWithoutRecvBuffer(t *testing.T) {
 	qpB := cl.Nodes[1].CreateUDQP(cqB, cqB) // no recvs posted
 	buf := cl.Nodes[0].AS.Alloc(4096)
 	cl.Nodes[0].AS.Touch(buf, 4096)
-	cl.Nodes[0].RegisterMR(buf, 4096)
+	cl.Nodes[0].RegisterMR(buf, 4096, false)
 	qpA.PostSend(rnic.UDSendWR{ID: 1, DestLID: cl.Nodes[1].LID(), DestQPN: qpB.Num, Local: buf, Len: 64})
 	cl.Eng.Run()
 	if qpB.DroppedNoRecv != 1 {
@@ -184,9 +184,9 @@ func TestUDODPFaultDropsDatagram(t *testing.T) {
 	qpB := cl.Nodes[1].CreateUDQP(cqB, cqB)
 	src := cl.Nodes[0].AS.Alloc(4096)
 	cl.Nodes[0].AS.Touch(src, 4096)
-	cl.Nodes[0].RegisterMR(src, 4096)
+	cl.Nodes[0].RegisterMR(src, 4096, false)
 	dst := cl.Nodes[1].AS.Alloc(4096)
-	cl.Nodes[1].RegisterODPMR(dst, 4096) // unmapped ODP receive buffer
+	cl.Nodes[1].RegisterMR(dst, 4096, true) // unmapped ODP receive buffer
 	qpB.PostRecv(rnic.RecvWR{ID: 1, Addr: dst, Len: 4096})
 
 	send := func() {

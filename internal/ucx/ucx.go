@@ -131,15 +131,11 @@ func (c *Context) NewWorker() *Worker {
 // RegisterBuffer registers a buffer according to the context's ODP
 // setting and returns the virtual-time registration cost the caller
 // should charge (zero for ODP — that is its appeal). With EnableODP the
-// registration is managed: it follows the device's memory mode, so an
+// registration is on demand: it follows the device's memory mode, so an
 // NPR- or pin-mode node reroutes the same UCX configuration through its
-// own translation path (cost nonzero again under ForcePinned).
+// own translation path (cost nonzero again on a pin-mode node).
 func (w *Worker) RegisterBuffer(addr hostmem.Addr, length int) sim.Time {
-	if w.ctx.cfg.EnableODP {
-		_, cost := w.ctx.nic.RegisterManagedMR(addr, length)
-		return cost
-	}
-	_, cost := w.ctx.nic.RegisterMR(addr, length)
+	_, cost := w.ctx.nic.RegisterMR(addr, length, w.ctx.cfg.EnableODP)
 	return cost
 }
 

@@ -88,31 +88,16 @@ func (m *MR) Addr() hostmem.Addr { return m.inner.Addr }
 // Len returns the region's length.
 func (m *MR) Len() int { return m.inner.Len }
 
-// IsODP reports whether the registration uses on-demand paging.
-func (m *MR) IsODP() bool { return m.inner.ODP }
-
-// Kind returns the registration's translation kind (pin, odp or npr).
-func (m *MR) Kind() rnic.MemKind { return m.inner.Kind() }
-
 // RegisterMR registers [addr, addr+len). With AccessOnDemand it creates
-// a managed (non-pinned) region following the device's memory mode —
-// Explicit ODP normally, an NP-RDMA shadow-table region under
-// EnableNPR, or a pinned region under ForcePinned; otherwise it pins
-// the pages.
+// an on-demand region following the device's memory mode: Explicit ODP
+// normally, an NP-RDMA shadow-table region on an NPR device, or a
+// pinned region on a pin device; otherwise it pins the pages.
 func (p *PD) RegisterMR(addr hostmem.Addr, length int, flags AccessFlags) (*MR, error) {
 	if length <= 0 {
 		return nil, fmt.Errorf("%w: non-positive MR length %d", ErrBadAttr, length)
 	}
-	mr := &MR{pd: p}
-	if flags&AccessOnDemand != 0 {
-		inner, cost := p.ctx.nic.RegisterManagedMR(addr, length)
-		mr.inner = inner
-		mr.PinTime = cost
-	} else {
-		inner, cost := p.ctx.nic.RegisterMR(addr, length)
-		mr.inner = inner
-		mr.PinTime = cost
-	}
+	inner, cost := p.ctx.nic.RegisterMR(addr, length, flags&AccessOnDemand != 0)
+	mr := &MR{pd: p, inner: inner, PinTime: cost}
 	p.mrs = append(p.mrs, mr)
 	return mr, nil
 }
@@ -121,10 +106,10 @@ func (p *PD) RegisterMR(addr hostmem.Addr, length int, flags AccessFlags) (*MR, 
 func (m *MR) Deregister() { m.pd.ctx.nic.DeregisterMR(m.inner) }
 
 // Advise prefetches the region's pages into qp's ODP context
-// (ibv_advise_mr with IBV_ADVISE_MR_ADVICE_PREFETCH). A no-op for pinned
-// regions.
+// (ibv_advise_mr with IBV_ADVISE_MR_ADVICE_PREFETCH). A no-op for
+// regions that do not translate through ODP.
 func (m *MR) Advise(qp *QP) {
-	if m.inner.ODP {
+	if m.inner.Kind == rnic.KindODP {
 		m.pd.ctx.nic.AdviseMR(qp.inner.Num, m.inner.Addr, m.inner.Len)
 	}
 }

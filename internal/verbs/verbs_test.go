@@ -137,15 +137,15 @@ func TestPinnedMRHasPinTime(t *testing.T) {
 	if mr.PinTime == 0 {
 		t.Error("pinned MR should report a pin cost")
 	}
-	if mr.IsODP() {
-		t.Error("flagless MR should not be ODP")
+	if mr.inner.Kind != rnic.KindPinned {
+		t.Errorf("flagless MR kind = %d, want pinned", mr.inner.Kind)
 	}
 	odpMR, err := e.pdC.RegisterMR(buf, 4*hostmem.PageSize, AccessOnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if odpMR.PinTime != 0 || !odpMR.IsODP() {
-		t.Error("ODP MR should be unpinned")
+	if odpMR.PinTime != 0 || odpMR.inner.Kind != rnic.KindODP {
+		t.Errorf("ODP MR: pin time %v, kind %d; want unpinned ODP", odpMR.PinTime, odpMR.inner.Kind)
 	}
 	mr.Deregister()
 }
