@@ -16,7 +16,6 @@ import (
 	"odpsim/internal/cluster"
 	"odpsim/internal/core"
 	"odpsim/internal/hostmem"
-	"odpsim/internal/odp"
 	"odpsim/internal/parallel"
 	"odpsim/internal/perftest"
 	"odpsim/internal/regcache"
@@ -645,31 +644,6 @@ func BenchmarkExtension_KVStore(b *testing.B) {
 	}
 	b.ReportMetric(perOp.Micros(), "µs/op")
 }
-
-// BenchmarkExtension_SparkEngine runs the DAG engine's TC-shaped job with
-// and without ODP.
-func BenchmarkExtension_SparkEngine(b *testing.B) {
-	for _, odp := range []bool{false, true} {
-		name := "pinned"
-		if odp {
-			name = "odp"
-		}
-		b.Run(name, func(b *testing.B) {
-			var r sparkucx.JobResult
-			for i := 0; i < b.N; i++ {
-				r = sparkucx.RunJob(sparkucx.JobConfig{
-					System: cluster.ReedbushH(), Seed: int64(i + 1),
-					Executors: 2, QPsPerPeer: 8, ODP: odp,
-					Job: sparkucx.TCJob(2),
-				})
-			}
-			b.ReportMetric(r.Time.Millis(), "ms-job")
-			b.ReportMetric(float64(r.Retransmits), "retransmits")
-		})
-	}
-}
-
-var _ = odp.DefaultConfig // keep the odp import for ablation docs references
 
 // --- Micro-loops: the sweep runner, the engine hot path and the
 // datapaths. They time the loops; the warm alloc budgets and

@@ -28,7 +28,6 @@ const (
 
 // DSM is the distributed shared memory spanning the cluster's nodes.
 type DSM struct {
-	cl    *cluster.Cluster
 	nodes []*Node
 	// pagesPerNode is the home partition size in pages.
 	pagesPerNode int
@@ -51,7 +50,6 @@ type Node struct {
 	// Counters.
 	RemoteReads  uint64
 	RemoteWrites uint64
-	LockWaits    uint64
 }
 
 // NewDSM builds a DSM of size bytes across the nodes of cl, registering
@@ -63,7 +61,7 @@ func NewDSM(p *sim.Proc, cl *cluster.Cluster, size int, ucfg ucx.Config) *DSM {
 		panic("argodsm: need at least 2 nodes")
 	}
 	pages := (size + hostmem.PageSize - 1) / hostmem.PageSize
-	d := &DSM{cl: cl, pagesPerNode: (pages + n - 1) / n, size: size}
+	d := &DSM{pagesPerNode: (pages + n - 1) / n, size: size}
 
 	workers := make([]*ucx.Worker, n)
 	for i, nic := range cl.Nodes {
@@ -75,14 +73,16 @@ func NewDSM(p *sim.Proc, cl *cluster.Cluster, size int, ucfg ucx.Config) *DSM {
 			eps:   make([]*ucx.Endpoint, n),
 			state: make(map[int]PageState),
 		}
-		// Home partition + page cache + lock/directory words.
+		// Home partition + page cache + one page of lock/directory
+		// words.
 		backing := d.pagesPerNode*hostmem.PageSize*2 + hostmem.PageSize
 		node.base = nic.AS.Alloc(backing)
 		p.Sleep(node.worker.RegisterBuffer(node.base, backing))
 		d.nodes = append(d.nodes, node)
 	}
 	// Fully connect the nodes (one QP pair per direction pair), with a
-	// stock of receive buffers for barrier messages.
+	// stock of receive buffers for the SENDs peers announce with (Run's
+	// lock announcement lands in one).
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			a, b := ucx.Connect(workers[i], workers[j])
@@ -134,11 +134,6 @@ func (n *Node) cacheAddr(page int) hostmem.Addr {
 	return n.base + hostmem.Addr(n.dsm.pagesPerNode+local)*hostmem.PageSize
 }
 
-// lockAddr is the global lock word on node 0.
-func (d *DSM) lockAddr() hostmem.Addr {
-	return d.nodes[0].base + hostmem.Addr(2*d.pagesPerNode)*hostmem.PageSize
-}
-
 // Read faults the page into the node's cache if needed (a one-sided GET
 // from the home node) and returns an error only on transport failure.
 func (n *Node) Read(p *sim.Proc, page int) error {
@@ -173,86 +168,5 @@ func (n *Node) Write(p *sim.Proc, page int) error {
 		return err
 	}
 	n.state[page] = Modified
-	return nil
-}
-
-// SelfInvalidate drops all cached pages (ArgoDSM's release-consistency
-// self-invalidation at acquire points).
-func (n *Node) SelfInvalidate() {
-	for p := range n.state {
-		n.state[p] = Invalid
-	}
-}
-
-// AcquireLock takes the global lock with remote compare-and-swap on the
-// home node's lock word, spinning with a backoff — the READ+notify
-// pattern that §VII-A found damming in ArgoDSM's initialization.
-func (n *Node) AcquireLock(p *sim.Proc) error {
-	if n.id == 0 {
-		// Home-node fast path still uses the NIC for fairness.
-		return n.casLock(p, 0, uint64(n.id+1))
-	}
-	return n.casLock(p, 0, uint64(n.id+1))
-}
-
-func (n *Node) casLock(p *sim.Proc, want, to uint64) error {
-	home := 0
-	ep := n.eps[home]
-	if ep == nil { // node 0 locking itself: direct word access
-		as := n.dsm.cl.Nodes[0].AS
-		for as.ReadWord(n.dsm.lockAddr()) != want {
-			n.LockWaits++
-			p.Sleep(50 * sim.Microsecond)
-		}
-		as.WriteWord(n.dsm.lockAddr(), to)
-		return nil
-	}
-	for {
-		req := ep.CASAsync(n.cacheAddr(0), n.dsm.lockAddr(), want, to)
-		orig, err := n.worker.WaitAtomic(p, req)
-		if err != nil {
-			return err
-		}
-		if orig == want {
-			n.SelfInvalidate() // acquire ⇒ self-invalidate
-			return nil
-		}
-		n.LockWaits++
-		p.Sleep(100 * sim.Microsecond)
-	}
-}
-
-// ReleaseLock releases the global lock (a remote write of 0).
-func (n *Node) ReleaseLock(p *sim.Proc) error {
-	if n.id == 0 {
-		n.dsm.cl.Nodes[0].AS.WriteWord(n.dsm.lockAddr(), 0)
-		return nil
-	}
-	req := n.eps[0].CASAsync(n.cacheAddr(0), n.dsm.lockAddr(), uint64(n.id+1), 0)
-	_, err := n.worker.WaitAtomic(p, req)
-	return err
-}
-
-// Barrier synchronizes all nodes: each non-root node SENDs to the root
-// and waits for the root's SEND back (a tree would scale better; two
-// nodes is the common experiment size).
-func (d *DSM) Barrier(p *sim.Proc, nodeID int) error {
-	root := d.nodes[0]
-	n := d.nodes[nodeID]
-	if nodeID == 0 {
-		for i := 1; i < len(d.nodes); i++ {
-			root.worker.WaitRecv(p)
-		}
-		for i := 1; i < len(d.nodes); i++ {
-			if err := root.eps[i].Send(p, root.base, 8); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := n.eps[0].Send(p, n.base, 8); err != nil {
-		return err
-	}
-	n.worker.WaitRecv(p)
 	return nil
 }

@@ -58,89 +58,6 @@ func TestDSMWriteThrough(t *testing.T) {
 	}
 }
 
-func TestDSMLockMutualExclusion(t *testing.T) {
-	cl, d := buildDSM(t, 3, 3, false)
-	inCS := 0
-	maxCS := 0
-	for i := 1; i < 3; i++ {
-		n := d.Nodes()[i]
-		cl.Eng.Go("locker", func(p *sim.Proc) {
-			for k := 0; k < 5; k++ {
-				if err := n.AcquireLock(p); err != nil {
-					t.Error(err)
-					return
-				}
-				inCS++
-				if inCS > maxCS {
-					maxCS = inCS
-				}
-				p.Sleep(50 * sim.Microsecond)
-				inCS--
-				if err := n.ReleaseLock(p); err != nil {
-					t.Error(err)
-					return
-				}
-				p.Sleep(20 * sim.Microsecond)
-			}
-		})
-	}
-	cl.Eng.MustRun()
-	if maxCS != 1 {
-		t.Errorf("max concurrent critical sections = %d, want 1", maxCS)
-	}
-}
-
-func TestDSMLockAcquireInvalidates(t *testing.T) {
-	cl, d := buildDSM(t, 4, 2, false)
-	n1 := d.Nodes()[1]
-	cl.Eng.Go("w", func(p *sim.Proc) {
-		if err := n1.Read(p, 0); err != nil {
-			t.Error(err)
-		}
-		if err := n1.AcquireLock(p); err != nil {
-			t.Error(err)
-		}
-		// Acquire must self-invalidate: the next read refetches.
-		before := n1.RemoteReads
-		if err := n1.Read(p, 0); err != nil {
-			t.Error(err)
-		}
-		if n1.RemoteReads != before+1 {
-			t.Error("acquire should invalidate the cache")
-		}
-		if err := n1.ReleaseLock(p); err != nil {
-			t.Error(err)
-		}
-	})
-	cl.Eng.MustRun()
-}
-
-func TestDSMBarrier(t *testing.T) {
-	cl, d := buildDSM(t, 5, 3, false)
-	var after [3]sim.Time
-	var before [3]sim.Time
-	for i := 0; i < 3; i++ {
-		i := i
-		n := i
-		cl.Eng.Go("b", func(p *sim.Proc) {
-			p.Sleep(sim.Time(i) * 300 * sim.Microsecond) // skewed arrival
-			before[i] = p.Now()
-			if err := d.Barrier(p, n); err != nil {
-				t.Error(err)
-			}
-			after[i] = p.Now()
-		})
-	}
-	cl.Eng.MustRun()
-	// Everyone leaves the barrier after the latest arrival.
-	latest := before[2]
-	for i := 0; i < 3; i++ {
-		if after[i] < latest {
-			t.Errorf("node %d left the barrier at %v before the last arrival %v", i, after[i], latest)
-		}
-	}
-}
-
 func TestDSMWithODPFaults(t *testing.T) {
 	cl, d := buildDSM(t, 6, 2, true)
 	n1 := d.Nodes()[1]

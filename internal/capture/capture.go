@@ -32,20 +32,12 @@ type Record struct {
 // Capture accumulates records from a fabric tap.
 type Capture struct {
 	records []Record
-	enabled bool
-	limit   int // 0 = unlimited
 }
 
-// Attach creates a capture and taps the fabric. Capturing starts enabled.
+// Attach creates a capture and taps the fabric; it records from then on.
 func Attach(f *fabric.Fabric) *Capture {
-	c := &Capture{enabled: true}
+	c := &Capture{}
 	f.AddTap(func(ev fabric.TapEvent) {
-		if !c.enabled {
-			return
-		}
-		if c.limit > 0 && len(c.records) >= c.limit {
-			return
-		}
 		c.records = append(c.records, Record{
 			At: ev.At, Pkt: *ev.Pkt, Src: ev.SrcName, Dst: ev.DstName,
 			Dropped: ev.Dropped, Reason: ev.Reason,
@@ -61,93 +53,11 @@ func FromRecords(rs []Record) *Capture {
 	return &Capture{records: rs}
 }
 
-// SetLimit caps the number of stored records (0 = unlimited); counting
-// via Total/CountOpcode still reflects only stored records, so set the
-// limit before long runs only when you need bounded memory.
-func (c *Capture) SetLimit(n int) { c.limit = n }
-
-// Start resumes capturing.
-func (c *Capture) Start() { c.enabled = true }
-
-// Stop pauses capturing.
-func (c *Capture) Stop() { c.enabled = false }
-
-// Reset discards all records.
-func (c *Capture) Reset() { c.records = nil }
-
 // Records returns all captured records.
 func (c *Capture) Records() []Record { return c.records }
 
 // Total returns the number of captured packets.
 func (c *Capture) Total() int { return len(c.records) }
-
-// CountOpcode returns how many captured packets carry the opcode.
-func (c *Capture) CountOpcode(op packet.Opcode) int {
-	n := 0
-	for _, r := range c.records {
-		if r.Pkt.Opcode == op {
-			n++
-		}
-	}
-	return n
-}
-
-// CountSyndrome returns how many Acknowledge packets carry the syndrome.
-func (c *Capture) CountSyndrome(s packet.Syndrome) int {
-	n := 0
-	for _, r := range c.records {
-		if r.Pkt.Opcode == packet.OpAcknowledge && r.Pkt.Syndrome == s {
-			n++
-		}
-	}
-	return n
-}
-
-// FilterQP returns the records whose destination or source QP number
-// matches qpn.
-func (c *Capture) FilterQP(qpn uint32) []Record {
-	var out []Record
-	for _, r := range c.records {
-		if r.Pkt.DestQP == qpn || r.Pkt.SrcQP == qpn {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Filter returns the records matching pred.
-func (c *Capture) Filter(pred func(Record) bool) []Record {
-	var out []Record
-	for _, r := range c.records {
-		if pred(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Retransmissions counts request packets whose (QP, PSN, opcode) was seen
-// before — the metric behind the packet-flood analysis.
-func (c *Capture) Retransmissions() int {
-	type key struct {
-		qp  uint32
-		psn uint32
-		op  packet.Opcode
-	}
-	seen := make(map[key]bool)
-	n := 0
-	for _, r := range c.records {
-		if !r.Pkt.Opcode.IsRequest() {
-			continue
-		}
-		k := key{r.Pkt.DestQP, r.Pkt.PSN, r.Pkt.Opcode}
-		if seen[k] {
-			n++
-		}
-		seen[k] = true
-	}
-	return n
-}
 
 // RenderFlow writes a two-column workflow diagram in the style of the
 // paper's Figures 1, 5 and 8: client on the left, server on the right,

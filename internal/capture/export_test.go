@@ -13,7 +13,7 @@ import (
 )
 
 func randomCapture(rng *rand.Rand, n int) *Capture {
-	c := &Capture{enabled: true}
+	c := &Capture{}
 	for i := 0; i < n; i++ {
 		p := packet.Packet{
 			SLID:          uint16(rng.Intn(16)),

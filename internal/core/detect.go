@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"odpsim/internal/capture"
-	"odpsim/internal/packet"
 	"odpsim/internal/sim"
 )
 
@@ -125,9 +124,4 @@ func DetectFlood(c *capture.Capture, window sim.Time, threshold int) []FloodInci
 		}
 	}
 	return out
-}
-
-// countRNRNaks is a small helper shared by tests and reports.
-func countRNRNaks(c *capture.Capture) int {
-	return c.CountSyndrome(packet.SynRNRNAK)
 }

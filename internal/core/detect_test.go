@@ -93,14 +93,3 @@ func TestSmallRNRDelayWorkaround(t *testing.T) {
 		t.Error("smallest RNR delay should avoid the timeout at 1 ms")
 	}
 }
-
-func TestReissueAfterCancel(t *testing.T) {
-	// The reissue helper must not double-post when cancelled.
-	cfg := DefaultBench()
-	cfg.NumOps = 1
-	cfg.Mode = NoODP
-	r := RunMicrobench(cfg) // warm path sanity
-	if r.Failed {
-		t.Fatal("baseline failed")
-	}
-}

@@ -69,17 +69,3 @@ func (d *DummyPinger) Stop() {
 // resolution. The InfiniBand RNR timer field's smallest non-zero encoding
 // is 0.01 ms.
 const SmallestRNRDelay = 10 * sim.Microsecond
-
-// ReissueAfter is a helper for the packet-flood workaround sketch (§IX-A:
-// "issuing the same communication again might work because the page fault
-// itself is actually solved during the packet flood"): it schedules a
-// duplicate of the WR after the given stall deadline unless cancel() was
-// called (i.e. the original completed). It returns the cancel function.
-func ReissueAfter(eng *sim.Engine, qp *rnic.QP, wr rnic.SendWR, stall sim.Time) (cancel func()) {
-	t := eng.After(stall, func() {
-		if qp.State() == rnic.QPReady {
-			qp.PostSend(wr)
-		}
-	})
-	return func() { t.Cancel() }
-}

@@ -161,9 +161,6 @@ func (pl *Pool) reset(as *hostmem.AddressSpace, cfg Config) {
 // Config returns the effective (default-filled) configuration.
 func (pl *Pool) Config() Config { return pl.cfg }
 
-// FrameCap returns the pool bound in page frames.
-func (pl *Pool) FrameCap() int { return pl.capacity }
-
 // ResidentBytes returns the bytes currently resident in the pool —
 // the device's real (and bounded) pinned-memory footprint.
 func (pl *Pool) ResidentBytes() int { return pl.resident * hostmem.PageSize }

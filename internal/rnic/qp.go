@@ -91,9 +91,9 @@ const (
 // client-side ODP need, and — once the send engine takes it from sq —
 // its PSN span and retry state. The same object sits in sq while it
 // waits and in out while it is outstanding. It returns to the engine's
-// WR pool (RNIC.freeWQE) when it completes, flushes or is dropped by
-// Reset, so steady traffic allocates no request objects; nothing may
-// keep a *wqe past that point (timers capture the PSN instead).
+// WR pool (RNIC.freeWQE) when it completes or flushes, so steady
+// traffic allocates no request objects; nothing may keep a *wqe past
+// that point (timers capture the PSN instead).
 type wqe struct {
 	SendWR
 	// postedPaused records that the WR was posted while the QP was in a
@@ -235,9 +235,6 @@ func (qp *QP) deliver(cq *CQ, e CQE) {
 // State returns the QP state.
 func (qp *QP) State() QPState { return qp.state }
 
-// Params returns the connection parameters.
-func (qp *QP) Params() ConnParams { return qp.params }
-
 // Connect transitions the QP to the ready state, bound to the remote LID
 // and QP number. It corresponds to the INIT→RTR→RTS modify sequence.
 func (qp *QP) Connect(dlid uint16, dqpn uint32, params ConnParams) {
@@ -254,37 +251,6 @@ func (qp *QP) Connect(dlid uint16, dqpn uint32, params ConnParams) {
 	qp.dqpn = dqpn
 	qp.params = params
 	qp.state = QPReady
-}
-
-// Reset returns the QP to the Reset state, clearing all requester and
-// responder state (ibv_modify_qp to IBV_QPS_RESET) so the application
-// can reconnect and reuse it — the standard recovery path after
-// IBV_WC_RETRY_EXC_ERR.
-func (qp *QP) Reset() {
-	qp.toTimer.Cancel()
-	qp.resumeTimer.Cancel()
-	if qp.state == QPReady && qp.out.Len() > 0 {
-		qp.rnic.busyQPs--
-	}
-	qp.state = QPReset
-	for _, o := range qp.out.Items() {
-		qp.releaseNPR(o)
-		qp.rnic.freeWQE(o)
-	}
-	for _, w := range qp.sq.Items() {
-		qp.rnic.freeWQE(w)
-	}
-	qp.sq.Clear()
-	qp.out.Clear()
-	qp.rq.Clear()
-	qp.nextPSN, qp.ePSN = 0, 0
-	qp.paused, qp.inResume = false, false
-	qp.atomicReplay = nil
-	qp.atomicOrder.Clear()
-	if qp.irn != nil {
-		qp.irn.RB.Init(0)
-		qp.irn.TX.Init(qp.rnic.irnBDP, 0)
-	}
 }
 
 // PostRecv posts a receive work request.

@@ -647,15 +647,16 @@ func pooledWQEs(t *testing.T, r *RNIC) int {
 }
 
 // TestWQEPoolRecycles checks the WR ownership rule: a WR object returns
-// to the pool, zeroed, when its WR completes, when Reset drops it and
-// when a fatal error flushes it, and later posts reuse pooled objects.
+// to the pool, zeroed, when its WR completes and when a fatal error
+// flushes it, and later posts reuse pooled objects.
 func TestWQEPoolRecycles(t *testing.T) {
 	p := defaultParams()
 	p.RetryCount = 0
 	h := newHarness(t, 30, ConnectX4(), rcTransport, noODP, p)
+	qpC := h.qpC
 	post := func(n int) {
 		for i := 0; i < n; i++ {
-			h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpWrite, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 64})
+			qpC.PostSend(SendWR{ID: uint64(i), Op: OpWrite, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 64})
 		}
 	}
 
@@ -672,13 +673,14 @@ func TestWQEPoolRecycles(t *testing.T) {
 	if got := pooledWQEs(t, h.client); got != 0 {
 		t.Fatalf("%d WRs still pooled after reposting, want all 4 reused", got)
 	}
-	h.qpC.Reset()
-	if got := pooledWQEs(t, h.client); got != 4 {
-		t.Fatalf("%d WRs pooled after Reset, want 4", got)
+	h.eng.Run()
+	if got := len(pollAll(h.cqC)); got != 4 {
+		t.Fatalf("%d completions of the reused WRs, want 4", got)
 	}
 
-	h.qpS.Reset()
-	ConnectPair(h.qpC, h.qpS, p, p)
+	// A fresh QP pair on the same devices draws from the same pool.
+	qpC = h.client.CreateQP(h.cqC, h.cqC)
+	ConnectPair(qpC, h.server.CreateQP(h.cqS, h.cqS), p, p)
 	h.fab.SetLossRate(1)
 	post(4)
 	h.eng.Run()

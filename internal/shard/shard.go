@@ -292,9 +292,6 @@ func NewGroup(lanes int) *Group {
 	return &Group{lanes: lanes}
 }
 
-// Lanes returns the worker-lane count the group executes on.
-func (g *Group) Lanes() int { return g.lanes }
-
 // AddDomain wraps eng as the group's next causal domain.
 func (g *Group) AddDomain(eng *sim.Engine) *Domain {
 	if len(g.domains) == maxDomains {

@@ -1,9 +1,10 @@
-// Package ucx is a minimal UCX-like communication layer over the verbs
+// Package ucx is a minimal UCX-like communication layer over the RNIC
 // model: workers, endpoints, blocking and asynchronous RMA (GET/PUT) and
-// tagged-ish SEND/RECV. It mirrors the configuration surface the paper
-// uses to toggle ODP from the environment (§VII: UCX prioritizes ODP over
-// direct registration when enabled, with a default minimal RNR NAK delay
-// of 0.96 ms and C_ACK = 18).
+// asynchronous SENDs into receives the peer posted. It mirrors the
+// configuration surface the paper uses to toggle ODP from the
+// environment (§VII: UCX prioritizes ODP over direct registration when
+// enabled, with a default minimal RNR NAK delay of 0.96 ms and
+// C_ACK = 18).
 package ucx
 
 import (
@@ -13,7 +14,6 @@ import (
 	"odpsim/internal/hostmem"
 	"odpsim/internal/rnic"
 	"odpsim/internal/sim"
-	"odpsim/internal/telemetry"
 )
 
 // Config mirrors the UCX environment variables that matter here.
@@ -51,16 +51,6 @@ func NewContext(nic *rnic.RNIC, cfg Config) *Context {
 	return &Context{nic: nic, cfg: cfg}
 }
 
-// NIC exposes the underlying device.
-func (c *Context) NIC() *rnic.RNIC { return c.nic }
-
-// Telemetry returns the device's counter registry, the moral
-// equivalent of reading its /sys/class/infiniband counters.
-func (c *Context) Telemetry() *telemetry.Registry { return c.nic.Telemetry() }
-
-// Config returns the context configuration.
-func (c *Context) Config() Config { return c.cfg }
-
 // Worker is a progress context: one CQ plus completion bookkeeping.
 type Worker struct {
 	ctx    *Context
@@ -72,7 +62,6 @@ type Worker struct {
 	// it spans only requests still outstanding or unclaimed.
 	done     fifo.Queue[completion]
 	doneBase uint64
-	recvs    fifo.Queue[rnic.CQE]
 
 	// arenaNext links the engine's worker arena (NewWorker).
 	arenaNext *Worker
@@ -80,8 +69,7 @@ type Worker struct {
 
 // completion is what a waiter needs from a request's CQE.
 type completion struct {
-	atomicOrig uint64
-	status     rnic.WCStatus
+	status rnic.WCStatus
 	// completed is set when the CQE is drained, claimed when a waiter
 	// has taken the result.
 	completed, claimed bool
@@ -109,8 +97,8 @@ func arenasFor(eng *sim.Engine) *arenas {
 }
 
 // NewWorker creates a worker, taking it from the engine's worker arena:
-// a recycled worker keeps its completion table's and receive queue's
-// storage, cleared, and nothing else.
+// a recycled worker keeps its completion table's storage, cleared, and
+// nothing else.
 func (c *Context) NewWorker() *Worker {
 	eng := c.nic.Engine()
 	a := &arenasFor(eng).workers
@@ -119,10 +107,8 @@ func (c *Context) NewWorker() *Worker {
 		w = new(Worker)
 		a.Add(w)
 	} else {
-		done, recvs := w.done, w.recvs
-		done.Clear()
-		recvs.Clear()
-		*w = Worker{done: done, recvs: recvs, arenaNext: w.arenaNext}
+		w.done.Clear()
+		*w = Worker{done: w.done, arenaNext: w.arenaNext}
 	}
 	w.ctx, w.cq = c, rnic.NewCQ(eng)
 	return w
@@ -185,7 +171,9 @@ func (w *Worker) issue() uint64 {
 	return id
 }
 
-// drain moves completions from the CQ into the worker's tables.
+// drain moves completions from the CQ into the worker's completion
+// table. Receive CQEs are skipped: their WRID is the 0 PostRecv posts
+// them with, so they must not complete request 0.
 func (w *Worker) drain() {
 	var buf [16]rnic.CQE
 	for {
@@ -193,9 +181,10 @@ func (w *Worker) drain() {
 		for i := range buf[:n] {
 			e := &buf[i]
 			if e.Recv {
-				w.recvs.Push(*e)
-			} else if slot := w.slot(e.WRID); slot != nil {
-				*slot = completion{atomicOrig: e.AtomicOrig, status: e.Status, completed: true}
+				continue
+			}
+			if slot := w.slot(e.WRID); slot != nil {
+				*slot = completion{status: e.Status, completed: true}
 			}
 		}
 		if n < len(buf) {
@@ -267,27 +256,6 @@ func (e *Endpoint) PutAsync(local, remote hostmem.Addr, length int) Request {
 	return Request(id)
 }
 
-// FetchAddAsync starts an 8-byte remote fetch-and-add.
-func (e *Endpoint) FetchAddAsync(local, remote hostmem.Addr, add uint64) Request {
-	id := e.worker.issue()
-	e.qp.PostSend(rnic.SendWR{ID: id, Op: rnic.OpAtomicFA, LocalAddr: local, RemoteAddr: remote, Len: 8, CompareAdd: add})
-	return Request(id)
-}
-
-// CASAsync starts an 8-byte remote compare-and-swap.
-func (e *Endpoint) CASAsync(local, remote hostmem.Addr, compare, swap uint64) Request {
-	id := e.worker.issue()
-	e.qp.PostSend(rnic.SendWR{ID: id, Op: rnic.OpAtomicCS, LocalAddr: local, RemoteAddr: remote, Len: 8, CompareAdd: compare, Swap: swap})
-	return Request(id)
-}
-
-// WaitAtomic blocks until the atomic completes and returns the original
-// remote value.
-func (w *Worker) WaitAtomic(p *sim.Proc, r Request) (uint64, error) {
-	got := w.wait(p, r)
-	return got.atomicOrig, statusErr(r, got)
-}
-
 // SendAsync starts a two-sided send (the peer must have posted a recv).
 func (e *Endpoint) SendAsync(local hostmem.Addr, length int) Request {
 	id := e.worker.issue()
@@ -318,20 +286,6 @@ func (w *Worker) WaitAll(p *sim.Proc, rs []Request) error {
 	return firstErr
 }
 
-// WaitRecv blocks until a receive completes and returns it.
-func (w *Worker) WaitRecv(p *sim.Proc) rnic.CQE {
-	var got rnic.CQE
-	p.Wait(w.cq.Cond(), func() bool {
-		w.drain()
-		if w.recvs.Len() == 0 {
-			return false
-		}
-		got = w.recvs.Pop()
-		return true
-	})
-	return got
-}
-
 // Get performs a blocking RMA GET.
 func (e *Endpoint) Get(p *sim.Proc, local, remote hostmem.Addr, length int) error {
 	return e.worker.Wait(p, e.GetAsync(local, remote, length))
@@ -340,9 +294,4 @@ func (e *Endpoint) Get(p *sim.Proc, local, remote hostmem.Addr, length int) erro
 // Put performs a blocking RMA PUT.
 func (e *Endpoint) Put(p *sim.Proc, local, remote hostmem.Addr, length int) error {
 	return e.worker.Wait(p, e.PutAsync(local, remote, length))
-}
-
-// Send performs a blocking two-sided send.
-func (e *Endpoint) Send(p *sim.Proc, local hostmem.Addr, length int) error {
-	return e.worker.Wait(p, e.SendAsync(local, length))
 }

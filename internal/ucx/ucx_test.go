@@ -110,23 +110,46 @@ func TestPut(t *testing.T) {
 	}
 }
 
+// TestSendRecv pins drain's receive skip. A receive CQE carries the
+// WRID 0 PostRecv posts it with, so if drain let it through it would
+// complete whatever request 0 is. Here request 0 is B's GET of a page A
+// registered on demand, which faults and waits out an RNR delay, while
+// A's SEND lands in B's posted receive long before.
 func TestSendRecv(t *testing.T) {
 	e := newEnv(t, 7, false)
-	var sendErr error
-	var recvLen int
+	slow := e.cl.Nodes[0].AS.Alloc(hostmem.PageSize)
+	e.cl.Nodes[0].RegisterMR(slow, hostmem.PageSize, true)
 	e.epB.PostRecv(e.rbuf, 4096)
+	var sendErr, getErr error
+	var sendAt, getAt sim.Time
 	e.cl.Eng.Go("sender", func(p *sim.Proc) {
-		sendErr = e.epA.Send(p, e.lbuf, 128)
+		sendErr = e.wA.Wait(p, e.epA.SendAsync(e.lbuf, 128))
+		sendAt = p.Now()
 	})
-	e.cl.Eng.Go("receiver", func(p *sim.Proc) {
-		recvLen = e.wB.WaitRecv(p).ByteLen
+	e.cl.Eng.Go("getter", func(p *sim.Proc) {
+		r := e.epB.GetAsync(e.rbuf+hostmem.PageSize, slow, 64)
+		if r != 0 {
+			t.Errorf("first request = %d, want 0", r)
+			return
+		}
+		// The first CQE on B's CQ is the receive; claiming drains it.
+		p.Wait(e.wB.cq.Cond(), func() bool { return e.wB.cq.Completed > 0 })
+		if _, done := e.wB.claim(r); done || e.wB.cq.Len() != 0 || e.wB.cq.Completed != 1 {
+			t.Error("draining the receive CQE completed request 0")
+			return
+		}
+		getErr = e.wB.Wait(p, r)
+		getAt = p.Now()
 	})
 	e.cl.Eng.MustRun()
-	if sendErr != nil {
-		t.Fatal(sendErr)
+	if sendErr != nil || getErr != nil {
+		t.Fatalf("send: %v, get: %v", sendErr, getErr)
 	}
-	if recvLen != 128 {
-		t.Errorf("recv len = %d", recvLen)
+	if e.cl.Nodes[0].RNRNakSent == 0 {
+		t.Error("the GET should fault on A's on-demand page")
+	}
+	if getAt <= sendAt || getAt < DefaultConfig().MinRNRDelay {
+		t.Errorf("GET completed at %v, want after the SEND (%v) and an RNR wait", getAt, sendAt)
 	}
 }
 

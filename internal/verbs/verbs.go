@@ -2,7 +2,7 @@
 // shaped after libibverbs: contexts, protection domains, memory
 // registration with ODP access flags, queue-pair creation and the
 // INIT→RTR→RTS modify sequence with the attributes the paper varies
-// (timeout, retry_cnt, min_rnr_timer), posting work requests and polling
+// (timeout, retry_cnt, min_rnr_timer), posting RDMA READs and polling
 // completions. It is a thin, validating layer over internal/rnic.
 package verbs
 
@@ -13,7 +13,6 @@ import (
 	"odpsim/internal/hostmem"
 	"odpsim/internal/rnic"
 	"odpsim/internal/sim"
-	"odpsim/internal/telemetry"
 )
 
 // Access flags for RegisterMR, mirroring IBV_ACCESS_*.
@@ -43,13 +42,6 @@ type Context struct {
 // Open wraps an RNIC into a verbs context.
 func Open(nic *rnic.RNIC) *Context { return &Context{nic: nic} }
 
-// NIC exposes the underlying device (for counters and capture use).
-func (c *Context) NIC() *rnic.RNIC { return c.nic }
-
-// Telemetry returns the device's counter registry, the moral
-// equivalent of reading its /sys/class/infiniband counters.
-func (c *Context) Telemetry() *telemetry.Registry { return c.nic.Telemetry() }
-
 // LID returns the port LID.
 func (c *Context) LID() uint16 { return c.nic.LID() }
 
@@ -61,32 +53,19 @@ func (c *Context) CreateCQ() *CQ {
 	return &CQ{inner: rnic.NewCQ(c.nic.Engine())}
 }
 
-// EnableImplicitODP turns on Implicit ODP for the whole address space:
-// no explicit registration is needed and every access may fault
-// (ibv_reg_mr with IBV_ACCESS_ON_DEMAND over the full range).
-func (c *Context) EnableImplicitODP() { c.nic.EnableImplicitODP() }
-
 // PD is a protection domain: MRs and QPs hang off it.
 type PD struct {
 	ctx *Context
-	mrs []*MR
 }
 
 // MR is a registered memory region.
 type MR struct {
-	pd    *PD
 	inner *rnic.MR
 	// PinTime is the virtual time the registration spent pinning pages
 	// (zero for ODP registrations) — callers running inside a process
 	// should Sleep it to model the registration cost.
 	PinTime sim.Time
 }
-
-// Addr returns the region's base address.
-func (m *MR) Addr() hostmem.Addr { return m.inner.Addr }
-
-// Len returns the region's length.
-func (m *MR) Len() int { return m.inner.Len }
 
 // RegisterMR registers [addr, addr+len). With AccessOnDemand it creates
 // an on-demand region following the device's memory mode: Explicit ODP
@@ -97,21 +76,7 @@ func (p *PD) RegisterMR(addr hostmem.Addr, length int, flags AccessFlags) (*MR, 
 		return nil, fmt.Errorf("%w: non-positive MR length %d", ErrBadAttr, length)
 	}
 	inner, cost := p.ctx.nic.RegisterMR(addr, length, flags&AccessOnDemand != 0)
-	mr := &MR{pd: p, inner: inner, PinTime: cost}
-	p.mrs = append(p.mrs, mr)
-	return mr, nil
-}
-
-// Deregister removes the region.
-func (m *MR) Deregister() { m.pd.ctx.nic.DeregisterMR(m.inner) }
-
-// Advise prefetches the region's pages into qp's ODP context
-// (ibv_advise_mr with IBV_ADVISE_MR_ADVICE_PREFETCH). A no-op for
-// regions that do not translate through ODP.
-func (m *MR) Advise(qp *QP) {
-	if m.inner.Kind == rnic.KindODP {
-		m.pd.ctx.nic.AdviseMR(qp.inner.Num, m.inner.Addr, m.inner.Len)
-	}
+	return &MR{inner: inner, PinTime: cost}, nil
 }
 
 // CQ is a completion queue.
@@ -138,9 +103,6 @@ func (q *CQ) WaitN(p *sim.Proc, n int) []rnic.CQE {
 	return out
 }
 
-// Inner exposes the underlying CQ for integration with internal packages.
-func (q *CQ) Inner() *rnic.CQ { return q.inner }
-
 // QPState mirrors ibv_qp_state for the states the simulator models.
 type QPState int
 
@@ -150,7 +112,6 @@ const (
 	StateInit
 	StateRTR
 	StateRTS
-	StateError
 )
 
 // QPAttr carries the modify-QP attributes used on the RTR/RTS transitions.
@@ -171,7 +132,6 @@ type QPAttr struct {
 
 // QP is a queue pair.
 type QP struct {
-	pd    *PD
 	inner *rnic.QP
 	state QPState
 	attr  QPAttr
@@ -179,33 +139,11 @@ type QP struct {
 
 // CreateQP creates a queue pair in the RESET state.
 func (p *PD) CreateQP(sendCQ, recvCQ *CQ) *QP {
-	return &QP{pd: p, inner: p.ctx.nic.CreateQP(sendCQ.inner, recvCQ.inner)}
+	return &QP{inner: p.ctx.nic.CreateQP(sendCQ.inner, recvCQ.inner)}
 }
 
 // Num returns the queue pair number.
 func (q *QP) Num() uint32 { return q.inner.Num }
-
-// State returns the verbs-level state.
-func (q *QP) State() QPState {
-	if q.inner.State() == rnic.QPError {
-		return StateError
-	}
-	return q.state
-}
-
-// Stats exposes requester counters.
-func (q *QP) Stats() rnic.QPStats { return q.inner.Stats }
-
-// Inner exposes the underlying QP for integration with internal packages.
-func (q *QP) Inner() *rnic.QP { return q.inner }
-
-// ToReset returns the QP to RESET from any state, clearing its transport
-// state; reconnect with Connect or the modify sequence afterwards.
-func (q *QP) ToReset() {
-	q.inner.Reset()
-	q.state = StateReset
-	q.attr = QPAttr{}
-}
 
 // ToInit performs RESET→INIT.
 func (q *QP) ToInit() error {
@@ -269,68 +207,10 @@ func (q *QP) PostRead(id uint64, local, remote hostmem.Addr, length int) error {
 	return q.post(rnic.SendWR{ID: id, Op: rnic.OpRead, LocalAddr: local, RemoteAddr: remote, Len: length})
 }
 
-// PostWrite posts an RDMA WRITE work request.
-func (q *QP) PostWrite(id uint64, local, remote hostmem.Addr, length int) error {
-	return q.post(rnic.SendWR{ID: id, Op: rnic.OpWrite, LocalAddr: local, RemoteAddr: remote, Len: length})
-}
-
-// PostFetchAdd posts an 8-byte fetch-and-add; the original value arrives
-// in the completion's AtomicOrig.
-func (q *QP) PostFetchAdd(id uint64, local, remote hostmem.Addr, add uint64) error {
-	return q.post(rnic.SendWR{ID: id, Op: rnic.OpAtomicFA, LocalAddr: local, RemoteAddr: remote, Len: 8, CompareAdd: add})
-}
-
-// PostCmpSwap posts an 8-byte compare-and-swap.
-func (q *QP) PostCmpSwap(id uint64, local, remote hostmem.Addr, compare, swap uint64) error {
-	return q.post(rnic.SendWR{ID: id, Op: rnic.OpAtomicCS, LocalAddr: local, RemoteAddr: remote, Len: 8, CompareAdd: compare, Swap: swap})
-}
-
-// PostSendMsg posts a two-sided SEND.
-func (q *QP) PostSendMsg(id uint64, local hostmem.Addr, length int) error {
-	return q.post(rnic.SendWR{ID: id, Op: rnic.OpSend, LocalAddr: local, Len: length})
-}
-
-// PostRecv posts a receive buffer.
-func (q *QP) PostRecv(id uint64, addr hostmem.Addr, length int) error {
-	if q.state == StateReset {
-		return ErrBadState
-	}
-	q.inner.PostRecv(rnic.RecvWR{ID: id, Addr: addr, Len: length})
-	return nil
-}
-
 func (q *QP) post(wr rnic.SendWR) error {
 	if q.state != StateRTS {
 		return ErrBadState
 	}
 	q.inner.PostSend(wr)
 	return nil
-}
-
-// UDQP is a verbs-level Unreliable Datagram queue pair. UD QPs need no
-// connection: the destination address travels with each work request.
-type UDQP struct {
-	pd    *PD
-	inner *rnic.UDQP
-}
-
-// CreateUDQP creates a datagram QP bound to the completion queues.
-func (p *PD) CreateUDQP(sendCQ, recvCQ *CQ) *UDQP {
-	return &UDQP{pd: p, inner: p.ctx.nic.CreateUDQP(sendCQ.inner, recvCQ.inner)}
-}
-
-// Num returns the queue pair number.
-func (q *UDQP) Num() uint32 { return q.inner.Num }
-
-// Inner exposes the underlying UD QP.
-func (q *UDQP) Inner() *rnic.UDQP { return q.inner }
-
-// PostSend transmits one datagram to (destLID, destQPN).
-func (q *UDQP) PostSend(id uint64, destLID uint16, destQPN uint32, local hostmem.Addr, length int) {
-	q.inner.PostSend(rnic.UDSendWR{ID: id, DestLID: destLID, DestQPN: destQPN, Local: local, Len: length})
-}
-
-// PostRecv posts a receive buffer.
-func (q *UDQP) PostRecv(id uint64, addr hostmem.Addr, length int) {
-	q.inner.PostRecv(rnic.RecvWR{ID: id, Addr: addr, Len: length})
 }

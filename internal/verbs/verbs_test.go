@@ -70,7 +70,7 @@ func TestODPReadThroughVerbs(t *testing.T) {
 	if len(cqes) != 1 || cqes[0].Status != rnic.WCSuccess {
 		t.Fatalf("cqes = %+v", cqes)
 	}
-	if e.ctxS.NIC().RNRNakSent == 0 {
+	if e.cl.Nodes[1].RNRNakSent == 0 {
 		t.Error("ODP MR should have faulted server-side")
 	}
 }
@@ -115,9 +115,6 @@ func TestPostBeforeRTSFails(t *testing.T) {
 	if err := qp.PostRead(1, e.lbuf, e.rbuf, 100); !errors.Is(err, ErrBadState) {
 		t.Errorf("post on RESET QP = %v", err)
 	}
-	if err := qp.PostRecv(1, e.lbuf, 100); !errors.Is(err, ErrBadState) {
-		t.Errorf("recv on RESET QP = %v", err)
-	}
 }
 
 func TestRegisterMRValidation(t *testing.T) {
@@ -146,51 +143,5 @@ func TestPinnedMRHasPinTime(t *testing.T) {
 	}
 	if odpMR.PinTime != 0 || odpMR.inner.Kind != rnic.KindODP {
 		t.Errorf("ODP MR: pin time %v, kind %d; want unpinned ODP", odpMR.PinTime, odpMR.inner.Kind)
-	}
-	mr.Deregister()
-}
-
-func TestSendRecvThroughVerbs(t *testing.T) {
-	e := newEnv(t, 8, 0)
-	if err := e.qpS.PostRecv(7, e.rbuf, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.qpC.PostSendMsg(1, e.lbuf, 64); err != nil {
-		t.Fatal(err)
-	}
-	e.cl.Eng.Run()
-	if got := e.cqS.Poll(0); len(got) != 1 || !got[0].Recv {
-		t.Fatalf("recv cqes = %+v", got)
-	}
-}
-
-func TestStateReflectsError(t *testing.T) {
-	e := newEnv(t, 9, 0)
-	// Reconnect to a bogus LID and drive it to retry exhaustion.
-	qp := e.pdC.CreateQP(e.cqC, e.cqC)
-	if err := qp.Connect(QPAttr{DestLID: 99, DestQPNum: 1, Timeout: 1, RetryCnt: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := qp.PostRead(1, e.lbuf, e.rbuf, 100); err != nil {
-		t.Fatal(err)
-	}
-	e.cl.Eng.Run()
-	if qp.State() != StateError {
-		t.Errorf("state = %v, want StateError", qp.State())
-	}
-}
-
-func TestWriteThroughVerbs(t *testing.T) {
-	e := newEnv(t, 10, 0)
-	// The remote MR in this env only has remote-read intent, but the
-	// simulator models protection at region granularity; a write into
-	// the registered region succeeds.
-	if err := e.qpC.PostWrite(1, e.lbuf, e.rbuf, 256); err != nil {
-		t.Fatal(err)
-	}
-	e.cl.Eng.Run()
-	cqes := e.cqC.Poll(0)
-	if len(cqes) != 1 || cqes[0].Status != rnic.WCSuccess {
-		t.Fatalf("cqes = %+v", cqes)
 	}
 }

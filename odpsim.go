@@ -76,7 +76,7 @@ type RNIC = rnic.RNIC
 // System is one of the paper's measured systems.
 type System = cluster.System
 
-// Systems of Table I; AllSystems and SystemByName reach the rest.
+// Systems of Table I (five of its eight).
 var (
 	KNL       = cluster.KNL
 	ReedbushH = cluster.ReedbushH
@@ -84,12 +84,6 @@ var (
 	AzureHC   = cluster.AzureHC
 	AzureHBv2 = cluster.AzureHBv2
 )
-
-// AllSystems returns every system of Table I.
-func AllSystems() []System { return cluster.All() }
-
-// SystemByName looks a system up by name.
-func SystemByName(name string) (System, error) { return cluster.ByName(name) }
 
 // --- Verbs ---
 

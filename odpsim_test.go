@@ -89,12 +89,3 @@ func TestPublicUCX(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAllSystemsExposed(t *testing.T) {
-	if len(AllSystems()) != 8 {
-		t.Error("Table I has 8 systems")
-	}
-	if _, err := SystemByName("ABCI"); err != nil {
-		t.Error(err)
-	}
-}
