@@ -35,33 +35,24 @@ type RateState struct {
 	// packets refused by Reserve because the TX backlog was full.
 	Cuts uint64
 	Shed uint64
+
+	arenaNext *RateState
 }
 
-// NewRateState creates a reaction point at line rate.
+// NewRateState creates a reaction point at line rate, taken from the
+// engine's arena (see sim.Arena): trial loops that re-arm DCQCN on every
+// rebuilt QP reuse the same structs, and their cached timer closures,
+// instead of allocating a fresh state machine per QP per trial.
 func NewRateState(eng *sim.Engine, cfg DCQCNConfig, lineGbps float64) *RateState {
-	rs := &RateState{}
-	rs.alphaFn = rs.alphaTick
-	rs.rateFn = rs.rateTick
-	rs.reset(eng, cfg, lineGbps)
-	return rs
-}
-
-// NewRateStateOn is NewRateState with engine-generation recycling:
-// rate states handed out in earlier generations are free again after an
-// Engine.Reset, so trial loops that re-arm DCQCN on every rebuilt QP
-// reuse the same structs — and their cached timer closures — instead of
-// allocating a fresh state machine per QP per trial.
-func NewRateStateOn(eng *sim.Engine, cfg DCQCNConfig, lineGbps float64) *RateState {
-	s := scratchFor(eng)
-	if s.rateNext < len(s.rateAll) {
-		rs := s.rateAll[s.rateNext]
-		s.rateNext++
-		rs.reset(eng, cfg, lineGbps)
-		return rs
+	a := &scratchFor(eng).rates
+	rs := a.Take(eng)
+	if rs == nil {
+		rs = &RateState{}
+		rs.alphaFn = rs.alphaTick
+		rs.rateFn = rs.rateTick
+		a.Add(rs)
 	}
-	rs := NewRateState(eng, cfg, lineGbps)
-	s.rateAll = append(s.rateAll, rs)
-	s.rateNext = len(s.rateAll)
+	rs.reset(eng, cfg, lineGbps)
 	return rs
 }
 

@@ -178,6 +178,8 @@ type port struct {
 	// dstSwitch is the far end for switch-bound links; nil means the
 	// far end is a host and the entry leaves the network on arrival.
 	dstSwitch *swtch
+
+	arenaNext *port
 }
 
 // enqueue appends an entry and starts the transmitter if idle. ECN
@@ -311,6 +313,8 @@ type swtch struct {
 	labels     telemetry.Labels
 	bytesGauge func() float64
 	peakGauge  func() float64
+
+	arenaNext *swtch
 }
 
 // admit reserves shared-buffer space for a data entry that just left
@@ -450,33 +454,30 @@ type Network struct {
 	// (exported as tx_pause_duration, in µs, mlx5-style).
 	pausedNs   uint64
 	pauseGauge func() float64
+
+	arenaNext *Network
 }
 
 // scratchKey is the engine Aux key the congestion layer's recycled
-// storage lives under — the same discipline as fabric.scratch: trial
-// loops that rebuild the network per run on a Reset-reused engine keep
-// one warm set of entries, ports, switches and rate states.
+// storage lives under: trial loops that rebuild the network per run on
+// a Reset-reused engine keep one warm set of entries, networks, ports,
+// switches and rate states.
 const scratchKey = "congestion.scratch"
 
 // scratch is the per-engine storage the congestion layer draws from.
 // The entry free list is shared unconditionally (entries are
-// self-contained, like packets and deliveries). The network, port,
-// switch and rate-state arenas are generation-claimed: a Reset
-// wholesale-frees last trial's grabs, while within one generation every
-// constructor call gets a distinct instance, so side-by-side networks
-// on one engine stay correct.
+// self-contained, like packets and deliveries). Networks, ports,
+// switches and rate states come from engine-generation arenas (see
+// sim.Arena): a Reset frees last trial's members wholesale, while
+// within one generation every constructor call gets a distinct
+// instance, so side-by-side networks on one engine stay correct.
 type scratch struct {
 	free []*entry
 
-	gen      uint64
-	netAll   []*Network
-	netNext  int
-	portAll  []*port
-	portNext int
-	swAll    []*swtch
-	swNext   int
-	rateAll  []*RateState
-	rateNext int
+	networks sim.Arena[Network]
+	ports    sim.Arena[port]
+	switches sim.Arena[swtch]
+	rates    sim.Arena[RateState]
 
 	// chainTopo memoizes the implicit chain topology that configs without
 	// an explicit Topology resolve to, keyed by its parameters, so warm
@@ -496,17 +497,16 @@ func (s *scratch) chain(switches int, uplinkFactor float64) Topology {
 	return s.chainTopo
 }
 
-// scratchFor fetches or creates the engine's congestion scratch,
-// rolling the arenas over to the current generation.
+// scratchFor fetches or creates the engine's congestion scratch.
 func scratchFor(eng *sim.Engine) *scratch {
 	s, _ := eng.Aux(scratchKey).(*scratch)
 	if s == nil {
 		s = &scratch{}
+		s.networks.Link = func(n *Network) **Network { return &n.arenaNext }
+		s.ports.Link = func(p *port) **port { return &p.arenaNext }
+		s.switches.Link = func(sw *swtch) **swtch { return &sw.arenaNext }
+		s.rates.Link = func(rs *RateState) **RateState { return &rs.arenaNext }
 		eng.SetAux(scratchKey, s)
-	}
-	if gen := eng.Generation() + 1; s.gen != gen {
-		s.gen = gen
-		s.netNext, s.portNext, s.swNext, s.rateNext = 0, 0, 0, 0
 	}
 	return s
 }
@@ -531,7 +531,7 @@ func NewNetwork(eng *sim.Engine, cfg Config, linkGbps float64, propDelay sim.Tim
 	if topo.Kind == "" {
 		topo = s.chain(cfg.Switches, cfg.UplinkFactor)
 	}
-	n := s.getNetwork()
+	n := s.getNetwork(eng)
 	n.eng = eng
 	n.cfg = cfg
 	n.hooks = hooks
@@ -637,11 +637,9 @@ func (n *Network) ecmpIndex(src, dst uint16, k int) int {
 
 // getNetwork grabs a recycled Network (or allocates the arena's next
 // one) and resets its per-trial state.
-func (s *scratch) getNetwork() *Network {
-	var n *Network
-	if s.netNext < len(s.netAll) {
-		n = s.netAll[s.netNext]
-		s.netNext++
+func (s *scratch) getNetwork(eng *sim.Engine) *Network {
+	n := s.networks.Take(eng)
+	if n != nil {
 		n.switches = n.switches[:0]
 		for i := range n.uplinks {
 			n.uplinks[i] = nil
@@ -650,8 +648,7 @@ func (s *scratch) getNetwork() *Network {
 		n.pausedNs = 0
 	} else {
 		n = &Network{}
-		s.netAll = append(s.netAll, n)
-		s.netNext = len(s.netAll)
+		s.networks.Add(n)
 	}
 	if n.pauseGauge == nil {
 		n.pauseGauge = n.PauseDurationMicros
@@ -664,11 +661,8 @@ func (s *scratch) getNetwork() *Network {
 // telemetry label map that carries it) is rebuilt only when the struct
 // serves a different position than last trial.
 func (n *Network) getSwitch(idx int) *swtch {
-	s := n.scratch
-	var sw *swtch
-	if s.swNext < len(s.swAll) {
-		sw = s.swAll[s.swNext]
-		s.swNext++
+	sw := n.scratch.switches.Take(n.eng)
+	if sw != nil {
 		sw.bytes, sw.peak = 0, 0
 		sw.Drops, sw.EcnMarked, sw.PauseFrames = 0, 0, 0
 		sw.egress = sw.egress[:0]
@@ -677,8 +671,7 @@ func (n *Network) getSwitch(idx int) *swtch {
 		}
 	} else {
 		sw = &swtch{}
-		s.swAll = append(s.swAll, sw)
-		s.swNext = len(s.swAll)
+		n.scratch.switches.Add(sw)
 	}
 	sw.n = n
 	if sw.name == "" || sw.idx != idx {
@@ -779,11 +772,8 @@ func (n *Network) switchOf(lid uint16) int {
 // the struct serves the same link as last trial (the common case in
 // sweep loops), so warm rebuilds allocate no strings.
 func (n *Network) newPort(role portRole, gbps float64, prop sim.Time, dst *swtch) *port {
-	s := n.scratch
-	var p *port
-	if s.portNext < len(s.portAll) {
-		p = s.portAll[s.portNext]
-		s.portNext++
+	p := n.scratch.ports.Take(n.eng)
+	if p != nil {
 		for vl := range p.q {
 			p.q[vl].reset()
 			p.qbytes[vl] = 0
@@ -793,8 +783,7 @@ func (n *Network) newPort(role portRole, gbps float64, prop sim.Time, dst *swtch
 		p.busy, p.cur = false, nil
 	} else {
 		p = &port{}
-		s.portAll = append(s.portAll, p)
-		s.portNext = len(s.portAll)
+		n.scratch.ports.Add(p)
 	}
 	p.n = n
 	if p.doneFn == nil {

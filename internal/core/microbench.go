@@ -297,11 +297,7 @@ const benchClientsKey = "core.benchClients"
 // record keeps its bound callbacks and its QP list's storage, so a
 // trial on a reused engine allocates nothing for its client.
 func newBenchClient(eng *sim.Engine) *benchClient {
-	a, _ := eng.Aux(benchClientsKey).(*sim.Arena[benchClient])
-	if a == nil {
-		a = &sim.Arena[benchClient]{Link: func(c *benchClient) **benchClient { return &c.arenaNext }}
-		eng.SetAux(benchClientsKey, a)
-	}
+	a := sim.ArenaOn(eng, benchClientsKey, func(c *benchClient) **benchClient { return &c.arenaNext })
 	c := a.Take(eng)
 	if c == nil {
 		c = new(benchClient)

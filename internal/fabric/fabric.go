@@ -70,14 +70,16 @@ type Tap func(TapEvent)
 
 // Port is one RNIC attachment point.
 type Port struct {
-	LID     uint16
+	LID uint16
+	// line caches the delay line to lineDst, the last destination this
+	// port's packets flew to, so a port with one peer never hashes.
+	// lineDst shares LID's word, which keeps Port in the 96-byte size
+	// class with its arena link.
+	lineDst uint16
+	line    *deliveryLine
 	Name    string
 	fab     *Fabric
 	handler Handler
-	// line caches the delay line to lineDst, the last destination this
-	// port's packets flew to, so a port with one peer never hashes.
-	line    *deliveryLine
-	lineDst uint16
 
 	// Counters, in the sysfs port-counter vocabulary. TxPackets/TxBytes
 	// count at Send time, RxPackets/RxBytes at delivery, TxDiscards on
@@ -87,6 +89,8 @@ type Port struct {
 	TxBytes    uint64
 	RxBytes    uint64
 	TxDiscards uint64
+
+	arenaNext *Port
 }
 
 // RegisterMetrics publishes the port counters on reg with a port label
@@ -205,22 +209,26 @@ const scratchKey = "fabric.scratch"
 
 // scratch is the per-engine storage a fabric draws from. The packet pool
 // and delivery free list are shared unconditionally (their objects are
-// self-contained). The LID tables and delay lines are claimed by the
-// first fabric built in each engine generation: a second fabric on the
-// same un-Reset engine allocates its own, so tests that run two fabrics
-// side by side stay correct. The port arena is shared by generation.
+// self-contained). The LID tables and the ports come from
+// engine-generation arenas (see sim.Arena), so each fabric of a
+// generation takes its own, and two fabrics side by side on one engine
+// stay correct.
 type scratch struct {
 	pool    *packet.Pool
 	freeDel []*delivery
 
-	tableGen   uint64 // engine Generation()+1 that claimed the tables; 0 = unclaimed
+	tables sim.Arena[tables]
+	ports  sim.Arena[Port]
+}
+
+// tables are a fabric's LID-indexed tables and delay lines (see the
+// Fabric fields of the same names). A recycled record keeps every
+// backing array, cleared of its stale contents.
+type tables struct {
 	ports      []*Port
 	egressFree []sim.Time
 	lines      map[uint32]*deliveryLine
-
-	portGen  uint64
-	portAll  []*Port
-	portNext int
+	arenaNext  *tables
 }
 
 // scratchFor fetches or creates the engine's fabric scratch.
@@ -228,6 +236,8 @@ func scratchFor(eng *sim.Engine) *scratch {
 	s, _ := eng.Aux(scratchKey).(*scratch)
 	if s == nil {
 		s = &scratch{pool: packet.NewPool()}
+		s.tables.Link = func(t *tables) **tables { return &t.arenaNext }
+		s.ports.Link = func(p *Port) **Port { return &p.arenaNext }
 		eng.SetAux(scratchKey, s)
 	}
 	return s
@@ -248,12 +258,11 @@ type Fabric struct {
 	egressFree []sim.Time
 	lines      map[uint32]*deliveryLine
 	// pool recycles packet storage through the datapath; the delivery
-	// free list lives in the shared scratch. ownsTables records that this
-	// fabric claimed the scratch's LID tables for its generation and must
-	// write resized ones back.
-	pool       *packet.Pool
-	scratch    *scratch
-	ownsTables bool
+	// free list lives in the shared scratch. tables is the arena record
+	// the LID tables above came from; grow writes resized ones back.
+	pool    *packet.Pool
+	scratch *scratch
+	tables  *tables
 	// lossRate drops each packet independently with this probability.
 	lossRate float64
 	// dropFilter, when non-nil, drops packets it returns true for.
@@ -290,26 +299,23 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 	s := scratchFor(eng)
 	f.scratch = s
 	f.pool = s.pool
-	if gen := eng.Generation() + 1; s.tableGen != gen {
-		// First fabric of this generation: take over last run's tables
-		// and delay lines, cleared of their stale contents but keeping
-		// every backing array.
-		s.tableGen = gen
-		f.ownsTables = true
-		if s.lines == nil {
-			s.lines = make(map[uint32]*deliveryLine)
-		}
-		f.ports, f.egressFree, f.lines = s.ports, s.egressFree, s.lines
-		clear(f.ports)
-		clear(f.egressFree)
-		for _, l := range f.lines {
+	t := s.tables.Take(eng)
+	if t == nil {
+		t = &tables{lines: make(map[uint32]*deliveryLine)}
+		s.tables.Add(t)
+	} else {
+		// Last run's tables and delay lines, cleared of their stale
+		// contents but keeping every backing array.
+		clear(t.ports)
+		clear(t.egressFree)
+		for _, l := range t.lines {
 			if l.n > 0 {
 				l.clear(s)
 			}
 		}
-	} else {
-		f.lines = make(map[uint32]*deliveryLine)
 	}
+	f.tables = t
+	f.ports, f.egressFree, f.lines = t.ports, t.egressFree, t.lines
 	f.tel.Counter(telemetry.SimFabricPacketsSent, "packets handed to the fabric", nil, &f.Sent)
 	f.tel.Counter(telemetry.SimFabricPacketsDelivered, "packets delivered to a port", nil, &f.Delivered)
 	f.tel.Counter(telemetry.SimFabricBytesSent, "wire bytes handed to the fabric", nil, &f.BytesSent)
@@ -421,42 +427,25 @@ func (f *Fabric) grow(n int) {
 	}
 	f.ports = f.ports[:n]
 	f.egressFree = f.egressFree[:n]
-	if f.ownsTables {
-		f.scratch.ports = f.ports
-		f.scratch.egressFree = f.egressFree
-	}
+	f.tables.ports, f.tables.egressFree = f.ports, f.egressFree
 }
 
-// AttachPort registers a port with the given LID. LIDs must be unique.
+// AttachPort registers a port with the given LID, taken from the
+// engine's port arena. LIDs must be unique.
 func (f *Fabric) AttachPort(lid uint16, name string, h Handler) *Port {
 	f.grow(int(lid) + 1)
 	if f.ports[lid] != nil {
 		panic(fmt.Sprintf("fabric: duplicate LID %d", lid))
 	}
-	p := f.getPort()
-	*p = Port{LID: lid, Name: name, fab: f, handler: h}
+	p := f.scratch.ports.Take(f.eng)
+	if p == nil {
+		p = new(Port)
+		f.scratch.ports.Add(p)
+	}
+	// The arena link survives the reset; dropping it would cut the
+	// arena's chain at this port.
+	*p = Port{LID: lid, Name: name, fab: f, handler: h, arenaNext: p.arenaNext}
 	f.ports[lid] = p
-	return p
-}
-
-// getPort grabs a port from the engine-generation arena: ports handed out
-// in earlier generations are free again after an engine Reset, so trial
-// loops reuse the same structs. The arena index only advances within a
-// generation, so two fabrics on one engine never share a port.
-func (f *Fabric) getPort() *Port {
-	s := f.scratch
-	if gen := f.eng.Generation() + 1; s.portGen != gen {
-		s.portGen = gen
-		s.portNext = 0
-	}
-	if s.portNext < len(s.portAll) {
-		p := s.portAll[s.portNext]
-		s.portNext++
-		return p
-	}
-	p := &Port{}
-	s.portAll = append(s.portAll, p)
-	s.portNext = len(s.portAll)
 	return p
 }
 

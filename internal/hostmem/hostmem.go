@@ -145,39 +145,22 @@ type AddressSpace struct {
 	// Counters for tests and reporting.
 	FaultsResolved uint64
 	PagesPinned    uint64
+
+	arenaNext *AddressSpace
 }
 
-// asPoolKey is the engine Aux key recycled address spaces live under.
-const asPoolKey = "hostmem.addressSpaces"
+// asArenaKey is the engine Aux key of the address-space arena. A
+// recycled space keeps its page entries (reset to Unmapped) and their
+// cached fault-completion closures, and its word store keeps its
+// buckets, so trial loops stop paying construction allocations.
+const asArenaKey = "hostmem.addressSpaces"
 
-// asPool hands address spaces back out after an engine Reset: the page
-// table keeps its entries (reset to Unmapped) and their cached
-// fault-completion closures, and the word store keeps its buckets, so
-// trial loops stop paying construction allocations. Within one
-// generation every NewAddressSpace call gets a distinct instance.
-type asPool struct {
-	gen  uint64
-	all  []*AddressSpace
-	next int
-}
-
-// NewAddressSpace creates an address space on engine eng. Address spaces
-// are recycled across engine Resets (generation-based, via the engine's
-// aux storage); a freshly returned space is indistinguishable from a
-// brand-new one.
+// NewAddressSpace creates an address space on engine eng, taking it from
+// the engine's arena (see sim.Arena); a recycled space is
+// indistinguishable from a brand-new one.
 func NewAddressSpace(eng *sim.Engine, cfg Config) *AddressSpace {
-	p, _ := eng.Aux(asPoolKey).(*asPool)
-	if p == nil {
-		p = &asPool{}
-		eng.SetAux(asPoolKey, p)
-	}
-	if gen := eng.Generation() + 1; p.gen != gen {
-		p.gen = gen
-		p.next = 0
-	}
-	if p.next < len(p.all) {
-		as := p.all[p.next]
-		p.next++
+	a := sim.ArenaOn(eng, asArenaKey, func(as *AddressSpace) **AddressSpace { return &as.arenaNext })
+	if as := a.Take(eng); as != nil {
 		as.reset(cfg)
 		return as
 	}
@@ -187,8 +170,7 @@ func NewAddressSpace(eng *sim.Engine, cfg Config) *AddressSpace {
 		words: make(map[Addr]uint64),
 		brk:   PageSize, // keep 0 as an obviously invalid address
 	}
-	p.all = append(p.all, as)
-	p.next = len(p.all)
+	a.Add(as)
 	return as
 }
 

@@ -220,44 +220,25 @@ func (tx *TxAccount) Complete(upto uint32) {
 }
 
 // State bundles one QP's transport machines. Instances come from the
-// engine-generation arena (StateFor) so trial loops that rebuild a
-// cluster on a Reset engine reuse the buffers.
+// engine's arena (StateFor) so trial loops that rebuild a cluster on a
+// Reset engine reuse the buffers.
 type State struct {
 	RB ReorderBuffer
 	TX TxAccount
+
+	arenaNext *State
 }
 
-// scratch is the per-engine arena of State objects, generation-claimed
-// like the congestion layer's port/switch arenas: an Engine.Reset
-// wholesale-frees last trial's grabs.
-type scratch struct {
-	gen  uint64
-	all  []*State
-	next int
-}
+const stateArenaKey = "irn.states"
 
-const scratchKey = "irn.scratch"
-
-// StateFor grabs a recycled per-QP State (or allocates the arena's next
-// one) for the current engine generation.
+// StateFor takes a per-QP State from the engine's arena (see sim.Arena),
+// still holding what its previous run left.
 func StateFor(eng *sim.Engine) *State {
-	s, _ := eng.Aux(scratchKey).(*scratch)
-	if s == nil {
-		s = &scratch{}
-		eng.SetAux(scratchKey, s)
-	}
-	if gen := eng.Generation() + 1; s.gen != gen {
-		s.gen = gen
-		s.next = 0
-	}
-	var st *State
-	if s.next < len(s.all) {
-		st = s.all[s.next]
-		s.next++
-	} else {
+	a := sim.ArenaOn(eng, stateArenaKey, func(st *State) **State { return &st.arenaNext })
+	st := a.Take(eng)
+	if st == nil {
 		st = &State{}
-		s.all = append(s.all, st)
-		s.next = len(s.all)
+		a.Add(st)
 	}
 	return st
 }

@@ -98,44 +98,25 @@ type Pool struct {
 	Evictions         uint64
 	TranslationStalls uint64
 	poolBytesFn       func() float64
+
+	arenaNext *Pool
 }
 
-// poolPoolKey is the engine Aux key recycled NPR pools live under.
-const poolPoolKey = "npr.pools"
+// poolArenaKey is the engine Aux key of the pool arena. A recycled pool
+// has its shadow table zeroed but keeps the table's storage.
+const poolArenaKey = "npr.pools"
 
-// poolPool recycles Pools across sim-engine generations, the same trick
-// hostmem, odp and the fabric use: each trial's New calls get back last
-// trial's pools (in construction order) with the shadow table zeroed
-// but its storage intact.
-type poolPool struct {
-	gen  uint64
-	all  []*Pool
-	next int
-}
-
-// New creates an NP-RDMA driver pool over as, recycled across engine
-// Resets like every other per-node structure.
+// New creates an NP-RDMA driver pool over as, taken from the engine's
+// arena (see sim.Arena) like every other per-node structure.
 func New(as *hostmem.AddressSpace, cfg Config) *Pool {
 	eng := as.Engine()
-	pp, _ := eng.Aux(poolPoolKey).(*poolPool)
-	if pp == nil {
-		pp = &poolPool{}
-		eng.SetAux(poolPoolKey, pp)
+	a := sim.ArenaOn(eng, poolArenaKey, func(pl *Pool) **Pool { return &pl.arenaNext })
+	pl := a.Take(eng)
+	if pl == nil {
+		pl = &Pool{eng: eng}
+		pl.poolBytesFn = func() float64 { return float64(pl.resident) * hostmem.PageSize }
+		a.Add(pl)
 	}
-	if gen := eng.Generation() + 1; pp.gen != gen {
-		pp.gen = gen
-		pp.next = 0
-	}
-	if pp.next < len(pp.all) {
-		pl := pp.all[pp.next]
-		pp.next++
-		pl.reset(as, cfg)
-		return pl
-	}
-	pl := &Pool{eng: eng}
-	pl.poolBytesFn = func() float64 { return float64(pl.resident) * hostmem.PageSize }
-	pp.all = append(pp.all, pl)
-	pp.next = len(pp.all)
 	pl.reset(as, cfg)
 	return pl
 }

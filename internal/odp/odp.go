@@ -223,37 +223,22 @@ type Engine struct {
 	SpuriousTotal uint64 // spurious accesses recorded
 	Invalidations uint64 // (QP,page) translations flushed by the notifier
 	Prefetches    uint64 // (QP,page) pairs prefetched via AdviseMR
+
+	arenaNext *Engine
 }
 
-// enginePoolKey is the engine Aux key recycled ODP engines live under.
-const enginePoolKey = "odp.engines"
+// engineArenaKey is the engine Aux key of the ODP-engine arena. A
+// recycled ODP engine has its status tables zeroed but keeps their
+// storage and its one-time closures.
+const engineArenaKey = "odp.engines"
 
-// enginePool recycles ODP engines across sim-engine generations, the same
-// trick the fabric and hostmem layers use: each trial's New calls get
-// back last trial's engines (in construction order) with their status
-// tables zeroed but their storage and one-time closures intact.
-type enginePool struct {
-	gen  uint64
-	all  []*Engine
-	next int
-}
-
-// New creates an ODP engine bound to an address space. It registers an
-// MMU notifier so kernel page reclaim invalidates device translations.
+// New creates an ODP engine bound to an address space, taking it from
+// the sim engine's arena (see sim.Arena). It registers an MMU notifier
+// so kernel page reclaim invalidates device translations.
 func New(as *hostmem.AddressSpace, cfg Config) *Engine {
 	eng := as.Engine()
-	pl, _ := eng.Aux(enginePoolKey).(*enginePool)
-	if pl == nil {
-		pl = &enginePool{}
-		eng.SetAux(enginePoolKey, pl)
-	}
-	if gen := eng.Generation() + 1; pl.gen != gen {
-		pl.gen = gen
-		pl.next = 0
-	}
-	if pl.next < len(pl.all) {
-		e := pl.all[pl.next]
-		pl.next++
+	a := sim.ArenaOn(eng, engineArenaKey, func(e *Engine) **Engine { return &e.arenaNext })
+	if e := a.Take(eng); e != nil {
 		e.reset(as, cfg)
 		return e
 	}
@@ -263,8 +248,7 @@ func New(as *hostmem.AddressSpace, cfg Config) *Engine {
 		cfg:        cfg,
 		interested: make(map[hostmem.PageNo][]Key),
 	}
-	pl.all = append(pl.all, e)
-	pl.next = len(pl.all)
+	a.Add(e)
 	e.finishFn = func() {
 		e.busy = false
 		e.kick()

@@ -413,7 +413,7 @@ func (r *RNIC) CreateQP(sendCQ, recvCQ *CQ) *QP {
 	qp.Num = r.nextQPN()
 	qp.sendCQ, qp.recvCQ = sendCQ, recvCQ
 	if r.dcqcnOn {
-		qp.rate = congestion.NewRateStateOn(r.eng, r.dcqcn, r.lineGbps)
+		qp.rate = congestion.NewRateState(r.eng, r.dcqcn, r.lineGbps)
 	}
 	if r.irnOn {
 		qp.irn = irn.StateFor(r.eng)

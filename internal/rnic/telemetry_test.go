@@ -102,7 +102,10 @@ func qpTelemetrySnapshot(t *testing.T) telemetry.Snapshot {
 		}
 	}
 	dev.RNRNakSent = 7
-	return telemetry.NewHub(fab.Telemetry(), dev.Telemetry()).Snapshot(42)
+	hub := telemetry.NewHubOn(fab.Engine())
+	hub.Add(fab.Telemetry())
+	hub.Add(dev.Telemetry())
+	return hub.Snapshot(42)
 }
 
 // TestQPTelemetryExportGolden pins the Prometheus and CSV exports of a

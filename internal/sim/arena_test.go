@@ -41,3 +41,19 @@ func TestArenaRecyclesByGeneration(t *testing.T) {
 		t.Error("Take past the last member must return nil")
 	}
 }
+
+func TestArenaOnKeepsOneArenaPerKey(t *testing.T) {
+	e := New(1)
+	link := func(m *arenaItem) **arenaItem { return &m.next }
+	a := ArenaOn(e, "k", link)
+	if ArenaOn(e, "k", link) != a {
+		t.Error("a second ArenaOn under one key made a new arena")
+	}
+	if ArenaOn(e, "other", link) == a {
+		t.Error("two keys share one arena")
+	}
+	e.Reset(2)
+	if ArenaOn(e, "k", link) != a {
+		t.Error("an arena must survive Reset")
+	}
+}

@@ -249,7 +249,7 @@ type Engine struct {
 	rng     *rand.Rand
 	seed    int64
 	fired   uint64
-	resets  uint64
+	resets  uint64 // the engine generation Arena reclaims by (see arena.go)
 	stopped bool
 	procs   int   // live (not finished, not aborted) processes
 	live    *Proc // the live processes, linked through Proc.next
@@ -297,12 +297,6 @@ func (e *Engine) Reset(seed int64) {
 	e.rng.Seed(seed)
 	e.seed = seed
 }
-
-// Generation counts how many times the engine has been Reset. Aux-held
-// arenas use it to reclaim per-run objects wholesale: storage grabbed
-// under an older generation is free again, because Reset asserts no live
-// processes (and therefore no live run) remain.
-func (e *Engine) Generation() uint64 { return e.resets }
 
 // Aux returns the value attached under key by SetAux, or nil.
 func (e *Engine) Aux(key string) any { return e.aux[key] }

@@ -165,6 +165,8 @@ type Registry struct {
 	haveLast     bool
 	pairScratch  []labelPair
 	bufScratch   []byte
+
+	arenaNext *Registry
 }
 
 // NewRegistry creates a registry whose metrics all carry the common
@@ -182,65 +184,37 @@ func NewRegistry(common Labels) *Registry {
 	return r
 }
 
-// regPoolKey is the engine Aux key registry storage lives under.
-const regPoolKey = "telemetry.registries"
+// registriesKey is the engine Aux key of the registry arenas, one
+// sim.Arena per registry name: sweeps rebuild every device per trial
+// under the same names, so each trial's NewRegistryOn calls get back
+// last trial's registry with its metric table, label scratch and render
+// cache intact. Same-name registries within one generation get distinct
+// instances, handed out in construction order (which is deterministic).
+const registriesKey = "telemetry.registries"
 
-// regPool recycles registries (and hubs) across engine generations:
-// sweeps rebuild every device per trial under the same names, so each
-// trial's NewRegistryOn calls get back last trial's registry with its
-// metric table, label scratch and render cache intact. Same-name
-// registries within one generation get distinct instances, handed out in
-// construction order (which is deterministic).
-type regPool struct {
-	gen    uint64
-	byName map[string]*regList
-	hubs   []*Hub
-	hubUse int
-}
-
-type regList struct {
-	all  []*Registry
-	next int
-}
-
-func poolFor(eng *sim.Engine) *regPool {
-	p, _ := eng.Aux(regPoolKey).(*regPool)
-	if p == nil {
-		p = &regPool{byName: make(map[string]*regList)}
-		eng.SetAux(regPoolKey, p)
-	}
-	if gen := eng.Generation() + 1; p.gen != gen {
-		p.gen = gen
-		for _, l := range p.byName {
-			l.next = 0
-		}
-		p.hubUse = 0
-	}
-	return p
-}
-
-// NewRegistryOn is NewRegistry with engine-generation recycling: name
-// must identify the component uniquely enough that its common labels are
-// the same every trial (the device name serves). After an engine Reset,
-// the registry registered under name last run is returned emptied of
-// metrics but keeping its storage.
+// NewRegistryOn is NewRegistry taken from the engine's arena for name:
+// name must identify the component uniquely enough that its common
+// labels are the same every trial (the device name serves). After an
+// engine Reset, the registry registered under name last run is returned
+// emptied of metrics but keeping its storage.
 func NewRegistryOn(eng *sim.Engine, name string, common Labels) *Registry {
-	p := poolFor(eng)
-	l := p.byName[name]
-	if l == nil {
-		l = &regList{}
-		p.byName[name] = l
+	byName, _ := eng.Aux(registriesKey).(map[string]*sim.Arena[Registry])
+	if byName == nil {
+		byName = make(map[string]*sim.Arena[Registry])
+		eng.SetAux(registriesKey, byName)
 	}
-	if l.next < len(l.all) {
-		r := l.all[l.next]
-		l.next++
+	a := byName[name]
+	if a == nil {
+		a = &sim.Arena[Registry]{Link: func(r *Registry) **Registry { return &r.arenaNext }}
+		byName[name] = a
+	}
+	if r := a.Take(eng); r != nil {
 		r.metrics = r.metrics[:0]
 		r.families = r.families[:0]
 		return r
 	}
 	r := NewRegistry(common)
-	l.all = append(l.all, r)
-	l.next = len(l.all)
+	a.Add(r)
 	return r
 }
 
@@ -525,25 +499,23 @@ func Delta(prev, cur Snapshot) Snapshot {
 // device) so one scrape sees the cluster the way a monitoring agent sees
 // a host's /sys/class/infiniband tree.
 type Hub struct {
-	regs []*Registry
+	regs      []*Registry
+	arenaNext *Hub
 }
 
-// NewHub creates a hub over the given registries.
-func NewHub(regs ...*Registry) *Hub { return &Hub{regs: regs} }
+// hubsKey is the engine Aux key of the hub arena.
+const hubsKey = "telemetry.hubs"
 
-// NewHubOn creates an empty hub recycled through the engine's registry
-// pool, keeping its registry list's backing array across trials.
+// NewHubOn creates an empty hub taken from the engine's arena, keeping
+// its registry list's backing array across trials.
 func NewHubOn(eng *sim.Engine) *Hub {
-	p := poolFor(eng)
-	if p.hubUse < len(p.hubs) {
-		h := p.hubs[p.hubUse]
-		p.hubUse++
+	a := sim.ArenaOn(eng, hubsKey, func(h *Hub) **Hub { return &h.arenaNext })
+	if h := a.Take(eng); h != nil {
 		h.regs = h.regs[:0]
 		return h
 	}
 	h := &Hub{}
-	p.hubs = append(p.hubs, h)
-	p.hubUse = len(p.hubs)
+	a.Add(h)
 	return h
 }
 

@@ -73,6 +73,16 @@ func TestSnapshotReadsLiveStorage(t *testing.T) {
 	}
 }
 
+// hubOf builds a hub over regs the way components do: NewHubOn, then
+// one Add per registry.
+func hubOf(eng *sim.Engine, regs ...*Registry) *Hub {
+	h := NewHubOn(eng)
+	for _, r := range regs {
+		h.Add(r)
+	}
+	return h
+}
+
 func TestSnapshotSortedAndTotal(t *testing.T) {
 	ra := NewRegistry(Labels{"device": "b"})
 	rb := NewRegistry(Labels{"device": "a"})
@@ -80,7 +90,7 @@ func TestSnapshotSortedAndTotal(t *testing.T) {
 	ra.Counter("m", "h", nil, &x)
 	rb.Counter("m", "h", nil, &y)
 	rb.Counter("aaa", "h", nil, &z)
-	s := NewHub(ra, rb).Snapshot(5)
+	s := hubOf(sim.New(1), ra, rb).Snapshot(5)
 	if s.At != 5 {
 		t.Errorf("At = %v", s.At)
 	}
@@ -137,7 +147,7 @@ func TestSamplerOnSimClock(t *testing.T) {
 	r := NewRegistry(nil)
 	var ops uint64
 	r.Counter("ops", "h", nil, &ops)
-	sampler := NewSampler(eng, NewHub(r), 10*sim.Millisecond)
+	sampler := NewSampler(eng, hubOf(eng, r), 10*sim.Millisecond)
 	eng.Go("driver", func(p *sim.Proc) {
 		sampler.Start()
 		for i := 0; i < 5; i++ {
@@ -179,7 +189,7 @@ func TestSamplerStopOnGridTakesNoDuplicate(t *testing.T) {
 	r := NewRegistry(nil)
 	var v uint64
 	r.Counter("v", "h", nil, &v)
-	sampler := NewSampler(eng, NewHub(r), 10*sim.Millisecond)
+	sampler := NewSampler(eng, hubOf(eng, r), 10*sim.Millisecond)
 	eng.Go("driver", func(p *sim.Proc) {
 		sampler.Start()
 		p.Sleep(20 * sim.Millisecond)
@@ -196,7 +206,7 @@ func TestSamplerStopOnGridTakesNoDuplicate(t *testing.T) {
 
 func TestSamplerClampsInterval(t *testing.T) {
 	eng := sim.New(1)
-	s := NewSampler(eng, NewHub(), 1) // 1 ns would run wild
+	s := NewSampler(eng, NewHubOn(eng), 1) // 1 ns would run wild
 	if s.interval != sim.Microsecond {
 		t.Errorf("interval = %v, want clamped to 1µs", s.interval)
 	}
@@ -295,7 +305,7 @@ func TestHubTotalMatchesSnapshot(t *testing.T) {
 	ra.Family("m", "h", newRowTable(ra, 5, 0, 7), 0)
 	rb.Counter("m", "h", Labels{"port": "1"}, &y)
 	rb.Gauge("g", "h", nil, func() float64 { return 2.5 })
-	hub := NewHub(ra, rb)
+	hub := hubOf(sim.New(1), ra, rb)
 	snap := hub.Snapshot(0)
 	for _, name := range []string{"m", "g", "absent"} {
 		if got, want := hub.Total(name), snap.Total(name); got != want {
@@ -341,7 +351,7 @@ func TestDuplicateRegistrationsPanic(t *testing.T) {
 	a, b := NewRegistry(Labels{"device": "d"}), NewRegistry(Labels{"device": "d"})
 	a.Counter("x", "h", nil, &v)
 	b.Counter("x", "h", nil, &v)
-	mustPanic("same key in two registries", func() { NewHub(a, b).Snapshot(0) })
+	mustPanic("same key in two registries", func() { hubOf(sim.New(1), a, b).Snapshot(0) })
 }
 
 // TestAllocBudgetFamilySnapshot pins the snapshot side of families: once
@@ -357,12 +367,59 @@ func TestAllocBudgetFamilySnapshot(t *testing.T) {
 	for f := 0; f < 8; f++ {
 		r.Family("m"+strconv.Itoa(f), "h", rows, f)
 	}
-	hub := NewHub(r)
+	hub := hubOf(sim.New(1), r)
 	hub.Snapshot(0)
 	if avg := testing.AllocsPerRun(20, func() { hub.Snapshot(0) }); avg > 1 {
 		t.Errorf("8000-row snapshot allocates %.0f/op, want 1 (the sample slice)", avg)
 	}
 	if avg := testing.AllocsPerRun(20, func() { r.RowLabels("qpn", 999) }); avg != 0 {
 		t.Errorf("RowLabels of an interned label set allocates %.0f/op", avg)
+	}
+}
+
+// TestArenaNewRegistryOn checks the registry and hub arenas. Same-name
+// registries of one generation are distinct. After a Reset each name
+// takes its own registries back in construction order, whatever order
+// the names come in, emptied of metrics and families, and a recycled
+// hub holds no registries.
+func TestArenaNewRegistryOn(t *testing.T) {
+	eng := sim.New(1)
+	var v uint64
+	take := func(name string) *Registry {
+		r := NewRegistryOn(eng, name, Labels{"device": name})
+		r.Counter("x", "h", nil, &v)
+		r.Family("f", "h", newRowTable(r, 1, 2), 0)
+		return r
+	}
+	a1, a2, b1 := take("a"), take("a"), take("b")
+	if a1 == a2 {
+		t.Fatal("two same-name registries of one generation are the same instance")
+	}
+	hub := hubOf(eng, a1, a2, b1)
+
+	eng.Reset(2)
+	for i, c := range []struct {
+		name string
+		want *Registry
+	}{{"b", b1}, {"a", a1}, {"a", a2}} {
+		name := c.name
+		r := NewRegistryOn(eng, name, Labels{"device": name})
+		if r != c.want {
+			t.Fatalf("registry %d (%q) after Reset is not the one its name took first", i, name)
+		}
+		if len(r.metrics) != 0 || len(r.families) != 0 {
+			t.Errorf("recycled registry %q kept %d metrics and %d families", name, len(r.metrics), len(r.families))
+		}
+		r.Counter("x", "h", nil, &v) // would panic as a duplicate if x survived
+	}
+	if a3 := NewRegistryOn(eng, "a", Labels{"device": "a"}); a3 == a1 || a3 == a2 {
+		t.Error("a third same-name registry reused one already taken this generation")
+	}
+	h := NewHubOn(eng)
+	if h != hub {
+		t.Fatal("NewHubOn after Reset did not recycle the hub")
+	}
+	if len(h.regs) != 0 || len(h.Snapshot(0).Samples) != 0 {
+		t.Errorf("recycled hub holds %d registries", len(h.regs))
 	}
 }
