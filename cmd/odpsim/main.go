@@ -179,17 +179,6 @@ func run(args []string) {
 			}
 		}()
 	}
-	switch *memory {
-	case "", "pin", "odp", "npr":
-	default:
-		log.Fatalf("-memory must be pin, odp or npr, not %q", *memory)
-	}
-	switch *transport {
-	case "", "rc", "irn":
-	default:
-		log.Fatalf("-transport must be rc or irn, not %q", *transport)
-	}
-
 	var scs []scenario.Scenario
 	switch {
 	case *all:
@@ -218,17 +207,15 @@ func run(args []string) {
 		}
 	}
 
-	opts := scenario.Options{
-		CounterCSV:   *counters,
-		CaptureCSV:   *csvOut,
-		CaptureTrace: *traceOut,
-		Analyze:      *analyze,
-	}
-	for i, sc := range scs {
+	// Apply the overrides to every scenario and validate them all before
+	// the first one runs, so a bad -memory or -transport value fails
+	// before any output is written.
+	for i := range scs {
+		sc := &scs[i]
 		if *quick {
 			// Fold the quick profile in before the overrides, so an
 			// explicit -trials or -waves wins over the profile's counts.
-			sc = sc.ApplyQuick()
+			*sc = sc.ApplyQuick()
 		}
 		if *seed != 0 {
 			sc.Seed = *seed
@@ -256,6 +243,18 @@ func run(args []string) {
 		if *transport != "" {
 			sc.Transport = &scenario.TransportSpec{Mode: *transport}
 		}
+		if err := sc.Validate(); err != nil {
+			log.Fatal(err)
+		}
+	}
+
+	opts := scenario.Options{
+		CounterCSV:   *counters,
+		CaptureCSV:   *csvOut,
+		CaptureTrace: *traceOut,
+		Analyze:      *analyze,
+	}
+	for i, sc := range scs {
 		if err := execute(sc, *outDir, len(scs) > 1 && i > 0, opts); err != nil {
 			log.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 	"odpsim/internal/congestion"
 	"odpsim/internal/fabric"
 	"odpsim/internal/hostmem"
-	"odpsim/internal/irn"
 	"odpsim/internal/npr"
 	"odpsim/internal/rnic"
 	"odpsim/internal/sim"
@@ -30,9 +29,6 @@ type System struct {
 	// software overheads): 1.0 for a ~2.4 GHz Xeon, larger for slower
 	// hosts (the KNL's Xeon Phi cores are markedly slower).
 	CPUFactor float64
-	// HasIbdump reports whether packet capture is possible there (the
-	// paper could only run ibdump on KNL, where it had sudo).
-	HasIbdump bool
 	// ModelCongestion enables the fabric's egress-queuing model (off by
 	// default; see fabric.Config.ModelCongestion).
 	ModelCongestion bool
@@ -48,8 +44,8 @@ type System struct {
 	FaultScale float64
 	// Congestion, when non-nil, replaces the fabric's analytic latency
 	// model with the switched lossless-fabric model (switch buffers,
-	// PFC, ECN) and — when its DCQCN block is enabled — turns on the
-	// DCQCN loop on every node.
+	// PFC, ECN) and — when its DCQCN flag is set — turns on the DCQCN
+	// loop on every node.
 	Congestion *congestion.Config
 	// MemMode selects how managed registrations translate on every node:
 	// "odp" (or "", the default — the paper's configuration), "pin"
@@ -90,13 +86,13 @@ func (s System) FabricConfig() fabric.Config {
 
 // PrivateA is "Private servers A": ConnectX-3 56 Gb/s FDR.
 func PrivateA() System {
-	return System{Name: "Private servers A", PSID: "MT_1100120019", Device: rnic.ConnectX3(), CPUFactor: 1.0, HasIbdump: true}
+	return System{Name: "Private servers A", PSID: "MT_1100120019", Device: rnic.ConnectX3(), CPUFactor: 1.0}
 }
 
 // KNL is "Private servers B": ConnectX-4 FDR on Xeon Phi 7250 hosts — the
 // system all packet-level analysis ran on.
 func KNL() System {
-	return System{Name: "KNL (Private servers B)", PSID: "MT_2170111021", Device: rnic.ConnectX4(), CPUFactor: 4.5, HasIbdump: true}
+	return System{Name: "KNL (Private servers B)", PSID: "MT_2170111021", Device: rnic.ConnectX4(), CPUFactor: 4.5}
 }
 
 // ReedbushH is the Reedbush-H cluster: ConnectX-4 FDR, Xeon E5-2695v4.
@@ -242,16 +238,16 @@ func (s System) BuildOn(eng *sim.Engine, seed int64, nodes int) *Cluster {
 		// at each GC, which made warm-trial allocation counts wander.
 		name := "node" + strconv.Itoa(i)
 		n := rnic.New(fab, uint16(i+1), name, s.Device, s.Memory())
-		if s.Congestion != nil && s.Congestion.DCQCN.Enabled {
+		if s.Congestion != nil && s.Congestion.DCQCN {
 			// Before any QPs exist, so every QP gets a rate limiter.
-			n.EnableDCQCN(s.Congestion.DCQCN, s.Device.LinkGbps)
+			n.EnableDCQCN()
 		}
 		switch s.Transport {
 		case "", "rc":
 			// The default: the hardware go-back-N machine.
 		case "irn":
 			// Before any QPs exist, so every QP gets IRN state.
-			n.EnableIRN(irn.Config{LineGbps: s.Device.LinkGbps})
+			n.EnableIRN()
 		default:
 			panic(fmt.Sprintf("cluster: unknown transport %q", s.Transport))
 		}

@@ -83,7 +83,7 @@ func TestPoolConservationCongested(t *testing.T) {
 		XOffBytes:   1536,
 		XOnBytes:    512,
 		PFC:         true,
-		DCQCN:       congestion.DCQCNConfig{Enabled: true},
+		DCQCN:       true,
 	}
 	cl := sys.Build(7, 2)
 	client, server := cl.Nodes[0], cl.Nodes[1]
@@ -171,7 +171,7 @@ func TestPoolConservationCongestedChurn(t *testing.T) {
 		XOffBytes:   1536,
 		XOnBytes:    512,
 		PFC:         true,
-		DCQCN:       congestion.DCQCNConfig{Enabled: true},
+		DCQCN:       true,
 	}
 
 	var eng *sim.Engine

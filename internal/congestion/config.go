@@ -16,8 +16,6 @@
 // substitutions and calibration.
 package congestion
 
-import "odpsim/internal/sim"
-
 // Virtual lanes. Data rides VL0; CNPs ride VL1, which is strictly
 // prioritized and never paused — the standard DCQCN deployment puts
 // congestion notifications on their own traffic class precisely so they
@@ -70,45 +68,11 @@ type Config struct {
 	ECN               bool
 	ECNThresholdBytes int
 
-	// DCQCN configures the end-to-end rate control loop; DCQCN implies
-	// ECN (the marks are its only input).
-	DCQCN DCQCNConfig
-}
-
-// DCQCNConfig holds the rate-control parameters of the DCQCN reaction
-// point and notification point. Zero fields select the defaults noted.
-type DCQCNConfig struct {
-	// Enabled turns the whole loop on: CNP generation at receivers and
-	// per-QP rate limiting at senders.
-	Enabled bool
-	// MinCNPInterval is the notification point's per-QP CNP pacing
-	// window (default 50 µs, the N_CNP timer).
-	MinCNPInterval sim.Time
-	// G is the alpha EWMA gain (default 1/16).
-	G float64
-	// AlphaTimer is the alpha-decay update period (default 55 µs).
-	AlphaTimer sim.Time
-	// RateTimer is the rate-increase period (default 300 µs; the DCQCN
-	// paper uses 1.5 ms with a byte counter — the simulator is
-	// timer-only, so it recovers faster to keep short floods
-	// interesting).
-	RateTimer sim.Time
-	// FastRecoverySteps is F: rate-timer expirations spent in fast
-	// recovery (rc averaged toward rt) before additive increase starts
-	// (default 5).
-	FastRecoverySteps int
-	// AIRateGbps is the additive-increase step R_AI (default 5 Gb/s).
-	AIRateGbps float64
-	// MinRateGbps floors the current rate (default 0.1 Gb/s).
-	MinRateGbps float64
-	// MaxBacklog bounds how far ahead of the clock the rate limiter may
-	// book transmissions (default 1 ms). It models the finite TX queue
-	// of a real port: go-back-N retransmission bursts that exceed it are
-	// shed rather than queued, exactly as a NIC cannot hold an unbounded
-	// retransmit backlog — the timeout/NAK machinery regenerates them.
-	// Without the bound a retransmission storm against a cut rate books
-	// events unboundedly into the future.
-	MaxBacklog sim.Time
+	// DCQCN turns on the end-to-end rate control loop: CNP generation
+	// at receivers and per-QP rate limiting at senders (see dcqcn.go for
+	// its fixed parameters). DCQCN implies ECN (the marks are its only
+	// input).
+	DCQCN bool
 }
 
 // DefaultConfig returns a 2-switch fabric with a 4× oversubscribed
@@ -125,7 +89,6 @@ func DefaultConfig() Config {
 		XOffBytes:         6 << 10,
 		XOnBytes:          2 << 10,
 		ECNThresholdBytes: 1536,
-		DCQCN:             DCQCNConfig{},
 	}
 }
 
@@ -149,38 +112,8 @@ func (c Config) withDefaults() Config {
 	if c.ECNThresholdBytes <= 0 {
 		c.ECNThresholdBytes = 1536
 	}
-	if c.DCQCN.Enabled {
+	if c.DCQCN {
 		c.ECN = true
 	}
-	c.DCQCN = c.DCQCN.WithDefaults()
 	return c
-}
-
-// WithDefaults fills unset tuning fields with the package defaults.
-func (d DCQCNConfig) WithDefaults() DCQCNConfig {
-	if d.MinCNPInterval <= 0 {
-		d.MinCNPInterval = 50 * sim.Microsecond
-	}
-	if d.G <= 0 {
-		d.G = 1.0 / 16
-	}
-	if d.AlphaTimer <= 0 {
-		d.AlphaTimer = 55 * sim.Microsecond
-	}
-	if d.RateTimer <= 0 {
-		d.RateTimer = 300 * sim.Microsecond
-	}
-	if d.FastRecoverySteps <= 0 {
-		d.FastRecoverySteps = 5
-	}
-	if d.AIRateGbps <= 0 {
-		d.AIRateGbps = 5
-	}
-	if d.MinRateGbps <= 0 {
-		d.MinRateGbps = 0.1
-	}
-	if d.MaxBacklog <= 0 {
-		d.MaxBacklog = sim.Millisecond
-	}
-	return d
 }

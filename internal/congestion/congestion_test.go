@@ -225,7 +225,7 @@ func TestSwitchQueueGauges(t *testing.T) {
 
 func TestDCQCNCutAndRecovery(t *testing.T) {
 	eng := sim.New(1)
-	rs := NewRateState(eng, DCQCNConfig{Enabled: true}, 56)
+	rs := NewRateState(eng, 56)
 	if rs.Limited() {
 		t.Fatal("fresh rate state must start at line rate")
 	}
@@ -256,7 +256,7 @@ func TestDCQCNCutAndRecovery(t *testing.T) {
 
 func TestDCQCNReservePacing(t *testing.T) {
 	eng := sim.New(1)
-	rs := NewRateState(eng, DCQCNConfig{Enabled: true}, 56)
+	rs := NewRateState(eng, 56)
 
 	// At line rate Reserve is the identity: the wire is the only limit.
 	if got, ok := rs.Reserve(100, 1024); !ok || got != 100 {
@@ -283,7 +283,7 @@ func TestDCQCNReservePacing(t *testing.T) {
 
 func TestDCQCNBacklogSheds(t *testing.T) {
 	eng := sim.New(1)
-	rs := NewRateState(eng, DCQCNConfig{Enabled: true}, 56)
+	rs := NewRateState(eng, 56)
 	for i := 0; i < 60; i++ {
 		rs.HandleCNP() // drive the rate toward the floor
 	}
@@ -307,7 +307,7 @@ func TestDCQCNBacklogSheds(t *testing.T) {
 
 func TestDCQCNMinRateFloor(t *testing.T) {
 	eng := sim.New(1)
-	rs := NewRateState(eng, DCQCNConfig{Enabled: true}, 56)
+	rs := NewRateState(eng, 56)
 	for i := 0; i < 200; i++ {
 		rs.HandleCNP()
 	}

@@ -2,6 +2,37 @@ package congestion
 
 import "odpsim/internal/sim"
 
+// The DCQCN loop parameters. They are the constants the model is
+// calibrated with, not tuning knobs: every simulated fabric runs them.
+const (
+	// MinCNPInterval is the notification point's per-QP CNP pacing
+	// window (the N_CNP timer).
+	MinCNPInterval = 50 * sim.Microsecond
+	// g is the alpha EWMA gain.
+	g float64 = 1.0 / 16
+	// alphaTimer is the alpha-decay update period.
+	alphaTimer = 55 * sim.Microsecond
+	// rateTimer is the rate-increase period. The DCQCN paper uses 1.5 ms
+	// with a byte counter; the simulator is timer-only, so it recovers
+	// faster to keep short floods interesting.
+	rateTimer = 300 * sim.Microsecond
+	// fastRecoverySteps is F: rate-timer expirations spent in fast
+	// recovery (rc averaged toward rt) before additive increase starts.
+	fastRecoverySteps = 5
+	// aiRateGbps is the additive-increase step R_AI.
+	aiRateGbps float64 = 5
+	// minRateGbps floors the current rate.
+	minRateGbps float64 = 0.1
+	// maxBacklog bounds how far ahead of the clock the rate limiter may
+	// book transmissions. It models the finite TX queue of a real port:
+	// go-back-N retransmission bursts that exceed it are shed rather
+	// than queued, exactly as a NIC cannot hold an unbounded retransmit
+	// backlog — the timeout/NAK machinery regenerates them. Without the
+	// bound a retransmission storm against a cut rate books events
+	// unboundedly into the future.
+	maxBacklog = sim.Millisecond
+)
+
 // RateState is the DCQCN reaction point for one QP: the rate-decrease /
 // fast-recovery / additive-increase state machine of Zhu et al. (SIGCOMM
 // 2015), driven by CNP arrivals and two timers. The simulator is
@@ -14,7 +45,6 @@ import "odpsim/internal/sim"
 // drained (the timers cancel themselves once the rate has recovered).
 type RateState struct {
 	eng  *sim.Engine
-	cfg  DCQCNConfig
 	line float64 // link rate, Gb/s
 
 	rc    float64 // current rate
@@ -43,7 +73,7 @@ type RateState struct {
 // engine's arena (see sim.Arena): trial loops that re-arm DCQCN on every
 // rebuilt QP reuse the same structs, and their cached timer closures,
 // instead of allocating a fresh state machine per QP per trial.
-func NewRateState(eng *sim.Engine, cfg DCQCNConfig, lineGbps float64) *RateState {
+func NewRateState(eng *sim.Engine, lineGbps float64) *RateState {
 	a := &scratchFor(eng).rates
 	rs := a.Take(eng)
 	if rs == nil {
@@ -52,7 +82,7 @@ func NewRateState(eng *sim.Engine, cfg DCQCNConfig, lineGbps float64) *RateState
 		rs.rateFn = rs.rateTick
 		a.Add(rs)
 	}
-	rs.reset(eng, cfg, lineGbps)
+	rs.reset(eng, lineGbps)
 	return rs
 }
 
@@ -60,9 +90,8 @@ func NewRateState(eng *sim.Engine, cfg DCQCNConfig, lineGbps float64) *RateState
 // state. The engine's Reset already made any outstanding timer handles
 // inert (event generations advanced), so zeroing the handles here only
 // keeps Pending() honest before the first CNP of the new trial.
-func (rs *RateState) reset(eng *sim.Engine, cfg DCQCNConfig, lineGbps float64) {
+func (rs *RateState) reset(eng *sim.Engine, lineGbps float64) {
 	rs.eng = eng
-	rs.cfg = cfg.WithDefaults()
 	rs.line, rs.rc, rs.rt = lineGbps, lineGbps, lineGbps
 	rs.alpha, rs.stage = 0, 0
 	rs.nextFree = 0
@@ -80,7 +109,7 @@ func (rs *RateState) Limited() bool { return rs.rc < rs.line }
 // transmitting, and books that transmission against the rate credit.
 // At line rate it returns (now, true) untouched — the wire's own
 // serialization is the only limit. When the booked backlog already
-// reaches MaxBacklog ahead of the clock, Reserve refuses (false): the
+// reaches maxBacklog ahead of the clock, Reserve refuses (false): the
 // TX queue is full and the caller must shed the packet instead of
 // booking it (Shed counts those refusals).
 func (rs *RateState) Reserve(now sim.Time, wireBytes int) (sim.Time, bool) {
@@ -92,7 +121,7 @@ func (rs *RateState) Reserve(now sim.Time, wireBytes int) (sim.Time, bool) {
 	if start < now {
 		start = now
 	}
-	if start-now > rs.cfg.MaxBacklog {
+	if start-now > maxBacklog {
 		rs.Shed++
 		return 0, false
 	}
@@ -105,40 +134,39 @@ func (rs *RateState) Reserve(now sim.Time, wireBytes int) (sim.Time, bool) {
 // current rate by alpha/2 toward zero, remember the pre-cut rate as the
 // recovery target, and (re)arm the update timers.
 func (rs *RateState) HandleCNP() {
-	g := rs.cfg.G
 	rs.alpha = (1-g)*rs.alpha + g
 	rs.rt = rs.rc
 	rs.rc = rs.rc * (1 - rs.alpha/2)
-	if rs.rc < rs.cfg.MinRateGbps {
-		rs.rc = rs.cfg.MinRateGbps
+	if rs.rc < minRateGbps {
+		rs.rc = minRateGbps
 	}
 	rs.stage = 0
 	rs.Cuts++
 	if !rs.alphaTimer.Pending() {
-		rs.alphaTimer = rs.eng.After(rs.cfg.AlphaTimer, rs.alphaFn)
+		rs.alphaTimer = rs.eng.After(alphaTimer, rs.alphaFn)
 	}
 	if !rs.rateTimer.Pending() {
-		rs.rateTimer = rs.eng.After(rs.cfg.RateTimer, rs.rateFn)
+		rs.rateTimer = rs.eng.After(rateTimer, rs.rateFn)
 	}
 }
 
 // alphaTick decays the congestion estimate; it keeps itself armed only
 // while there is something left to decay or recover.
 func (rs *RateState) alphaTick() {
-	rs.alpha *= 1 - rs.cfg.G
+	rs.alpha *= 1 - g
 	if rs.alpha > 1e-3 || rs.rc < rs.line {
-		rs.alphaTimer = rs.eng.After(rs.cfg.AlphaTimer, rs.alphaFn)
+		rs.alphaTimer = rs.eng.After(alphaTimer, rs.alphaFn)
 	}
 }
 
 // rateTick runs fast recovery (rc averaged toward the pre-cut target)
-// for FastRecoverySteps periods, then additive increase (the target
+// for fastRecoverySteps periods, then additive increase (the target
 // itself climbs by R_AI). The timer disarms once rc is back at line
 // rate, so an idle simulation drains.
 func (rs *RateState) rateTick() {
 	rs.stage++
-	if rs.stage > rs.cfg.FastRecoverySteps {
-		rs.rt += rs.cfg.AIRateGbps
+	if rs.stage > fastRecoverySteps {
+		rs.rt += aiRateGbps
 	}
 	if rs.rt > rs.line {
 		rs.rt = rs.line
@@ -148,5 +176,5 @@ func (rs *RateState) rateTick() {
 		rs.rc, rs.rt = rs.line, rs.line
 		return
 	}
-	rs.rateTimer = rs.eng.After(rs.cfg.RateTimer, rs.rateFn)
+	rs.rateTimer = rs.eng.After(rateTimer, rs.rateFn)
 }

@@ -66,7 +66,7 @@ type collectiveResult struct {
 // contract the sweep layer and the goldens rely on.
 func runCollective(sc *scenario.Scenario, sys cluster.System, nodes, ops, size int, seed int64) collectiveResult {
 	cl := sys.BuildOn(nil, seed, nodes)
-	mode := odpModeOf(sc.Mode, ServerODP)
+	mode := ODPModeOf(sc.Mode, ServerODP)
 	qpsPer := sc.QPs
 	if qpsPer <= 0 {
 		qpsPer = 1
@@ -265,7 +265,7 @@ func (collectiveWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error
 	}
 	fmt.Fprintln(out.W, sc.ExpandedTitle())
 	fmt.Fprintf(out.W, "\n%s %s on %s (%d WRITEs x %d B per flow, %s):\n",
-		sc.Pattern, shape, topoLabel, ops, size, odpModeOf(sc.Mode, ServerODP))
+		sc.Pattern, shape, topoLabel, ops, size, ODPModeOf(sc.Mode, ServerODP))
 	status := ""
 	if r.failed {
 		status = "  [RETRY_EXC_ERR]"

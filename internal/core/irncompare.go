@@ -56,15 +56,10 @@ type irnFabric struct {
 }
 
 // irnFabrics derives the lossy/lossless pair from the scenario's
-// congestion block, the way stormVariants derives its lossy row: same
-// topology, buffers and oversubscription, relief mechanisms stripped.
+// congestion block (see lossyOf).
 func irnFabrics(sc *scenario.Scenario) []irnFabric {
-	lossy := *sc.Congestion
-	lossy.PFC = false
-	lossy.ECN = false
-	lossy.DCQCN = false
 	return []irnFabric{
-		{label: "lossy", spec: &lossy},
+		{label: "lossy", spec: lossyOf(sc.Congestion)},
 		{label: "lossless", spec: sc.Congestion},
 	}
 }

@@ -117,7 +117,7 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 	if interval == 0 {
 		interval = 2 * sim.Microsecond
 	}
-	mode := odpModeOf(sc.Mode, ServerODP)
+	mode := ODPModeOf(sc.Mode, ServerODP)
 
 	// Every pod simulates its own fat-tree slice: the pod cell of the
 	// declared 3-tier topology, at the declared oversubscription.

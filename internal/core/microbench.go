@@ -80,10 +80,6 @@ type BenchConfig struct {
 	// first operation's, reproducing the §V-C control experiment.
 	TouchAllButFirst bool
 
-	// PostOverhead is the per-post CPU cost; 0 selects a default scaled
-	// by the system's CPUFactor.
-	PostOverhead sim.Time
-
 	// WithCapture attaches an ibdump-style capture (memory-heavy for
 	// large runs; packet *counts* are always available).
 	WithCapture bool
@@ -218,10 +214,8 @@ func RunMicrobench(cfg BenchConfig) *BenchResult {
 		}
 	}
 
-	post := cfg.PostOverhead
-	if post == 0 {
-		post = sim.Time(float64(300*sim.Nanosecond) * cfg.System.CPUFactor)
-	}
+	// The per-post CPU cost, scaled by the host's CPU speed.
+	post := sim.Time(float64(300*sim.Nanosecond) * cfg.System.CPUFactor)
 
 	res := &BenchResult{CompletionTime: make([]sim.Time, cfg.NumOps)}
 	for i := range res.CompletionTime {

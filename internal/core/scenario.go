@@ -33,9 +33,9 @@ func init() {
 	scenario.RegisterWorkload(traceWorkload{})
 }
 
-// odpModeOf maps the scenario's mode string onto ODPMode ("" keeps the
+// ODPModeOf maps a scenario's mode string onto ODPMode ("" keeps the
 // given default).
-func odpModeOf(mode string, def ODPMode) ODPMode {
+func ODPModeOf(mode string, def ODPMode) ODPMode {
 	switch mode {
 	case "none":
 		return NoODP
@@ -59,7 +59,7 @@ func benchConfig(sc *scenario.Scenario) (BenchConfig, error) {
 	}
 	cfg.System = sys
 	cfg.Seed = sc.SeedOrDefault()
-	cfg.Mode = odpModeOf(sc.Mode, BothODP)
+	cfg.Mode = ODPModeOf(sc.Mode, BothODP)
 	if sc.Size > 0 {
 		cfg.Size = sc.Size
 	}

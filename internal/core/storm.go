@@ -46,22 +46,26 @@ type stormVariant struct {
 	spec  *scenario.CongestionSpec // nil = analytic fabric
 }
 
-// variants derives the three fabric rows from the scenario's block. The
-// lossy row keeps the declared topology (switch count, buffers, uplink
-// oversubscription) but strips every relief mechanism, so it shows what
-// the same storm costs when the fabric just drops.
+// lossyOf copies a congestion block with every relief mechanism (PFC,
+// ECN, DCQCN) stripped: the declared topology, switch count, buffers and
+// uplink oversubscription, on a fabric that just drops.
+func lossyOf(cs *scenario.CongestionSpec) *scenario.CongestionSpec {
+	lossy := *cs
+	lossy.PFC, lossy.ECN, lossy.DCQCN = false, false, false
+	return &lossy
+}
+
+// stormVariants derives the three fabric rows from the scenario's block.
+// The lossy row shows what the same storm costs when the fabric just
+// drops.
 func stormVariants(sc *scenario.Scenario) []stormVariant {
-	lossy := *sc.Congestion
-	lossy.PFC = false
-	lossy.ECN = false
-	lossy.DCQCN = false
 	declared := "switched+pfc"
 	if sc.Congestion.DCQCN {
 		declared = "switched+pfc+dcqcn"
 	}
 	return []stormVariant{
 		{label: "analytic", spec: nil},
-		{label: "switched lossy", spec: &lossy},
+		{label: "switched lossy", spec: lossyOf(sc.Congestion)},
 		{label: declared, spec: sc.Congestion},
 	}
 }

@@ -42,8 +42,9 @@ func TestAllocBudgetSendDeliver(t *testing.T) {
 
 // TestAllocBudgetRebuildOnResetEngine pins the per-trial budget of the
 // fabric layer itself: rebuilding a fabric with two ports on a
-// Reset-reused engine draws everything — ports, LID tables, registries —
-// from the engine-generation arenas.
+// Reset-reused engine draws everything — the fabric, its ports, LID
+// tables and registries — from the engine-generation arenas, so a
+// rebuilt trial allocates nothing.
 func TestAllocBudgetRebuildOnResetEngine(t *testing.T) {
 	eng := sim.New(1)
 	trial := func() {
@@ -63,9 +64,9 @@ func TestAllocBudgetRebuildOnResetEngine(t *testing.T) {
 	trial() // first trial constructs the arenas
 
 	avg := testing.AllocsPerRun(50, trial)
-	t.Logf("rebuilt trial allocates %.1f/op (budget 2)", avg)
-	if avg > 2 {
-		t.Errorf("rebuilt trial allocates %.1f/op, budget 2", avg)
+	t.Logf("rebuilt trial allocates %.1f/op (budget 0)", avg)
+	if avg > 0 {
+		t.Errorf("rebuilt trial allocates %.1f/op, budget 0", avg)
 	}
 }
 

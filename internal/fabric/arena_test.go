@@ -1,9 +1,11 @@
 package fabric
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
+	"odpsim/internal/congestion"
 	"odpsim/internal/packet"
 	"odpsim/internal/sim"
 )
@@ -117,5 +119,55 @@ func TestArenaTwoFabricsOneEngine(t *testing.T) {
 			t.Errorf("round %d: recycled fabrics delivered A %v, B %v; fresh ones A %v, B %v", round, gotA, gotB, wantA, wantB)
 		}
 		fa, fb = ra, rb
+	}
+}
+
+// TestArenaRecycledFabricIsFresh: a fabric taken back from the arena
+// after a Reset keeps nothing of its last run (taps, loss rate, drop
+// filter, switched network, counters) and keeps its arena link, so over
+// two Resets the generation's two fabrics come back in order.
+func TestArenaRecycledFabricIsFresh(t *testing.T) {
+	eng := sim.New(1)
+	cfg := DefaultConfig()
+	first, second := New(eng, cfg), New(eng, cfg)
+	for round := int64(2); round <= 3; round++ {
+		src := first.AttachPort(1, "src", func(*packet.Packet) {})
+		first.AttachPort(2, "dst", func(*packet.Packet) {})
+		first.EnableCongestion(congestion.DefaultConfig())
+		first.AddTap(func(TapEvent) {})
+		first.SetDropFilter(func(p *packet.Packet) bool { return p.PSN%2 == 0 })
+		first.SetLossRate(0.25)
+		for i := 0; i < 16; i++ {
+			p := first.Pool().Get()
+			p.Opcode = packet.OpReadRequest
+			p.DLID = 2
+			p.PSN = uint32(i)
+			src.Send(p)
+		}
+		eng.Run()
+		if first.Sent == 0 || first.Dropped == 0 {
+			t.Fatalf("round %d moved no counters: sent %d, dropped %d", round, first.Sent, first.Dropped)
+		}
+
+		eng.Reset(round)
+		cfg = Config{PropDelay: sim.Time(round) * sim.Microsecond, BandwidthGbps: 100}
+		f := New(eng, cfg)
+		if f != first || New(eng, cfg) != second {
+			t.Fatalf("round %d: after Reset the fabric arena must hand back the last run's fabrics in order", round)
+		}
+		if f.eng != eng || f.cfg != cfg {
+			t.Errorf("round %d: recycled fabric runs on %p with %+v, want %p with %+v", round, f.eng, f.cfg, eng, cfg)
+		}
+		// Every field New neither sets nor fills from the scratch is zero.
+		v := reflect.ValueOf(f).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			switch name := v.Type().Field(i).Name; name {
+			case "eng", "cfg", "tel", "scratch", "pool", "tables", "ports", "egressFree", "lines", "arenaNext":
+			default:
+				if !v.Field(i).IsZero() {
+					t.Errorf("round %d: recycled fabric keeps %s from its last run", round, name)
+				}
+			}
+		}
 	}
 }

@@ -209,16 +209,17 @@ const scratchKey = "fabric.scratch"
 
 // scratch is the per-engine storage a fabric draws from. The packet pool
 // and delivery free list are shared unconditionally (their objects are
-// self-contained). The LID tables and the ports come from
-// engine-generation arenas (see sim.Arena), so each fabric of a
+// self-contained). The fabrics, their LID tables and the ports come
+// from engine-generation arenas (see sim.Arena), so each fabric of a
 // generation takes its own, and two fabrics side by side on one engine
 // stay correct.
 type scratch struct {
 	pool    *packet.Pool
 	freeDel []*delivery
 
-	tables sim.Arena[tables]
-	ports  sim.Arena[Port]
+	fabrics sim.Arena[Fabric]
+	tables  sim.Arena[tables]
+	ports   sim.Arena[Port]
 }
 
 // tables are a fabric's LID-indexed tables and delay lines (see the
@@ -236,6 +237,7 @@ func scratchFor(eng *sim.Engine) *scratch {
 	s, _ := eng.Aux(scratchKey).(*scratch)
 	if s == nil {
 		s = &scratch{pool: packet.NewPool()}
+		s.fabrics.Link = func(f *Fabric) **Fabric { return &f.arenaNext }
 		s.tables.Link = func(t *tables) **tables { return &t.arenaNext }
 		s.ports.Link = func(p *Port) **Port { return &p.arenaNext }
 		eng.SetAux(scratchKey, s)
@@ -284,21 +286,34 @@ type Fabric struct {
 	DropsUnroutable uint64
 	DropsFilter     uint64
 	DropsCongestion uint64
+
+	// arenaNext links the engine's fabric arena (New).
+	arenaNext *Fabric
 }
 
-// New creates a fabric on engine eng.
+// New creates a fabric on engine eng. The Fabric struct comes from the
+// engine's fabric arena, reset whole, so a trial loop that rebuilds its
+// fabric on a Reset-reused engine allocates none.
 func New(eng *sim.Engine, cfg Config) *Fabric {
 	if cfg.BandwidthGbps <= 0 {
 		cfg.BandwidthGbps = 56
 	}
-	f := &Fabric{
-		eng: eng,
-		cfg: cfg,
-		tel: telemetry.NewRegistryOn(eng, "fabric", telemetry.Labels{"device": "fabric"}),
-	}
 	s := scratchFor(eng)
-	f.scratch = s
-	f.pool = s.pool
+	f := s.fabrics.Take(eng)
+	if f == nil {
+		f = new(Fabric)
+		s.fabrics.Add(f)
+	}
+	// The arena link survives the reset; dropping it would cut the
+	// arena's chain at this fabric.
+	*f = Fabric{
+		eng:       eng,
+		cfg:       cfg,
+		tel:       telemetry.NewRegistryOn(eng, "fabric", telemetry.Labels{"device": "fabric"}),
+		scratch:   s,
+		pool:      s.pool,
+		arenaNext: f.arenaNext,
+	}
 	t := s.tables.Take(eng)
 	if t == nil {
 		t = &tables{lines: make(map[uint32]*deliveryLine)}

@@ -18,36 +18,10 @@ import (
 // PSN span below it. 64 matches the SACK bitmap width.
 const Window = 64
 
-// Config parameterizes the transport. The zero value takes defaults.
-type Config struct {
-	// LineGbps is the edge link rate the BDP is computed against.
-	LineGbps float64
-	// BaseRTT is the unloaded round-trip time for the BDP product.
-	BaseRTT sim.Time
-	// BDPBytes overrides the computed bandwidth×delay cap when > 0.
-	BDPBytes int
-}
-
-// DefaultBaseRTT is the unloaded RTT assumed when a config does not
-// specify one: a few switch hops of propagation plus MTU serialization,
-// in the regime of the clusters the paper measures.
-const DefaultBaseRTT = 6 * sim.Microsecond
-
-// EffectiveBDP resolves the injection cap in bytes.
-func (c Config) EffectiveBDP() int {
-	if c.BDPBytes > 0 {
-		return c.BDPBytes
-	}
-	rtt := c.BaseRTT
-	if rtt <= 0 {
-		rtt = DefaultBaseRTT
-	}
-	gbps := c.LineGbps
-	if gbps <= 0 {
-		gbps = 100
-	}
-	return int(gbps / 8 * float64(rtt)) // Gbit/s ÷ 8 = bytes per ns
-}
+// BaseRTT is the unloaded round-trip time the injection cap is sized
+// for (line rate × BaseRTT): a few switch hops of propagation plus MTU
+// serialization, in the regime of the clusters the paper measures.
+const BaseRTT = 6 * sim.Microsecond
 
 // Disposition classifies an arriving request PSN against the reorder
 // buffer.

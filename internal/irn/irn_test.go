@@ -7,19 +7,6 @@ import (
 	"odpsim/internal/sim"
 )
 
-func TestEffectiveBDP(t *testing.T) {
-	if got := (Config{BDPBytes: 12345}).EffectiveBDP(); got != 12345 {
-		t.Fatalf("override: got %d", got)
-	}
-	// 100 Gbit/s = 12.5 B/ns over a 6 µs RTT = 75000 B.
-	if got := (Config{LineGbps: 100, BaseRTT: 6 * sim.Microsecond}).EffectiveBDP(); got != 75000 {
-		t.Fatalf("derived: got %d", got)
-	}
-	if got := (Config{}).EffectiveBDP(); got != 75000 {
-		t.Fatalf("defaults: got %d", got)
-	}
-}
-
 func TestReorderBufferInOrderFlow(t *testing.T) {
 	var rb ReorderBuffer
 	rb.Init(10)

@@ -33,23 +33,23 @@ type Config struct {
 	// PoolBytes bounds the DMA-able pool (default 2 MiB = 512 frames).
 	// The shadow table never maps more than PoolBytes of host memory.
 	PoolBytes int
-	// MigratePerPage is the driver-side cost of pulling one cold page
-	// into the pool: a 4 KiB copy, the IOMMU map and the synchronous
-	// shadow-table update (default 3 µs).
-	MigratePerPage sim.Time
-	// EvictPerPage is the write-back cost of evicting one pool page
-	// under pressure (default 2 µs).
-	EvictPerPage sim.Time
 }
+
+// The per-page costs of NP-RDMA's kernel-side translation.
+const (
+	// MigratePerPage is the cost of pulling one cold page into the pool:
+	// a 4 KiB copy, the IOMMU map and the synchronous shadow-table
+	// update.
+	MigratePerPage = 3 * sim.Microsecond
+	// EvictPerPage is the write-back cost of evicting one pool page
+	// under pressure.
+	EvictPerPage = 2 * sim.Microsecond
+)
 
 // DefaultConfig returns the NP-RDMA calibration used throughout the
 // mitigation scenarios.
 func DefaultConfig() Config {
-	return Config{
-		PoolBytes:      2 << 20,
-		MigratePerPage: 3 * sim.Microsecond,
-		EvictPerPage:   2 * sim.Microsecond,
-	}
+	return Config{PoolBytes: 2 << 20}
 }
 
 // WithDefaults fills zero fields with the default calibration.
@@ -57,12 +57,6 @@ func (c Config) WithDefaults() Config {
 	d := DefaultConfig()
 	if c.PoolBytes <= 0 {
 		c.PoolBytes = d.PoolBytes
-	}
-	if c.MigratePerPage <= 0 {
-		c.MigratePerPage = d.MigratePerPage
-	}
-	if c.EvictPerPage <= 0 {
-		c.EvictPerPage = d.EvictPerPage
 	}
 	return c
 }
@@ -83,7 +77,6 @@ type frame struct {
 type Pool struct {
 	eng *sim.Engine
 	as  *hostmem.AddressSpace
-	cfg Config
 	// capacity in page frames; resident counts frames in use.
 	capacity int
 	resident int
@@ -126,7 +119,6 @@ func New(as *hostmem.AddressSpace, cfg Config) *Pool {
 func (pl *Pool) reset(as *hostmem.AddressSpace, cfg Config) {
 	cfg = cfg.WithDefaults()
 	pl.as = as
-	pl.cfg = cfg
 	pl.capacity = cfg.PoolBytes / hostmem.PageSize
 	if pl.capacity < 1 {
 		pl.capacity = 1
@@ -138,9 +130,6 @@ func (pl *Pool) reset(as *hostmem.AddressSpace, cfg Config) {
 	}
 	pl.Migrations, pl.Evictions, pl.TranslationStalls = 0, 0, 0
 }
-
-// Config returns the effective (default-filled) configuration.
-func (pl *Pool) Config() Config { return pl.cfg }
 
 // ResidentBytes returns the bytes currently resident in the pool —
 // the device's real (and bounded) pinned-memory footprint.
@@ -225,7 +214,7 @@ func (pl *Pool) evictOne() (sim.Time, bool) {
 		pl.table[p].resident = false
 		pl.resident--
 		pl.Evictions++
-		return pl.cfg.EvictPerPage, true
+		return EvictPerPage, true
 	}
 	return 0, false
 }
@@ -261,7 +250,7 @@ func (pl *Pool) EnsureRange(addr hostmem.Addr, length int) sim.Time {
 		// The host page itself becomes resident in pool memory; the
 		// kernel side sees a plain touched page (no fault, no pin).
 		pl.as.Touch(hostmem.PageBase(p), hostmem.PageSize)
-		stall += pl.cfg.MigratePerPage
+		stall += MigratePerPage
 		pl.Migrations++
 		if insert {
 			f.resident = true

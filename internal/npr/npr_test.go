@@ -22,7 +22,7 @@ func TestMigrationAndStall(t *testing.T) {
 		t.Fatal("cold range should not be translated")
 	}
 	stall := pl.EnsureRange(a, 4*hostmem.PageSize)
-	if want := 4 * pl.Config().MigratePerPage; stall != want {
+	if want := 4 * MigratePerPage; stall != want {
 		t.Errorf("cold stall = %v, want %v", stall, want)
 	}
 	if !pl.Translated(a, 4*hostmem.PageSize) {
@@ -68,7 +68,7 @@ func TestLRUEviction(t *testing.T) {
 	pl.EnsureRange(p1, hostmem.PageSize)
 	pl.EnsureRange(p0, hostmem.PageSize) // refresh p0: p1 is now LRU
 	stall := pl.EnsureRange(p2, hostmem.PageSize)
-	if want := pl.Config().EvictPerPage + pl.Config().MigratePerPage; stall != want {
+	if want := EvictPerPage + MigratePerPage; stall != want {
 		t.Errorf("pressured stall = %v, want %v", stall, want)
 	}
 	if !pl.Translated(p0, hostmem.PageSize) || pl.Translated(p1, hostmem.PageSize) {
@@ -160,9 +160,10 @@ func TestGenerationRecycling(t *testing.T) {
 }
 
 func TestWithDefaults(t *testing.T) {
-	c := Config{PoolBytes: 8 * hostmem.PageSize}.WithDefaults()
-	d := DefaultConfig()
-	if c.PoolBytes != 8*hostmem.PageSize || c.MigratePerPage != d.MigratePerPage || c.EvictPerPage != d.EvictPerPage {
-		t.Errorf("WithDefaults = %+v", c)
+	if c := (Config{PoolBytes: 8 * hostmem.PageSize}).WithDefaults(); c.PoolBytes != 8*hostmem.PageSize {
+		t.Errorf("WithDefaults kept no explicit pool bound: %+v", c)
+	}
+	if c := (Config{}).WithDefaults(); c != DefaultConfig() {
+		t.Errorf("WithDefaults of the zero config = %+v, want %+v", c, DefaultConfig())
 	}
 }

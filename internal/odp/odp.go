@@ -54,11 +54,6 @@ type Config struct {
 	// RetransBase is the requester-side retransmission period after a
 	// client-side ODP drop (≈0.5 ms observed in Figure 1).
 	RetransBase sim.Time
-	// RetransPerStale optionally lengthens the retransmission period per
-	// stale (QP, page) pair, modelling the client-side load of managing
-	// many retransmission timers (§VI-C / §VII-B observed flood-time
-	// retransmissions every several tens of ms). Default 0.
-	RetransPerStale sim.Time
 	// UpdatesFIFO switches a page's update batch to oldest-first order;
 	// the default (false) is newest-first, which matches Figure 11a.
 	// Exposed for ablation.
@@ -343,11 +338,9 @@ func (e *Engine) StaleCount() int { return e.stale }
 // load inspection).
 func (e *Engine) QueueLen() int { return e.queue.Len() }
 
-// RetransInterval returns the requester retransmission period under the
-// current load (see Config.RetransPerStale).
-func (e *Engine) RetransInterval() sim.Time {
-	return e.cfg.RetransBase + sim.Time(e.stale)*e.cfg.RetransPerStale
-}
+// RetransInterval returns the requester retransmission period after a
+// client-side ODP drop: RetransBase, whatever the load.
+func (e *Engine) RetransInterval() sim.Time { return e.cfg.RetransBase }
 
 // Visible reports whether qp's context can translate page.
 func (e *Engine) Visible(qp uint32, page hostmem.PageNo) bool {

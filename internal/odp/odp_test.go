@@ -225,25 +225,24 @@ func TestSpuriousFreeAblation(t *testing.T) {
 	}
 }
 
-func TestRetransIntervalGrowsWithLoad(t *testing.T) {
+// TestRetransIntervalIgnoresLoad: the client retransmits on fixed
+// RetransBase rounds (the ≈0.5 ms of Figure 1), however many (QP, page)
+// pairs are stale.
+func TestRetransIntervalIgnoresLoad(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.RetransPerStale = 30 * sim.Microsecond
 	_, as, e := setup(t, cfg)
-	base := e.RetransInterval()
-	if base != cfg.RetransBase {
-		t.Errorf("idle interval = %v", base)
+	if got := e.RetransInterval(); got != cfg.RetransBase {
+		t.Errorf("idle interval = %v, want %v", got, cfg.RetransBase)
 	}
 	a := as.Alloc(100 * hostmem.PageSize)
 	for qp := uint32(0); qp < 100; qp++ {
 		e.Fault(qp, a+hostmem.Addr(qp)*hostmem.PageSize, 32)
 	}
-	loaded := e.RetransInterval()
-	want := cfg.RetransBase + 100*cfg.RetransPerStale
-	if loaded != want {
-		t.Errorf("loaded interval = %v, want %v", loaded, want)
+	if e.StaleCount() != 100 {
+		t.Fatalf("StaleCount = %d, want 100", e.StaleCount())
 	}
-	if DefaultConfig().RetransPerStale != 0 {
-		t.Error("default RetransPerStale should be 0 (pure 0.5 ms rounds)")
+	if got := e.RetransInterval(); got != cfg.RetransBase {
+		t.Errorf("loaded interval = %v, want %v", got, cfg.RetransBase)
 	}
 }
 

@@ -45,16 +45,7 @@ func (workload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 	cfg.TouchPages = sc.Pages
 	cfg.Implicit = sc.Implicit
 	cfg.Prefetch = sc.Prefetch
-	switch sc.Mode {
-	case "server":
-		cfg.Mode = core.ServerODP
-	case "client":
-		cfg.Mode = core.ClientODP
-	case "both":
-		cfg.Mode = core.BothODP
-	default:
-		cfg.Mode = core.NoODP
-	}
+	cfg.Mode = core.ODPModeOf(sc.Mode, core.NoODP)
 
 	switch sc.Renderer {
 	case "bw":

@@ -7,7 +7,6 @@ import (
 	"odpsim/internal/congestion"
 	"odpsim/internal/fabric"
 	"odpsim/internal/hostmem"
-	"odpsim/internal/irn"
 	"odpsim/internal/packet"
 	"odpsim/internal/sim"
 )
@@ -19,20 +18,19 @@ import (
 // draw RNR NAKs.
 func arenaPair(eng *sim.Engine, seed int64, tr transport, dcqcn bool) (fab *fabric.Fabric, client, server *RNIC, lbuf, rbuf hostmem.Addr) {
 	eng.Reset(seed)
-	fabCfg := fabric.DefaultConfig()
-	fab = fabric.New(eng, fabCfg)
+	fab = fabric.New(eng, fabric.DefaultConfig())
 	congCfg := congestion.DefaultConfig()
 	congCfg.ECNThresholdBytes = 512
-	congCfg.DCQCN.Enabled = dcqcn
+	congCfg.DCQCN = dcqcn
 	fab.EnableCongestion(congCfg)
 	client = New(fab, 1, "client", ConnectX4(), hostmem.DefaultConfig())
 	server = New(fab, 2, "server", ConnectX4(), hostmem.DefaultConfig())
 	for _, r := range []*RNIC{client, server} {
 		if dcqcn {
-			r.EnableDCQCN(congCfg.DCQCN, fabCfg.BandwidthGbps)
+			r.EnableDCQCN()
 		}
 		if tr == irnTransport {
-			r.EnableIRN(irn.Config{})
+			r.EnableIRN()
 		}
 	}
 	const size = bufPages * hostmem.PageSize

@@ -6,6 +6,7 @@ import (
 	"odpsim/internal/congestion"
 	"odpsim/internal/fabric"
 	"odpsim/internal/hostmem"
+	"odpsim/internal/packet"
 	"odpsim/internal/sim"
 )
 
@@ -14,14 +15,13 @@ import (
 func dcqcnPair(t *testing.T, congCfg congestion.Config) (*sim.Engine, *fabric.Fabric, *QP, *RNIC, *RNIC, hostmem.Addr) {
 	t.Helper()
 	eng := sim.New(3)
-	fabCfg := fabric.DefaultConfig()
-	fab := fabric.New(eng, fabCfg)
+	fab := fabric.New(eng, fabric.DefaultConfig())
 	fab.EnableCongestion(congCfg)
 	client := New(fab, 1, "client", ConnectX4(), hostmem.DefaultConfig())
 	server := New(fab, 2, "server", ConnectX4(), hostmem.DefaultConfig())
-	if congCfg.DCQCN.Enabled {
-		client.EnableDCQCN(congCfg.DCQCN, fabCfg.BandwidthGbps)
-		server.EnableDCQCN(congCfg.DCQCN, fabCfg.BandwidthGbps)
+	if congCfg.DCQCN {
+		client.EnableDCQCN()
+		server.EnableDCQCN()
 	}
 	cqC, cqS := NewCQ(eng), NewCQ(eng)
 	qpC := client.CreateQP(cqC, cqC)
@@ -38,7 +38,7 @@ func dcqcnPair(t *testing.T, congCfg congestion.Config) (*sim.Engine, *fabric.Fa
 func TestDCQCNLoopCutsRate(t *testing.T) {
 	cfg := congestion.DefaultConfig()
 	cfg.ECNThresholdBytes = 512
-	cfg.DCQCN.Enabled = true
+	cfg.DCQCN = true
 	eng, fab, qpC, client, server, rbuf := dcqcnPair(t, cfg)
 
 	// A write flood deep enough to back up the oversubscribed
@@ -85,5 +85,26 @@ func TestDCQCNDisabledHasNoCounters(t *testing.T) {
 	snap := client.Telemetry().Snapshot(eng.Now())
 	if _, ok := snap.Get("np_cnp_sent", `{device="client"}`); ok {
 		t.Fatal("np_cnp_sent registered without EnableDCQCN")
+	}
+}
+
+// TestCNPPacingWindow: the notification point answers marked arrivals on
+// one QP with at most one CNP per congestion.MinCNPInterval.
+func TestCNPPacingWindow(t *testing.T) {
+	cfg := congestion.DefaultConfig()
+	cfg.DCQCN = true
+	eng, _, qpC, client, server, _ := dcqcnPair(t, cfg)
+	marked := packet.Packet{SLID: client.LID(), SrcQP: qpC.Num, DestQP: qpC.dqpn, ECN: true}
+	mark := func() { server.maybeSendCNP(&marked) }
+	start := sim.Microsecond
+	for _, at := range []sim.Time{0, 0, congestion.MinCNPInterval - 1, congestion.MinCNPInterval, congestion.MinCNPInterval + 1} {
+		eng.At(start+at, mark)
+	}
+	eng.MustRun()
+	if server.CnpSent != 2 {
+		t.Fatalf("CnpSent = %d, want 2 (one per %v window)", server.CnpSent, congestion.MinCNPInterval)
+	}
+	if client.CnpHandled != 2 {
+		t.Fatalf("CnpHandled = %d, want 2", client.CnpHandled)
 	}
 }

@@ -35,17 +35,14 @@ import (
 
 // EnableIRN switches every QP created afterwards to the IRN transport.
 // Call before CreateQP; the irn_* counters register here so go-back-N
-// devices keep their exact pre-existing metric set. A zero-value config
-// derives the BDP from the device's line rate and the default base RTT.
-func (r *RNIC) EnableIRN(cfg irn.Config) {
+// devices keep their exact pre-existing metric set. The injection cap
+// is the profile's line rate times irn.BaseRTT.
+func (r *RNIC) EnableIRN() {
 	if r.irnOn {
 		panic("rnic: EnableIRN called twice")
 	}
 	r.irnOn = true
-	if cfg.LineGbps <= 0 {
-		cfg.LineGbps = r.prof.LinkGbps
-	}
-	r.irnBDP = cfg.EffectiveBDP()
+	r.irnBDP = int(r.prof.LinkGbps / 8 * float64(irn.BaseRTT)) // Gbit/s ÷ 8 = bytes per ns
 	r.tel.Counter(telemetry.IrnSackSent, "SACKs sent for out-of-order arrivals", nil, &r.SackSent)
 	r.tel.Counter(telemetry.IrnOooLanded, "requests accepted out of order into the reorder buffer", nil, &r.OooLanded)
 	r.tel.Counter(telemetry.IrnBdpStalls, "sends deferred by the BDP injection cap", nil, &r.BdpStalls)

@@ -76,11 +76,9 @@ type RNIC struct {
 	// scratch is the engine's WR and IRN-retry free lists and RNIC, QP
 	// and CQ arenas.
 	scratch *scratch
-	// DCQCN state (EnableDCQCN): dcqcn holds the loop parameters, and
-	// lineGbps is the port rate new QPs' rate limiters start at.
-	dcqcnOn  bool
-	dcqcn    congestion.DCQCNConfig
-	lineGbps float64
+	// dcqcnOn is set by EnableDCQCN: every QP created afterwards gets a
+	// rate limiter starting at the profile's line rate.
+	dcqcnOn bool
 	// IRN state (EnableIRN): every QP created afterwards runs the
 	// selective-repeat transport with irnBDP as its injection cap.
 	irnOn  bool
@@ -172,16 +170,14 @@ func (r *RNIC) Telemetry() *telemetry.Registry { return r.tel }
 // EnableDCQCN turns on the DCQCN loop for this device: as a notification
 // point it answers ECN-marked arrivals with CNPs (per-QP pacing window),
 // and as a reaction point every QP created afterwards gets a rate
-// limiter that CNPs cut. lineGbps is the port rate limiters start at.
-// Call before creating QPs; the np_*/rp_* counters register here so
-// devices without DCQCN keep their exact pre-existing metric set.
-func (r *RNIC) EnableDCQCN(cfg congestion.DCQCNConfig, lineGbps float64) {
+// limiter that CNPs cut, starting at the profile's line rate. Call
+// before creating QPs; the np_*/rp_* counters register here so devices
+// without DCQCN keep their exact pre-existing metric set.
+func (r *RNIC) EnableDCQCN() {
 	if r.dcqcnOn {
 		panic("rnic: EnableDCQCN called twice")
 	}
 	r.dcqcnOn = true
-	r.dcqcn = cfg.WithDefaults()
-	r.lineGbps = lineGbps
 	r.tel.Counter(telemetry.NpEcnMarked, "ECN-marked packets received (notification point)", nil, &r.EcnMarked)
 	r.tel.Counter(telemetry.NpCnpSent, "CNPs sent by the notification point", nil, &r.CnpSent)
 	r.tel.Counter(telemetry.RpCnpHandled, "CNPs handled by the reaction point (rate cuts)", nil, &r.CnpHandled)
@@ -413,7 +409,7 @@ func (r *RNIC) CreateQP(sendCQ, recvCQ *CQ) *QP {
 	qp.Num = r.nextQPN()
 	qp.sendCQ, qp.recvCQ = sendCQ, recvCQ
 	if r.dcqcnOn {
-		qp.rate = congestion.NewRateState(r.eng, r.dcqcn, r.lineGbps)
+		qp.rate = congestion.NewRateState(r.eng, r.prof.LinkGbps)
 	}
 	if r.irnOn {
 		qp.irn = irn.StateFor(r.eng)
@@ -468,7 +464,7 @@ func (r *RNIC) maybeSendCNP(marked *packet.Packet) {
 		return
 	}
 	now := r.eng.Now()
-	if qp.lastCNP > 0 && now-qp.lastCNP < r.dcqcn.MinCNPInterval {
+	if qp.lastCNP > 0 && now-qp.lastCNP < congestion.MinCNPInterval {
 		return
 	}
 	qp.lastCNP = now

@@ -5,7 +5,6 @@ import (
 
 	"odpsim/internal/fabric"
 	"odpsim/internal/hostmem"
-	"odpsim/internal/irn"
 	"odpsim/internal/npr"
 	"odpsim/internal/sim"
 )
@@ -68,7 +67,7 @@ func newHarness(t *testing.T, seed int64, prof Profile, tr transport, mode odpMo
 	}
 	for _, r := range []*RNIC{h.client, h.server} {
 		if tr == irnTransport {
-			r.EnableIRN(irn.Config{})
+			r.EnableIRN()
 		}
 		if mode == bothNPR {
 			r.SetMemoryMode(KindNPR, npr.DefaultConfig())
@@ -543,6 +542,25 @@ func TestProfileTTr(t *testing.T) {
 	// c0=12: 4.096 µs × 2^12 ≈ 16.8 ms ⇒ T_o floor ≈ 30 ms.
 	if got := cx5.TTr(1); got != sim.Time(4096)*sim.Nanosecond<<12 {
 		t.Errorf("CX5 TTr(1) = %v", got)
+	}
+}
+
+// TestIRNBDPFromProfile: EnableIRN caps injection at the profile's line
+// rate times irn.BaseRTT (6 µs).
+func TestIRNBDPFromProfile(t *testing.T) {
+	for _, tc := range []struct {
+		prof Profile
+		want int
+	}{
+		{ConnectX4(), 42000}, // 56 Gbit/s = 7 B/ns
+		{ConnectX5(), 75000}, // 100 Gbit/s = 12.5 B/ns
+	} {
+		fab := fabric.New(sim.New(1), fabric.DefaultConfig())
+		r := New(fab, 1, "n", tc.prof, hostmem.DefaultConfig())
+		r.EnableIRN()
+		if r.irnBDP != tc.want {
+			t.Errorf("%s at %v Gb/s: BDP = %d, want %d", tc.prof.Name, tc.prof.LinkGbps, r.irnBDP, tc.want)
+		}
 	}
 }
 

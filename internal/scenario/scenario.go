@@ -388,7 +388,7 @@ func (cs *CongestionSpec) Config() congestion.Config {
 	if cs.ECNThresholdKB > 0 {
 		cfg.ECNThresholdBytes = kb(cs.ECNThresholdKB)
 	}
-	cfg.DCQCN.Enabled = cs.DCQCN
+	cfg.DCQCN = cs.DCQCN
 	if cs.Topology != nil {
 		cfg.Topology = cs.Topology.build(cfg)
 	}
@@ -513,7 +513,8 @@ func (sc Scenario) ApplyQuick() Scenario {
 	return sc
 }
 
-// ODPModeOf parses the Mode field ("" means both — the §V default).
+// parseMode checks the Mode field against the ODP-side vocabulary ("" is
+// each workload's own default).
 func (sc *Scenario) parseMode() error {
 	switch sc.Mode {
 	case "", "none", "server", "client", "both":

@@ -247,7 +247,7 @@ func TestCongestionSpecReachesSystems(t *testing.T) {
 	}
 	if cfg.Switches != 3 || cfg.BufferBytes != 4<<10 || !cfg.PFC ||
 		cfg.XOffBytes != 3<<10 || cfg.XOnBytes != 1<<10 ||
-		cfg.ECNThresholdBytes != 1<<10 || !cfg.DCQCN.Enabled {
+		cfg.ECNThresholdBytes != 1<<10 || !cfg.DCQCN {
 		t.Errorf("spec not mapped: %+v", cfg)
 	}
 	// Unset fields keep the package defaults, and an empty block is a

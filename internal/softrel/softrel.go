@@ -30,13 +30,14 @@ type Config struct {
 	Timeout sim.Time
 	// Retries is the number of retransmissions before giving up.
 	Retries int
-	// RecvDepth is how many receive buffers each endpoint keeps posted.
-	RecvDepth int
 }
+
+// recvDepth is how many receive buffers each endpoint keeps posted.
+const recvDepth = 64
 
 // DefaultConfig uses a 1 ms timeout and 5 retries.
 func DefaultConfig() Config {
-	return Config{Timeout: sim.Millisecond, Retries: 5, RecvDepth: 64}
+	return Config{Timeout: sim.Millisecond, Retries: 5}
 }
 
 // Handler processes one RPC request payload and returns the response
@@ -71,9 +72,9 @@ func NewServerWithHandler(nic *rnic.RNIC, cfg Config, h Handler) *Server {
 	cq := rnic.NewCQ(nic.Engine())
 	s := &Server{nic: nic, cq: cq, cfg: cfg, handler: h}
 	s.qp = nic.CreateUDQP(cq, cq)
-	s.buf = nic.AS.Alloc(cfg.RecvDepth * hostmem.PageSize)
-	nic.AS.Touch(s.buf, cfg.RecvDepth*hostmem.PageSize)
-	nic.RegisterMR(s.buf, cfg.RecvDepth*hostmem.PageSize, false)
+	s.buf = nic.AS.Alloc(recvDepth * hostmem.PageSize)
+	nic.AS.Touch(s.buf, recvDepth*hostmem.PageSize)
+	nic.RegisterMR(s.buf, recvDepth*hostmem.PageSize, false)
 	s.repost()
 	nic.Engine().Go("softrel-server", s.loop)
 	return s
@@ -86,8 +87,8 @@ func (s *Server) QPN() uint32 { return s.qp.Num }
 func (s *Server) LID() uint16 { return s.nic.LID() }
 
 func (s *Server) repost() {
-	for s.qp.RecvDepth() < s.cfg.RecvDepth {
-		off := hostmem.Addr(s.qp.RecvDepth()%s.cfg.RecvDepth) * hostmem.PageSize
+	for s.qp.RecvDepth() < recvDepth {
+		off := hostmem.Addr(s.qp.RecvDepth()%recvDepth) * hostmem.PageSize
 		s.qp.PostRecv(rnic.RecvWR{Addr: s.buf + off, Len: hostmem.PageSize})
 	}
 }
@@ -142,10 +143,10 @@ func NewClient(nic *rnic.RNIC, cfg Config) *Client {
 	cq := rnic.NewCQ(nic.Engine())
 	c := &Client{nic: nic, cq: cq, cfg: cfg, responses: make(map[uint64][]uint64), seen: make(map[uint64]bool)}
 	c.qp = nic.CreateUDQP(cq, cq)
-	c.buf = nic.AS.Alloc(cfg.RecvDepth * hostmem.PageSize)
-	nic.AS.Touch(c.buf, cfg.RecvDepth*hostmem.PageSize)
-	nic.RegisterMR(c.buf, cfg.RecvDepth*hostmem.PageSize, false)
-	for i := 0; i < cfg.RecvDepth; i++ {
+	c.buf = nic.AS.Alloc(recvDepth * hostmem.PageSize)
+	nic.AS.Touch(c.buf, recvDepth*hostmem.PageSize)
+	nic.RegisterMR(c.buf, recvDepth*hostmem.PageSize, false)
+	for i := 0; i < recvDepth; i++ {
 		c.qp.PostRecv(rnic.RecvWR{Addr: c.buf + hostmem.Addr(i)*hostmem.PageSize, Len: hostmem.PageSize})
 	}
 	return c
