@@ -46,26 +46,25 @@ func (e Example) String() string {
 	}
 }
 
-// SystemConfig is one row group of Table 13: a system with a worker
-// count; QPs is the observed queue-pair count per example.
+// SystemConfig is one row group of Table 13: a system, labelled with
+// its worker count; QPs is the observed queue-pair count per example.
 type SystemConfig struct {
-	Label   string
-	System  cluster.System
-	Workers int
-	QPs     map[Example]int
+	Label  string
+	System cluster.System
+	QPs    map[Example]int
 }
 
 // Table13Configs returns the four system configurations of Table 13 with
 // the QP counts the paper reports.
 func Table13Configs() []SystemConfig {
 	return []SystemConfig{
-		{Label: "KNL (2)", System: cluster.KNL(), Workers: 2, QPs: map[Example]int{
+		{Label: "KNL (2)", System: cluster.KNL(), QPs: map[Example]int{
 			SparkTC: 411, RecommendationExample: 210, RankingMetricsExample: 389}},
-		{Label: "Reedbush-H (2)", System: cluster.ReedbushH(), Workers: 2, QPs: map[Example]int{
+		{Label: "Reedbush-H (2)", System: cluster.ReedbushH(), QPs: map[Example]int{
 			SparkTC: 980, RecommendationExample: 980, RankingMetricsExample: 980}},
-		{Label: "ABCI (2)", System: cluster.ABCI(), Workers: 2, QPs: map[Example]int{
+		{Label: "ABCI (2)", System: cluster.ABCI(), QPs: map[Example]int{
 			SparkTC: 2191, RecommendationExample: 2191, RankingMetricsExample: 2191}},
-		{Label: "ABCI (4)", System: cluster.ABCI(), Workers: 4, QPs: map[Example]int{
+		{Label: "ABCI (4)", System: cluster.ABCI(), QPs: map[Example]int{
 			SparkTC: 2858, RecommendationExample: 1953, RankingMetricsExample: 2667}},
 	}
 }

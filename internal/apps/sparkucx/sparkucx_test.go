@@ -68,9 +68,6 @@ func TestTable13ConfigsShape(t *testing.T) {
 			}
 		}
 	}
-	if cfgs[3].Workers != 4 {
-		t.Error("ABCI (4) should have 4 workers")
-	}
 }
 
 func TestExampleStrings(t *testing.T) {

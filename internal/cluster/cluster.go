@@ -21,8 +21,6 @@ import (
 type System struct {
 	// Name is the system name, e.g. "KNL (Private servers B)".
 	Name string
-	// PSID is the board identifier from Table I.
-	PSID string
 	// Device is the RNIC profile.
 	Device rnic.Profile
 	// CPUFactor scales host-side latencies (page-fault resolution,
@@ -84,52 +82,52 @@ func (s System) FabricConfig() fabric.Config {
 	return cfg
 }
 
-// PrivateA is "Private servers A": ConnectX-3 56 Gb/s FDR.
+// PrivateA is "Private servers A": ConnectX-3 56 Gb/s FDR; PSID MT_1100120019.
 func PrivateA() System {
-	return System{Name: "Private servers A", PSID: "MT_1100120019", Device: rnic.ConnectX3(), CPUFactor: 1.0}
+	return System{Name: "Private servers A", Device: rnic.ConnectX3(), CPUFactor: 1.0}
 }
 
 // KNL is "Private servers B": ConnectX-4 FDR on Xeon Phi 7250 hosts — the
-// system all packet-level analysis ran on.
+// system all packet-level analysis ran on; PSID MT_2170111021.
 func KNL() System {
-	return System{Name: "KNL (Private servers B)", PSID: "MT_2170111021", Device: rnic.ConnectX4(), CPUFactor: 4.5}
+	return System{Name: "KNL (Private servers B)", Device: rnic.ConnectX4(), CPUFactor: 4.5}
 }
 
-// ReedbushH is the Reedbush-H cluster: ConnectX-4 FDR, Xeon E5-2695v4.
+// ReedbushH is the Reedbush-H cluster: ConnectX-4 FDR, Xeon E5-2695v4; PSID MT_2160110021.
 func ReedbushH() System {
-	return System{Name: "Reedbush-H", PSID: "MT_2160110021", Device: rnic.ConnectX4(), CPUFactor: 1.0}
+	return System{Name: "Reedbush-H", Device: rnic.ConnectX4(), CPUFactor: 1.0}
 }
 
-// ReedbushL is the Reedbush-L cluster: ConnectX-4 100 Gb/s EDR.
+// ReedbushL is the Reedbush-L cluster: ConnectX-4 100 Gb/s EDR; PSID MT_2180110032.
 func ReedbushL() System {
-	s := System{Name: "Reedbush-L", PSID: "MT_2180110032", Device: rnic.ConnectX4(), CPUFactor: 1.0}
+	s := System{Name: "Reedbush-L", Device: rnic.ConnectX4(), CPUFactor: 1.0}
 	s.Device.LinkGbps = 100
 	return s
 }
 
-// ABCI is the ABCI cluster: ConnectX-4 EDR, Xeon Gold 6148.
+// ABCI is the ABCI cluster: ConnectX-4 EDR, Xeon Gold 6148; PSID MT_0000000095.
 func ABCI() System {
-	s := System{Name: "ABCI", PSID: "MT_0000000095", Device: rnic.ConnectX4(), CPUFactor: 0.9}
+	s := System{Name: "ABCI", Device: rnic.ConnectX4(), CPUFactor: 0.9}
 	s.Device.LinkGbps = 100
 	return s
 }
 
-// ITO is the ITO cluster: ConnectX-4 EDR.
+// ITO is the ITO cluster: ConnectX-4 EDR; PSID FJT2180110032.
 func ITO() System {
-	s := System{Name: "ITO", PSID: "FJT2180110032", Device: rnic.ConnectX4(), CPUFactor: 1.0}
+	s := System{Name: "ITO", Device: rnic.ConnectX4(), CPUFactor: 1.0}
 	s.Device.LinkGbps = 100
 	return s
 }
 
 // AzureHC is the Azure VM HC series: ConnectX-5 EDR, the one device with
-// the ≈30 ms timeout floor.
+// the ≈30 ms timeout floor; PSID MT_0000000010.
 func AzureHC() System {
-	return System{Name: "Azure VM HC Series", PSID: "MT_0000000010", Device: rnic.ConnectX5(), CPUFactor: 1.0}
+	return System{Name: "Azure VM HC Series", Device: rnic.ConnectX5(), CPUFactor: 1.0}
 }
 
-// AzureHBv2 is the Azure VM HBv2 series: ConnectX-6 HDR.
+// AzureHBv2 is the Azure VM HBv2 series: ConnectX-6 HDR; PSID MT_0000000223.
 func AzureHBv2() System {
-	return System{Name: "Azure VM HBv2 Series", PSID: "MT_0000000223", Device: rnic.ConnectX6(), CPUFactor: 1.0}
+	return System{Name: "Azure VM HBv2 Series", Device: rnic.ConnectX6(), CPUFactor: 1.0}
 }
 
 // All returns every system of Table I in row order.

@@ -15,7 +15,7 @@ func TestAllSystemsWellFormed(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, s := range systems {
-		if s.Name == "" || s.PSID == "" {
+		if s.Name == "" {
 			t.Errorf("system missing identity: %+v", s)
 		}
 		if names[s.Name] {

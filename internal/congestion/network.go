@@ -473,6 +473,8 @@ const scratchKey = "congestion.scratch"
 // instance, so side-by-side networks on one engine stay correct.
 type scratch struct {
 	free []*entry
+	// entries carves the entries the free list has not yet seen.
+	entries sim.Blocks[entry]
 
 	networks sim.Arena[Network]
 	ports    sim.Arena[port]
@@ -502,6 +504,8 @@ func scratchFor(eng *sim.Engine) *scratch {
 	s, _ := eng.Aux(scratchKey).(*scratch)
 	if s == nil {
 		s = &scratch{}
+		s.entries.Make = func(n int) []entry { return make([]entry, n) }
+		s.entries.Max = entryBlock
 		s.networks.Link = func(n *Network) **Network { return &n.arenaNext }
 		s.ports.Link = func(p *port) **port { return &p.arenaNext }
 		s.switches.Link = func(sw *swtch) **swtch { return &sw.arenaNext }
@@ -540,7 +544,8 @@ func NewNetwork(eng *sim.Engine, cfg Config, linkGbps float64, propDelay sim.Tim
 	n.topo = topo
 	n.ecmpSeed = uint64(eng.Seed()) * 0x9e3779b97f4a7c15
 	n.scratch = s
-	n.tel = telemetry.NewRegistryOn(eng, "congestion", telemetry.Labels{"device": "congestion"})
+	n.tel = telemetry.NewRegistryOn(eng, "congestion", telemetry.Labels{"device": "congestion"},
+		1+switchMetrics*topo.SwitchCount(), 0)
 	for i := 0; i < topo.SwitchCount(); i++ {
 		n.switches = append(n.switches, n.getSwitch(i))
 	}
@@ -744,6 +749,10 @@ func (n *Network) Telemetry() *telemetry.Registry { return n.tel }
 // none outstanding).
 func (n *Network) PauseDurationMicros() float64 { return float64(n.pausedNs) / 1e3 }
 
+// switchMetrics is the number of metrics registerMetrics publishes per
+// switch, next to the one network-wide pause gauge.
+const switchMetrics = 5
+
 func (n *Network) registerMetrics() {
 	n.tel.Gauge(telemetry.TxPauseDuration, "accumulated PFC pause time across all links [µs]", nil,
 		n.pauseGauge)
@@ -837,6 +846,9 @@ func (n *Network) QueuedBytes() int {
 	return total
 }
 
+// entryBlock caps a block of fresh entries at 128: 8 KiB.
+const entryBlock = 128
+
 func (n *Network) getEntry() *entry {
 	s := n.scratch
 	if k := len(s.free); k > 0 {
@@ -845,7 +857,7 @@ func (n *Network) getEntry() *entry {
 		s.free = s.free[:k-1]
 		return e
 	}
-	return &entry{}
+	return s.entries.New()
 }
 
 func (n *Network) putEntry(e *entry) {

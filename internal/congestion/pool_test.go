@@ -112,3 +112,39 @@ func TestScratchArenasRecycleAcrossGenerations(t *testing.T) {
 		t.Fatalf("recycled network has %d switches, want 2", got)
 	}
 }
+
+// TestColdAllocQueuedEntries pins the cold cost of the switch queues:
+// E packets queued at once on a fresh network take their entries from
+// blocks, so doubling E adds about E/entryBlock allocations plus one
+// ring doubling, not E.
+func TestColdAllocQueuedEntries(t *testing.T) {
+	const e = 1024
+	pkts := make([]*packet.Packet, 2*e)
+	for i := range pkts {
+		pkts[i] = &packet.Packet{SLID: 1, DLID: 2, Opcode: packet.OpWriteOnly, PayloadLen: 64}
+	}
+	run := func(n int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			net := NewNetwork(sim.New(1), DefaultConfig(), 56, 2*sim.Microsecond, Hooks{})
+			for _, p := range pkts[:n] {
+				net.Send(1, 2, p, p.WireSize())
+			}
+		})
+	}
+	a, b := run(e), run(2*e)
+	ceiling := float64(e/entryBlock + 2)
+	t.Logf("cold queued entries: %d → %.0f allocations, %d → %.0f (ceiling for the doubling %.0f)", e, a, 2*e, b, ceiling)
+	if b-a > ceiling {
+		t.Errorf("doubling %d queued entries added %.0f allocations, want at most %.0f", e, b-a, ceiling)
+	}
+}
+
+// TestRegistrySizedToNetwork checks that switchMetrics, which sizes the
+// network's telemetry table, is what registerMetrics publishes per
+// switch.
+func TestRegistrySizedToNetwork(t *testing.T) {
+	net := NewNetwork(sim.New(1), DefaultConfig(), 56, 2*sim.Microsecond, Hooks{})
+	if got, want := net.tel.Len(), 1+switchMetrics*len(net.switches); got != want {
+		t.Errorf("a %d-switch network registers %d metrics, its table holds %d", len(net.switches), got, want)
+	}
+}

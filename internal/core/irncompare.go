@@ -49,16 +49,10 @@ func (irnCompare) Validate(sc *scenario.Scenario) error {
 	return nil
 }
 
-// irnFabric is one fabric configuration under comparison.
-type irnFabric struct {
-	label string
-	spec  *scenario.CongestionSpec
-}
-
 // irnFabrics derives the lossy/lossless pair from the scenario's
 // congestion block (see lossyOf).
-func irnFabrics(sc *scenario.Scenario) []irnFabric {
-	return []irnFabric{
+func irnFabrics(sc *scenario.Scenario) []fabricVariant {
+	return []fabricVariant{
 		{label: "lossy", spec: lossyOf(sc.Congestion)},
 		{label: "lossless", spec: sc.Congestion},
 	}

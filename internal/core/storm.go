@@ -40,8 +40,9 @@ func (stormWorkload) Validate(sc *scenario.Scenario) error {
 	return scenario.RequireTrials(sc)
 }
 
-// stormVariant is one fabric configuration under comparison.
-type stormVariant struct {
+// fabricVariant is one fabric configuration under comparison, in the
+// storm and irn-compare tables.
+type fabricVariant struct {
 	label string
 	spec  *scenario.CongestionSpec // nil = analytic fabric
 }
@@ -58,12 +59,12 @@ func lossyOf(cs *scenario.CongestionSpec) *scenario.CongestionSpec {
 // stormVariants derives the three fabric rows from the scenario's block.
 // The lossy row shows what the same storm costs when the fabric just
 // drops.
-func stormVariants(sc *scenario.Scenario) []stormVariant {
+func stormVariants(sc *scenario.Scenario) []fabricVariant {
 	declared := "switched+pfc"
 	if sc.Congestion.DCQCN {
 		declared = "switched+pfc+dcqcn"
 	}
-	return []stormVariant{
+	return []fabricVariant{
 		{label: "analytic", spec: nil},
 		{label: "switched lossy", spec: lossyOf(sc.Congestion)},
 		{label: declared, spec: sc.Congestion},

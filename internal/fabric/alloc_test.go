@@ -129,3 +129,39 @@ func TestAllocBudgetFabricAttach(t *testing.T) {
 			bytes, allocs)
 	}
 }
+
+// TestColdAllocDeliveries pins the cold cost of the delivery path: K
+// packets sent at once on a fresh fabric take their packets (48 a
+// block) and their deliveries (deliveryBlock a block) from blocks, so
+// doubling K adds about K/48 + K/deliveryBlock allocations plus one
+// delay-line doubling, not 2K.
+func TestColdAllocDeliveries(t *testing.T) {
+	run := func(k int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			f := New(sim.New(1), DefaultConfig())
+			src := f.AttachPort(1, "src", func(*packet.Packet) {})
+			f.AttachPort(2, "dst", func(*packet.Packet) {})
+			for i := 0; i < k; i++ {
+				p := f.Pool().Get()
+				p.Opcode = packet.OpReadRequest
+				p.DLID = 2
+				src.Send(p)
+			}
+		})
+	}
+	const k = 1024
+	a, b := run(k), run(2*k)
+	ceiling := float64(k/48 + k/deliveryBlock + 2)
+	t.Logf("cold sends: %d → %.0f allocations, %d → %.0f (ceiling for the doubling %.0f)", k, a, 2*k, b, ceiling)
+	if b-a > ceiling {
+		t.Errorf("doubling %d sends added %.0f allocations, want at most %.0f", k, b-a, ceiling)
+	}
+}
+
+// TestRegistrySizedToFabric checks that fabricMetrics, which sizes the
+// fabric's telemetry table, is what New registers.
+func TestRegistrySizedToFabric(t *testing.T) {
+	if got := New(sim.New(1), DefaultConfig()).tel.Len(); got != fabricMetrics {
+		t.Errorf("a new fabric registers %d metrics, fabricMetrics is %d", got, fabricMetrics)
+	}
+}

@@ -106,15 +106,15 @@ func (p *Port) RegisterMetrics(reg *telemetry.Registry) {
 }
 
 // delivery is one scheduled packet arrival. Deliveries are recycled
-// through the fabric's free list, and fn caches the run method value, so
-// scheduling an arrival allocates nothing once the list is warm — the
-// closure the old datapath captured per send is gone.
+// through the fabric's free list, and its pair's delay line runs them
+// (see deliveryLine), so scheduling an arrival allocates nothing once
+// the list is warm — the closure the old datapath captured per send is
+// gone.
 type delivery struct {
 	f   *Fabric
 	dst *Port
 	pkt *packet.Packet
 	ws  uint64
-	fn  func()
 	// at and seq are the arrival deadline and the reserved engine
 	// tie-break while the delivery waits on its pair's delay line (see
 	// deliveryLine). seq is claimed at schedule time so same-instant
@@ -216,6 +216,8 @@ const scratchKey = "fabric.scratch"
 type scratch struct {
 	pool    *packet.Pool
 	freeDel []*delivery
+	// deliveries carves the deliveries the free list has not yet seen.
+	deliveries sim.Blocks[delivery]
 
 	fabrics sim.Arena[Fabric]
 	tables  sim.Arena[tables]
@@ -237,6 +239,8 @@ func scratchFor(eng *sim.Engine) *scratch {
 	s, _ := eng.Aux(scratchKey).(*scratch)
 	if s == nil {
 		s = &scratch{pool: packet.NewPool()}
+		s.deliveries.Make = func(n int) []delivery { return make([]delivery, n) }
+		s.deliveries.Max = deliveryBlock
 		s.fabrics.Link = func(f *Fabric) **Fabric { return &f.arenaNext }
 		s.tables.Link = func(t *tables) **tables { return &t.arenaNext }
 		s.ports.Link = func(p *Port) **Port { return &p.arenaNext }
@@ -291,6 +295,9 @@ type Fabric struct {
 	arenaNext *Fabric
 }
 
+// fabricMetrics is the number of counters New registers.
+const fabricMetrics = 7
+
 // New creates a fabric on engine eng. The Fabric struct comes from the
 // engine's fabric arena, reset whole, so a trial loop that rebuilds its
 // fabric on a Reset-reused engine allocates none.
@@ -309,7 +316,7 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 	*f = Fabric{
 		eng:       eng,
 		cfg:       cfg,
-		tel:       telemetry.NewRegistryOn(eng, "fabric", telemetry.Labels{"device": "fabric"}),
+		tel:       telemetry.NewRegistryOn(eng, "fabric", telemetry.Labels{"device": "fabric"}, fabricMetrics, 0),
 		scratch:   s,
 		pool:      s.pool,
 		arenaNext: f.arenaNext,
@@ -523,14 +530,17 @@ func (f *Fabric) scheduleDelivery(l *deliveryLine, d *delivery, at sim.Time) {
 	l.push(d)
 }
 
-// getDelivery pops a recycled delivery event, or allocates one with its
-// run method value cached.
+// deliveryBlock caps a block of fresh deliveries at 170: 8,160 bytes,
+// which fills one 8 KiB size class.
+const deliveryBlock = 170
+
+// getDelivery pops a recycled delivery event, or carves a fresh one.
 func (f *Fabric) getDelivery() *delivery {
 	s := f.scratch
 	n := len(s.freeDel)
 	if n == 0 {
-		d := &delivery{f: f}
-		d.fn = d.run
+		d := s.deliveries.New()
+		d.f = f
 		return d
 	}
 	d := s.freeDel[n-1]

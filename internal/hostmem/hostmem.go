@@ -30,20 +30,29 @@ func PageBase(p PageNo) Addr { return Addr(p) * PageSize }
 
 // PagesSpanned returns the pages covered by [addr, addr+len).
 func PagesSpanned(addr Addr, length int) []PageNo {
-	if length <= 0 {
+	first, end := span(addr, length)
+	if first == end {
 		return nil
 	}
-	first := PageOf(addr)
-	last := PageOf(addr + Addr(length) - 1)
-	out := make([]PageNo, 0, last-first+1)
-	for p := first; p <= last; p++ {
+	out := make([]PageNo, 0, end-first)
+	for p := first; p < end; p++ {
 		out = append(out, p)
 	}
 	return out
 }
 
+// span returns the half-open page range [first, end) that [addr,
+// addr+length) covers; it is empty when length is not positive.
+func span(addr Addr, length int) (first, end PageNo) {
+	first = PageOf(addr)
+	if length <= 0 {
+		return first, first
+	}
+	return first, PageOf(addr+Addr(length)-1) + 1
+}
+
 // PageState describes the host-side status of one page.
-type PageState int
+type PageState uint8
 
 // Page states.
 const (
@@ -108,19 +117,44 @@ type Invalidation struct {
 // Notifier receives MMU-notifier callbacks.
 type Notifier func(Invalidation)
 
+// page is one page-table entry, held by value in the dense table.
 type page struct {
+	// res is the resolution in flight while the page is Resolving.
+	res   *resolution
+	pins  int32
 	state PageState
-	pins  int
-	// resolveWaiters run when the in-flight resolution completes.
-	// waiterSpare is the previous completion's backing array, recycled so
-	// repeated fault/invalidate cycles on one page stop allocating; the
-	// two swap at completion time so waiters queued *during* completion
-	// land in a different array than the one being iterated.
-	resolveWaiters []func()
-	waiterSpare    []func()
-	// completeFn is the cached resolution-completion callback, built on
-	// the page's first fault so retries reuse one closure.
-	completeFn func()
+}
+
+// resolution is one page's fault resolution in flight: the callbacks
+// waiting for it and its completion callback, bound once when the
+// record is first allocated. Records return to their address space's
+// free list as they complete and keep their waiter array, so a stream
+// of faults reuses a handful of them (the ODP pipeline resolves one page
+// at a time) instead of allocating a waiter slice and a closure per
+// page.
+type resolution struct {
+	as       *AddressSpace
+	p        PageNo
+	waiters  []func()
+	complete func()
+	next     *resolution
+}
+
+// finish marks the page Mapped, runs the waiters and returns the record
+// to the free list. The page is Mapped before any waiter runs, so a
+// fault a waiter raises on it does not join this record.
+func (r *resolution) finish() {
+	as := r.as
+	pg := &as.pages[r.p]
+	pg.state = Mapped
+	pg.res = nil
+	as.FaultsResolved++
+	for _, w := range r.waiters {
+		w()
+	}
+	clear(r.waiters)
+	r.waiters = r.waiters[:0]
+	r.next, as.freeRes = as.freeRes, r
 }
 
 // AddressSpace is one node's virtual memory. All methods must be called
@@ -128,16 +162,19 @@ type page struct {
 type AddressSpace struct {
 	eng *sim.Engine
 	cfg Config
-	// pages is a dense page table indexed by page number: Alloc hands
-	// out addresses from a brk that starts at one page and grows
-	// contiguously, so page numbers are small consecutive integers and
-	// indexing replaces the map hashing the per-packet ODP checks used
-	// to pay. Entries stay nil until first use; pointers (not values)
-	// because in-flight fault resolutions hold their page across table
-	// growth.
-	pages     []*page
+	// pages is a dense page table of values indexed by page number:
+	// Alloc hands out addresses from a brk that starts at one page and
+	// grows contiguously, so page numbers are small consecutive integers
+	// and indexing replaces the map hashing the per-packet ODP checks
+	// used to pay. The first touch past its end grows it to the whole
+	// reserved span at once. Nothing holds a *page across a call that
+	// can grow it: a resolution in flight keeps its page number.
+	pages     []page
 	brk       Addr
 	notifiers []Notifier
+	// freeRes is the free list, linked through resolution.next, of
+	// completed fault resolutions.
+	freeRes *resolution
 
 	// words stores 8-byte values for atomics and small control data.
 	words map[Addr]uint64
@@ -150,9 +187,9 @@ type AddressSpace struct {
 }
 
 // asArenaKey is the engine Aux key of the address-space arena. A
-// recycled space keeps its page entries (reset to Unmapped) and their
-// cached fault-completion closures, and its word store keeps its
-// buckets, so trial loops stop paying construction allocations.
+// recycled space keeps its page table's storage and its resolution
+// records, and its word store keeps its buckets, so trial loops stop
+// paying construction allocations.
 const asArenaKey = "hostmem.addressSpaces"
 
 // NewAddressSpace creates an address space on engine eng, taking it from
@@ -175,10 +212,9 @@ func NewAddressSpace(eng *sim.Engine, cfg Config) *AddressSpace {
 }
 
 // reset returns a recycled address space to its just-constructed state,
-// keeping allocated storage: page entries (and their cached completion
-// closures, which capture only this AddressSpace and the page, and both
-// waiter arrays), the word store's buckets, and the notifier list's
-// backing array.
+// keeping allocated storage: the page table's backing array, the
+// resolution records (with their bound callbacks and waiter arrays),
+// the word store's buckets, and the notifier list's backing array.
 func (as *AddressSpace) reset(cfg Config) {
 	as.cfg = cfg
 	as.brk = PageSize
@@ -186,21 +222,17 @@ func (as *AddressSpace) reset(cfg Config) {
 	as.FaultsResolved = 0
 	as.PagesPinned = 0
 	clear(as.words)
+	// A resolution the last run left in flight lost its engine event to
+	// the Reset; it goes back to the free list.
 	for _, pg := range as.pages {
-		if pg == nil {
-			continue
-		}
-		pg.state = Unmapped
-		pg.pins = 0
-		pg.resolveWaiters = pg.resolveWaiters[:0]
-		// A page that faulted once holds one waiter array and no spare
-		// until its second fault; allocating the spare here lets a
-		// recycled space reach steady state in its first warm trial
-		// instead of whichever later trial faults the page again.
-		if pg.resolveWaiters == nil && pg.waiterSpare != nil {
-			pg.resolveWaiters = make([]func(), 0, cap(pg.waiterSpare))
+		if r := pg.res; r != nil {
+			clear(r.waiters)
+			r.waiters = r.waiters[:0]
+			r.next, as.freeRes = as.freeRes, r
 		}
 	}
+	clear(as.pages)
+	as.pages = as.pages[:0]
 }
 
 // Engine returns the simulation engine.
@@ -219,30 +251,28 @@ func (as *AddressSpace) Alloc(length int) Addr {
 	return base
 }
 
+// pageAt returns page p's entry, growing the table to cover both p and
+// the whole reserved span when p lies past its end. The pointer is
+// valid until the next pageAt.
 func (as *AddressSpace) pageAt(p PageNo) *page {
-	for PageNo(len(as.pages)) <= p {
-		as.pages = append(as.pages, nil)
+	if p >= PageNo(len(as.pages)) {
+		n := int(max(p+1, PageOf(as.brk)))
+		if n > cap(as.pages) {
+			// Entries past len are zero: make zeroes them, and reset
+			// clears every entry a run used.
+			grown := make([]page, n, max(n, 2*cap(as.pages)))
+			copy(grown, as.pages)
+			as.pages = grown
+		}
+		as.pages = as.pages[:n]
 	}
-	pg := as.pages[p]
-	if pg == nil {
-		pg = &page{state: Unmapped}
-		as.pages[p] = pg
-	}
-	return pg
-}
-
-// lookup returns page p's entry without creating one, or nil.
-func (as *AddressSpace) lookup(p PageNo) *page {
-	if p < PageNo(len(as.pages)) {
-		return as.pages[p]
-	}
-	return nil
+	return &as.pages[p]
 }
 
 // State returns the state of page p.
 func (as *AddressSpace) State(p PageNo) PageState {
-	if pg := as.lookup(p); pg != nil {
-		return pg.state
+	if p < PageNo(len(as.pages)) {
+		return as.pages[p].state
 	}
 	return Unmapped
 }
@@ -252,7 +282,8 @@ func (as *AddressSpace) State(p PageNo) PageState {
 // advance" in the paper's §V-C). It costs no virtual time; use it for
 // setup.
 func (as *AddressSpace) Touch(addr Addr, length int) {
-	for _, p := range PagesSpanned(addr, length) {
+	first, end := span(addr, length)
+	for p := first; p < end; p++ {
 		pg := as.pageAt(p)
 		if pg.state == Unmapped {
 			pg.state = Mapped
@@ -265,7 +296,8 @@ func (as *AddressSpace) Touch(addr Addr, length int) {
 // invalidated. Pin returns the virtual-time cost it charged.
 func (as *AddressSpace) Pin(addr Addr, length int) sim.Time {
 	var cost sim.Time
-	for _, p := range PagesSpanned(addr, length) {
+	first, end := span(addr, length)
+	for p := first; p < end; p++ {
 		pg := as.pageAt(p)
 		pg.pins++
 		if pg.state != Pinned {
@@ -280,11 +312,12 @@ func (as *AddressSpace) Pin(addr Addr, length int) sim.Time {
 // Unpin releases a previous Pin. Pages whose pin count drops to zero
 // return to Mapped (still resident).
 func (as *AddressSpace) Unpin(addr Addr, length int) {
-	for _, p := range PagesSpanned(addr, length) {
-		pg := as.lookup(p)
-		if pg == nil || pg.pins == 0 {
+	first, end := span(addr, length)
+	for p := first; p < end; p++ {
+		if p >= PageNo(len(as.pages)) || as.pages[p].pins == 0 {
 			panic(fmt.Sprintf("hostmem: Unpin of unpinned page %d", p))
 		}
+		pg := &as.pages[p]
 		pg.pins--
 		if pg.pins == 0 && pg.state == Pinned {
 			pg.state = Mapped
@@ -302,9 +335,9 @@ func (as *AddressSpace) RegisterNotifier(n Notifier) {
 // that a device may have translated.
 func (as *AddressSpace) Release(addr Addr, length int) {
 	var reclaimed []PageNo
-	for _, p := range PagesSpanned(addr, length) {
-		pg := as.lookup(p)
-		if pg == nil || pg.state != Mapped {
+	first, end := span(addr, length)
+	for p := first; p < end; p++ {
+		if as.State(p) != Mapped {
 			continue // unmapped, resolving or pinned pages stay
 		}
 		reclaimed = append(reclaimed, p)
@@ -333,25 +366,21 @@ func (as *AddressSpace) ResolveFault(p PageNo, done func()) {
 		as.eng.ScheduleAfter(0, done)
 		return
 	case Resolving:
-		pg.resolveWaiters = append(pg.resolveWaiters, done)
+		pg.res.waiters = append(pg.res.waiters, done)
 		return
 	}
-	pg.state = Resolving
-	pg.resolveWaiters = append(pg.resolveWaiters, done)
-	if pg.completeFn == nil {
-		pg.completeFn = func() {
-			pg.state = Mapped
-			as.FaultsResolved++
-			ws := pg.resolveWaiters
-			pg.resolveWaiters = pg.waiterSpare[:0]
-			pg.waiterSpare = ws[:0]
-			for _, w := range ws {
-				w()
-			}
-		}
+	r := as.freeRes
+	if r == nil {
+		r = &resolution{as: as}
+		r.complete = r.finish
+	} else {
+		as.freeRes, r.next = r.next, nil
 	}
+	r.p = p
+	r.waiters = append(r.waiters, done)
+	pg.state, pg.res = Resolving, r
 	lat := as.eng.Uniform(as.cfg.FaultResolveMin, as.cfg.FaultResolveMax)
-	as.eng.ScheduleAfter(lat, pg.completeFn)
+	as.eng.ScheduleAfter(lat, r.complete)
 }
 
 // ReadWord returns the 8-byte value at addr (zero if never written).

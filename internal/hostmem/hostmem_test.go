@@ -228,8 +228,8 @@ func TestAllocNonPositivePanics(t *testing.T) {
 }
 
 // TestResetReadiesSpareWaiters checks that a recycled address space
-// hands a page that faulted once its second waiter array at reset, so
-// the page's next fault in a later generation does not allocate it.
+// keeps its resolution record, with its waiter array and bound
+// callback, so the next generation's first fault allocates nothing.
 func TestResetReadiesSpareWaiters(t *testing.T) {
 	eng, as := newAS(t)
 	p := PageOf(as.Alloc(PageSize))
@@ -237,14 +237,57 @@ func TestResetReadiesSpareWaiters(t *testing.T) {
 	eng.Run()
 	eng.Reset(2)
 	as = NewAddressSpace(eng, DefaultConfig()) // the same space, recycled
-	pg := as.lookup(p)
-	if pg == nil || cap(pg.resolveWaiters) == 0 || cap(pg.waiterSpare) == 0 {
-		t.Fatal("recycled page should hold both waiter arrays")
+	if as.freeRes == nil || cap(as.freeRes.waiters) == 0 {
+		t.Fatal("recycled space should keep its resolution record and waiter array")
 	}
 	done := 0
-	as.ResolveFault(PageOf(as.Alloc(PageSize)), func() { done++ })
-	eng.Run()
-	if done != 1 || as.FaultsResolved != 1 {
-		t.Errorf("recycled fault: done=%d resolved=%d, want 1 and 1", done, as.FaultsResolved)
+	waiter := func() { done++ }
+	q := PageOf(as.Alloc(2 * PageSize))
+	as.pageAt(q) // grow the table outside the measurement
+	// AllocsPerRun calls the fault twice (a warm-up, then the run), each
+	// on a page of its own.
+	if n := testing.AllocsPerRun(1, func() {
+		as.ResolveFault(q, waiter)
+		eng.Run()
+		q++
+	}); n != 0 {
+		t.Errorf("recycled fault allocated %v objects, want 0", n)
+	}
+	if done != 2 || as.FaultsResolved != 2 {
+		t.Errorf("recycled faults: done=%d resolved=%d, want 2 and 2", done, as.FaultsResolved)
+	}
+}
+
+// TestColdAllocPages pins the cold cost of the page layer: on a fresh
+// address space, touching P pages and faulting P more one after another,
+// as the ODP pipeline does, grows the page table once and reuses one
+// resolution record, so doubling P adds no allocations.
+func TestColdAllocPages(t *testing.T) {
+	run := func(pages int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			eng := sim.New(1)
+			as := NewAddressSpace(eng, DefaultConfig())
+			a := as.Alloc(2 * pages * PageSize)
+			as.Touch(a, pages*PageSize)
+			p, end := PageOf(a)+PageNo(pages), PageOf(a)+PageNo(2*pages)
+			var next func()
+			next = func() {
+				if p < end {
+					p++
+					as.ResolveFault(p-1, next)
+				}
+			}
+			next()
+			eng.Run()
+			if as.FaultsResolved != uint64(pages) || as.State(end-1) != Mapped {
+				t.Fatalf("%d faults resolved, want %d", as.FaultsResolved, pages)
+			}
+		})
+	}
+	const pages = 1024
+	a, b := run(pages), run(2*pages)
+	t.Logf("cold touch+fault: %d pages → %.0f allocations, %d → %.0f", pages, a, 2*pages, b)
+	if b-a > 1 {
+		t.Errorf("doubling %d touched and faulted pages added %.0f allocations, want at most 1", pages, b-a)
 	}
 }

@@ -184,8 +184,15 @@ type Engine struct {
 	pending pairTable
 	stale   int
 	// interested lists pairs awaiting a page's host resolution — sparse
-	// (only pages with a resolve in flight), so it stays a map.
+	// (only pages with a resolve queued or in flight), so it stays a
+	// map. A resolved page's entry is deleted and its list, emptied,
+	// goes to spareLists for the next faulting page. A page with no
+	// spare list takes a one-pair array carved from firstKeys: most
+	// pages have one registrant, and a burst of faults then allocates
+	// by block, not by page.
 	interested map[hostmem.PageNo][]Key
+	spareLists [][]Key
+	firstKeys  sim.Blocks[[1]Key]
 
 	busy  bool
 	queue fifo.Queue[workItem]
@@ -222,6 +229,9 @@ type Engine struct {
 	arenaNext *Engine
 }
 
+// keyBlock caps a block of first registrant arrays at 512: 8 KiB.
+const keyBlock = 512
+
 // engineArenaKey is the engine Aux key of the ODP-engine arena. A
 // recycled ODP engine has its status tables zeroed but keeps their
 // storage and its one-time closures.
@@ -244,6 +254,8 @@ func New(as *hostmem.AddressSpace, cfg Config) *Engine {
 		interested: make(map[hostmem.PageNo][]Key),
 	}
 	a.Add(e)
+	e.firstKeys.Make = func(n int) [][1]Key { return make([][1]Key, n) }
+	e.firstKeys.Max = keyBlock
 	e.finishFn = func() {
 		e.busy = false
 		e.kick()
@@ -263,9 +275,7 @@ func New(as *hostmem.AddressSpace, cfg Config) *Engine {
 		// Figure 11a exposes).
 		p := e.curPage
 		pairs := e.interested[p]
-		// Empty the entry but keep its backing array for the page's next
-		// resolve; an empty list means no resolve in flight.
-		e.interested[p] = pairs[:0]
+		delete(e.interested, p)
 		if !e.cfg.UpdatesFIFO {
 			for i, j := 0, len(pairs)-1; i < j; i, j = i+1, j-1 {
 				pairs[i], pairs[j] = pairs[j], pairs[i]
@@ -274,6 +284,7 @@ func New(as *hostmem.AddressSpace, cfg Config) *Engine {
 		for _, k := range pairs {
 			e.queue.Push(workItem{kind: kindUpdate, qp: k.QP, page: k.Page})
 		}
+		e.spareLists = append(e.spareLists, pairs[:0])
 		e.busy = false
 		e.kick()
 	}
@@ -299,11 +310,11 @@ func (e *Engine) reset(as *hostmem.AddressSpace, cfg Config) {
 	// warm trial, not in whichever later trial first sees spurious
 	// traffic.
 	e.queuedSpurious.cover(&e.pending)
-	// Keep each page's registrant list backing: entries go empty, and
-	// Fault treats an empty list as no resolve in flight.
-	for k, v := range e.interested {
-		e.interested[k] = v[:0]
+	// Keep the registrant lists' backing arrays for the next run.
+	for _, v := range e.interested {
+		e.spareLists = append(e.spareLists, v[:0])
 	}
+	clear(e.interested)
 	e.busy = false
 	e.queue.Clear()
 	e.curKey = Key{}
@@ -397,11 +408,18 @@ func (e *Engine) Fault(qp uint32, addr hostmem.Addr, length int) {
 				// Host side is fine; only this QP's status needs updating.
 				e.queue.Push(workItem{kind: kindUpdate, qp: qp, page: p})
 			default:
-				if len(e.interested[p]) == 0 {
+				pairs, ok := e.interested[p]
+				if !ok {
 					e.queue.Push(workItem{kind: kindResolve, page: p})
 					e.Faults++
+					if n := len(e.spareLists); n > 0 {
+						pairs = e.spareLists[n-1]
+						e.spareLists = e.spareLists[:n-1]
+					} else {
+						pairs = e.firstKeys.New()[:0]
+					}
 				}
-				e.interested[p] = append(e.interested[p], Key{qp, p})
+				e.interested[p] = append(pairs, Key{qp, p})
 			}
 		}
 	}

@@ -314,3 +314,30 @@ func TestRecycledEngineSizesSpuriousTable(t *testing.T) {
 		t.Errorf("recycled engine: updates=%d spurious=%d, want 1 and 1", e.Updates, e.SpuriousTotal)
 	}
 }
+
+// TestColdAllocFaults pins the cold cost of a bulk fault: one QP
+// faulting P pages at once on a fresh engine queues P resolves, and
+// their registrant lists come from blocks, not one list per page.
+// Doubling P adds at most P/64 + 4 allocations: a block of registrant
+// arrays per keyBlock pages, a few per table the map splits off as it
+// grows, and a doubling each of the pipeline queue and status tables.
+func TestColdAllocFaults(t *testing.T) {
+	run := func(pages int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			eng, as, e := setup(t, DefaultConfig())
+			a := as.Alloc(pages * hostmem.PageSize)
+			e.Fault(1, a, pages*hostmem.PageSize)
+			eng.Run()
+			if e.Updates != uint64(pages) {
+				t.Fatalf("%d updates, want %d", e.Updates, pages)
+			}
+		})
+	}
+	const pages = 1024
+	a, b := run(pages), run(2*pages)
+	ceiling := float64(pages/64 + 4)
+	t.Logf("cold bulk fault: %d pages → %.0f allocations, %d → %.0f (ceiling for the doubling %.0f)", pages, a, 2*pages, b, ceiling)
+	if b-a > ceiling {
+		t.Errorf("doubling a %d-page fault added %.0f allocations, want at most %.0f", pages, b-a, ceiling)
+	}
+}

@@ -1,5 +1,7 @@
 package packet
 
+import "odpsim/internal/sim"
+
 // Pool recycles Packet storage through the datapath, the way a DPDK-style
 // mempool recycles mbufs: senders Get a cleared packet, the fabric Puts it
 // back after final delivery or drop, and steady-state traffic allocates
@@ -13,22 +15,37 @@ package packet
 // Reset-reused engine share one pool, so repeated trials stop allocating
 // packets once the first trial has warmed the free list. See DESIGN.md §8
 // for the ownership contract.
+//
+// Fresh packets are carved from blocks (see sim.Blocks), so a cold run
+// pays one allocation per block, not one per packet in flight.
 type Pool struct {
-	free []*Packet
+	free   []*Packet
+	blocks sim.Blocks[Packet]
 
 	// Counters. Gets/Puts are the pool's conservation ledger: after a
 	// drained simulation every in-flight packet has been returned, so
 	// Gets - Puts counts foreign packets (constructed outside the pool)
 	// that were Put minus pooled packets leaked — zero when both-side
 	// discipline holds. Allocs counts Gets that found the free list
-	// empty and allocated fresh storage.
+	// empty and took fresh storage: the packets the pool created.
 	Gets   uint64
 	Puts   uint64
 	Allocs uint64
 }
 
+// packetBlock caps a block of fresh packets at 48: 8,064 bytes, which
+// fills one 8 KiB size class.
+const packetBlock = 48
+
 // NewPool creates an empty pool.
-func NewPool() *Pool { return &Pool{} }
+func NewPool() *Pool {
+	return &Pool{blocks: sim.Blocks[Packet]{Make: makePackets, Max: packetBlock}}
+}
+
+// makePackets allocates a block of packets. It is a named function, not
+// a literal in NewPool, so heap profiles charge the block to this
+// package even where NewPool is inlined into its caller.
+func makePackets(n int) []Packet { return make([]Packet, n) }
 
 // Get returns a zeroed packet, recycling free storage when available. The
 // caller owns the packet until it hands it to the fabric.
@@ -37,7 +54,7 @@ func (pl *Pool) Get() *Packet {
 	n := len(pl.free)
 	if n == 0 {
 		pl.Allocs++
-		return &Packet{}
+		return pl.blocks.New()
 	}
 	p := pl.free[n-1]
 	pl.free[n-1] = nil

@@ -124,6 +124,12 @@ func clearSlice[T any](s []T) []T {
 	return s[:0]
 }
 
+// deviceMetrics is the number of scalar metrics New registers: the
+// device's own (registerMetrics), the ODP engine's and the port's. The
+// families are the RC QP counters; DCQCN, NPR, IRN and a first UD QP
+// register theirs later, growing the tables.
+const deviceMetrics = 8 + numWCStatuses + 8 + 5
+
 // New creates an RNIC attached to fab at the given LID, with its own
 // address space.
 //
@@ -150,7 +156,7 @@ func New(fab *fabric.Fabric, lid uint16, name string, prof Profile, memCfg hostm
 		prof:      prof,
 		pool:      fab.Pool(),
 		scratch:   s,
-		tel:       telemetry.NewRegistryOn(eng, name, telemetry.Labels{"device": name}),
+		tel:       telemetry.NewRegistryOn(eng, name, telemetry.Labels{"device": name}, deviceMetrics, len(rcFamilies)),
 		nextKey:   1,
 		mode:      KindODP,
 		qps:       qps,
@@ -349,6 +355,8 @@ type scratch struct {
 	// request objects whose WR completed, flushed or was dropped by
 	// Reset.
 	freeWQEs *wqe
+	// wqes carves the WR objects the free list has not yet seen.
+	wqes sim.Blocks[wqe]
 	// freeRetries is the free list, linked through irnRetry.next, of
 	// fired IRN retransmission timers.
 	freeRetries *irnRetry
@@ -366,6 +374,8 @@ func scratchFor(eng *sim.Engine) *scratch {
 	s, _ := eng.Aux(scratchKey).(*scratch)
 	if s == nil {
 		s = &scratch{}
+		s.wqes.Make = func(n int) []wqe { return make([]wqe, n) }
+		s.wqes.Max = wqeBlock
 		s.rnics.Link = func(r *RNIC) **RNIC { return &r.arenaNext }
 		s.qps.Link = func(qp *QP) **QP { return &qp.arenaNext }
 		s.cqs.Link = func(cq *CQ) **CQ { return &cq.arenaNext }
@@ -374,12 +384,16 @@ func scratchFor(eng *sim.Engine) *scratch {
 	return s
 }
 
+// wqeBlock caps a block of fresh WR objects at 85: 8,160 bytes, which
+// fills one 8 KiB size class.
+const wqeBlock = 85
+
 // newWQE takes a zeroed send work request object from the free list,
-// allocating only when the list is empty.
+// carving a fresh one only when the list is empty.
 func (r *RNIC) newWQE() *wqe {
 	w := r.scratch.freeWQEs
 	if w == nil {
-		return new(wqe)
+		return r.scratch.wqes.New()
 	}
 	r.scratch.freeWQEs = w.next
 	w.next = nil

@@ -715,3 +715,34 @@ func TestWQEPoolRecycles(t *testing.T) {
 		t.Fatalf("%d WRs pooled after the flush, want 4", got)
 	}
 }
+
+// TestColdAllocPosts pins the cold cost of posting: N READs posted on a
+// fresh engine (MaxRdAtomic of them go out, the rest wait in the send
+// queue) take their WR objects from blocks, so doubling N adds about
+// N/wqeBlock allocations plus one send-queue doubling, not N.
+func TestColdAllocPosts(t *testing.T) {
+	run := func(n int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			h := newHarness(t, 1, ConnectX4(), rcTransport, noODP, defaultParams())
+			for i := 0; i < n; i++ {
+				h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 64})
+			}
+		})
+	}
+	const n = 1024
+	a, b := run(n), run(2*n)
+	ceiling := float64(n/wqeBlock + 2)
+	t.Logf("cold posts: %d WRs → %.0f allocations, %d → %.0f (ceiling for the doubling %.0f)", n, a, 2*n, b, ceiling)
+	if b-a > ceiling {
+		t.Errorf("doubling %d posted WRs added %.0f allocations, want at most %.0f", n, b-a, ceiling)
+	}
+}
+
+// TestRegistrySizedToDevice checks that deviceMetrics, which sizes a new
+// device's metric table, is what New registers.
+func TestRegistrySizedToDevice(t *testing.T) {
+	h := newHarness(t, 1, ConnectX4(), rcTransport, noODP, defaultParams())
+	if got := h.client.tel.Len(); got != deviceMetrics {
+		t.Errorf("a new device registers %d metrics, deviceMetrics is %d", got, deviceMetrics)
+	}
+}

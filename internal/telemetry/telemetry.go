@@ -172,7 +172,7 @@ type Registry struct {
 // NewRegistry creates a registry whose metrics all carry the common
 // labels (typically {"device": name}).
 func NewRegistry(common Labels) *Registry {
-	r := &Registry{metrics: make([]metric, 0, 32)}
+	r := &Registry{}
 	if len(common) > 0 {
 		r.common = make([]labelPair, 0, len(common))
 		for k, v := range common {
@@ -196,8 +196,11 @@ const registriesKey = "telemetry.registries"
 // name must identify the component uniquely enough that its common
 // labels are the same every trial (the device name serves). After an
 // engine Reset, the registry registered under name last run is returned
-// emptied of metrics but keeping its storage.
-func NewRegistryOn(eng *sim.Engine, name string, common Labels) *Registry {
+// emptied of metrics but keeping its storage. metrics and families size
+// a new registry's tables: pass the scalar metrics and families the
+// component registers when it is built, so each table is allocated once
+// at its size.
+func NewRegistryOn(eng *sim.Engine, name string, common Labels, metrics, families int) *Registry {
 	byName, _ := eng.Aux(registriesKey).(map[string]*sim.Arena[Registry])
 	if byName == nil {
 		byName = make(map[string]*sim.Arena[Registry])
@@ -214,6 +217,10 @@ func NewRegistryOn(eng *sim.Engine, name string, common Labels) *Registry {
 		return r
 	}
 	r := NewRegistry(common)
+	r.metrics = make([]metric, 0, metrics)
+	if families > 0 {
+		r.families = make([]family, 0, families)
+	}
 	a.Add(r)
 	return r
 }
@@ -325,11 +332,6 @@ func (r *Registry) Family(name, help string, rows Rows, field int) {
 		if r.families[i].name == name {
 			panic("telemetry: duplicate family " + name)
 		}
-	}
-	if r.families == nil {
-		// One allocation covers a device's QP families (12); a
-		// registry recycled through NewRegistryOn keeps it.
-		r.families = make([]family, 0, 16)
 	}
 	r.families = append(r.families, family{name: name, help: help, rows: rows, field: field})
 }

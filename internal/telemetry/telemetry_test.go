@@ -386,9 +386,12 @@ func TestArenaNewRegistryOn(t *testing.T) {
 	eng := sim.New(1)
 	var v uint64
 	take := func(name string) *Registry {
-		r := NewRegistryOn(eng, name, Labels{"device": name})
+		r := NewRegistryOn(eng, name, Labels{"device": name}, 1, 1)
 		r.Counter("x", "h", nil, &v)
 		r.Family("f", "h", newRowTable(r, 1, 2), 0)
+		if cap(r.metrics) != 1 || cap(r.families) != 1 {
+			t.Fatalf("registry %q sized %d metrics and %d families, want the 1 and 1 asked for", name, cap(r.metrics), cap(r.families))
+		}
 		return r
 	}
 	a1, a2, b1 := take("a"), take("a"), take("b")
@@ -403,7 +406,7 @@ func TestArenaNewRegistryOn(t *testing.T) {
 		want *Registry
 	}{{"b", b1}, {"a", a1}, {"a", a2}} {
 		name := c.name
-		r := NewRegistryOn(eng, name, Labels{"device": name})
+		r := NewRegistryOn(eng, name, Labels{"device": name}, 1, 1)
 		if r != c.want {
 			t.Fatalf("registry %d (%q) after Reset is not the one its name took first", i, name)
 		}
@@ -412,7 +415,7 @@ func TestArenaNewRegistryOn(t *testing.T) {
 		}
 		r.Counter("x", "h", nil, &v) // would panic as a duplicate if x survived
 	}
-	if a3 := NewRegistryOn(eng, "a", Labels{"device": "a"}); a3 == a1 || a3 == a2 {
+	if a3 := NewRegistryOn(eng, "a", Labels{"device": "a"}, 1, 1); a3 == a1 || a3 == a2 {
 		t.Error("a third same-name registry reused one already taken this generation")
 	}
 	h := NewHubOn(eng)
