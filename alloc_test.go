@@ -179,18 +179,18 @@ func TestAllocBudgetClosSend(t *testing.T) {
 		"graph rebuild or ECMP routing left the warm-allocation contract")
 }
 
-// irnAllocCeiling bounds the warm IRN trial. The measured figure is 9
-// with and without -race (13 while Touch and Pin built a page list per
-// call), all of it per rebuild: the cluster header,
-// node names, MR objects, ODP engine headers and the receive method
-// value each device binds. RNIC structs, CQs and QPs come from the
+// irnAllocCeiling bounds the warm IRN trial. The measured figure is 7
+// with and without -race (9 while each device bound its receive method
+// value per rebuild, 13 while Touch and Pin built a page list per
+// call), all of it per rebuild: the cluster header, node names, MR
+// objects and ODP engine headers. RNIC structs, CQs and QPs come from the
 // engine-generation arenas (56 before they did), WRs from the engine's
 // WR pool, and the per-QP IRN State from the irn.StateFor arena; the
 // send, outstanding and completion queues reuse their storage and the
 // SACK/stash/retransmit datapath allocates nothing per packet. Any
 // per-WR, per-packet or per-SACK allocation adds ≥256. The ceiling is
 // the highest -race reading.
-const irnAllocCeiling = 9
+const irnAllocCeiling = 7
 
 func TestAllocBudgetIRNSend(t *testing.T) {
 	eng := sim.New(1)
@@ -292,9 +292,9 @@ func TestAllocBudgetSparkWave(t *testing.T) {
 // a scenario run on one engine per worker, so the engine-generation
 // arenas hand each wave the previous wave's devices, QPs, CQs, UCX
 // workers and endpoints, fabric ports, address spaces, ODP state and
-// telemetry registries. The measured warm wave allocates 30 objects with
+// telemetry registries. The measured warm wave allocates 28 objects with
 // ODP off or on, whatever the QP count: cluster and context headers, the
-// two executor processes and their request lists — 0.06 per QP at 256
+// two executor processes and their request lists — 0.055 per QP at 256
 // QPs per direction. Any per-QP allocation adds ≥1 per QP.
 const sparkWaveWarmPerQPCeiling = 0.25
 

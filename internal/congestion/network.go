@@ -307,13 +307,6 @@ type swtch struct {
 	EcnMarked   uint64
 	PauseFrames uint64
 
-	// labels and the gauge closures are created once per struct
-	// lifetime and reused every trial the switch is re-grabbed for, so
-	// re-registering the telemetry metrics stays off the allocator.
-	labels     telemetry.Labels
-	bytesGauge func() float64
-	peakGauge  func() float64
-
 	arenaNext *swtch
 }
 
@@ -449,11 +442,12 @@ type Network struct {
 
 	scratch *scratch
 
-	tel *telemetry.Registry
 	// pausedNs accumulates completed pause intervals across every link
 	// (exported as tx_pause_duration, in µs, mlx5-style).
-	pausedNs   uint64
-	pauseGauge func() float64
+	pausedNs uint64
+
+	// tel publishes the pause time and every switch's counters.
+	tel telemetry.Registry
 
 	arenaNext *Network
 }
@@ -544,8 +538,6 @@ func NewNetwork(eng *sim.Engine, cfg Config, linkGbps float64, propDelay sim.Tim
 	n.topo = topo
 	n.ecmpSeed = uint64(eng.Seed()) * 0x9e3779b97f4a7c15
 	n.scratch = s
-	n.tel = telemetry.NewRegistryOn(eng, "congestion", telemetry.Labels{"device": "congestion"},
-		1+switchMetrics*topo.SwitchCount(), 0)
 	for i := 0; i < topo.SwitchCount(); i++ {
 		n.switches = append(n.switches, n.getSwitch(i))
 	}
@@ -655,16 +647,13 @@ func (s *scratch) getNetwork(eng *sim.Engine) *Network {
 		n = &Network{}
 		s.networks.Add(n)
 	}
-	if n.pauseGauge == nil {
-		n.pauseGauge = n.PauseDurationMicros
-	}
 	return n
 }
 
 // getSwitch grabs a recycled switch for graph position idx, resetting
-// its counters, buffer accounting and downlink table. The name (and the
-// telemetry label map that carries it) is rebuilt only when the struct
-// serves a different position than last trial.
+// its counters, buffer accounting and downlink table. The name is
+// rebuilt only when the struct serves a different position than last
+// trial.
 func (n *Network) getSwitch(idx int) *swtch {
 	sw := n.scratch.switches.Take(n.eng)
 	if sw != nil {
@@ -682,21 +671,6 @@ func (n *Network) getSwitch(idx int) *swtch {
 	if sw.name == "" || sw.idx != idx {
 		sw.idx = idx
 		sw.name = "sw" + strconv.Itoa(idx)
-		if sw.labels == nil {
-			sw.labels = telemetry.Labels{}
-		}
-		sw.labels["switch"] = sw.name
-	}
-	// The tier can change even when the position does not (a recycled
-	// struct may serve a chain one trial and a Clos the next), so it is
-	// refreshed unconditionally. TierNames strings are shared with the
-	// topology, so this is a map assign, not an allocation, when warm.
-	if tier := n.topo.TierName(idx); sw.labels["tier"] != tier {
-		sw.labels["tier"] = tier
-	}
-	if sw.bytesGauge == nil {
-		sw.bytesGauge = func() float64 { return float64(sw.bytes) }
-		sw.peakGauge = func() float64 { return float64(sw.peak) }
 	}
 	return sw
 }
@@ -742,26 +716,43 @@ func (n *Network) TierStats() []TierStat {
 }
 
 // Telemetry returns the network's counter registry.
-func (n *Network) Telemetry() *telemetry.Registry { return n.tel }
+func (n *Network) Telemetry() *telemetry.Registry { return &n.tel }
 
 // PauseDurationMicros returns the accumulated pause time across every
 // link, in microseconds (completed pauses only; a drained simulation has
 // none outstanding).
 func (n *Network) PauseDurationMicros() float64 { return float64(n.pausedNs) / 1e3 }
 
-// switchMetrics is the number of metrics registerMetrics publishes per
-// switch, next to the one network-wide pause gauge.
-const switchMetrics = 5
+// metrics is the network-wide table: the pause time across all links.
+var metrics = telemetry.Table[Network]{
+	{Name: telemetry.TxPauseDuration, Help: "accumulated PFC pause time across all links [µs]", Kind: telemetry.KindGauge, Read: (*Network).PauseDurationMicros},
+}
 
+// switchMetrics is the per-switch table, labelled by each switch's name
+// and tier (AppendLabels).
+var switchMetrics = telemetry.Table[swtch]{
+	{Name: telemetry.SimSwitchDrops, Help: "packets tail-dropped on shared-buffer overflow", Read: func(sw *swtch) float64 { return float64(sw.Drops) }},
+	{Name: telemetry.SimSwitchEcnMarked, Help: "packets ECN-marked at egress", Read: func(sw *swtch) float64 { return float64(sw.EcnMarked) }},
+	{Name: telemetry.SimSwitchPauseFrames, Help: "PFC pause/resume frames sent", Read: func(sw *swtch) float64 { return float64(sw.PauseFrames) }},
+	{Name: telemetry.SimSwitchQueueBytes, Help: "shared-buffer occupancy [bytes]", Kind: telemetry.KindGauge, Read: func(sw *swtch) float64 { return float64(sw.bytes) }},
+	{Name: telemetry.SimSwitchQueuePeak, Help: "shared-buffer high-water mark [bytes]", Kind: telemetry.KindGauge, Read: func(sw *swtch) float64 { return float64(sw.peak) }},
+}
+
+// AppendLabels labels the switch's counters with its name and tier
+// (telemetry.Labeler). The tier is read from this build's topology: a
+// recycled switch may serve a chain one trial and a Clos the next.
+func (sw *swtch) AppendLabels(dst []telemetry.Label) []telemetry.Label {
+	return append(dst, telemetry.Label{Key: "switch", Value: sw.name},
+		telemetry.Label{Key: "tier", Value: sw.n.topo.TierName(sw.idx)})
+}
+
+// registerMetrics publishes the pause gauge and every switch's counters
+// on the network's registry, emptied for this build.
 func (n *Network) registerMetrics() {
-	n.tel.Gauge(telemetry.TxPauseDuration, "accumulated PFC pause time across all links [µs]", nil,
-		n.pauseGauge)
+	n.tel.Reset(telemetry.Label{Key: "device", Value: "congestion"})
+	telemetry.Register(&n.tel, &metrics, n)
 	for _, sw := range n.switches {
-		n.tel.Counter(telemetry.SimSwitchDrops, "packets tail-dropped on shared-buffer overflow", sw.labels, &sw.Drops)
-		n.tel.Counter(telemetry.SimSwitchEcnMarked, "packets ECN-marked at egress", sw.labels, &sw.EcnMarked)
-		n.tel.Counter(telemetry.SimSwitchPauseFrames, "PFC pause/resume frames sent", sw.labels, &sw.PauseFrames)
-		n.tel.Gauge(telemetry.SimSwitchQueueBytes, "shared-buffer occupancy [bytes]", sw.labels, sw.bytesGauge)
-		n.tel.Gauge(telemetry.SimSwitchQueuePeak, "shared-buffer high-water mark [bytes]", sw.labels, sw.peakGauge)
+		telemetry.Register(&n.tel, &switchMetrics, sw)
 	}
 }
 

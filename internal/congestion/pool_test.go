@@ -139,12 +139,23 @@ func TestColdAllocQueuedEntries(t *testing.T) {
 	}
 }
 
-// TestRegistrySizedToNetwork checks that switchMetrics, which sizes the
-// network's telemetry table, is what registerMetrics publishes per
-// switch.
-func TestRegistrySizedToNetwork(t *testing.T) {
-	net := NewNetwork(sim.New(1), DefaultConfig(), 56, 2*sim.Microsecond, Hooks{})
-	if got, want := net.tel.Len(), 1+switchMetrics*len(net.switches); got != want {
-		t.Errorf("a %d-switch network registers %d metrics, its table holds %d", len(net.switches), got, want)
+// TestRegistrationBudgetNetwork checks that a network rebuilt on a
+// Reset engine registers its pause gauge and every switch's counters
+// with no allocation, and that it registers each switch's table once.
+func TestRegistrationBudgetNetwork(t *testing.T) {
+	eng := sim.New(1)
+	cfg := DefaultConfig()
+	cfg.Topology = ClosTopology(2, 4, 1)
+	build := func() *Network {
+		eng.Reset(1)
+		return NewNetwork(eng, cfg, 56, 2*sim.Microsecond, Hooks{})
+	}
+	build()
+	if avg := testing.AllocsPerRun(20, func() { build() }); avg != 0 {
+		t.Errorf("a network rebuilt on a Reset engine allocates %.1f objects, want 0", avg)
+	}
+	net := build()
+	if got, want := net.tel.Len(), len(metrics)+len(switchMetrics)*len(net.switches); got != want {
+		t.Errorf("a %d-switch network registers %d metrics, want %d", len(net.switches), got, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"odpsim/internal/sim"
+	"odpsim/internal/telemetry"
 )
 
 func TestChainTopologyShape(t *testing.T) {
@@ -187,32 +188,37 @@ func TestTierStatsAndLabels(t *testing.T) {
 		t.Fatalf("tier pause sum %d, switches say %d", got, pauses)
 	}
 
-	if got := h.net.switches[0].labels["tier"]; got != "leaf" {
-		t.Fatalf(`leaf label = %q, want "leaf"`, got)
-	}
-	if got := h.net.switches[4].labels["tier"]; got != "spine" {
-		t.Fatalf(`spine label = %q, want "spine"`, got)
+	snap := h.net.Telemetry().Snapshot(h.eng.Now())
+	for _, labels := range []string{`{device="congestion",switch="sw0",tier="leaf"}`, `{device="congestion",switch="sw4",tier="spine"}`} {
+		if _, ok := snap.Get(telemetry.SimSwitchDrops, labels); !ok {
+			t.Fatalf("no %s%s in the network's snapshot", telemetry.SimSwitchDrops, labels)
+		}
 	}
 }
 
 // TestTierLabelFollowsRecycledSwitch pins the arena subtlety: a switch
 // struct recycled from a chain trial into a Clos trial must swap its
-// "tier" label even though its position (and name) did not change.
+// "tier" label even though its position (and name) did not change, and
+// the recycled network's registry must not reuse the label set it
+// rendered last trial.
 func TestTierLabelFollowsRecycledSwitch(t *testing.T) {
 	eng := sim.New(1)
 	n := NewNetwork(eng, DefaultConfig(), 56, 2*sim.Microsecond, Hooks{})
-	if got := n.switches[0].labels["tier"]; got != "core" {
-		t.Fatalf(`chain tier label = %q, want "core"`, got)
+	tier := func(want string) {
+		t.Helper()
+		labels := `{device="congestion",switch="sw0",tier="` + want + `"}`
+		if _, ok := n.Telemetry().Snapshot(0).Get(telemetry.SimSwitchDrops, labels); !ok {
+			t.Fatalf("no %s%s in the network's snapshot", telemetry.SimSwitchDrops, labels)
+		}
 	}
+	tier("core")
 	sw0 := n.switches[0]
 	eng.Reset(1)
 	n = NewNetwork(eng, closConfig(), 56, 2*sim.Microsecond, Hooks{})
 	if n.switches[0] != sw0 {
 		t.Fatal("switch arena did not recycle position 0")
 	}
-	if got := sw0.labels["tier"]; got != "leaf" {
-		t.Fatalf(`recycled tier label = %q, want "leaf"`, got)
-	}
+	tier("leaf")
 }
 
 // TestPreallocScalesWithLinks sanity-checks the satellite fix: event

@@ -7,6 +7,7 @@ import (
 
 	"odpsim/internal/packet"
 	"odpsim/internal/sim"
+	"odpsim/internal/telemetry"
 )
 
 // TestAllocBudgetSendDeliver pins the warm datapath's allocation budget:
@@ -158,10 +159,23 @@ func TestColdAllocDeliveries(t *testing.T) {
 	}
 }
 
-// TestRegistrySizedToFabric checks that fabricMetrics, which sizes the
-// fabric's telemetry table, is what New registers.
-func TestRegistrySizedToFabric(t *testing.T) {
-	if got := New(sim.New(1), DefaultConfig()).tel.Len(); got != fabricMetrics {
-		t.Errorf("a new fabric registers %d metrics, fabricMetrics is %d", got, fabricMetrics)
+// TestRegistrationBudgetFabric checks that a fabric rebuilt on a Reset
+// engine registers its counters, and a port attached to it its own,
+// with no allocation.
+func TestRegistrationBudgetFabric(t *testing.T) {
+	eng := sim.New(1)
+	reg := telemetry.NewRegistry(telemetry.Label{})
+	build := func() {
+		eng.Reset(1)
+		f := New(eng, DefaultConfig())
+		reg.Reset(telemetry.Label{Key: "device", Value: "node0"})
+		f.AttachPort(1, "node0", nil).RegisterMetrics(reg)
+	}
+	build()
+	if avg := testing.AllocsPerRun(20, build); avg != 0 {
+		t.Errorf("a fabric and port rebuilt on a Reset engine allocate %.1f objects, want 0", avg)
+	}
+	if got := New(eng, DefaultConfig()).Telemetry().Len(); got != len(metrics) {
+		t.Errorf("a new fabric registers %d metrics, its table has %d", got, len(metrics))
 	}
 }

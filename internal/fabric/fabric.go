@@ -93,16 +93,25 @@ type Port struct {
 	arenaNext *Port
 }
 
-// RegisterMetrics publishes the port counters on reg with a port label
-// (the simulator models one port per device, so the port number is 1 and
-// the LID distinguishes attachment points).
-func (p *Port) RegisterMetrics(reg *telemetry.Registry) {
-	l := telemetry.Labels{"port": "1", "lid": strconv.Itoa(int(p.LID))}
-	reg.Counter(telemetry.PortXmitPackets, "packets transmitted by the port", l, &p.TxPackets)
-	reg.Counter(telemetry.PortRcvPackets, "packets delivered to the port", l, &p.RxPackets)
-	reg.Counter(telemetry.PortXmitData, "bytes transmitted by the port", l, &p.TxBytes)
-	reg.Counter(telemetry.PortRcvData, "bytes delivered to the port", l, &p.RxBytes)
-	reg.Counter(telemetry.PortXmitDiscards, "transmitted packets dropped by the fabric", l, &p.TxDiscards)
+// portMetrics is the port counter table. The simulator models one port
+// per device, so every port carries port="1", and the LID (AppendLabels)
+// distinguishes attachment points.
+var portMetrics = telemetry.Table[Port]{
+	{Name: telemetry.PortXmitPackets, Help: "packets transmitted by the port", Label: portOne, Read: func(p *Port) float64 { return float64(p.TxPackets) }},
+	{Name: telemetry.PortRcvPackets, Help: "packets delivered to the port", Label: portOne, Read: func(p *Port) float64 { return float64(p.RxPackets) }},
+	{Name: telemetry.PortXmitData, Help: "bytes transmitted by the port", Label: portOne, Read: func(p *Port) float64 { return float64(p.TxBytes) }},
+	{Name: telemetry.PortRcvData, Help: "bytes delivered to the port", Label: portOne, Read: func(p *Port) float64 { return float64(p.RxBytes) }},
+	{Name: telemetry.PortXmitDiscards, Help: "transmitted packets dropped by the fabric", Label: portOne, Read: func(p *Port) float64 { return float64(p.TxDiscards) }},
+}
+
+var portOne = telemetry.Label{Key: "port", Value: "1"}
+
+// RegisterMetrics publishes the port counters on reg.
+func (p *Port) RegisterMetrics(reg *telemetry.Registry) { telemetry.Register(reg, &portMetrics, p) }
+
+// AppendLabels labels the port's counters with its LID (telemetry.Labeler).
+func (p *Port) AppendLabels(dst []telemetry.Label) []telemetry.Label {
+	return append(dst, telemetry.Label{Key: "lid", Value: strconv.Itoa(int(p.LID))})
 }
 
 // delivery is one scheduled packet arrival. Deliveries are recycled
@@ -277,9 +286,6 @@ type Fabric struct {
 	// switched lossless-fabric model: accepted packets enter the switch
 	// topology and come back through deliverFromNet / dropFromNet.
 	net *congestion.Network
-	// tel publishes the fabric-wide counters below.
-	tel *telemetry.Registry
-
 	// Counters. Dropped is the total; the Drops* fields split it by
 	// reason and back the labeled sim_fabric_packets_dropped series.
 	Sent            uint64
@@ -291,12 +297,28 @@ type Fabric struct {
 	DropsFilter     uint64
 	DropsCongestion uint64
 
+	// tel publishes the fabric-wide counters above. It sits after the
+	// fields the datapath touches, off their cache lines.
+	tel telemetry.Registry
+
 	// arenaNext links the engine's fabric arena (New).
 	arenaNext *Fabric
 }
 
-// fabricMetrics is the number of counters New registers.
-const fabricMetrics = 7
+// metrics is the fabric-wide counter table. Drops are published per
+// reason; Snapshot.Total over the name gives the old aggregate (the
+// Dropped field stays the Go-side total).
+var metrics = telemetry.Table[Fabric]{
+	{Name: telemetry.SimFabricPacketsSent, Help: "packets handed to the fabric", Read: func(f *Fabric) float64 { return float64(f.Sent) }},
+	{Name: telemetry.SimFabricPacketsDelivered, Help: "packets delivered to a port", Read: func(f *Fabric) float64 { return float64(f.Delivered) }},
+	{Name: telemetry.SimFabricBytesSent, Help: "wire bytes handed to the fabric", Read: func(f *Fabric) float64 { return float64(f.BytesSent) }},
+	{Name: telemetry.SimFabricPacketsDropped, Help: "packets dropped by the loss injector", Label: dropReason("loss"), Read: func(f *Fabric) float64 { return float64(f.DropsLoss) }},
+	{Name: telemetry.SimFabricPacketsDropped, Help: "packets dropped for an unknown DLID", Label: dropReason("unroutable"), Read: func(f *Fabric) float64 { return float64(f.DropsUnroutable) }},
+	{Name: telemetry.SimFabricPacketsDropped, Help: "packets dropped by an experiment drop filter", Label: dropReason("filter"), Read: func(f *Fabric) float64 { return float64(f.DropsFilter) }},
+	{Name: telemetry.SimFabricPacketsDropped, Help: "packets tail-dropped by congested switches", Label: dropReason("congestion"), Read: func(f *Fabric) float64 { return float64(f.DropsCongestion) }},
+}
+
+func dropReason(r string) telemetry.Label { return telemetry.Label{Key: "reason", Value: r} }
 
 // New creates a fabric on engine eng. The Fabric struct comes from the
 // engine's fabric arena, reset whole, so a trial loop that rebuilds its
@@ -312,11 +334,12 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 		s.fabrics.Add(f)
 	}
 	// The arena link survives the reset; dropping it would cut the
-	// arena's chain at this fabric.
+	// arena's chain at this fabric. So does the registry, whose Reset
+	// keeps its tables' storage.
 	*f = Fabric{
 		eng:       eng,
 		cfg:       cfg,
-		tel:       telemetry.NewRegistryOn(eng, "fabric", telemetry.Labels{"device": "fabric"}, fabricMetrics, 0),
+		tel:       f.tel,
 		scratch:   s,
 		pool:      s.pool,
 		arenaNext: f.arenaNext,
@@ -338,19 +361,8 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 	}
 	f.tables = t
 	f.ports, f.egressFree, f.lines = t.ports, t.egressFree, t.lines
-	f.tel.Counter(telemetry.SimFabricPacketsSent, "packets handed to the fabric", nil, &f.Sent)
-	f.tel.Counter(telemetry.SimFabricPacketsDelivered, "packets delivered to a port", nil, &f.Delivered)
-	f.tel.Counter(telemetry.SimFabricBytesSent, "wire bytes handed to the fabric", nil, &f.BytesSent)
-	// Drops are published per reason; Snapshot.Total over the name gives
-	// the old aggregate (the Dropped field stays the Go-side total).
-	f.tel.Counter(telemetry.SimFabricPacketsDropped, "packets dropped by the loss injector",
-		telemetry.Labels{"reason": "loss"}, &f.DropsLoss)
-	f.tel.Counter(telemetry.SimFabricPacketsDropped, "packets dropped for an unknown DLID",
-		telemetry.Labels{"reason": "unroutable"}, &f.DropsUnroutable)
-	f.tel.Counter(telemetry.SimFabricPacketsDropped, "packets dropped by an experiment drop filter",
-		telemetry.Labels{"reason": "filter"}, &f.DropsFilter)
-	f.tel.Counter(telemetry.SimFabricPacketsDropped, "packets tail-dropped by congested switches",
-		telemetry.Labels{"reason": "congestion"}, &f.DropsCongestion)
+	f.tel.Reset(telemetry.Label{Key: "device", Value: "fabric"})
+	telemetry.Register(&f.tel, &metrics, f)
 	return f
 }
 
@@ -433,7 +445,7 @@ func (f *Fabric) Pool() *packet.Pool { return f.pool }
 
 // Telemetry returns the fabric-wide counter registry (per-port counters
 // live on the owning device's registry; see Port.RegisterMetrics).
-func (f *Fabric) Telemetry() *telemetry.Registry { return f.tel }
+func (f *Fabric) Telemetry() *telemetry.Registry { return &f.tel }
 
 // grow extends the LID-indexed tables to hold n entries. Capacity at
 // least doubles, so a cluster attaching LIDs one by one reallocates

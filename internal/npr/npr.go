@@ -90,7 +90,6 @@ type Pool struct {
 	Migrations        uint64
 	Evictions         uint64
 	TranslationStalls uint64
-	poolBytesFn       func() float64
 
 	arenaNext *Pool
 }
@@ -107,7 +106,6 @@ func New(as *hostmem.AddressSpace, cfg Config) *Pool {
 	pl := a.Take(eng)
 	if pl == nil {
 		pl = &Pool{eng: eng}
-		pl.poolBytesFn = func() float64 { return float64(pl.resident) * hostmem.PageSize }
 		a.Add(pl)
 	}
 	pl.reset(as, cfg)
@@ -135,15 +133,18 @@ func (pl *Pool) reset(as *hostmem.AddressSpace, cfg Config) {
 // the device's real (and bounded) pinned-memory footprint.
 func (pl *Pool) ResidentBytes() int { return pl.resident * hostmem.PageSize }
 
+// metrics is the pool's counter table, with its residency gauge.
+var metrics = telemetry.Table[Pool]{
+	{Name: telemetry.NprMigrations, Help: "cold pages migrated into the DMA-able pool on demand", Read: func(pl *Pool) float64 { return float64(pl.Migrations) }},
+	{Name: telemetry.NprEvictions, Help: "pool pages written back and evicted under pressure", Read: func(pl *Pool) float64 { return float64(pl.Evictions) }},
+	{Name: telemetry.NprTranslationStalls, Help: "accesses stalled on a synchronous driver migration", Read: func(pl *Pool) float64 { return float64(pl.TranslationStalls) }},
+	{Name: telemetry.NprPoolBytes, Help: "bytes resident in the DMA-able migration pool", Kind: telemetry.KindGauge, Read: func(pl *Pool) float64 { return float64(pl.ResidentBytes()) }},
+}
+
 // RegisterMetrics publishes the NP-RDMA counters on reg. The owning
 // device calls this once, and only when NPR is enabled, so devices
 // without it keep their exact pre-existing metric set.
-func (pl *Pool) RegisterMetrics(reg *telemetry.Registry) {
-	reg.Counter(telemetry.NprMigrations, "cold pages migrated into the DMA-able pool on demand", nil, &pl.Migrations)
-	reg.Counter(telemetry.NprEvictions, "pool pages written back and evicted under pressure", nil, &pl.Evictions)
-	reg.Counter(telemetry.NprTranslationStalls, "accesses stalled on a synchronous driver migration", nil, &pl.TranslationStalls)
-	reg.Gauge(telemetry.NprPoolBytes, "bytes resident in the DMA-able migration pool", nil, pl.poolBytesFn)
-}
+func (pl *Pool) RegisterMetrics(reg *telemetry.Registry) { telemetry.Register(reg, &metrics, pl) }
 
 // entry grows the shadow table to cover page p and returns its frame.
 func (pl *Pool) entry(p hostmem.PageNo) *frame {

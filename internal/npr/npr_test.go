@@ -113,7 +113,7 @@ func TestAcquirePinsFrames(t *testing.T) {
 
 func TestMetricsRegistered(t *testing.T) {
 	_, as, pl := setup(t, DefaultConfig())
-	reg := telemetry.NewRegistry(nil)
+	reg := telemetry.NewRegistry(telemetry.Label{})
 	pl.RegisterMetrics(reg)
 	a := as.Alloc(hostmem.PageSize)
 	pl.EnsureRange(a, hostmem.PageSize)

@@ -203,18 +203,19 @@ type Engine struct {
 	queuedSpurious pairTable
 
 	// The pipeline is strictly serial — one item in flight — so its
-	// completion callbacks are allocated once here and parameterized via
-	// curKey/curPage, instead of capturing a fresh closure per item.
+	// completion callbacks are allocated once, on the engine's first
+	// fault or spurious access (buildPipeline), and parameterized via
+	// curKey/curPage, instead of capturing a fresh closure per item. An
+	// engine that never faults (a device whose memory is pinned) builds
+	// none of them.
 	finishFn  func()
 	updateFn  func()
 	resolveFn func()
 	curKey    Key
 	curPage   hostmem.PageNo
-	// notifierFn and the gauge closures are likewise allocated once per
-	// Engine (which outlives trials via the engine-generation pool).
+	// notifierFn is likewise allocated once per Engine (which outlives
+	// trials via the engine-generation pool).
 	notifierFn hostmem.Notifier
-	staleFn    func() float64
-	depthFn    func() float64
 
 	// Counters. The fields are the live storage behind the telemetry
 	// registry (see RegisterMetrics); reading them directly and reading
@@ -247,13 +248,18 @@ func New(as *hostmem.AddressSpace, cfg Config) *Engine {
 		e.reset(as, cfg)
 		return e
 	}
-	e := &Engine{
-		eng:        eng,
-		as:         as,
-		cfg:        cfg,
-		interested: make(map[hostmem.PageNo][]Key),
-	}
+	e := &Engine{eng: eng, as: as, cfg: cfg}
 	a.Add(e)
+	e.notifierFn = e.invalidate
+	as.RegisterNotifier(e.notifierFn)
+	return e
+}
+
+// buildPipeline builds the pipeline's callbacks and registrant map, on
+// the engine's first fault or spurious access; a recycled engine keeps
+// them.
+func (e *Engine) buildPipeline() {
+	e.interested = make(map[hostmem.PageNo][]Key)
 	e.firstKeys.Make = func(n int) [][1]Key { return make([][1]Key, n) }
 	e.firstKeys.Max = keyBlock
 	e.finishFn = func() {
@@ -288,11 +294,6 @@ func New(as *hostmem.AddressSpace, cfg Config) *Engine {
 		e.busy = false
 		e.kick()
 	}
-	e.notifierFn = e.invalidate
-	e.staleFn = func() float64 { return float64(e.stale) }
-	e.depthFn = func() float64 { return float64(e.queue.Len()) }
-	as.RegisterNotifier(e.notifierFn)
-	return e
 }
 
 // reset returns a recycled engine to its just-constructed state bound to
@@ -327,19 +328,22 @@ func (e *Engine) reset(as *hostmem.AddressSpace, cfg Config) {
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// RegisterMetrics publishes the engine's counters and load gauges on reg
-// under the mlx5 ODP vocabulary. The owning device calls this once with
-// its per-device registry.
-func (e *Engine) RegisterMetrics(reg *telemetry.Registry) {
-	reg.Counter(telemetry.OdpPageFaults, "page-level network page faults entering host resolution", nil, &e.Faults)
-	reg.Counter(telemetry.OdpPairFaults, "(QP,page) pair faults registered with the ODP pipeline", nil, &e.PairFaults)
-	reg.Counter(telemetry.OdpStatusUpdates, "per-QP page-status updates completed", nil, &e.Updates)
-	reg.Counter(telemetry.OdpSpuriousAccesses, "discarded retransmitted accesses on still-stale pairs", nil, &e.SpuriousTotal)
-	reg.Counter(telemetry.OdpInvalidations, "(QP,page) translations flushed by MMU notifier invalidations", nil, &e.Invalidations)
-	reg.Counter(telemetry.OdpPrefetches, "(QP,page) pairs prefetched via ibv_advise_mr", nil, &e.Prefetches)
-	reg.Gauge(telemetry.OdpStalePairs, "(QP,page) pairs faulted but not yet visible", nil, e.staleFn)
-	reg.Gauge(telemetry.OdpPipelineDepth, "items queued in the serial ODP pipeline", nil, e.depthFn)
+// metrics is the engine's counter table under the mlx5 ODP vocabulary,
+// with its load gauges.
+var metrics = telemetry.Table[Engine]{
+	{Name: telemetry.OdpPageFaults, Help: "page-level network page faults entering host resolution", Read: func(e *Engine) float64 { return float64(e.Faults) }},
+	{Name: telemetry.OdpPairFaults, Help: "(QP,page) pair faults registered with the ODP pipeline", Read: func(e *Engine) float64 { return float64(e.PairFaults) }},
+	{Name: telemetry.OdpStatusUpdates, Help: "per-QP page-status updates completed", Read: func(e *Engine) float64 { return float64(e.Updates) }},
+	{Name: telemetry.OdpSpuriousAccesses, Help: "discarded retransmitted accesses on still-stale pairs", Read: func(e *Engine) float64 { return float64(e.SpuriousTotal) }},
+	{Name: telemetry.OdpInvalidations, Help: "(QP,page) translations flushed by MMU notifier invalidations", Read: func(e *Engine) float64 { return float64(e.Invalidations) }},
+	{Name: telemetry.OdpPrefetches, Help: "(QP,page) pairs prefetched via ibv_advise_mr", Read: func(e *Engine) float64 { return float64(e.Prefetches) }},
+	{Name: telemetry.OdpStalePairs, Help: "(QP,page) pairs faulted but not yet visible", Kind: telemetry.KindGauge, Read: func(e *Engine) float64 { return float64(e.stale) }},
+	{Name: telemetry.OdpPipelineDepth, Help: "items queued in the serial ODP pipeline", Kind: telemetry.KindGauge, Read: func(e *Engine) float64 { return float64(e.queue.Len()) }},
 }
+
+// RegisterMetrics publishes the engine's counters and load gauges on reg.
+// The owning device calls this once with its per-device registry.
+func (e *Engine) RegisterMetrics(reg *telemetry.Registry) { telemetry.Register(reg, &metrics, e) }
 
 // StaleCount returns the number of (QP, page) pairs that have faulted but
 // whose status update has not yet completed.
@@ -394,6 +398,9 @@ func (e *Engine) Pending(qp uint32, addr hostmem.Addr, length int) bool {
 // the range and starts the pipeline. Safe to call repeatedly; pairs
 // already pending are not re-registered.
 func (e *Engine) Fault(qp uint32, addr hostmem.Addr, length int) {
+	if e.finishFn == nil {
+		e.buildPipeline()
+	}
 	if length > 0 {
 		last := hostmem.PageOf(addr + hostmem.Addr(length) - 1)
 		for p := hostmem.PageOf(addr); p <= last; p++ {
@@ -455,6 +462,9 @@ func (e *Engine) Spurious(qp uint32, addr hostmem.Addr, length int) {
 		return
 	}
 	e.queuedSpurious.set(qp, p)
+	if e.finishFn == nil {
+		e.buildPipeline()
+	}
 	e.queue.Push(workItem{kind: kindSpurious, qp: qp, page: p})
 	e.kick()
 }

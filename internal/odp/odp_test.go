@@ -341,3 +341,43 @@ func TestColdAllocFaults(t *testing.T) {
 		t.Errorf("doubling a %d-page fault added %.0f allocations, want at most %.0f", pages, b-a, ceiling)
 	}
 }
+
+// TestPipelineBuiltOnFirstFault checks that an engine builds its
+// pipeline callbacks and registrant map on its first fault, not in New:
+// a device whose memory is pinned never faults, and its engine costs
+// only the struct, its arena and its notifier. Invalidations reach an
+// engine that never faulted, and a recycled engine keeps its pipeline.
+func TestPipelineBuiltOnFirstFault(t *testing.T) {
+	fresh := func() *hostmem.AddressSpace { return hostmem.NewAddressSpace(sim.New(1), hostmem.DefaultConfig()) }
+	cost := testing.AllocsPerRun(20, func() { New(fresh(), DefaultConfig()) }) - testing.AllocsPerRun(20, func() { fresh() })
+	t.Logf("New on a fresh engine: %.0f allocations", cost)
+	if cost > 4 {
+		t.Errorf("New allocates %.0f objects, want at most 4 (engine, arena and its entry, notifier)", cost)
+	}
+
+	eng, as, e := setup(t, DefaultConfig())
+	if e.finishFn != nil || e.interested != nil {
+		t.Fatal("New built the pipeline")
+	}
+	a := as.Alloc(2 * hostmem.PageSize)
+	as.Touch(a, hostmem.PageSize)
+	as.Release(a, hostmem.PageSize)
+	if e.Invalidations != 0 {
+		t.Errorf("an engine that never faulted flushed %d translations", e.Invalidations)
+	}
+	e.Fault(1, a, 2*hostmem.PageSize)
+	eng.Run()
+	if e.finishFn == nil || e.Updates != 2 {
+		t.Fatalf("first fault: pipeline built %v, %d updates, want 2", e.finishFn != nil, e.Updates)
+	}
+	as.Release(a, 2*hostmem.PageSize)
+	if e.Invalidations != 2 {
+		t.Errorf("invalidation flushed %d translations, want 2", e.Invalidations)
+	}
+
+	eng.Reset(2)
+	e = New(hostmem.NewAddressSpace(eng, hostmem.DefaultConfig()), DefaultConfig())
+	if e.finishFn == nil || e.interested == nil {
+		t.Error("a recycled engine dropped its pipeline")
+	}
+}

@@ -43,10 +43,16 @@ func (r *RNIC) EnableIRN() {
 	}
 	r.irnOn = true
 	r.irnBDP = int(r.prof.LinkGbps / 8 * float64(irn.BaseRTT)) // Gbit/s ÷ 8 = bytes per ns
-	r.tel.Counter(telemetry.IrnSackSent, "SACKs sent for out-of-order arrivals", nil, &r.SackSent)
-	r.tel.Counter(telemetry.IrnOooLanded, "requests accepted out of order into the reorder buffer", nil, &r.OooLanded)
-	r.tel.Counter(telemetry.IrnBdpStalls, "sends deferred by the BDP injection cap", nil, &r.BdpStalls)
-	r.tel.Counter(telemetry.IrnRetransmitted, "selective (single-packet) retransmissions", nil, &r.IrnRetrans)
+	telemetry.Register(&r.tel, &irnMetrics, r)
+}
+
+// irnMetrics is the IRN counter table: responder SACKs and out-of-order
+// landings, requester BDP stalls and selective retransmissions.
+var irnMetrics = telemetry.Table[RNIC]{
+	{Name: telemetry.IrnSackSent, Help: "SACKs sent for out-of-order arrivals", Read: func(r *RNIC) float64 { return float64(r.SackSent) }},
+	{Name: telemetry.IrnOooLanded, Help: "requests accepted out of order into the reorder buffer", Read: func(r *RNIC) float64 { return float64(r.OooLanded) }},
+	{Name: telemetry.IrnBdpStalls, Help: "sends deferred by the BDP injection cap", Read: func(r *RNIC) float64 { return float64(r.BdpStalls) }},
+	{Name: telemetry.IrnRetransmitted, Help: "selective (single-packet) retransmissions", Read: func(r *RNIC) float64 { return float64(r.IrnRetrans) }},
 }
 
 // irnHeaderBytes approximates the per-message header overhead charged

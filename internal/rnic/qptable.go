@@ -24,7 +24,7 @@ func (r *RNIC) slot(qpn uint32) qpSlot {
 // addQP appends s to the QP table under the next QPN. The first QP
 // sizes the table for eight, so a device with a handful of QPs
 // allocates it once, and the first QP of each transport registers that
-// transport's counter families.
+// transport's counter table over the QP table.
 func (r *RNIC) addQP(s qpSlot) {
 	if r.qps == nil {
 		r.qps = make([]qpSlot, 0, 8)
@@ -33,45 +33,35 @@ func (r *RNIC) addQP(s qpSlot) {
 	if s.rc != nil {
 		r.numRC++
 		if r.numRC == 1 {
-			for f, d := range rcFamilies {
-				r.tel.Family(d.name, d.help, (*rcRows)(r), f)
-			}
+			telemetry.RegisterRows(&r.tel, &rcFamilies, (*rcRows)(r))
 		}
 		return
 	}
 	r.numUD++
 	if r.numUD == 1 {
-		for f, d := range udFamilies {
-			r.tel.Family(d.name, d.help, (*udRows)(r), f)
-		}
+		telemetry.RegisterRows(&r.tel, &udFamilies, (*udRows)(r))
 	}
 }
 
 // rcFamilies are the per-QP requester counters, the way `rdma statistic
 // qp show` exposes them; each QP's Stats fields are the live storage.
-var rcFamilies = [...]struct {
-	name, help string
-	get        func(*QPStats) uint64
-}{
-	{telemetry.LocalAckTimeoutErr, "Local ACK Timeout expirations on the requester", func(s *QPStats) uint64 { return s.Timeouts }},
-	{telemetry.RNRNakRetryErr, "RNR NAKs received by the requester", func(s *QPStats) uint64 { return s.RNRNakReceived }},
-	{telemetry.PacketSeqErr, "PSN sequence error NAKs received by the requester", func(s *QPStats) uint64 { return s.NakSeqReceived }},
-	{telemetry.SimReqPosted, "send work requests posted", func(s *QPStats) uint64 { return s.Posted }},
-	{telemetry.SimReqCompleted, "send work requests completed", func(s *QPStats) uint64 { return s.Completed }},
-	{telemetry.SimRetransmits, "request packets retransmitted (go-back-N sends)", func(s *QPStats) uint64 { return s.Retransmits }},
-	{telemetry.SimResponsesDiscarded, "READ responses discarded (pending window or stale page)", func(s *QPStats) uint64 { return s.ResponsesDiscarded }},
-	{telemetry.SimClientFaultRounds, "client-side ODP fault rounds", func(s *QPStats) uint64 { return s.ClientFaultRounds }},
+var rcFamilies = telemetry.Table[QPStats]{
+	{Name: telemetry.LocalAckTimeoutErr, Help: "Local ACK Timeout expirations on the requester", Read: func(s *QPStats) float64 { return float64(s.Timeouts) }},
+	{Name: telemetry.RNRNakRetryErr, Help: "RNR NAKs received by the requester", Read: func(s *QPStats) float64 { return float64(s.RNRNakReceived) }},
+	{Name: telemetry.PacketSeqErr, Help: "PSN sequence error NAKs received by the requester", Read: func(s *QPStats) float64 { return float64(s.NakSeqReceived) }},
+	{Name: telemetry.SimReqPosted, Help: "send work requests posted", Read: func(s *QPStats) float64 { return float64(s.Posted) }},
+	{Name: telemetry.SimReqCompleted, Help: "send work requests completed", Read: func(s *QPStats) float64 { return float64(s.Completed) }},
+	{Name: telemetry.SimRetransmits, Help: "request packets retransmitted (go-back-N sends)", Read: func(s *QPStats) float64 { return float64(s.Retransmits) }},
+	{Name: telemetry.SimResponsesDiscarded, Help: "READ responses discarded (pending window or stale page)", Read: func(s *QPStats) float64 { return float64(s.ResponsesDiscarded) }},
+	{Name: telemetry.SimClientFaultRounds, Help: "client-side ODP fault rounds", Read: func(s *QPStats) float64 { return float64(s.ClientFaultRounds) }},
 }
 
 // udFamilies are the per-UD-QP datagram counters.
-var udFamilies = [...]struct {
-	name, help string
-	get        func(*UDQP) uint64
-}{
-	{telemetry.SimUDSent, "datagrams transmitted", func(q *UDQP) uint64 { return q.Sent }},
-	{telemetry.SimUDDelivered, "datagrams placed into receive buffers", func(q *UDQP) uint64 { return q.Delivered }},
-	{telemetry.SimUDDroppedNoRecv, "datagrams dropped for lack of a receive buffer", func(q *UDQP) uint64 { return q.DroppedNoRecv }},
-	{telemetry.SimUDDroppedFault, "datagrams dropped into a stale ODP page", func(q *UDQP) uint64 { return q.DroppedFault }},
+var udFamilies = telemetry.Table[UDQP]{
+	{Name: telemetry.SimUDSent, Help: "datagrams transmitted", Read: func(q *UDQP) float64 { return float64(q.Sent) }},
+	{Name: telemetry.SimUDDelivered, Help: "datagrams placed into receive buffers", Read: func(q *UDQP) float64 { return float64(q.Delivered) }},
+	{Name: telemetry.SimUDDroppedNoRecv, Help: "datagrams dropped for lack of a receive buffer", Read: func(q *UDQP) float64 { return float64(q.DroppedNoRecv) }},
+	{Name: telemetry.SimUDDroppedFault, Help: "datagrams dropped into a stale ODP page", Read: func(q *UDQP) float64 { return float64(q.DroppedFault) }},
 }
 
 // rcRows and udRows present the QP table's RC and UD entries as
@@ -85,27 +75,27 @@ type (
 func (t *rcRows) Slots() int { return len(t.qps) }
 func (t *rcRows) Count() int { return t.numRC }
 
-func (t *rcRows) Row(slot, field int) (string, uint64, bool) {
+func (t *rcRows) Row(slot int) (string, any, bool) {
 	qp := t.qps[slot].rc
 	if qp == nil {
-		return "", 0, false
+		return "", nil, false
 	}
 	if qp.labels == "" {
 		qp.labels = t.tel.RowLabels("qpn", uint64(qp.Num))
 	}
-	return qp.labels, rcFamilies[field].get(&qp.Stats), true
+	return qp.labels, &qp.Stats, true
 }
 
 func (t *udRows) Slots() int { return len(t.qps) }
 func (t *udRows) Count() int { return t.numUD }
 
-func (t *udRows) Row(slot, field int) (string, uint64, bool) {
+func (t *udRows) Row(slot int) (string, any, bool) {
 	qp := t.qps[slot].ud
 	if qp == nil {
-		return "", 0, false
+		return "", nil, false
 	}
 	if qp.labels == "" {
 		qp.labels = t.tel.RowLabels("qpn", uint64(qp.Num))
 	}
-	return qp.labels, udFamilies[field].get(qp), true
+	return qp.labels, qp, true
 }

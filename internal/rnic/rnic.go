@@ -83,12 +83,6 @@ type RNIC struct {
 	// selective-repeat transport with irnBDP as its injection cap.
 	irnOn  bool
 	irnBDP int
-	// tel is the device's counter registry — the simulator's equivalent
-	// of /sys/class/infiniband/<dev>. The exported counter fields below
-	// are its live storage (pointer-backed), so reading them directly
-	// and scraping the registry always agree.
-	tel *telemetry.Registry
-
 	// Counters.
 	DammedDrops       uint64 // requests discarded by the damming quirk
 	RNRNakSent        uint64
@@ -113,6 +107,16 @@ type RNIC struct {
 	// wcByStatus counts work completions per WCStatus.
 	wcByStatus [numWCStatuses]uint64
 
+	// tel is the device's counter registry — the simulator's equivalent
+	// of /sys/class/infiniband/<dev>. Its tables read the counter fields
+	// above, so reading them directly and scraping the registry always
+	// agree. It sits after the fields the datapath touches, off their
+	// cache lines.
+	tel telemetry.Registry
+
+	// receiveFn is the port handler, the receive method value bound
+	// once per struct, like the arena link.
+	receiveFn fabric.Handler
 	// arenaNext links the engine's RNIC arena (New).
 	arenaNext *RNIC
 }
@@ -124,17 +128,12 @@ func clearSlice[T any](s []T) []T {
 	return s[:0]
 }
 
-// deviceMetrics is the number of scalar metrics New registers: the
-// device's own (registerMetrics), the ODP engine's and the port's. The
-// families are the RC QP counters; DCQCN, NPR, IRN and a first UD QP
-// register theirs later, growing the tables.
-const deviceMetrics = 8 + numWCStatuses + 8 + 5
-
 // New creates an RNIC attached to fab at the given LID, with its own
 // address space.
 //
 // The device struct comes from the engine's RNIC arena. A recycled one
-// keeps only its QP table's and MR list's storage, cleared.
+// keeps only its QP table's and MR list's storage, cleared, its
+// registry's storage and its port handler.
 func New(fab *fabric.Fabric, lid uint16, name string, prof Profile, memCfg hostmem.Config) *RNIC {
 	eng := fab.Engine()
 	s := scratchFor(eng)
@@ -156,22 +155,27 @@ func New(fab *fabric.Fabric, lid uint16, name string, prof Profile, memCfg hostm
 		prof:      prof,
 		pool:      fab.Pool(),
 		scratch:   s,
-		tel:       telemetry.NewRegistryOn(eng, name, telemetry.Labels{"device": name}, deviceMetrics, len(rcFamilies)),
+		tel:       r.tel,
 		nextKey:   1,
 		mode:      KindODP,
 		qps:       qps,
 		mrs:       mrs,
+		receiveFn: r.receiveFn,
 		arenaNext: r.arenaNext,
 	}
-	r.registerMetrics()
-	r.ODP.RegisterMetrics(r.tel)
-	r.Port = fab.AttachPort(lid, name, r.receive)
-	r.Port.RegisterMetrics(r.tel)
+	if r.receiveFn == nil {
+		r.receiveFn = r.receive
+	}
+	r.tel.Reset(telemetry.Label{Key: "device", Value: name})
+	telemetry.Register(&r.tel, &metrics, r)
+	r.ODP.RegisterMetrics(&r.tel)
+	r.Port = fab.AttachPort(lid, name, r.receiveFn)
+	r.Port.RegisterMetrics(&r.tel)
 	return r
 }
 
 // Telemetry returns the device's counter registry.
-func (r *RNIC) Telemetry() *telemetry.Registry { return r.tel }
+func (r *RNIC) Telemetry() *telemetry.Registry { return &r.tel }
 
 // EnableDCQCN turns on the DCQCN loop for this device: as a notification
 // point it answers ECN-marked arrivals with CNPs (per-QP pacing window),
@@ -184,9 +188,15 @@ func (r *RNIC) EnableDCQCN() {
 		panic("rnic: EnableDCQCN called twice")
 	}
 	r.dcqcnOn = true
-	r.tel.Counter(telemetry.NpEcnMarked, "ECN-marked packets received (notification point)", nil, &r.EcnMarked)
-	r.tel.Counter(telemetry.NpCnpSent, "CNPs sent by the notification point", nil, &r.CnpSent)
-	r.tel.Counter(telemetry.RpCnpHandled, "CNPs handled by the reaction point (rate cuts)", nil, &r.CnpHandled)
+	telemetry.Register(&r.tel, &dcqcnMetrics, r)
+}
+
+// dcqcnMetrics is the DCQCN counter table: notification-point marks
+// seen and CNPs sent, reaction-point CNPs handled.
+var dcqcnMetrics = telemetry.Table[RNIC]{
+	{Name: telemetry.NpEcnMarked, Help: "ECN-marked packets received (notification point)", Read: func(r *RNIC) float64 { return float64(r.EcnMarked) }},
+	{Name: telemetry.NpCnpSent, Help: "CNPs sent by the notification point", Read: func(r *RNIC) float64 { return float64(r.CnpSent) }},
+	{Name: telemetry.RpCnpHandled, Help: "CNPs handled by the reaction point (rate cuts)", Read: func(r *RNIC) float64 { return float64(r.CnpHandled) }},
 }
 
 // SetMemoryMode sets the kind on-demand registrations take, the
@@ -203,31 +213,40 @@ func (r *RNIC) SetMemoryMode(mode MemKind, nprCfg npr.Config) {
 	r.mode = mode
 	if mode == KindNPR {
 		r.npr = npr.New(r.AS, nprCfg)
-		r.npr.RegisterMetrics(r.tel)
+		r.npr.RegisterMetrics(&r.tel)
 	}
 }
 
 // NPR returns the device's NP-RDMA pool, or nil when NPR is off.
 func (r *RNIC) NPR() *npr.Pool { return r.npr }
 
-// registerMetrics publishes the device-level counters under the
-// hw_counter vocabulary (plus sim_* names for quantities real hardware
-// does not export).
-func (r *RNIC) registerMetrics() {
-	r.tel.Counter(telemetry.OutOfSequence, "out-of-order request arrivals NAKed by the responder", nil, &r.NakSeqSent)
-	r.tel.Counter(telemetry.DuplicateRequest, "already-executed requests re-received by the responder", nil, &r.DuplicateRequests)
-	r.tel.Counter(telemetry.OutOfBuffer, "responder RNR NAKs caused by an empty receive queue", nil, &r.OutOfBuffer)
-	r.tel.Counter(telemetry.RxReadRequests, "RDMA READ requests executed by the responder", nil, &r.ReadsExecuted)
-	r.tel.Counter(telemetry.RxWriteRequests, "RDMA WRITE requests executed by the responder", nil, &r.WritesExecuted)
-	r.tel.Counter(telemetry.RxAtomicRequests, "atomic requests executed by the responder", nil, &r.AtomicsExecuted)
-	r.tel.Counter(telemetry.SimRNRNakSent, "RNR NAKs sent for any cause (ODP miss or empty RQ)", nil, &r.RNRNakSent)
-	r.tel.Counter(telemetry.SimDammedDrops, "requests silently discarded by the damming quirk (sim ground truth)", nil, &r.DammedDrops)
-	statusLabel := telemetry.Labels{"status": ""} // rendered at add time, safe to reuse
-	for s := 0; s < numWCStatuses; s++ {
-		statusLabel["status"] = WCStatus(s).String()
-		r.tel.Counter(telemetry.Completions, "work completions by status",
-			statusLabel, &r.wcByStatus[s])
+// metrics is the device-level counter table under the hw_counter
+// vocabulary (plus sim_* names for quantities real hardware does not
+// export), with the work completions by status.
+var metrics = append(telemetry.Table[RNIC]{
+	{Name: telemetry.OutOfSequence, Help: "out-of-order request arrivals NAKed by the responder", Read: func(r *RNIC) float64 { return float64(r.NakSeqSent) }},
+	{Name: telemetry.DuplicateRequest, Help: "already-executed requests re-received by the responder", Read: func(r *RNIC) float64 { return float64(r.DuplicateRequests) }},
+	{Name: telemetry.OutOfBuffer, Help: "responder RNR NAKs caused by an empty receive queue", Read: func(r *RNIC) float64 { return float64(r.OutOfBuffer) }},
+	{Name: telemetry.RxReadRequests, Help: "RDMA READ requests executed by the responder", Read: func(r *RNIC) float64 { return float64(r.ReadsExecuted) }},
+	{Name: telemetry.RxWriteRequests, Help: "RDMA WRITE requests executed by the responder", Read: func(r *RNIC) float64 { return float64(r.WritesExecuted) }},
+	{Name: telemetry.RxAtomicRequests, Help: "atomic requests executed by the responder", Read: func(r *RNIC) float64 { return float64(r.AtomicsExecuted) }},
+	{Name: telemetry.SimRNRNakSent, Help: "RNR NAKs sent for any cause (ODP miss or empty RQ)", Read: func(r *RNIC) float64 { return float64(r.RNRNakSent) }},
+	{Name: telemetry.SimDammedDrops, Help: "requests silently discarded by the damming quirk (sim ground truth)", Read: func(r *RNIC) float64 { return float64(r.DammedDrops) }},
+}, completionMetrics()...)
+
+// completionMetrics lists one completions counter per work-completion
+// status, labelled status="IBV_WC_…".
+func completionMetrics() telemetry.Table[RNIC] {
+	t := make(telemetry.Table[RNIC], numWCStatuses)
+	for s := range t {
+		t[s] = telemetry.Metric[RNIC]{
+			Name:  telemetry.Completions,
+			Help:  "work completions by status",
+			Label: telemetry.Label{Key: "status", Value: WCStatus(s).String()},
+			Read:  func(r *RNIC) float64 { return float64(r.wcByStatus[s]) },
+		}
 	}
+	return t
 }
 
 // countWC tallies one work completion in the per-status counters.

@@ -7,6 +7,7 @@ import (
 	"odpsim/internal/hostmem"
 	"odpsim/internal/npr"
 	"odpsim/internal/sim"
+	"odpsim/internal/telemetry"
 )
 
 // harness wires a client and a server RNIC across a fabric, with one QP
@@ -738,11 +739,58 @@ func TestColdAllocPosts(t *testing.T) {
 	}
 }
 
-// TestRegistrySizedToDevice checks that deviceMetrics, which sizes a new
-// device's metric table, is what New registers.
-func TestRegistrySizedToDevice(t *testing.T) {
-	h := newHarness(t, 1, ConnectX4(), rcTransport, noODP, defaultParams())
-	if got := h.client.tel.Len(); got != deviceMetrics {
-		t.Errorf("a new device registers %d metrics, deviceMetrics is %d", got, deviceMetrics)
+// deviceBuild builds a fabric and one device on eng, with DCQCN, IRN
+// and NP-RDMA when all is set.
+func deviceBuild(eng *sim.Engine, all bool) (*fabric.Fabric, *RNIC) {
+	fab := fabric.New(eng, fabric.DefaultConfig())
+	r := New(fab, 1, "dev0", ConnectX4(), hostmem.DefaultConfig())
+	if all {
+		r.EnableDCQCN()
+		r.EnableIRN()
+		r.SetMemoryMode(KindNPR, npr.DefaultConfig())
+	}
+	return fab, r
+}
+
+// TestRegistrationBudgetDevice pins what a device's counters cost to
+// register: nothing per counter. On a cold build, enabling DCQCN, IRN
+// and NP-RDMA, 11 counters between them, adds only the NP-RDMA pool's
+// own objects. A rebuild on a Reset engine allocates nothing, tables
+// included. A second snapshot of the unchanged device hub allocates
+// only its sample slice.
+func TestRegistrationBudgetDevice(t *testing.T) {
+	cold := func(all bool) float64 {
+		return testing.AllocsPerRun(20, func() { deviceBuild(sim.New(1), all) })
+	}
+	pool := testing.AllocsPerRun(20, func() {
+		npr.New(hostmem.NewAddressSpace(sim.New(1), hostmem.DefaultConfig()), npr.DefaultConfig())
+	}) - testing.AllocsPerRun(20, func() { hostmem.NewAddressSpace(sim.New(1), hostmem.DefaultConfig()) })
+	base, all := cold(false), cold(true)
+	t.Logf("cold build: %.0f allocations, %.0f with DCQCN, IRN and NP-RDMA (the pool's own: %.0f)", base, all, pool)
+	if all-base > pool {
+		t.Errorf("enabling DCQCN, IRN and NP-RDMA adds %.0f allocations, want at most the pool's %.0f", all-base, pool)
+	}
+
+	eng := sim.New(1)
+	deviceBuild(eng, true)
+	warm := testing.AllocsPerRun(20, func() {
+		eng.Reset(1)
+		deviceBuild(eng, true)
+	})
+	if warm != 0 {
+		t.Errorf("a rebuild on a Reset engine allocates %.1f objects, want 0", warm)
+	}
+
+	eng.Reset(1)
+	fab, r := deviceBuild(eng, true)
+	cq := NewCQ(eng)
+	r.CreateQP(cq, cq)
+	r.CreateUDQP(cq, cq)
+	hub := telemetry.NewHubOn(eng)
+	hub.Add(fab.Telemetry())
+	hub.Add(r.Telemetry())
+	hub.Snapshot(0)
+	if avg := testing.AllocsPerRun(20, func() { hub.Snapshot(0) }); avg > 1 {
+		t.Errorf("a second snapshot allocates %.0f objects, want 1 (the sample slice)", avg)
 	}
 }

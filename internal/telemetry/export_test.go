@@ -8,13 +8,19 @@ import (
 // buildGoldenRegistry assembles a small fixed registry whose exports the
 // golden tests pin byte for byte.
 func buildGoldenRegistry() (*Registry, *uint64) {
-	r := NewRegistry(Labels{"device": "node0"})
-	var timeouts, faults uint64 = 3, 12
-	r.Counter(LocalAckTimeoutErr, "Local ACK Timeout expirations", Labels{"qpn": "1"}, &timeouts)
-	r.Counter(OdpPageFaults, "ODP page faults", nil, &faults)
-	depth := 2.5
-	r.Gauge(OdpPipelineDepth, "pending ODP work items", nil, func() float64 { return depth })
-	return r, &timeouts
+	type golden struct {
+		timeouts, faults uint64
+		depth            float64
+	}
+	r := NewRegistry(Label{"device", "node0"})
+	g := &golden{timeouts: 3, faults: 12, depth: 2.5}
+	Register(r, &Table[golden]{
+		{Name: LocalAckTimeoutErr, Help: "Local ACK Timeout expirations", Label: Label{"qpn", "1"},
+			Read: func(g *golden) float64 { return float64(g.timeouts) }},
+		{Name: OdpPageFaults, Help: "ODP page faults", Read: func(g *golden) float64 { return float64(g.faults) }},
+		{Name: OdpPipelineDepth, Help: "pending ODP work items", Kind: KindGauge, Read: func(g *golden) float64 { return g.depth }},
+	}, g)
+	return r, &g.timeouts
 }
 
 func TestGoldenPrometheus(t *testing.T) {

@@ -8,17 +8,21 @@
 //
 // The design is read-side: components keep counting into plain uint64
 // fields exactly as before (a single increment on the hot path, no
-// indirection), and the registry holds *pointers* to those fields plus
-// callback-backed gauges. Per-row counters (one per QP) are registered
-// once per component as families over a Rows table and enumerated at
-// snapshot time, so creating a row touches no registry. A Snapshot reads
-// every registered metric at one virtual instant; snapshots subtract to
+// indirection). Each component type declares one package-level Table
+// listing its metrics (name, help, kind, any constant label, and how to
+// read the value off an instance) and registers it with one call per
+// instance; per-row counters (one per QP) are tables registered over a
+// Rows table and enumerated at snapshot time, so creating a row touches
+// no registry. Registration builds no string: label sets are rendered
+// the first time a snapshot reads them, so a cluster that is only
+// totalled (Hub.Total) never renders one. A Snapshot reads every
+// registered metric at one virtual instant; snapshots subtract to
 // deltas; a Sampler scrapes a Hub of registries periodically on the sim
 // clock into a TimeSeries; export helpers render Prometheus text
-// exposition and CSV. Because the struct
-// field *is* the counter's storage, the pre-existing exported fields
-// (rnic.RNIC.DammedDrops, odp.Engine.Faults, …) remain valid read-through
-// accessors of the registry values.
+// exposition and CSV. Because the struct field *is* the counter's
+// storage, the pre-existing exported fields (rnic.RNIC.DammedDrops,
+// odp.Engine.Faults, …) remain valid read-through accessors of the
+// registry values.
 //
 // Everything is deterministic: snapshots are sorted by (name, labels),
 // values are read in registration order, and the only clock is sim.Time —
@@ -54,22 +58,21 @@ func (k Kind) String() string {
 	return "counter"
 }
 
-// Labels attach dimensions to a metric, e.g. {"device": "node0",
-// "qpn": "3"}. They render sorted by key, so map order never leaks into
-// output. The registry renders labels at registration time, so callers
-// may reuse (and mutate) one Labels map across registrations — rnic's
-// per-status counters register through a single map this way.
-type Labels map[string]string
+// Label is one label dimension, rendered key="value". A metric's label
+// set joins its registry's common label (typically device="…"), its
+// instance's labels (a port's lid, a switch's name and tier) and its
+// table's constant label (status="…", reason="loss"); it renders sorted
+// by key, and a more specific label wins over a common one of the same
+// key. Nothing is rendered at registration: a registry renders a label
+// set the first time a snapshot reads it.
+type Label struct{ Key, Value string }
 
-// labelPair is one rendered label dimension.
-type labelPair struct{ k, v string }
-
-// sortPairs orders pairs by key with an insertion sort: label sets are a
-// handful of entries, and unlike sort.Slice this allocates nothing.
-func sortPairs(pairs []labelPair) {
-	for i := 1; i < len(pairs); i++ {
-		for j := i; j > 0 && pairs[j].k < pairs[j-1].k; j-- {
-			pairs[j], pairs[j-1] = pairs[j-1], pairs[j]
+// sortLabels orders labels by key with an insertion sort: label sets are
+// a handful of entries, and unlike sort.Slice this allocates nothing.
+func sortLabels(ls []Label) {
+	for i := 1; i < len(ls); i++ {
+		for j := i; j > 0 && ls[j].Key < ls[j-1].Key; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
 		}
 	}
 }
@@ -98,295 +101,275 @@ func intern(rendered []byte) string {
 	return s
 }
 
-// metric is one registered counter or gauge.
-type metric struct {
-	name    string
-	help    string
-	kind    Kind
-	labels  string // canonical rendered form
-	counter *uint64
-	gauge   func() float64
+// Metric is one row of a component type's counter table: the metric's
+// name, help text and kind, a label every instance carries (the zero
+// Label for none), and how to read the metric's value off one instance.
+type Metric[T any] struct {
+	Name  string
+	Help  string
+	Kind  Kind
+	Label Label
+	Read  func(*T) float64
 }
 
-// value reads the metric's current value.
-func (m *metric) value() float64 {
-	if m.kind == KindCounter {
-		return float64(*m.counter)
-	}
-	return m.gauge()
+// Table lists the metrics one component type exports, declared once at
+// package level. Register binds it to an instance (scalar metrics);
+// RegisterRows binds it to a Rows table (one sample per row, labelled by
+// the row, so Label is ignored there).
+type Table[T any] []Metric[T]
+
+// table is a *Table[T] with its instance type erased, which is how a
+// registry stores it: a pointer in an interface, so storing it
+// allocates nothing.
+type table interface {
+	size() int
+	def(i int) (name, help string, kind Kind, label Label)
+	read(src any, i int) float64
+}
+
+func (t *Table[T]) size() int { return len(*t) }
+
+func (t *Table[T]) def(i int) (string, string, Kind, Label) {
+	m := &(*t)[i]
+	return m.Name, m.Help, m.Kind, m.Label
+}
+
+func (t *Table[T]) read(src any, i int) float64 { return (*t)[i].Read(src.(*T)) }
+
+// Labeler is an instance whose metrics carry labels of its own, such as
+// a port's lid. The registry asks for them when it renders.
+type Labeler interface {
+	AppendLabels(dst []Label) []Label
 }
 
 // Rows is a table of rows that each carry the same counter fields — the
-// QPs of one device. Families registered over it enumerate it at
-// snapshot time instead of registering one metric per row.
+// QPs of one device. Tables registered over it with RegisterRows
+// enumerate it at snapshot time instead of registering anything per
+// row.
 type Rows interface {
 	// Slots returns the number of slots a walk visits.
 	Slots() int
 	// Count returns how many slots Row reports.
 	Count() int
-	// Row returns slot's rendered labels and field's value, or ok false
-	// for a slot the table does not report.
-	Row(slot, field int) (labels string, v uint64, ok bool)
+	// Row returns slot's rendered labels and the row a table's Read
+	// takes (a *T for a Table[T]), or ok false for a slot the table
+	// does not report.
+	Row(slot int) (labels string, row any, ok bool)
 }
 
-// family is one counter name reported for every row of a Rows table.
-type family struct {
-	name  string
-	help  string
-	rows  Rows
-	field int
+// entry is one registered table, bound to an instance (src is the *T)
+// or, when rows is set, to a Rows table (src is the Rows). first is the
+// index of its scalars' rendered labels.
+type entry struct {
+	tab   table
+	src   any
+	first int32
+	rows  bool
 }
 
 // Registry holds the metrics of one component (a device, the fabric).
 // Registration happens at construction time; reads happen at snapshot
-// time. The zero value is not usable; create with NewRegistry.
+// time. Create one with NewRegistry, or embed one in its owner and
+// Reset it each time the owner is rebuilt.
 //
-// A registry holds two kinds of entries. Scalar metrics (Counter,
-// Gauge) are registered one by one, a few dozen per component; families
-// (Family) name one counter for every row of a Rows table and emit a
-// sample per row when snapshotted. Registration runs per simulated
-// device per trial, so it stays off the allocator: entries are stored by
-// value in tables recycled through NewRegistryOn, and label rendering
-// reuses scratch buffers and caches the last rendered label set.
-// Registration rejects a repeated scalar (name, labels) pair and a
-// repeated family name; a snapshot rejects any key that still repeats,
-// including across the registries of one Hub.
+// Registration appends one entry per table and builds no string, so a
+// simulated cluster pays for its counters' labels only when something
+// snapshots it. A snapshot renders and interns the label sets of every
+// scalar registered since the previous one and keeps them until Reset,
+// so a Sampler's later snapshots render nothing; Hub.Total never
+// renders. A snapshot rejects a (name, labels) key that repeats,
+// including across the registries of one Hub; RegisterRows rejects a
+// name another row table of the registry already reports.
 type Registry struct {
-	common    []labelPair // sorted by key
-	commonStr string      // rendered form of common alone
-	metrics   []metric
-	families  []family
+	common    Label
+	commonStr string // rendered form of common alone, once rendered
+	entries   []entry
+	// scalars counts the metrics Register added. labels holds the
+	// rendered label set of every scalar, in registration order; the
+	// scalars of entries[:rendered] have theirs.
+	scalars  int
+	labels   []string
+	rendered int
 
-	// Render cache and scratch. lastSpecific/lastRendered memoize the
-	// most recent non-empty specific label set; pairScratch and
-	// bufScratch are reused across renders.
-	lastSpecific []labelPair
-	lastRendered string
-	haveLast     bool
-	pairScratch  []labelPair
-	bufScratch   []byte
-
-	arenaNext *Registry
+	// Render scratch, reused across renders.
+	own, pairs []Label
+	buf        []byte
 }
 
 // NewRegistry creates a registry whose metrics all carry the common
-// labels (typically {"device": name}).
-func NewRegistry(common Labels) *Registry {
+// label (typically device="…"); the zero Label means none.
+func NewRegistry(common Label) *Registry {
 	r := &Registry{}
-	if len(common) > 0 {
-		r.common = make([]labelPair, 0, len(common))
-		for k, v := range common {
-			r.common = append(r.common, labelPair{k, v})
+	r.Reset(common)
+	return r
+}
+
+// Reset empties the registry for a rebuilt owner whose metrics carry
+// common, keeping its storage. It also drops every rendered label set,
+// since the owner's name and its instances' labels may have changed.
+func (r *Registry) Reset(common Label) {
+	r.common, r.commonStr = common, ""
+	clear(r.entries)
+	r.entries = r.entries[:0]
+	r.labels = r.labels[:0]
+	r.scalars, r.rendered = 0, 0
+}
+
+// add appends e, reserving room for a component's handful of tables on
+// the first registration.
+func (r *Registry) add(e entry) {
+	if r.entries == nil {
+		r.entries = make([]entry, 0, 8)
+	}
+	r.entries = append(r.entries, e)
+}
+
+// Register adds every metric of t to r, read off src at snapshot time.
+// The metrics carry src's own labels when src is a Labeler.
+func Register[T any](r *Registry, t *Table[T], src *T) {
+	if src == nil {
+		panic("telemetry: Register requires an instance")
+	}
+	r.add(entry{tab: t, src: src, first: int32(r.scalars)})
+	r.scalars += len(*t)
+}
+
+// RegisterRows adds every metric of t as a family over rows: each
+// snapshot reports it once per row rows reports, read off that row and
+// labelled by it, so rows added later appear in later snapshots with
+// nothing registered per row.
+func RegisterRows[T any](r *Registry, t *Table[T], rows Rows) {
+	if rows == nil {
+		panic("telemetry: RegisterRows requires a row table")
+	}
+	for i := range r.entries {
+		if e := &r.entries[i]; e.rows {
+			for j := range e.tab.size() {
+				name, _, _, _ := e.tab.def(j)
+				for k := range *t {
+					if (*t)[k].Name == name {
+						panic("telemetry: duplicate family " + name)
+					}
+				}
+			}
 		}
-		sortPairs(r.common)
-		r.commonStr = intern(r.renderPairs(r.common))
 	}
-	return r
+	r.add(entry{tab: t, src: rows, rows: true})
 }
 
-// registriesKey is the engine Aux key of the registry arenas, one
-// sim.Arena per registry name: sweeps rebuild every device per trial
-// under the same names, so each trial's NewRegistryOn calls get back
-// last trial's registry with its metric table, label scratch and render
-// cache intact. Same-name registries within one generation get distinct
-// instances, handed out in construction order (which is deterministic).
-const registriesKey = "telemetry.registries"
-
-// NewRegistryOn is NewRegistry taken from the engine's arena for name:
-// name must identify the component uniquely enough that its common
-// labels are the same every trial (the device name serves). After an
-// engine Reset, the registry registered under name last run is returned
-// emptied of metrics but keeping its storage. metrics and families size
-// a new registry's tables: pass the scalar metrics and families the
-// component registers when it is built, so each table is allocated once
-// at its size.
-func NewRegistryOn(eng *sim.Engine, name string, common Labels, metrics, families int) *Registry {
-	byName, _ := eng.Aux(registriesKey).(map[string]*sim.Arena[Registry])
-	if byName == nil {
-		byName = make(map[string]*sim.Arena[Registry])
-		eng.SetAux(registriesKey, byName)
+// render renders the label sets of the scalars registered since the last
+// render.
+func (r *Registry) render() {
+	if r.rendered == len(r.entries) {
+		return
 	}
-	a := byName[name]
-	if a == nil {
-		a = &sim.Arena[Registry]{Link: func(r *Registry) **Registry { return &r.arenaNext }}
-		byName[name] = a
+	if r.commonStr == "" && r.common.Key != "" {
+		r.commonStr = r.renderSet(nil, Label{})
 	}
-	if r := a.Take(eng); r != nil {
-		r.metrics = r.metrics[:0]
-		r.families = r.families[:0]
-		return r
+	r.labels = slices.Grow(r.labels, r.Len()-len(r.labels))
+	for ; r.rendered < len(r.entries); r.rendered++ {
+		e := &r.entries[r.rendered]
+		if e.rows {
+			continue
+		}
+		var own []Label
+		if l, ok := e.src.(Labeler); ok {
+			own = l.AppendLabels(r.own[:0])
+			r.own = own
+		}
+		for i := range e.tab.size() {
+			_, _, _, label := e.tab.def(i)
+			if len(own) == 0 && label.Key == "" {
+				r.labels = append(r.labels, r.commonStr)
+			} else {
+				r.labels = append(r.labels, r.renderSet(own, label))
+			}
+		}
 	}
-	r := NewRegistry(common)
-	r.metrics = make([]metric, 0, metrics)
-	if families > 0 {
-		r.families = make([]family, 0, families)
-	}
-	a.Add(r)
-	return r
 }
 
-// renderPairs renders sorted pairs into the reusable byte scratch in the
-// canonical `{k="v",…}` form; the result is valid until the next render.
-func (r *Registry) renderPairs(pairs []labelPair) []byte {
+// renderSet renders the common label, own and label (a later one
+// winning on a repeated key) in the canonical sorted `{k="v",…}` form,
+// interned, or "" when there are none.
+func (r *Registry) renderSet(own []Label, label Label) string {
+	pairs := append(r.pairs[:0], own...)
+	if label.Key != "" {
+		pairs = withLabel(pairs, label, true)
+	}
+	if r.common.Key != "" {
+		pairs = withLabel(pairs, r.common, false)
+	}
+	sortLabels(pairs)
+	r.pairs = pairs
 	if len(pairs) == 0 {
-		return nil
+		return ""
 	}
-	if r.bufScratch == nil {
-		r.bufScratch = make([]byte, 0, 96)
-	}
-	buf := append(r.bufScratch[:0], '{')
+	buf := append(r.buf[:0], '{')
 	for i, p := range pairs {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = append(buf, p.k...)
+		buf = append(buf, p.Key...)
 		buf = append(buf, '=')
-		buf = strconv.AppendQuote(buf, p.v)
+		buf = strconv.AppendQuote(buf, p.Value)
 	}
 	buf = append(buf, '}')
-	r.bufScratch = buf
-	return buf
+	r.buf = buf
+	return intern(buf)
 }
 
-// render merges the common labels with specific (specific wins) into the
-// canonical sorted `{k="v",…}` form, or "" when there are none.
-func (r *Registry) render(specific Labels) string {
-	if len(specific) == 0 {
-		return r.commonStr
-	}
-	if r.haveLast && len(specific) == len(r.lastSpecific) {
-		same := true
-		for _, p := range r.lastSpecific {
-			if v, ok := specific[p.k]; !ok || v != p.v {
-				same = false
-				break
+// withLabel returns ls with l added, replacing a label of the same key
+// when override is set and keeping that one otherwise.
+func withLabel(ls []Label, l Label, override bool) []Label {
+	for i := range ls {
+		if ls[i].Key == l.Key {
+			if override {
+				ls[i] = l
 			}
-		}
-		if same {
-			return r.lastRendered
+			return ls
 		}
 	}
-	if r.pairScratch == nil {
-		r.pairScratch = make([]labelPair, 0, 8)
-		r.lastSpecific = make([]labelPair, 0, 8)
-	}
-	pairs := r.pairScratch[:0]
-	for _, p := range r.common {
-		if _, overridden := specific[p.k]; !overridden {
-			pairs = append(pairs, p)
-		}
-	}
-	for k, v := range specific {
-		pairs = append(pairs, labelPair{k, v})
-	}
-	sortPairs(pairs)
-	r.pairScratch = pairs
-	rendered := intern(r.renderPairs(pairs))
-	r.lastSpecific = r.lastSpecific[:0]
-	for k, v := range specific {
-		r.lastSpecific = append(r.lastSpecific, labelPair{k, v})
-	}
-	r.lastRendered = rendered
-	r.haveLast = true
-	return rendered
+	return append(ls, l)
 }
 
-func (r *Registry) add(m metric, specific Labels) {
-	m.labels = r.render(specific)
-	for i := range r.metrics {
-		if r.metrics[i].name == m.name && r.metrics[i].labels == m.labels {
-			panic(fmt.Sprintf("telemetry: duplicate metric %s%s", m.name, m.labels))
-		}
-	}
-	r.metrics = append(r.metrics, m)
-}
-
-// Counter registers a pointer-backed counter: v is the live storage, so
-// the owning component keeps incrementing its field directly and the
-// registry observes it for free.
-func (r *Registry) Counter(name, help string, labels Labels, v *uint64) {
-	if v == nil {
-		panic("telemetry: Counter requires non-nil storage")
-	}
-	r.add(metric{name: name, help: help, kind: KindCounter, counter: v}, labels)
-}
-
-// Gauge registers a callback-backed gauge, read at snapshot time. read
-// must only touch simulation state (it runs on the event loop).
-func (r *Registry) Gauge(name, help string, labels Labels, read func() float64) {
-	if read == nil {
-		panic("telemetry: Gauge requires a read callback")
-	}
-	r.add(metric{name: name, help: help, kind: KindGauge, gauge: read}, labels)
-}
-
-// Family registers name as a counter reported for every row of rows
-// that carries field, labelled by the row's own rendered labels. The
-// table is read at snapshot time, so rows added later appear in later
-// snapshots with nothing registered per row.
-func (r *Registry) Family(name, help string, rows Rows, field int) {
-	if rows == nil {
-		panic("telemetry: Family requires a row table")
-	}
-	for i := range r.families {
-		if r.families[i].name == name {
-			panic("telemetry: duplicate family " + name)
-		}
-	}
-	r.families = append(r.families, family{name: name, help: help, rows: rows, field: field})
-}
-
-// RowLabels renders the common labels plus key="v" (v in decimal, key
+// RowLabels renders the common label plus key="v" (v in decimal, key
 // winning over a common label of the same name) in canonical form — the
 // labels a Rows table reports for a row. The result is interned, so a
 // label set seen before allocates nothing.
 func (r *Registry) RowLabels(key string, v uint64) string {
-	buf := append(r.bufScratch[:0], '{')
-	placed := false
-	for _, p := range r.common {
-		if !placed && key <= p.k {
-			buf = appendUintPair(buf, key, v)
-			placed = true
-			if key == p.k {
-				continue
-			}
-		}
-		if len(buf) > 1 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, p.k...)
+	buf := append(r.buf[:0], '{')
+	if c := r.common; c.Key != "" && c.Key < key {
+		buf = append(buf, c.Key...)
 		buf = append(buf, '=')
-		buf = strconv.AppendQuote(buf, p.v)
+		buf = strconv.AppendQuote(buf, c.Value)
+		buf = append(buf, ',')
 	}
-	if !placed {
-		buf = appendUintPair(buf, key, v)
+	buf = append(buf, key...)
+	buf = append(buf, '=', '"')
+	buf = strconv.AppendUint(buf, v, 10)
+	buf = append(buf, '"')
+	if c := r.common; c.Key > key {
+		buf = append(buf, ',')
+		buf = append(buf, c.Key...)
+		buf = append(buf, '=')
+		buf = strconv.AppendQuote(buf, c.Value)
 	}
 	buf = append(buf, '}')
-	r.bufScratch = buf
+	r.buf = buf
 	return intern(buf)
 }
 
-// appendUintPair appends `k="v"` with v in decimal, a comma first unless
-// it opens the label set.
-func appendUintPair(buf []byte, k string, v uint64) []byte {
-	if len(buf) > 1 {
-		buf = append(buf, ',')
-	}
-	buf = append(buf, k...)
-	buf = append(buf, '=', '"')
-	buf = strconv.AppendUint(buf, v, 10)
-	return append(buf, '"')
-}
-
-// Len returns the number of scalar metrics registered (families and
+// Len returns the number of scalar metrics registered (row tables and
 // their rows are not counted).
-func (r *Registry) Len() int { return len(r.metrics) }
+func (r *Registry) Len() int { return r.scalars }
 
 // sampleCount returns how many samples a snapshot of the registry emits.
 func (r *Registry) sampleCount() int {
-	n := len(r.metrics)
-	for i := range r.families {
-		n += r.families[i].rows.Count()
+	n := r.scalars
+	for i := range r.entries {
+		if e := &r.entries[i]; e.rows {
+			n += e.tab.size() * e.src.(Rows).Count()
+		}
 	}
 	return n
 }
@@ -407,17 +390,22 @@ type Snapshot struct {
 	Samples []Sample
 }
 
-// snapshotInto appends this registry's current values.
+// snapshotInto appends this registry's current values. The registry
+// must be rendered.
 func (r *Registry) snapshotInto(out []Sample) []Sample {
-	for i := range r.metrics {
-		m := &r.metrics[i]
-		out = append(out, Sample{Name: m.name, Labels: m.labels, Help: m.help, Kind: m.kind, Value: m.value()})
-	}
-	for i := range r.families {
-		f := &r.families[i]
-		for slot, n := 0, f.rows.Slots(); slot < n; slot++ {
-			if labels, v, ok := f.rows.Row(slot, f.field); ok {
-				out = append(out, Sample{Name: f.name, Labels: labels, Help: f.help, Kind: KindCounter, Value: float64(v)})
+	for i := range r.entries {
+		e := &r.entries[i]
+		for m := range e.tab.size() {
+			name, help, kind, _ := e.tab.def(m)
+			if !e.rows {
+				out = append(out, Sample{Name: name, Labels: r.labels[int(e.first)+m], Help: help, Kind: kind, Value: e.tab.read(e.src, m)})
+				continue
+			}
+			rows := e.src.(Rows)
+			for slot, n := 0, rows.Slots(); slot < n; slot++ {
+				if labels, row, ok := rows.Row(slot); ok {
+					out = append(out, Sample{Name: name, Labels: labels, Help: help, Kind: kind, Value: e.tab.read(row, m)})
+				}
 			}
 		}
 	}
@@ -426,6 +414,7 @@ func (r *Registry) snapshotInto(out []Sample) []Sample {
 
 // Snapshot reads the registry at virtual time at.
 func (r *Registry) Snapshot(at sim.Time) Snapshot {
+	r.render()
 	return finishSnapshot(at, r.snapshotInto(make([]Sample, 0, r.sampleCount())))
 }
 
@@ -528,6 +517,7 @@ func (h *Hub) Add(r *Registry) { h.regs = append(h.regs, r) }
 func (h *Hub) Snapshot(at sim.Time) Snapshot {
 	n := 0
 	for _, r := range h.regs {
+		r.render()
 		n += r.sampleCount()
 	}
 	samples := make([]Sample, 0, n)
@@ -539,27 +529,29 @@ func (h *Hub) Snapshot(at sim.Time) Snapshot {
 
 // Total sums every metric with the given name across the hub's
 // registries, the same value Snapshot(at).Total(name) returns, without
-// materialising or sorting a snapshot. It visits samples in registration
-// order rather than sorted order, so it suits names whose sum does not
-// depend on order: integer counters (exact in float64 below 2^53) or a
-// name with a single sample. It does not check for duplicate keys;
-// Snapshot does.
+// rendering labels or materialising and sorting a snapshot. It visits
+// samples in registration order rather than sorted order, so it suits
+// names whose sum does not depend on order: integer counters (exact in
+// float64 below 2^53) or a name with a single sample. It does not check
+// for duplicate keys; Snapshot does.
 func (h *Hub) Total(name string) float64 {
 	var sum float64
 	for _, r := range h.regs {
-		for i := range r.metrics {
-			if m := &r.metrics[i]; m.name == name {
-				sum += m.value()
-			}
-		}
-		for i := range r.families {
-			f := &r.families[i]
-			if f.name != name {
-				continue
-			}
-			for slot, n := 0, f.rows.Slots(); slot < n; slot++ {
-				if _, v, ok := f.rows.Row(slot, f.field); ok {
-					sum += float64(v)
+		for i := range r.entries {
+			e := &r.entries[i]
+			for m := range e.tab.size() {
+				if n, _, _, _ := e.tab.def(m); n != name {
+					continue
+				}
+				if !e.rows {
+					sum += e.tab.read(e.src, m)
+					continue
+				}
+				rows := e.src.(Rows)
+				for slot, n := 0, rows.Slots(); slot < n; slot++ {
+					if _, row, ok := rows.Row(slot); ok {
+						sum += e.tab.read(row, m)
+					}
 				}
 			}
 		}

@@ -10,10 +10,29 @@ import (
 	"odpsim/internal/sim"
 )
 
+// box is a test instance: one counter, one gauge and its own labels.
+type box struct {
+	n   uint64
+	g   float64
+	own []Label
+}
+
+func (b *box) AppendLabels(dst []Label) []Label { return append(dst, b.own...) }
+
+// counter is a one-metric table reading a box's counter, every instance
+// carrying label.
+func counter(name string, label Label) *Table[box] {
+	return &Table[box]{{Name: name, Help: "h", Label: label, Read: func(b *box) float64 { return float64(b.n) }}}
+}
+
+// gauge is a one-metric table reading a box's gauge.
+func gauge(name string) *Table[box] {
+	return &Table[box]{{Name: name, Help: "h", Kind: KindGauge, Read: func(b *box) float64 { return b.g }}}
+}
+
 func TestLabelsRenderSortedAndMerged(t *testing.T) {
-	r := NewRegistry(Labels{"device": "node0", "zone": "a"})
-	var v uint64
-	r.Counter("x", "h", Labels{"qpn": "3", "zone": "b"}, &v)
+	r := NewRegistry(Label{"zone", "a"})
+	Register(r, counter("x", Label{"zone", "b"}), &box{own: []Label{{"qpn", "3"}, {"device", "node0"}}})
 	s := r.Snapshot(0)
 	want := `{device="node0",qpn="3",zone="b"}`
 	if got := s.Samples[0].Labels; got != want {
@@ -30,29 +49,31 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 		}()
 		f()
 	}
-	r := NewRegistry(nil)
-	var v uint64
-	r.Counter("dup", "h", nil, &v)
-	mustPanic("duplicate", func() { r.Counter("dup", "h", nil, &v) })
-	mustPanic("nil counter", func() { r.Counter("niladic", "h", nil, nil) })
-	mustPanic("nil gauge", func() { r.Gauge("g", "h", nil, nil) })
+	r := NewRegistry(Label{})
+	v := &box{}
+	Register(r, counter("dup", Label{}), v)
+	Register(r, counter("dup", Label{}), v)
+	mustPanic("duplicate", func() { r.Snapshot(0) })
+	mustPanic("nil instance", func() { Register(r, counter("niladic", Label{}), nil) })
+	mustPanic("nil rows", func() { RegisterRows(r, counter("f", Label{}), nil) })
 	// Same name under different labels is fine.
-	r.Counter("dup", "h", Labels{"qpn": "1"}, &v)
+	r.Reset(Label{})
+	Register(r, counter("dup", Label{}), v)
+	Register(r, counter("dup", Label{"qpn", "1"}), v)
+	r.Snapshot(0)
 	if r.Len() != 2 {
 		t.Errorf("Len = %d, want 2", r.Len())
 	}
 }
 
 func TestSnapshotReadsLiveStorage(t *testing.T) {
-	r := NewRegistry(Labels{"device": "d"})
-	var hits uint64
-	depth := 7.0
-	r.Counter("hits", "h", nil, &hits)
-	r.Gauge("depth", "h", nil, func() float64 { return depth })
+	r := NewRegistry(Label{"device", "d"})
+	b := &box{g: 7}
+	Register(r, counter("hits", Label{}), b)
+	Register(r, gauge("depth"), b)
 
 	s0 := r.Snapshot(0)
-	hits = 41
-	depth = 3
+	b.n, b.g = 41, 3
 	s1 := r.Snapshot(10)
 
 	if v, _ := s0.Get("hits", `{device="d"}`); v != 0 {
@@ -84,12 +105,11 @@ func hubOf(eng *sim.Engine, regs ...*Registry) *Hub {
 }
 
 func TestSnapshotSortedAndTotal(t *testing.T) {
-	ra := NewRegistry(Labels{"device": "b"})
-	rb := NewRegistry(Labels{"device": "a"})
-	var x, y, z uint64 = 1, 2, 4
-	ra.Counter("m", "h", nil, &x)
-	rb.Counter("m", "h", nil, &y)
-	rb.Counter("aaa", "h", nil, &z)
+	ra := NewRegistry(Label{"device", "b"})
+	rb := NewRegistry(Label{"device", "a"})
+	Register(ra, counter("m", Label{}), &box{n: 1})
+	Register(rb, counter("m", Label{}), &box{n: 2})
+	Register(rb, counter("aaa", Label{}), &box{n: 4})
 	s := hubOf(sim.New(1), ra, rb).Snapshot(5)
 	if s.At != 5 {
 		t.Errorf("At = %v", s.At)
@@ -109,16 +129,14 @@ func TestSnapshotSortedAndTotal(t *testing.T) {
 }
 
 func TestDelta(t *testing.T) {
-	r := NewRegistry(nil)
-	var c uint64 = 10
-	g := 100.0
-	r.Counter("c", "h", nil, &c)
-	r.Gauge("g", "h", nil, func() float64 { return g })
+	r := NewRegistry(Label{})
+	b := &box{n: 10, g: 100}
+	Register(r, counter("c", Label{}), b)
+	Register(r, gauge("g"), b)
 	prev := r.Snapshot(0)
-	c, g = 25, 60
+	b.n, b.g = 25, 60
 	// A metric born after prev: counts from zero.
-	var born uint64 = 5
-	r.Counter("born", "h", nil, &born)
+	Register(r, counter("born", Label{}), &box{n: 5})
 	cur := r.Snapshot(9)
 
 	d := Delta(prev, cur)
@@ -144,14 +162,14 @@ func TestKindString(t *testing.T) {
 
 func TestSamplerOnSimClock(t *testing.T) {
 	eng := sim.New(1)
-	r := NewRegistry(nil)
-	var ops uint64
-	r.Counter("ops", "h", nil, &ops)
+	r := NewRegistry(Label{})
+	ops := &box{}
+	Register(r, counter("ops", Label{}), ops)
 	sampler := NewSampler(eng, hubOf(eng, r), 10*sim.Millisecond)
 	eng.Go("driver", func(p *sim.Proc) {
 		sampler.Start()
 		for i := 0; i < 5; i++ {
-			ops++
+			ops.n++
 			p.Sleep(10 * sim.Millisecond)
 		}
 		p.Sleep(5 * sim.Millisecond) // stop off the sampling grid
@@ -186,9 +204,8 @@ func TestSamplerOnSimClock(t *testing.T) {
 
 func TestSamplerStopOnGridTakesNoDuplicate(t *testing.T) {
 	eng := sim.New(1)
-	r := NewRegistry(nil)
-	var v uint64
-	r.Counter("v", "h", nil, &v)
+	r := NewRegistry(Label{})
+	Register(r, counter("v", Label{}), &box{})
 	sampler := NewSampler(eng, hubOf(eng, r), 10*sim.Millisecond)
 	eng.Go("driver", func(p *sim.Proc) {
 		sampler.Start()
@@ -212,16 +229,16 @@ func TestSamplerClampsInterval(t *testing.T) {
 	}
 }
 
-// TestRenderCacheChecksKeyPresence registers {x=""} right after {y=""}:
-// a missing key must not read as a cached empty value.
+// TestRenderCacheChecksKeyPresence renders {x=""} right after {y=""}:
+// a missing key must not read as a rendered empty value.
 func TestRenderCacheChecksKeyPresence(t *testing.T) {
-	r := NewRegistry(Labels{"device": "d"})
-	var v uint64
-	r.Counter("m", "h", Labels{"y": ""}, &v)
-	r.Counter("m", "h", Labels{"x": ""}, &v)
+	r := NewRegistry(Label{"device", "d"})
+	v := &box{}
+	Register(r, counter("m", Label{"y", ""}), v)
+	Register(r, counter("m", Label{"x", ""}), v)
 	s := r.Snapshot(0)
 	if _, ok := s.Get("m", `{device="d",x=""}`); !ok {
-		t.Errorf("{x=\"\"} rendered from the cached {y=\"\"}: %v", s.Samples)
+		t.Errorf("{x=\"\"} rendered as the earlier {y=\"\"}: %v", s.Samples)
 	}
 }
 
@@ -245,39 +262,48 @@ func (t *rowTable) Count() int {
 	return n
 }
 
-func (t *rowTable) Row(slot, field int) (string, uint64, bool) {
+func (t *rowTable) Row(slot int) (string, any, bool) {
 	if t.vals[slot] == 0 {
-		return "", 0, false
+		return "", nil, false
 	}
 	if t.labels[slot] == "" {
 		t.labels[slot] = t.reg.RowLabels("qpn", uint64(slot))
 	}
-	return t.labels[slot], t.vals[slot] * uint64(field+1), true
+	return t.labels[slot], &t.vals[slot], true
 }
 
 func newRowTable(reg *Registry, vals ...uint64) *rowTable {
 	return &rowTable{reg: reg, vals: vals, labels: make([]string, len(vals))}
 }
 
-func TestFamilyMatchesPerRowCounters(t *testing.T) {
-	fam := NewRegistry(Labels{"device": "d"})
-	rows := newRowTable(fam, 5, 0, 7, 0, 0, 0, 0, 0, 0, 0, 3, 9)
-	fam.Family("m", "per row", rows, 0)
-	fam.Family("n", "per row, doubled", rows, 1)
-	var solo uint64 = 1
-	fam.Counter("m", "per row", nil, &solo)
+// rowCounters is a table over rowTable rows: metric f reads the row's
+// value times f+1.
+func rowCounters(names ...string) *Table[uint64] {
+	t := Table[uint64]{}
+	for f, name := range names {
+		t = append(t, Metric[uint64]{Name: name, Help: "per row", Read: func(v *uint64) float64 { return float64(*v * uint64(f+1)) }})
+	}
+	return &t
+}
 
-	each := NewRegistry(Labels{"device": "d"})
-	each.Counter("m", "per row", nil, &solo)
-	vals := make([]uint64, 2*len(rows.vals))
+func TestFamilyMatchesPerRowCounters(t *testing.T) {
+	fam := NewRegistry(Label{"device", "d"})
+	rows := newRowTable(fam, 5, 0, 7, 0, 0, 0, 0, 0, 0, 0, 3, 9)
+	RegisterRows(fam, rowCounters("m", "n"), rows)
+	solo := &box{n: 1}
+	Register(fam, counter("m", Label{}), solo)
+
+	// The same samples, registered one row at a time.
+	perRow := &Table[box]{
+		{Name: "m", Help: "per row", Read: func(b *box) float64 { return float64(b.n) }},
+		{Name: "n", Help: "per row", Read: func(b *box) float64 { return float64(2 * b.n) }},
+	}
+	each := NewRegistry(Label{"device", "d"})
+	Register(each, counter("m", Label{}), solo)
 	for slot, v := range rows.vals {
-		if v == 0 {
-			continue
+		if v != 0 {
+			Register(each, perRow, &box{n: v, own: []Label{{"qpn", strconv.Itoa(slot)}}})
 		}
-		l := Labels{"qpn": strconv.Itoa(slot)}
-		vals[2*slot], vals[2*slot+1] = v, 2*v
-		each.Counter("m", "per row", l, &vals[2*slot])
-		each.Counter("n", "per row, doubled", l, &vals[2*slot+1])
 	}
 
 	var got, want bytes.Buffer
@@ -298,13 +324,12 @@ func TestFamilyMatchesPerRowCounters(t *testing.T) {
 // TestHubTotalMatchesSnapshot checks Hub.Total against a snapshot's
 // Total over scalars, gauges and family rows spread across registries.
 func TestHubTotalMatchesSnapshot(t *testing.T) {
-	ra := NewRegistry(Labels{"device": "a"})
-	rb := NewRegistry(Labels{"device": "b"})
-	var x, y uint64 = 3, 11
-	ra.Counter("m", "h", nil, &x)
-	ra.Family("m", "h", newRowTable(ra, 5, 0, 7), 0)
-	rb.Counter("m", "h", Labels{"port": "1"}, &y)
-	rb.Gauge("g", "h", nil, func() float64 { return 2.5 })
+	ra := NewRegistry(Label{"device", "a"})
+	rb := NewRegistry(Label{"device", "b"})
+	Register(ra, counter("m", Label{}), &box{n: 3})
+	RegisterRows(ra, rowCounters("m"), newRowTable(ra, 5, 0, 7))
+	Register(rb, counter("m", Label{"port", "1"}), &box{n: 11})
+	Register(rb, gauge("g"), &box{g: 2.5})
 	hub := hubOf(sim.New(1), ra, rb)
 	snap := hub.Snapshot(0)
 	for _, name := range []string{"m", "g", "absent"} {
@@ -318,10 +343,10 @@ func TestHubTotalMatchesSnapshot(t *testing.T) {
 }
 
 func TestRowLabelsMatchRender(t *testing.T) {
-	for _, common := range []Labels{nil, {"device": "d"}, {"a": "1", "z": "2"}, {"qpn": "old", "device": "d"}} {
+	for _, common := range []Label{{}, {"device", "d"}, {"a", "1"}, {"z", "2"}, {"qpn", "old"}} {
 		r := NewRegistry(common)
 		for _, v := range []uint64{0, 7, 12345} {
-			want := r.render(Labels{"qpn": strconv.FormatUint(v, 10)})
+			want := r.renderSet([]Label{{"qpn", strconv.FormatUint(v, 10)}}, Label{})
 			if got := r.RowLabels("qpn", v); got != want {
 				t.Errorf("common %v, qpn %d: RowLabels = %s, render = %s", common, v, got, want)
 			}
@@ -330,43 +355,48 @@ func TestRowLabelsMatchRender(t *testing.T) {
 }
 
 func TestDuplicateRegistrationsPanic(t *testing.T) {
-	mustPanic := func(name string, f func()) {
+	mustPanic := func(name, key string, f func()) {
 		t.Helper()
 		defer func() {
-			if msg := recover(); msg == nil {
-				t.Errorf("%s: no panic", name)
-			} else if !strings.Contains(fmt.Sprint(msg), "duplicate") {
-				t.Errorf("%s: panic %q does not name a duplicate", name, msg)
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "duplicate") || !strings.Contains(msg, key) {
+				t.Errorf("%s: panic %q does not name the duplicate %s", name, msg, key)
 			}
 		}()
 		f()
 	}
-	r := NewRegistry(Labels{"device": "d"})
+	r := NewRegistry(Label{"device", "d"})
 	rows := newRowTable(r, 1)
-	r.Family("m", "h", rows, 0)
-	mustPanic("family registered twice", func() { r.Family("m", "h", rows, 1) })
+	RegisterRows(r, rowCounters("m"), rows)
+	mustPanic("family registered twice", "m", func() { RegisterRows(r, rowCounters("n", "m"), rows) })
+
+	// One registry's scalars collide at its snapshot.
+	v := &box{}
+	Register(r, counter("x", Label{"port", "1"}), v)
+	Register(r, counter("x", Label{"port", "1"}), v)
+	mustPanic("same key in one registry", `x{device="d",port="1"}`, func() { r.Snapshot(0) })
 
 	// Two registries sharing a device label collide only in the hub.
-	var v uint64
-	a, b := NewRegistry(Labels{"device": "d"}), NewRegistry(Labels{"device": "d"})
-	a.Counter("x", "h", nil, &v)
-	b.Counter("x", "h", nil, &v)
-	mustPanic("same key in two registries", func() { hubOf(sim.New(1), a, b).Snapshot(0) })
+	a, b := NewRegistry(Label{"device", "d"}), NewRegistry(Label{"device", "d"})
+	Register(a, counter("x", Label{}), v)
+	Register(b, counter("x", Label{}), v)
+	mustPanic("same key in two registries", `x{device="d"}`, func() { hubOf(sim.New(1), a, b).Snapshot(0) })
 }
 
 // TestAllocBudgetFamilySnapshot pins the snapshot side of families: once
 // the row labels are interned, a snapshot of 1000 rows allocates only its
 // sample slice.
 func TestAllocBudgetFamilySnapshot(t *testing.T) {
-	r := NewRegistry(Labels{"device": "d"})
+	r := NewRegistry(Label{"device", "d"})
 	vals := make([]uint64, 1000)
 	for i := range vals {
 		vals[i] = uint64(i + 1)
 	}
 	rows := newRowTable(r, vals...)
-	for f := 0; f < 8; f++ {
-		r.Family("m"+strconv.Itoa(f), "h", rows, f)
+	names := make([]string, 8)
+	for f := range names {
+		names[f] = "m" + strconv.Itoa(f)
 	}
+	RegisterRows(r, rowCounters(names...), rows)
 	hub := hubOf(sim.New(1), r)
 	hub.Snapshot(0)
 	if avg := testing.AllocsPerRun(20, func() { hub.Snapshot(0) }); avg > 1 {
@@ -377,52 +407,75 @@ func TestAllocBudgetFamilySnapshot(t *testing.T) {
 	}
 }
 
-// TestArenaNewRegistryOn checks the registry and hub arenas. Same-name
-// registries of one generation are distinct. After a Reset each name
-// takes its own registries back in construction order, whatever order
-// the names come in, emptied of metrics and families, and a recycled
-// hub holds no registries.
+// TestRegistrationBudgetSnapshot pins what registering and reading
+// scalars costs. A Reset registry registers with no allocation and
+// renders nothing until a snapshot reads it; once a snapshot rendered
+// its labels, the next snapshot of the unchanged hub allocates only its
+// sample slice.
+func TestRegistrationBudgetSnapshot(t *testing.T) {
+	r := NewRegistry(Label{})
+	port := &box{own: []Label{{"lid", "7"}}}
+	status := &Table[box]{}
+	for _, s := range []string{"ok", "err", "flush"} {
+		*status = append(*status, Metric[box]{Name: "completions", Help: "h", Label: Label{"status", s},
+			Read: func(b *box) float64 { return float64(b.n) }})
+	}
+	dev, x, portX := &box{}, counter("x", Label{}), counter("port_x", Label{"port", "1"})
+	build := func() {
+		r.Reset(Label{"device", "d"})
+		Register(r, x, dev)
+		Register(r, status, dev)
+		Register(r, portX, port)
+	}
+	build()
+	if avg := testing.AllocsPerRun(20, build); avg != 0 {
+		t.Errorf("registering on a Reset registry allocates %.1f/op, want 0", avg)
+	}
+	if len(r.labels) != 0 || r.commonStr != "" {
+		t.Errorf("registration rendered %d label sets", len(r.labels))
+	}
+	hub := hubOf(sim.New(1), r)
+	hub.Snapshot(0)
+	if avg := testing.AllocsPerRun(20, func() { hub.Snapshot(0) }); avg > 1 {
+		t.Errorf("second snapshot allocates %.0f/op, want 1 (the sample slice)", avg)
+	}
+	if avg := testing.AllocsPerRun(20, func() { hub.Total("completions") }); avg != 0 {
+		t.Errorf("Hub.Total allocates %.1f/op", avg)
+	}
+}
+
+// TestArenaNewRegistryOn checks the hub arena and a recycled registry.
+// After an engine Reset NewHubOn returns the same hub holding no
+// registries. A Reset registry holds no tables, and its next snapshot
+// renders its instances' labels afresh: a recycled device's port may
+// have a new lid.
 func TestArenaNewRegistryOn(t *testing.T) {
 	eng := sim.New(1)
-	var v uint64
-	take := func(name string) *Registry {
-		r := NewRegistryOn(eng, name, Labels{"device": name}, 1, 1)
-		r.Counter("x", "h", nil, &v)
-		r.Family("f", "h", newRowTable(r, 1, 2), 0)
-		if cap(r.metrics) != 1 || cap(r.families) != 1 {
-			t.Fatalf("registry %q sized %d metrics and %d families, want the 1 and 1 asked for", name, cap(r.metrics), cap(r.families))
-		}
-		return r
+	r := NewRegistry(Label{"device", "a"})
+	port := &box{own: []Label{{"lid", "1"}}}
+	Register(r, counter("x", Label{}), port)
+	hub := hubOf(eng, r)
+	if _, ok := hub.Snapshot(0).Get("x", `{device="a",lid="1"}`); !ok {
+		t.Fatal("first build: no x{device=\"a\",lid=\"1\"}")
 	}
-	a1, a2, b1 := take("a"), take("a"), take("b")
-	if a1 == a2 {
-		t.Fatal("two same-name registries of one generation are the same instance")
-	}
-	hub := hubOf(eng, a1, a2, b1)
 
 	eng.Reset(2)
-	for i, c := range []struct {
-		name string
-		want *Registry
-	}{{"b", b1}, {"a", a1}, {"a", a2}} {
-		name := c.name
-		r := NewRegistryOn(eng, name, Labels{"device": name}, 1, 1)
-		if r != c.want {
-			t.Fatalf("registry %d (%q) after Reset is not the one its name took first", i, name)
-		}
-		if len(r.metrics) != 0 || len(r.families) != 0 {
-			t.Errorf("recycled registry %q kept %d metrics and %d families", name, len(r.metrics), len(r.families))
-		}
-		r.Counter("x", "h", nil, &v) // would panic as a duplicate if x survived
-	}
-	if a3 := NewRegistryOn(eng, "a", Labels{"device": "a"}, 1, 1); a3 == a1 || a3 == a2 {
-		t.Error("a third same-name registry reused one already taken this generation")
-	}
 	h := NewHubOn(eng)
 	if h != hub {
 		t.Fatal("NewHubOn after Reset did not recycle the hub")
 	}
 	if len(h.regs) != 0 || len(h.Snapshot(0).Samples) != 0 {
 		t.Errorf("recycled hub holds %d registries", len(h.regs))
+	}
+	r.Reset(Label{"device", "b"})
+	if r.Len() != 0 || len(r.entries) != 0 {
+		t.Errorf("Reset registry kept %d scalars in %d tables", r.Len(), len(r.entries))
+	}
+	port.own[0].Value = "2"
+	Register(r, counter("x", Label{}), port) // would repeat a key if x survived
+	h.Add(r)
+	s := h.Snapshot(0)
+	if _, ok := s.Get("x", `{device="b",lid="2"}`); !ok || len(s.Samples) != 1 {
+		t.Errorf("rebuilt registry reads %v, want only x{device=\"b\",lid=\"2\"}", s.Samples)
 	}
 }
