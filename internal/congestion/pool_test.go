@@ -1,6 +1,8 @@
 package congestion
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"odpsim/internal/packet"
@@ -124,6 +126,10 @@ func TestColdAllocQueuedEntries(t *testing.T) {
 		pkts[i] = &packet.Packet{SLID: 1, DLID: 2, Opcode: packet.OpWriteOnly, PayloadLen: 64}
 	}
 	run := func(n int) float64 {
+		// A GC cycle starting inside the measured run would count its
+		// own allocations against the budget.
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		return testing.AllocsPerRun(1, func() {
 			net := NewNetwork(sim.New(1), DefaultConfig(), 56, 2*sim.Microsecond, Hooks{})
 			for _, p := range pkts[:n] {

@@ -9,7 +9,6 @@ import (
 	"odpsim/internal/hostmem"
 	"odpsim/internal/rnic"
 	"odpsim/internal/scenario"
-	"odpsim/internal/shard"
 	"odpsim/internal/sim"
 	"odpsim/internal/telemetry"
 )
@@ -196,26 +195,7 @@ func runCollective(sc *scenario.Scenario, sys cluster.System, nodes, ops, size i
 			}
 		})
 	}
-	// Execute through the shard layer. The collective patterns are fully
-	// coupled — Decompose over the flow list always yields one causal
-	// domain — so the group degenerates to a single engine running
-	// sequentially regardless of the lane count: `shards` changes the
-	// execution harness, never the event order, and the goldens stay
-	// byte-identical at every value (pinned by TestShardedByteIdentical).
-	pairs := make([][2]int, 0, nodes*nodes)
-	for i := range peers {
-		for _, j := range peers[i] {
-			pairs = append(pairs, [2]int{i, j})
-		}
-	}
-	if part := shard.Decompose(nodes, pairs); part.Count != 1 {
-		// Unreachable for incast/shuffle; guards future patterns that
-		// would need one engine per domain to stay deterministic.
-		panic(fmt.Sprintf("collective pattern %q decomposed into %d causal domains", sc.Pattern, part.Count))
-	}
-	g := shard.NewGroup(sc.Shards)
-	g.AddDomain(cl.Eng)
-	g.MustRun()
+	cl.Eng.MustRun()
 
 	for i := range flows {
 		for pi := range flows[i] {

@@ -40,10 +40,10 @@ func sweepOutputs() []any {
 	baseClos.System.Congestion = &closCfg
 	clos := SweepExecTime(baseClos, IntervalRange(0, 4, 2), 3)
 
-	// The sharded execution path: a collective routed through the shard
-	// group at 8 worker lanes must reproduce exactly alongside the
-	// sweeps for any jobs count (lane-count invariance itself is pinned
-	// by TestShardedByteIdentical at the scenario level).
+	// A collective declaring 8 worker lanes, which it ignores (it runs
+	// on one engine), must reproduce exactly alongside the sweeps for any
+	// jobs count (lane-count invariance itself is pinned by
+	// TestShardedByteIdentical at the scenario level).
 	shardSc := &scenario.Scenario{
 		Name: "sweep-shard", Workload: "collective", Pattern: "incast",
 		Mode: "server", Shards: 8,

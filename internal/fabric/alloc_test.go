@@ -3,6 +3,7 @@ package fabric
 import (
 	"math/bits"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"odpsim/internal/packet"
@@ -138,6 +139,10 @@ func TestAllocBudgetFabricAttach(t *testing.T) {
 // delay-line doubling, not 2K.
 func TestColdAllocDeliveries(t *testing.T) {
 	run := func(k int) float64 {
+		// A GC cycle starting inside the measured run would count its
+		// own allocations against the budget.
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		return testing.AllocsPerRun(1, func() {
 			f := New(sim.New(1), DefaultConfig())
 			src := f.AttachPort(1, "src", func(*packet.Packet) {})

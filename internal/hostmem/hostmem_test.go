@@ -2,6 +2,8 @@ package hostmem
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -264,6 +266,10 @@ func TestResetReadiesSpareWaiters(t *testing.T) {
 // resolution record, so doubling P adds no allocations.
 func TestColdAllocPages(t *testing.T) {
 	run := func(pages int) float64 {
+		// A GC cycle starting inside the measured run would count its
+		// own allocations against the budget.
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		return testing.AllocsPerRun(1, func() {
 			eng := sim.New(1)
 			as := NewAddressSpace(eng, DefaultConfig())

@@ -1,6 +1,8 @@
 package odp
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"odpsim/internal/hostmem"
@@ -323,6 +325,10 @@ func TestRecycledEngineSizesSpuriousTable(t *testing.T) {
 // grows, and a doubling each of the pipeline queue and status tables.
 func TestColdAllocFaults(t *testing.T) {
 	run := func(pages int) float64 {
+		// A GC cycle starting inside the measured run would count its
+		// own allocations against the budget.
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		return testing.AllocsPerRun(1, func() {
 			eng, as, e := setup(t, DefaultConfig())
 			a := as.Alloc(pages * hostmem.PageSize)

@@ -1,6 +1,8 @@
 package rnic
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"odpsim/internal/fabric"
@@ -723,6 +725,10 @@ func TestWQEPoolRecycles(t *testing.T) {
 // N/wqeBlock allocations plus one send-queue doubling, not N.
 func TestColdAllocPosts(t *testing.T) {
 	run := func(n int) float64 {
+		// A GC cycle starting inside the measured run would count its
+		// own allocations against the budget.
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		return testing.AllocsPerRun(1, func() {
 			h := newHarness(t, 1, ConnectX4(), rcTransport, noODP, defaultParams())
 			for i := 0; i < n; i++ {

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"odpsim/internal/sim"
@@ -16,10 +17,10 @@ func fuzzArg(sent sim.Time, from, n int) uint64 {
 }
 
 // fuzzGroup decodes prog into a linked group of 2–6 domains and runs it
-// on lanes lanes, through the epoch loop when epochs is set. It returns
-// each domain's trace — local firings, landings, and the follow-ups
-// both schedule, each with Now, From and Arg — and whether the run took
-// the wave path.
+// on lanes lanes. It returns each domain's trace — local firings,
+// landings, and the follow-ups both schedule, each with Now, From and
+// Arg. A cyclic program must be rejected before any engine runs, and
+// returns no trace.
 //
 // The decoded program: the domain count; an acyclic or cyclic mode (a
 // cyclic program always carries the 0⇄1 pair, an acyclic one only links
@@ -28,9 +29,12 @@ func fuzzArg(sent sim.Time, from, n int) uint64 {
 // budget and local events at coarse instants that may send on one of the
 // domain's outbound links and may schedule a follow-up. Every instant
 // and delay is a multiple of 10 ns, so landings often tie local events,
-// among them follow-ups scheduled after one path has drained the landing
-// and before the other has.
-func fuzzGroup(t *testing.T, prog []byte, lanes int, epochs bool) ([][]string, bool) {
+// among them follow-ups scheduled after the landing was drained.
+//
+// Besides its timing, each landing is checked against the tie rule: an
+// event that was already scheduled when a landing fired, and falls at
+// the same instant, must have fired before it.
+func fuzzGroup(t *testing.T, prog []byte, lanes int) (traces [][]string) {
 	next := 0
 	arg := func() int {
 		if next >= len(prog) {
@@ -43,7 +47,6 @@ func fuzzGroup(t *testing.T, prog []byte, lanes int, epochs bool) ([][]string, b
 	cyclic := arg()&1 == 1
 	rot := arg()
 	g := NewGroup(lanes)
-	g.forceEpochs = epochs
 	ds := make([]*Domain, n)
 	for i := range ds {
 		ds[i] = g.AddDomain(sim.New(int64(i + 1)))
@@ -70,10 +73,13 @@ func fuzzGroup(t *testing.T, prog []byte, lanes int, epochs bool) ([][]string, b
 		}
 	}
 
-	traces := make([][]string, n)
+	traces = make([][]string, n)
 	for i := range ds {
 		d := ds[i]
 		sends, budget := 0, arg()%8
+		// landAt and landIdx are the instant and trace index of the
+		// domain's latest landing.
+		landAt, landIdx := sim.Time(-1), -1
 		send := func(pick, length int) {
 			out := links[i]
 			if len(out) == 0 {
@@ -85,6 +91,15 @@ func fuzzGroup(t *testing.T, prog []byte, lanes int, epochs bool) ([][]string, b
 		record := func(kind string, from int, a uint64) {
 			traces[i] = append(traces[i], fmt.Sprintf("%d %s %d %d", int64(d.Eng.Now()), kind, from, a))
 		}
+		// local records a local firing scheduled by the firing at trace
+		// index by (-1 before the run).
+		local := func(kind string, from int, a uint64, by int) {
+			if d.Eng.Now() == landAt && by < landIdx {
+				t.Errorf("domain %d: %s event scheduled by firing %d fired after the same-instant landing %d",
+					i, kind, by, landIdx)
+			}
+			record(kind, from, a)
+		}
 		d.OnFlight(func(f Flight) {
 			now := d.Eng.Now()
 			sent := sim.Time(f.Arg >> 24)
@@ -92,10 +107,12 @@ func fuzzGroup(t *testing.T, prog []byte, lanes int, epochs bool) ([][]string, b
 				t.Errorf("domain %d: flight %d from %d sent at %v (prop %v) fired at %v, stamped At %v",
 					i, f.Arg, f.From, sent, prop[f.From][i], now, f.At)
 			}
+			landAt, landIdx = now, len(traces[i])
 			record("land", f.From, f.Arg)
 			if f.Arg%3 == 0 {
 				later := sim.Time(10*(f.Arg>>8%3)) * sim.Nanosecond
-				d.Eng.Schedule(now+later, func() { record("echo", f.From, f.Arg) })
+				by := landIdx
+				d.Eng.Schedule(now+later, func() { local("echo", f.From, f.Arg, by) })
 			}
 			if budget > 0 {
 				budget--
@@ -106,27 +123,39 @@ func fuzzGroup(t *testing.T, prog []byte, lanes int, epochs bool) ([][]string, b
 			at := sim.Time(10*(arg()%8)) * sim.Nanosecond
 			act, length := arg(), arg()%64
 			d.Eng.Schedule(at, func() {
-				record("local", i, uint64(act))
+				by := len(traces[i])
+				local("local", i, uint64(act), -1)
 				if act%2 == 0 {
 					send(act/2, length)
 				}
 				if later := sim.Time(10*(act/2%4)) * sim.Nanosecond; later > 0 {
-					d.Eng.Schedule(d.Eng.Now()+later, func() { record("follow", i, uint64(act)) })
+					d.Eng.Schedule(d.Eng.Now()+later, func() { local("follow", i, uint64(act), by) })
 				}
 			})
 		}
 	}
-	g.Run()
-	if !g.cyclic && !epochs && g.ranEpochs != 0 {
-		t.Errorf("acyclic group ran %d epoch windows on the wave path", g.ranEpochs)
+	if cyclic {
+		defer func() {
+			if r := fmt.Sprint(recover()); !strings.HasPrefix(r, "shard: link graph has a cycle") {
+				t.Errorf("lanes=%d: cyclic link graph not rejected (recovered %s)", lanes, r)
+			}
+			for i, tr := range traces {
+				if len(tr) > 0 {
+					t.Errorf("lanes=%d: domain %d ran before the cycle was rejected", lanes, i)
+				}
+			}
+			traces = nil
+		}()
 	}
-	return traces, g.ranEpochs == 0
+	g.Run()
+	return traces
 }
 
-// FuzzGroupOrder holds the group to one trace per domain whatever runs
-// it: 1 or 3 lanes, the wave path or the forced epoch loop. Landing
-// order against same-instant local events is where drain timing could
-// leak into the trace, so the decoder makes such ties common.
+// FuzzGroupOrder holds the group to one trace per domain whatever lane
+// count runs it, 1 or 3, and to the tie rule between landings and
+// same-instant local events, which is where drain timing could leak
+// into the trace; the decoder makes such ties common. Cyclic programs
+// must be rejected at both lane counts.
 func FuzzGroupOrder(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 3, 1, 3, 2, 0, 0, 0, 0, 4, 2, 0, 5, 1, 0, 9, 3, 2, 2, 4, 6})
 	f.Add([]byte{2, 1, 0, 3, 2, 6, 0, 5, 3, 1, 4, 0, 2, 1, 3, 10, 4, 0, 1, 2, 5, 2, 0, 1})
@@ -134,16 +163,9 @@ func FuzzGroupOrder(f *testing.F) {
 		if len(prog) > 512 {
 			prog = prog[:512]
 		}
-		want, waves := fuzzGroup(t, prog, 1, false)
-		for _, c := range []struct {
-			lanes  int
-			epochs bool
-		}{{3, false}, {1, true}, {3, true}} {
-			got, _ := fuzzGroup(t, prog, c.lanes, c.epochs)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("lanes=%d epochs=%v trace differs from lanes=1 (waves=%v):\n got %q\nwant %q",
-					c.lanes, c.epochs, waves, got, want)
-			}
+		want := fuzzGroup(t, prog, 1)
+		if got := fuzzGroup(t, prog, 3); !reflect.DeepEqual(got, want) {
+			t.Fatalf("lanes=3 trace differs from lanes=1:\n got %q\nwant %q", got, want)
 		}
 	})
 }

@@ -34,8 +34,8 @@ func (p Partition) Members(i int) []int {
 //
 // A fully coupled pattern (incast, all-to-all shuffle) decomposes into
 // one domain — the honest answer: its golden can only be reproduced by
-// a single event loop, and the group degenerates to sequential
-// execution. Pod-local patterns (kv-serve's per-pod cells) decompose
+// a single event loop, so such a workload runs on one engine and builds
+// no group. Pod-local patterns (kv-serve's per-pod cells) decompose
 // into one domain per pod, which is where the lanes buy wall-clock.
 func Decompose(n int, flows [][2]int) Partition {
 	parent := make([]int, n)

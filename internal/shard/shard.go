@@ -14,39 +14,25 @@
 // the same contract internal/parallel established for sweep points.
 //
 // Cross-domain traffic moves as Flight values over directed boundary
-// Links, and the links form the group's link graph. A domain's safe time
-// follows from that graph (Chandy–Misra–Bryant): it may run up to the
-// earliest instant any upstream domain can still reach it, and a domain
-// with no inbound links may run to completion at once. When the graph is
-// acyclic, Run executes the domains in topological waves: wave 0 is
+// Links, and the links form the group's link graph, which must be
+// acyclic. Run executes the domains in topological waves: wave 0 is
 // every domain without inbound links, wave k every domain whose sources
-// all sit in earlier waves. Each domain of a wave flips its inbound
-// links, lands every flight it will ever receive, and runs its engine
-// dry; the domains of one wave run concurrently on the lanes. A source
-// domain's flights stay buffered on their links until its wave ends.
-// Domains never wait on each other inside a wave, so each engine's heap,
-// RNICs and switches stay hot in cache for its whole run.
+// all sit in earlier waves. Each domain of a wave lands every flight it
+// will ever receive and runs its engine dry; the domains of one wave run
+// concurrently on the lanes. A source domain's flights stay buffered on
+// their links until its wave ends. Domains never wait on each other
+// inside a wave, so each engine's heap, RNICs and switches stay hot in
+// cache for its whole run. A link graph with a cycle is a construction
+// error: Run panics before any engine runs.
 //
-// A cycle in the link graph falls back to the global bounded-lag epoch
-// loop (Lubachevsky). At each barrier the coordinator flips every link's
-// double buffer (flights emitted during the previous window become
-// visible to their destination), picks the global next event time T,
-// and releases every domain to drain its inbound flights and run
-// RunHorizon(T + lookahead) in parallel. Lookahead is the minimum
-// boundary-link propagation delay: a flight emitted at or after T lands
-// at or after T + lookahead, so no domain can be surprised inside its
-// window.
-//
-// Determinism across lane counts, and between the wave and epoch paths,
-// holds because a landing's place in its destination's event order is
-// fixed when it is sent, not when it is drained. Each domain merge-sorts
-// its landed flights by (At, source domain, source ReserveSeq) and
-// schedules each at its At with a sequence number from a reserved band
-// derived from (From, Seq): the band's top bit orders a landing after
-// every local event at the same instant, and (From, Seq) orders landings
-// among themselves. Both paths insert every landing before the
-// destination's clock reaches it, so nothing a worker lane does, and
-// neither path, can change what any domain observes.
+// Determinism across lane counts holds because a landing's place in its
+// destination's event order is fixed when it is sent, not when it is
+// drained. Each domain sorts its landed flights by (At, source domain,
+// source ReserveSeq) and schedules each at its At with a sequence number
+// from a reserved band derived from (From, Seq): the band's top bit
+// orders a landing after every local event at the same instant, and
+// (From, Seq) orders landings among themselves. Nothing a worker lane
+// does can change what any domain observes.
 package shard
 
 import (
@@ -71,7 +57,7 @@ type Flight struct {
 	// flights from one source landing at the same instant.
 	Seq uint64
 	// From is the source domain's index, stamped by Send: the middle
-	// component of the (At, From, Seq) merge key.
+	// component of the (At, From, Seq) landing order.
 	From int
 	// Src and Dst are application-level endpoints (LIDs, pod indices).
 	Src, Dst uint16
@@ -85,27 +71,23 @@ type Flight struct {
 
 // Link is a directed boundary link between two domains: a serializing
 // egress (one flight on the wire at a time at the configured rate)
-// followed by a fixed propagation delay. Flights are double-buffered:
-// the source appends to pending while it runs, pending is flipped into
-// ready when the source can send no more before the destination drains
-// (at the epoch barrier, or when the destination's wave starts), and
-// the destination drains ready — so producer and consumer never touch
-// the same slice concurrently, with the pool barrier providing the
-// happens-before edge. Both buffers recycle their backing arrays.
+// followed by a fixed propagation delay. The source appends to flights
+// while its wave runs and the destination drains them when its own wave
+// starts, so the two never touch the slice concurrently: the wave
+// barrier is the happens-before edge. The slice recycles its backing
+// array.
 type Link struct {
 	src, dst  *Domain
 	nsPerByte float64
 	prop      sim.Time
 	free      sim.Time // egress serialization cursor, in src time
-	pending   []Flight // written by src during its window
-	ready     []Flight // read by dst at its next drain
+	flights   []Flight // sent by src, drained by dst when its wave starts
 }
 
-// Send stamps f's landing time and merge tie-break and queues it on the
-// link. It must be called from within the source domain's window (its
-// engine's event context). The landing time is
-// max(now, egress free) + Len/rate + prop ≥ now + prop, which is what
-// the group's lookahead guarantee rests on.
+// Send stamps f's landing time and tie-break and queues it on the
+// link. It must be called while the source domain runs (its engine's
+// event context) or before the group runs. The landing time is
+// max(now, egress free) + Len/rate + prop ≥ now + prop.
 func (l *Link) Send(f Flight) {
 	eng := l.src.Eng
 	start := eng.Now()
@@ -119,16 +101,16 @@ func (l *Link) Send(f Flight) {
 		panic("shard: source engine sequence outgrew the landing tie-break band")
 	}
 	f.From = l.src.id
-	l.pending = append(l.pending, f)
+	l.flights = append(l.flights, f)
 }
 
 // A landing is scheduled at its At with the sequence number
 // landBand | From<<fromShift | Seq. Local sequence numbers never reach
 // the band's top bit, so a landing orders after every local event at
 // the same instant, and the (From, Seq) tail orders landings among
-// themselves exactly as the merge does. The key is fixed at Send, so
-// when a flight is drained — early in a wave, or in whichever epoch the
-// barrier lets it through — cannot change what fires first.
+// themselves exactly as the drain's sort does. The key is fixed at Send,
+// so a landing fires after a same-instant local event even when that
+// event is scheduled after the drain.
 const (
 	landBand   = uint64(1) << 63
 	fromShift  = 47
@@ -148,16 +130,13 @@ type Domain struct {
 	in      []*Link // inbound links in Connect order (fixes drain order)
 	handler func(Flight)
 	// inbox holds drained flights whose landing events are scheduled
-	// but not yet fired, kept sorted by (At, From, Seq) from inboxHead
-	// on; landFn pops the head. One landing event is scheduled per
-	// flight, and landing events fire in (At, From, Seq) order (landSeq),
-	// so the firing event's flight is always the head — even when a
-	// later epoch's drain merges in flights that land before a previous
-	// epoch's beyond-horizon leftovers.
+	// but not yet fired, sorted by (At, From, Seq) from inboxHead on;
+	// landFn pops the head. One landing event is scheduled per flight,
+	// and landing events fire in (At, From, Seq) order (landSeq), so the
+	// firing event's flight is always the head.
 	inbox     []Flight
 	inboxHead int
-	merge     []Flight // drain sort scratch, recycled
-	landFn    func()   // cached: one closure per domain, not per flight
+	landFn    func() // cached: one closure per domain, not per flight
 }
 
 // ID returns the domain's index in its group (also the From stamp on
@@ -194,49 +173,17 @@ func (d *Domain) land() {
 	d.handler(f)
 }
 
-// drain moves every ready inbound flight into the engine as a landing
-// event. Flights are merged across links and sorted by (At, From, Seq),
-// in place and allocation-free. The sorted batch is then merged into the
-// inbox's un-popped tail rather than appended: a previous epoch can
-// leave flights whose At lies beyond its horizon (heterogeneous link
-// props, a congested egress cursor), and a later batch may land before
-// them — a plain append would let their landing events pop the wrong
-// flight.
+// drain lands every inbound flight in the engine as a landing event:
+// the flights are gathered across links into the empty inbox, sorted by
+// (At, From, Seq) in place, and scheduled. A domain drains once per Run,
+// when its wave starts and every source has run dry.
 func (d *Domain) drain() {
-	d.merge = d.merge[:0]
 	for _, l := range d.in {
-		d.merge = append(d.merge, l.ready...)
+		d.inbox = append(d.inbox, l.flights...)
+		l.flights = l.flights[:0]
 	}
-	if len(d.merge) == 0 {
-		return
-	}
-	m := d.merge
-	slices.SortFunc(m, compareFlights)
-	// Compact the consumed prefix so an inbox that never fully empties
-	// cannot grow without bound across epochs.
-	if d.inboxHead > 0 {
-		n := copy(d.inbox, d.inbox[d.inboxHead:])
-		d.inbox = d.inbox[:n]
-		d.inboxHead = 0
-	}
-	// Back-to-front merge of the two sorted runs (leftover tail and new
-	// batch): O(n+m), allocation-free once the backing array is warm.
-	// Reads of the batch come from m, so overwriting the appended copy
-	// region is safe.
-	old := len(d.inbox)
-	d.inbox = append(d.inbox, m...)
-	i, j, k := old-1, len(m)-1, len(d.inbox)-1
-	for j >= 0 {
-		if i >= 0 && compareFlights(d.inbox[i], m[j]) > 0 {
-			d.inbox[k] = d.inbox[i]
-			i--
-		} else {
-			d.inbox[k] = m[j]
-			j--
-		}
-		k--
-	}
-	for _, f := range m {
+	slices.SortFunc(d.inbox, compareFlights)
+	for _, f := range d.inbox {
 		d.Eng.ScheduleSeq(f.At, landSeq(f), d.landFn)
 	}
 }
@@ -246,44 +193,28 @@ func (d *Domain) drain() {
 // single-use per run but domains' engines may be Reset and the group
 // rewound, arena-style, by the caller.
 type Group struct {
-	lanes     int
-	domains   []*Domain
-	links     []*Link
-	lookahead sim.Time
+	lanes   int
+	domains []*Domain
+	links   []*Link
 
 	// The wave schedule, derived from the link graph by plan and kept
 	// until the next AddDomain or Connect (Rewind keeps it too, so a warm
-	// rerun plans nothing). waves[k] lists wave k's domains in id order;
-	// cyclic means the graph has a cycle and Run takes the epoch loop.
+	// rerun plans nothing). waves[k] lists wave k's domains in id order.
 	planned bool
-	cyclic  bool
 	waves   [][]*Domain
 	width   int // the most domains one wave runs at once
-
-	// forceEpochs routes an acyclic linked group through the epoch loop,
-	// so in-package tests can hold both paths to the same traces.
-	forceEpochs bool
-	// ranWaves and ranEpochs count the last Run's waves and epoch
-	// windows.
-	ranWaves, ranEpochs int
+	// ranWaves counts the last Run's waves.
+	ranWaves int
 
 	jobs   chan *Domain
 	wg     sync.WaitGroup
-	fn     func(*Domain)
 	panicV any
 	once   sync.Once
-
-	// horizon is the current epoch's window end, written in the barrier
-	// section and read by epochRun on the lanes (the job channel's
-	// happens-before edge covers it). Keeping it a field lets every epoch
-	// share one cached epochFn instead of allocating a fresh closure.
-	horizon sim.Time
-	epochFn func(*Domain)
 }
 
 // NewGroup creates a group executing on lanes worker lanes. Values below
 // 1 auto-tune to the process's GOMAXPROCS (startWorkers further caps at
-// the widest phase, so small fabrics never spawn idle lanes); the lane
+// the widest wave, so small fabrics never spawn idle lanes); the lane
 // count never affects simulation output, only wall-clock.
 func NewGroup(lanes int) *Group {
 	if lanes < 1 {
@@ -306,15 +237,14 @@ func (g *Group) AddDomain(eng *sim.Engine) *Domain {
 
 // Connect creates a directed boundary link from src to dst with the
 // given serialization rate (gbps ≤ 0 means latency-only) and propagation
-// delay. The propagation delay must be positive: it is what bounds the
-// epoch loop's lookahead, and a zero-latency boundary would force
-// lockstep.
+// delay. The propagation delay must be positive: a boundary link stands
+// for a wire, so a flight always lands strictly after it is sent.
 func (g *Group) Connect(src, dst *Domain, gbps float64, prop sim.Time) *Link {
 	if src == dst {
 		panic("shard: a boundary link must cross domains")
 	}
 	if prop <= 0 {
-		panic("shard: boundary links need a positive propagation delay (it bounds the lookahead)")
+		panic("shard: boundary links need a positive propagation delay")
 	}
 	l := &Link{src: src, dst: dst, prop: prop}
 	if gbps > 0 {
@@ -322,9 +252,6 @@ func (g *Group) Connect(src, dst *Domain, gbps float64, prop sim.Time) *Link {
 	}
 	dst.in = append(dst.in, l)
 	g.links = append(g.links, l)
-	if g.lookahead == 0 || prop < g.lookahead {
-		g.lookahead = prop
-	}
 	g.planned = false
 	return l
 }
@@ -332,12 +259,12 @@ func (g *Group) Connect(src, dst *Domain, gbps float64, prop sim.Time) *Link {
 // plan derives the wave schedule from the link graph (Kahn's algorithm):
 // a domain's wave is one past the latest wave among its sources, so
 // every flight a domain receives was sent in an earlier wave. A domain
-// left with unresolved inbound links sits on a cycle.
+// left with unresolved inbound links sits on or behind a cycle, and plan
+// panics naming a domain on the cycle.
 func (g *Group) plan() {
 	if g.planned {
 		return
 	}
-	g.planned = true
 	n := len(g.domains)
 	wave := make([]int, n)
 	indeg := make([]int, n)
@@ -363,43 +290,48 @@ func (g *Group) plan() {
 			}
 		}
 	}
-	g.cyclic = len(ready) < n
-	g.waves, g.width = nil, 0
-	if g.cyclic {
-		return
+	if len(ready) < n {
+		// Every unresolved domain has an unresolved source, so walking
+		// n steps upstream from one ends on the cycle.
+		d := g.domains[slices.IndexFunc(indeg, func(k int) bool { return k > 0 })]
+		for range n {
+			for _, l := range d.in {
+				if indeg[l.src.id] > 0 {
+					d = l.src
+					break
+				}
+			}
+		}
+		panic(fmt.Sprintf("shard: link graph has a cycle through domain %d", d.id))
 	}
 	g.waves = make([][]*Domain, last+1)
 	for _, d := range g.domains {
 		g.waves[wave[d.id]] = append(g.waves[wave[d.id]], d)
 	}
+	g.width = 0
 	for _, w := range g.waves {
 		g.width = max(g.width, len(w))
 	}
+	g.planned = true
 }
 
-// Run executes every domain to completion: in topological waves when the
-// link graph is acyclic (always so without links), in the bounded-lag
-// epoch loop otherwise — both as described in the package comment. Run
-// returns when no domain has a scheduled event and no flight is in
-// transit, or after the phase in which some domain's engine called Stop.
+// Run executes every domain to completion in topological waves of the
+// link graph, as described in the package comment; it panics before any
+// engine runs if the graph has a cycle. Run returns when every domain
+// has run dry, or after the wave in which some domain's engine called
+// Stop.
 func (g *Group) Run() {
+	g.plan()
 	for _, d := range g.domains {
 		if len(d.in) > 0 && d.handler == nil {
 			panic(fmt.Sprintf("shard: domain %d has inbound links but no OnFlight handler", d.id))
 		}
 	}
-	g.plan()
-	g.ranWaves, g.ranEpochs = 0, 0
-	if g.cyclic || (g.forceEpochs && len(g.links) > 0) {
-		stop := g.startWorkers(len(g.domains))
-		defer stop()
-		g.runEpochs()
-		return
-	}
+	g.ranWaves = 0
 	stop := g.startWorkers(g.width)
 	defer stop()
 	for _, w := range g.waves {
-		g.runEach(w, waveRun)
+		g.runEach(w)
 		g.ranWaves++
 		for _, d := range w {
 			if d.Eng.Stopped() {
@@ -413,58 +345,8 @@ func (g *Group) Run() {
 // has run dry, so its inbound links hold every flight it will ever
 // receive: land them all, then run the engine dry.
 func waveRun(d *Domain) {
-	for _, l := range d.in {
-		l.ready, l.pending = l.pending, l.ready[:0]
-	}
 	d.drain()
 	d.Eng.Run()
-}
-
-// runEpochs is the cycle fallback: the global bounded-lag epoch loop.
-func (g *Group) runEpochs() {
-	if g.epochFn == nil {
-		g.epochFn = g.epochRun
-	}
-	const inf = sim.Time(1<<63 - 1)
-	for {
-		// Barrier section: all lanes idle, so flipping the double buffers
-		// and reading every engine's next event time is race-free.
-		t := inf
-		for _, l := range g.links {
-			l.ready, l.pending = l.pending, l.ready[:0]
-			for i := range l.ready {
-				if l.ready[i].At < t {
-					t = l.ready[i].At
-				}
-			}
-		}
-		for _, d := range g.domains {
-			if nt, ok := d.Eng.NextEventTime(); ok && nt < t {
-				t = nt
-			}
-		}
-		if t == inf {
-			return
-		}
-		g.horizon = t + g.lookahead
-		g.runEach(g.domains, g.epochFn)
-		g.ranEpochs++
-		// RunHorizon clears the stopped flag on entry, so a Stop issued
-		// inside a window only survives until the next epoch; honour it
-		// here so Stop ends the group run, mirroring Engine.Run.
-		for _, d := range g.domains {
-			if d.Eng.Stopped() {
-				return
-			}
-		}
-	}
-}
-
-// epochRun is one domain's share of an epoch: land the flights the
-// barrier made visible, then execute the window.
-func (g *Group) epochRun(d *Domain) {
-	d.drain()
-	d.Eng.RunHorizon(g.horizon)
 }
 
 // MustRun is Run plus the engine layer's deadlock check: it panics if
@@ -480,20 +362,18 @@ func (g *Group) MustRun() {
 }
 
 // Rewind returns the group to its pre-run state — link egress cursors
-// and flight buffers cleared, inboxes emptied — keeping every
-// allocation and the wave schedule, so a caller that Resets its engines
-// can rerun the same group arena-style without per-trial garbage.
-// Installed handlers stay.
+// and flights cleared, inboxes emptied — keeping every allocation and
+// the wave schedule, so a caller that Resets its engines can rerun the
+// same group arena-style without per-trial garbage. Installed handlers
+// stay.
 func (g *Group) Rewind() {
 	for _, l := range g.links {
 		l.free = 0
-		l.pending = l.pending[:0]
-		l.ready = l.ready[:0]
+		l.flights = l.flights[:0]
 	}
 	for _, d := range g.domains {
 		d.inbox = d.inbox[:0]
 		d.inboxHead = 0
-		d.merge = d.merge[:0]
 	}
 	// Clear captured panic state: a re-raised lane panic from a prior
 	// run must not mask a rerun's own failure (the Once is consumed).
@@ -501,7 +381,7 @@ func (g *Group) Rewind() {
 	g.once = sync.Once{}
 }
 
-// startWorkers launches the persistent lane goroutines for phases that
+// startWorkers launches the persistent lane goroutines for waves that
 // run at most width domains at once (none when one lane or one domain
 // suffices — then runEach executes inline, which is also the
 // allocation-free path the alloc budget pins). The returned stop
@@ -523,10 +403,10 @@ func (g *Group) startWorkers(width int) func() {
 	return func() { g.jobs = nil; close(jobs) }
 }
 
-// runOne executes the current phase function on one domain, capturing
-// the first panic so the coordinator can re-raise it after the barrier
-// (a lost panic in a lane goroutine would otherwise kill the process
-// with no caller context).
+// runOne runs one domain's share of a wave, capturing the first panic
+// so the coordinator can re-raise it after the barrier (a lost panic in
+// a lane goroutine would otherwise kill the process with no caller
+// context).
 func (g *Group) runOne(d *Domain) {
 	defer g.wg.Done()
 	defer func() {
@@ -534,18 +414,17 @@ func (g *Group) runOne(d *Domain) {
 			g.once.Do(func() { g.panicV = r })
 		}
 	}()
-	g.fn(d)
+	waveRun(d)
 }
 
-// runEach runs fn over ds, on the lane pool when one exists.
-func (g *Group) runEach(ds []*Domain, fn func(*Domain)) {
+// runEach runs one wave's domains, on the lane pool when one exists.
+func (g *Group) runEach(ds []*Domain) {
 	if g.jobs == nil {
 		for _, d := range ds {
-			fn(d)
+			waveRun(d)
 		}
 		return
 	}
-	g.fn = fn
 	g.wg.Add(len(ds))
 	for _, d := range ds {
 		g.jobs <- d

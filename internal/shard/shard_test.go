@@ -3,133 +3,145 @@ package shard
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"odpsim/internal/sim"
 )
 
-// pingPong builds a P-domain ring where every domain sends `ops` flights
-// to its right neighbour, each landing triggering the next send, and
-// returns a per-domain trace of (landing time, src, arg). Run at
-// different lane counts it must produce identical traces — the group's
-// core determinism contract.
-func pingPong(domains, ops, lanes int) [][]string {
+// dagTrace runs a seven-domain DAG over lanes lanes and returns each
+// domain's trace of (landing time, src, arg). Domain 0 fans out to 1–3,
+// 1 and 2 fan in to 4, 2 and 3 to 5, and 4 and 5 to the sink 6, which 0
+// also reaches directly: four waves. Every domain but the sink fires
+// local sends, and every landing outside the sink triggers an onward
+// send, round-robin over the domain's outbound links. Run at different
+// lane counts it must produce identical traces — the group's core
+// determinism contract.
+func dagTrace(lanes, ops int) (*Group, [][]string) {
+	edges := [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 4}, {2, 4}, {2, 5}, {3, 5}, {4, 6}, {5, 6}, {0, 6}}
 	g := NewGroup(lanes)
-	ds := make([]*Domain, domains)
+	ds := make([]*Domain, 7)
 	for i := range ds {
 		ds[i] = g.AddDomain(sim.New(int64(i + 1)))
 	}
-	links := make([]*Link, domains)
-	for i := range ds {
-		links[i] = g.Connect(ds[i], ds[(i+1)%domains], 100, 2*sim.Microsecond)
+	out := make([][]*Link, len(ds))
+	for k, e := range edges {
+		prop := sim.Time(1+k%3) * sim.Microsecond
+		out[e[0]] = append(out[e[0]], g.Connect(ds[e[0]], ds[e[1]], 100, prop))
 	}
-	traces := make([][]string, domains)
+	traces := make([][]string, len(ds))
 	for i := range ds {
-		i := i
+		i, d := i, ds[i]
 		sent := 0
-		ds[i].OnFlight(func(f Flight) {
-			traces[i] = append(traces[i], fmt.Sprintf("%d:%d:%d", int64(ds[i].Eng.Now()), f.From, f.Arg))
-			if sent < ops {
+		send := func() {
+			if sent < ops && len(out[i]) > 0 {
 				sent++
-				links[i].Send(Flight{Len: 256, Arg: uint64(1000*i + sent)})
+				out[i][sent%len(out[i])].Send(Flight{Len: 256, Arg: uint64(1000*i + sent)})
 			}
+		}
+		d.OnFlight(func(f Flight) {
+			traces[i] = append(traces[i], fmt.Sprintf("%d:%d:%d", int64(d.Eng.Now()), f.From, f.Arg))
+			send()
 		})
-		// Seed the ring: every domain fires one opening flight at t=0.
-		links[i].Send(Flight{Len: 256, Arg: uint64(1000 * i)})
+		for k := 0; k < 4; k++ {
+			d.Eng.Schedule(sim.Time(k*(i+1))*sim.Microsecond, send)
+		}
 	}
 	g.Run()
-	return traces
+	return g, traces
 }
 
 // TestGroupDeterministicAcrossLanes is the contract test: the same
 // linked group produces byte-identical traces at 1, 2, 4 and 8 lanes.
 func TestGroupDeterministicAcrossLanes(t *testing.T) {
-	want := pingPong(6, 50, 1)
+	g, want := dagTrace(1, 50)
+	if g.ranWaves != 4 {
+		t.Fatalf("%d waves, want 4", g.ranWaves)
+	}
+	if len(want[4]) == 0 || len(want[5]) == 0 || len(want[6]) == 0 {
+		t.Fatalf("landings did not reach the fan-in domains: %d, %d, %d", len(want[4]), len(want[5]), len(want[6]))
+	}
 	for _, lanes := range []int{2, 4, 8} {
-		got := pingPong(6, 50, lanes)
-		if !reflect.DeepEqual(got, want) {
+		if _, got := dagTrace(lanes, 50); !reflect.DeepEqual(got, want) {
 			t.Errorf("lanes=%d trace differs from sequential", lanes)
 		}
 	}
-	// Sanity: traffic actually flowed.
-	if len(want[0]) != 52 { // opening flight from the left neighbour + 50 replies + own seed landing chain
-		t.Logf("domain 0 saw %d landings", len(want[0]))
-	}
 }
 
-// TestLookaheadSafety checks the conservative guarantee directly: no
-// flight ever lands before its destination's clock (which would panic in
-// Schedule), even under a dense cross-traffic pattern with minimal
-// propagation delay.
-func TestLookaheadSafety(t *testing.T) {
-	g := NewGroup(4)
-	a := g.AddDomain(sim.New(1))
-	b := g.AddDomain(sim.New(2))
-	ab := g.Connect(a, b, 56, sim.Microsecond)
-	ba := g.Connect(b, a, 56, sim.Microsecond)
-	n := 0
-	b.OnFlight(func(f Flight) {
-		if n < 500 {
-			n++
-			ba.Send(Flight{Len: 64})
+// TestCyclicGroupPanics checks that a link graph with a cycle is
+// rejected before any engine runs, naming a domain on the cycle: a
+// 2-cycle, and a 3-ring reached from an acyclic domain 0.
+func TestCyclicGroupPanics(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		edges [][2]int
+		cycle []int
+	}{
+		{"2-cycle", [][2]int{{0, 1}, {1, 0}}, []int{0, 1}},
+		{"3-ring", [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 1}}, []int{1, 2, 3}},
+	} {
+		g := NewGroup(2)
+		var ds []*Domain
+		fired := 0
+		for _, e := range c.edges {
+			for len(ds) <= max(e[0], e[1]) {
+				d := g.AddDomain(sim.New(int64(len(ds) + 1)))
+				d.OnFlight(func(Flight) { fired++ })
+				d.Eng.Schedule(0, func() { fired++ })
+				ds = append(ds, d)
+			}
+			g.Connect(ds[e[0]], ds[e[1]], 0, sim.Microsecond)
 		}
-	})
-	a.OnFlight(func(f Flight) { ab.Send(Flight{Len: 64}) })
-	ab.Send(Flight{Len: 64})
-	g.Run() // would panic on any causality violation
-	if n != 500 {
-		t.Fatalf("bounce count = %d, want 500", n)
+		func() {
+			defer func() {
+				r := fmt.Sprint(recover())
+				var id int
+				if _, err := fmt.Sscanf(r, "shard: link graph has a cycle through domain %d", &id); err != nil || !slices.Contains(c.cycle, id) {
+					t.Errorf("%s: Run recovered %q, want the cycle panic naming one of domains %v", c.name, r, c.cycle)
+				}
+			}()
+			g.Run()
+		}()
+		if fired != 0 {
+			t.Errorf("%s: %d events fired before the cycle was rejected", c.name, fired)
+		}
 	}
 }
 
 // TestFlightMergeOrder pins the (At, From, Seq) merge: two source
 // domains emit flights landing at the same instant, and the destination
-// must observe the lower domain id first, then reservation order — on
-// the wave path and through the epoch loop.
+// must observe the lower domain id first, then reservation order.
 func TestFlightMergeOrder(t *testing.T) {
-	for _, epochs := range []bool{false, true} {
-		g := NewGroup(1)
-		g.forceEpochs = epochs
-		s0 := g.AddDomain(sim.New(1))
-		s1 := g.AddDomain(sim.New(2))
-		dst := g.AddDomain(sim.New(3))
-		l0 := g.Connect(s0, dst, 0, sim.Microsecond) // latency-only: same landing instants
-		l1 := g.Connect(s1, dst, 0, sim.Microsecond)
-		var got []string
-		dst.OnFlight(func(f Flight) {
-			got = append(got, fmt.Sprintf("%d/%d", f.From, f.Arg))
-		})
-		// Emitted in interleaved order; all land at t=1µs.
-		l1.Send(Flight{Arg: 0})
-		l0.Send(Flight{Arg: 0})
-		l1.Send(Flight{Arg: 1})
-		l0.Send(Flight{Arg: 1})
-		g.Run()
-		want := []string{"0/0", "0/1", "1/0", "1/1"}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("epochs=%v: merge order %v, want %v", epochs, got, want)
-		}
+	g := NewGroup(1)
+	s0 := g.AddDomain(sim.New(1))
+	s1 := g.AddDomain(sim.New(2))
+	dst := g.AddDomain(sim.New(3))
+	l0 := g.Connect(s0, dst, 0, sim.Microsecond) // latency-only: same landing instants
+	l1 := g.Connect(s1, dst, 0, sim.Microsecond)
+	var got []string
+	dst.OnFlight(func(f Flight) {
+		got = append(got, fmt.Sprintf("%d/%d", f.From, f.Arg))
+	})
+	// Emitted in interleaved order; all land at t=1µs.
+	l1.Send(Flight{Arg: 0})
+	l0.Send(Flight{Arg: 0})
+	l1.Send(Flight{Arg: 1})
+	l0.Send(Flight{Arg: 1})
+	g.Run()
+	want := []string{"0/0", "0/1", "1/0", "1/1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merge order %v, want %v", got, want)
 	}
 }
 
-// TestHeterogeneousPropDelivery is the regression test for the inbox
-// merge: with two inbound links of very different propagation delays, a
-// slow flight drained in an early epoch used to sit at the FIFO head
-// while a later epoch drained a fast flight landing before it — so the
-// fast flight's landing event delivered the slow flight's payload and
-// timestamp. The sorted-inbox merge must deliver each flight at its own
-// At with its own Arg, at every lane count. The graph is acyclic, so
-// the test forces the epoch loop, where the two flights arrive in
-// separate drains; the wave path, which drains both at once, must agree.
+// TestHeterogeneousPropDelivery checks the inbox against its landing
+// events: with two inbound links of very different propagation delays,
+// the flight sent later lands first, and each landing event must
+// deliver its own flight — its own At and Arg — at every lane count.
 func TestHeterogeneousPropDelivery(t *testing.T) {
-	for _, c := range []struct {
-		lanes  int
-		epochs bool
-	}{{1, true}, {2, true}, {4, true}, {1, false}, {2, false}} {
-		lanes := c.lanes
+	for _, lanes := range []int{1, 2} {
 		g := NewGroup(lanes)
-		g.forceEpochs = c.epochs
 		slow := g.AddDomain(sim.New(1))
 		fast := g.AddDomain(sim.New(2))
 		dst := g.AddDomain(sim.New(3))
@@ -143,54 +155,44 @@ func TestHeterogeneousPropDelivery(t *testing.T) {
 					lanes, f.Arg, int64(f.At), int64(dst.Eng.Now()))
 			}
 		})
-		// Epoch 1 (lookahead 1 ns): slow emits at t=0, landing At=100.
-		// Epoch 2 drains it; fast emits at t=2, landing At=3 — drained in
-		// epoch 3, behind the still-pending slow flight.
+		// slow emits at t=0, landing At=100; fast emits at t=2, landing
+		// At=3.
 		slow.Eng.Schedule(0, func() { ls.Send(Flight{Arg: 7}) })
 		fast.Eng.Schedule(2*sim.Nanosecond, func() { lf.Send(Flight{Arg: 9}) })
 		g.Run()
 		want := []string{"9@3", "7@100"}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("lanes=%d epochs=%v: deliveries %v, want %v", lanes, c.epochs, got, want)
-		}
-		if c.epochs && g.ranEpochs < 3 {
-			t.Fatalf("lanes=%d: %d epoch windows, want the flights drained in separate epochs", lanes, g.ranEpochs)
+			t.Fatalf("lanes=%d: deliveries %v, want %v", lanes, got, want)
 		}
 	}
 }
 
 // TestSameInstantLandingOrder pins the landing tie rule: a flight
 // landing at the same instant as a local event on its destination fires
-// after it, however early the flight was drained. The local event at
-// 10 ns is scheduled by an event at `at`; the flight is drained before
-// everything on the wave path, and in the epoch loop in the first epoch
-// after its send, which comes before the scheduling event (at 5 ns) or
-// after it (at 0 ns). A drain-time sequence number would order the
-// landing first in three of these four runs and last in one.
+// after it, even when the local event is scheduled after the flight was
+// drained. The flight is drained before the destination's engine runs;
+// the local event at 10 ns is scheduled by an event at `at`, after the
+// drain. A drain-time sequence number would order the landing first.
 func TestSameInstantLandingOrder(t *testing.T) {
 	for _, at := range []sim.Time{0, 5 * sim.Nanosecond} {
-		for _, epochs := range []bool{false, true} {
-			g := NewGroup(1)
-			g.forceEpochs = epochs
-			src := g.AddDomain(sim.New(1))
-			dst := g.AddDomain(sim.New(2))
-			slow := g.Connect(src, dst, 0, 10*sim.Nanosecond)
-			g.Connect(src, dst, 0, sim.Nanosecond) // carries nothing; makes the epochs 1 ns
-			var got []string
-			dst.OnFlight(func(f Flight) {
-				got = append(got, fmt.Sprintf("land@%d", int64(dst.Eng.Now())))
+		g := NewGroup(1)
+		src := g.AddDomain(sim.New(1))
+		dst := g.AddDomain(sim.New(2))
+		l := g.Connect(src, dst, 0, 10*sim.Nanosecond)
+		var got []string
+		dst.OnFlight(func(f Flight) {
+			got = append(got, fmt.Sprintf("land@%d", int64(dst.Eng.Now())))
+		})
+		src.Eng.Schedule(0, func() { l.Send(Flight{Arg: 1}) })
+		dst.Eng.Schedule(at, func() {
+			dst.Eng.Schedule(10*sim.Nanosecond, func() {
+				got = append(got, fmt.Sprintf("local@%d", int64(dst.Eng.Now())))
 			})
-			src.Eng.Schedule(0, func() { slow.Send(Flight{Arg: 1}) })
-			dst.Eng.Schedule(at, func() {
-				dst.Eng.Schedule(10*sim.Nanosecond, func() {
-					got = append(got, fmt.Sprintf("local@%d", int64(dst.Eng.Now())))
-				})
-			})
-			g.Run()
-			want := []string{"local@10", "land@10"}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("scheduler at %v, epochs=%v: order %v, want %v", at, epochs, got, want)
-			}
+		})
+		g.Run()
+		want := []string{"local@10", "land@10"}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("scheduler at %v: order %v, want %v", at, got, want)
 		}
 	}
 }
@@ -214,23 +216,14 @@ func star(lanes, leaves, events int) (*Group, *Domain, *int) {
 }
 
 // TestStarRunsInTwoWaves checks the wave schedule on kv-serve's link
-// shape: leaves into one hub run as two waves and no epoch windows,
-// where the epoch loop needs a window per lookahead (2 µs) of traffic.
+// shape: leaves into one hub run as two waves.
 func TestStarRunsInTwoWaves(t *testing.T) {
 	for _, lanes := range []int{1, 3} {
 		g, _, landed := star(lanes, 4, 10)
 		g.Run()
-		if g.ranWaves != 2 || g.ranEpochs != 0 || *landed != 40 {
-			t.Errorf("lanes=%d: %d waves, %d epochs, %d landings; want 2, 0, 40",
-				lanes, g.ranWaves, g.ranEpochs, *landed)
+		if g.ranWaves != 2 || *landed != 40 {
+			t.Errorf("lanes=%d: %d waves, %d landings; want 2, 40", lanes, g.ranWaves, *landed)
 		}
-	}
-	g, _, landed := star(1, 4, 10)
-	g.forceEpochs = true
-	g.Run()
-	if g.ranWaves != 0 || g.ranEpochs < 5 || *landed != 40 {
-		t.Errorf("forced epochs: %d waves, %d epochs, %d landings; want 0, ≥5, 40",
-			g.ranWaves, g.ranEpochs, *landed)
 	}
 }
 
@@ -263,32 +256,6 @@ func TestWavePanicReraised(t *testing.T) {
 		}
 	}()
 	g.Run()
-}
-
-// TestStopEndsGroupRun pins Stop semantics under the epoch loop: a
-// domain calling Engine.Stop inside a window must end the whole group
-// run at the next barrier, not just its current window.
-func TestStopEndsGroupRun(t *testing.T) {
-	g := NewGroup(1)
-	a := g.AddDomain(sim.New(1))
-	b := g.AddDomain(sim.New(2))
-	ab := g.Connect(a, b, 100, sim.Microsecond)
-	ba := g.Connect(b, a, 100, sim.Microsecond)
-	landings := 0
-	b.OnFlight(func(f Flight) {
-		landings++
-		if landings == 3 {
-			b.Eng.Stop()
-			return
-		}
-		ba.Send(Flight{Len: 64})
-	})
-	a.OnFlight(func(f Flight) { ab.Send(Flight{Len: 64}) })
-	ab.Send(Flight{Len: 64})
-	g.Run()
-	if landings != 3 {
-		t.Fatalf("group ran past Stop: %d landings, want 3", landings)
-	}
 }
 
 // TestRewindClearsPanicState checks that a lane panic captured in one
@@ -411,7 +378,7 @@ func TestMustRunNamesDeadlockedWaveDomain(t *testing.T) {
 }
 
 // TestConnectValidation pins the constructor panics: self-links and
-// zero-lookahead links are design errors, not runtime states.
+// zero-delay links are design errors, not runtime states.
 func TestConnectValidation(t *testing.T) {
 	g := NewGroup(1)
 	a := g.AddDomain(sim.New(1))
@@ -465,35 +432,37 @@ func TestDecompose(t *testing.T) {
 }
 
 // TestGroupAllocFreeWarm pins the steady-state handoff budget at the
-// package level: after a warm-up run, re-running a rebuilt two-domain
-// exchange on recycled engines must not allocate per flight (rings,
-// inbox, merge scratch and heap slots all recycle). The root-level
-// TestAllocBudgetShardedSend covers the full cluster-on-shard path.
+// package level: after a warm-up run, re-running a three-domain chain
+// (every landing on the middle domain forwarded to the last) on
+// recycled engines must not allocate per flight (flight slices, inboxes
+// and heap slots all recycle). The root-level TestAllocBudgetShardedSend
+// covers the full cluster-on-shard path.
 func TestGroupAllocFreeWarm(t *testing.T) {
-	engA, engB := sim.New(1), sim.New(2)
+	engA, engB, engC := sim.New(1), sim.New(2), sim.New(3)
 	g := NewGroup(1)
-	a, b := g.AddDomain(engA), g.AddDomain(engB)
+	a, b, c := g.AddDomain(engA), g.AddDomain(engB), g.AddDomain(engC)
 	ab := g.Connect(a, b, 100, 2*sim.Microsecond)
-	ba := g.Connect(b, a, 100, 2*sim.Microsecond)
+	bc := g.Connect(b, c, 100, 2*sim.Microsecond)
 	var n int
-	b.OnFlight(func(f Flight) {
-		if n < 256 {
-			n++
-			ba.Send(Flight{Len: 64})
-		}
-	})
-	a.OnFlight(func(f Flight) { ab.Send(Flight{Len: 64}) })
+	b.OnFlight(func(f Flight) { bc.Send(Flight{Len: 64}) })
+	c.OnFlight(func(f Flight) { n++ })
 	seed := int64(0)
 	trial := func() {
 		seed++
 		engA.Reset(seed)
 		engB.Reset(seed + 1)
+		engC.Reset(seed + 2)
 		g.Rewind()
 		n = 0
-		ab.Send(Flight{Len: 64})
+		for k := 0; k < 256; k++ {
+			ab.Send(Flight{Len: 64})
+		}
 		g.Run()
 	}
 	trial()
+	if n != 256 {
+		t.Fatalf("%d flights reached the chain's end, want 256", n)
+	}
 	if avg := testing.AllocsPerRun(10, trial); avg > 2 {
 		t.Errorf("warm group trial allocates %.0f/run, want ≤ 2 (per-flight garbage on the handoff path)", avg)
 	}

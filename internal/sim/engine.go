@@ -446,10 +446,9 @@ func (e *Engine) EventCapacity() int { return cap(e.lite) }
 func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether Stop has been called since the engine last
-// began running (Run, RunUntil and RunHorizon clear the flag on entry).
-// The shard group polls it after each wave and epoch window, so a Stop
-// issued inside one ends the whole group run rather than only that
-// domain's run or window (internal/shard).
+// began running (Run and RunUntil clear the flag on entry). The shard
+// group polls it after each wave, so a Stop issued inside one ends the
+// whole group run rather than only that domain's run (internal/shard).
 func (e *Engine) Stopped() bool { return e.stopped }
 
 // Step executes the single next event, advancing the clock. It reports
@@ -496,9 +495,7 @@ func (e *Engine) RunUntil(t Time) {
 }
 
 // NextEventTime returns the timestamp of the earliest scheduled event
-// without popping it, reporting ok=false on an empty queue. The shard
-// layer's epoch coordinator reads every engine's next time to pick the
-// global window start (internal/shard).
+// without popping it, reporting ok=false on an empty queue.
 func (e *Engine) NextEventTime() (Time, bool) {
 	switch {
 	case len(e.timers) == 0 && len(e.lite) == 0:
@@ -509,25 +506,6 @@ func (e *Engine) NextEventTime() (Time, bool) {
 		return e.timers[0].at, true
 	}
 	return min(e.lite[0].at, e.timers[0].at), true
-}
-
-// RunHorizon executes events with timestamps strictly before h, then
-// advances the clock to h. It is the bounded-lag window primitive: a
-// shard may safely execute [now, h) in parallel with its peers when no
-// cross-shard flight can land before h, and the strict upper bound keeps
-// an event scheduled exactly at h for the next window, where it meets
-// the flights landing at h in the order the shard layer fixes for them.
-func (e *Engine) RunHorizon(h Time) {
-	e.stopped = false
-	for !e.stopped {
-		if at, ok := e.NextEventTime(); !ok || at >= h {
-			break
-		}
-		e.Step()
-	}
-	if e.now < h {
-		e.now = h
-	}
 }
 
 // QueueLen returns the number of scheduled events in both heaps.

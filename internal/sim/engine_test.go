@@ -674,33 +674,3 @@ func TestNextEventTime(t *testing.T) {
 		t.Fatalf("peek mutated the engine: now=%v queue=%d", e.Now(), e.QueueLen())
 	}
 }
-
-// TestRunHorizon checks the bounded-lag window primitive: events strictly
-// before the horizon fire, an event exactly at the horizon stays queued
-// for the next window, and the clock lands on the horizon either way.
-func TestRunHorizon(t *testing.T) {
-	e := New(1)
-	var fired []Time
-	for _, at := range []Time{2, 5, 15} {
-		at := at
-		e.Schedule(at, func() { fired = append(fired, at) })
-	}
-	e.Schedule(10, func() { fired = append(fired, 10) })
-	e.RunHorizon(10)
-	if len(fired) != 2 || fired[0] != 2 || fired[1] != 5 {
-		t.Fatalf("fired %v, want [2 5] (strictly before horizon)", fired)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("clock = %v after RunHorizon(10), want 10", e.Now())
-	}
-	// The event exactly at the previous horizon fires in the next window.
-	e.RunHorizon(20)
-	if len(fired) != 4 || fired[2] != 10 || fired[3] != 15 {
-		t.Fatalf("fired %v, want [2 5 10 15]", fired)
-	}
-	// An empty window still advances the clock.
-	e.RunHorizon(30)
-	if e.Now() != 30 || e.QueueLen() != 0 {
-		t.Fatalf("empty window: now=%v queue=%d, want 30, 0", e.Now(), e.QueueLen())
-	}
-}

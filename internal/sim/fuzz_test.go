@@ -93,12 +93,12 @@ func fuzzDelay(b byte) Time {
 
 // FuzzEngineOrder decodes its input into a program of engine operations —
 // Schedule, ReserveSeq+ScheduleSeq, At/After, Cancel of live and stale
-// handles, callbacks that schedule more events, Step, RunHorizon,
-// RunUntil and Reset — and runs it against the engine and a sorted-slice
-// model side by side. After every operation the fire order, Now,
-// NextEventTime and QueueLen must agree. Lite callbacks and tracked timers
-// live in separate heaps inside Engine; the model has one ordered list,
-// so this checks that the heads merge into the single (at, seq) order.
+// handles, callbacks that schedule more events, Step, RunUntil and
+// Reset — and runs it against the engine and a sorted-slice model side
+// by side. After every operation the fire order, Now, NextEventTime and
+// QueueLen must agree. Lite callbacks and tracked timers live in
+// separate heaps inside Engine; the model has one ordered list, so this
+// checks that the heads merge into the single (at, seq) order.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 2, 3, 0, 0, 5, 0, 1, 8, 10})
 	f.Add([]byte{3, 0xf2, 0, 3, 0xf1, 0, 0, 1, 0, 5, 0, 6, 0xf3, 0, 0, 6})
@@ -183,14 +183,7 @@ func FuzzEngineOrder(f *testing.F) {
 				if c := h.tm.Cancel(); c != want {
 					t.Fatalf("op %d: Cancel() = %v, model %v", op, c, want)
 				}
-			case 6: // RunHorizon
-				h := e.Now() + fuzzDelay(arg())
-				e.RunHorizon(h)
-				for len(m.pending) > 0 && m.pending[0].at < h {
-					m.step()
-				}
-				m.now = max(m.now, h)
-			case 7: // RunUntil
+			case 6, 7: // RunUntil
 				u := e.Now() + fuzzDelay(arg())
 				e.RunUntil(u)
 				for len(m.pending) > 0 && m.pending[0].at <= u {

@@ -21,11 +21,10 @@ import (
 	"odpsim/internal/sim"
 )
 
-// TestShardedByteIdentical runs the sharded scenarios at shards 1, 2 and
-// 4 and requires each run to match the committed golden byte for byte.
-// The collective patterns are fully coupled (one causal domain), so the
-// lanes are pure overhead there; kv-serve actually fans its 16 pods
-// across the lanes — either way the bytes must not move.
+// TestShardedByteIdentical runs the scenarios that declare shards at
+// shards 1, 2 and 4 and requires each run to match the committed golden
+// byte for byte. Only kv-serve fans out across lanes (its 16 pods); the
+// collective patterns run on one engine and must ignore the knob.
 func TestShardedByteIdentical(t *testing.T) {
 	for _, name := range []string{"incast-clos", "shuffle-clos", "kv-serve"} {
 		golden, err := os.ReadFile(filepath.Join("results", name+".txt"))
