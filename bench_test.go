@@ -20,6 +20,7 @@ import (
 	"odpsim/internal/perftest"
 	"odpsim/internal/regcache"
 	"odpsim/internal/rnic"
+	"odpsim/internal/scenario"
 	"odpsim/internal/sim"
 	"odpsim/internal/softrel"
 	"odpsim/internal/stats"
@@ -298,7 +299,8 @@ func BenchmarkTab13_SparkUCX(b *testing.B) {
 			var row sparkucx.Row
 			engs := parallel.NewEngines()
 			for i := 0; i < b.N; i++ {
-				row = sparkucx.MeasureRow(ex, knl, 2, int64(i+1), 1, engs)
+				sc := &scenario.Scenario{Trials: 2, Seed: int64(i + 1), Waves: 1}
+				row = sparkucx.Measure(sc, []sparkucx.RowSpec{{Example: ex, Sys: knl}}, engs)[0]
 			}
 			b.ReportMetric(row.Disable.Mean, "s-disable")
 			b.ReportMetric(row.Enable.Mean, "s-enable")

@@ -21,30 +21,31 @@ func (scenarioWorkload) Validate(sc *scenario.Scenario) error {
 	return scenario.RequireTrials(sc)
 }
 
-func (scenarioWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
-	waves := sc.Waves
-	if waves == 0 {
-		waves = 2
-	}
-	fmt.Fprintln(out.W, sc.ExpandedTitle())
+// examples lists Table 13's examples in print order.
+var examples = []Example{SparkTC, RecommendationExample, RankingMetricsExample}
+
+// table13Rows lists Table 13's rows in print order: each example across
+// the four system configurations.
+func table13Rows() []RowSpec {
 	configs := Table13Configs()
-	for i := range configs {
-		configs[i].System = sc.ApplyFaults(configs[i].System)
-	}
-	// One engine per worker for the whole run: every row's waves
-	// recycle its arenas, which die with the run.
-	engs := parallel.NewEngines()
-	for _, ex := range []Example{SparkTC, RecommendationExample, RankingMetricsExample} {
-		fmt.Fprintf(out.W, "\n=== %v ===\n", ex)
-		fmt.Fprintf(out.W, "%-16s %6s %16s %16s %8s %8s\n", "", "QPs", "Disable [s]", "Enable [s]", "ratio", "omitted")
-		for _, cfg := range configs {
-			row := MeasureRow(ex, cfg, sc.Trials, sc.SeedOrDefault(), waves, engs)
-			fmt.Fprintf(out.W, "%-16s %6d %9.1f ±%4.1f %9.1f ±%4.1f %8.2f %8d\n",
-				row.Label, row.QPs,
-				row.Disable.Mean, row.Disable.Std,
-				row.Enable.Mean, row.Enable.Std,
-				row.Ratio, row.Omitted)
+	var rows []RowSpec
+	for _, ex := range examples {
+		for _, sys := range configs {
+			rows = append(rows, RowSpec{Example: ex, Sys: sys})
 		}
+	}
+	return rows
+}
+
+func (scenarioWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
+	fmt.Fprintln(out.W, sc.ExpandedTitle())
+	// One engine per worker for the whole run: every wave recycles its
+	// arenas, which die with the run.
+	rows := Measure(sc, table13Rows(), parallel.NewEngines())
+	perExample := len(rows) / len(examples)
+	for i, ex := range examples {
+		fmt.Fprintf(out.W, "\n=== %v ===\n", ex)
+		WriteRows(out.W, rows[i*perExample:(i+1)*perExample])
 	}
 	return nil
 }

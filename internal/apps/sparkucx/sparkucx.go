@@ -10,14 +10,18 @@
 // the per-example QP count into fresh pages, and the measured stall is
 // whatever the flood dynamics produce. Because a full job runs hundreds
 // of waves, the harness simulates a sample of waves and extrapolates
-// (documented in DESIGN.md).
+// (documented in DESIGN.md). A run plans every sampled wave of every
+// row first and simulates each distinct one once (Measure).
 package sparkucx
 
 import (
 	"fmt"
+	"io"
 
 	"odpsim/internal/cluster"
+	"odpsim/internal/congestion"
 	"odpsim/internal/parallel"
+	"odpsim/internal/scenario"
 	"odpsim/internal/sim"
 	"odpsim/internal/stats"
 )
@@ -102,79 +106,15 @@ func exampleWorkload(e Example) workload {
 	}
 }
 
-// Config is one SparkUCX measurement.
-type Config struct {
+// qpCap bounds the QPs per direction a wave simulates, for
+// tractability: the flood severity saturates well below the paper's
+// counts, which the QPs column still prints.
+const qpCap = 256
+
+// RowSpec names one Table-13 row: an example on a system row.
+type RowSpec struct {
 	Example Example
 	Sys     SystemConfig
-	Seed    int64
-	ODP     bool
-	// SampleWaves bounds how many shuffle waves are simulated at packet
-	// level; the remaining waves reuse the sampled average (0 = 2).
-	SampleWaves int
-	// QPCap bounds the simulated QP count for tractability (0 = 256);
-	// the flood severity saturates well below the real counts.
-	QPCap int
-	// Eng, when non-nil, is the engine every sampled wave is built on
-	// (WaveConfig.Eng).
-	Eng *sim.Engine
-}
-
-// Result is one run's outcome.
-type Result struct {
-	ExecTime sim.Time
-	// ShuffleStall is the portion attributable to simulated waves.
-	ShuffleStall sim.Time
-	// FloodDetected reports whether retransmission bursts occurred.
-	FloodDetected bool
-	// Failed mirrors the paper's omitted IBV_WC_RETRY_EXC_ERR samples.
-	Failed bool
-}
-
-// Run executes one SparkUCX measurement.
-func Run(cfg Config) Result {
-	w := exampleWorkload(cfg.Example)
-	base, ok := w.base[cfg.Sys.Label]
-	if !ok {
-		panic(fmt.Sprintf("sparkucx: no baseline for %q", cfg.Sys.Label))
-	}
-	sample := cfg.SampleWaves
-	if sample <= 0 {
-		sample = 2
-	}
-	if sample > w.waves {
-		sample = w.waves
-	}
-	qps := cfg.Sys.QPs[cfg.Example]
-	if cap := cfg.QPCap; cap == 0 && qps > 256 {
-		qps = 256
-	} else if cap > 0 && qps > cap {
-		qps = cap
-	}
-
-	res := Result{}
-	var stallSum sim.Time
-	for i := 0; i < sample; i++ {
-		r := RunWave(WaveConfig{
-			System:  cfg.Sys.System,
-			Seed:    cfg.Seed + int64(i)*8377,
-			QPs:     qps,
-			Fetches: w.fetches / 2, // per direction
-			Size:    w.size,
-			ODP:     cfg.ODP,
-			Eng:     cfg.Eng,
-		})
-		if r.Failed {
-			res.Failed = true
-		}
-		if r.FloodDetected(w.fetches) {
-			res.FloodDetected = true
-		}
-		stallSum += r.Time
-	}
-	avgWave := stallSum / sim.Time(sample)
-	res.ShuffleStall = avgWave * sim.Time(w.waves)
-	res.ExecTime = sim.FromSeconds(base) + res.ShuffleStall
-	return res
 }
 
 // Row is one Table-13 cell pair.
@@ -186,52 +126,154 @@ type Row struct {
 	Enable  stats.Summary // seconds
 	Ratio   float64
 	Omitted int // failed (IBV_WC_RETRY_EXC_ERR) samples, as in the paper
+	// DisableFloods and EnableFloods count the trials whose sampled
+	// waves showed packet flood (retransmits beyond the wave's fetches).
+	DisableFloods, EnableFloods int
 }
 
-// MeasureRow runs trials with and without ODP and summarizes, mirroring
-// the paper's 10-trial methodology with failed samples omitted. Each
-// trial's waves run on its worker's engine from engs, so one cache
-// passed to every row of a scenario run recycles one engine per worker
-// across all of them; a nil cache builds every wave on a fresh engine.
-func MeasureRow(e Example, sc SystemConfig, trials int, seed int64, sampleWaves int, engs parallel.Engines) Row {
-	// A trial's disable and enable runs share a seed but no state, so
-	// both fan across the worker pool; the summaries are assembled from
-	// the index-ordered results, exactly as the sequential loop did.
-	type trial struct {
-		dis     float64
-		ena     float64
-		omitted bool
-	}
-	results := make([]trial, trials)
-	parallel.Run(trials, func(w, i int) {
-		cfg := Config{Example: e, Sys: sc, Seed: seed + int64(i)*3547, SampleWaves: sampleWaves, Eng: engs.Get(w)}
-		t := &results[i]
-		t.dis = Run(cfg).ExecTime.Seconds()
-		cfg.ODP = true
-		r := Run(cfg)
-		if r.Failed {
-			t.omitted = true
-		} else {
-			t.ena = r.ExecTime.Seconds()
-		}
+// Measure measures rows with the paper's methodology: sc.Trials trials
+// each with ODP disabled and enabled, failed Enable samples omitted.
+// A trial's job time is the row's calibrated base plus its sampled
+// waves' mean stall times the job's wave count. The scenario supplies
+// the seed, the sampled waves per trial (sc.Waves, 0 = 2) and the fault
+// knobs.
+//
+// A wave depends only on its WaveConfig, and rows repeat waves (equal
+// systems, equal fetch shapes, QP counts above qpCap). So Measure plans
+// every cell first and simulates each distinct wave once, in one
+// parallel.Run with each wave on its worker's engine from engs (a nil
+// cache builds every wave on a fresh engine). It then assembles the
+// rows from the index-ordered results, byte-identical to simulating
+// every cell.
+func Measure(sc *scenario.Scenario, rows []RowSpec, engs parallel.Engines) []Row {
+	p := newPlan(sc, rows)
+	results := make([]WaveResult, len(p.waves))
+	parallel.Run(len(p.waves), func(w, i int) {
+		cfg := p.waves[i]
+		cfg.Eng = engs.Get(w)
+		results[i] = RunWave(cfg)
 	})
-	var dis, ena []float64
-	omitted := 0
-	for _, t := range results {
-		dis = append(dis, t.dis)
-		if t.omitted {
-			omitted++
-			continue
+	return p.assemble(results)
+}
+
+// plan is one Measure call laid out before any simulation. cells
+// holds, for every (row, trial, Disable then Enable, sampled wave) in
+// that order, the index of its wave in waves, the distinct WaveConfigs
+// (Eng unset) in first-use order.
+type plan struct {
+	rows   []RowSpec
+	trials int
+	sample []int // sampled waves per row
+	waves  []WaveConfig
+	cells  []int
+}
+
+func newPlan(sc *scenario.Scenario, rows []RowSpec) *plan {
+	sample := sc.Waves
+	if sample <= 0 {
+		sample = 2
+	}
+	seed := sc.SeedOrDefault()
+	p := &plan{rows: rows, trials: sc.Trials, sample: make([]int, len(rows))}
+	index := map[WaveConfig]int{}
+	// ApplyFaults resolves the scenario's congestion afresh on every
+	// call; every row keeps the first row's, so equal systems share one
+	// pointer and key equal waves.
+	var cong *congestion.Config
+	for r, row := range rows {
+		w := exampleWorkload(row.Example)
+		if _, ok := w.base[row.Sys.Label]; !ok {
+			panic(fmt.Sprintf("sparkucx: no baseline for %q", row.Sys.Label))
 		}
-		ena = append(ena, t.ena)
+		sys := sc.ApplyFaults(row.Sys.System)
+		if cong == nil {
+			cong = sys.Congestion
+		} else {
+			sys.Congestion = cong
+		}
+		p.sample[r] = min(sample, w.waves)
+		qps := min(row.Sys.QPs[row.Example], qpCap)
+		for t := 0; t < sc.Trials; t++ {
+			for _, odp := range []bool{false, true} {
+				for i := 0; i < p.sample[r]; i++ {
+					cfg := WaveConfig{
+						System:  sys,
+						Seed:    seed + int64(t)*3547 + int64(i)*8377,
+						QPs:     qps,
+						Fetches: w.fetches / 2, // per direction
+						Size:    w.size,
+						ODP:     odp,
+					}
+					k, ok := index[cfg]
+					if !ok {
+						k = len(p.waves)
+						index[cfg] = k
+						p.waves = append(p.waves, cfg)
+					}
+					p.cells = append(p.cells, k)
+				}
+			}
+		}
 	}
-	row := Row{
-		Example: e, Label: sc.Label, QPs: sc.QPs[e],
-		Disable: stats.Summarize(dis), Enable: stats.Summarize(ena),
-		Omitted: omitted,
+	return p
+}
+
+// assemble builds every row from the distinct waves' results, walking
+// the cells in plan order.
+func (p *plan) assemble(results []WaveResult) []Row {
+	out := make([]Row, len(p.rows))
+	next := 0
+	for r, spec := range p.rows {
+		w := exampleWorkload(spec.Example)
+		base := sim.FromSeconds(w.base[spec.Sys.Label])
+		// job consumes one trial's sampled waves for one ODP setting.
+		job := func() (exec float64, failed, flood bool) {
+			var stallSum sim.Time
+			for i := 0; i < p.sample[r]; i++ {
+				res := results[p.cells[next]]
+				next++
+				failed = failed || res.Failed
+				flood = flood || res.FloodDetected(w.fetches)
+				stallSum += res.Time
+			}
+			avgWave := stallSum / sim.Time(p.sample[r])
+			return (base + avgWave*sim.Time(w.waves)).Seconds(), failed, flood
+		}
+		row := &out[r]
+		*row = Row{Example: spec.Example, Label: spec.Sys.Label, QPs: spec.Sys.QPs[spec.Example]}
+		var dis, ena []float64
+		for t := 0; t < p.trials; t++ {
+			d, _, dFlood := job()
+			e, eFailed, eFlood := job()
+			dis = append(dis, d)
+			if eFailed {
+				row.Omitted++
+			} else {
+				ena = append(ena, e)
+			}
+			if dFlood {
+				row.DisableFloods++
+			}
+			if eFlood {
+				row.EnableFloods++
+			}
+		}
+		row.Disable, row.Enable = stats.Summarize(dis), stats.Summarize(ena)
+		if row.Disable.Mean > 0 {
+			row.Ratio = row.Enable.Mean / row.Disable.Mean
+		}
 	}
-	if row.Disable.Mean > 0 {
-		row.Ratio = row.Enable.Mean / row.Disable.Mean
+	return out
+}
+
+// WriteRows prints rows under the Table-13 column header.
+func WriteRows(w io.Writer, rows []Row) {
+	fmt.Fprintf(w, "%-16s %6s %16s %16s %8s %8s\n", "", "QPs", "Disable [s]", "Enable [s]", "ratio", "omitted")
+	for _, row := range rows {
+		fmt.Fprintf(w, "%-16s %6d %9.1f ±%4.1f %9.1f ±%4.1f %8.2f %8d\n",
+			row.Label, row.QPs,
+			row.Disable.Mean, row.Disable.Std,
+			row.Enable.Mean, row.Enable.Std,
+			row.Ratio, row.Omitted)
 	}
-	return row
 }

@@ -3,41 +3,50 @@ package sparkucx
 import (
 	"strings"
 	"testing"
+
+	"odpsim/internal/scenario"
 )
 
 func knl2() SystemConfig { return Table13Configs()[0] }
 
+// measureOne measures one row at the given trials and sampled waves.
+func measureOne(e Example, sys SystemConfig, trials int, seed int64, waves int) Row {
+	sc := &scenario.Scenario{Trials: trials, Seed: seed, Waves: waves}
+	return Measure(sc, []RowSpec{{Example: e, Sys: sys}}, nil)[0]
+}
+
 func TestDisableMatchesBaseline(t *testing.T) {
-	cfg := Config{Example: SparkTC, Sys: knl2(), Seed: 1, SampleWaves: 1}
-	r := Run(cfg)
+	row := measureOne(SparkTC, knl2(), 1, 1, 1)
 	// Disable ≈ the calibrated base (303 s) plus a small real shuffle.
-	if s := r.ExecTime.Seconds(); s < 300 || s > 310 {
+	if s := row.Disable.Mean; s < 300 || s > 310 {
 		t.Errorf("disable exec = %.1f s, want ≈303", s)
 	}
-	if r.FloodDetected {
+	if row.DisableFloods != 0 {
 		t.Error("no flood without ODP")
 	}
 }
 
+// TestEnableDegradesAndFloods runs KNL's RecommendationExample, whose
+// paper count (210 QPs) is below the simulated cap, so every QP the
+// paper reports is simulated.
 func TestEnableDegradesAndFloods(t *testing.T) {
-	cfg := Config{Example: SparkTC, Sys: knl2(), Seed: 1, SampleWaves: 1, QPCap: 64}
-	dis := Run(cfg)
-	cfg.ODP = true
-	ena := Run(cfg)
-	if ena.ExecTime <= dis.ExecTime {
-		t.Errorf("ODP should be slower: %v vs %v", ena.ExecTime, dis.ExecTime)
+	row := measureOne(RecommendationExample, knl2(), 1, 1, 1)
+	if row.Omitted != 0 {
+		t.Fatalf("enable sample failed: %+v", row)
 	}
-	if !ena.FloodDetected {
+	if row.Enable.Mean <= row.Disable.Mean {
+		t.Errorf("ODP should be slower: %.1f vs %.1f s", row.Enable.Mean, row.Disable.Mean)
+	}
+	if row.EnableFloods != 1 {
 		t.Error("expected retransmission flood")
 	}
-	ratio := ena.ExecTime.Seconds() / dis.ExecTime.Seconds()
-	if ratio < 1.05 || ratio > 8 {
-		t.Errorf("ratio = %.2f, want within the paper's 1.0–6.5 ballpark", ratio)
+	if row.Ratio < 1.05 || row.Ratio > 8 {
+		t.Errorf("ratio = %.2f, want within the paper's 1.0–6.5 ballpark", row.Ratio)
 	}
 }
 
 func TestMeasureRow(t *testing.T) {
-	row := MeasureRow(RecommendationExample, knl2(), 2, 7, 1, nil)
+	row := measureOne(RecommendationExample, knl2(), 2, 7, 1)
 	if row.Disable.N != 2 {
 		t.Fatalf("row = %+v", row)
 	}
@@ -58,7 +67,7 @@ func TestTable13ConfigsShape(t *testing.T) {
 		t.Fatalf("want 4 system configs")
 	}
 	for _, sc := range cfgs {
-		for _, e := range []Example{SparkTC, RecommendationExample, RankingMetricsExample} {
+		for _, e := range examples {
 			if sc.QPs[e] <= 0 {
 				t.Errorf("%s/%v: missing QP count", sc.Label, e)
 			}
@@ -88,5 +97,5 @@ func TestUnknownBaselinePanics(t *testing.T) {
 			t.Error("unknown system label should panic")
 		}
 	}()
-	Run(Config{Example: SparkTC, Sys: SystemConfig{Label: "nope"}})
+	measureOne(SparkTC, SystemConfig{Label: "nope"}, 1, 1, 1)
 }

@@ -97,8 +97,18 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 	if err != nil {
 		return err
 	}
-	baseCfg := sc.Congestion.Config()
-	pods := baseCfg.Topology.Radix
+	// The pod count is the declared fat-tree's radix and the core's rate
+	// its oversubscription, read from the spec (Validate checked it is a
+	// 3-tier clos) with the defaults TopologySpec.build applies.
+	ts := sc.Congestion.Topology
+	pods := ts.Radix
+	if pods == 0 {
+		pods = 4
+	}
+	oversub := ts.Oversubscription
+	if oversub == 0 {
+		oversub = sys.Congestion.UplinkFactor
+	}
 	nodes := sc.Nodes
 	if nodes == 0 {
 		nodes = pods * 16
@@ -121,8 +131,8 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 
 	// Every pod simulates its own fat-tree slice: the pod cell of the
 	// declared 3-tier topology, at the declared oversubscription.
-	podCfg := baseCfg
-	podCfg.Topology = congestion.PodTopology(baseCfg.Topology.Radix, baseCfg.Topology.Oversub)
+	podCfg := *sys.Congestion
+	podCfg.Topology = congestion.PodTopology(pods, oversub)
 	podSys := sys
 	podSys.Congestion = &podCfg
 
@@ -152,7 +162,7 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 		params.RetryCount = sc.Retry
 	}
 	post := sim.Time(float64(300*sim.Nanosecond) * sys.CPUFactor)
-	coreGbps := sys.Device.LinkGbps / baseCfg.Topology.Oversub
+	coreGbps := sys.Device.LinkGbps / podCfg.Topology.Oversub
 	const coreProp = 2 * sim.Microsecond
 
 	pod := make([]*kvPod, pods)

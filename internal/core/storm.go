@@ -131,19 +131,9 @@ func (stormWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 	// The Table-13 row: the KNL SparkTC job, ODP disabled vs enabled,
 	// on the declared congested fabric. Label stays "KNL (2)" — the
 	// calibrated base times are keyed by it.
-	waves := sc.Waves
-	if waves == 0 {
-		waves = 2
-	}
-	knl := sparkucx.Table13Configs()[0]
-	knl.System = sc.ApplyFaults(knl.System)
-	row := sparkucx.MeasureRow(sparkucx.SparkTC, knl, sc.Trials, sc.SeedOrDefault(), waves, engs)
+	knl := sparkucx.RowSpec{Example: sparkucx.SparkTC, Sys: sparkucx.Table13Configs()[0]}
+	rows := sparkucx.Measure(sc, []sparkucx.RowSpec{knl}, engs)
 	fmt.Fprintf(out.W, "\nTable-13 SparkTC on the congested fabric (%d trials):\n", sc.Trials)
-	fmt.Fprintf(out.W, "%-16s %6s %16s %16s %8s %8s\n", "", "QPs", "Disable [s]", "Enable [s]", "ratio", "omitted")
-	fmt.Fprintf(out.W, "%-16s %6d %9.1f ±%4.1f %9.1f ±%4.1f %8.2f %8d\n",
-		row.Label, row.QPs,
-		row.Disable.Mean, row.Disable.Std,
-		row.Enable.Mean, row.Enable.Std,
-		row.Ratio, row.Omitted)
+	sparkucx.WriteRows(out.W, rows)
 	return nil
 }

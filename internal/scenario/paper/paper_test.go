@@ -195,3 +195,28 @@ func TestGoldenFreshness(t *testing.T) {
 		})
 	}
 }
+
+// TestTab13MatchesReference runs tab13 at one trial of one sampled wave
+// (the SparkUCX/UCX/ODP path, deduplicated waves and all) and compares
+// it byte for byte with the reference the perfbench harness checks.
+func TestTab13MatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates Table 13's twelve distinct waves")
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "..", "perfbench", "ref", "tab13-trials1-waves1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scenario.Lookup("tab13")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Trials, sc.Waves = 1, 1
+	var got bytes.Buffer
+	if err := scenario.Run(sc, &got, scenario.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("tab13 at 1 trial, 1 wave differs from perfbench/ref/tab13-trials1-waves1.txt:\n%s", got.String())
+	}
+}

@@ -21,30 +21,28 @@ import (
 	"odpsim/internal/sim"
 )
 
-// TestShardedByteIdentical runs the scenarios that declare shards at
-// shards 1, 2 and 4 and requires each run to match the committed golden
-// byte for byte. Only kv-serve fans out across lanes (its 16 pods); the
-// collective patterns run on one engine and must ignore the knob.
+// TestShardedByteIdentical runs kv-serve, the one scenario that fans
+// out across lanes (its 16 pods), at shards 1, 2 and 4 and requires each
+// run to match the committed golden byte for byte. The collective
+// patterns run on one engine whatever the knob says; their goldens are
+// checked with the rest of results/.
 func TestShardedByteIdentical(t *testing.T) {
-	for _, name := range []string{"incast-clos", "shuffle-clos", "kv-serve"} {
-		golden, err := os.ReadFile(filepath.Join("results", name+".txt"))
+	golden, err := os.ReadFile(filepath.Join("results", "kv-serve.txt"))
+	if err != nil {
+		t.Fatalf("missing golden: %v", err)
+	}
+	for _, shards := range []int{1, 2, 4} {
+		sc, err := scenario.Lookup("kv-serve")
 		if err != nil {
-			t.Fatalf("missing golden: %v", err)
+			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 2, 4} {
-			sc, err := scenario.Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc.Shards = shards
-			var buf bytes.Buffer
-			if err := scenario.Run(sc, &buf, scenario.Options{}); err != nil {
-				t.Fatalf("%s shards=%d: %v", name, shards, err)
-			}
-			if !bytes.Equal(buf.Bytes(), golden) {
-				t.Errorf("%s at shards=%d differs from results/%s.txt — sharding changed the simulation",
-					name, shards, name)
-			}
+		sc.Shards = shards
+		var buf bytes.Buffer
+		if err := scenario.Run(sc, &buf, scenario.Options{}); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if !bytes.Equal(buf.Bytes(), golden) {
+			t.Errorf("kv-serve at shards=%d differs from results/kv-serve.txt — sharding changed the simulation", shards)
 		}
 	}
 }
