@@ -11,6 +11,9 @@
 package odpsim
 
 import (
+	"bytes"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"odpsim/internal/apps/sparkucx"
@@ -21,6 +24,7 @@ import (
 	"odpsim/internal/hostmem"
 	"odpsim/internal/packet"
 	"odpsim/internal/rnic"
+	"odpsim/internal/scenario"
 	"odpsim/internal/sim"
 )
 
@@ -197,6 +201,42 @@ func TestAllocBudgetIRNSend(t *testing.T) {
 	avg := warmAllocs(func() { irnTrial(t, eng, 7) })
 	checkAllocCeiling(t, "irn send trial", avg, irnAllocCeiling,
 		"the selective-repeat path regressed off the warm-allocation contract")
+}
+
+// kvServeColdAllocCeiling bounds one cold kv-serve run at one lane:
+// 16 radix-16 pod cells, 1,040 hosts and 4,128 switch ports built on
+// fresh engines, then 16,384 GETs. Switches, switch ports, ring chunks
+// and delay lines come from blocks, each pod's port block sized by its
+// links and hosts; the topologies and routing tables come from one array
+// each; a port binds its callbacks at its first transmission and renders
+// its name at its first pause frame. The run reads 58,632 (the same at
+// -cpu 1, 2 and 4; 92,617 when each of those was its own object). What
+// remains is mostly per QP and per device: queues, CQs, conditions, ODP
+// and address-space state. Under -race it reads 58,680–58,699: the race
+// detector drops sync.Pool entries at random, and the report's fmt calls
+// refill them. The ceiling leaves room for that, not for a per-pod or
+// per-host regression of more than a few objects.
+const kvServeColdAllocCeiling = 58750
+
+func TestAllocBudgetKVServeCold(t *testing.T) {
+	sc, err := scenario.Lookup("kv-serve")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Shards = 1
+	var buf bytes.Buffer
+	// A GC cycle starting inside the measured run would count its own
+	// allocations against the budget.
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	avg := testing.AllocsPerRun(1, func() {
+		buf.Reset()
+		if err := scenario.Run(sc, &buf, scenario.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	checkAllocCeiling(t, "cold kv-serve run", avg, kvServeColdAllocCeiling,
+		"the fabric build or a per-host path allocates per object again")
 }
 
 // TestWorkCountsExact pins the work each measured loop does: the events

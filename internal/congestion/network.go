@@ -62,10 +62,22 @@ type entryRing struct {
 	n    int
 }
 
-// push appends e at the tail, growing the ring only when full.
-func (r *entryRing) push(e *entry) {
+// ringChunk is the length of a ring's first backing array, carved from
+// the engine's chunk blocks at the ring's first push: most of a fabric's
+// rings are never pushed, and most of the rest never hold more than 16
+// entries, so a ring costs no allocation of its own until it outgrows
+// the chunk (then it doubles like any ring).
+const ringChunk = 16
+
+// push appends e at the tail, growing the ring only when full; an empty
+// ring takes its first chunk from s.
+func (r *entryRing) push(e *entry, s *scratch) {
 	if r.n == len(r.buf) {
-		r.grow()
+		if r.buf == nil {
+			r.buf = s.chunks.New()[:]
+		} else {
+			r.grow()
+		}
 	}
 	r.buf[(r.head+r.n)&(len(r.buf)-1)] = e
 	r.n++
@@ -85,11 +97,7 @@ func (r *entryRing) pop() *entry {
 // grow doubles the backing array (power of two, so index math stays a
 // mask) and compacts the live entries to the front.
 func (r *entryRing) grow() {
-	newCap := 2 * len(r.buf)
-	if newCap == 0 {
-		newCap = 8
-	}
-	buf := make([]*entry, newCap)
+	buf := make([]*entry, 2*len(r.buf))
 	for i := 0; i < r.n; i++ {
 		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
@@ -111,8 +119,9 @@ func (r *entryRing) reset() {
 }
 
 // Port roles, the key under which an arena-recycled port keeps its
-// precomputed name: a port re-grabbed for the same link in the next
-// trial reuses last trial's string instead of rebuilding it.
+// name: a port's name is rendered at its first pause frame, the only
+// place it is read, and a port re-grabbed for the same link in the next
+// trial keeps last trial's string instead of rendering it again.
 const (
 	roleUplink   = iota // host a → switch b
 	roleCore            // switch a → switch b
@@ -144,7 +153,8 @@ func (r portRole) name() string {
 // downlink to a host. VL1 (CNPs) is strictly prioritized over VL0 and
 // is never paused.
 type port struct {
-	n    *Network
+	n *Network
+	// name caches role.name() once a pause frame needed it (label).
 	name string
 	role portRole
 	gbps float64
@@ -162,8 +172,11 @@ type port struct {
 	pauseStart sim.Time
 	acctBytes  int
 
-	busy   bool
-	cur    *entry
+	busy bool
+	cur  *entry
+	// doneFn and landFn are txDone and land, bound at the port's first
+	// transmission and first flight: a port that carries nothing binds
+	// neither.
 	doneFn func()
 
 	// wire is the link's propagation delay line: entries that finished
@@ -186,7 +199,7 @@ type port struct {
 // marking happens at switch-buffer admission (see swtch.admit); the
 // queue itself is policy-free.
 func (p *port) enqueue(e *entry) {
-	p.q[e.vl].push(e)
+	p.q[e.vl].push(e, p.n.scratch)
 	p.qbytes[e.vl] += e.ws
 	p.pump()
 }
@@ -219,6 +232,9 @@ func (p *port) pump() {
 	}
 	p.busy = true
 	p.cur = e
+	if p.doneFn == nil {
+		p.doneFn = p.txDone
+	}
 	p.n.eng.ScheduleAfter(serTime(e.ws, p.gbps), p.doneFn)
 }
 
@@ -244,9 +260,12 @@ func (p *port) txDone() {
 		e.landAt = p.n.eng.Now() + p.prop
 		e.seq = p.n.eng.ReserveSeq()
 		if p.wire.n == 0 {
+			if p.landFn == nil {
+				p.landFn = p.land
+			}
 			p.n.eng.ScheduleSeq(e.landAt, e.seq, p.landFn)
 		}
-		p.wire.push(e)
+		p.wire.push(e, p.n.scratch)
 	} else {
 		p.arrived(e)
 	}
@@ -267,6 +286,14 @@ func (p *port) land() {
 	p.arrived(e)
 }
 
+// label returns the port's name, rendering it on first use.
+func (p *port) label() string {
+	if p.name == "" {
+		p.name = p.role.name()
+	}
+	return p.name
+}
+
 // arrived lands the entry at this port's far end.
 func (p *port) arrived(e *entry) {
 	if p.dstSwitch != nil {
@@ -282,24 +309,23 @@ func (p *port) arrived(e *entry) {
 // swtch is one switch: a shared packet buffer, per-egress VL queues and
 // the PFC pause state machine for each of its ingress links.
 type swtch struct {
-	n    *Network
-	idx  int
+	n   *Network
+	idx int
+	// name caches "sw<idx>" once a label or pause frame needed it
+	// (label).
 	name string
 
 	bytes uint64 // shared-buffer occupancy (data VL)
 	peak  uint64
 
-	// toHost is the dense LID-indexed downlink table (was a map; LIDs
-	// are small consecutive integers, so indexing replaces hashing on
-	// the last hop of every delivery).
-	toHost []*port
 	// egress holds the switch-to-switch ports, parallel to the
 	// topology's adjacency list for this switch.
 	egress []*port
 	// hopOff/hopPorts are the destination-switch routing table in CSR
 	// form: the equal-cost next hops toward destination switch t are
-	// hopPorts[hopOff[t]:hopOff[t+1]]. Built by Network.buildRoutes on
-	// the recycled backing arrays, so warm rebuilds allocate nothing.
+	// hopPorts[hopOff[t]:hopOff[t+1]]. egress, hopOff and hopPorts are
+	// sub-slices of the network's arrays of the same names, recycled
+	// with it, so warm rebuilds allocate nothing.
 	hopOff   []int32
 	hopPorts []*port
 
@@ -378,7 +404,7 @@ func (sw *swtch) setPause(up *port, xoff bool) {
 		n.pausedNs += uint64(n.eng.Now() - up.pauseStart)
 	}
 	if n.hooks.Pause != nil {
-		n.hooks.Pause(sw.name, up.name, xoff)
+		n.hooks.Pause(sw.label(), up.label(), xoff)
 	}
 	if !xoff {
 		up.pump()
@@ -403,18 +429,27 @@ func (sw *swtch) route(src, dst uint16) *port {
 	return hops[sw.n.ecmpIndex(src, dst, len(hops))]
 }
 
-// hostPort lazily creates the downlink to an attached host, indexed
-// densely by LID.
+// hostPort lazily creates the downlink to an attached host (sw is its
+// attachment switch, the only one that routes to it).
 func (sw *swtch) hostPort(dst uint16) *port {
-	for int(dst) >= len(sw.toHost) {
-		sw.toHost = append(sw.toHost, nil)
+	n := sw.n
+	if int(dst) >= len(n.downlinks) {
+		n.downlinks = n.hostTable(n.downlinks, dst)
 	}
-	p := sw.toHost[dst]
+	p := n.downlinks[dst]
 	if p == nil {
-		p = sw.n.newPort(portRole{roleDownlink, sw.idx, int(dst)}, sw.n.edgeGbps, 0, nil)
-		sw.toHost[dst] = p
+		p = n.newPort(portRole{roleDownlink, sw.idx, int(dst)}, n.edgeGbps, 0, nil)
+		n.downlinks[dst] = p
 	}
 	return p
+}
+
+// label returns the switch's name, rendering it on first use.
+func (sw *swtch) label() string {
+	if sw.name == "" {
+		sw.name = "sw" + strconv.Itoa(sw.idx)
+	}
+	return sw.name
 }
 
 // Network is the switched fabric core: the topology's switch graph plus
@@ -429,7 +464,21 @@ type Network struct {
 
 	topo     Topology
 	switches []*swtch
-	uplinks  []*port // indexed by LID
+	// uplinks and downlinks are each host's two ports, indexed densely
+	// by LID (a host's downlink leaves its attachment switch).
+	uplinks   []*port
+	downlinks []*port
+	// maxLID and portsLeft size the build's storage: maxLID is the
+	// largest LID AddHost announced, portsLeft the ports the build still
+	// expects to take (every link, then two per announced host).
+	maxLID    int
+	portsLeft int
+
+	// egress, hopOff and hopPorts back every switch's arrays of the same
+	// names (see swtch), one array each per network.
+	egress   []*port
+	hopOff   []int32
+	hopPorts []*port
 
 	// ecmpSeed folds the engine seed into every ECMP hash so path
 	// assignment is deterministic per seed without touching the engine's
@@ -469,6 +518,13 @@ type scratch struct {
 	free []*entry
 	// entries carves the entries the free list has not yet seen.
 	entries sim.Blocks[entry]
+	// chunks carves every ring's first backing array (see ringChunk).
+	chunks sim.Blocks[[ringChunk]*entry]
+	// portBlocks and switchBlocks carve the ports and switches the arenas
+	// do not yet hold, each build counting what it still needs
+	// (Blocks.NewFor), so a cold build allocates them by block.
+	portBlocks   sim.Blocks[port]
+	switchBlocks sim.Blocks[swtch]
 
 	networks sim.Arena[Network]
 	ports    sim.Arena[port]
@@ -500,6 +556,12 @@ func scratchFor(eng *sim.Engine) *scratch {
 		s = &scratch{}
 		s.entries.Make = func(n int) []entry { return make([]entry, n) }
 		s.entries.Max = entryBlock
+		s.chunks.Make = func(n int) [][ringChunk]*entry { return make([][ringChunk]*entry, n) }
+		s.chunks.Max = chunkBlock
+		s.portBlocks.Make = func(n int) []port { return make([]port, n) }
+		s.portBlocks.Max = uncountedBlock
+		s.switchBlocks.Make = func(n int) []swtch { return make([]swtch, n) }
+		s.switchBlocks.Max = uncountedBlock
 		s.networks.Link = func(n *Network) **Network { return &n.arenaNext }
 		s.ports.Link = func(p *port) **port { return &p.arenaNext }
 		s.switches.Link = func(sw *swtch) **swtch { return &sw.arenaNext }
@@ -538,21 +600,26 @@ func NewNetwork(eng *sim.Engine, cfg Config, linkGbps float64, propDelay sim.Tim
 	n.topo = topo
 	n.ecmpSeed = uint64(eng.Seed()) * 0x9e3779b97f4a7c15
 	n.scratch = s
-	for i := 0; i < topo.SwitchCount(); i++ {
-		n.switches = append(n.switches, n.getSwitch(i))
+	S, links := topo.SwitchCount(), topo.LinkCount()
+	n.switches = resize(n.switches, S)
+	for i := range n.switches {
+		n.switches[i] = n.getSwitch(i, S-i)
 	}
 	// Create the switch-to-switch ports in adjacency order — for a chain
 	// this is left-then-right per switch, the exact creation order (and
 	// therefore port-arena assignment) of the pre-topology builder.
+	n.portsLeft = links
+	n.egress = resize(n.egress, links)
+	egress := n.egress
 	for i, sw := range n.switches {
-		sw.egress = sw.egress[:0]
-		for _, l := range topo.Adj[i] {
+		adj := topo.Adj[i]
+		sw.egress, egress = egress[:len(adj):len(adj)], egress[len(adj):]
+		for j, l := range adj {
 			prop := n.prop
 			if l.PropFactor != 1 {
 				prop = sim.Time(float64(prop) * l.PropFactor)
 			}
-			sw.egress = append(sw.egress,
-				n.newPort(portRole{roleCore, i, l.To}, linkGbps/l.SpeedDiv, prop, n.switches[l.To]))
+			sw.egress[j] = n.newPort(portRole{roleCore, i, l.To}, linkGbps/l.SpeedDiv, prop, n.switches[l.To])
 		}
 	}
 	n.buildRoutes()
@@ -560,7 +627,7 @@ func NewNetwork(eng *sim.Engine, cfg Config, linkGbps float64, propDelay sim.Tim
 	// hold a tx-done event plus propagation flights at once, and each
 	// leaf adds host up/downlinks. Warm engines already have the capacity,
 	// so this is a cold-start courtesy, not a per-trial cost.
-	eng.PreallocEvents(8 * (topo.LinkCount() + 2*len(topo.Leaves)))
+	eng.PreallocEvents(8 * (links + 2*len(topo.Leaves)))
 	n.registerMetrics()
 	return n
 }
@@ -568,16 +635,14 @@ func NewNetwork(eng *sim.Engine, cfg Config, linkGbps float64, propDelay sim.Tim
 // buildRoutes computes the destination-switch routing tables: a BFS from
 // every destination over the (symmetric) adjacency yields hop distances,
 // and each switch's equal-cost next hops toward t are exactly its links
-// that step one closer. Tables land in each switch's recycled CSR arrays,
-// so rebuilding the same topology allocates nothing once warm. Adjacency
-// order fixes the hop order, which makes ECMP picks a pure function of
-// (topology, seed, src, dst).
+// that step one closer. The hops are counted first, so every switch's
+// CSR arrays are carved from the network's two recycled arrays, sized
+// once: rebuilding the same topology allocates nothing once warm.
+// Adjacency order fixes the hop order, which makes ECMP picks a pure
+// function of (topology, seed, src, dst).
 func (n *Network) buildRoutes() {
 	S := len(n.switches)
-	if cap(n.dist) < S*S {
-		n.dist = make([]int32, S*S)
-	}
-	n.dist = n.dist[:S*S]
+	n.dist = resize(n.dist, S*S)
 	if cap(n.bfsQ) < S {
 		n.bfsQ = make([]int32, 0, S)
 	}
@@ -599,24 +664,59 @@ func (n *Network) buildRoutes() {
 		}
 		n.bfsQ = q[:0]
 	}
-	for si, sw := range n.switches {
-		sw.hopOff = append(sw.hopOff[:0], 0)
-		sw.hopPorts = sw.hopPorts[:0]
+	total := 0
+	for si := range n.switches {
 		for t := 0; t < S; t++ {
 			if t != si {
-				dist := n.dist[t*S : t*S+S]
-				if dist[si] < 0 {
-					panic("congestion: switch " + sw.name + " has no route to " + n.switches[t].name)
-				}
-				for ai, l := range n.topo.Adj[si] {
-					if dist[l.To] == dist[si]-1 {
-						sw.hopPorts = append(sw.hopPorts, sw.egress[ai])
-					}
-				}
+				total += n.nextHops(si, t, nil)
 			}
-			sw.hopOff = append(sw.hopOff, int32(len(sw.hopPorts)))
 		}
 	}
+	n.hopOff = resize(n.hopOff, S*(S+1))
+	n.hopPorts = resize(n.hopPorts, total)
+	off, ports := n.hopOff, n.hopPorts
+	for si, sw := range n.switches {
+		sw.hopOff, off = off[:S+1:S+1], off[S+1:]
+		k := int32(0)
+		for t := 0; t < S; t++ {
+			sw.hopOff[t] = k
+			if t != si {
+				k += int32(n.nextHops(si, t, ports[k:]))
+			}
+		}
+		sw.hopOff[S] = k
+		sw.hopPorts, ports = ports[:k:k], ports[k:]
+	}
+}
+
+// nextHops returns how many equal-cost next hops switch si has toward
+// switch t (the links that step one closer), writing them to hops in
+// adjacency order unless hops is nil.
+func (n *Network) nextHops(si, t int, hops []*port) int {
+	S := len(n.switches)
+	dist := n.dist[t*S : t*S+S]
+	if dist[si] < 0 {
+		panic("congestion: switch " + n.switches[si].label() + " has no route to " + n.switches[t].label())
+	}
+	k := 0
+	for ai, l := range n.topo.Adj[si] {
+		if dist[l.To] == dist[si]-1 {
+			if hops != nil {
+				hops[k] = n.switches[si].egress[ai]
+			}
+			k++
+		}
+	}
+	return k
+}
+
+// resize returns s at length n, reusing its backing array when it is
+// large enough. Callers overwrite every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // ecmpIndex hashes the flow pair with the seed-derived key into one of k
@@ -637,11 +737,11 @@ func (n *Network) ecmpIndex(src, dst uint16, k int) int {
 func (s *scratch) getNetwork(eng *sim.Engine) *Network {
 	n := s.networks.Take(eng)
 	if n != nil {
-		n.switches = n.switches[:0]
-		for i := range n.uplinks {
-			n.uplinks[i] = nil
-		}
+		clear(n.uplinks)
 		n.uplinks = n.uplinks[:0]
+		clear(n.downlinks)
+		n.downlinks = n.downlinks[:0]
+		n.maxLID = 0
 		n.pausedNs = 0
 	} else {
 		n = &Network{}
@@ -651,26 +751,23 @@ func (s *scratch) getNetwork(eng *sim.Engine) *Network {
 }
 
 // getSwitch grabs a recycled switch for graph position idx, resetting
-// its counters, buffer accounting and downlink table. The name is
-// rebuilt only when the struct serves a different position than last
-// trial.
-func (n *Network) getSwitch(idx int) *swtch {
-	sw := n.scratch.switches.Take(n.eng)
+// its counters and buffer accounting, or carves a fresh one for a build
+// that still takes left switches. The cached name is dropped only when
+// the struct serves a different position than last trial.
+func (n *Network) getSwitch(idx, left int) *swtch {
+	s := n.scratch
+	sw := s.switches.Take(n.eng)
 	if sw != nil {
 		sw.bytes, sw.peak = 0, 0
 		sw.Drops, sw.EcnMarked, sw.PauseFrames = 0, 0, 0
-		sw.egress = sw.egress[:0]
-		for i := range sw.toHost {
-			sw.toHost[i] = nil
-		}
 	} else {
-		sw = &swtch{}
-		n.scratch.switches.Add(sw)
+		sw = s.switchBlocks.NewFor(left)
+		s.switches.Add(sw)
 	}
 	sw.n = n
-	if sw.name == "" || sw.idx != idx {
+	if sw.idx != idx {
 		sw.idx = idx
-		sw.name = "sw" + strconv.Itoa(idx)
+		sw.name = ""
 	}
 	return sw
 }
@@ -742,7 +839,7 @@ var switchMetrics = telemetry.Table[swtch]{
 // (telemetry.Labeler). The tier is read from this build's topology: a
 // recycled switch may serve a chain one trial and a Clos the next.
 func (sw *swtch) AppendLabels(dst []telemetry.Label) []telemetry.Label {
-	return append(dst, telemetry.Label{Key: "switch", Value: sw.name},
+	return append(dst, telemetry.Label{Key: "switch", Value: sw.label()},
 		telemetry.Label{Key: "tier", Value: sw.n.topo.TierName(sw.idx)})
 }
 
@@ -768,11 +865,14 @@ func (n *Network) switchOf(lid uint16) int {
 }
 
 // newPort grabs a recycled port for the given link role, resetting its
-// queues, PFC state and wire state. The precomputed name is kept when
-// the struct serves the same link as last trial (the common case in
-// sweep loops), so warm rebuilds allocate no strings.
+// queues, PFC state and wire state, or carves a fresh one from a block
+// sized by the ports the build still expects to take (portsLeft). The
+// cached name is kept when the struct serves the same link as last trial
+// (the common case in sweep loops), so warm rebuilds allocate no
+// strings.
 func (n *Network) newPort(role portRole, gbps float64, prop sim.Time, dst *swtch) *port {
-	p := n.scratch.ports.Take(n.eng)
+	s := n.scratch
+	p := s.ports.Take(n.eng)
 	if p != nil {
 		for vl := range p.q {
 			p.q[vl].reset()
@@ -782,17 +882,14 @@ func (n *Network) newPort(role portRole, gbps float64, prop sim.Time, dst *swtch
 		p.pausedData, p.pauseStart, p.acctBytes = false, 0, 0
 		p.busy, p.cur = false, nil
 	} else {
-		p = &port{}
-		n.scratch.ports.Add(p)
+		p = s.portBlocks.NewFor(n.portsLeft)
+		s.ports.Add(p)
 	}
+	n.portsLeft--
 	p.n = n
-	if p.doneFn == nil {
-		p.doneFn = p.txDone
-		p.landFn = p.land
-	}
-	if p.name == "" || p.role != role {
+	if p.role != role {
 		p.role = role
-		p.name = role.name()
+		p.name = ""
 	}
 	p.gbps = gbps
 	p.prop = prop
@@ -800,10 +897,33 @@ func (n *Network) newPort(role portRole, gbps float64, prop sim.Time, dst *swtch
 	return p
 }
 
+// AddHost announces a host port with this LID. Hosts attach after the
+// switches are built and send only later, so a network told of its hosts
+// sizes its LID-indexed tables at the first packet and carves the hosts'
+// ports from one block, instead of growing both one host at a time. The
+// fabric announces every port it attaches.
+func (n *Network) AddHost(lid uint16) {
+	n.maxLID = max(n.maxLID, int(lid))
+	n.portsLeft += 2 // the host's uplink and downlink
+}
+
+// hostTable returns the LID-indexed table t extended to cover lid and
+// every announced host, its new entries nil.
+func (n *Network) hostTable(t []*port, lid uint16) []*port {
+	size := max(int(lid), n.maxLID) + 1
+	if cap(t) < size {
+		return append(t, make([]*port, size-len(t))...)
+	}
+	old := len(t)
+	t = t[:size]
+	clear(t[old:])
+	return t
+}
+
 // uplink lazily creates the host's egress queue into its edge switch.
 func (n *Network) uplink(src uint16) *port {
-	for int(src) >= len(n.uplinks) {
-		n.uplinks = append(n.uplinks, nil)
+	if int(src) >= len(n.uplinks) {
+		n.uplinks = n.hostTable(n.uplinks, src)
 	}
 	p := n.uplinks[src]
 	if p == nil {
@@ -839,6 +959,14 @@ func (n *Network) QueuedBytes() int {
 
 // entryBlock caps a block of fresh entries at 128: 8 KiB.
 const entryBlock = 128
+
+// chunkBlock caps a block of ring chunks at 64: 8 KiB.
+const chunkBlock = 64
+
+// uncountedBlock caps the blocks of ports and switches a build carves
+// past its own count (a network used without AddHost): small, because
+// such a build's unused tail is at most one block.
+const uncountedBlock = 16
 
 func (n *Network) getEntry() *entry {
 	s := n.scratch

@@ -3,6 +3,7 @@ package congestion
 import (
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"odpsim/internal/packet"
@@ -117,8 +118,9 @@ func TestScratchArenasRecycleAcrossGenerations(t *testing.T) {
 
 // TestColdAllocQueuedEntries pins the cold cost of the switch queues:
 // E packets queued at once on a fresh network take their entries from
-// blocks, so doubling E adds about E/entryBlock allocations plus one
-// ring doubling, not E.
+// blocks, and the uplink's VL ring starts from a 16-slot chunk carved
+// from the engine's chunk blocks and doubles from there, so doubling E
+// adds about E/entryBlock allocations plus one ring doubling, not E.
 func TestColdAllocQueuedEntries(t *testing.T) {
 	const e = 1024
 	pkts := make([]*packet.Packet, 2*e)
@@ -142,6 +144,82 @@ func TestColdAllocQueuedEntries(t *testing.T) {
 	t.Logf("cold queued entries: %d → %.0f allocations, %d → %.0f (ceiling for the doubling %.0f)", e, a, 2*e, b, ceiling)
 	if b-a > ceiling {
 		t.Errorf("doubling %d queued entries added %.0f allocations, want at most %.0f", e, b-a, ceiling)
+	}
+}
+
+// TestColdAllocClosBuild pins the cold cost of the switch graph: a
+// fresh network carves its switches and ports by count (Blocks.NewFor)
+// and carves every switch's egress and routing arrays from per-network
+// arrays, so doubling a Clos fabric's switches (radix 8 to 16, 12 to 24
+// switches, 64 to 256 links) adds at most switches/uncountedBlock
+// allocations plus a few for tables that grow by doubling, not some per
+// switch or per link.
+func TestColdAllocClosBuild(t *testing.T) {
+	run := func(radix int) (float64, int) {
+		cfg := DefaultConfig()
+		cfg.Topology = ClosTopology(2, radix, 1)
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		return testing.AllocsPerRun(1, func() {
+			NewNetwork(sim.New(1), cfg, 56, 2*sim.Microsecond, Hooks{})
+		}), cfg.Topology.SwitchCount()
+	}
+	a, small := run(8)
+	b, large := run(16)
+	ceiling := float64(large/uncountedBlock + 2)
+	t.Logf("cold clos build: %d switches → %.0f allocations, %d → %.0f (ceiling for the doubling %.0f)", small, a, large, b, ceiling)
+	if b-a > ceiling {
+		t.Errorf("doubling the switches from %d to %d added %.0f allocations, want at most %.0f", small, large, b-a, ceiling)
+	}
+}
+
+// TestPauseNamesFollowRecycledPorts pins the names a port renders at its
+// first pause frame: an incast's pause frames name the pausing switch
+// and the paused port by role, and a network rebuilt on a Reset engine,
+// whose recycled ports paused under other roles last trial, names them
+// exactly as a network on a fresh engine does.
+func TestPauseNamesFollowRecycledPorts(t *testing.T) {
+	incast := func(eng *sim.Engine, cfg Config) []string {
+		cfg.PFC = true
+		cfg.XOffBytes = 1 << 10
+		cfg.XOnBytes = 512
+		var names []string
+		n := NewNetwork(eng, cfg, 56, 2*sim.Microsecond, Hooks{
+			Deliver: func(uint16, *packet.Packet, int) {},
+			Drop:    func(uint16, *packet.Packet, string) {},
+			Pause: func(from, to string, xoff bool) {
+				if xoff {
+					names = append(names, from+" pauses "+to)
+				}
+			},
+		})
+		for i := 0; i < 16; i++ {
+			for src := uint16(2); src <= 8; src++ {
+				pkt := &packet.Packet{SLID: src, DLID: 1, Opcode: packet.OpWriteOnly, PayloadLen: 512}
+				n.Send(src, 1, pkt, pkt.WireSize())
+			}
+		}
+		eng.MustRun()
+		return names
+	}
+	fresh := incast(sim.New(1), closConfig())
+	if !slices.Contains(fresh, "sw0 pauses sw4-sw0") {
+		t.Fatalf("the incast into sw0 never paused spine sw4's downlink: %v", fresh)
+	}
+	eng := sim.New(1)
+	chain := incast(eng, DefaultConfig())
+	if !slices.Contains(chain, "sw1 pauses host8-sw1") {
+		t.Fatalf("the chain incast never paused host 8's uplink: %v", chain)
+	}
+	eng.Reset(1)
+	recycled := incast(eng, closConfig())
+	for i := range min(len(recycled), len(fresh)) {
+		if recycled[i] != fresh[i] {
+			t.Fatalf("pause frame %d on recycled ports: %q, on fresh ports: %q", i, recycled[i], fresh[i])
+		}
+	}
+	if len(recycled) != len(fresh) {
+		t.Errorf("%d pause frames on recycled ports, %d on fresh ports", len(recycled), len(fresh))
 	}
 }
 

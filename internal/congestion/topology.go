@@ -9,9 +9,10 @@ import "strconv"
 // ChainTopology produces, which is what keeps pre-topology goldens
 // byte-identical.
 //
-// Topologies are plain values: builders allocate the slices once and the
-// result is shared read-only by every network built from it (sweep trials
-// rebuild networks, not topologies).
+// Topologies are plain values: builders allocate the slices once, every
+// Adj row a sub-slice of one backing []Link (adjRows), and the result is
+// shared read-only by every network built from it (sweep trials rebuild
+// networks, not topologies).
 type Topology struct {
 	// Kind names the builder that produced the graph: "chain" or "clos".
 	Kind string
@@ -71,8 +72,10 @@ func ChainTopology(switches int, uplinkFactor float64) Topology {
 		Oversub:   uplinkFactor,
 		TierNames: []string{"core"},
 		TierOf:    make([]int, switches),
-		Adj:       make([][]Link, switches),
-		Leaves:    make([]int, switches),
+		Adj: adjRows(switches, func(i int) int {
+			return min(i, 1) + min(switches-1-i, 1)
+		}),
+		Leaves: make([]int, switches),
 	}
 	for i := 0; i < switches; i++ {
 		t.Leaves[i] = i
@@ -118,8 +121,13 @@ func ClosTopology(tiers, radix int, oversub float64) Topology {
 			Oversub:   oversub,
 			TierNames: []string{"leaf", "spine"},
 			TierOf:    make([]int, leaves+spines),
-			Adj:       make([][]Link, leaves+spines),
-			Leaves:    make([]int, leaves),
+			Adj: adjRows(leaves+spines, func(i int) int {
+				if i < leaves {
+					return spines
+				}
+				return leaves
+			}),
+			Leaves: make([]int, leaves),
 		}
 		for l := 0; l < leaves; l++ {
 			t.Leaves[l] = l
@@ -148,8 +156,15 @@ func ClosTopology(tiers, radix int, oversub float64) Topology {
 		Oversub:   oversub,
 		TierNames: []string{"edge", "agg", "core"},
 		TierOf:    make([]int, edges+aggs+cores),
-		Adj:       make([][]Link, edges+aggs+cores),
-		Leaves:    make([]int, edges),
+		// An edge links to its pod's aggs; an agg to its pod's edges and
+		// its core group; a core to one agg per pod.
+		Adj: adjRows(edges+aggs+cores, func(i int) int {
+			if i < edges {
+				return half
+			}
+			return k
+		}),
+		Leaves: make([]int, edges),
 	}
 	aggIdx := func(pod, a int) int { return edges + pod*half + a }
 	coreIdx := func(group, c int) int { return edges + aggs + group*half + c }
@@ -213,7 +228,7 @@ func PodTopology(radix int, oversub float64) Topology {
 		Oversub:   oversub,
 		TierNames: []string{"edge", "agg"},
 		TierOf:    make([]int, 2*half),
-		Adj:       make([][]Link, 2*half),
+		Adj:       adjRows(2*half, func(int) int { return half }),
 		Leaves:    make([]int, half),
 	}
 	link := func(to int) Link { return Link{To: to, SpeedDiv: oversub, PropFactor: 1} }
@@ -230,6 +245,25 @@ func PodTopology(radix int, oversub float64) Topology {
 		}
 	}
 	return t
+}
+
+// adjRows returns n empty adjacency rows carved from one backing array:
+// row i has room for exactly deg(i) links, so a builder appends each
+// switch's links in place and a fat-tree costs one []Link instead of one
+// per switch (and its regrowths). The rows' capacities are capped, so a
+// row that outgrew its degree would reallocate, never overwrite the next.
+func adjRows(n int, deg func(i int) int) [][]Link {
+	total := 0
+	for i := 0; i < n; i++ {
+		total += deg(i)
+	}
+	links := make([]Link, total)
+	adj := make([][]Link, n)
+	for i := range adj {
+		d := deg(i)
+		adj[i], links = links[:0:d], links[d:]
+	}
+	return adj
 }
 
 // SwitchCount returns the number of switches in the graph.

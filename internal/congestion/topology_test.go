@@ -2,6 +2,7 @@ package congestion
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"odpsim/internal/sim"
@@ -94,7 +95,7 @@ func TestFatTreeDelivery(t *testing.T) {
 }
 
 // pathPicks records the uplink each cross-leaf flow takes at its source
-// leaf switch.
+// leaf switch, by the port's rendered role name ("sw0-sw4").
 func pathPicks(n *Network) map[[2]uint16]string {
 	picks := make(map[[2]uint16]string)
 	for src := uint16(1); src <= 8; src++ {
@@ -103,7 +104,7 @@ func pathPicks(n *Network) map[[2]uint16]string {
 				continue
 			}
 			sw := n.switches[n.switchOf(src)]
-			picks[[2]uint16{src, dst}] = sw.route(src, dst).name
+			picks[[2]uint16{src, dst}] = sw.route(src, dst).role.name()
 		}
 	}
 	return picks
@@ -314,4 +315,137 @@ func TestPodDeliveryAllPairs(t *testing.T) {
 	if h.net.QueuedBytes() != 0 {
 		t.Fatalf("buffer not drained: %d bytes", h.net.QueuedBytes())
 	}
+}
+
+// TestTopologyAdjacencyPinned checks the builders against the
+// append-based builders they replaced, kept below as the reference:
+// adjacency order fixes port creation order and ECMP hop order, so a
+// reordered row would move event tie-breaks and every golden with them.
+func TestTopologyAdjacencyPinned(t *testing.T) {
+	cases := []struct {
+		name      string
+		got, want Topology
+	}{
+		{"clos-2t-r4", ClosTopology(2, 4, 4), refClos(2, 4, 4)},
+		{"clos-2t-r8", ClosTopology(2, 8, 1), refClos(2, 8, 1)},
+		{"clos-3t-r4", ClosTopology(3, 4, 2), refClos(3, 4, 2)},
+		{"clos-3t-r16", ClosTopology(3, 16, 4), refClos(3, 16, 4)},
+		{"pod-r16", PodTopology(16, 4), refPod(16, 4)},
+	}
+	for sw := 1; sw <= 4; sw++ {
+		cases = append(cases, struct {
+			name      string
+			got, want Topology
+		}{fmt.Sprintf("chain-%d", sw), ChainTopology(sw, 4), refChain(sw, 4)})
+	}
+	for _, c := range cases {
+		// slices.Equal, not reflect.DeepEqual: a switch without links has
+		// an empty row where the reference left it nil.
+		if !slices.EqualFunc(c.got.Adj, c.want.Adj, slices.Equal[[]Link]) {
+			t.Errorf("%s: adjacency differs from the reference builder", c.name)
+		}
+		if !slices.Equal(c.got.TierOf, c.want.TierOf) || !slices.Equal(c.got.Leaves, c.want.Leaves) {
+			t.Errorf("%s: tiers %v leaves %v, reference %v %v", c.name, c.got.TierOf, c.got.Leaves, c.want.TierOf, c.want.Leaves)
+		}
+		if g, w := c.got.LinkCount(), c.want.LinkCount(); g != w {
+			t.Errorf("%s: %d links, reference %d", c.name, g, w)
+		}
+		if c.got.Summary() != c.want.Summary() || !slices.Equal(c.got.TierNames, c.want.TierNames) {
+			t.Errorf("%s: %s %v, reference %s %v", c.name, c.got.Summary(), c.got.TierNames, c.want.Summary(), c.want.TierNames)
+		}
+	}
+}
+
+// refChain, refClos and refPod are the topology builders as they were
+// before adjRows: every Adj row grown by append from nil.
+func refChain(switches int, uplinkFactor float64) Topology {
+	t := Topology{Kind: "chain", Tiers: 1, Oversub: uplinkFactor, TierNames: []string{"core"},
+		TierOf: make([]int, switches), Adj: make([][]Link, switches), Leaves: make([]int, switches)}
+	for i := 0; i < switches; i++ {
+		t.Leaves[i] = i
+		if i > 0 {
+			t.Adj[i] = append(t.Adj[i], Link{To: i - 1, SpeedDiv: uplinkFactor, PropFactor: 1})
+		}
+		if i < switches-1 {
+			t.Adj[i] = append(t.Adj[i], Link{To: i + 1, SpeedDiv: uplinkFactor, PropFactor: 1})
+		}
+	}
+	return t
+}
+
+func refClos(tiers, radix int, oversub float64) Topology {
+	link := func(to int) Link { return Link{To: to, SpeedDiv: oversub, PropFactor: 1} }
+	if tiers == 2 {
+		leaves, spines := radix, radix/2
+		t := Topology{Kind: "clos", Tiers: 2, Radix: radix, Oversub: oversub, TierNames: []string{"leaf", "spine"},
+			TierOf: make([]int, leaves+spines), Adj: make([][]Link, leaves+spines), Leaves: make([]int, leaves)}
+		for l := 0; l < leaves; l++ {
+			t.Leaves[l] = l
+			for s := 0; s < spines; s++ {
+				t.Adj[l] = append(t.Adj[l], link(leaves+s))
+			}
+		}
+		for s := 0; s < spines; s++ {
+			t.TierOf[leaves+s] = 1
+			for l := 0; l < leaves; l++ {
+				t.Adj[leaves+s] = append(t.Adj[leaves+s], link(l))
+			}
+		}
+		return t
+	}
+	k, half := radix, radix/2
+	edges, aggs, cores := k*half, k*half, half*half
+	t := Topology{Kind: "clos", Tiers: 3, Radix: radix, Oversub: oversub, TierNames: []string{"edge", "agg", "core"},
+		TierOf: make([]int, edges+aggs+cores), Adj: make([][]Link, edges+aggs+cores), Leaves: make([]int, edges)}
+	aggIdx := func(pod, a int) int { return edges + pod*half + a }
+	coreIdx := func(group, c int) int { return edges + aggs + group*half + c }
+	for pod := 0; pod < k; pod++ {
+		for e := 0; e < half; e++ {
+			idx := pod*half + e
+			t.Leaves[idx] = idx
+			for a := 0; a < half; a++ {
+				t.Adj[idx] = append(t.Adj[idx], link(aggIdx(pod, a)))
+			}
+		}
+		for a := 0; a < half; a++ {
+			idx := aggIdx(pod, a)
+			t.TierOf[idx] = 1
+			for e := 0; e < half; e++ {
+				t.Adj[idx] = append(t.Adj[idx], link(pod*half+e))
+			}
+			for c := 0; c < half; c++ {
+				t.Adj[idx] = append(t.Adj[idx], link(coreIdx(a, c)))
+			}
+		}
+	}
+	for g := 0; g < half; g++ {
+		for c := 0; c < half; c++ {
+			idx := coreIdx(g, c)
+			t.TierOf[idx] = 2
+			for pod := 0; pod < k; pod++ {
+				t.Adj[idx] = append(t.Adj[idx], link(aggIdx(pod, g)))
+			}
+		}
+	}
+	return t
+}
+
+func refPod(radix int, oversub float64) Topology {
+	half := radix / 2
+	t := Topology{Kind: "pod", Tiers: 2, Radix: radix, Oversub: oversub, TierNames: []string{"edge", "agg"},
+		TierOf: make([]int, 2*half), Adj: make([][]Link, 2*half), Leaves: make([]int, half)}
+	link := func(to int) Link { return Link{To: to, SpeedDiv: oversub, PropFactor: 1} }
+	for e := 0; e < half; e++ {
+		t.Leaves[e] = e
+		for a := 0; a < half; a++ {
+			t.Adj[e] = append(t.Adj[e], link(half+a))
+		}
+	}
+	for a := 0; a < half; a++ {
+		t.TierOf[half+a] = 1
+		for e := 0; e < half; e++ {
+			t.Adj[half+a] = append(t.Adj[half+a], link(e))
+		}
+	}
+	return t
 }

@@ -162,21 +162,31 @@ type deliveryLine struct {
 	head int
 	n    int
 	fn   func()
+	// The pad makes a line 64 bytes, so a line carved from a block sits
+	// in one cache line, as a line allocated on its own did.
+	_ [8]byte
 }
 
-// push appends d at the tail, growing the ring only when full.
-func (l *deliveryLine) push(d *delivery) {
+// lineChunk is the length of a line's first ring, carved from the
+// engine's chunk blocks at the line's first push: most pairs never have
+// more than 16 packets in flight, so a line costs no allocation of its
+// own until it outgrows the chunk (then it doubles).
+const lineChunk = 16
+
+// push appends d at the tail, growing the ring only when full; an empty
+// line takes its first chunk from s.
+func (l *deliveryLine) push(d *delivery, s *scratch) {
 	if l.n == len(l.buf) {
-		newCap := 2 * len(l.buf)
-		if newCap == 0 {
-			newCap = 8
+		if l.buf == nil {
+			l.buf = s.chunks.New()[:]
+		} else {
+			buf := make([]*delivery, 2*len(l.buf))
+			for i := 0; i < l.n; i++ {
+				buf[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
+			}
+			l.buf = buf
+			l.head = 0
 		}
-		buf := make([]*delivery, newCap)
-		for i := 0; i < l.n; i++ {
-			buf[i] = l.buf[(l.head+i)&(len(l.buf)-1)]
-		}
-		l.buf = buf
-		l.head = 0
 	}
 	l.buf[(l.head+l.n)&(len(l.buf)-1)] = d
 	l.n++
@@ -227,6 +237,11 @@ type scratch struct {
 	freeDel []*delivery
 	// deliveries carves the deliveries the free list has not yet seen.
 	deliveries sim.Blocks[delivery]
+	// lines carves the delay lines of new pairs, and chunks their first
+	// rings (see lineChunk). Lines live in the tables' maps, which keep
+	// them across trials.
+	lines  sim.Blocks[deliveryLine]
+	chunks sim.Blocks[[lineChunk]*delivery]
 
 	fabrics sim.Arena[Fabric]
 	tables  sim.Arena[tables]
@@ -250,6 +265,10 @@ func scratchFor(eng *sim.Engine) *scratch {
 		s = &scratch{pool: packet.NewPool()}
 		s.deliveries.Make = func(n int) []delivery { return make([]delivery, n) }
 		s.deliveries.Max = deliveryBlock
+		s.lines.Make = func(n int) []deliveryLine { return make([]deliveryLine, n) }
+		s.lines.Max = lineBlock
+		s.chunks.Make = func(n int) [][lineChunk]*delivery { return make([][lineChunk]*delivery, n) }
+		s.chunks.Max = chunkBlock
 		s.fabrics.Link = func(f *Fabric) **Fabric { return &f.arenaNext }
 		s.tables.Link = func(t *tables) **tables { return &t.arenaNext }
 		s.ports.Link = func(p *Port) **Port { return &p.arenaNext }
@@ -380,6 +399,11 @@ func (f *Fabric) EnableCongestion(cfg congestion.Config) *congestion.Network {
 		Drop:    f.dropFromNet,
 		Pause:   f.tapPause,
 	})
+	for _, p := range f.ports {
+		if p != nil {
+			f.net.AddHost(p.LID)
+		}
+	}
 	return f.net
 }
 
@@ -480,6 +504,9 @@ func (f *Fabric) AttachPort(lid uint16, name string, h Handler) *Port {
 	// arena's chain at this port.
 	*p = Port{LID: lid, Name: name, fab: f, handler: h, arenaNext: p.arenaNext}
 	f.ports[lid] = p
+	if f.net != nil {
+		f.net.AddHost(lid)
+	}
 	return p
 }
 
@@ -508,16 +535,23 @@ func (f *Fabric) emitTap(ev TapEvent) {
 }
 
 // lineTo returns the delay line from p to dst, creating it on the pair's
-// first packet. The port's one-entry cache answers repeat lookups.
+// first packet. The port's one-entry cache answers repeat lookups; the
+// rest is findLine, kept out of line so this stays inlined in Send.
 func (p *Port) lineTo(dst uint16) *deliveryLine {
 	if p.line != nil && p.lineDst == dst {
 		return p.line
 	}
+	return p.findLine(dst)
+}
+
+// findLine looks up or creates the delay line from p to dst and caches
+// it on the port.
+func (p *Port) findLine(dst uint16) *deliveryLine {
 	f := p.fab
 	key := uint32(p.LID)<<16 | uint32(dst)
 	l := f.lines[key]
 	if l == nil {
-		l = &deliveryLine{}
+		l = f.scratch.lines.New()
 		l.fn = l.land
 		f.lines[key] = l
 	}
@@ -539,12 +573,19 @@ func (f *Fabric) scheduleDelivery(l *deliveryLine, d *delivery, at sim.Time) {
 	if l.n == 0 {
 		f.eng.ScheduleSeq(at, d.seq, l.fn)
 	}
-	l.push(d)
+	l.push(d, f.scratch)
 }
 
 // deliveryBlock caps a block of fresh deliveries at 170: 8,160 bytes,
 // which fills one 8 KiB size class.
 const deliveryBlock = 170
+
+// lineBlock caps a block of fresh delay lines at 128, and chunkBlock a
+// block of line chunks at 64: 8 KiB each.
+const (
+	lineBlock  = 128
+	chunkBlock = 64
+)
 
 // getDelivery pops a recycled delivery event, or carves a fresh one.
 func (f *Fabric) getDelivery() *delivery {

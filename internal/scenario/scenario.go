@@ -368,6 +368,16 @@ func kb(x float64) int { return int(x * 1024) }
 // Config maps the spec onto a congestion.Config, starting from the
 // package defaults so unset fields keep their calibrated values.
 func (cs *CongestionSpec) Config() congestion.Config {
+	cfg := cs.scalars()
+	if cs.Topology != nil {
+		cfg.Topology = cs.Topology.build(cfg)
+	}
+	return cfg
+}
+
+// scalars is Config without the topology: every threshold and flag,
+// for checks that must not build a fat-tree to read them.
+func (cs *CongestionSpec) scalars() congestion.Config {
 	cfg := congestion.DefaultConfig()
 	if cs.Switches > 0 {
 		cfg.Switches = cs.Switches
@@ -390,27 +400,29 @@ func (cs *CongestionSpec) Config() congestion.Config {
 		cfg.ECNThresholdBytes = kb(cs.ECNThresholdKB)
 	}
 	cfg.DCQCN = cs.DCQCN
-	if cs.Topology != nil {
-		cfg.Topology = cs.Topology.build(cfg)
-	}
 	return cfg
 }
 
 // validate checks the congestion block against the same rules
 // congestion.NewNetwork enforces by panic, so a bad spec fails at load
-// time with a message instead of at build time with a stack trace.
+// time with a message instead of at build time with a stack trace. The
+// sign checks run in field order, so a spec with several bad fields
+// always names the first.
 func (cs *CongestionSpec) validate(name string) error {
-	for field, x := range map[string]float64{
-		"switches": float64(cs.Switches), "uplink_factor": cs.UplinkFactor,
-		"buffer_kb": cs.BufferKB, "xoff_kb": cs.XOffKB, "xon_kb": cs.XOnKB,
-		"ecn_threshold_kb": cs.ECNThresholdKB,
+	for _, f := range [...]struct {
+		field string
+		x     float64
+	}{
+		{"switches", float64(cs.Switches)}, {"uplink_factor", cs.UplinkFactor},
+		{"buffer_kb", cs.BufferKB}, {"xoff_kb", cs.XOffKB}, {"xon_kb", cs.XOnKB},
+		{"ecn_threshold_kb", cs.ECNThresholdKB},
 	} {
-		if x < 0 {
-			return fmt.Errorf("scenario %q: congestion.%s must not be negative", name, field)
+		if f.x < 0 {
+			return fmt.Errorf("scenario %q: congestion.%s must not be negative", name, f.field)
 		}
 	}
 	if cs.PFC {
-		cfg := cs.Config()
+		cfg := cs.scalars()
 		if cfg.XOffBytes <= cfg.XOnBytes {
 			return fmt.Errorf("scenario %q: congestion xoff_kb (%g KB effective) must be greater than xon_kb (%g KB effective)",
 				name, float64(cfg.XOffBytes)/1024, float64(cfg.XOnBytes)/1024)

@@ -111,6 +111,20 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestCongestionValidateNamesFirstField pins the error's field: with
+// negative switches and buffer_kb, validation names switches, the first
+// in field order, every time (it once ranged over a map and named either).
+func TestCongestionValidateNamesFirstField(t *testing.T) {
+	sc := valid()
+	sc.Congestion = &CongestionSpec{Switches: -1, BufferKB: -4}
+	for i := 0; i < 50; i++ {
+		err := sc.Validate()
+		if err == nil || !strings.Contains(err.Error(), "congestion.switches") {
+			t.Fatalf("validation %d: error %v, want it to name congestion.switches", i, err)
+		}
+	}
+}
+
 func TestValidateAccepts(t *testing.T) {
 	sc := valid()
 	sc.System = "KNL" // unambiguous prefix

@@ -7,7 +7,9 @@ package sim
 // the first holds blockFirst objects, each later one as many as all
 // blocks before it (doubling the total), capped at Max. A cold run that
 // needs N objects therefore allocates about N/Max blocks plus a few
-// small ones, and its unused tail is at most one block.
+// small ones, and its unused tail is at most one block. A builder that
+// knows how many objects it is about to take carves them with NewFor
+// instead: one block of exactly that many, with no unused tail.
 //
 // Make allocates the blocks, so heap profiles charge them to the
 // caller's package, as with Arena members. Carved objects are never
@@ -37,4 +39,15 @@ func (b *Blocks[T]) New() *T {
 	b.block = b.block[1:]
 	b.made++
 	return t
+}
+
+// NewFor is New for a caller that still expects to take left objects,
+// this one included: a block it has to start holds exactly left objects
+// (New's policy when left is not positive, the caller's count being
+// used up).
+func (b *Blocks[T]) NewFor(left int) *T {
+	if len(b.block) == 0 && left > 0 {
+		b.block = b.Make(left)
+	}
+	return b.New()
 }
