@@ -1,6 +1,8 @@
 package congestion
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"odpsim/internal/packet"
@@ -347,5 +349,57 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	d2, e2, p2 := run()
 	if d1 != d2 || e1 != e2 || p1 != p2 {
 		t.Fatalf("non-deterministic: (%d,%d,%d) vs (%d,%d,%d)", d1, e1, p1, d2, e2, p2)
+	}
+}
+
+// selfReplyDeliveries sends burst packets from host 1 to itself through
+// its edge switch; the first replies deliveries each send one more from
+// inside the Deliver hook, so the reply's flight joins the wire of the
+// switch port the packet just landed from. It returns every delivery as
+// "psn@instant" after drive.
+func selfReplyDeliveries(t *testing.T, burst, replies int, drive func(*sim.Engine)) []string {
+	t.Helper()
+	eng := sim.New(1)
+	var n *Network
+	var trace []string
+	send := func(psn int) {
+		pkt := &packet.Packet{SLID: 1, DLID: 1, Opcode: packet.OpWriteOnly, PayloadLen: 64, PSN: uint32(psn)}
+		n.Send(1, 1, pkt, pkt.WireSize())
+	}
+	psn := burst
+	n = NewNetwork(eng, DefaultConfig(), 56, 2*sim.Microsecond, Hooks{
+		Deliver: func(dst uint16, pkt *packet.Packet, ws int) {
+			trace = append(trace, fmt.Sprintf("%d@%v", pkt.PSN, eng.Now()))
+			if psn < burst+replies {
+				send(psn)
+				psn++
+			}
+		},
+		Drop: func(uint16, *packet.Packet, string) { t.Fatal("self-reply traffic dropped") },
+	})
+	for i := 0; i < burst; i++ {
+		send(i)
+	}
+	drive(eng)
+	if len(trace) != burst+replies || eng.QueueLen() != 0 || n.QueuedBytes() != 0 {
+		t.Fatalf("%d deliveries, %d events and %d bytes left; want %d, 0, 0", len(trace), eng.QueueLen(), n.QueuedBytes(), burst+replies)
+	}
+	return trace
+}
+
+// TestHostSendsOntoTheWireItLandsFrom is the switched network's case of
+// a handler that replies to its own LID: every packet is delivered once,
+// and Run, where wire flights land in place, delivers them in the order
+// and at the instants a Step loop does.
+func TestHostSendsOntoTheWireItLandsFrom(t *testing.T) {
+	for _, burst := range []int{1, 8} {
+		want := selfReplyDeliveries(t, burst, 6, func(e *sim.Engine) {
+			for e.Step() {
+			}
+		})
+		got := selfReplyDeliveries(t, burst, 6, func(e *sim.Engine) { e.Run() })
+		if !slices.Equal(got, want) {
+			t.Fatalf("burst %d: Run delivered %v, a Step loop %v", burst, got, want)
+		}
 	}
 }

@@ -182,8 +182,8 @@ type port struct {
 	// wire is the link's propagation delay line: entries that finished
 	// clocking out and are in flight toward the far end. prop is constant
 	// per link, so flights land strictly FIFO — only the head flight
-	// holds a scheduled engine callback (landFn re-arms the next head
-	// when it fires), which keeps the event heap shallow no matter how
+	// holds a scheduled engine callback (land fires or re-arms the next
+	// head), which keeps the event heap shallow no matter how
 	// many packets a 2 µs wire holds at once.
 	wire   entryRing
 	landFn func()
@@ -273,17 +273,26 @@ func (p *port) txDone() {
 }
 
 // land fires when the head flight on this port's wire reaches the far
-// end. The next flight (if any) is re-armed before the arrival runs, so
-// its callback takes the earliest sequence number available at this
-// instant — arrivals keep their tie-break priority over work the landing
-// itself schedules.
+// end, and keeps landing while the next flight is the engine's next
+// event (sim.Engine.Claim); otherwise it arms that flight and returns.
+// As in the fabric's delay lines, whether the wire is still armed is
+// decided before the arrival runs, and every flight keeps the seq it
+// reserved in txDone, so arrivals keep their tie-break priority over
+// work a landing schedules.
 func (p *port) land() {
-	e := p.wire.pop()
-	if p.wire.n > 0 {
+	for {
+		e := p.wire.pop()
+		armed := p.wire.n > 0
+		p.arrived(e)
+		if !armed {
+			return
+		}
 		next := p.wire.peek()
-		p.n.eng.ScheduleSeq(next.landAt, next.seq, p.landFn)
+		if !p.n.eng.Claim(next.landAt, next.seq) {
+			p.n.eng.ScheduleSeq(next.landAt, next.seq, p.landFn)
+			return
+		}
 	}
-	p.arrived(e)
 }
 
 // label returns the port's name, rendering it on first use.

@@ -152,10 +152,10 @@ func (d *delivery) run() {
 // per-pair FIFO clamp (no deadline earlier than the line's tail) makes
 // arrival deadlines monotone per pair, so in-flight deliveries land
 // strictly in order — only the head delivery holds a scheduled engine
-// callback, and landing re-arms the next head. With a 2 µs wire over
-// nanosecond-scale packet spacing this keeps hundreds of in-flight
-// packets out of the event heap (heap depth is what every push and pop
-// pays for).
+// callback, and landing fires or re-arms the next head. With a 2 µs
+// wire over nanosecond-scale packet spacing this keeps hundreds of
+// in-flight packets out of the event heap (heap depth is what every
+// push and pop pays for).
 type deliveryLine struct {
 	f    *Fabric
 	buf  []*delivery // power-of-two ring
@@ -192,19 +192,31 @@ func (l *deliveryLine) push(d *delivery, s *scratch) {
 	l.n++
 }
 
-// land fires when the head delivery reaches the destination. The next
-// flight (if any) is re-armed before the arrival runs, so its callback
-// takes the earliest sequence number available at this instant.
+// land fires when the head delivery reaches the destination, and keeps
+// landing while the line's next flight is the engine's next event
+// (sim.Engine.Claim); otherwise it arms that flight and returns. Whether
+// the line is still armed is decided before the arrival runs: a handler
+// that sends onto this line (a port replying to its own LID) refills an
+// empty line mid-handler, and that send arms the new head itself.
+// Flights keep the seqs they reserved on entry, so pop order is the one
+// eager scheduling would give.
 func (l *deliveryLine) land() {
-	d := l.buf[l.head]
-	l.buf[l.head] = nil
-	l.head = (l.head + 1) & (len(l.buf) - 1)
-	l.n--
-	if l.n > 0 {
+	for {
+		d := l.buf[l.head]
+		l.buf[l.head] = nil
+		l.head = (l.head + 1) & (len(l.buf) - 1)
+		l.n--
+		armed := l.n > 0
+		d.run()
+		if !armed {
+			return
+		}
 		next := l.buf[l.head]
-		l.f.eng.ScheduleSeq(next.at, next.seq, l.fn)
+		if !l.f.eng.Claim(next.at, next.seq) {
+			l.f.eng.ScheduleSeq(next.at, next.seq, l.fn)
+			return
+		}
 	}
-	d.run()
 }
 
 // clear drops deliveries an abandoned run left in flight, recycling

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"odpsim/internal/packet"
@@ -223,6 +225,53 @@ func TestCongestionPreservesOrder(t *testing.T) {
 	for i, psn := range got {
 		if psn != uint32(i) {
 			t.Fatalf("out of order at %d: %d", i, psn)
+		}
+	}
+}
+
+// selfReplyTrace sends burst packets from LID 1 to itself; the first
+// replies landings each send one more from inside their handler, onto
+// the delay line they are landing from. It returns every landing as
+// "psn@instant" after drive.
+func selfReplyTrace(t *testing.T, burst, replies int, drive func(*sim.Engine)) []string {
+	t.Helper()
+	eng := sim.New(1)
+	f := New(eng, DefaultConfig())
+	var a *Port
+	var trace []string
+	psn := uint32(burst)
+	a = f.AttachPort(1, "A", func(p *packet.Packet) {
+		trace = append(trace, fmt.Sprintf("%d@%v", p.PSN, eng.Now()))
+		if psn < uint32(burst+replies) {
+			a.Send(&packet.Packet{Opcode: packet.OpWriteOnly, DLID: 1, PSN: psn})
+			psn++
+		}
+	})
+	for i := 0; i < burst; i++ {
+		a.Send(&packet.Packet{Opcode: packet.OpWriteOnly, DLID: 1, PSN: uint32(i)})
+	}
+	drive(eng)
+	if n := uint64(burst + replies); f.Sent != n || f.Delivered != n || eng.QueueLen() != 0 {
+		t.Fatalf("sent %d, delivered %d, %d events left; want %d, %d, 0", f.Sent, f.Delivered, eng.QueueLen(), n, n)
+	}
+	return trace
+}
+
+// TestHandlerSendsOntoItsOwnLine checks a port that replies to its own
+// LID from its handler, so the reply joins the delay line the packet is
+// landing from. With one packet in flight the line is empty when the
+// handler runs and the reply arms it; with four the reply queues behind
+// flights that land in place. Either way every packet lands once, and
+// Run lands them in the order and at the instants a Step loop does.
+func TestHandlerSendsOntoItsOwnLine(t *testing.T) {
+	for _, burst := range []int{1, 4} {
+		want := selfReplyTrace(t, burst, 6, func(e *sim.Engine) {
+			for e.Step() {
+			}
+		})
+		got := selfReplyTrace(t, burst, 6, func(e *sim.Engine) { e.Run() })
+		if !slices.Equal(got, want) {
+			t.Fatalf("burst %d: Run landed %v, a Step loop %v", burst, got, want)
 		}
 	}
 }

@@ -251,6 +251,10 @@ type Engine struct {
 	fired   uint64
 	resets  uint64 // the engine generation Arena reclaims by (see arena.go)
 	stopped bool
+	// bound is the latest instant Claim may fire a flight in place: the
+	// running loop's horizon (Run: any, RunUntil: its t), noClaim outside
+	// a loop.
+	bound   Time
 	procs   int   // live (not finished, not aborted) processes
 	live    *Proc // the live processes, linked through Proc.next
 	blocked int   // processes currently parked on a Cond or sleep
@@ -264,8 +268,15 @@ type Engine struct {
 // New creates an engine whose random stream is seeded with seed. The same
 // seed always produces the same simulation.
 func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), seed: seed}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), seed: seed, bound: noClaim}
 }
+
+// noClaim is the loop bound that lets no flight fire in place: every
+// event is at or after 0.
+const noClaim Time = -1
+
+// forever is Run's loop bound: any flight may fire in place.
+const forever Time = 1<<63 - 1
 
 // Reset returns the engine to its just-constructed state with a new seed,
 // keeping allocated storage (both heaps' backing arrays and the event
@@ -291,6 +302,7 @@ func (e *Engine) Reset(seed int64) {
 	e.seq = 0
 	e.fired = 0
 	e.stopped = false
+	e.bound = noClaim
 	e.blocked = 0
 	e.parked = 0
 	e.resets++
@@ -401,8 +413,9 @@ func (e *Engine) ScheduleAfter(d Time, fn func()) {
 // ReserveSeq claims the next sequence number without scheduling
 // anything. Delay lines (FIFO wires that keep only their head flight in
 // the heap) reserve each flight's tie-break at the instant the flight
-// starts and pass it to ScheduleSeq when the flight reaches the head —
-// so pop order is bit-identical to scheduling every flight eagerly.
+// starts and pass it to ScheduleSeq (or Claim) when the flight reaches
+// the head — so pop order is bit-identical to scheduling every flight
+// eagerly.
 func (e *Engine) ReserveSeq() uint64 {
 	s := e.seq
 	e.seq++
@@ -442,7 +455,8 @@ func (e *Engine) PreallocEvents(n int) {
 // before the lite heap's backing array must grow (see PreallocEvents).
 func (e *Engine) EventCapacity() int { return cap(e.lite) }
 
-// Stop makes Run return after the currently executing event completes.
+// Stop makes Run return after the currently executing event completes;
+// no flight fires in place after it (see Claim).
 func (e *Engine) Stop() { e.stopped = true }
 
 // Stopped reports whether Stop has been called since the engine last
@@ -453,7 +467,9 @@ func (e *Engine) Stopped() bool { return e.stopped }
 
 // Step executes the single next event, advancing the clock. It reports
 // whether an event was executed. The next event is whichever heap head
-// orders first by (at, seq).
+// orders first by (at, seq). Outside Run and RunUntil no flight fires in
+// place (see Claim), so a Step runs exactly one event and EventsFired
+// rises by exactly one.
 func (e *Engine) Step() bool {
 	var fn func()
 	if l := e.lite; len(l) > 0 && (len(e.timers) == 0 ||
@@ -473,23 +489,56 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty or Stop is called.
-func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+// Claim reports whether the event keyed (at, seq) would be the running
+// loop's next pop, and if so fires it in place: the clock advances to at,
+// EventsFired counts it, and the caller runs the event itself instead of
+// arming it with ScheduleSeq. It is for delay lines, whose next flight
+// holds a seq reserved when it entered the line (ReserveSeq): a landing
+// that finds its successor next in line skips the heap round trip, and
+// the pop order is the one the heap would give, because the heap orders
+// by key alone. Claim is false outside Run and RunUntil (a bare Step),
+// after Stop, for an at past RunUntil's t, and whenever either heap head
+// orders first; the caller then arms the flight as usual.
+func (e *Engine) Claim(at Time, seq uint64) bool {
+	if e.stopped || at > e.bound {
+		return false
 	}
+	if l := e.lite; len(l) > 0 && !earlier(at, seq, l[0].at, l[0].seq) {
+		return false
+	}
+	if h := e.timers; len(h) > 0 && !earlier(at, seq, h[0].at, h[0].seq) {
+		return false
+	}
+	e.now = at
+	e.fired++
+	return true
 }
 
-// RunUntil executes events with timestamps <= t, then sets the clock to t.
+// Run executes events until the queue is empty or Stop is called.
+// Flights may fire in place at any instant (see Claim).
+func (e *Engine) Run() {
+	e.stopped = false
+	e.bound = forever
+	for !e.stopped && e.Step() {
+	}
+	e.bound = noClaim
+}
+
+// RunUntil executes events with timestamps <= t, firing flights in place
+// up to t, then sets the clock to t unless an event at or before t is
+// still pending (Stop ended the loop early), so the clock never runs
+// ahead of an event it has yet to fire.
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
+	e.bound = t
 	for !e.stopped {
 		if at, ok := e.NextEventTime(); !ok || at > t {
 			break
 		}
 		e.Step()
 	}
-	if e.now < t {
+	e.bound = noClaim
+	if at, ok := e.NextEventTime(); (!ok || at > t) && e.now < t {
 		e.now = t
 	}
 }

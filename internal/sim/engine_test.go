@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -672,5 +673,168 @@ func TestNextEventTime(t *testing.T) {
 	}
 	if e.Now() != 0 || e.QueueLen() != 2 {
 		t.Fatalf("peek mutated the engine: now=%v queue=%d", e.Now(), e.QueueLen())
+	}
+}
+
+// TestRunUntilStopKeepsClock checks that a Stop inside RunUntil leaves
+// the clock at the stopping event while an event at or before the bound
+// is still pending: advancing to the bound would let the next Step move
+// the clock backwards.
+func TestRunUntilStopKeepsClock(t *testing.T) {
+	e := New(1)
+	e.Schedule(10, e.Stop)
+	e.Schedule(20, func() {})
+	e.RunUntil(100)
+	if e.Now() != 10 {
+		t.Fatalf("Now = %v after a Stop at 10ns with an event at 20ns pending, want 10ns", e.Now())
+	}
+	e.Step()
+	if e.Now() != 20 {
+		t.Fatalf("Now = %v after the next Step, want 20ns", e.Now())
+	}
+	e.RunUntil(100)
+	if e.Now() != 100 {
+		t.Fatalf("Now = %v after a RunUntil that drained, want 100ns", e.Now())
+	}
+	// A Stop on the last event at or before the bound leaves nothing
+	// behind it, so the clock still reaches the bound.
+	e.Schedule(110, e.Stop)
+	e.Schedule(300, func() {})
+	e.RunUntil(200)
+	if e.Now() != 200 {
+		t.Fatalf("Now = %v after a Stop with nothing pending before 200ns, want 200ns", e.Now())
+	}
+}
+
+// TestClaim checks when a flight may fire in place: only inside Run or
+// RunUntil, within RunUntil's bound, before Stop, and only when it orders
+// before both heap heads. A claim advances the clock and counts the
+// event.
+func TestClaim(t *testing.T) {
+	e := New(1)
+	seq := e.ReserveSeq()
+	if e.Claim(5, seq) {
+		t.Fatal("Claim outside a run loop")
+	}
+	var got []bool
+	claim := func(at Time, seq uint64) {
+		before := e.EventsFired()
+		ok := e.Claim(at, seq)
+		if ok && (e.Now() != at || e.EventsFired() != before+1) {
+			t.Fatalf("Claim(%v) left Now %v and %d events fired, want %v and %d", at, e.Now(), e.EventsFired(), at, before+1)
+		}
+		got = append(got, ok)
+	}
+	late := e.ReserveSeq()
+	var tm Timer
+	e.Schedule(1, func() {
+		claim(5, seq)  // before the lite head below: fires in place
+		claim(6, late) // ties the lite head at 6 but reserved first
+	})
+	e.Schedule(6, func() {
+		claim(6, e.ReserveSeq()) // reserved after the timer at 6 was armed
+		tm.Cancel()
+		e.Stop()
+		claim(7, e.ReserveSeq()) // nothing pending, but the loop stopped
+	})
+	tm = e.At(6, func() {})
+	e.Run()
+	e.Schedule(e.Now(), func() {
+		claim(e.Now()+50, e.ReserveSeq()) // past RunUntil's bound
+		claim(e.Now()+10, e.ReserveSeq())
+	})
+	e.RunUntil(e.Now() + 20)
+	e.Schedule(e.Now(), func() { claim(e.Now(), e.ReserveSeq()) })
+	e.Step()
+	want := []bool{true, true, false, false, false, true, false}
+	if !slices.Equal(got, want) {
+		t.Fatalf("claims %v, want %v", got, want)
+	}
+}
+
+// runLineProgram runs one seeded random program of delay-line flights,
+// lite callbacks and cancellable timers — landings reply onto their own
+// line or send onto another, and callbacks arm and cancel timers — under
+// drive, and returns the fire trace (event id, instant), EventsFired and
+// how many flights fired in place.
+func runLineProgram(drive func(*Engine)) (trace [][2]int64, fired uint64, inPlace int) {
+	e := New(1)
+	r := rand.New(rand.NewSource(7))
+	record := func(id int) { trace = append(trace, [2]int64{int64(id), int64(e.Now())}) }
+	var act func(self int)
+	lines := make([]*testLine, 3)
+	for i := range lines {
+		lines[i] = newTestLine(e, func(f lineFlight) { record(f.id); act(i) })
+	}
+	var timers []Timer
+	ids := 0
+	act = func(self int) {
+		for n := r.Intn(3); n > 0 && ids < 3000; n-- {
+			id := ids
+			ids++
+			d := Time(r.Intn(16))
+			switch k := r.Intn(5); {
+			case k < 2: // onto a line, the landing's own when k is 0
+				i := r.Intn(len(lines))
+				if k == 0 && self >= 0 {
+					i = self
+				}
+				lines[i].push(e.Now()+d, id, 0, false)
+			case k == 2:
+				e.Schedule(e.Now()+d, func() { record(id); act(-1) })
+			case k == 3:
+				timers = append(timers, e.After(d+Time(r.Intn(40)), func() { record(id); act(-1) }))
+			default:
+				if len(timers) > 0 {
+					timers[r.Intn(len(timers))].Cancel()
+				}
+			}
+		}
+	}
+	for i := 0; i < 400; i++ {
+		act(-1)
+	}
+	drive(e)
+	for _, l := range lines {
+		inPlace += l.inPlace
+	}
+	return trace, e.EventsFired(), inPlace
+}
+
+// TestLineRunMatchesStepLoop runs one random line program under Run,
+// under RunUntil in short slices and by a Step loop: firing flights in
+// place must not change the fire trace or EventsFired, and a bare Step
+// must fire none in place.
+func TestLineRunMatchesStepLoop(t *testing.T) {
+	want, wantFired, stepInPlace := runLineProgram(func(e *Engine) {
+		for e.Step() {
+		}
+	})
+	if stepInPlace != 0 {
+		t.Fatalf("a Step loop fired %d flights in place, want 0", stepInPlace)
+	}
+	if len(want) < 500 {
+		t.Fatalf("program fired only %d events", len(want))
+	}
+	for _, c := range []struct {
+		name  string
+		drive func(*Engine)
+	}{
+		{"Run", func(e *Engine) { e.Run() }},
+		{"RunUntil", func(e *Engine) {
+			for e.QueueLen() > 0 {
+				e.RunUntil(e.Now() + 7)
+			}
+		}},
+	} {
+		got, fired, inPlace := runLineProgram(c.drive)
+		if !slices.Equal(got, want) || fired != wantFired {
+			t.Fatalf("%s: %d events, %d fired; the Step loop: %d events, %d fired; traces differ: %v",
+				c.name, len(got), fired, len(want), wantFired, !slices.Equal(got, want))
+		}
+		if inPlace == 0 {
+			t.Fatalf("%s fired no flight in place", c.name)
+		}
+		t.Logf("%s: %d events, %d flights in place", c.name, fired, inPlace)
 	}
 }
