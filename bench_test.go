@@ -732,8 +732,8 @@ func benchFabricBurst(b *testing.B, fb *fabricBurst) {
 }
 
 // BenchmarkShardedIncast measures the shard layer on a 64-host
-// fat-tree: eight radix-4 pod cells (8 hosts each) on per-pod engines,
-// each absorbing a 4096-packet cross-edge burst through the switched PFC
+// fat-tree: eight radix-4 pod cells (8 hosts each) built on the lanes'
+// engines, each absorbing a 4096-packet cross-edge burst through the switched PFC
 // fabric, with digest flights converging on pod 0 over the shard
 // boundary links (two topological waves). The shards=8/shards=1
 // wall-clock ratio is the scale-out speedup, bounded by the host's cores

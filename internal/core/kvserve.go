@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"odpsim/internal/cluster"
@@ -28,6 +29,13 @@ import (
 // 0, so the shard group runs in two topological waves: pods 1–15 run
 // dry first (in parallel on the lanes), buffering their digests on the
 // links, and then pod 0 runs once with every digest landed.
+//
+// A pod exists only while its wave runs: the group builds it on its
+// lane's engine when the pod's turn comes, and once that engine has run
+// dry the pod's counters are copied onto its kvPod and the cluster is
+// dropped, so the next pod on the lane rebuilds on the same engine and
+// recycles its arenas and pools. The run holds one pod cell per lane,
+// not one per pod.
 //
 // What the scenario measures is the paper's pitfall at serving scale:
 // with the server region under Explicit ODP, first-touch GETs RNR-storm
@@ -68,17 +76,40 @@ func (kvServeWorkload) Validate(sc *scenario.Scenario) error {
 	return nil
 }
 
-// kvPod is one pod's simulation state, kept so post-run aggregation can
-// walk the pods in index order (the determinism contract).
+// kvPod is one pod's state, kept so post-run aggregation can walk the
+// pods in index order (the determinism contract).
 type kvPod struct {
+	// cl and qps (one per client, client order) live from the pod's build
+	// until its summary: they belong to the lane engine.
 	cl        *cluster.Cluster
-	qps       []*rnic.QP // one per client, client order
+	qps       []*rnic.QP
 	sketch    *stats.QuantileSketch
 	done      sim.Time    // last completion observed in this pod
 	completed int         // pod-wide completions, for the digest stride
 	link      *shard.Link // digest link to pod 0 (nil for pod 0)
-	retrans   uint64
-	timeout   uint64
+
+	// What the report reads, copied by summarize.
+	retrans, timeouts, rnrNaks uint64
+	pause, ecn, drops          float64
+	tiers                      []congestion.TierStat
+}
+
+// summarize copies what the report reads off the pod's cluster, then
+// drops the cluster: the lane's next pod recycles its objects.
+func (kp *kvPod) summarize() {
+	for _, qp := range kp.qps {
+		kp.retrans += qp.Stats.Retransmits
+		kp.timeouts += qp.Stats.Timeouts
+	}
+	for _, n := range kp.cl.Nodes {
+		kp.rnrNaks += n.RNRNakSent
+	}
+	hub := kp.cl.Telemetry()
+	kp.pause = hub.Total(telemetry.TxPauseDuration)
+	kp.ecn = hub.Total(telemetry.SimSwitchEcnMarked)
+	kp.drops = hub.Total(telemetry.SimSwitchDrops)
+	kp.tiers = kp.cl.Fab.Network().TierStats()
+	kp.cl, kp.qps = nil, nil
 }
 
 // kvDigestEvery is the pod-wide completion stride between replication
@@ -183,43 +214,42 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 		podSeed := seed + int64(p)*1000003
 		kp := &kvPod{sketch: kvSketch()}
 		pod[p] = kp
-		kp.cl = podSys.BuildOn(nil, podSeed, hostsPer)
-		domains[p] = g.AddDomain(kp.cl.Eng)
+		domains[p] = g.AddDomain(podSeed, func(d *shard.Domain) {
+			kp.cl = podSys.BuildOn(d.Eng, podSeed, hostsPer)
+
+			// The server's value region: one size*ops slice per client,
+			// every op touching a fresh offset so cold ODP pages keep
+			// faulting the way a growing working set does.
+			server := kp.cl.Nodes[0]
+			slotLen := size * ops
+			region := server.AS.Alloc(slotLen * clients)
+			server.RegisterMR(region, slotLen*clients, mode.Server())
+
+			kp.qps = make([]*rnic.QP, 0, clients)
+			for c := 1; c < hostsPer; c++ {
+				node := kp.cl.Nodes[c]
+				lbuf := node.AS.Alloc(slotLen)
+				node.RegisterMR(lbuf, slotLen, mode.Client())
+				cq := rnic.NewCQ(d.Eng)
+				qc := node.CreateQP(cq, cq)
+				qs := server.CreateQP(rnic.NewCQ(d.Eng), rnic.NewCQ(d.Eng))
+				rnic.ConnectPair(qc, qs, params, params)
+				kp.qps = append(kp.qps, qc)
+
+				// Open loop: the poster fires a GET every interval
+				// regardless of completions — precisely the regime where
+				// fault-delayed responses pile latency onto the tail
+				// instead of throttling the offered load.
+				kc := newKVClient(d.Eng, ops)
+				kc.pod, kc.qp, kc.cq = kp, qc, cq
+				kc.lbuf, kc.rbuf = lbuf, region+hostmem.Addr(slotLen*(c-1))
+				kc.size, kc.post, kc.gap = size, post, interval-post
+				d.Eng.ScheduleAfter(0, kc.stepFn)
+				d.Eng.ScheduleAfter(0, kc.reapFn)
+			}
+		}, func(*shard.Domain) { kp.summarize() })
 		if p > 0 {
 			kp.link = g.Connect(domains[p], domains[0], coreGbps, coreProp)
-		}
-
-		// The server's value region: one size*ops slice per client, every
-		// op touching a fresh offset so cold ODP pages keep faulting the
-		// way a growing working set does.
-		server := kp.cl.Nodes[0]
-		slotLen := size * ops
-		region := server.AS.Alloc(slotLen * clients)
-		server.RegisterMR(region, slotLen*clients, mode.Server())
-
-		for c := 1; c < hostsPer; c++ {
-			node := kp.cl.Nodes[c]
-			lbuf := node.AS.Alloc(slotLen)
-			node.RegisterMR(lbuf, slotLen, mode.Client())
-			cq := rnic.NewCQ(kp.cl.Eng)
-			qc := node.CreateQP(cq, cq)
-			qs := server.CreateQP(rnic.NewCQ(kp.cl.Eng), rnic.NewCQ(kp.cl.Eng))
-			rnic.ConnectPair(qc, qs, params, params)
-			kp.qps = append(kp.qps, qc)
-
-			// Open loop: the poster fires a GET every interval regardless
-			// of completions — precisely the regime where fault-delayed
-			// responses pile latency onto the tail instead of throttling
-			// the offered load.
-			kc := &kvClient{
-				pod: kp, eng: kp.cl.Eng, qp: qc, cq: cq,
-				lbuf: lbuf, rbuf: region + hostmem.Addr(slotLen*(c-1)),
-				size: size, post: post, gap: interval - post,
-				postAt: make([]sim.Time, ops),
-			}
-			kc.stepFn, kc.reapFn = kc.step, kc.reap
-			kp.cl.Eng.ScheduleAfter(0, kc.stepFn)
-			kp.cl.Eng.ScheduleAfter(0, kc.reapFn)
 		}
 	}
 	domains[0].OnFlight(func(f shard.Flight) {
@@ -240,24 +270,18 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 	var pause, ecn, drops float64
 	tiers := map[string]*congestion.TierStat{}
 	var tierOrder []string
-	for p := 0; p < pods; p++ {
-		kp := pod[p]
+	for _, kp := range pod {
 		merged.Merge(kp.sketch)
 		if kp.done > exec {
 			exec = kp.done
 		}
-		for _, qp := range kp.qps {
-			retrans += qp.Stats.Retransmits
-			timeouts += qp.Stats.Timeouts
-		}
-		for _, n := range kp.cl.Nodes {
-			rnrNaks += n.RNRNakSent
-		}
-		hub := kp.cl.Telemetry()
-		pause += hub.Total(telemetry.TxPauseDuration)
-		ecn += hub.Total(telemetry.SimSwitchEcnMarked)
-		drops += hub.Total(telemetry.SimSwitchDrops)
-		for _, t := range kp.cl.Fab.Network().TierStats() {
+		retrans += kp.retrans
+		timeouts += kp.timeouts
+		rnrNaks += kp.rnrNaks
+		pause += kp.pause
+		ecn += kp.ecn
+		drops += kp.drops
+		for _, t := range kp.tiers {
 			agg, ok := tiers[t.Tier]
 			if !ok {
 				agg = &congestion.TierStat{Tier: t.Tier}
@@ -316,6 +340,30 @@ type kvClient struct {
 	slept          bool // the next step ends a post overhead
 
 	stepFn, reapFn func() // bound method values of step and reap
+	arenaNext      *kvClient
+}
+
+// kvClientsKey is the engine Aux key of the kvClient arena.
+const kvClientsKey = "core.kvClients"
+
+// newKVClient takes a zeroed client from eng's arena, with room for ops
+// post instants. A recycled record keeps its bound callbacks and its
+// postAt storage, so every pod after a lane's first builds its clients
+// without allocating. postAt's old contents are never read: a GET's
+// slot is written when it is posted.
+func newKVClient(eng *sim.Engine, ops int) *kvClient {
+	a := sim.ArenaOn(eng, kvClientsKey, func(c *kvClient) **kvClient { return &c.arenaNext })
+	c := a.Take(eng)
+	if c == nil {
+		c = new(kvClient)
+		c.stepFn, c.reapFn = c.step, c.reap
+		a.Add(c)
+	} else {
+		*c = kvClient{postAt: c.postAt, stepFn: c.stepFn, reapFn: c.reapFn, arenaNext: c.arenaNext}
+	}
+	c.eng = eng
+	c.postAt = slices.Grow(c.postAt[:0], ops)[:ops]
+	return c
 }
 
 // step is the poster's event: the start event, the end of a post

@@ -17,7 +17,8 @@ func fuzzArg(sent sim.Time, from, n int) uint64 {
 }
 
 // fuzzGroup decodes prog into a linked group of 2–6 domains and runs it
-// on lanes lanes. It returns each domain's trace — local firings,
+// on lanes lanes, each domain built on its lane's recycled engine. It
+// returns each domain's trace — local firings,
 // landings, and the follow-ups both schedule, each with Now, From and
 // Arg. A cyclic program must be rejected before any engine runs, and
 // returns no trace.
@@ -48,8 +49,9 @@ func fuzzGroup(t *testing.T, prog []byte, lanes int) (traces [][]string) {
 	rot := arg()
 	g := NewGroup(lanes)
 	ds := make([]*Domain, n)
+	builds := make([]func(*Domain), n) // decoded below, after the links
 	for i := range ds {
-		ds[i] = g.AddDomain(sim.New(int64(i + 1)))
+		ds[i] = g.AddDomain(int64(i+1), func(d *Domain) { builds[i](d) }, nil)
 	}
 	links := make([][]*Link, n) // outbound, in Connect order
 	prop := make([][]sim.Time, n)
@@ -75,63 +77,73 @@ func fuzzGroup(t *testing.T, prog []byte, lanes int) (traces [][]string) {
 
 	traces = make([][]string, n)
 	for i := range ds {
-		d := ds[i]
-		sends, budget := 0, arg()%8
-		// landAt and landIdx are the instant and trace index of the
-		// domain's latest landing.
-		landAt, landIdx := sim.Time(-1), -1
-		send := func(pick, length int) {
-			out := links[i]
-			if len(out) == 0 {
-				return
-			}
-			sends++
-			out[pick%len(out)].Send(Flight{Len: length, Arg: fuzzArg(d.Eng.Now(), i, sends)})
+		budget := arg() % 8
+		type local struct {
+			at          sim.Time
+			act, length int
 		}
-		record := func(kind string, from int, a uint64) {
-			traces[i] = append(traces[i], fmt.Sprintf("%d %s %d %d", int64(d.Eng.Now()), kind, from, a))
-		}
-		// local records a local firing scheduled by the firing at trace
-		// index by (-1 before the run).
-		local := func(kind string, from int, a uint64, by int) {
-			if d.Eng.Now() == landAt && by < landIdx {
-				t.Errorf("domain %d: %s event scheduled by firing %d fired after the same-instant landing %d",
-					i, kind, by, landIdx)
-			}
-			record(kind, from, a)
-		}
-		d.OnFlight(func(f Flight) {
-			now := d.Eng.Now()
-			sent := sim.Time(f.Arg >> 24)
-			if now != f.At || now < sent+prop[f.From][i] {
-				t.Errorf("domain %d: flight %d from %d sent at %v (prop %v) fired at %v, stamped At %v",
-					i, f.Arg, f.From, sent, prop[f.From][i], now, f.At)
-			}
-			landAt, landIdx = now, len(traces[i])
-			record("land", f.From, f.Arg)
-			if f.Arg%3 == 0 {
-				later := sim.Time(10*(f.Arg>>8%3)) * sim.Nanosecond
-				by := landIdx
-				d.Eng.Schedule(now+later, func() { local("echo", f.From, f.Arg, by) })
-			}
-			if budget > 0 {
-				budget--
-				send(int(f.Arg>>8), int(f.Arg%64))
-			}
-		})
+		var locals []local
 		for k := arg() % 6; k > 0; k-- {
 			at := sim.Time(10*(arg()%8)) * sim.Nanosecond
 			act, length := arg(), arg()%64
-			d.Eng.Schedule(at, func() {
-				by := len(traces[i])
-				local("local", i, uint64(act), -1)
-				if act%2 == 0 {
-					send(act/2, length)
+			locals = append(locals, local{at, act, length})
+		}
+		builds[i] = func(d *Domain) {
+			sends := 0
+			// landAt and landIdx are the instant and trace index of the
+			// domain's latest landing.
+			landAt, landIdx := sim.Time(-1), -1
+			send := func(pick, length int) {
+				out := links[i]
+				if len(out) == 0 {
+					return
 				}
-				if later := sim.Time(10*(act/2%4)) * sim.Nanosecond; later > 0 {
-					d.Eng.Schedule(d.Eng.Now()+later, func() { local("follow", i, uint64(act), by) })
+				sends++
+				out[pick%len(out)].Send(Flight{Len: length, Arg: fuzzArg(d.Eng.Now(), i, sends)})
+			}
+			record := func(kind string, from int, a uint64) {
+				traces[i] = append(traces[i], fmt.Sprintf("%d %s %d %d", int64(d.Eng.Now()), kind, from, a))
+			}
+			// local records a local firing scheduled by the firing at
+			// trace index by (-1 before the run).
+			local := func(kind string, from int, a uint64, by int) {
+				if d.Eng.Now() == landAt && by < landIdx {
+					t.Errorf("domain %d: %s event scheduled by firing %d fired after the same-instant landing %d",
+						i, kind, by, landIdx)
+				}
+				record(kind, from, a)
+			}
+			d.OnFlight(func(f Flight) {
+				now := d.Eng.Now()
+				sent := sim.Time(f.Arg >> 24)
+				if now != f.At || now < sent+prop[f.From][i] {
+					t.Errorf("domain %d: flight %d from %d sent at %v (prop %v) fired at %v, stamped At %v",
+						i, f.Arg, f.From, sent, prop[f.From][i], now, f.At)
+				}
+				landAt, landIdx = now, len(traces[i])
+				record("land", f.From, f.Arg)
+				if f.Arg%3 == 0 {
+					later := sim.Time(10*(f.Arg>>8%3)) * sim.Nanosecond
+					by := landIdx
+					d.Eng.Schedule(now+later, func() { local("echo", f.From, f.Arg, by) })
+				}
+				if budget > 0 {
+					budget--
+					send(int(f.Arg>>8), int(f.Arg%64))
 				}
 			})
+			for _, l := range locals {
+				d.Eng.Schedule(l.at, func() {
+					by := len(traces[i])
+					local("local", i, uint64(l.act), -1)
+					if l.act%2 == 0 {
+						send(l.act/2, l.length)
+					}
+					if later := sim.Time(10*(l.act/2%4)) * sim.Nanosecond; later > 0 {
+						d.Eng.Schedule(d.Eng.Now()+later, func() { local("follow", i, uint64(l.act), by) })
+					}
+				})
+			}
 		}
 	}
 	if cyclic {

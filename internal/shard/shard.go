@@ -1,7 +1,7 @@
 // Package shard is the conservative parallel layer: it runs one
-// simulation as a Group of causal domains, each with its own sim.Engine,
-// and executes the domains' event loops concurrently on a fixed pool of
-// worker lanes without ever reordering an observable event.
+// simulation as a Group of causal domains and executes the domains'
+// event loops concurrently on a fixed pool of worker lanes without ever
+// reordering an observable event.
 //
 // The unit of partitioning is the causal domain — a subgraph of the
 // simulated system (hosts, RNICs, ODP/NPR state, the switches between
@@ -12,6 +12,17 @@
 // pure function of the scenario. The `shards` knob only picks how many
 // OS threads execute the domains: output is byte-identical at any value,
 // the same contract internal/parallel established for sweep points.
+//
+// The lanes own the engines. A domain is a seed and two callbacks: when
+// its wave starts, the group resets its lane's engine to the domain's
+// seed and calls build, which puts the domain's system on it. The group
+// then lands the inbound flights, runs the engine dry, checks the
+// domain's Stop (and, under MustRun, its deadlock) and calls done,
+// which copies out what the caller reads afterwards. Then the engine
+// goes to the lane's next domain, recycling its arenas and pools the way
+// a trial loop does (a Reset engine behaves exactly like a fresh one).
+// A group keeps at most one engine per lane, however many domains it
+// has, and keeps them across runs.
 //
 // Cross-domain traffic moves as Flight values over directed boundary
 // Links, and the links form the group's link graph, which must be
@@ -75,7 +86,7 @@ type Flight struct {
 // while its wave runs and the destination drains them when its own wave
 // starts, so the two never touch the slice concurrently: the wave
 // barrier is the happens-before edge. The slice recycles its backing
-// array.
+// array across runs.
 type Link struct {
 	src, dst  *Domain
 	nsPerByte float64
@@ -85,9 +96,9 @@ type Link struct {
 }
 
 // Send stamps f's landing time and tie-break and queues it on the
-// link. It must be called while the source domain runs (its engine's
-// event context) or before the group runs. The landing time is
-// max(now, egress free) + Len/rate + prop ≥ now + prop.
+// link. It must be called while the source domain holds its lane
+// engine: from its build callback or its engine's events. The landing
+// time is max(now, egress free) + Len/rate + prop ≥ now + prop.
 func (l *Link) Send(f Flight) {
 	eng := l.src.Eng
 	start := eng.Now()
@@ -120,15 +131,23 @@ const (
 // landSeq is f's landing tie-break in its destination engine.
 func landSeq(f Flight) uint64 { return landBand | uint64(f.From)<<fromShift | f.Seq }
 
-// Domain is one causal partition: an engine plus its inbound boundary
-// links. The owner builds whatever system it likes on Eng (clusters,
-// fabrics, processes); the domain only adds the flight drain.
+// Domain is one causal partition: a seed, the callbacks that build and
+// summarize its system, and its inbound boundary links. The owner
+// builds whatever system it likes on Eng (clusters, fabrics, processes);
+// the domain only adds the flight drain.
 type Domain struct {
+	// Eng is the lane engine the domain runs on, reset to its seed: set
+	// when build is called, nil again once done returns. Nothing the
+	// system took from it stays valid after done, since the lane's next
+	// domain resets the engine and recycles its arenas.
 	Eng *sim.Engine
 
-	id      int
-	in      []*Link // inbound links in Connect order (fixes drain order)
-	handler func(Flight)
+	id          int
+	seed        int64
+	build, done func(*Domain)
+	stopped     bool    // the engine called Stop in the domain's last run
+	in          []*Link // inbound links in Connect order (fixes drain order)
+	handler     func(Flight)
 	// inbox holds drained flights whose landing events are scheduled
 	// but not yet fired, sorted by (At, From, Seq) from inboxHead on;
 	// landFn pops the head. One landing event is scheduled per flight,
@@ -145,7 +164,7 @@ func (d *Domain) ID() int { return d.id }
 
 // OnFlight installs the handler invoked at each inbound flight's landing
 // time, inside the domain's event loop. A domain with inbound links must
-// install a handler before the group runs.
+// install a handler before the group runs or from its build callback.
 func (d *Domain) OnFlight(h func(Flight)) { d.handler = h }
 
 // compareFlights orders flights by (At, From, Seq), the group's
@@ -174,10 +193,12 @@ func (d *Domain) land() {
 }
 
 // drain lands every inbound flight in the engine as a landing event:
-// the flights are gathered across links into the empty inbox, sorted by
+// the flights are gathered across links into the emptied inbox (a run
+// ended by Stop or a panic can leave flights in it), sorted by
 // (At, From, Seq) in place, and scheduled. A domain drains once per Run,
-// when its wave starts and every source has run dry.
+// when its wave starts and every source has run dry, after its build.
 func (d *Domain) drain() {
+	d.inbox, d.inboxHead = d.inbox[:0], 0
 	for _, l := range d.in {
 		d.inbox = append(d.inbox, l.flights...)
 		l.flights = l.flights[:0]
@@ -189,22 +210,30 @@ func (d *Domain) drain() {
 }
 
 // Group runs a set of domains to completion over a fixed number of
-// worker lanes. Domains and links are added before Run; the group is
-// single-use per run but domains' engines may be Reset and the group
-// rewound, arena-style, by the caller.
+// worker lanes. Domains and links are added before Run. A group may run
+// again: each Run starts from empty links and rebuilds every domain on
+// the lane engines the previous run left, so a warm rerun allocates
+// only what its build callbacks do.
 type Group struct {
 	lanes   int
 	domains []*Domain
 	links   []*Link
 
 	// The wave schedule, derived from the link graph by plan and kept
-	// until the next AddDomain or Connect (Rewind keeps it too, so a warm
-	// rerun plans nothing). waves[k] lists wave k's domains in id order.
+	// until the next AddDomain or Connect, so a rerun plans nothing.
+	// waves[k] lists wave k's domains in id order.
 	planned bool
 	waves   [][]*Domain
 	width   int // the most domains one wave runs at once
 	// ranWaves counts the last Run's waves.
 	ranWaves int
+
+	// engs[i] is lane i's engine, nil until the lane's first domain
+	// (or after a domain on it panicked). Only lane i touches it while
+	// a run is on.
+	engs []*sim.Engine
+	// must makes the running Run check each domain for a deadlock.
+	must bool
 
 	jobs   chan *Domain
 	wg     sync.WaitGroup
@@ -223,12 +252,17 @@ func NewGroup(lanes int) *Group {
 	return &Group{lanes: lanes}
 }
 
-// AddDomain wraps eng as the group's next causal domain.
-func (g *Group) AddDomain(eng *sim.Engine) *Domain {
+// AddDomain adds the group's next causal domain. When its wave starts,
+// the domain gets its lane's engine reset to seed, and build puts its
+// system on d.Eng: the domain's initial events, its handler if it has
+// inbound links, any flights it sends at time zero. Once the engine has
+// run dry, done (which may be nil) copies out what the caller reads
+// after the run; the engine then passes to the lane's next domain.
+func (g *Group) AddDomain(seed int64, build, done func(d *Domain)) *Domain {
 	if len(g.domains) == maxDomains {
 		panic(fmt.Sprintf("shard: a group holds at most %d domains", maxDomains))
 	}
-	d := &Domain{Eng: eng, id: len(g.domains)}
+	d := &Domain{id: len(g.domains), seed: seed, build: build, done: done}
 	d.landFn = d.land
 	g.domains = append(g.domains, d)
 	g.planned = false
@@ -319,109 +353,120 @@ func (g *Group) plan() {
 // link graph, as described in the package comment; it panics before any
 // engine runs if the graph has a cycle. Run returns when every domain
 // has run dry, or after the wave in which some domain's engine called
-// Stop.
-func (g *Group) Run() {
+// Stop. Processes still parked in a domain when it ends are unwound
+// (sim.Engine.Shutdown) before its lane engine moves on.
+func (g *Group) Run() { g.run(false) }
+
+// MustRun is Run plus the engine layer's deadlock check: it panics if a
+// domain ends with processes or Notify callbacks parked forever,
+// mirroring sim.Engine.MustRun for the whole group. The check runs on
+// the domain's lane as soon as its engine has run dry, before done.
+func (g *Group) MustRun() { g.run(true) }
+
+func (g *Group) run(must bool) {
 	g.plan()
-	for _, d := range g.domains {
-		if len(d.in) > 0 && d.handler == nil {
-			panic(fmt.Sprintf("shard: domain %d has inbound links but no OnFlight handler", d.id))
-		}
+	// Start from empty links: a run ended by Stop leaves flights on the
+	// links it never drained.
+	for _, l := range g.links {
+		l.free = 0
+		l.flights = l.flights[:0]
 	}
+	// A re-raised lane panic from a prior run must not mask this run's
+	// own outcome (the Once is consumed).
+	g.panicV = nil
+	g.once = sync.Once{}
+	g.must = must
 	g.ranWaves = 0
-	stop := g.startWorkers(g.width)
+	lanes := min(g.lanes, g.width)
+	for len(g.engs) < lanes {
+		g.engs = append(g.engs, nil)
+	}
+	stop := g.startWorkers(lanes)
 	defer stop()
 	for _, w := range g.waves {
 		g.runEach(w)
 		g.ranWaves++
 		for _, d := range w {
-			if d.Eng.Stopped() {
+			if d.stopped {
 				return
 			}
 		}
 	}
 }
 
-// waveRun is one domain's share of a wave. Every domain upstream of it
-// has run dry, so its inbound links hold every flight it will ever
-// receive: land them all, then run the engine dry.
-func waveRun(d *Domain) {
+// runDomain is one domain's share of a wave, on lane's engine. Every
+// domain upstream of it has run dry, so its inbound links hold every
+// flight it will ever receive: build the domain, land them all, run the
+// engine dry, check it and summarize it.
+func (g *Group) runDomain(lane int, d *Domain) {
+	e := g.engs[lane]
+	g.engs[lane] = nil // a domain that panics takes its engine with it
+	if e == nil {
+		e = sim.New(d.seed)
+	} else {
+		e.Reset(d.seed)
+	}
+	d.Eng = e
+	if d.build != nil {
+		d.build(d)
+	}
+	if len(d.in) > 0 && d.handler == nil {
+		panic(fmt.Sprintf("shard: domain %d has inbound links but no OnFlight handler", d.id))
+	}
 	d.drain()
-	d.Eng.Run()
+	e.Run()
+	if g.must && e.Deadlocked() {
+		panic(fmt.Sprintf("shard: deadlock, domain %d has process(es) or callback(s) parked forever at %v", d.id, e.Now()))
+	}
+	d.stopped = e.Stopped()
+	if d.done != nil {
+		d.done(d)
+	}
+	d.Eng = nil
+	e.Shutdown() // unwind processes a Stop or a deadlock left parked
+	g.engs[lane] = e
 }
 
-// MustRun is Run plus the engine layer's deadlock check: it panics if
-// any domain ends with processes or Notify callbacks parked forever,
-// mirroring sim.Engine.MustRun for the whole group.
-func (g *Group) MustRun() {
-	g.Run()
-	for _, d := range g.domains {
-		if d.Eng.Deadlocked() {
-			panic(fmt.Sprintf("shard: deadlock, domain %d has process(es) or callback(s) parked forever at %v", d.id, d.Eng.Now()))
-		}
-	}
-}
-
-// Rewind returns the group to its pre-run state — link egress cursors
-// and flights cleared, inboxes emptied — keeping every allocation and
-// the wave schedule, so a caller that Resets its engines can rerun the
-// same group arena-style without per-trial garbage. Installed handlers
-// stay.
-func (g *Group) Rewind() {
-	for _, l := range g.links {
-		l.free = 0
-		l.flights = l.flights[:0]
-	}
-	for _, d := range g.domains {
-		d.inbox = d.inbox[:0]
-		d.inboxHead = 0
-	}
-	// Clear captured panic state: a re-raised lane panic from a prior
-	// run must not mask a rerun's own failure (the Once is consumed).
-	g.panicV = nil
-	g.once = sync.Once{}
-}
-
-// startWorkers launches the persistent lane goroutines for waves that
-// run at most width domains at once (none when one lane or one domain
-// suffices — then runEach executes inline, which is also the
-// allocation-free path the alloc budget pins). The returned stop
-// function tears the pool down.
-func (g *Group) startWorkers(width int) func() {
-	n := min(g.lanes, width)
-	if n <= 1 {
+// startWorkers launches one persistent goroutine per lane, each running
+// its domains on its own engine (none when one lane suffices — then
+// runEach executes inline on lane 0, which is also the allocation-free
+// path the alloc budgets pin). The returned stop function tears the
+// pool down.
+func (g *Group) startWorkers(lanes int) func() {
+	if lanes <= 1 {
 		return func() {}
 	}
 	jobs := make(chan *Domain)
 	g.jobs = jobs
-	for i := 0; i < n; i++ {
+	for i := 0; i < lanes; i++ {
 		go func() {
 			for d := range jobs {
-				g.runOne(d)
+				g.runOne(i, d)
 			}
 		}()
 	}
 	return func() { g.jobs = nil; close(jobs) }
 }
 
-// runOne runs one domain's share of a wave, capturing the first panic
-// so the coordinator can re-raise it after the barrier (a lost panic in
-// a lane goroutine would otherwise kill the process with no caller
-// context).
-func (g *Group) runOne(d *Domain) {
+// runOne runs one domain's share of a wave on lane, capturing the first
+// panic so the coordinator can re-raise it after the barrier (a lost
+// panic in a lane goroutine would otherwise kill the process with no
+// caller context).
+func (g *Group) runOne(lane int, d *Domain) {
 	defer g.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			g.once.Do(func() { g.panicV = r })
 		}
 	}()
-	waveRun(d)
+	g.runDomain(lane, d)
 }
 
 // runEach runs one wave's domains, on the lane pool when one exists.
 func (g *Group) runEach(ds []*Domain) {
 	if g.jobs == nil {
 		for _, d := range ds {
-			waveRun(d)
+			g.runDomain(0, d)
 		}
 		return
 	}

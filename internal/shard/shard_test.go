@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"odpsim/internal/sim"
@@ -22,31 +23,29 @@ func dagTrace(lanes, ops int) (*Group, [][]string) {
 	edges := [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 4}, {2, 4}, {2, 5}, {3, 5}, {4, 6}, {5, 6}, {0, 6}}
 	g := NewGroup(lanes)
 	ds := make([]*Domain, 7)
-	for i := range ds {
-		ds[i] = g.AddDomain(sim.New(int64(i + 1)))
-	}
 	out := make([][]*Link, len(ds))
+	traces := make([][]string, len(ds))
+	for i := range ds {
+		ds[i] = g.AddDomain(int64(i+1), func(d *Domain) {
+			sent := 0
+			send := func() {
+				if sent < ops && len(out[i]) > 0 {
+					sent++
+					out[i][sent%len(out[i])].Send(Flight{Len: 256, Arg: uint64(1000*i + sent)})
+				}
+			}
+			d.OnFlight(func(f Flight) {
+				traces[i] = append(traces[i], fmt.Sprintf("%d:%d:%d", int64(d.Eng.Now()), f.From, f.Arg))
+				send()
+			})
+			for k := 0; k < 4; k++ {
+				d.Eng.Schedule(sim.Time(k*(i+1))*sim.Microsecond, send)
+			}
+		}, nil)
+	}
 	for k, e := range edges {
 		prop := sim.Time(1+k%3) * sim.Microsecond
 		out[e[0]] = append(out[e[0]], g.Connect(ds[e[0]], ds[e[1]], 100, prop))
-	}
-	traces := make([][]string, len(ds))
-	for i := range ds {
-		i, d := i, ds[i]
-		sent := 0
-		send := func() {
-			if sent < ops && len(out[i]) > 0 {
-				sent++
-				out[i][sent%len(out[i])].Send(Flight{Len: 256, Arg: uint64(1000*i + sent)})
-			}
-		}
-		d.OnFlight(func(f Flight) {
-			traces[i] = append(traces[i], fmt.Sprintf("%d:%d:%d", int64(d.Eng.Now()), f.From, f.Arg))
-			send()
-		})
-		for k := 0; k < 4; k++ {
-			d.Eng.Schedule(sim.Time(k*(i+1))*sim.Microsecond, send)
-		}
 	}
 	g.Run()
 	return g, traces
@@ -83,12 +82,13 @@ func TestCyclicGroupPanics(t *testing.T) {
 	} {
 		g := NewGroup(2)
 		var ds []*Domain
-		fired := 0
+		built := 0
 		for _, e := range c.edges {
 			for len(ds) <= max(e[0], e[1]) {
-				d := g.AddDomain(sim.New(int64(len(ds) + 1)))
-				d.OnFlight(func(Flight) { fired++ })
-				d.Eng.Schedule(0, func() { fired++ })
+				d := g.AddDomain(int64(len(ds)+1), func(d *Domain) {
+					built++
+					d.OnFlight(func(Flight) {})
+				}, nil)
 				ds = append(ds, d)
 			}
 			g.Connect(ds[e[0]], ds[e[1]], 0, sim.Microsecond)
@@ -103,35 +103,41 @@ func TestCyclicGroupPanics(t *testing.T) {
 			}()
 			g.Run()
 		}()
-		if fired != 0 {
-			t.Errorf("%s: %d events fired before the cycle was rejected", c.name, fired)
+		if built != 0 {
+			t.Errorf("%s: %d domains built before the cycle was rejected", c.name, built)
 		}
 	}
 }
 
 // TestFlightMergeOrder pins the (At, From, Seq) merge: two source
 // domains emit flights landing at the same instant, and the destination
-// must observe the lower domain id first, then reservation order.
+// must observe the lower domain id first, then reservation order,
+// whether the sources run one after the other or side by side.
 func TestFlightMergeOrder(t *testing.T) {
-	g := NewGroup(1)
-	s0 := g.AddDomain(sim.New(1))
-	s1 := g.AddDomain(sim.New(2))
-	dst := g.AddDomain(sim.New(3))
-	l0 := g.Connect(s0, dst, 0, sim.Microsecond) // latency-only: same landing instants
-	l1 := g.Connect(s1, dst, 0, sim.Microsecond)
-	var got []string
-	dst.OnFlight(func(f Flight) {
-		got = append(got, fmt.Sprintf("%d/%d", f.From, f.Arg))
-	})
-	// Emitted in interleaved order; all land at t=1µs.
-	l1.Send(Flight{Arg: 0})
-	l0.Send(Flight{Arg: 0})
-	l1.Send(Flight{Arg: 1})
-	l0.Send(Flight{Arg: 1})
-	g.Run()
-	want := []string{"0/0", "0/1", "1/0", "1/1"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merge order %v, want %v", got, want)
+	for _, lanes := range []int{1, 2} {
+		g := NewGroup(lanes)
+		var l0, l1 *Link
+		// Each source sends two flights from its build; all land at t=1µs.
+		sendTwo := func(l **Link) func(*Domain) {
+			return func(*Domain) {
+				(*l).Send(Flight{Arg: 0})
+				(*l).Send(Flight{Arg: 1})
+			}
+		}
+		s0 := g.AddDomain(1, sendTwo(&l0), nil)
+		s1 := g.AddDomain(2, sendTwo(&l1), nil)
+		dst := g.AddDomain(3, nil, nil)
+		l0 = g.Connect(s0, dst, 0, sim.Microsecond) // latency-only: same landing instants
+		l1 = g.Connect(s1, dst, 0, sim.Microsecond)
+		var got []string
+		dst.OnFlight(func(f Flight) {
+			got = append(got, fmt.Sprintf("%d/%d", f.From, f.Arg))
+		})
+		g.Run()
+		want := []string{"0/0", "0/1", "1/0", "1/1"}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("lanes=%d: merge order %v, want %v", lanes, got, want)
+		}
 	}
 }
 
@@ -142,23 +148,27 @@ func TestFlightMergeOrder(t *testing.T) {
 func TestHeterogeneousPropDelivery(t *testing.T) {
 	for _, lanes := range []int{1, 2} {
 		g := NewGroup(lanes)
-		slow := g.AddDomain(sim.New(1))
-		fast := g.AddDomain(sim.New(2))
-		dst := g.AddDomain(sim.New(3))
-		ls := g.Connect(slow, dst, 0, 100*sim.Nanosecond)
-		lf := g.Connect(fast, dst, 0, sim.Nanosecond)
-		var got []string
-		dst.OnFlight(func(f Flight) {
-			got = append(got, fmt.Sprintf("%d@%d", f.Arg, int64(dst.Eng.Now())))
-			if dst.Eng.Now() != f.At {
-				t.Errorf("lanes=%d: flight Arg=%d stamped At=%d delivered at %d",
-					lanes, f.Arg, int64(f.At), int64(dst.Eng.Now()))
-			}
-		})
+		var ls, lf *Link
 		// slow emits at t=0, landing At=100; fast emits at t=2, landing
 		// At=3.
-		slow.Eng.Schedule(0, func() { ls.Send(Flight{Arg: 7}) })
-		fast.Eng.Schedule(2*sim.Nanosecond, func() { lf.Send(Flight{Arg: 9}) })
+		slow := g.AddDomain(1, func(d *Domain) {
+			d.Eng.Schedule(0, func() { ls.Send(Flight{Arg: 7}) })
+		}, nil)
+		fast := g.AddDomain(2, func(d *Domain) {
+			d.Eng.Schedule(2*sim.Nanosecond, func() { lf.Send(Flight{Arg: 9}) })
+		}, nil)
+		var got []string
+		dst := g.AddDomain(3, func(d *Domain) {
+			d.OnFlight(func(f Flight) {
+				got = append(got, fmt.Sprintf("%d@%d", f.Arg, int64(d.Eng.Now())))
+				if d.Eng.Now() != f.At {
+					t.Errorf("lanes=%d: flight Arg=%d stamped At=%d delivered at %d",
+						lanes, f.Arg, int64(f.At), int64(d.Eng.Now()))
+				}
+			})
+		}, nil)
+		ls = g.Connect(slow, dst, 0, 100*sim.Nanosecond)
+		lf = g.Connect(fast, dst, 0, sim.Nanosecond)
 		g.Run()
 		want := []string{"9@3", "7@100"}
 		if !reflect.DeepEqual(got, want) {
@@ -176,19 +186,22 @@ func TestHeterogeneousPropDelivery(t *testing.T) {
 func TestSameInstantLandingOrder(t *testing.T) {
 	for _, at := range []sim.Time{0, 5 * sim.Nanosecond} {
 		g := NewGroup(1)
-		src := g.AddDomain(sim.New(1))
-		dst := g.AddDomain(sim.New(2))
-		l := g.Connect(src, dst, 0, 10*sim.Nanosecond)
+		var l *Link
 		var got []string
-		dst.OnFlight(func(f Flight) {
-			got = append(got, fmt.Sprintf("land@%d", int64(dst.Eng.Now())))
-		})
-		src.Eng.Schedule(0, func() { l.Send(Flight{Arg: 1}) })
-		dst.Eng.Schedule(at, func() {
-			dst.Eng.Schedule(10*sim.Nanosecond, func() {
-				got = append(got, fmt.Sprintf("local@%d", int64(dst.Eng.Now())))
+		src := g.AddDomain(1, func(d *Domain) {
+			d.Eng.Schedule(0, func() { l.Send(Flight{Arg: 1}) })
+		}, nil)
+		dst := g.AddDomain(2, func(d *Domain) {
+			d.OnFlight(func(f Flight) {
+				got = append(got, fmt.Sprintf("land@%d", int64(d.Eng.Now())))
 			})
-		})
+			d.Eng.Schedule(at, func() {
+				d.Eng.Schedule(10*sim.Nanosecond, func() {
+					got = append(got, fmt.Sprintf("local@%d", int64(d.Eng.Now())))
+				})
+			})
+		}, nil)
+		l = g.Connect(src, dst, 0, 10*sim.Nanosecond)
 		g.Run()
 		want := []string{"local@10", "land@10"}
 		if !reflect.DeepEqual(got, want) {
@@ -199,18 +212,24 @@ func TestSameInstantLandingOrder(t *testing.T) {
 
 // star builds leaves domains each sending one flight per local event to
 // a hub (domain 0), and returns the group, the hub and the hub's
-// landing count.
-func star(lanes, leaves, events int) (*Group, *Domain, *int) {
+// landing count. Every domain's build ends with extra, when it is not
+// nil.
+func star(lanes, leaves, events int, extra func(*Domain)) (*Group, *Domain, *int) {
 	g := NewGroup(lanes)
-	hub := g.AddDomain(sim.New(1))
+	hub := g.AddDomain(1, extra, nil)
 	landed := new(int)
 	hub.OnFlight(func(Flight) { *landed++ })
 	for i := 1; i <= leaves; i++ {
-		d := g.AddDomain(sim.New(int64(i + 1)))
-		l := g.Connect(d, hub, 25, 2*sim.Microsecond)
-		for k := 0; k < events; k++ {
-			d.Eng.Schedule(sim.Time(k)*sim.Microsecond, func() { l.Send(Flight{Len: 64}) })
-		}
+		var l *Link
+		d := g.AddDomain(int64(i+1), func(d *Domain) {
+			for k := 0; k < events; k++ {
+				d.Eng.Schedule(sim.Time(k)*sim.Microsecond, func() { l.Send(Flight{Len: 64}) })
+			}
+			if extra != nil {
+				extra(d)
+			}
+		}, nil)
+		l = g.Connect(d, hub, 25, 2*sim.Microsecond)
 	}
 	return g, hub, landed
 }
@@ -219,7 +238,7 @@ func star(lanes, leaves, events int) (*Group, *Domain, *int) {
 // shape: leaves into one hub run as two waves.
 func TestStarRunsInTwoWaves(t *testing.T) {
 	for _, lanes := range []int{1, 3} {
-		g, _, landed := star(lanes, 4, 10)
+		g, _, landed := star(lanes, 4, 10, nil)
 		g.Run()
 		if g.ranWaves != 2 || *landed != 40 {
 			t.Errorf("lanes=%d: %d waves, %d landings; want 2, 40", lanes, g.ranWaves, *landed)
@@ -229,18 +248,85 @@ func TestStarRunsInTwoWaves(t *testing.T) {
 
 // TestStopEndsWave checks Stop on the wave path: a leaf stopping its
 // engine ends the group run once its wave is done, so the hub's wave
-// never starts.
+// never starts. A rerun without the Stop lands only its own flights,
+// none of those the stopped run left on the links.
 func TestStopEndsWave(t *testing.T) {
 	for _, lanes := range []int{1, 3} {
-		g, hub, landed := star(lanes, 3, 10)
-		leaf := g.domains[2]
-		leaf.Eng.Schedule(3*sim.Microsecond, leaf.Eng.Stop)
+		stop, hubBuilt, pending := true, false, 0
+		g, _, landed := star(lanes, 3, 10, func(d *Domain) {
+			switch d.ID() {
+			case 0:
+				hubBuilt = true
+			case 2:
+				if stop {
+					d.Eng.Schedule(3*sim.Microsecond, d.Eng.Stop)
+				}
+			}
+		})
+		g.domains[2].done = func(d *Domain) { pending = d.Eng.QueueLen() }
 		g.Run()
-		if g.ranWaves != 1 || *landed != 0 || hub.Eng.Now() != 0 {
-			t.Errorf("lanes=%d: %d waves and %d hub landings after Stop, want 1 and 0", lanes, g.ranWaves, *landed)
+		if g.ranWaves != 1 || *landed != 0 || hubBuilt {
+			t.Errorf("lanes=%d: %d waves and %d hub landings after Stop (hub built: %v), want 1 and 0", lanes, g.ranWaves, *landed, hubBuilt)
 		}
-		if leaf.Eng.QueueLen() == 0 {
+		if pending == 0 {
 			t.Errorf("lanes=%d: the stopped leaf ran dry", lanes)
+		}
+		stop = false
+		g.Run()
+		if g.ranWaves != 2 || *landed != 30 {
+			t.Errorf("lanes=%d: the rerun ran %d waves and landed %d flights, want 2 and 30", lanes, g.ranWaves, *landed)
+		}
+	}
+}
+
+// TestStoppedDomainLeavesNothingToNext checks the lane engine's hand-
+// off after a Stop: on one lane, the domain after one that stopped with
+// events and a sleeping process still pending starts on a clean engine
+// — time zero, nothing queued, not stopped — and fires only its own
+// events.
+func TestStoppedDomainLeavesNothingToNext(t *testing.T) {
+	g := NewGroup(1)
+	var fired []string
+	g.AddDomain(1, func(d *Domain) {
+		for k := 1; k <= 5; k++ {
+			d.Eng.Schedule(sim.Time(k)*sim.Microsecond, func() { fired = append(fired, fmt.Sprintf("a%d", k)) })
+		}
+		d.Eng.Go("sleeper", func(p *sim.Proc) { p.Sleep(sim.Millisecond) })
+		d.Eng.Schedule(2*sim.Microsecond, d.Eng.Stop)
+	}, nil)
+	g.AddDomain(2, func(d *Domain) {
+		if d.Eng.Now() != 0 || d.Eng.QueueLen() != 0 || d.Eng.Stopped() {
+			t.Errorf("second domain built on an engine at %v with %d events queued (stopped: %v)",
+				d.Eng.Now(), d.Eng.QueueLen(), d.Eng.Stopped())
+		}
+		d.Eng.Schedule(10*sim.Microsecond, func() { fired = append(fired, "b") })
+	}, nil)
+	g.Run()
+	if want := []string{"a1", "a2", "b"}; !reflect.DeepEqual(fired, want) {
+		t.Errorf("fired %v, want %v", fired, want)
+	}
+}
+
+// TestLaneEngines pins who owns the engines: on one lane every domain is
+// built on the same engine, on N lanes at most N engines appear, and a
+// rerun builds on the engines the first run left.
+func TestLaneEngines(t *testing.T) {
+	for _, lanes := range []int{1, 3} {
+		var mu sync.Mutex
+		seen := map[*sim.Engine]bool{}
+		g, _, _ := star(lanes, 6, 4, func(d *Domain) {
+			mu.Lock()
+			seen[d.Eng] = true
+			mu.Unlock()
+		})
+		g.Run()
+		first := len(seen)
+		if lanes == 1 && first != 1 || first > lanes {
+			t.Errorf("lanes=%d: the domains ran on %d engines", lanes, first)
+		}
+		g.Run()
+		if len(seen) != first {
+			t.Errorf("lanes=%d: a rerun added %d engines", lanes, len(seen)-first)
 		}
 	}
 }
@@ -248,7 +334,7 @@ func TestStopEndsWave(t *testing.T) {
 // TestWavePanicReraised checks that a panic on a lane inside a wave
 // surfaces from Run with its value.
 func TestWavePanicReraised(t *testing.T) {
-	g, hub, _ := star(3, 4, 2)
+	g, hub, _ := star(3, 4, 2, nil)
 	hub.OnFlight(func(Flight) { panic("hub failure") })
 	defer func() {
 		if r := recover(); r != "hub failure" {
@@ -258,23 +344,27 @@ func TestWavePanicReraised(t *testing.T) {
 	g.Run()
 }
 
-// TestRewindClearsPanicState checks that a lane panic captured in one
-// run cannot be re-raised by a rewound rerun (the sync.Once would
-// otherwise stay consumed and mask the rerun's own outcome).
-func TestRewindClearsPanicState(t *testing.T) {
-	engA, engB := sim.New(1), sim.New(2)
+// TestRerunClearsPanicState checks that a lane panic captured in one
+// run cannot be re-raised by a rerun (the sync.Once would otherwise
+// stay consumed and mask the rerun's own outcome), and that the rerun
+// lands only its own two flights, not the one the panic left in the
+// inbox.
+func TestRerunClearsPanicState(t *testing.T) {
 	g := NewGroup(2)
-	a := g.AddDomain(engA)
-	b := g.AddDomain(engB)
-	ab := g.Connect(a, b, 100, sim.Microsecond)
-	boom := true
+	var ab *Link
+	a := g.AddDomain(1, func(*Domain) {
+		ab.Send(Flight{Len: 64})
+		ab.Send(Flight{Len: 64})
+	}, nil)
+	b := g.AddDomain(2, nil, nil)
+	ab = g.Connect(a, b, 100, sim.Microsecond)
+	boom, landed := true, 0
 	b.OnFlight(func(f Flight) {
+		landed++
 		if boom {
 			panic("first-run failure")
 		}
 	})
-	a.OnFlight(func(f Flight) {})
-	ab.Send(Flight{Len: 64})
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -283,12 +373,11 @@ func TestRewindClearsPanicState(t *testing.T) {
 		}()
 		g.Run()
 	}()
-	engA.Reset(3)
-	engB.Reset(4)
-	g.Rewind()
-	boom = false
-	ab.Send(Flight{Len: 64})
+	boom, landed = false, 0
 	g.Run() // must not re-panic with the stale first-run value
+	if landed != 2 {
+		t.Errorf("the rerun landed %d flights, want 2", landed)
+	}
 }
 
 // TestLinkSerialization checks the egress cursor: back-to-back flights
@@ -296,13 +385,15 @@ func TestRewindClearsPanicState(t *testing.T) {
 // the same instant.
 func TestLinkSerialization(t *testing.T) {
 	g := NewGroup(1)
-	src := g.AddDomain(sim.New(1))
-	dst := g.AddDomain(sim.New(2))
-	l := g.Connect(src, dst, 8, sim.Microsecond) // 8 Gb/s = 1 ns/byte
+	var l *Link
+	src := g.AddDomain(1, func(*Domain) {
+		l.Send(Flight{Len: 1000})
+		l.Send(Flight{Len: 1000})
+	}, nil)
+	dst := g.AddDomain(2, nil, nil)
+	l = g.Connect(src, dst, 8, sim.Microsecond) // 8 Gb/s = 1 ns/byte
 	var at []sim.Time
 	dst.OnFlight(func(f Flight) { at = append(at, dst.Eng.Now()) })
-	l.Send(Flight{Len: 1000})
-	l.Send(Flight{Len: 1000})
 	g.Run()
 	if len(at) != 2 {
 		t.Fatalf("landings = %d, want 2", len(at))
@@ -323,10 +414,10 @@ func TestIndependentDomainsRunDry(t *testing.T) {
 		g := NewGroup(lanes)
 		done := make([]sim.Time, 3)
 		for i := 0; i < 3; i++ {
-			i := i
-			d := g.AddDomain(sim.New(int64(i)))
-			end := sim.Time(i+1) * sim.Millisecond
-			d.Eng.Schedule(end, func() { done[i] = d.Eng.Now() })
+			g.AddDomain(int64(i), func(d *Domain) {
+				end := sim.Time(i+1) * sim.Millisecond
+				d.Eng.Schedule(end, func() { done[i] = d.Eng.Now() })
+			}, nil)
 		}
 		g.Run()
 		for i, at := range done {
@@ -342,11 +433,12 @@ func TestIndependentDomainsRunDry(t *testing.T) {
 // domain.
 func TestMustRunPanicsOnDeadlock(t *testing.T) {
 	g := NewGroup(1)
-	d := g.AddDomain(sim.New(1))
-	d.Eng.Go("stuck", func(p *sim.Proc) {
+	g.AddDomain(1, func(d *Domain) {
 		c := sim.NewCond(d.Eng)
-		p.Wait(c, func() bool { return false }) // nobody will ever signal
-	})
+		d.Eng.Go("stuck", func(p *sim.Proc) {
+			p.Wait(c, func() bool { return false }) // nobody will ever signal
+		})
+	}, nil)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -360,29 +452,39 @@ func TestMustRunPanicsOnDeadlock(t *testing.T) {
 }
 
 // TestMustRunNamesDeadlockedWaveDomain checks the deadlock diagnostic on
-// the wave path: the hub of a star parks a process forever, and MustRun
-// must name it.
+// the wave path: a domain of a star parks a process forever, and
+// MustRun must name it — the hub in the last wave, or the first leaf,
+// whose lane engine the next leaf would reset (which panics on a live
+// process) if the check came any later.
 func TestMustRunNamesDeadlockedWaveDomain(t *testing.T) {
-	g, hub, _ := star(2, 3, 2)
-	hub.Eng.Go("stuck", func(p *sim.Proc) {
-		c := sim.NewCond(hub.Eng)
-		p.Wait(c, func() bool { return false })
-	})
-	defer func() {
-		r := fmt.Sprint(recover())
-		if !strings.Contains(r, "deadlock") || !strings.Contains(r, "domain 0") {
-			t.Fatalf("MustRun panicked with %q, want a deadlock naming domain 0", r)
-		}
-	}()
-	g.MustRun()
+	for _, c := range []struct{ lanes, stuck int }{{2, 0}, {1, 0}, {1, 1}} {
+		g, _, _ := star(c.lanes, 3, 2, func(d *Domain) {
+			if d.ID() != c.stuck {
+				return
+			}
+			cond := sim.NewCond(d.Eng)
+			d.Eng.Go("stuck", func(p *sim.Proc) {
+				p.Wait(cond, func() bool { return false })
+			})
+		})
+		func() {
+			defer func() {
+				r := fmt.Sprint(recover())
+				if want := fmt.Sprintf("domain %d ", c.stuck); !strings.Contains(r, "deadlock") || !strings.Contains(r, want) {
+					t.Errorf("lanes=%d: MustRun panicked with %q, want a deadlock naming domain %d", c.lanes, r, c.stuck)
+				}
+			}()
+			g.MustRun()
+		}()
+	}
 }
 
 // TestConnectValidation pins the constructor panics: self-links and
 // zero-delay links are design errors, not runtime states.
 func TestConnectValidation(t *testing.T) {
 	g := NewGroup(1)
-	a := g.AddDomain(sim.New(1))
-	b := g.AddDomain(sim.New(2))
+	a := g.AddDomain(1, nil, nil)
+	b := g.AddDomain(2, nil, nil)
 	mustPanic := func(name string, fn func()) {
 		defer func() {
 			if recover() == nil {
@@ -433,30 +535,26 @@ func TestDecompose(t *testing.T) {
 
 // TestGroupAllocFreeWarm pins the steady-state handoff budget at the
 // package level: after a warm-up run, re-running a three-domain chain
-// (every landing on the middle domain forwarded to the last) on
-// recycled engines must not allocate per flight (flight slices, inboxes
-// and heap slots all recycle). The root-level TestAllocBudgetShardedSend
-// covers the full cluster-on-shard path.
+// (every landing on the middle domain forwarded to the last) on the
+// lane's recycled engine must not allocate per flight (flight slices,
+// inboxes and heap slots all recycle). The root-level
+// TestAllocBudgetShardedSend covers the full cluster-on-shard path.
 func TestGroupAllocFreeWarm(t *testing.T) {
-	engA, engB, engC := sim.New(1), sim.New(2), sim.New(3)
 	g := NewGroup(1)
-	a, b, c := g.AddDomain(engA), g.AddDomain(engB), g.AddDomain(engC)
-	ab := g.Connect(a, b, 100, 2*sim.Microsecond)
-	bc := g.Connect(b, c, 100, 2*sim.Microsecond)
-	var n int
-	b.OnFlight(func(f Flight) { bc.Send(Flight{Len: 64}) })
-	c.OnFlight(func(f Flight) { n++ })
-	seed := int64(0)
-	trial := func() {
-		seed++
-		engA.Reset(seed)
-		engB.Reset(seed + 1)
-		engC.Reset(seed + 2)
-		g.Rewind()
-		n = 0
+	var ab, bc *Link
+	a := g.AddDomain(1, func(*Domain) {
 		for k := 0; k < 256; k++ {
 			ab.Send(Flight{Len: 64})
 		}
+	}, nil)
+	b, c := g.AddDomain(2, nil, nil), g.AddDomain(3, nil, nil)
+	ab = g.Connect(a, b, 100, 2*sim.Microsecond)
+	bc = g.Connect(b, c, 100, 2*sim.Microsecond)
+	var n int
+	b.OnFlight(func(f Flight) { bc.Send(Flight{Len: 64}) })
+	c.OnFlight(func(f Flight) { n++ })
+	trial := func() {
+		n = 0
 		g.Run()
 	}
 	trial()

@@ -246,7 +246,8 @@ type Engine struct {
 	timers  timerHeap // At/After events, cancellable
 	free    []*event  // recycled event storage
 	seq     uint64
-	rng     *rand.Rand
+	src     source     // the random stream; Jitter and Bernoulli draw from it directly
+	rng     *rand.Rand // src behind math/rand's API, for Rand, Uniform and Normal
 	seed    int64
 	fired   uint64
 	resets  uint64 // the engine generation Arena reclaims by (see arena.go)
@@ -268,7 +269,10 @@ type Engine struct {
 // New creates an engine whose random stream is seeded with seed. The same
 // seed always produces the same simulation.
 func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), seed: seed, bound: noClaim}
+	e := &Engine{seed: seed, bound: noClaim}
+	e.src.Seed(seed)
+	e.rng = rand.New(&e.src)
+	return e
 }
 
 // noClaim is the loop bound that lets no flight fire in place: every

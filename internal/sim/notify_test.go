@@ -98,15 +98,17 @@ func TestMustRunReportsParkedCallback(t *testing.T) {
 
 	t.Run("group", func(t *testing.T) {
 		g := shard.NewGroup(2)
-		hub := g.AddDomain(sim.New(1))
+		hub := g.AddDomain(1, nil, nil)
 		hub.OnFlight(func(shard.Flight) {})
 		for i := 1; i <= 2; i++ {
-			d := g.AddDomain(sim.New(int64(i + 1)))
-			l := g.Connect(d, hub, 25, 2*sim.Microsecond)
-			d.Eng.Schedule(sim.Microsecond, func() { l.Send(shard.Flight{Len: 64}) })
-			if i == 2 {
-				park(d.Eng, 3*sim.Microsecond)
-			}
+			var l *shard.Link
+			d := g.AddDomain(int64(i+1), func(d *shard.Domain) {
+				d.Eng.Schedule(sim.Microsecond, func() { l.Send(shard.Flight{Len: 64}) })
+				if i == 2 {
+					park(d.Eng, 3*sim.Microsecond)
+				}
+			}, nil)
+			l = g.Connect(d, hub, 25, 2*sim.Microsecond)
 		}
 		mustPanic(t, []string{"deadlock", "domain 2"}, g.MustRun)
 	})

@@ -15,7 +15,7 @@ func (e *Engine) Jitter(base Time, frac float64) Time {
 		return base
 	}
 	span := float64(base) * frac
-	d := (e.rng.Float64()*2 - 1) * span
+	d := (e.src.Float64()*2 - 1) * span
 	v := Time(float64(base) + d)
 	if v < 0 {
 		v = 0
@@ -41,5 +41,5 @@ func (e *Engine) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return e.rng.Float64() < p
+	return e.src.Float64() < p
 }
