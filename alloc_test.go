@@ -183,18 +183,20 @@ func TestAllocBudgetClosSend(t *testing.T) {
 		"graph rebuild or ECMP routing left the warm-allocation contract")
 }
 
-// irnAllocCeiling bounds the warm IRN trial. The measured figure is 7
-// with and without -race (9 while each device bound its receive method
-// value per rebuild, 13 while Touch and Pin built a page list per
-// call), all of it per rebuild: the cluster header, node names, MR
-// objects and ODP engine headers. RNIC structs, CQs and QPs come from the
+// irnAllocCeiling bounds the warm IRN trial. The measured figure is 2
+// with and without -race (7 while each rebuild rendered its node names,
+// grew its node list by append and allocated its MRs one by one, 9
+// while each device bound its receive method value per rebuild, 13
+// while Touch and Pin built a page list per call), all of it per
+// rebuild: the cluster header and its node list; MRs come from blocks,
+// a fraction of an allocation each. RNIC structs, CQs and QPs come from the
 // engine-generation arenas (56 before they did), WRs from the engine's
 // WR pool, and the per-QP IRN State from the irn.StateFor arena; the
 // send, outstanding and completion queues reuse their storage and the
 // SACK/stash/retransmit datapath allocates nothing per packet. Any
 // per-WR, per-packet or per-SACK allocation adds ≥256. The ceiling is
 // the highest -race reading.
-const irnAllocCeiling = 7
+const irnAllocCeiling = 2
 
 func TestAllocBudgetIRNSend(t *testing.T) {
 	eng := sim.New(1)
@@ -208,14 +210,16 @@ func TestAllocBudgetIRNSend(t *testing.T) {
 // after another on the lane's engine, then 16,384 GETs. The first pod
 // builds cold, from blocks; each later pod recycles what the engine's
 // arenas and pools hold (QPs, CQs, ports, switches, delivery lines, the
-// kv clients and their bound callbacks). What remains is mostly per
-// pod: memory registrations, node names and the queues that grow past
-// what the previous pod left. The run reads 6,321–6,323 at -cpu 1, 2
-// and 4. Under -race it reads 6,393–6,410: the race detector drops
+// kv clients and their bound callbacks). Memory registrations come from
+// blocks and node names from a process-wide table, so what remains per
+// pod is mostly the port and delay-line callbacks and the queues that
+// grow past what the previous pod left. The run reads 3,142–3,144 at
+// -cpu 1, 2 and 4 (6,321–6,323 while each pod allocated its MRs and
+// node names). Under -race it reads 3,216–3,235: the race detector drops
 // sync.Pool entries at random, and the report's fmt calls refill them.
 // The ceiling leaves room for that, not for a per-pod regression of
 // more than a few objects.
-const kvServeColdAllocCeiling = 6450
+const kvServeColdAllocCeiling = 3280
 
 func TestAllocBudgetKVServeCold(t *testing.T) {
 	sc, err := scenario.Lookup("kv-serve")
@@ -331,10 +335,12 @@ func TestAllocBudgetSparkWave(t *testing.T) {
 // a scenario run on one engine per worker, so the engine-generation
 // arenas hand each wave the previous wave's devices, QPs, CQs, UCX
 // workers and endpoints, fabric ports, address spaces, ODP state and
-// telemetry registries. The measured warm wave allocates 28 objects with
+// telemetry registries. The measured warm wave allocates 21 objects with
 // ODP off or on, whatever the QP count: cluster and context headers, the
-// two executor processes and their request lists — 0.055 per QP at 256
-// QPs per direction. Any per-QP allocation adds ≥1 per QP.
+// two executor processes and their request lists — 0.041 per QP at 256
+// QPs per direction (28 while each build rendered its node names, grew
+// its node list by append and allocated its MRs one by one). Any per-QP
+// allocation adds ≥1 per QP.
 const sparkWaveWarmPerQPCeiling = 0.25
 
 func TestAllocBudgetSparkWaveWarm(t *testing.T) {
@@ -355,4 +361,32 @@ func TestAllocBudgetSparkWaveWarm(t *testing.T) {
 				odp, perQP, sparkWaveWarmPerQPCeiling)
 		}
 	}
+}
+
+// sparkWaveColdAllocCeiling bounds one cold Table-13 wave: a fresh
+// engine, ODP on, 256 QPs per direction and 1024 fetches, which builds
+// 512 QPs, their 1024 WR queues, 512 Local ACK Timeout events, 512 UCX
+// endpoints and the ODP pair tables of both devices. QPs, queue chunks,
+// timer events and endpoints come from blocks, pair-table rows from the
+// engine's row store, and the timers arm the QP itself, so the wave
+// reads 487–488 objects at -cpu 1, 2 and 4, with and without -race,
+// where it read 7,655 while each QP took its own record, two bound
+// callbacks, a timer event, an endpoint, pair-table rows and doubling
+// queue arrays. The ceiling leaves room for a few objects of sync.Pool
+// noise; a per-QP allocation adds ≥512.
+const sparkWaveColdAllocCeiling = 495
+
+func TestAllocBudgetSparkWaveCold(t *testing.T) {
+	const qps = 256
+	cfg := sparkucx.WaveConfig{System: cluster.KNL(), Seed: 3, QPs: qps, Fetches: 1024, Size: 256, ODP: true}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	avg := testing.AllocsPerRun(1, func() {
+		cfg.Eng = sim.New(0)
+		if r := sparkucx.RunWave(cfg); r.Failed {
+			t.Fatal("wave failed")
+		}
+	})
+	checkAllocCeiling(t, "cold ODP wave", avg, sparkWaveColdAllocCeiling,
+		"a QP, queue, timer, endpoint or pair-table row allocates per object again")
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"odpsim/internal/congestion"
 	"odpsim/internal/fabric"
@@ -230,11 +231,8 @@ func (s System) BuildOn(eng *sim.Engine, seed int64, nodes int) *Cluster {
 	default:
 		panic(fmt.Sprintf("cluster: unknown memory mode %q", s.MemMode))
 	}
-	c := &Cluster{Eng: eng, Fab: fab, Sys: s}
-	for i := 0; i < nodes; i++ {
-		// Not fmt.Sprintf: its printer pool drops entries under -race and
-		// at each GC, which made warm-trial allocation counts wander.
-		name := "node" + strconv.Itoa(i)
+	c := &Cluster{Eng: eng, Fab: fab, Sys: s, Nodes: make([]*rnic.RNIC, 0, nodes)}
+	for i, name := range nodeNames(nodes) {
 		n := rnic.New(fab, uint16(i+1), name, s.Device, s.Memory())
 		if s.Congestion != nil && s.Congestion.DCQCN {
 			// Before any QPs exist, so every QP gets a rate limiter.
@@ -253,4 +251,29 @@ func (s System) BuildOn(eng *sim.Engine, seed int64, nodes int) *Cluster {
 		c.Nodes = append(c.Nodes, n)
 	}
 	return c
+}
+
+// nodeNameTable holds the node names "node0", "node1", … process-wide.
+// A device's telemetry label and its port carry its name from the
+// moment it is built, so a name cannot wait for its first read; instead
+// each is rendered once per process, by the first build that needs it,
+// and every later build shares it (kv-serve's 16 pods name their 65
+// nodes once). Entries are never written again, so a returned prefix is
+// safe to read without the lock.
+var (
+	nodeNameMu    sync.Mutex
+	nodeNameTable []string
+)
+
+// nodeNames returns the names of n nodes, rendering those no build has
+// needed yet.
+func nodeNames(n int) []string {
+	nodeNameMu.Lock()
+	defer nodeNameMu.Unlock()
+	for i := len(nodeNameTable); i < n; i++ {
+		// Not fmt.Sprintf: its printer pool drops entries under -race and
+		// at each GC, which made warm-trial allocation counts wander.
+		nodeNameTable = append(nodeNameTable, "node"+strconv.Itoa(i))
+	}
+	return nodeNameTable[:n:n]
 }

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"strconv"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"odpsim/internal/hostmem"
 	"odpsim/internal/rnic"
@@ -168,5 +171,32 @@ func TestBuildCluster(t *testing.T) {
 	var got [2]rnic.CQE
 	if n := cqA.Poll(got[:]); n != 1 || got[0].Status != rnic.WCSuccess {
 		t.Fatalf("cross-node READ failed: %+v", got[:n])
+	}
+}
+
+// TestNodeNamesConcurrent checks the process-wide node-name table under
+// parallel builds: goroutines asking for different node counts at once
+// each get "node0" … "node<n-1>", and a later, longer request renders
+// only the names it adds, leaving the earlier prefix's strings shared.
+func TestNodeNamesConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 1; n <= 40; n += g + 1 {
+				for i, name := range nodeNames(n + 100*g) {
+					if want := "node" + strconv.Itoa(i); name != want {
+						t.Errorf("name %d of %d = %q, want %q", i, n+100*g, name, want)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	a, b := nodeNames(3), nodeNames(900)
+	if unsafe.StringData(a[2]) != unsafe.StringData(b[2]) {
+		t.Error("a longer request re-rendered a name already in the table")
 	}
 }

@@ -56,10 +56,11 @@ type RateState struct {
 	// may start clocking out. Only meaningful while rc < line.
 	nextFree sim.Time
 
+	// The two update timers are record timers: each arms the state
+	// itself, as a rateAlpha or a rateRecover, so arming binds no
+	// callback.
 	alphaTimer sim.Timer
 	rateTimer  sim.Timer
-	alphaFn    func()
-	rateFn     func()
 
 	// Cuts counts rate decreases (one per handled CNP); Shed counts
 	// packets refused by Reserve because the TX backlog was full.
@@ -71,15 +72,13 @@ type RateState struct {
 
 // NewRateState creates a reaction point at line rate, taken from the
 // engine's arena (see sim.Arena): trial loops that re-arm DCQCN on every
-// rebuilt QP reuse the same structs, and their cached timer closures,
-// instead of allocating a fresh state machine per QP per trial.
+// rebuilt QP reuse the same structs instead of allocating a fresh state
+// machine per QP per trial.
 func NewRateState(eng *sim.Engine, lineGbps float64) *RateState {
 	a := &scratchFor(eng).rates
 	rs := a.Take(eng)
 	if rs == nil {
 		rs = &RateState{}
-		rs.alphaFn = rs.alphaTick
-		rs.rateFn = rs.rateTick
 		a.Add(rs)
 	}
 	rs.reset(eng, lineGbps)
@@ -143,19 +142,29 @@ func (rs *RateState) HandleCNP() {
 	rs.stage = 0
 	rs.Cuts++
 	if !rs.alphaTimer.Pending() {
-		rs.alphaTimer = rs.eng.After(alphaTimer, rs.alphaFn)
+		rs.alphaTimer = rs.eng.AfterFire(alphaTimer, (*rateAlpha)(rs))
 	}
 	if !rs.rateTimer.Pending() {
-		rs.rateTimer = rs.eng.After(rateTimer, rs.rateFn)
+		rs.rateTimer = rs.eng.AfterFire(rateTimer, (*rateRecover)(rs))
 	}
 }
+
+// rateAlpha and rateRecover are a RateState under the names of its two
+// record timers: Fire is that timer's tick.
+type (
+	rateAlpha   RateState
+	rateRecover RateState
+)
+
+func (a *rateAlpha) Fire()   { (*RateState)(a).alphaTick() }
+func (r *rateRecover) Fire() { (*RateState)(r).rateTick() }
 
 // alphaTick decays the congestion estimate; it keeps itself armed only
 // while there is something left to decay or recover.
 func (rs *RateState) alphaTick() {
 	rs.alpha *= 1 - g
 	if rs.alpha > 1e-3 || rs.rc < rs.line {
-		rs.alphaTimer = rs.eng.After(alphaTimer, rs.alphaFn)
+		rs.alphaTimer = rs.eng.AfterFire(alphaTimer, (*rateAlpha)(rs))
 	}
 }
 
@@ -176,5 +185,5 @@ func (rs *RateState) rateTick() {
 		rs.rc, rs.rt = rs.line, rs.line
 		return
 	}
-	rs.rateTimer = rs.eng.After(rateTimer, rs.rateFn)
+	rs.rateTimer = rs.eng.AfterFire(rateTimer, (*rateRecover)(rs))
 }

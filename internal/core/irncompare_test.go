@@ -16,11 +16,13 @@ import (
 // engine, the loop irn-compare's workers run: QPs, CQs, RNICs, IRN
 // reorder state, switch ports, packets and the IRN back-off timers all
 // come back from the engine's arenas and free lists, and the client is
-// a recycled callback record, not a goroutine. It reads 13 with and
-// without -race (15 while each device bound its receive method value
-// per rebuild, 16 while registration and pinning built a page list per
-// call); with a closure per RNR back-off it read 535.
-const irnCellAllocCeiling = 13
+// a recycled callback record, not a goroutine. It reads 8 with and
+// without -race (13 while each rebuild rendered its node names, grew its
+// node list by append and allocated its MRs one by one, 15 while each
+// device bound its receive method value per rebuild, 16 while
+// registration and pinning built a page list per call); with a closure
+// per RNR back-off it read 535.
+const irnCellAllocCeiling = 8
 
 // TestAllocBudgetIRNCompareCell pins the warm per-cell allocation budget
 // of irn-compare at irnCellAllocCeiling.

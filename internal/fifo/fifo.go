@@ -20,6 +20,21 @@ type Queue[T any] struct {
 // Len returns the number of queued elements.
 func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
 
+// Cap returns how many elements the queue's storage holds before Push
+// must grow it.
+func (q *Queue[T]) Cap() int { return cap(q.buf) }
+
+// Use makes buf the storage of an empty queue, so a holder that carves
+// small first arrays from a block (a QP's send queues) starts its queue
+// there instead of letting Push allocate one; Push grows past buf as
+// usual. buf's contents are ignored. It panics on a non-empty queue.
+func (q *Queue[T]) Use(buf []T) {
+	if q.Len() > 0 {
+		panic("fifo: Use on a non-empty queue")
+	}
+	q.buf, q.head = buf[:0], 0
+}
+
 // Push appends v at the back.
 func (q *Queue[T]) Push(v T) { q.buf = append(q.buf, v) }
 

@@ -202,3 +202,44 @@ func TestQueueReserve(t *testing.T) {
 		})
 	}
 }
+
+// TestQueueUse checks a queue started on given storage: pushes fill that
+// storage in place without allocating, the queue grows past it like one
+// started from empty, a Clear keeps whichever storage it last had, and
+// Use on a non-empty queue panics.
+func TestQueueUse(t *testing.T) {
+	var chunk [4]int
+	var q Queue[int]
+	q.Use(chunk[:])
+	if q.Len() != 0 || q.Cap() != len(chunk) {
+		t.Fatalf("after Use: len %d cap %d, want 0 and %d", q.Len(), q.Cap(), len(chunk))
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		for i := 0; i < len(chunk); i++ {
+			q.Push(i)
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+	}); n != 0 {
+		t.Fatalf("pushes within the given storage allocate %v", n)
+	}
+	for i := 0; i < 10; i++ {
+		q.Push(i)
+	}
+	if chunk[0] != 0 || chunk[3] != 3 || q.Cap() <= len(chunk) {
+		t.Fatalf("the queue did not fill its chunk first and then grow past it: chunk %v, cap %d", chunk, q.Cap())
+	}
+	for i := 0; i < 10; i++ {
+		if got := q.Pop(); got != i {
+			t.Fatalf("pop %d = %d", i, got)
+		}
+	}
+	q.Push(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Use on a non-empty queue did not panic")
+		}
+	}()
+	q.Use(chunk[:])
+}

@@ -92,14 +92,20 @@ func TestInvalidationConsistencyProperty(t *testing.T) {
 	}
 }
 
-// TestPairTableMatchesMap drives the bitset pair table and a map through
-// the same random set/clear/zero sequence, over QP numbers and page
-// numbers that cross 64-bit word boundaries and grow rows several times.
+// TestPairTableMatchesMap drives two bitset pair tables and a map each
+// through the same random set/clear/zero sequence, over QP numbers and
+// page numbers that cross 64-bit word boundaries and grow rows several
+// times. The tables carve their rows from one shared store, as an
+// engine's tables do, so a move or a zero in one must not touch the
+// other's bits.
 func TestPairTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var tbl pairTable
-	model := map[Key]bool{}
+	var store rowStore
+	tbls := [2]pairTable{{store: &store}, {store: &store}}
+	models := [2]map[Key]bool{{}, {}}
 	for step := 0; step < 20000; step++ {
+		i := rng.Intn(2)
+		tbl, model := &tbls[i], models[i]
 		k := Key{QP: uint32(rng.Intn(12)), Page: hostmem.PageNo(rng.Intn(300))}
 		switch op := rng.Intn(100); {
 		case op < 50:
@@ -107,16 +113,21 @@ func TestPairTableMatchesMap(t *testing.T) {
 			model[k] = true
 		case op < 99:
 			if was := tbl.clear(k.QP, k.Page); was != model[k] {
-				t.Fatalf("step %d: clear%v reported %v, want %v", step, k, was, model[k])
+				t.Fatalf("step %d: table %d clear%v reported %v, want %v", step, i, k, was, model[k])
 			}
 			delete(model, k)
 		default:
 			tbl.zero()
 			clear(model)
 		}
-		probe := Key{QP: uint32(rng.Intn(14)), Page: hostmem.PageNo(rng.Intn(320))}
-		if got := tbl.get(probe.QP, probe.Page); got != model[probe] {
-			t.Fatalf("step %d: get%v = %v, want %v", step, probe, got, model[probe])
+		for j := range tbls {
+			probe := Key{QP: uint32(rng.Intn(14)), Page: hostmem.PageNo(rng.Intn(320))}
+			if got := tbls[j].get(probe.QP, probe.Page); got != models[j][probe] {
+				t.Fatalf("step %d: table %d get%v = %v, want %v", step, j, probe, got, models[j][probe])
+			}
 		}
+	}
+	if len(store.blocks) < 2 {
+		t.Fatalf("the tables shared %d store blocks; the test should span several", len(store.blocks))
 	}
 }

@@ -94,14 +94,58 @@ type workItem struct {
 // from 1, the address space assigns pages from 1), so the table stays
 // compact. get on an entry that was never set is false without
 // allocating; set grows rows and columns on demand.
+//
+// Row words are carved from a rowStore, not allocated one slice per QP,
+// so a table of N rows costs its row index's doublings and its share of
+// the store's blocks. A row first set at page p takes 2*(p/64+1) words;
+// a row that outgrows its words moves to fresh ones, twice as wide as
+// it then needs, and the words it leaves stay zero, unused. A recycled
+// table keeps its layout (zero), so only its first run pays for moves.
 type pairTable struct {
-	rows [][]uint64
+	rows  []pairRow
+	store *rowStore // the engine's (New)
+}
+
+// pairRow locates a row in its store: blocks[blk][off : off+n].
+type pairRow struct{ blk, off, n uint32 }
+
+// rowStore carves row words for the pair tables of every ODP engine on
+// one sim engine (its scratch holds it), so a device with few pairs
+// shares blocks with the others instead of leaving a block tail of its
+// own. The first block holds rowFirst words and each later one as many
+// as all before it, up to rowBlock; a row wider than that gets a block
+// of its own width. Blocks survive Reset with the tables' rows in them.
+type rowStore struct {
+	blocks [][]uint64
+	used   int // words carved from the last block
+	total  int // words in all blocks
+}
+
+// rowFirst is a store's first block, 16 words (128 bytes); rowBlock caps
+// a block at 512 words, 4 KiB.
+const (
+	rowFirst = 16
+	rowBlock = 512
+)
+
+// carve returns n zeroed words.
+func (s *rowStore) carve(n int) pairRow {
+	last := len(s.blocks) - 1
+	if last < 0 || s.used+n > len(s.blocks[last]) {
+		size := max(n, min(max(s.total, rowFirst), rowBlock))
+		s.blocks = append(s.blocks, make([]uint64, size))
+		s.total += size
+		last, s.used = last+1, 0
+	}
+	r := pairRow{blk: uint32(last), off: uint32(s.used), n: uint32(n)}
+	s.used += n
+	return r
 }
 
 func (t *pairTable) get(qp uint32, p hostmem.PageNo) bool {
 	if int(qp) < len(t.rows) {
-		if row := t.rows[qp]; int(p>>6) < len(row) {
-			return row[p>>6]&(1<<(p&63)) != 0
+		if r := t.rows[qp]; p>>6 < hostmem.PageNo(r.n) {
+			return t.store.blocks[r.blk][r.off+uint32(p>>6)]&(1<<(p&63)) != 0
 		}
 	}
 	return false
@@ -114,37 +158,48 @@ func (t *pairTable) set(qp uint32, p hostmem.PageNo) {
 // grow extends the table to cover (qp, p) without setting it and returns
 // qp's row.
 func (t *pairTable) grow(qp uint32, p hostmem.PageNo) []uint64 {
+	if w := int(p >> 6); w >= t.width(qp) {
+		t.widen(qp, 2*(w+1))
+	}
+	return t.row(t.rows[qp])
+}
+
+func (t *pairTable) row(r pairRow) []uint64 { return t.store.blocks[r.blk][r.off : r.off+r.n] }
+
+// width is how many words qp's row holds, 0 for a row never grown.
+func (t *pairTable) width(qp uint32) int {
+	if int(qp) < len(t.rows) {
+		return int(t.rows[qp].n)
+	}
+	return 0
+}
+
+// widen gives qp's row n words, more than it holds: it adds rows up to
+// qp and moves qp's row, its bits kept, to n words carved from the store.
+func (t *pairTable) widen(qp uint32, n int) {
 	if int(qp) >= len(t.rows) {
 		if int(qp) >= cap(t.rows) {
-			rows := make([][]uint64, int(qp)+1, 2*(int(qp)+1))
+			rows := make([]pairRow, int(qp)+1, 2*(int(qp)+1))
 			copy(rows, t.rows)
 			t.rows = rows
 		} else {
 			t.rows = t.rows[:int(qp)+1]
 		}
 	}
-	row := t.rows[qp]
-	if w := int(p >> 6); w >= len(row) {
-		if w >= cap(row) {
-			// make zeroes the whole backing array, so extending len
-			// within cap later yields clear bits as required.
-			grown := make([]uint64, w+1, 2*(w+1))
-			copy(grown, row)
-			row = grown
-		} else {
-			row = row[:w+1]
-		}
-		t.rows[qp] = row
-	}
-	return row
+	r := &t.rows[qp]
+	moved := t.store.carve(n)
+	old := t.row(*r)
+	copy(t.row(moved), old)
+	clear(old)
+	*r = moved
 }
 
 // cover grows t to o's shape, so every pair o can hold fits in t
 // without allocating.
 func (t *pairTable) cover(o *pairTable) {
-	for qp, row := range o.rows {
-		if len(row) > 0 {
-			t.grow(uint32(qp), hostmem.PageNo(64*len(row)-1))
+	for qp, r := range o.rows {
+		if int(r.n) > t.width(uint32(qp)) {
+			t.widen(uint32(qp), int(r.n))
 		}
 	}
 }
@@ -153,10 +208,11 @@ func (t *pairTable) cover(o *pairTable) {
 // the entry was set.
 func (t *pairTable) clear(qp uint32, p hostmem.PageNo) bool {
 	if int(qp) < len(t.rows) {
-		if row := t.rows[qp]; int(p>>6) < len(row) {
+		if r := t.rows[qp]; p>>6 < hostmem.PageNo(r.n) {
+			w := &t.store.blocks[r.blk][r.off+uint32(p>>6)]
 			bit := uint64(1) << (p & 63)
-			was := row[p>>6]&bit != 0
-			row[p>>6] &^= bit
+			was := *w&bit != 0
+			*w &^= bit
 			return was
 		}
 	}
@@ -165,8 +221,8 @@ func (t *pairTable) clear(qp uint32, p hostmem.PageNo) bool {
 
 // zero resets every entry, keeping the table's storage.
 func (t *pairTable) zero() {
-	for _, row := range t.rows {
-		clear(row)
+	for _, r := range t.rows {
+		clear(t.row(r))
 	}
 }
 
@@ -233,23 +289,40 @@ type Engine struct {
 // keyBlock caps a block of first registrant arrays at 512: 8 KiB.
 const keyBlock = 512
 
-// engineArenaKey is the engine Aux key of the ODP-engine arena. A
+// scratchKey is the engine Aux key of the ODP scratch: the ODP-engine
+// arena and the row store every engine's pair tables carve from. A
 // recycled ODP engine has its status tables zeroed but keeps their
 // storage and its one-time closures.
-const engineArenaKey = "odp.engines"
+const scratchKey = "odp.scratch"
+
+type scratch struct {
+	engines sim.Arena[Engine]
+	rows    rowStore
+}
+
+func scratchFor(eng *sim.Engine) *scratch {
+	s, _ := eng.Aux(scratchKey).(*scratch)
+	if s == nil {
+		s = &scratch{}
+		s.engines.Link = func(e *Engine) **Engine { return &e.arenaNext }
+		eng.SetAux(scratchKey, s)
+	}
+	return s
+}
 
 // New creates an ODP engine bound to an address space, taking it from
 // the sim engine's arena (see sim.Arena). It registers an MMU notifier
 // so kernel page reclaim invalidates device translations.
 func New(as *hostmem.AddressSpace, cfg Config) *Engine {
 	eng := as.Engine()
-	a := sim.ArenaOn(eng, engineArenaKey, func(e *Engine) **Engine { return &e.arenaNext })
-	if e := a.Take(eng); e != nil {
+	s := scratchFor(eng)
+	if e := s.engines.Take(eng); e != nil {
 		e.reset(as, cfg)
 		return e
 	}
 	e := &Engine{eng: eng, as: as, cfg: cfg}
-	a.Add(e)
+	e.visible.store, e.pending.store, e.queuedSpurious.store = &s.rows, &s.rows, &s.rows
+	s.engines.Add(e)
 	e.notifierFn = e.invalidate
 	as.RegisterNotifier(e.notifierFn)
 	return e

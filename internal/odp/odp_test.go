@@ -306,7 +306,7 @@ func TestRecycledEngineSizesSpuriousTable(t *testing.T) {
 	as = hostmem.NewAddressSpace(eng, hostmem.DefaultConfig())
 	e = New(as, DefaultConfig()) // the same engine, recycled
 	p := hostmem.PageOf(a)
-	if rows := e.queuedSpurious.rows; len(rows) <= 3 || len(rows[3]) <= int(p>>6) {
+	if e.queuedSpurious.width(3) <= int(p>>6) {
 		t.Fatal("recycled spurious table does not cover the faulted pair")
 	}
 	e.Fault(3, a, 32)

@@ -237,3 +237,63 @@ func deepSame(t *testing.T, path string, a, b reflect.Value, depth int) {
 		}
 	}
 }
+
+// TestArenaCarvedAndRecycledQPsAlike checks the two ways CreateQP gets a
+// QP: carved from the engine's QP blocks, with no queue storage yet, or
+// recycled from the arena after a Reset, its WR queues seeded with the
+// chunks (or the grown arrays) its last run left. The same traffic on
+// both, with queues deeper than a chunk, RNR NAKs (pending windows and
+// their resume timers, or IRN retries), a lost request that only the
+// Local ACK Timeout recovers and DCQCN rate cuts, must give the same
+// completions, stats, event count and clock.
+func TestArenaCarvedAndRecycledQPsAlike(t *testing.T) {
+	type outcome struct {
+		cqes   []CQE
+		stats  QPStats
+		events uint64
+		now    sim.Time
+	}
+	run := func(eng *sim.Engine, tr transport) (outcome, *QP) {
+		fab, client, server, lbuf, rbuf := arenaPair(eng, 11, tr, true)
+		cqC, cqS := NewCQ(eng), NewCQ(eng)
+		qpC, qpS := client.CreateQP(cqC, cqC), server.CreateQP(cqS, cqS)
+		params := ConnParams{CACK: 14, RetryCount: 7, MinRNRDelay: sim.FromMillis(0.5)}
+		ConnectPair(qpC, qpS, params, params)
+		sent := 0
+		fab.SetDropFilter(func(p *packet.Packet) bool {
+			if p.Opcode.IsRequest() {
+				sent++
+				return sent == 20 // one lost request: only the timeout recovers it
+			}
+			return false
+		})
+		for i := 0; i < 3*qpChunk; i++ {
+			op, n := OpWrite, 512
+			if i%3 == 0 {
+				op, n = OpRead, 4096
+			}
+			qpC.PostSend(SendWR{ID: uint64(i), Op: op, LocalAddr: lbuf, RemoteAddr: rbuf + hostmem.Addr(i%4)*hostmem.PageSize, Len: n})
+		}
+		eng.Run()
+		return outcome{pollAll(cqC), qpC.Stats, eng.EventsFired(), eng.Now()}, qpC
+	}
+	for _, tr := range []transport{rcTransport, irnTransport} {
+		eng := sim.New(1)
+		carved, qp := run(eng, tr)
+		if carved.stats.Completed != 3*qpChunk || carved.stats.Timeouts == 0 || carved.stats.RNRNakReceived == 0 && tr == rcTransport {
+			t.Fatalf("%v: the carved QP was not driven through every state: %+v", tr, carved.stats)
+		}
+		// The recycled QP starts with both kinds of kept storage: its send
+		// queue's chunk and the array its outstanding queue grew into.
+		if qp.sq.Cap() != qpChunk || qp.out.Cap() <= qpChunk {
+			t.Fatalf("%v: queue storage %d and %d, want a chunk of %d and more", tr, qp.sq.Cap(), qp.out.Cap(), qpChunk)
+		}
+		recycled, again := run(eng, tr)
+		if again != qp {
+			t.Fatalf("%v: the second run did not recycle the arena's QP", tr)
+		}
+		if !reflect.DeepEqual(carved, recycled) {
+			t.Errorf("%v: carved QP %+v, recycled QP %+v", tr, carved, recycled)
+		}
+	}
+}

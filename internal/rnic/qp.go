@@ -152,7 +152,7 @@ type QP struct {
 	Num  uint32
 	// ePSN is the responder's expected PSN. It sits here, apart from the
 	// rest of the responder state, to fill Num's padding, which keeps
-	// the QP in the 416-byte allocation size class.
+	// the QP at 400 bytes (qpBlock).
 	ePSN   uint32
 	sendCQ *CQ
 	recvCQ *CQ
@@ -163,18 +163,17 @@ type QP struct {
 	params ConnParams
 
 	// Requester state.
-	sq          fifo.Queue[*wqe] // posted, not yet transmitted
-	out         fifo.Queue[*wqe] // transmitted, not yet completed
-	nextPSN     uint32
-	paused      bool
-	inResume    bool
-	pauseFrom   uint32
+	sq        fifo.Queue[*wqe] // posted, not yet transmitted
+	out       fifo.Queue[*wqe] // transmitted, not yet completed
+	nextPSN   uint32
+	paused    bool
+	inResume  bool
+	pauseFrom uint32
+	// The Local ACK Timeout and the pending window's resume timer are
+	// record timers: each arms the QP itself, as a qpTimeout or a
+	// qpResume, so arming binds no callback.
 	resumeTimer sim.Timer
 	toTimer     sim.Timer
-	// Cached method values so arming a timer doesn't allocate a closure
-	// on every timeout/pending-window entry.
-	onTimeoutFn func()
-	resumeFn    func()
 
 	// DCQCN state: rate is the reaction-point limiter (nil unless the
 	// device enabled DCQCN before this QP was created), lastCNP the
@@ -205,17 +204,14 @@ type QP struct {
 }
 
 // recycle returns a QP taken back from the engine's arena to the zero
-// state CreateQP fills in, field by field: it keeps only the arena link,
-// the queues' storage (cleared) and the cached method values, which
-// bind this same pointer.
+// state CreateQP fills in, field by field: it keeps only the arena link
+// and the queues' storage (cleared), a chunk or what grew past it.
 func (qp *QP) recycle() {
 	kept := QP{
 		sq:          qp.sq,
 		out:         qp.out,
 		rq:          qp.rq,
 		atomicOrder: qp.atomicOrder,
-		onTimeoutFn: qp.onTimeoutFn,
-		resumeFn:    qp.resumeFn,
 		arenaNext:   qp.arenaNext,
 	}
 	kept.sq.Clear()
@@ -269,10 +265,25 @@ func (qp *QP) PostSend(wr SendWR) {
 	w := qp.rnic.newWQE()
 	w.SendWR = wr
 	w.postedPaused = qp.paused
-	qp.sq.Push(w)
+	qp.push(&qp.sq, w)
 	if !qp.paused {
 		qp.pump()
 	}
+}
+
+// qpChunk is the length of a send or outstanding queue's first array,
+// carved from the engine's chunk blocks at the queue's first push: a
+// Table-13 QP holds its 4 fetches there. A queue that outgrows it
+// doubles from there as fifo.Queue does.
+const qpChunk = 4
+
+// push appends w to q, one of the QP's two WR queues; a queue with no
+// storage yet takes its first chunk (qpChunk).
+func (qp *QP) push(q *fifo.Queue[*wqe], w *wqe) {
+	if q.Cap() == 0 {
+		q.Use(qp.rnic.scratch.chunks.New()[:])
+	}
+	q.Push(w)
 }
 
 // OutstandingReads counts in-flight RDMA READs and atomics (both consume
@@ -321,7 +332,7 @@ func (qp *QP) pump() {
 		if qp.out.Len() == 0 {
 			qp.rnic.busyQPs++
 		}
-		qp.out.Push(w)
+		qp.push(&qp.out, w)
 		qp.sendRequest(w)
 		sent = true
 	}
@@ -439,8 +450,20 @@ func (qp *QP) armTimeout() {
 		return
 	}
 	to := qp.rnic.prof.DrawTimeout(qp.rnic.eng, qp.params.CACK, qp.rnic.busyQPs)
-	qp.toTimer = qp.rnic.eng.After(to, qp.onTimeoutFn)
+	qp.toTimer = qp.rnic.eng.AfterFire(to, (*qpTimeout)(qp))
 }
+
+// qpTimeout and qpResume are a QP under the names of its two record
+// timers: Fire is that timer's callback. Converting the QP pointer is
+// free, so arming either timer allocates nothing and the QP holds no
+// bound method value.
+type (
+	qpTimeout QP
+	qpResume  QP
+)
+
+func (t *qpTimeout) Fire() { (*QP)(t).onTimeout() }
+func (r *qpResume) Fire()  { (*QP)(r).resumePending() }
 
 // onTimeout charges the oldest outstanding request an attempt and
 // retransmits: from it onwards under go-back-N, only it under IRN.
@@ -509,7 +532,7 @@ func (qp *QP) enterPending(delay sim.Time, fromPSN uint32) {
 	qp.pauseFrom = fromPSN
 	qp.toTimer.Cancel()
 	qp.resumeTimer.Cancel()
-	qp.resumeTimer = qp.rnic.eng.After(delay, qp.resumeFn)
+	qp.resumeTimer = qp.rnic.eng.AfterFire(delay, (*qpResume)(qp))
 }
 
 func (qp *QP) resumePending() {

@@ -29,12 +29,13 @@ const (
 
 // MR is a registered memory region.
 type MR struct {
-	Key  uint32
+	Key uint32
+	// Kind is how the region translates: KindPinned for a conventional
+	// registration, the device's memory mode for an on-demand one. It
+	// shares Key's word, which keeps an MR at 24 bytes.
+	Kind MemKind
 	Addr hostmem.Addr
 	Len  int
-	// Kind is how the region translates: KindPinned for a conventional
-	// registration, the device's memory mode for an on-demand one.
-	Kind MemKind
 }
 
 // Contains reports whether the byte range lies inside the region.
@@ -284,7 +285,8 @@ func (r *RNIC) EnableImplicitODP() { r.implicitODP = true }
 // KindNPR, also free, whose cost moves to first touch as a migration
 // stall, or a pinned region under KindPinned.
 func (r *RNIC) RegisterMR(addr hostmem.Addr, length int, onDemand bool) (*MR, sim.Time) {
-	mr := &MR{Key: r.nextKey, Addr: addr, Len: length}
+	mr := r.scratch.mrs.New()
+	*mr = MR{Key: r.nextKey, Addr: addr, Len: length}
 	if onDemand {
 		mr.Kind = r.mode
 	}
@@ -384,6 +386,14 @@ type scratch struct {
 	rnics sim.Arena[RNIC]
 	qps   sim.Arena[QP]
 	cqs   sim.Arena[CQ]
+	// qpBlocks carves the QPs the arena has not yet seen, and chunks the
+	// first arrays of their WR queues (see qpChunk). mrs carves every
+	// registration: an MR is never recycled, as a caller may hold it
+	// past DeregisterMR, so a deregistered one's block is freed when
+	// nothing holds any MR carved from it.
+	qpBlocks sim.Blocks[QP]
+	chunks   sim.Blocks[[qpChunk]*wqe]
+	mrs      sim.Blocks[MR]
 }
 
 // scratchKey is the engine Aux key the scratch lives under.
@@ -395,6 +405,12 @@ func scratchFor(eng *sim.Engine) *scratch {
 		s = &scratch{}
 		s.wqes.Make = func(n int) []wqe { return make([]wqe, n) }
 		s.wqes.Max = wqeBlock
+		s.qpBlocks.Make = func(n int) []QP { return make([]QP, n) }
+		s.qpBlocks.Max = qpBlock
+		s.chunks.Make = func(n int) [][qpChunk]*wqe { return make([][qpChunk]*wqe, n) }
+		s.chunks.Max = chunkBlock
+		s.mrs.Make = func(n int) []MR { return make([]MR, n) }
+		s.mrs.Max = mrBlock
 		s.rnics.Link = func(r *RNIC) **RNIC { return &r.arenaNext }
 		s.qps.Link = func(qp *QP) **QP { return &qp.arenaNext }
 		s.cqs.Link = func(cq *CQ) **CQ { return &cq.arenaNext }
@@ -403,9 +419,14 @@ func scratchFor(eng *sim.Engine) *scratch {
 	return s
 }
 
-// wqeBlock caps a block of fresh WR objects at 85: 8,160 bytes, which
-// fills one 8 KiB size class.
-const wqeBlock = 85
+// The block caps fill one 8 KiB size class each: 85 WR objects (8,160
+// bytes), 20 QPs (8,000), 256 queue chunks (8,192) and 341 MRs (8,184).
+const (
+	wqeBlock   = 85
+	qpBlock    = 20
+	chunkBlock = 256
+	mrBlock    = 341
+)
 
 // newWQE takes a zeroed send work request object from the free list,
 // carving a fresh one only when the list is empty.
@@ -427,16 +448,15 @@ func (r *RNIC) freeWQE(w *wqe) {
 }
 
 // CreateQP creates a queue pair bound to the completion queues, taking
-// it from the engine's QP arena.
+// it from the engine's QP arena, or from the QP blocks when every
+// member is taken.
 func (r *RNIC) CreateQP(sendCQ, recvCQ *CQ) *QP {
 	qp := r.scratch.qps.Take(r.eng)
 	if qp != nil {
 		qp.recycle()
 	} else {
-		qp = new(QP)
+		qp = r.scratch.qpBlocks.New()
 		r.scratch.qps.Add(qp)
-		qp.onTimeoutFn = qp.onTimeout
-		qp.resumeFn = qp.resumePending
 	}
 	qp.rnic = r
 	qp.Num = r.nextQPN()

@@ -745,6 +745,39 @@ func TestColdAllocPosts(t *testing.T) {
 	}
 }
 
+// TestColdAllocQPs pins the cold cost of a QP: N connected pairs built
+// on a fresh engine, each requester posting one READ, take their QPs
+// from QP blocks, their send and outstanding queues' first arrays from
+// chunk blocks and their Local ACK Timeout events from event blocks, and
+// arm the timeout without binding a callback. The fabric drops every
+// packet as it is sent, so one pooled packet serves them all. Doubling
+// N adds a block per qpBlock QPs, per chunkBlock queues, per 170 events
+// and per wqeBlock WRs, plus a doubling each of the two QP tables and
+// the timer heap: about N/8, where each pair took 8 objects (two QPs,
+// four bound callbacks, two queue arrays) and its timer event before.
+func TestColdAllocQPs(t *testing.T) {
+	run := func(n int) float64 {
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		return testing.AllocsPerRun(1, func() {
+			h := newHarness(t, 1, ConnectX4(), rcTransport, noODP, defaultParams())
+			h.fab.SetLossRate(1)
+			for i := 0; i < n; i++ {
+				c, s := h.client.CreateQP(h.cqC, h.cqC), h.server.CreateQP(h.cqS, h.cqS)
+				ConnectPair(c, s, defaultParams(), defaultParams())
+				c.PostSend(SendWR{ID: uint64(i), Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 64})
+			}
+		})
+	}
+	const n = 512
+	a, b := run(n), run(2*n)
+	ceiling := float64(2*n/qpBlock + 2*n/chunkBlock + n/170 + n/wqeBlock + 8)
+	t.Logf("cold QPs: %d pairs → %.0f allocations, %d → %.0f (ceiling for the doubling %.0f)", n, a, 2*n, b, ceiling)
+	if b-a > ceiling {
+		t.Errorf("doubling %d QP pairs added %.0f allocations, want at most %.0f", n, b-a, ceiling)
+	}
+}
+
 // deviceBuild builds a fabric and one device on eng, with DCQCN, IRN
 // and NP-RDMA when all is set.
 func deviceBuild(eng *sim.Engine, all bool) (*fabric.Fabric, *RNIC) {

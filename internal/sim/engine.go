@@ -7,17 +7,36 @@ import (
 
 // event is a tracked (cancellable) scheduled callback. Events at the same
 // instant fire in the order they were scheduled (seq breaks ties), which
-// keeps runs deterministic. Events are recycled through the engine's free
-// list when they fire or are cancelled; gen increments on every recycle
-// so stale Timer handles become inert instead of acting on the event's
-// next life.
+// keeps runs deterministic. Events are carved from the engine's event
+// blocks and recycled through its free list when they fire or are
+// cancelled; gen increments on every recycle so stale Timer handles
+// become inert instead of acting on the event's next life. The Firer
+// is two words, so an event is 48 bytes, one size class
+// (TestEventSizeClass).
 type event struct {
 	at    Time
 	seq   uint64
-	fn    func()
+	fire  Firer
 	gen   uint64
 	index int // position in the timer heap, -1 when popped
 }
+
+// Firer is what a tracked event runs: a record whose Fire method is the
+// callback. A holder that arms the same timer over and over (a QP's
+// Local ACK Timeout) passes a pointer to itself under a named type whose
+// Fire is that timer's callback, so arming it binds no method value and
+// allocates nothing (see AtFire).
+type Firer interface{ Fire() }
+
+// fireFunc is a func() callback as a Firer (At, After). A func value is
+// one pointer, so converting it to the interface does not allocate.
+type fireFunc func()
+
+func (f fireFunc) Fire() { f() }
+
+// eventBlock caps a block of fresh events at 170: 8,160 bytes, which
+// fills one 8 KiB size class.
+const eventBlock = 170
 
 // The engine keeps two binary min-heaps over the same (at, seq) key,
 // split by event lifetime. Lite callbacks (Schedule, ScheduleSeq) are the
@@ -242,9 +261,10 @@ func (t Timer) Pending() bool {
 // may run on separate engines concurrently (see internal/parallel).
 type Engine struct {
 	now     Time
-	lite    liteHeap  // Schedule/ScheduleSeq callbacks
-	timers  timerHeap // At/After events, cancellable
-	free    []*event  // recycled event storage
+	lite    liteHeap      // Schedule/ScheduleSeq callbacks
+	timers  timerHeap     // At/After events, cancellable
+	free    []*event      // recycled event storage
+	events  Blocks[event] // carves the events the free list has not yet seen
 	seq     uint64
 	src     source     // the random stream; Jitter and Bernoulli draw from it directly
 	rng     *rand.Rand // src behind math/rand's API, for Rand, Uniform and Normal
@@ -270,6 +290,7 @@ type Engine struct {
 // seed always produces the same simulation.
 func New(seed int64) *Engine {
 	e := &Engine{seed: seed, bound: noClaim}
+	e.events = Blocks[event]{Make: func(n int) []event { return make([]event, n) }, Max: eventBlock}
 	e.src.Seed(seed)
 	e.rng = rand.New(&e.src)
 	return e
@@ -343,10 +364,10 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Reset engine reproduces New(seed) exactly.
 func (e *Engine) Seed() int64 { return e.seed }
 
-// schedule allocates (or recycles) an event for fn at absolute time t and
-// pushes it on the timer heap. Scheduling in the past panics: it would silently
-// reorder causality.
-func (e *Engine) schedule(t Time, fn func()) *event {
+// schedule takes an event for f at absolute time t from the free list
+// (or the event blocks) and pushes it on the timer heap. Scheduling in
+// the past panics: it would silently reorder causality.
+func (e *Engine) schedule(t Time, f Firer) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -356,11 +377,11 @@ func (e *Engine) schedule(t Time, fn func()) *event {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		ev = &event{}
+		ev = e.events.New()
 	}
 	ev.at = t
 	ev.seq = e.seq
-	ev.fn = fn
+	ev.fire = f
 	e.seq++
 	e.pushTimer(ev)
 	return ev
@@ -370,7 +391,7 @@ func (e *Engine) schedule(t Time, fn func()) *event {
 // generation so outstanding Timer handles to its previous life go inert.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn = nil
+	ev.fire = nil
 	e.free = append(e.free, ev)
 }
 
@@ -379,17 +400,29 @@ func (e *Engine) recycle(ev *event) {
 // lite per-packet traffic, so hundreds of armed far-future timeouts do
 // not deepen every packet callback's sift.
 func (e *Engine) At(t Time, fn func()) Timer {
-	ev := e.schedule(t, fn)
-	return Timer{eng: e, ev: ev, gen: ev.gen}
+	return e.AtFire(t, fireFunc(fn))
 }
 
 // After schedules fn to run d after the current time. Negative delays are
 // clamped to zero.
 func (e *Engine) After(d Time, fn func()) Timer {
+	return e.AfterFire(d, fireFunc(fn))
+}
+
+// AtFire is At for a record: f.Fire runs at absolute virtual time t.
+// Ordering and cancellation are At's; only the callback's shape differs.
+func (e *Engine) AtFire(t Time, f Firer) Timer {
+	ev := e.schedule(t, f)
+	return Timer{eng: e, ev: ev, gen: ev.gen}
+}
+
+// AfterFire is AtFire at d after the current time. Negative delays are
+// clamped to zero.
+func (e *Engine) AfterFire(d Time, f Firer) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return e.At(e.now+d, fn)
+	return e.AtFire(e.now+d, f)
 }
 
 // Schedule runs fn at absolute virtual time t with no Timer handle: the
@@ -475,21 +508,23 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // place (see Claim), so a Step runs exactly one event and EventsFired
 // rises by exactly one.
 func (e *Engine) Step() bool {
-	var fn func()
 	if l := e.lite; len(l) > 0 && (len(e.timers) == 0 ||
 		earlier(l[0].at, l[0].seq, e.timers[0].at, e.timers[0].seq)) {
 		e.now = l[0].at
-		fn = e.popLite()
-	} else if len(e.timers) > 0 {
-		ev := e.removeTimer(0)
-		e.now = ev.at
-		fn = ev.fn
-		e.recycle(ev)
-	} else {
+		fn := e.popLite()
+		e.fired++
+		fn()
+		return true
+	}
+	if len(e.timers) == 0 {
 		return false
 	}
+	ev := e.removeTimer(0)
+	e.now = ev.at
+	f := ev.fire
+	e.recycle(ev)
 	e.fired++
-	fn()
+	f.Fire()
 	return true
 }
 

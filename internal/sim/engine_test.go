@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTimeString(t *testing.T) {
@@ -449,7 +450,7 @@ func TestEngineAllocsFlat(t *testing.T) {
 		for j := 0; j < 256; j++ {
 			pending.Cancel() // no-op on the zero Timer
 			pending = e.After(Time(j+1), func() {})
-			e.schedule(Time(j+1), func() {})
+			e.schedule(Time(j+1), fireFunc(func() {}))
 		}
 		e.Run()
 	}
@@ -836,5 +837,113 @@ func TestLineRunMatchesStepLoop(t *testing.T) {
 			t.Fatalf("%s fired no flight in place", c.name)
 		}
 		t.Logf("%s: %d events, %d flights in place", c.name, fired, inPlace)
+	}
+}
+
+// countFire is a record timer target: each Fire appends the record's id
+// and the instant to a shared trace.
+type countFire struct {
+	e     *Engine
+	id    int
+	trace *[]int64
+}
+
+func (c *countFire) Fire() { *c.trace = append(*c.trace, int64(c.id), int64(c.e.Now())) }
+
+// TestEventSizeClass pins the tracked event at 48 bytes: the Firer
+// interface took the func field's place, and one more word would move
+// every event into the 64-byte size class.
+func TestEventSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 48 {
+		t.Errorf("event is %d bytes, want 48", n)
+	}
+}
+
+// TestRecordTimerCancelAndInert checks a record timer (AtFire,
+// AfterFire) against At's contract: a cancelled one never fires, and a
+// fired one's handle goes inert, also after its event is recycled into a
+// func timer.
+func TestRecordTimerCancelAndInert(t *testing.T) {
+	e := New(1)
+	var trace []int64
+	a, b := &countFire{e, 1, &trace}, &countFire{e, 2, &trace}
+	ta := e.AfterFire(10, a)
+	tb := e.AtFire(20, b)
+	if !ta.Pending() || !tb.Pending() {
+		t.Fatal("armed record timers not pending")
+	}
+	if !ta.Cancel() {
+		t.Fatal("Cancel of a pending record timer reported false")
+	}
+	if ta.Pending() || ta.Cancel() {
+		t.Fatal("cancelled record timer still pending or cancellable")
+	}
+	e.Run()
+	if want := []int64{2, 20}; !slices.Equal(trace, want) {
+		t.Fatalf("trace %v, want %v (the cancelled record fired, or the other did not)", trace, want)
+	}
+	if tb.Pending() || tb.Cancel() {
+		t.Fatal("fired record timer still pending or cancellable")
+	}
+	fired := false
+	e.After(5, func() { fired = true }) // reuses the fired record's event
+	if tb.Pending() || tb.Cancel() {
+		t.Fatal("stale record handle acts on the recycled event")
+	}
+	e.Run()
+	if !fired {
+		t.Fatal("stale record Cancel killed the recycled event's new schedule")
+	}
+	// A negative delay clamps to now, as After's does.
+	e.AfterFire(-5, a)
+	e.Run()
+	if got := trace[len(trace)-2:]; got[0] != 1 || got[1] != int64(e.Now()) {
+		t.Fatalf("AfterFire(-5) fired %v at now %v", got, e.Now())
+	}
+}
+
+// TestResetWithRecordTimersPending checks an engine Reset with record
+// and func timers still pending behaves like New: none of them fires
+// after the Reset, and the next run's trace, clock, queue and event
+// count are a fresh engine's.
+func TestResetWithRecordTimersPending(t *testing.T) {
+	run := func(e *Engine) []int64 {
+		var trace []int64
+		recs := make([]*countFire, 8)
+		for i := range recs {
+			recs[i] = &countFire{e, i, &trace}
+		}
+		var tms []Timer
+		for i, r := range recs {
+			tms = append(tms, e.AfterFire(e.Uniform(1, 100), r))
+			if i%3 == 0 {
+				id := int64(100 + i)
+				e.After(e.Uniform(1, 100), func() { trace = append(trace, id, int64(e.Now())) })
+			}
+		}
+		tms[2].Cancel()
+		tms[5].Cancel()
+		e.Run()
+		return append(trace, int64(e.Now()), int64(e.EventsFired()))
+	}
+	fresh := run(New(9))
+
+	reused := New(3)
+	var leaked []int64
+	for i := 0; i < 20; i++ {
+		reused.AfterFire(Time(i+1), &countFire{reused, -1, &leaked})
+		reused.After(Time(i+1), func() { leaked = append(leaked, -2) })
+	}
+	reused.RunUntil(5) // fire some, leave the rest pending
+	leaked = leaked[:0]
+	reused.Reset(9)
+	if reused.Now() != 0 || reused.EventsFired() != 0 || reused.QueueLen() != 0 {
+		t.Fatalf("Reset left state: now=%v fired=%d queue=%d", reused.Now(), reused.EventsFired(), reused.QueueLen())
+	}
+	if got := run(reused); !slices.Equal(got, fresh) {
+		t.Fatalf("after Reset: %v, fresh engine: %v", got, fresh)
+	}
+	if len(leaked) != 0 {
+		t.Fatalf("timers pending at Reset fired after it: %v", leaked)
 	}
 }

@@ -174,6 +174,12 @@ func unarmed(lines []*testLine) int {
 	return n
 }
 
+// fuzzRecord is a record timer's target: its Fire runs the callback a
+// func timer of the same operation would.
+type fuzzRecord struct{ fn func() }
+
+func (r *fuzzRecord) Fire() { r.fn() }
+
 // fuzzChild decodes what a fired callback schedules: nothing, or one lite
 // (Schedule) or tracked (After) callback d ahead of the firing instant.
 func fuzzChild(c byte) (d Time, tracked, ok bool) {
@@ -212,9 +218,12 @@ func fuzzDelay(b byte) Time {
 // keeps all but its head out of both; the model has one ordered list, so
 // this checks that the heads merge into the single (at, seq) order.
 //
-// Operation codes below 0xc0 pick one of the first ten operations by
-// their value mod 10; even codes from 0xc0 put flights on a line, odd
-// ones a Stop.
+// Operation codes below 0xb0 pick one of the first ten operations by
+// their value mod 10; codes 0xb0–0xbf arm a record timer (AtFire,
+// AfterFire) and may cancel it at once; even codes from 0xc0 put flights
+// on a line, odd ones a Stop. Record timers join the func timers' handle
+// list, so Cancel and Reset reach both, and the model schedules them as
+// it does At.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 2, 3, 0, 0, 5, 0, 1, 8, 10})
 	f.Add([]byte{3, 0xf2, 0, 3, 0xf1, 0, 0, 1, 0, 5, 0, 6, 0xf3, 0, 0, 6})
@@ -283,8 +292,11 @@ func FuzzEngineOrder(f *testing.F) {
 		for op := 0; next < len(prog); op++ {
 			code := arg()
 			kind := int(code % 10)
-			if code >= 0xc0 {
+			switch {
+			case code >= 0xc0:
 				kind = 10 + int(code&1)
+			case code >= 0xb0:
+				kind = 12
 			}
 			switch kind {
 			case 0: // Schedule
@@ -362,6 +374,23 @@ func FuzzEngineOrder(f *testing.F) {
 					id := op + k<<24
 					lines[i].push(e.Now()+d, id, c, false)
 					m.push(refEvent{at: m.now + d, id: id, child: c, line: i + 1})
+				}
+			case 12: // a record timer: AtFire on even codes, AfterFire on
+				// odd ones; bit 1 cancels it right after arming
+				d, c := fuzzDelay(arg()), arg()
+				rec := &fuzzRecord{fire(op, c)}
+				var tm Timer
+				if code&1 == 0 {
+					tm = e.AtFire(e.Now()+d, rec)
+				} else {
+					tm = e.AfterFire(d, rec)
+				}
+				h := handle{tm, m.schedule(refEvent{at: m.now + d, id: op, child: c})}
+				timers = append(timers, h)
+				if code&2 != 0 {
+					if !h.tm.Cancel() || !m.cancel(h.seq) {
+						t.Fatalf("op %d: a record timer just armed did not cancel", op)
+					}
 				}
 			case 11: // Stop from a callback, or from a landing
 				sel, d := arg(), fuzzDelay(arg())

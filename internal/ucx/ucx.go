@@ -76,11 +76,17 @@ type completion struct {
 }
 
 // arenas are the engine-generation arenas (see sim.Arena) workers and
-// endpoints are taken from, kept in the engine's Aux storage.
+// endpoints are taken from, kept in the engine's Aux storage, and the
+// blocks new endpoints are carved from.
 type arenas struct {
 	workers   sim.Arena[Worker]
 	endpoints sim.Arena[Endpoint]
+	epBlocks  sim.Blocks[Endpoint]
 }
+
+// endpointBlock caps a block of fresh endpoints at 341: 8,184 bytes,
+// which fills one 8 KiB size class.
+const endpointBlock = 341
 
 // arenasKey is the engine Aux key the arenas live under.
 const arenasKey = "ucx.arenas"
@@ -91,6 +97,8 @@ func arenasFor(eng *sim.Engine) *arenas {
 		a = &arenas{}
 		a.workers.Link = func(w *Worker) **Worker { return &w.arenaNext }
 		a.endpoints.Link = func(e *Endpoint) **Endpoint { return &e.arenaNext }
+		a.epBlocks.Make = func(n int) []Endpoint { return make([]Endpoint, n) }
+		a.epBlocks.Max = endpointBlock
 		eng.SetAux(arenasKey, a)
 	}
 	return a
@@ -133,14 +141,15 @@ type Endpoint struct {
 	arenaNext *Endpoint
 }
 
-// newEndpoint takes an endpoint of w over qp from the engine's arena.
+// newEndpoint takes an endpoint of w over qp from the engine's arena,
+// or from the endpoint blocks when every member is taken.
 func newEndpoint(w *Worker, qp *rnic.QP) *Endpoint {
 	eng := w.ctx.nic.Engine()
-	a := &arenasFor(eng).endpoints
-	e := a.Take(eng)
+	as := arenasFor(eng)
+	e := as.endpoints.Take(eng)
 	if e == nil {
-		e = new(Endpoint)
-		a.Add(e)
+		e = as.epBlocks.New()
+		as.endpoints.Add(e)
 	}
 	*e = Endpoint{worker: w, qp: qp, arenaNext: e.arenaNext}
 	return e
