@@ -205,21 +205,21 @@ func TestAllocBudgetIRNSend(t *testing.T) {
 		"the selective-repeat path regressed off the warm-allocation contract")
 }
 
-// kvServeColdAllocCeiling bounds one cold kv-serve run at one lane:
+// kvServeColdAllocCeiling bounds one cold kv-serve run on one worker:
 // 16 radix-16 pod cells of 65 hosts and 258 switch ports each, built one
-// after another on the lane's engine, then 16,384 GETs. The first pod
+// after another on the worker's engine, then 16,384 GETs. The first pod
 // builds cold, from blocks; each later pod recycles what the engine's
 // arenas and pools hold (QPs, CQs, ports, switches, delivery lines, the
 // kv clients and their bound callbacks). Memory registrations come from
 // blocks and node names from a process-wide table, so what remains per
 // pod is mostly the port and delay-line callbacks and the queues that
-// grow past what the previous pod left. The run reads 3,142–3,144 at
-// -cpu 1, 2 and 4 (6,321–6,323 while each pod allocated its MRs and
-// node names). Under -race it reads 3,216–3,235: the race detector drops
-// sync.Pool entries at random, and the report's fmt calls refill them.
-// The ceiling leaves room for that, not for a per-pod regression of
-// more than a few objects.
-const kvServeColdAllocCeiling = 3280
+// grow past what the previous pod left. The run reads 2,967–2,970 at
+// -cpu 1, 2 and 4 (3,142–3,144 while a shard group ran the pods and its
+// links grew their digest buffers by doubling). Under -race it reads
+// 3,038–3,051: the race detector drops sync.Pool entries at random, and
+// the report's fmt calls refill them. The ceiling leaves room for that,
+// not for a per-pod regression of more than a few objects.
+const kvServeColdAllocCeiling = 3100
 
 func TestAllocBudgetKVServeCold(t *testing.T) {
 	sc, err := scenario.Lookup("kv-serve")
@@ -279,15 +279,6 @@ func TestWorkCountsExact(t *testing.T) {
 		check(c.name+" events", c.fb.eng.EventsFired(), c.events)
 		check(c.name+" delivered", c.fb.fab.Delivered, burstPackets)
 	}
-
-	sf := newShardedFabric(8, 2)
-	sf.trial(7)
-	var events uint64
-	for _, n := range sf.events {
-		events += n
-	}
-	check("sharded events", events, 262256)
-	check("sharded digests", uint64(sf.digests), 112)
 
 	qc := irnTrial(t, eng, 7)
 	check("irn events", eng.EventsFired(), 698)

@@ -7,7 +7,6 @@
 package odpsim
 
 import (
-	"fmt"
 	"testing"
 
 	"odpsim/internal/apps/argodsm"
@@ -728,30 +727,6 @@ func benchFabricBurst(b *testing.B, fb *fabricBurst) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		fb.trial(int64(i))
-	}
-}
-
-// BenchmarkShardedIncast measures the shard layer on a 64-host
-// fat-tree: eight radix-4 pod cells (8 hosts each) built on the lanes'
-// engines, each absorbing a 4096-packet cross-edge burst through the switched PFC
-// fabric, with digest flights converging on pod 0 over the shard
-// boundary links (two topological waves). The shards=8/shards=1
-// wall-clock ratio is the scale-out speedup, bounded by the host's cores
-// since the lanes are OS threads (README's scale-out section). Output is byte-identical at
-// both counts, so the only thing the lane count may change is the wall
-// clock.
-func BenchmarkShardedIncast(b *testing.B) {
-	for _, lanes := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", lanes), func(b *testing.B) {
-			sf := newShardedFabric(8, lanes)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sf.trial(int64(i * 16))
-			}
-			if sf.digests == 0 {
-				b.Fatal("no digest flights crossed the shard boundary")
-			}
-		})
 	}
 }
 

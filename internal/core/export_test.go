@@ -21,3 +21,17 @@ func IRNCell(sc *scenario.Scenario, mem, tport, fabric string) (BenchConfig, err
 	}
 	return BenchConfig{}, fmt.Errorf("%s has no cell %s/%s/%s", sc.Name, mem, tport, fabric)
 }
+
+// KVServeWork runs sc's kv-serve pods on shards workers and returns the
+// events their engines fired and the digests pod 0 landed.
+func KVServeWork(sc *scenario.Scenario, shards int) (events, digests uint64, err error) {
+	kv, err := newKVServe(sc)
+	if err != nil {
+		return 0, 0, err
+	}
+	kv.run(shards)
+	for _, kp := range kv.pod {
+		events += kp.events
+	}
+	return events, kv.digests, nil
+}

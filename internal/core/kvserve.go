@@ -1,13 +1,16 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"time"
 
 	"odpsim/internal/cluster"
 	"odpsim/internal/congestion"
 	"odpsim/internal/hostmem"
+	"odpsim/internal/parallel"
 	"odpsim/internal/rnic"
 	"odpsim/internal/scenario"
 	"odpsim/internal/shard"
@@ -22,20 +25,20 @@ import (
 // GET clients hammering it over RDMA READ. The pattern is pod-local by
 // construction — a client only ever talks to its own pod's server — so
 // shard.Decompose splits it into one causal domain per pod, each pod
-// simulating its own PodTopology cell in full switch-level detail. The
-// core tier the pods would share carries only the periodic replication
-// digests every pod streams to pod 0, modelled as shard boundary links
-// with the core's oversubscribed rate. Those links are a star into pod
-// 0, so the shard group runs in two topological waves: pods 1–15 run
-// dry first (in parallel on the lanes), buffering their digests on the
-// links, and then pod 0 runs once with every digest landed.
+// simulating its own PodTopology cell in full switch-level detail on an
+// engine of its own. The core tier the pods would share carries only the
+// periodic replication digests every pod streams to pod 0, modelled as
+// one serializing core link per source pod at the core's oversubscribed
+// rate. Nothing flows back, so the run has two phases: pods 1–15 run dry
+// first, in parallel on the -shards workers, each stamping its digests
+// onto its link, and then pod 0 runs once with every digest landing on
+// it.
 //
-// A pod exists only while its wave runs: the group builds it on its
-// lane's engine when the pod's turn comes, and once that engine has run
-// dry the pod's counters are copied onto its kvPod and the cluster is
-// dropped, so the next pod on the lane rebuilds on the same engine and
-// recycles its arenas and pools. The run holds one pod cell per lane,
-// not one per pod.
+// A pod exists only while it runs: it is built on its worker's engine,
+// and once that engine has run dry the pod's counters are copied onto
+// its kvPod and the cluster is dropped, so the worker's next pod
+// rebuilds on the same engine and recycles its arenas and pools. The run
+// holds one pod cell per worker, not one per pod.
 //
 // What the scenario measures is the paper's pitfall at serving scale:
 // with the server region under Explicit ODP, first-touch GETs RNR-storm
@@ -80,22 +83,23 @@ func (kvServeWorkload) Validate(sc *scenario.Scenario) error {
 // pods in index order (the determinism contract).
 type kvPod struct {
 	// cl and qps (one per client, client order) live from the pod's build
-	// until its summary: they belong to the lane engine.
+	// until its summary: they belong to the worker's engine.
 	cl        *cluster.Cluster
 	qps       []*rnic.QP
 	sketch    *stats.QuantileSketch
-	done      sim.Time    // last completion observed in this pod
-	completed int         // pod-wide completions, for the digest stride
-	link      *shard.Link // digest link to pod 0 (nil for pod 0)
+	done      sim.Time // last completion observed in this pod
+	completed int      // pod-wide completions, for the digest stride
+	link      *kvLink  // digest link to pod 0 (nil for pod 0)
 
 	// What the report reads, copied by summarize.
 	retrans, timeouts, rnrNaks uint64
 	pause, ecn, drops          float64
 	tiers                      []congestion.TierStat
+	events                     uint64 // events the pod's engine fired
 }
 
 // summarize copies what the report reads off the pod's cluster, then
-// drops the cluster: the lane's next pod recycles its objects.
+// drops the cluster: the worker's next pod recycles its objects.
 func (kp *kvPod) summarize() {
 	for _, qp := range kp.qps {
 		kp.retrans += qp.Stats.Retransmits
@@ -109,13 +113,80 @@ func (kp *kvPod) summarize() {
 	kp.ecn = hub.Total(telemetry.SimSwitchEcnMarked)
 	kp.drops = hub.Total(telemetry.SimSwitchDrops)
 	kp.tiers = kp.cl.Fab.Network().TierStats()
+	kp.events = kp.cl.Eng.EventsFired()
 	kp.cl, kp.qps = nil, nil
 }
 
-// kvDigestEvery is the pod-wide completion stride between replication
-// digests on the core links: every 64th completed GET ships a 64-byte
-// summary to pod 0.
-const kvDigestEvery = 64
+// Every kvDigestEvery-th completed GET in a pod ships a kvDigestBytes
+// replication digest to pod 0 over the pod's core link, whose
+// propagation delay is kvCoreProp.
+//
+// A digest lands on pod 0 with the sequence number
+// 1<<63 | from<<kvFromShift | seq. Local sequence numbers never reach
+// the top bit, so a landing fires after every pod-0 event at the same
+// instant, also one scheduled after the landing, and (from, seq) orders
+// landings among themselves as landDigests' sort does.
+const (
+	kvDigestEvery = 64
+	kvDigestBytes = 64
+	kvCoreProp    = 2 * sim.Microsecond
+	kvFromShift   = 47
+)
+
+// kvFlight is one replication digest on a core link: when it lands on
+// pod 0, the source pod, the source engine's ReserveSeq claim and the
+// payload (the source pod's completions so far).
+type kvFlight struct {
+	at             sim.Time
+	seq, from, arg uint64
+}
+
+// kvLink is a source pod's core link to pod 0: a serializing egress, one
+// digest on the wire at a time, then kvCoreProp of propagation. The
+// source pod appends while phase 1 runs it, and pod 0 reads the flights
+// only after phase 1 has ended.
+type kvLink struct {
+	from    uint64
+	ser     sim.Time // one digest's serialization time at the core rate
+	free    sim.Time // the egress serialization cursor
+	flights []kvFlight
+}
+
+// newKVLink returns source pod from's core link, at gbps, with room for
+// n digests.
+func newKVLink(from int, gbps float64, n int) *kvLink {
+	return &kvLink{from: uint64(from), ser: sim.Time(kvDigestBytes * (8 / gbps)), flights: make([]kvFlight, 0, n)}
+}
+
+// send stamps a digest that leaves at eng's now: it lands at
+// max(now, free) + ser + kvCoreProp, and its tie-break is the next
+// sequence number of eng, the source pod's engine.
+func (l *kvLink) send(eng *sim.Engine, arg uint64) {
+	l.free = max(eng.Now(), l.free) + l.ser
+	seq := eng.ReserveSeq()
+	if seq >= 1<<kvFromShift {
+		panic("kv-serve: a source engine's sequence outgrew the landing tie-break band")
+	}
+	l.flights = append(l.flights, kvFlight{at: l.free + kvCoreProp, seq: seq, from: l.from, arg: arg})
+}
+
+// landDigests schedules every flight to land on eng at its at, calling
+// on(f) at each landing: in (at, from, seq) order, which is the order
+// the landing events fire in, so one cached callback pops the head of
+// the sorted flights.
+func landDigests(eng *sim.Engine, flights []kvFlight, on func(kvFlight)) {
+	slices.SortFunc(flights, func(a, b kvFlight) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.from, b.from), cmp.Compare(a.seq, b.seq))
+	})
+	next := 0
+	land := func() {
+		next++
+		on(flights[next-1])
+	}
+	for _, f := range flights {
+		eng.ScheduleSeq(f.at, 1<<63|f.from<<kvFromShift|f.seq, land)
+	}
+}
 
 // kvSketch returns the latency sketch shape shared by every pod —
 // identical shapes are what makes the final Merge legal. Units are
@@ -123,143 +194,168 @@ const kvDigestEvery = 64
 // 32 buckets per decade ≈ 7% relative error.
 func kvSketch() *stats.QuantileSketch { return stats.NewQuantileSketch(0.1, 1e7, 32) }
 
-func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
+// kvServe is one kv-serve run: the shape it resolves from the scenario,
+// its pods, and pod 0's tally of the digests that land on it.
+type kvServe struct {
+	pods, hostsPer, ops, size int
+	interval, post            sim.Time
+	mode                      ODPMode
+	podSys                    cluster.System
+	params                    rnic.ConnParams
+	seed                      int64
+	coreGbps                  float64 // a core link's rate
+
+	pod                []*kvPod
+	digests, digestOps uint64 // digests landed, remote completions they cover
+	lastDigest         sim.Time
+	lastArg            []uint64 // each source pod's last digest payload
+}
+
+// newKVServe resolves sc, which Validate accepted, into a kv-serve run.
+func newKVServe(sc *scenario.Scenario) (*kvServe, error) {
 	sys, err := sc.ResolvedSystem()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// The pod count is the declared fat-tree's radix and the core's rate
 	// its oversubscription, read from the spec (Validate checked it is a
 	// 3-tier clos) with the defaults TopologySpec.build applies.
 	ts := sc.Congestion.Topology
-	pods := ts.Radix
-	if pods == 0 {
-		pods = 4
+	kv := &kvServe{
+		pods:     cmp.Or(ts.Radix, 4),
+		ops:      cmp.Or(sc.Ops, 16),
+		size:     cmp.Or(sc.Size, 1024),
+		interval: cmp.Or(sc.Interval(), 2*sim.Microsecond),
+		mode:     ODPModeOf(sc.Mode, ServerODP),
+		seed:     sc.SeedOrDefault(),
 	}
-	oversub := ts.Oversubscription
-	if oversub == 0 {
-		oversub = sys.Congestion.UplinkFactor
-	}
-	nodes := sc.Nodes
-	if nodes == 0 {
-		nodes = pods * 16
-	}
-	hostsPer := nodes / pods
-	clients := hostsPer - 1
-	ops := sc.Ops
-	if ops == 0 {
-		ops = 16
-	}
-	size := sc.Size
-	if size == 0 {
-		size = 1024
-	}
-	interval := sc.Interval()
-	if interval == 0 {
-		interval = 2 * sim.Microsecond
-	}
-	mode := ODPModeOf(sc.Mode, ServerODP)
+	oversub := cmp.Or(ts.Oversubscription, sys.Congestion.UplinkFactor)
+	nodes := cmp.Or(sc.Nodes, kv.pods*16)
+	kv.hostsPer = nodes / kv.pods
 
 	// Every pod simulates its own fat-tree slice: the pod cell of the
 	// declared 3-tier topology, at the declared oversubscription.
 	podCfg := *sys.Congestion
-	podCfg.Topology = congestion.PodTopology(pods, oversub)
-	podSys := sys
-	podSys.Congestion = &podCfg
+	podCfg.Topology = congestion.PodTopology(kv.pods, oversub)
+	kv.podSys = sys
+	kv.podSys.Congestion = &podCfg
 
 	// The partition is derived from the traffic, never from sc.Shards:
 	// client→server flows are pod-local, so Decompose yields exactly one
 	// domain per pod. If a future variant adds cross-pod flows this check
 	// fails loudly instead of silently breaking determinism.
-	pairs := make([][2]int, 0, pods*clients)
-	for p := 0; p < pods; p++ {
-		base := p * hostsPer
-		for c := 1; c < hostsPer; c++ {
+	pairs := make([][2]int, 0, nodes-kv.pods)
+	for p := 0; p < kv.pods; p++ {
+		base := p * kv.hostsPer
+		for c := 1; c < kv.hostsPer; c++ {
 			pairs = append(pairs, [2]int{base + c, base})
 		}
 	}
-	part := shard.Decompose(nodes, pairs)
-	if part.Count != pods {
-		panic(fmt.Sprintf("kv-serve: %d hosts decomposed into %d causal domains, want %d pods", nodes, part.Count, pods))
+	if part := shard.Decompose(nodes, pairs); part.Count != kv.pods {
+		panic(fmt.Sprintf("kv-serve: %d hosts decomposed into %d causal domains, want %d pods", nodes, part.Count, kv.pods))
 	}
 
-	g := shard.NewGroup(sc.Shards)
-	seed := sc.SeedOrDefault()
-	params := rnic.ConnParams{CACK: 8, RetryCount: 7, MinRNRDelay: sc.RNRDelay()}
+	kv.params = rnic.ConnParams{CACK: 8, RetryCount: 7, MinRNRDelay: sc.RNRDelay()}
 	if sc.CACK > 0 {
-		params.CACK = sc.CACK
+		kv.params.CACK = sc.CACK
 	}
 	if sc.Retry > 0 {
-		params.RetryCount = sc.Retry
+		kv.params.RetryCount = sc.Retry
 	}
-	post := sim.Time(float64(300*sim.Nanosecond) * sys.CPUFactor)
-	coreGbps := sys.Device.LinkGbps / podCfg.Topology.Oversub
-	const coreProp = 2 * sim.Microsecond
+	kv.post = sim.Time(float64(300*sim.Nanosecond) * sys.CPUFactor)
+	kv.coreGbps = sys.Device.LinkGbps / podCfg.Topology.Oversub
+	return kv, nil
+}
 
-	pod := make([]*kvPod, pods)
-	domains := make([]*shard.Domain, pods)
+// run simulates the pods in two phases. Phase 1 runs every pod but pod
+// 0 on a pool of workers (below 1: GOMAXPROCS), one recycled engine
+// each. Phase 2 builds pod 0, the frontend, on worker 0's engine, lands
+// every digest the others sent on it and runs it.
+func (kv *kvServe) run(workers int) {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	engs := make(parallel.Engines, workers)
+	kv.pod, kv.lastArg = make([]*kvPod, kv.pods), make([]uint64, kv.pods)
+	parallel.RunWorkers(workers, kv.pods-1, func(w, i int) { kv.runPod(engs.Get(w), i+1) })
+	kv.runPod(engs.Get(0), 0)
+}
 
-	// Pod 0 is the frontend: it serves its own rack and aggregates the
-	// other pods' replication digests off the core links.
-	var digests uint64
-	var digestOps uint64 // remote completions covered by the digests seen
-	var lastDigest sim.Time
-	lastArg := make([]uint64, pods)
+// runPod builds pod p on eng, runs it dry and summarizes it. Pod 0 lands
+// the source pods' digests after its build.
+func (kv *kvServe) runPod(eng *sim.Engine, p int) {
+	// Per-pod seeds stride by a large prime so the pods' RNG streams
+	// are decorrelated while staying a pure function of the scenario
+	// seed (pod 0 keeps the base seed for continuity with the
+	// single-engine workloads).
+	podSeed := kv.seed + int64(p)*1000003
+	kp := &kvPod{sketch: kvSketch()}
+	kv.pod[p] = kp
+	kp.cl = kv.podSys.BuildOn(eng, podSeed, kv.hostsPer)
 
-	for p := 0; p < pods; p++ {
-		// Per-pod seeds stride by a large prime so the pods' RNG streams
-		// are decorrelated while staying a pure function of the scenario
-		// seed (pod 0 keeps the base seed for continuity with the
-		// single-engine workloads).
-		podSeed := seed + int64(p)*1000003
-		kp := &kvPod{sketch: kvSketch()}
-		pod[p] = kp
-		domains[p] = g.AddDomain(podSeed, func(d *shard.Domain) {
-			kp.cl = podSys.BuildOn(d.Eng, podSeed, hostsPer)
+	// The server's value region: one size*ops slice per client, every op
+	// touching a fresh offset so cold ODP pages keep faulting the way a
+	// growing working set does.
+	clients := kv.hostsPer - 1
+	server := kp.cl.Nodes[0]
+	slotLen := kv.size * kv.ops
+	region := server.AS.Alloc(slotLen * clients)
+	server.RegisterMR(region, slotLen*clients, kv.mode.Server())
 
-			// The server's value region: one size*ops slice per client,
-			// every op touching a fresh offset so cold ODP pages keep
-			// faulting the way a growing working set does.
-			server := kp.cl.Nodes[0]
-			slotLen := size * ops
-			region := server.AS.Alloc(slotLen * clients)
-			server.RegisterMR(region, slotLen*clients, mode.Server())
+	kp.qps = make([]*rnic.QP, 0, clients)
+	for c := 1; c < kv.hostsPer; c++ {
+		node := kp.cl.Nodes[c]
+		lbuf := node.AS.Alloc(slotLen)
+		node.RegisterMR(lbuf, slotLen, kv.mode.Client())
+		cq := rnic.NewCQ(eng)
+		qc := node.CreateQP(cq, cq)
+		qs := server.CreateQP(rnic.NewCQ(eng), rnic.NewCQ(eng))
+		rnic.ConnectPair(qc, qs, kv.params, kv.params)
+		kp.qps = append(kp.qps, qc)
 
-			kp.qps = make([]*rnic.QP, 0, clients)
-			for c := 1; c < hostsPer; c++ {
-				node := kp.cl.Nodes[c]
-				lbuf := node.AS.Alloc(slotLen)
-				node.RegisterMR(lbuf, slotLen, mode.Client())
-				cq := rnic.NewCQ(d.Eng)
-				qc := node.CreateQP(cq, cq)
-				qs := server.CreateQP(rnic.NewCQ(d.Eng), rnic.NewCQ(d.Eng))
-				rnic.ConnectPair(qc, qs, params, params)
-				kp.qps = append(kp.qps, qc)
+		// Open loop: the poster fires a GET every interval regardless of
+		// completions — precisely the regime where fault-delayed
+		// responses pile latency onto the tail instead of throttling the
+		// offered load.
+		kc := newKVClient(eng, kv.ops)
+		kc.pod, kc.qp, kc.cq = kp, qc, cq
+		kc.lbuf, kc.rbuf = lbuf, region+hostmem.Addr(slotLen*(c-1))
+		kc.size, kc.post, kc.gap = kv.size, kv.post, kv.interval-kv.post
+		eng.ScheduleAfter(0, kc.stepFn)
+		eng.ScheduleAfter(0, kc.reapFn)
+	}
 
-				// Open loop: the poster fires a GET every interval
-				// regardless of completions — precisely the regime where
-				// fault-delayed responses pile latency onto the tail
-				// instead of throttling the offered load.
-				kc := newKVClient(d.Eng, ops)
-				kc.pod, kc.qp, kc.cq = kp, qc, cq
-				kc.lbuf, kc.rbuf = lbuf, region+hostmem.Addr(slotLen*(c-1))
-				kc.size, kc.post, kc.gap = size, post, interval-post
-				d.Eng.ScheduleAfter(0, kc.stepFn)
-				d.Eng.ScheduleAfter(0, kc.reapFn)
-			}
-		}, func(*shard.Domain) { kp.summarize() })
-		if p > 0 {
-			kp.link = g.Connect(domains[p], domains[0], coreGbps, coreProp)
+	// A pod completes at most clients*ops GETs, so its link carries at
+	// most digests digests.
+	digests := clients * kv.ops / kvDigestEvery
+	if p > 0 {
+		kp.link = newKVLink(p, kv.coreGbps, digests)
+	} else {
+		flights := make([]kvFlight, 0, (kv.pods-1)*digests)
+		for _, src := range kv.pod[1:] {
+			flights = append(flights, src.link.flights...)
 		}
+		landDigests(eng, flights, kv.land)
 	}
-	domains[0].OnFlight(func(f shard.Flight) {
-		digests++
-		lastDigest = domains[0].Eng.Now()
-		digestOps += f.Arg - lastArg[f.From]
-		lastArg[f.From] = f.Arg
-	})
+	eng.MustRun()
+	kp.summarize()
+}
 
-	g.MustRun()
+// land is pod 0's handler for one digest: it counts the digest and the
+// remote completions it covers past its source pod's previous one.
+func (kv *kvServe) land(f kvFlight) {
+	kv.digests++
+	kv.lastDigest = f.at
+	kv.digestOps += f.arg - kv.lastArg[f.from]
+	kv.lastArg[f.from] = f.arg
+}
+
+func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
+	kv, err := newKVServe(sc)
+	if err != nil {
+		return err
+	}
+	kv.run(sc.Shards)
 
 	// Aggregation walks pods in index order everywhere below — with the
 	// per-pod state fully settled, order only matters for byte-identical
@@ -270,7 +366,7 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 	var pause, ecn, drops float64
 	tiers := map[string]*congestion.TierStat{}
 	var tierOrder []string
-	for _, kp := range pod {
+	for _, kp := range kv.pod {
 		merged.Merge(kp.sketch)
 		if kp.done > exec {
 			exec = kp.done
@@ -300,15 +396,15 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 
 	fmt.Fprintln(out.W, sc.ExpandedTitle())
 	fmt.Fprintf(out.W, "\nkv-serve %d pods x %d hosts on %s (%d clients, %d GETs x %d B each, open-loop @ %v, %s):\n",
-		pods, hostsPer, sc.Congestion.Topology.Label(), pods*clients, ops, size,
-		time.Duration(interval), mode)
+		kv.pods, kv.hostsPer, sc.Congestion.Topology.Label(), kv.pods*(kv.hostsPer-1), kv.ops, kv.size,
+		time.Duration(kv.interval), kv.mode)
 	fmt.Fprintf(out.W, "exec %v  retrans %d  timeouts %d  rnr_naks %d  drops %.0f  pause %.0f us  ecn %.0f\n",
 		time.Duration(exec), retrans, timeouts, rnrNaks, drops, pause, ecn)
 	fmt.Fprintf(out.W, "latency[us]  p50 %.1f  p90 %.1f  p99 %.1f  p99.9 %.1f  max %.1f  (n=%d)\n",
 		merged.Quantile(0.50), merged.Quantile(0.90), merged.Quantile(0.99),
 		merged.Quantile(0.999), merged.Max(), merged.N())
 	fmt.Fprintf(out.W, "digests %d at pod0 covering %d remote ops, last at %v\n",
-		digests, digestOps, time.Duration(lastDigest))
+		kv.digests, kv.digestOps, time.Duration(kv.lastDigest))
 	fmt.Fprintf(out.W, "%-8s %8s %12s %12s %10s %7s\n",
 		"tier", "switches", "peak_buf[B]", "pause_frames", "ecn_marked", "drops")
 	for _, name := range tierOrder {
@@ -413,7 +509,7 @@ func (c *kvClient) reap() {
 		}
 		kp.completed++
 		if kp.link != nil && kp.completed%kvDigestEvery == 0 {
-			kp.link.Send(shard.Flight{Len: 64, Arg: uint64(kp.completed)})
+			kp.link.send(c.eng, uint64(kp.completed))
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"odpsim/internal/congestion"
+	"odpsim/internal/core"
 	"odpsim/internal/hostmem"
 	"odpsim/internal/rnic"
 	"odpsim/internal/scenario"
@@ -65,6 +66,29 @@ func TestKVServePodHubSnapshot(t *testing.T) {
 	} {
 		if got, want := hub.Total(name), snap.Total(name); got != want {
 			t.Errorf("Hub.Total(%s) = %v, snapshot total %v", name, got, want)
+		}
+	}
+}
+
+// TestWorkCountsExactKVServe pins the work of the quick kv-serve run: the
+// events its 16 pods' engines fire, digest landings included, and the
+// digests pod 0 lands. They are pure functions of the code and the seed,
+// equal at every worker count, so they gate work that moves no byte of
+// the report. A changed count is explained like a changed golden line.
+func TestWorkCountsExactKVServe(t *testing.T) {
+	sc, err := scenario.Lookup("kv-serve")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc = sc.ApplyQuick()
+	for _, shards := range []int{1, 3} {
+		events, digests, err := core.KVServeWork(&sc, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("shards %d: %d events, %d digests", shards, events, digests)
+		if events != 455853 || digests != 60 {
+			t.Errorf("shards %d: %d events and %d digests, want 455853 and 60", shards, events, digests)
 		}
 	}
 }

@@ -51,11 +51,15 @@ func Jobs() int {
 // with the same worker value, so callers can keep per-worker scratch
 // state (e.g. a Reset-reused sim engine, Engines). A panic in fn is
 // re-raised on the calling goroutine after the pool drains.
-func Run(n int, fn func(worker, i int)) {
+func Run(n int, fn func(worker, i int)) { RunWorkers(Jobs(), n, fn) }
+
+// RunWorkers is Run on w workers instead of Jobs(), for a caller that
+// takes its worker count from elsewhere (kv-serve's -shards). w <= 1
+// runs every index on the calling goroutine.
+func RunWorkers(w, n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
-	w := Jobs()
 	if w > n {
 		w = n
 	}

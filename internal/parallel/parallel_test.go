@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"odpsim/internal/cluster"
 	"odpsim/internal/rnic"
@@ -57,6 +58,28 @@ func TestRunWorkerIsExclusive(t *testing.T) {
 		}
 		inUse[w].Add(-1)
 	})
+}
+
+// TestRunWorkersIgnoresJobs checks that RunWorkers runs on the workers
+// it is given, not on Jobs(): kv-serve's pods run on -shards workers
+// while a caller holds SetJobs(1). Each call waits until all three are
+// in, which only three concurrent workers can reach.
+func TestRunWorkersIgnoresJobs(t *testing.T) {
+	withJobs(t, 1)
+	var in atomic.Int32
+	var workers [3]atomic.Int32
+	RunWorkers(3, 3, func(w, i int) {
+		workers[w].Add(1)
+		in.Add(1)
+		for deadline := time.Now().Add(5 * time.Second); in.Load() < 3 && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+	})
+	for w := range workers {
+		if n := workers[w].Load(); n != 1 {
+			t.Errorf("worker %d ran %d indices, want 1 each on 3 concurrent workers", w, n)
+		}
+	}
 }
 
 func TestMapCommitsInIndexOrder(t *testing.T) {

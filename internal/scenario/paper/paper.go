@@ -326,9 +326,8 @@ func init() {
 	// tier across the 16 pods of a radix-16 fat-tree, 64 open-loop GET
 	// clients per pod against one ODP-backed server each, replication
 	// digests converging on pod 0 over the core. Pod-local traffic means
-	// the shard layer runs each pod as its own domain, built on a lane's
-	// engine in its turn: pods 1–15 run dry in one wave, on parallel
-	// lanes (`-shards`), then pod 0 with their digests.
+	// each pod runs on an engine of its own: pods 1–15 run dry in
+	// parallel on the `-shards` workers, then pod 0 with their digests.
 	// The report leads with the latency percentiles where the paper's
 	// RNR storms surface at serving scale.
 	scenario.Register(scenario.Scenario{

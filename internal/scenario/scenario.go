@@ -94,13 +94,10 @@ type Scenario struct {
 	// only.
 	Pattern string `json:"pattern,omitempty"`
 
-	// Shards is the worker-lane count of the shard layer
-	// (internal/shard): how many OS threads run the scenario's causal
-	// domains. Only kv-serve fans out across lanes; other workloads run
-	// one engine and ignore it. The partition itself derives from the
-	// traffic structure, never from this knob, so output is
-	// byte-identical at every value — 0 means one lane. The odpsim
-	// `-shards` flag overrides it.
+	// Shards is how many workers run the scenario's independent pods in
+	// parallel. Only kv-serve has such pods; other workloads run one
+	// engine and ignore it. Output is byte-identical at every value, and
+	// 0 auto-tunes to GOMAXPROCS. The odpsim `-shards` flag overrides it.
 	Shards int `json:"shards,omitempty"`
 
 	// Memory selects how managed registrations translate on every node:

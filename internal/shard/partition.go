@@ -1,11 +1,17 @@
+// Package shard splits a simulated system into causal domains: sets of
+// hosts whose event streams never couple through a flow, so each domain
+// can run on an engine of its own without reordering an observable
+// event. Decompose derives the domains from the traffic alone. kv-serve
+// checks with it that its pods are independent before it runs them in
+// parallel (internal/core, DESIGN.md §12).
 package shard
 
 // Partition maps each vertex of the simulated system (hosts, in
 // host-index order) to the causal domain that must own it. It is
 // produced by Decompose from the traffic structure alone — the worker
-// lane count never enters — so the partition is a pure function of the
-// scenario, which is what keeps sharded output byte-identical at every
-// `-shards` value.
+// count never enters — so the partition is a pure function of the
+// scenario, which is what keeps kv-serve's output byte-identical at
+// every `-shards` value.
 type Partition struct {
 	// Domain[v] is the domain index of vertex v, numbered 0..Count-1 in
 	// order of each domain's first vertex.
@@ -34,9 +40,9 @@ func (p Partition) Members(i int) []int {
 //
 // A fully coupled pattern (incast, all-to-all shuffle) decomposes into
 // one domain — the honest answer: its golden can only be reproduced by
-// a single event loop, so such a workload runs on one engine and builds
-// no group. Pod-local patterns (kv-serve's per-pod cells) decompose
-// into one domain per pod, which is where the lanes buy wall-clock.
+// a single event loop, so such a workload runs on one engine. Pod-local
+// patterns (kv-serve's per-pod cells) decompose into one domain per pod,
+// which is where parallel workers buy wall-clock.
 func Decompose(n int, flows [][2]int) Partition {
 	parent := make([]int, n)
 	for i := range parent {

@@ -496,12 +496,6 @@ func (e *Engine) EventCapacity() int { return cap(e.lite) }
 // no flight fires in place after it (see Claim).
 func (e *Engine) Stop() { e.stopped = true }
 
-// Stopped reports whether Stop has been called since the engine last
-// began running (Run and RunUntil clear the flag on entry). The shard
-// group polls it after each wave, so a Stop issued inside one ends the
-// whole group run rather than only that domain's run (internal/shard).
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // Step executes the single next event, advancing the clock. It reports
 // whether an event was executed. The next event is whichever heap head
 // orders first by (at, seq). Outside Run and RunUntil no flight fires in

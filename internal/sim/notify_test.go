@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"odpsim/internal/shard"
 	"odpsim/internal/sim"
 )
 
@@ -61,9 +60,8 @@ func TestCondWakesProcsAndCallbacksInWaitOrder(t *testing.T) {
 }
 
 // TestMustRunReportsParkedCallback parks a callback on a Cond that is
-// never broadcast: Engine.MustRun and shard.Group.MustRun must report a
-// deadlock (the group naming the domain), and an engine Reset must
-// forget the parked callback.
+// never broadcast: Engine.MustRun must report a deadlock, and an engine
+// Reset must forget the parked callback.
 func TestMustRunReportsParkedCallback(t *testing.T) {
 	mustPanic := func(t *testing.T, want []string, run func()) {
 		t.Helper()
@@ -94,22 +92,5 @@ func TestMustRunReportsParkedCallback(t *testing.T) {
 			t.Error("Deadlocked after Reset")
 		}
 		e.MustRun() // Reset forgot the parked callback
-	})
-
-	t.Run("group", func(t *testing.T) {
-		g := shard.NewGroup(2)
-		hub := g.AddDomain(1, nil, nil)
-		hub.OnFlight(func(shard.Flight) {})
-		for i := 1; i <= 2; i++ {
-			var l *shard.Link
-			d := g.AddDomain(int64(i+1), func(d *shard.Domain) {
-				d.Eng.Schedule(sim.Microsecond, func() { l.Send(shard.Flight{Len: 64}) })
-				if i == 2 {
-					park(d.Eng, 3*sim.Microsecond)
-				}
-			}, nil)
-			l = g.Connect(d, hub, 25, 2*sim.Microsecond)
-		}
-		mustPanic(t, []string{"deadlock", "domain 2"}, g.MustRun)
 	})
 }
