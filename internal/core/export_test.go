@@ -23,7 +23,7 @@ func IRNCell(sc *scenario.Scenario, mem, tport, fabric string) (BenchConfig, err
 }
 
 // KVServeWork runs sc's kv-serve pods on shards workers and returns the
-// events their engines fired and the digests pod 0 landed.
+// events their engines fired and the digests the source pods sent.
 func KVServeWork(sc *scenario.Scenario, shards int) (events, digests uint64, err error) {
 	kv, err := newKVServe(sc)
 	if err != nil {
@@ -33,5 +33,6 @@ func KVServeWork(sc *scenario.Scenario, shards int) (events, digests uint64, err
 	for _, kp := range kv.pod {
 		events += kp.events
 	}
-	return events, kv.digests, nil
+	digests, _, _ = kv.digests()
+	return events, digests, nil
 }

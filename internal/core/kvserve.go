@@ -29,10 +29,9 @@ import (
 // engine of its own. The core tier the pods would share carries only the
 // periodic replication digests every pod streams to pod 0, modelled as
 // one serializing core link per source pod at the core's oversubscribed
-// rate. Nothing flows back, so the run has two phases: pods 1–15 run dry
-// first, in parallel on the -shards workers, each stamping its digests
-// onto its link, and then pod 0 runs once with every digest landing on
-// it.
+// rate. Nothing flows back, and nothing on pod 0 reads a digest but the
+// report, so each link tallies what it sends and the pods share nothing:
+// all of them run dry in one parallel phase on the -shards workers.
 //
 // A pod exists only while it runs: it is built on its worker's engine,
 // and once that engine has run dry the pod's counters are copied onto
@@ -120,72 +119,34 @@ func (kp *kvPod) summarize() {
 // Every kvDigestEvery-th completed GET in a pod ships a kvDigestBytes
 // replication digest to pod 0 over the pod's core link, whose
 // propagation delay is kvCoreProp.
-//
-// A digest lands on pod 0 with the sequence number
-// 1<<63 | from<<kvFromShift | seq. Local sequence numbers never reach
-// the top bit, so a landing fires after every pod-0 event at the same
-// instant, also one scheduled after the landing, and (from, seq) orders
-// landings among themselves as landDigests' sort does.
 const (
 	kvDigestEvery = 64
 	kvDigestBytes = 64
 	kvCoreProp    = 2 * sim.Microsecond
-	kvFromShift   = 47
 )
 
-// kvFlight is one replication digest on a core link: when it lands on
-// pod 0, the source pod, the source engine's ReserveSeq claim and the
-// payload (the source pod's completions so far).
-type kvFlight struct {
-	at             sim.Time
-	seq, from, arg uint64
-}
-
 // kvLink is a source pod's core link to pod 0: a serializing egress, one
-// digest on the wire at a time, then kvCoreProp of propagation. The
-// source pod appends while phase 1 runs it, and pod 0 reads the flights
-// only after phase 1 has ended.
+// digest on the wire at a time, then kvCoreProp of propagation. It
+// tallies the digests it sends (how many, when the last lands and that
+// one's payload, the source pod's completions so far), which is all the
+// report reads of them.
 type kvLink struct {
-	from    uint64
-	ser     sim.Time // one digest's serialization time at the core rate
-	free    sim.Time // the egress serialization cursor
-	flights []kvFlight
+	ser  sim.Time // one digest's serialization time at the core rate
+	free sim.Time // the egress serialization cursor
+	n    uint64   // digests sent
+	last sim.Time // when the last digest lands on pod 0
+	arg  uint64   // the last digest's payload
 }
 
-// newKVLink returns source pod from's core link, at gbps, with room for
-// n digests.
-func newKVLink(from int, gbps float64, n int) *kvLink {
-	return &kvLink{from: uint64(from), ser: sim.Time(kvDigestBytes * (8 / gbps)), flights: make([]kvFlight, 0, n)}
-}
+// newKVLink returns a core link at gbps.
+func newKVLink(gbps float64) *kvLink { return &kvLink{ser: sim.Time(kvDigestBytes * (8 / gbps))} }
 
-// send stamps a digest that leaves at eng's now: it lands at
-// max(now, free) + ser + kvCoreProp, and its tie-break is the next
-// sequence number of eng, the source pod's engine.
-func (l *kvLink) send(eng *sim.Engine, arg uint64) {
-	l.free = max(eng.Now(), l.free) + l.ser
-	seq := eng.ReserveSeq()
-	if seq >= 1<<kvFromShift {
-		panic("kv-serve: a source engine's sequence outgrew the landing tie-break band")
-	}
-	l.flights = append(l.flights, kvFlight{at: l.free + kvCoreProp, seq: seq, from: l.from, arg: arg})
-}
-
-// landDigests schedules every flight to land on eng at its at, calling
-// on(f) at each landing: in (at, from, seq) order, which is the order
-// the landing events fire in, so one cached callback pops the head of
-// the sorted flights.
-func landDigests(eng *sim.Engine, flights []kvFlight, on func(kvFlight)) {
-	slices.SortFunc(flights, func(a, b kvFlight) int {
-		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.from, b.from), cmp.Compare(a.seq, b.seq))
-	})
-	next := 0
-	land := func() {
-		next++
-		on(flights[next-1])
-	}
-	for _, f := range flights {
-		eng.ScheduleSeq(f.at, 1<<63|f.from<<kvFromShift|f.seq, land)
-	}
+// send tallies a digest that leaves at now: it lands at
+// max(now, free) + ser + kvCoreProp.
+func (l *kvLink) send(now sim.Time, arg uint64) {
+	l.free = max(now, l.free) + l.ser
+	l.n++
+	l.last, l.arg = l.free+kvCoreProp, arg
 }
 
 // kvSketch returns the latency sketch shape shared by every pod —
@@ -194,8 +155,8 @@ func landDigests(eng *sim.Engine, flights []kvFlight, on func(kvFlight)) {
 // 32 buckets per decade ≈ 7% relative error.
 func kvSketch() *stats.QuantileSketch { return stats.NewQuantileSketch(0.1, 1e7, 32) }
 
-// kvServe is one kv-serve run: the shape it resolves from the scenario,
-// its pods, and pod 0's tally of the digests that land on it.
+// kvServe is one kv-serve run: the shape it resolves from the scenario
+// and its pods.
 type kvServe struct {
 	pods, hostsPer, ops, size int
 	interval, post            sim.Time
@@ -205,10 +166,7 @@ type kvServe struct {
 	seed                      int64
 	coreGbps                  float64 // a core link's rate
 
-	pod                []*kvPod
-	digests, digestOps uint64 // digests landed, remote completions they cover
-	lastDigest         sim.Time
-	lastArg            []uint64 // each source pod's last digest payload
+	pod []*kvPod
 }
 
 // newKVServe resolves sc, which Validate accepted, into a kv-serve run.
@@ -267,22 +225,18 @@ func newKVServe(sc *scenario.Scenario) (*kvServe, error) {
 	return kv, nil
 }
 
-// run simulates the pods in two phases. Phase 1 runs every pod but pod
-// 0 on a pool of workers (below 1: GOMAXPROCS), one recycled engine
-// each. Phase 2 builds pod 0, the frontend, on worker 0's engine, lands
-// every digest the others sent on it and runs it.
+// run simulates every pod on a pool of workers (below 1: GOMAXPROCS),
+// one recycled engine each.
 func (kv *kvServe) run(workers int) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	engs := make(parallel.Engines, workers)
-	kv.pod, kv.lastArg = make([]*kvPod, kv.pods), make([]uint64, kv.pods)
-	parallel.RunWorkers(workers, kv.pods-1, func(w, i int) { kv.runPod(engs.Get(w), i+1) })
-	kv.runPod(engs.Get(0), 0)
+	kv.pod = make([]*kvPod, kv.pods)
+	parallel.RunWorkers(workers, kv.pods, func(w, p int) { kv.runPod(engs.Get(w), p) })
 }
 
-// runPod builds pod p on eng, runs it dry and summarizes it. Pod 0 lands
-// the source pods' digests after its build.
+// runPod builds pod p on eng, runs it dry and summarizes it.
 func (kv *kvServe) runPod(eng *sim.Engine, p int) {
 	// Per-pod seeds stride by a large prime so the pods' RNG streams
 	// are decorrelated while staying a pure function of the scenario
@@ -325,29 +279,23 @@ func (kv *kvServe) runPod(eng *sim.Engine, p int) {
 		eng.ScheduleAfter(0, kc.reapFn)
 	}
 
-	// A pod completes at most clients*ops GETs, so its link carries at
-	// most digests digests.
-	digests := clients * kv.ops / kvDigestEvery
 	if p > 0 {
-		kp.link = newKVLink(p, kv.coreGbps, digests)
-	} else {
-		flights := make([]kvFlight, 0, (kv.pods-1)*digests)
-		for _, src := range kv.pod[1:] {
-			flights = append(flights, src.link.flights...)
-		}
-		landDigests(eng, flights, kv.land)
+		kp.link = newKVLink(kv.coreGbps)
 	}
 	eng.MustRun()
 	kp.summarize()
 }
 
-// land is pod 0's handler for one digest: it counts the digest and the
-// remote completions it covers past its source pod's previous one.
-func (kv *kvServe) land(f kvFlight) {
-	kv.digests++
-	kv.lastDigest = f.at
-	kv.digestOps += f.arg - kv.lastArg[f.from]
-	kv.lastArg[f.from] = f.arg
+// digests sums the source pods' link tallies in pod order: the digests
+// sent to pod 0, the remote completions they cover (each pod's last
+// payload) and when the last one lands.
+func (kv *kvServe) digests() (n, ops uint64, last sim.Time) {
+	for _, kp := range kv.pod[1:] {
+		n += kp.link.n
+		ops += kp.link.arg
+		last = max(last, kp.link.last)
+	}
+	return n, ops, last
 }
 
 func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
@@ -403,8 +351,9 @@ func (kvServeWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 	fmt.Fprintf(out.W, "latency[us]  p50 %.1f  p90 %.1f  p99 %.1f  p99.9 %.1f  max %.1f  (n=%d)\n",
 		merged.Quantile(0.50), merged.Quantile(0.90), merged.Quantile(0.99),
 		merged.Quantile(0.999), merged.Max(), merged.N())
+	digests, digestOps, lastDigest := kv.digests()
 	fmt.Fprintf(out.W, "digests %d at pod0 covering %d remote ops, last at %v\n",
-		kv.digests, kv.digestOps, time.Duration(kv.lastDigest))
+		digests, digestOps, time.Duration(lastDigest))
 	fmt.Fprintf(out.W, "%-8s %8s %12s %12s %10s %7s\n",
 		"tier", "switches", "peak_buf[B]", "pause_frames", "ecn_marked", "drops")
 	for _, name := range tierOrder {
@@ -509,7 +458,7 @@ func (c *kvClient) reap() {
 		}
 		kp.completed++
 		if kp.link != nil && kp.completed%kvDigestEvery == 0 {
-			kp.link.send(c.eng, uint64(kp.completed))
+			kp.link.send(now, uint64(kp.completed))
 		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 
 	"odpsim/internal/sim"
-	"odpsim/internal/stats"
 )
 
 // jobs is the configured worker bound; <= 0 means runtime.GOMAXPROCS(0).
@@ -103,25 +102,12 @@ func RunWorkers(w, n int, fn func(worker, i int)) {
 	}
 }
 
-// RunAll invokes fn(i) for every i in [0, n) across the worker pool and
-// blocks until all complete.
-func RunAll(n int, fn func(i int)) {
-	Run(n, func(_, i int) { fn(i) })
-}
-
 // Map invokes fn(i) for every i in [0, n) across the worker pool and
 // returns the results committed in index order.
 func Map[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	Run(n, func(_, i int) { out[i] = fn(i) })
 	return out
-}
-
-// MapSeries evaluates y(i) for every x across the worker pool and commits
-// the (x, y) points in index order — the sweep-layer primitive behind the
-// figure drivers.
-func MapSeries(label string, xs []float64, y func(i int) float64) *stats.Series {
-	return &stats.Series{Label: label, X: append([]float64(nil), xs...), Y: Map(len(xs), y)}
 }
 
 // Engines is a per-worker engine cache for parallel sweeps: Get(worker)

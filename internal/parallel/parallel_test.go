@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -35,7 +34,7 @@ func TestRunCoversAllIndices(t *testing.T) {
 		withJobs(t, j)
 		const n = 1000
 		var hits [n]atomic.Int32
-		RunAll(n, func(i int) { hits[i].Add(1) })
+		Run(n, func(_, i int) { hits[i].Add(1) })
 		for i := range hits {
 			if c := hits[i].Load(); c != 1 {
 				t.Fatalf("j=%d: index %d executed %d times", j, i, c)
@@ -92,15 +91,6 @@ func TestMapCommitsInIndexOrder(t *testing.T) {
 	}
 }
 
-func TestMapSeries(t *testing.T) {
-	withJobs(t, 4)
-	xs := []float64{1, 2, 3}
-	s := MapSeries("sq", xs, func(i int) float64 { return xs[i] * xs[i] })
-	if s.Label != "sq" || !reflect.DeepEqual(s.X, xs) || !reflect.DeepEqual(s.Y, []float64{1, 4, 9}) {
-		t.Errorf("series = %+v", s)
-	}
-}
-
 func TestRunPanicPropagates(t *testing.T) {
 	withJobs(t, 4)
 	defer func() {
@@ -108,18 +98,18 @@ func TestRunPanicPropagates(t *testing.T) {
 			t.Errorf("recovered %v, want boom", r)
 		}
 	}()
-	RunAll(64, func(i int) {
+	Run(64, func(_, i int) {
 		if i == 17 {
 			panic("boom")
 		}
 	})
-	t.Error("RunAll returned without panicking")
+	t.Error("Run returned without panicking")
 }
 
 func TestRunZeroAndNegative(t *testing.T) {
 	called := false
-	RunAll(0, func(int) { called = true })
-	RunAll(-5, func(int) { called = true })
+	Run(0, func(_, _ int) { called = true })
+	Run(-5, func(_, _ int) { called = true })
 	if called {
 		t.Error("fn called for empty range")
 	}
@@ -163,7 +153,7 @@ func TestConcurrentTrialsAreIsolated(t *testing.T) {
 		wantT[i], wantF[i] = run(int64(i + 1))
 	}
 	withJobs(t, 8)
-	RunAll(n, func(i int) {
+	Run(n, func(_, i int) {
 		gotT, gotF := run(int64(i + 1))
 		if gotT != wantT[i] || gotF != wantF[i] {
 			t.Errorf("trial %d: concurrent (%v, %v) != sequential (%v, %v)",

@@ -326,8 +326,9 @@ func init() {
 	// tier across the 16 pods of a radix-16 fat-tree, 64 open-loop GET
 	// clients per pod against one ODP-backed server each, replication
 	// digests converging on pod 0 over the core. Pod-local traffic means
-	// each pod runs on an engine of its own: pods 1–15 run dry in
-	// parallel on the `-shards` workers, then pod 0 with their digests.
+	// each pod runs on an engine of its own: all 16 run dry in parallel
+	// on the `-shards` workers, and each source pod's core link tallies
+	// the digests it sends.
 	// The report leads with the latency percentiles where the paper's
 	// RNR storms surface at serving scale.
 	scenario.Register(scenario.Scenario{

@@ -130,10 +130,6 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
-// Yield lets every other event scheduled for the current instant run
-// before the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Cond is a broadcast condition. Two kinds of waiter park on it in one
 // list, in the order they began waiting: processes (Proc.Wait,
 // Proc.WaitTimeout) and callbacks (Notify). A client that never blocks
@@ -186,8 +182,8 @@ func (c *Cond) Broadcast() {
 // schedules it at that instant in wait order. It is Wait for code that
 // runs as event callbacks instead of a process: fn re-checks its own
 // condition and calls Notify again if it must keep waiting. A parked
-// callback counts as a parked waiter for Deadlocked and MustRun, so a
-// client that is never woken is reported like a stuck process.
+// callback counts as a parked waiter for MustRun, so a client that is
+// never woken is reported like a stuck process.
 func (c *Cond) Notify(fn func()) {
 	c.waiters = append(c.waiters, waiter{fn: fn})
 	c.eng.parked++
@@ -237,15 +233,8 @@ func (p *Proc) WaitTimeout(c *Cond, d Time, pred func() bool) bool {
 	return true
 }
 
-// Deadlocked reports whether live processes or callbacks parked by
-// Cond.Notify exist but no event is scheduled — i.e. the simulation
-// cannot progress.
-func (e *Engine) Deadlocked() bool {
-	return (e.procs > 0 || e.parked > 0) && e.QueueLen() == 0
-}
-
 // Shutdown unwinds every live process: each parked one resumes with its
-// blocking call (Sleep, Wait, WaitTimeout, Yield) panicking inside its
+// blocking call (Sleep, Wait, WaitTimeout) panicking inside its
 // own goroutine, so its deferred calls run and the goroutine exits, and
 // a process whose start event never fired exits without running. Call
 // it once a run is over and daemon processes (server loops that park

@@ -49,7 +49,7 @@ func TestProcYield(t *testing.T) {
 	var order []string
 	e.Go("a", func(p *Proc) {
 		order = append(order, "a-before")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a-after")
 	})
 	e.Go("b", func(p *Proc) {

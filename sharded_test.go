@@ -14,16 +14,16 @@ import (
 )
 
 // TestShardedByteIdentical runs kv-serve, the one scenario that fans
-// out across lanes (its 16 pods), at shards 1, 2 and 4 and requires each
-// run to match the committed golden byte for byte. The collective
-// patterns run on one engine whatever the knob says; their goldens are
-// checked with the rest of results/.
+// out across lanes (its 16 pods), at shards 1, 2, 4 and 16 (one worker
+// per pod) and requires each run to match the committed golden byte for
+// byte. The collective patterns run on one engine whatever the knob
+// says; their goldens are checked with the rest of results/.
 func TestShardedByteIdentical(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("results", "kv-serve.txt"))
 	if err != nil {
 		t.Fatalf("missing golden: %v", err)
 	}
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range []int{1, 2, 4, 16} {
 		sc, err := scenario.Lookup("kv-serve")
 		if err != nil {
 			t.Fatal(err)
