@@ -90,30 +90,19 @@ func (irnCompare) Run(sc *scenario.Scenario, out *scenario.Output) error {
 	if err != nil {
 		return err
 	}
-	// The cells fan across the worker pool on per-worker reused engines;
-	// the table prints from the result slots afterwards, in cell order.
+	// The cells fan across the worker pool on per-worker reused engines.
+	// A result's final snapshot lives until its engine's next trial, so
+	// each cell renders its row in the callback; the table prints from
+	// the line slots afterwards, in cell order.
 	cells := irnCells(sc, cfg)
-	results := make([]*BenchResult, len(cells))
+	lines := make([]string, len(cells))
 	engs := parallel.NewEngines()
 	parallel.Run(len(cells), func(w, i int) {
-		b := cells[i].cfg
-		b.Eng = engs.Get(w)
-		results[i] = RunMicrobench(b)
-	})
-	fmt.Fprintln(out.W, sc.ExpandedTitle())
-	fmt.Fprintf(out.W, "\nflood (%d %ss × %d B over %d QPs, %s, C_ACK=%d):\n",
-		cfg.NumOps, op, cfg.Size, cfg.NumQPs, cfg.Mode, cfg.CACK)
-	for i, r := range results {
 		c := &cells[i]
-		if mem := c.cfg.System.MemMode; i == 0 || mem != cells[i-1].cfg.System.MemMode {
-			if i > 0 {
-				fmt.Fprintln(out.W)
-			}
-			fmt.Fprintf(out.W, "=== memory: %s ===\n", mem)
-			fmt.Fprintf(out.W, "%-5s %-9s %12s %8s %8s %8s %7s %8s %6s %6s %6s %9s %6s %9s\n",
-				"tport", "fabric", "exec", "retrans", "timeouts", "rnr_nak", "dammed", "discard", "flt", "ooo", "sack", "bdp_stall", "drops", "pause[us]")
-		}
-		fmt.Fprintf(out.W, "%-5s %-9s %12v %8d %8d %8d %7d %8.0f %6d %6.0f %6.0f %9.0f %6.0f %9.0f\n",
+		b := c.cfg
+		b.Eng = engs.Get(w)
+		r := RunMicrobench(b)
+		lines[i] = fmt.Sprintf("%-5s %-9s %12v %8d %8d %8d %7d %8.0f %6d %6.0f %6.0f %9.0f %6.0f %9.0f\n",
 			c.tport, c.fabric, time.Duration(r.ExecTime),
 			r.Retransmits, r.Timeouts, r.RNRNaksSent, r.DammedDrops,
 			r.Final.Total(telemetry.SimResponsesDiscarded),
@@ -123,6 +112,21 @@ func (irnCompare) Run(sc *scenario.Scenario, out *scenario.Output) error {
 			r.Final.Total(telemetry.IrnBdpStalls),
 			r.Final.Total(telemetry.SimSwitchDrops),
 			r.Final.Total(telemetry.TxPauseDuration))
+	})
+	fmt.Fprintln(out.W, sc.ExpandedTitle())
+	fmt.Fprintf(out.W, "\nflood (%d %ss × %d B over %d QPs, %s, C_ACK=%d):\n",
+		cfg.NumOps, op, cfg.Size, cfg.NumQPs, cfg.Mode, cfg.CACK)
+	for i, line := range lines {
+		c := &cells[i]
+		if mem := c.cfg.System.MemMode; i == 0 || mem != cells[i-1].cfg.System.MemMode {
+			if i > 0 {
+				fmt.Fprintln(out.W)
+			}
+			fmt.Fprintf(out.W, "=== memory: %s ===\n", mem)
+			fmt.Fprintf(out.W, "%-5s %-9s %12s %8s %8s %8s %7s %8s %6s %6s %6s %9s %6s %9s\n",
+				"tport", "fabric", "exec", "retrans", "timeouts", "rnr_nak", "dammed", "discard", "flt", "ooo", "sack", "bdp_stall", "drops", "pause[us]")
+		}
+		fmt.Fprint(out.W, line)
 	}
 	return nil
 }

@@ -100,7 +100,9 @@ type BenchConfig struct {
 	// simulation engine, recycling event storage across a sweep's
 	// trials. The run is byte-identical to one on a fresh engine. An
 	// engine must not be shared by concurrent trials; the sweep layer
-	// keeps one per parallel worker (see parallel.Engines).
+	// keeps one per parallel worker (see parallel.Engines). The result's
+	// CompletionTime and Final live in the engine's recycled storage and
+	// are valid until its next trial; with Eng nil the result owns them.
 	Eng *sim.Engine
 }
 
@@ -120,7 +122,11 @@ func DefaultBench() BenchConfig {
 	}
 }
 
-// BenchResult reports one micro-benchmark run.
+// BenchResult reports one micro-benchmark run. On a reused engine
+// (BenchConfig.Eng) its CompletionTime and Final's samples are the
+// engine's storage, valid until the engine's next trial (DESIGN.md §8):
+// a caller that keeps results across trials reads them first. A run on
+// a fresh engine owns them.
 type BenchResult struct {
 	ExecTime sim.Time
 	// Failed reports an IBV_WC_RETRY_EXC_ERR abort (retry budget
@@ -201,6 +207,9 @@ func RunMicrobench(cfg BenchConfig) *BenchResult {
 		qc := client.CreateQP(cqC, cqC)
 		qs := server.CreateQP(cqS, cqS)
 		rnic.ConnectPair(qc, qs, params, params)
+		// Op j posts on QP j mod NumQPs, so this QP's send queue holds at
+		// most its share of the ops.
+		qc.ReserveSend((cfg.NumOps - i + cfg.NumQPs - 1) / cfg.NumQPs)
 		c.qps = append(c.qps, qc)
 		if cfg.OpOverride != nil {
 			// Each SEND consumes one receive on the server QP it lands
@@ -217,10 +226,14 @@ func RunMicrobench(cfg BenchConfig) *BenchResult {
 	// The per-post CPU cost, scaled by the host's CPU speed.
 	post := sim.Time(float64(300*sim.Nanosecond) * cfg.System.CPUFactor)
 
-	res := &BenchResult{CompletionTime: make([]sim.Time, cfg.NumOps)}
-	for i := range res.CompletionTime {
-		res.CompletionTime[i] = -1
+	if cap(c.times) < cfg.NumOps {
+		c.times = make([]sim.Time, cfg.NumOps)
 	}
+	c.times = c.times[:cfg.NumOps]
+	for i := range c.times {
+		c.times[i] = -1
+	}
+	res := &BenchResult{CompletionTime: c.times}
 
 	var sampler *telemetry.Sampler
 	if cfg.SampleEvery > 0 {
@@ -236,7 +249,8 @@ func RunMicrobench(cfg BenchConfig) *BenchResult {
 	if sampler != nil {
 		res.Telemetry = sampler.Series()
 	}
-	res.Final = cl.Telemetry().Snapshot(cl.Eng.Now())
+	res.Final = cl.Telemetry().SnapshotInto(cl.Eng.Now(), c.samples)
+	c.samples = res.Final.Samples
 
 	for _, qp := range c.qps {
 		res.Timeouts += qp.Stats.Timeouts
@@ -274,6 +288,12 @@ type benchClient struct {
 	pingEvery sim.Time
 	pinger    *DummyPinger
 
+	// times and samples are the storage of res.CompletionTime and
+	// res.Final's samples; a recycled record keeps them for the next
+	// trial on its engine.
+	times   []sim.Time
+	samples []telemetry.Sample
+
 	start        sim.Time
 	posted, done int
 	slept        bool // the next step ends a post overhead
@@ -288,8 +308,9 @@ type benchClient struct {
 const benchClientsKey = "core.benchClients"
 
 // newBenchClient takes a zeroed client from eng's arena. A recycled
-// record keeps its bound callbacks and its QP list's storage, so a
-// trial on a reused engine allocates nothing for its client.
+// record keeps its bound callbacks and the storage of its QP list, its
+// completion times and its final snapshot, so a trial on a reused engine
+// allocates nothing for its client or for those results.
 func newBenchClient(eng *sim.Engine) *benchClient {
 	a := sim.ArenaOn(eng, benchClientsKey, func(c *benchClient) **benchClient { return &c.arenaNext })
 	c := a.Take(eng)
@@ -298,7 +319,8 @@ func newBenchClient(eng *sim.Engine) *benchClient {
 		c.stepFn, c.reapFn = c.step, c.reap
 		a.Add(c)
 	} else {
-		*c = benchClient{qps: c.qps[:0], stepFn: c.stepFn, reapFn: c.reapFn, arenaNext: c.arenaNext}
+		*c = benchClient{qps: c.qps[:0], times: c.times, samples: c.samples,
+			stepFn: c.stepFn, reapFn: c.reapFn, arenaNext: c.arenaNext}
 	}
 	c.eng = eng
 	return c

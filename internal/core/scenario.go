@@ -15,6 +15,7 @@ import (
 	"odpsim/internal/scenario"
 	"odpsim/internal/sim"
 	"odpsim/internal/stats"
+	"odpsim/internal/telemetry"
 )
 
 // This file adapts the sweep drivers to the declarative scenario layer:
@@ -238,23 +239,27 @@ func (progressSweep) Run(sc *scenario.Scenario, out *scenario.Output) error {
 		base.SampleEvery = 10 * sim.Millisecond
 	}
 	// The variants fan across the worker pool on per-worker reused
-	// engines; each prints from its result slot, in order, afterwards.
+	// engines. A result's completion times live until its engine's next
+	// trial, so each variant renders its table in the callback; the
+	// tables print from their slots, in order, afterwards.
 	variants := sc.ResolvedVariants()
-	results := make([]*BenchResult, len(variants))
+	tables := make([]string, len(variants))
+	counters := make([]*telemetry.TimeSeries, len(variants))
 	engs := parallel.NewEngines()
 	parallel.Run(len(variants), func(w, i int) {
 		cfg := base
 		cfg.Eng = engs.Get(w)
 		cfg.NumOps = variants[i].Ops
-		results[i] = RunMicrobench(cfg)
+		r := RunMicrobench(cfg)
+		tables[i] = stats.Table("t[ms]", ProgressByPage(r, base.Size, sim.FromMillis(variants[i].StepMs))...)
+		counters[i] = r.Telemetry
 	})
 	for i, v := range variants {
 		fmt.Fprintln(out.W, sc.VariantTitle(v))
 		if out.CounterCSV != "" {
-			writeCounterCSV(out, v.Ops, results[i])
+			writeCounterCSV(out, v.Ops, counters[i])
 		}
-		series := ProgressByPage(results[i], base.Size, sim.FromMillis(v.StepMs))
-		fmt.Fprint(out.W, stats.Table("t[ms]", series...))
+		fmt.Fprint(out.W, tables[i])
 		fmt.Fprintln(out.W)
 	}
 	return nil
@@ -262,14 +267,14 @@ func (progressSweep) Run(sc *scenario.Scenario, out *scenario.Output) error {
 
 // writeCounterCSV writes one progress run's sampled counter series to
 // base-<ops>.ext (a scenario's runs would otherwise clobber one file).
-func writeCounterCSV(out *scenario.Output, ops int, r *BenchResult) {
+func writeCounterCSV(out *scenario.Output, ops int, ts *telemetry.TimeSeries) {
 	ext := filepath.Ext(out.CounterCSV)
 	path := strings.TrimSuffix(out.CounterCSV, ext) + "-" + strconv.Itoa(ops) + ext
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := r.Telemetry.WriteCSV(f); err != nil {
+	if err := ts.WriteCSV(f); err != nil {
 		log.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

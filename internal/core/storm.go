@@ -104,10 +104,12 @@ func (stormWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 	fmt.Fprintf(out.W, "%-20s %12s %9s %9s %7s %9s %8s %6s\n",
 		"fabric", "exec", "retrans", "timeouts", "drops", "pause[us]", "ecn", "cnps")
 	// The variants fan across the worker pool on per-worker reused
-	// engines and print in order afterwards; the Table-13 row below
-	// recycles the same engines.
+	// engines. A result's final snapshot lives until its engine's next
+	// trial, so each variant renders its row in the callback; the rows
+	// print in order afterwards. The Table-13 row below recycles the
+	// same engines.
 	variants := stormVariants(sc)
-	results := make([]*BenchResult, len(variants))
+	lines := make([]string, len(variants))
 	engs := parallel.NewEngines()
 	parallel.Run(len(variants), func(w, i int) {
 		b := cfg
@@ -117,15 +119,16 @@ func (stormWorkload) Run(sc *scenario.Scenario, out *scenario.Output) error {
 			c := spec.Config()
 			b.System.Congestion = &c
 		}
-		results[i] = RunMicrobench(b)
-	})
-	for i, r := range results {
-		fmt.Fprintf(out.W, "%-20s %12v %9d %9d %7.0f %9.0f %8.0f %6.0f\n",
+		r := RunMicrobench(b)
+		lines[i] = fmt.Sprintf("%-20s %12v %9d %9d %7.0f %9.0f %8.0f %6.0f\n",
 			variants[i].label, time.Duration(r.ExecTime), r.Retransmits, r.Timeouts,
 			r.Final.Total(telemetry.SimSwitchDrops),
 			r.Final.Total(telemetry.TxPauseDuration),
 			r.Final.Total(telemetry.SimSwitchEcnMarked),
 			r.Final.Total(telemetry.NpCnpSent))
+	})
+	for _, line := range lines {
+		fmt.Fprint(out.W, line)
 	}
 
 	// The Table-13 row: the KNL SparkTC job, ODP disabled vs enabled,

@@ -243,12 +243,14 @@ type Engine struct {
 	// (only pages with a resolve queued or in flight), so it stays a
 	// map. A resolved page's entry is deleted and its list, emptied,
 	// goes to spareLists for the next faulting page. A page with no
-	// spare list takes a one-pair array carved from firstKeys: most
-	// pages have one registrant, and a burst of faults then allocates
-	// by block, not by page.
+	// spare list takes a one-pair array carved from the scratch's
+	// keyStore: most pages have one registrant, and a burst of faults
+	// then allocates by block, not by page. A full list moves to an
+	// array twice as long carved there too, and the array it leaves
+	// goes to spareLists.
 	interested map[hostmem.PageNo][]Key
 	spareLists [][]Key
-	firstKeys  sim.Blocks[[1]Key]
+	keys       *keyStore // the scratch's (New)
 
 	busy  bool
 	queue fifo.Queue[workItem]
@@ -286,9 +288,6 @@ type Engine struct {
 	arenaNext *Engine
 }
 
-// keyBlock caps a block of first registrant arrays at 512: 8 KiB.
-const keyBlock = 512
-
 // scratchKey is the engine Aux key of the ODP scratch: the ODP-engine
 // arena and the row store every engine's pair tables carve from. A
 // recycled ODP engine has its status tables zeroed but keeps their
@@ -298,6 +297,38 @@ const scratchKey = "odp.scratch"
 type scratch struct {
 	engines sim.Arena[Engine]
 	rows    rowStore
+	keys    keyStore
+}
+
+// keyStore carves the registrant arrays of every ODP engine on one sim
+// engine, so a burst of faults takes its one-pair first arrays, and a
+// page with many registrants its longer ones, by block instead of one
+// allocation per page or per doubling. Blocks grow like rowStore's,
+// from keyFirst keys up to keyBlock; an array longer than that gets a
+// block of its own length. A block's uncarved tail is dropped when the
+// next one starts.
+type keyStore struct {
+	block []Key // the current block's uncarved tail
+	total int   // keys in all blocks
+}
+
+// keyFirst is a key store's first block, 16 keys (256 bytes); keyBlock
+// caps a block at 512 keys, 8 KiB.
+const (
+	keyFirst = 16
+	keyBlock = 512
+)
+
+// carve returns an empty array of capacity n.
+func (s *keyStore) carve(n int) []Key {
+	if len(s.block) < n {
+		size := max(n, min(max(s.total, keyFirst), keyBlock))
+		s.block = make([]Key, size)
+		s.total += size
+	}
+	k := s.block[:0:n]
+	s.block = s.block[n:]
+	return k
 }
 
 func scratchFor(eng *sim.Engine) *scratch {
@@ -322,6 +353,7 @@ func New(as *hostmem.AddressSpace, cfg Config) *Engine {
 	}
 	e := &Engine{eng: eng, as: as, cfg: cfg}
 	e.visible.store, e.pending.store, e.queuedSpurious.store = &s.rows, &s.rows, &s.rows
+	e.keys = &s.keys
 	s.engines.Add(e)
 	e.notifierFn = e.invalidate
 	as.RegisterNotifier(e.notifierFn)
@@ -333,8 +365,6 @@ func New(as *hostmem.AddressSpace, cfg Config) *Engine {
 // them.
 func (e *Engine) buildPipeline() {
 	e.interested = make(map[hostmem.PageNo][]Key)
-	e.firstKeys.Make = func(n int) [][1]Key { return make([][1]Key, n) }
-	e.firstKeys.Max = keyBlock
 	e.finishFn = func() {
 		e.busy = false
 		e.kick()
@@ -496,8 +526,12 @@ func (e *Engine) Fault(qp uint32, addr hostmem.Addr, length int) {
 						pairs = e.spareLists[n-1]
 						e.spareLists = e.spareLists[:n-1]
 					} else {
-						pairs = e.firstKeys.New()[:0]
+						pairs = e.keys.carve(1)
 					}
+				} else if len(pairs) == cap(pairs) {
+					grown := append(e.keys.carve(2*len(pairs)), pairs...)
+					e.spareLists = append(e.spareLists, pairs[:0])
+					pairs = grown
 				}
 				e.interested[p] = append(pairs, Key{qp, p})
 			}

@@ -348,6 +348,41 @@ func TestColdAllocFaults(t *testing.T) {
 	}
 }
 
+// TestColdAllocRegistrants pins the cold cost of pages with several
+// registrants: four QPs faulting each of P pages at once on a fresh
+// engine grow each page's list from its one-pair first array to two and
+// four pairs, by arrays carved from the key store, the outgrown ones
+// going to the spare lists. Doubling P adds what TestColdAllocFaults
+// allows a single registrant (P/64 + 4) plus the key-store blocks of
+// the longer arrays, seven keys a page and a block per keyBlock keys:
+// about P/30, where growing each list by append took two allocations a
+// page.
+func TestColdAllocRegistrants(t *testing.T) {
+	const qps = 4
+	run := func(pages int) float64 {
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		return testing.AllocsPerRun(1, func() {
+			eng, as, e := setup(t, DefaultConfig())
+			a := as.Alloc(pages * hostmem.PageSize)
+			for qp := uint32(1); qp <= qps; qp++ {
+				e.Fault(qp, a, pages*hostmem.PageSize)
+			}
+			eng.Run()
+			if e.Faults != uint64(pages) || e.Updates != uint64(qps*pages) {
+				t.Fatalf("%d faults and %d updates, want %d and %d", e.Faults, e.Updates, pages, qps*pages)
+			}
+		})
+	}
+	const pages = 1024
+	a, b := run(pages), run(2*pages)
+	ceiling := float64(pages/64 + 7*pages/keyBlock + 4)
+	t.Logf("cold registrants: %d pages × %d QPs → %.0f allocations, %d pages → %.0f (ceiling for the doubling %.0f)", pages, qps, a, 2*pages, b, ceiling)
+	if b-a > ceiling {
+		t.Errorf("doubling %d pages of %d registrants added %.0f allocations, want at most %.0f", pages, qps, b-a, ceiling)
+	}
+}
+
 // TestPipelineBuiltOnFirstFault checks that an engine builds its
 // pipeline callbacks and registrant map on its first fault, not in New:
 // a device whose memory is pinned never faults, and its engine costs

@@ -286,6 +286,18 @@ func (qp *QP) push(q *fifo.Queue[*wqe], w *wqe) {
 	q.Push(w)
 }
 
+// ReserveSend sizes the send queue for n posted, not yet transmitted
+// WRs, as verbs' max_send_wr sizes a QP's send queue at creation: the
+// next n PostSends do not grow it. A holder that knows how many WRs it
+// will post calls it once instead of letting the queue double from its
+// first chunk; a recycled QP keeps the room. A queue of at most qpChunk
+// WRs still takes its chunk at the first post.
+func (qp *QP) ReserveSend(n int) {
+	if n > qpChunk {
+		qp.sq.Reserve(n)
+	}
+}
+
 // OutstandingReads counts in-flight RDMA READs and atomics (both consume
 // responder resources and share the MaxRdAtomic budget).
 func (qp *QP) OutstandingReads() int {

@@ -745,6 +745,31 @@ func TestColdAllocPosts(t *testing.T) {
 	}
 }
 
+// TestReserveSendSizesQueue checks QP.ReserveSend: a send queue sized
+// for n WRs holds n posted READs, all but MaxRdAtomic of them waiting,
+// without growing, and a queue of at most qpChunk WRs still takes its
+// chunk at the first post.
+func TestReserveSendSizesQueue(t *testing.T) {
+	const n = 256
+	h := newHarness(t, 1, ConnectX4(), rcTransport, noODP, defaultParams())
+	h.qpC.ReserveSend(n)
+	room := h.qpC.sq.Cap()
+	if room < n {
+		t.Fatalf("ReserveSend(%d) left room for %d", n, room)
+	}
+	for i := 0; i < n; i++ {
+		h.qpC.PostSend(SendWR{ID: uint64(i), Op: OpRead, LocalAddr: h.lbuf, RemoteAddr: h.rbuf, Len: 64})
+	}
+	if h.qpC.sq.Len() < n/2 || h.qpC.sq.Cap() != room {
+		t.Errorf("%d WRs waiting in a send queue of %d slots, reserved %d", h.qpC.sq.Len(), h.qpC.sq.Cap(), room)
+	}
+	small := h.client.CreateQP(h.cqC, h.cqC)
+	small.ReserveSend(qpChunk)
+	if small.sq.Cap() != 0 {
+		t.Errorf("ReserveSend(%d) allocated %d slots, want the chunk at the first post", qpChunk, small.sq.Cap())
+	}
+}
+
 // TestColdAllocQPs pins the cold cost of a QP: N connected pairs built
 // on a fresh engine, each requester posting one READ, take their QPs
 // from QP blocks, their send and outstanding queues' first arrays from

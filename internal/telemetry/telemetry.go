@@ -514,13 +514,23 @@ func NewHubOn(eng *sim.Engine) *Hub {
 func (h *Hub) Add(r *Registry) { h.regs = append(h.regs, r) }
 
 // Snapshot reads every registry at virtual time at.
-func (h *Hub) Snapshot(at sim.Time) Snapshot {
+func (h *Hub) Snapshot(at sim.Time) Snapshot { return h.SnapshotInto(at, nil) }
+
+// SnapshotInto is Snapshot reading into buf's storage, growing it only
+// when the samples do not fit: the returned snapshot's Samples alias buf,
+// so a holder that keeps buf between readings (a recycled trial record)
+// reads a hub of the same size without allocating. buf's contents are
+// overwritten.
+func (h *Hub) SnapshotInto(at sim.Time, buf []Sample) Snapshot {
 	n := 0
 	for _, r := range h.regs {
 		r.render()
 		n += r.sampleCount()
 	}
-	samples := make([]Sample, 0, n)
+	samples := buf[:0]
+	if cap(samples) < n {
+		samples = make([]Sample, 0, n)
+	}
 	for _, r := range h.regs {
 		samples = r.snapshotInto(samples)
 	}

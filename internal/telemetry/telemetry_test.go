@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -384,7 +385,7 @@ func TestDuplicateRegistrationsPanic(t *testing.T) {
 
 // TestAllocBudgetFamilySnapshot pins the snapshot side of families: once
 // the row labels are interned, a snapshot of 1000 rows allocates only its
-// sample slice.
+// sample slice, and one into a kept buffer (SnapshotInto) nothing.
 func TestAllocBudgetFamilySnapshot(t *testing.T) {
 	r := NewRegistry(Label{"device", "d"})
 	vals := make([]uint64, 1000)
@@ -404,6 +405,15 @@ func TestAllocBudgetFamilySnapshot(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(20, func() { r.RowLabels("qpn", 999) }); avg != 0 {
 		t.Errorf("RowLabels of an interned label set allocates %.0f/op", avg)
+	}
+	// A snapshot into a kept buffer reads the same samples into it and
+	// allocates nothing.
+	buf := hub.SnapshotInto(0, nil).Samples
+	if avg := testing.AllocsPerRun(20, func() { buf = hub.SnapshotInto(0, buf).Samples }); avg != 0 {
+		t.Errorf("8000-row snapshot into a kept buffer allocates %.0f/op, want 0", avg)
+	}
+	if want := hub.Snapshot(0).Samples; !slices.Equal(buf, want) || &buf[0] == &want[0] {
+		t.Errorf("SnapshotInto read %d samples, Snapshot %d; want equal samples in the kept buffer", len(buf), len(want))
 	}
 }
 
