@@ -1,312 +1,26 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation. Each benchmark drives the corresponding experiment and
-// reports the headline quantity via b.ReportMetric (use -v to see the
-// underlying series). The full-resolution runs are the registered
-// scenarios behind `odpsim run`; the benchmarks use reduced grids so the
-// whole suite stays runnable in minutes.
+// Benchmarks of the design choices behind the paper's results
+// (ablations), of the extensions beyond its evaluation, and of the
+// simulator's hot loops. Each reports its headline quantity via
+// b.ReportMetric. The paper's figures and tables themselves are the
+// registered scenarios behind `odpsim run <name>` (`-quick` for reduced
+// grids).
 package odpsim
 
 import (
 	"testing"
 
-	"odpsim/internal/apps/argodsm"
 	"odpsim/internal/apps/kvstore"
-	"odpsim/internal/apps/sparkucx"
 	"odpsim/internal/cluster"
+	"odpsim/internal/congestion"
 	"odpsim/internal/core"
 	"odpsim/internal/hostmem"
 	"odpsim/internal/parallel"
 	"odpsim/internal/perftest"
 	"odpsim/internal/regcache"
 	"odpsim/internal/rnic"
-	"odpsim/internal/scenario"
 	"odpsim/internal/sim"
 	"odpsim/internal/softrel"
-	"odpsim/internal/stats"
 )
-
-// BenchmarkFig01_SingleReadWorkflow measures the common-case latency of a
-// single ODP READ per side (the workflow of Figure 1).
-func BenchmarkFig01_SingleReadWorkflow(b *testing.B) {
-	for _, mode := range []core.ODPMode{core.ServerODP, core.ClientODP} {
-		b.Run(mode.String(), func(b *testing.B) {
-			var last sim.Time
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultBench()
-				cfg.NumOps = 1
-				cfg.Mode = mode
-				cfg.Seed = int64(i + 1)
-				last = core.RunMicrobench(cfg).ExecTime
-			}
-			b.ReportMetric(last.Millis(), "ms/read")
-		})
-	}
-}
-
-// BenchmarkFig02_TimeoutSweep measures T_o floors on representative
-// systems (the lines of Figure 2).
-func BenchmarkFig02_TimeoutSweep(b *testing.B) {
-	systems := []cluster.System{cluster.KNL(), cluster.AzureHC(), cluster.AzureHBv2()}
-	var knlFloor, cx5Floor sim.Time
-	for i := 0; i < b.N; i++ {
-		series := core.SweepTimeouts(systems, []int{1, 8, 16, 18, 20}, int64(i+1))
-		knlFloor = sim.FromSeconds(series[0].Y[0])
-		cx5Floor = sim.FromSeconds(series[1].Y[0])
-		if i == 0 {
-			b.Logf("\n%s", stats.Table("C_ACK", series...))
-		}
-	}
-	b.ReportMetric(knlFloor.Millis(), "ms-CX4-floor")
-	b.ReportMetric(cx5Floor.Millis(), "ms-CX5-floor")
-}
-
-// BenchmarkFig04_TwoReadInterval regenerates the execution-time curve of
-// two READs vs posting interval (Figure 4).
-func BenchmarkFig04_TwoReadInterval(b *testing.B) {
-	var peak float64
-	for i := 0; i < b.N; i++ {
-		base := core.DefaultBench()
-		base.Seed = int64(i + 1)
-		s := core.SweepExecTime(base, core.IntervalRange(0, 6, 1), 3)
-		if i == 0 {
-			b.Logf("\n%s", stats.Table("interval[ms]", s))
-		}
-		peak = 0
-		for _, y := range s.Y {
-			if y > peak {
-				peak = y
-			}
-		}
-	}
-	b.ReportMetric(peak, "s-peak-exec")
-}
-
-// BenchmarkFig05_TwoReadWorkflow reproduces the dammed two-READ trace and
-// reports the stall the detector finds (Figure 5).
-func BenchmarkFig05_TwoReadWorkflow(b *testing.B) {
-	var stall sim.Time
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultBench()
-		cfg.Interval = sim.Millisecond
-		cfg.Seed = int64(i + 1)
-		cfg.WithCapture = true
-		r := core.RunMicrobench(cfg)
-		if incs := core.DetectDamming(r.Cap, 100*sim.Millisecond); len(incs) > 0 {
-			stall = incs[0].Stall
-		}
-	}
-	b.ReportMetric(stall.Millis(), "ms-stall")
-}
-
-// BenchmarkFig06a_ServerODPTimeoutProb regenerates the server-side timeout
-// probability curve for the three RNR delays (Figure 6a).
-func BenchmarkFig06a_ServerODPTimeoutProb(b *testing.B) {
-	var at1ms float64
-	for i := 0; i < b.N; i++ {
-		base := core.DefaultBench()
-		base.Mode = core.ServerODP
-		base.Seed = int64(i + 1)
-		var series []*stats.Series
-		for _, d := range []float64{0.01, 1.28, 10.24} {
-			cfg := base
-			cfg.MinRNRDelay = sim.FromMillis(d)
-			series = append(series, core.SweepTimeoutProbability(cfg,
-				core.IntervalRange(0, 6, 1), 4, ""))
-		}
-		at1ms = series[1].Y[1]
-		if i == 0 {
-			series[0].Label, series[1].Label, series[2].Label = "0.01ms", "1.28ms", "10.24ms"
-			b.Logf("\n%s", stats.Table("interval[ms]", series...))
-		}
-	}
-	b.ReportMetric(at1ms, "%timeout@1ms")
-}
-
-// BenchmarkFig06b_ClientODPTimeoutProb regenerates the client-side curve
-// (Figure 6b).
-func BenchmarkFig06b_ClientODPTimeoutProb(b *testing.B) {
-	var at300us float64
-	for i := 0; i < b.N; i++ {
-		base := core.DefaultBench()
-		base.Mode = core.ClientODP
-		base.Seed = int64(i + 1)
-		s := core.SweepTimeoutProbability(base,
-			[]sim.Time{sim.FromMicros(300), sim.Millisecond, sim.FromMillis(3)}, 4, "1.28 ms")
-		at300us = s.Y[0]
-		if i == 0 {
-			b.Logf("\n%s", stats.Table("interval[ms]", s))
-		}
-	}
-	b.ReportMetric(at300us, "%timeout@0.3ms")
-}
-
-// BenchmarkFig07_MoreReads regenerates the narrowing-window curves for
-// 2/3/4 operations (Figure 7).
-func BenchmarkFig07_MoreReads(b *testing.B) {
-	var threeOpsAt2ms float64
-	for i := 0; i < b.N; i++ {
-		var series []*stats.Series
-		for _, n := range []int{2, 3, 4} {
-			cfg := core.DefaultBench()
-			cfg.NumOps = n
-			cfg.Seed = int64(i + 1)
-			series = append(series, core.SweepTimeoutProbability(cfg,
-				core.IntervalRange(0, 6, 1), 4, ""))
-		}
-		threeOpsAt2ms = series[1].Y[2]
-		if i == 0 {
-			series[0].Label, series[1].Label, series[2].Label = "2 ops", "3 ops", "4 ops"
-			b.Logf("\n%s", stats.Table("interval[ms]", series...))
-		}
-	}
-	b.ReportMetric(threeOpsAt2ms, "%timeout-3ops@2ms")
-}
-
-// BenchmarkFig08_ThreeReadWorkflow reproduces the PSN-sequence-error
-// rescue (Figure 8) and reports the NAK count (no timeout expected).
-func BenchmarkFig08_ThreeReadWorkflow(b *testing.B) {
-	var naks, timeouts uint64
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultBench()
-		cfg.NumOps = 3
-		cfg.Mode = core.ServerODP
-		cfg.Interval = sim.FromMillis(2.5)
-		cfg.Seed = int64(i + 1)
-		r := core.RunMicrobench(cfg)
-		naks, timeouts = r.NakSeqSent, r.Timeouts
-	}
-	b.ReportMetric(float64(naks), "psn-naks")
-	b.ReportMetric(float64(timeouts), "timeouts")
-}
-
-// fig9Sweep runs the reduced Figure-9 grid shared by the 9a/9b benchmarks.
-func fig9Sweep(seed int64) *core.QPSweepResult {
-	base := core.DefaultBench()
-	base.NumOps = 2048
-	base.CACK = 18
-	base.Seed = seed
-	return core.SweepQPs(base, []int{1, 10, 50, 128},
-		[]core.ODPMode{core.NoODP, core.ServerODP, core.ClientODP, core.BothODP})
-}
-
-// BenchmarkFig09a_QPSweepTime regenerates the execution-time-vs-QPs curves
-// (Figure 9a, reduced grid; full grid via `odpsim run fig9`).
-func BenchmarkFig09a_QPSweepTime(b *testing.B) {
-	var slowdown float64
-	for i := 0; i < b.N; i++ {
-		res := fig9Sweep(int64(i + 1))
-		cl, no := res.Time[core.ClientODP], res.Time[core.NoODP]
-		slowdown = cl.Y[len(cl.Y)-1] / no.Y[len(no.Y)-1]
-		if i == 0 {
-			b.Logf("\n%s", stats.Table("#QPs", no, res.Time[core.ServerODP], cl, res.Time[core.BothODP]))
-		}
-	}
-	b.ReportMetric(slowdown, "x-clientODP-vs-noODP@128qp")
-}
-
-// BenchmarkFig09b_QPSweepPackets regenerates the packet-count curves
-// (Figure 9b).
-func BenchmarkFig09b_QPSweepPackets(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		res := fig9Sweep(int64(i + 100))
-		cl, no := res.Packets[core.ClientODP], res.Packets[core.NoODP]
-		ratio = cl.Y[len(cl.Y)-1] / no.Y[len(no.Y)-1]
-		if i == 0 {
-			b.Logf("\n%s", stats.Table("#QPs", no, res.Packets[core.ServerODP], cl, res.Packets[core.BothODP]))
-		}
-	}
-	b.ReportMetric(ratio, "x-packets-clientODP@128qp")
-}
-
-func fig11Run(ops int, seed int64) *core.BenchResult {
-	cfg := core.DefaultBench()
-	cfg.Mode = core.ClientODP
-	cfg.Size = 32
-	cfg.NumQPs = 128
-	cfg.NumOps = ops
-	cfg.CACK = 18
-	cfg.Seed = seed
-	return core.RunMicrobench(cfg)
-}
-
-// BenchmarkFig11a_FloodProgress128 regenerates the 128-operation progress
-// profile (Figure 11a): completions begin under ≈1 ms but the earliest
-// operations stay stuck for several ms.
-func BenchmarkFig11a_FloodProgress128(b *testing.B) {
-	var last sim.Time
-	for i := 0; i < b.N; i++ {
-		r := fig11Run(128, int64(i+1))
-		last = 0
-		for _, ct := range r.CompletionTime {
-			if ct > last {
-				last = ct
-			}
-		}
-		if i == 0 {
-			b.Logf("\n%s", stats.Table("t[ms]", core.ProgressByPage(r, 32, sim.Millisecond)...))
-		}
-	}
-	b.ReportMetric(last.Millis(), "ms-last-completion")
-}
-
-// BenchmarkFig11b_FloodProgress512 regenerates the 512-operation profile
-// (Figure 11b): the update failure spreads completions over hundreds of
-// milliseconds and beyond.
-func BenchmarkFig11b_FloodProgress512(b *testing.B) {
-	var last sim.Time
-	for i := 0; i < b.N; i++ {
-		r := fig11Run(512, int64(i+1))
-		last = 0
-		for _, ct := range r.CompletionTime {
-			if ct > last {
-				last = ct
-			}
-		}
-	}
-	b.ReportMetric(last.Millis(), "ms-last-completion")
-}
-
-// BenchmarkFig12_ArgoDSM regenerates the init+finalize distributions with
-// ODP off/on (Figure 12, reduced trial count).
-func BenchmarkFig12_ArgoDSM(b *testing.B) {
-	for _, odpOn := range []bool{false, true} {
-		name := "woODP"
-		if odpOn {
-			name = "wODP"
-		}
-		b.Run(name, func(b *testing.B) {
-			var mean float64
-			for i := 0; i < b.N; i++ {
-				cfg := argodsm.DefaultConfig()
-				cfg.ODP = odpOn
-				cfg.Seed = int64(i + 1)
-				times, _ := argodsm.Distribution(cfg, 20, 6)
-				mean = stats.Summarize(times).Mean
-			}
-			b.ReportMetric(mean, "s-mean-exec")
-		})
-	}
-}
-
-// BenchmarkTab13_SparkUCX regenerates one Table-13 row pair per example on
-// the KNL configuration (full table via `odpsim run tab13`).
-func BenchmarkTab13_SparkUCX(b *testing.B) {
-	knl := sparkucx.Table13Configs()[0]
-	for _, ex := range []sparkucx.Example{sparkucx.SparkTC, sparkucx.RecommendationExample, sparkucx.RankingMetricsExample} {
-		b.Run(ex.String(), func(b *testing.B) {
-			var row sparkucx.Row
-			engs := parallel.NewEngines()
-			for i := 0; i < b.N; i++ {
-				sc := &scenario.Scenario{Trials: 2, Seed: int64(i + 1), Waves: 1}
-				row = sparkucx.Measure(sc, []sparkucx.RowSpec{{Example: ex, Sys: knl}}, engs)[0]
-			}
-			b.ReportMetric(row.Disable.Mean, "s-disable")
-			b.ReportMetric(row.Enable.Mean, "s-enable")
-			b.ReportMetric(row.Ratio, "x-ratio")
-		})
-	}
-}
 
 // --- Ablations: each design choice in DESIGN.md §4, toggled off ---
 
@@ -447,17 +161,21 @@ func BenchmarkAblation_SerialPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_Congestion reruns the flood with the fabric's
-// egress-queuing model enabled: the millions of flood packets now consume
-// wire time too.
+// BenchmarkAblation_Congestion reruns the flood on the switched fabric
+// of internal/congestion with PFC on: the millions of flood packets now
+// queue in switch buffers and consume wire time too, yet the flood
+// stays, since the ODP pipeline, not the wire, bounds it.
 func BenchmarkAblation_Congestion(b *testing.B) {
-	for _, congested := range []bool{false, true} {
+	lossless := congestion.DefaultConfig()
+	lossless.PFC = true
+	for _, net := range []*congestion.Config{nil, &lossless} {
 		name := "latency-only"
-		if congested {
-			name = "egress-queued"
+		if net != nil {
+			name = "switched-lossless"
 		}
 		b.Run(name, func(b *testing.B) {
 			var exec sim.Time
+			var retrans uint64
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultBench()
 				cfg.Mode = core.ClientODP
@@ -465,10 +183,12 @@ func BenchmarkAblation_Congestion(b *testing.B) {
 				cfg.NumQPs = 64
 				cfg.CACK = 18
 				cfg.Seed = int64(i + 1)
-				cfg.System.ModelCongestion = congested
-				exec = core.RunMicrobench(cfg).ExecTime
+				cfg.System.Congestion = net
+				r := core.RunMicrobench(cfg)
+				exec, retrans = r.ExecTime, r.Retransmits
 			}
 			b.ReportMetric(exec.Millis(), "ms-exec")
+			b.ReportMetric(float64(retrans), "retransmits")
 		})
 	}
 }

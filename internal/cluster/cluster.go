@@ -28,9 +28,6 @@ type System struct {
 	// software overheads): 1.0 for a ~2.4 GHz Xeon, larger for slower
 	// hosts (the KNL's Xeon Phi cores are markedly slower).
 	CPUFactor float64
-	// ModelCongestion enables the fabric's egress-queuing model (off by
-	// default; see fabric.Config.ModelCongestion).
-	ModelCongestion bool
 	// LossRate, when positive, makes the fabric drop each packet
 	// independently with this probability — the scenario layer's loss
 	// fault knob. Zero (the Table-I systems' default) means a lossless
@@ -79,7 +76,6 @@ func (s System) Memory() hostmem.Config {
 func (s System) FabricConfig() fabric.Config {
 	cfg := fabric.DefaultConfig()
 	cfg.BandwidthGbps = s.Device.LinkGbps
-	cfg.ModelCongestion = s.ModelCongestion
 	return cfg
 }
 

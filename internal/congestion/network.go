@@ -781,13 +781,6 @@ func (n *Network) getSwitch(idx, left int) *swtch {
 	return sw
 }
 
-// Config returns the resolved configuration (defaults filled in).
-func (n *Network) Config() Config { return n.cfg }
-
-// Topology returns the switch graph the network was built from (the
-// resolved chain when the config declared none).
-func (n *Network) Topology() Topology { return n.topo }
-
 // TierStat aggregates one tier's switch counters, for per-tier reporting
 // in workloads (the telemetry registry carries the same data under the
 // "tier" label on the sim_switch_* series).

@@ -20,10 +20,10 @@ type arrival struct {
 // arenas with two fabrics side by side on one engine. Within a
 // generation they attach the same LIDs without sharing a port, a LID
 // table or a delay line. After a Reset each fabric takes its own tables
-// back, cleared of the previous run's ports, egress clocks and in-flight
-// deliveries, and delivers exactly as a fresh fabric on a fresh engine.
+// back, cleared of the previous run's ports and in-flight deliveries,
+// and delivers exactly as a fresh fabric on a fresh engine.
 func TestArenaTwoFabricsOneEngine(t *testing.T) {
-	cfg := Config{PropDelay: 2 * sim.Microsecond, BandwidthGbps: 56, DelayJitter: 0.05, ModelCongestion: true}
+	cfg := Config{PropDelay: 2 * sim.Microsecond, BandwidthGbps: 56, DelayJitter: 0.05}
 	// attach builds a fabric with LIDs 1 and 2, plus extra when nonzero;
 	// got collects the arrivals at LID 2.
 	attach := func(eng *sim.Engine, extra uint16, got *[]arrival) *Fabric {
@@ -52,7 +52,7 @@ func TestArenaTwoFabricsOneEngine(t *testing.T) {
 	fb := attach(eng, 0, &gotB)
 	send(fa, 100, 4)
 	send(fb, 200, 4)
-	if fa.tables == fb.tables || &fa.ports[0] == &fb.ports[0] || &fa.egressFree[0] == &fb.egressFree[0] {
+	if fa.tables == fb.tables || &fa.ports[0] == &fb.ports[0] {
 		t.Fatal("two fabrics of one generation share their LID tables")
 	}
 	if fa.ports[1].line == fb.ports[1].line {
@@ -86,11 +86,6 @@ func TestArenaTwoFabricsOneEngine(t *testing.T) {
 			for lid, p := range f.ports {
 				if (p != nil) != (lid == 1 || lid == 2) {
 					t.Errorf("round %d: recycled LID table holds %v at LID %d", round, p, lid)
-				}
-			}
-			for lid, at := range f.egressFree {
-				if at != 0 {
-					t.Errorf("round %d: recycled egress clock of LID %d reads %v", round, lid, at)
 				}
 			}
 			for key, l := range f.lines {
@@ -162,7 +157,7 @@ func TestArenaRecycledFabricIsFresh(t *testing.T) {
 		v := reflect.ValueOf(f).Elem()
 		for i := 0; i < v.NumField(); i++ {
 			switch name := v.Type().Field(i).Name; name {
-			case "eng", "cfg", "tel", "scratch", "pool", "tables", "ports", "egressFree", "lines", "arenaNext":
+			case "eng", "cfg", "tel", "scratch", "pool", "tables", "ports", "lines", "arenaNext":
 			default:
 				if !v.Field(i).IsZero() {
 					t.Errorf("round %d: recycled fabric keeps %s from its last run", round, name)

@@ -36,12 +36,6 @@ type Config struct {
 	// DelayJitter is the relative jitter applied to PropDelay (delivery
 	// order per source/destination pair is still preserved).
 	DelayJitter float64
-	// ModelCongestion serializes each port's egress: a packet cannot
-	// start clocking onto the wire before the previous one finished,
-	// so bursts queue and delivery times stretch under load. Off by
-	// default (the paper's 2-node experiments are latency-bound, and
-	// the calibration in DESIGN.md assumes uncontended links).
-	ModelCongestion bool
 }
 
 // DefaultConfig models a 56 Gb/s FDR link with ~2 µs one-way latency.
@@ -264,10 +258,9 @@ type scratch struct {
 // Fabric fields of the same names). A recycled record keeps every
 // backing array, cleared of its stale contents.
 type tables struct {
-	ports      []*Port
-	egressFree []sim.Time
-	lines      map[uint32]*deliveryLine
-	arenaNext  *tables
+	ports     []*Port
+	lines     map[uint32]*deliveryLine
+	arenaNext *tables
 }
 
 // scratchFor fetches or creates the engine's fabric scratch.
@@ -294,15 +287,13 @@ type Fabric struct {
 	eng  *sim.Engine
 	cfg  Config
 	taps []Tap
-	// ports and egressFree are dense tables indexed by LID (LIDs are
-	// small integers the cluster layer assigns): ports is the attachment
-	// table and egressFree is when each source port's wire becomes free
-	// (ModelCongestion only). lines holds the delay line of every
-	// (src, dst) pair that has carried a packet, keyed src<<16 | dst, so
-	// per-pair state grows with the pairs that talk, not with LIDs².
-	ports      []*Port
-	egressFree []sim.Time
-	lines      map[uint32]*deliveryLine
+	// ports is the attachment table, dense and indexed by LID (LIDs are
+	// small integers the cluster layer assigns). lines holds the delay
+	// line of every (src, dst) pair that has carried a packet, keyed
+	// src<<16 | dst, so per-pair state grows with the pairs that talk,
+	// not with LIDs².
+	ports []*Port
+	lines map[uint32]*deliveryLine
 	// pool recycles packet storage through the datapath; the delivery
 	// free list lives in the shared scratch. tables is the arena record
 	// the LID tables above came from; grow writes resized ones back.
@@ -383,7 +374,6 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 		// Last run's tables and delay lines, cleared of their stale
 		// contents but keeping every backing array.
 		clear(t.ports)
-		clear(t.egressFree)
 		for _, l := range t.lines {
 			if l.n > 0 {
 				l.clear(s)
@@ -391,13 +381,13 @@ func New(eng *sim.Engine, cfg Config) *Fabric {
 		}
 	}
 	f.tables = t
-	f.ports, f.egressFree, f.lines = t.ports, t.egressFree, t.lines
+	f.ports, f.lines = t.ports, t.lines
 	f.tel.Reset(telemetry.Label{Key: "device", Value: "fabric"})
 	telemetry.Register(&f.tel, &metrics, f)
 	return f
 }
 
-// EnableCongestion replaces the fabric's analytic egress with the
+// EnableCongestion replaces the fabric's analytic latency model with the
 // switched lossless-fabric model of internal/congestion: packets the
 // fabric accepts traverse switch buffers, PFC and ECN before delivery.
 // Call it once, after New and before traffic. Returns the network so
@@ -493,11 +483,9 @@ func (f *Fabric) grow(n int) {
 	if cap(f.ports) < n {
 		c := max(n, 2*cap(f.ports), 16)
 		f.ports = append(make([]*Port, 0, c), f.ports...)
-		f.egressFree = append(make([]sim.Time, 0, c), f.egressFree...)
 	}
 	f.ports = f.ports[:n]
-	f.egressFree = f.egressFree[:n]
-	f.tables.ports, f.tables.egressFree = f.ports, f.egressFree
+	f.tables.ports = f.ports
 }
 
 // AttachPort registers a port with the given LID, taken from the
@@ -673,17 +661,7 @@ func (p *Port) Send(pkt *packet.Packet) {
 		return
 	}
 
-	ser := f.serialization(int(ws))
-	start := f.eng.Now()
-	if f.cfg.ModelCongestion {
-		// The wire clocks one packet at a time: queue behind the
-		// port's previous transmission.
-		if free := f.egressFree[p.LID]; free > start {
-			start = free
-		}
-		f.egressFree[p.LID] = start + ser
-	}
-	at := start + ser + f.eng.Jitter(f.cfg.PropDelay, f.cfg.DelayJitter)
+	at := f.eng.Now() + f.serialization(int(ws)) + f.eng.Jitter(f.cfg.PropDelay, f.cfg.DelayJitter)
 	d := f.getDelivery()
 	d.dst, d.pkt, d.ws = dst, pkt, ws
 	f.scheduleDelivery(p.lineTo(pkt.DLID), d, at)

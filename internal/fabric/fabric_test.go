@@ -181,54 +181,6 @@ func TestSerializationScalesWithSize(t *testing.T) {
 	}
 }
 
-func TestCongestionModelQueuesBursts(t *testing.T) {
-	run := func(congested bool) sim.Time {
-		cfg := Config{PropDelay: sim.Microsecond, BandwidthGbps: 1, DelayJitter: 0, ModelCongestion: congested}
-		eng := sim.New(1)
-		f := New(eng, cfg)
-		var lastAt sim.Time
-		a := f.AttachPort(1, "A", func(*packet.Packet) {})
-		f.AttachPort(2, "B", func(p *packet.Packet) { lastAt = eng.Now() })
-		// A burst of 10 large packets at t=0.
-		for i := 0; i < 10; i++ {
-			a.Send(&packet.Packet{Opcode: packet.OpReadRespMiddle, PayloadLen: 4096, DLID: 2, PSN: uint32(i)})
-		}
-		eng.Run()
-		return lastAt
-	}
-	unqueued, queued := run(false), run(true)
-	// Uncontended: all overlap, last arrives ≈ ser + prop. Congested:
-	// the last packet waits for 9 serializations first.
-	if queued < unqueued*5 {
-		t.Errorf("congestion model should stretch the burst: %v vs %v", queued, unqueued)
-	}
-	// 10 × (4122B × 8 bits at 1 bit/ns) + 1µs ≈ 331µs.
-	want := sim.Time(10*4122*8) + sim.Microsecond
-	if queued != want {
-		t.Errorf("queued last arrival = %v, want %v", queued, want)
-	}
-}
-
-func TestCongestionPreservesOrder(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ModelCongestion = true
-	cfg.DelayJitter = 0.5
-	eng := sim.New(2)
-	f := New(eng, cfg)
-	var got []uint32
-	a := f.AttachPort(1, "A", func(*packet.Packet) {})
-	f.AttachPort(2, "B", func(p *packet.Packet) { got = append(got, p.PSN) })
-	for i := 0; i < 100; i++ {
-		a.Send(&packet.Packet{Opcode: packet.OpReadRequest, DLID: 2, PSN: uint32(i)})
-	}
-	eng.Run()
-	for i, psn := range got {
-		if psn != uint32(i) {
-			t.Fatalf("out of order at %d: %d", i, psn)
-		}
-	}
-}
-
 // selfReplyTrace sends burst packets from LID 1 to itself; the first
 // replies landings each send one more from inside their handler, onto
 // the delay line they are landing from. It returns every landing as

@@ -41,6 +41,16 @@ type Key struct {
 	Page hostmem.PageNo
 }
 
+// Pipeline and retransmission timings every device shares.
+const (
+	// SpuriousCost is the pipeline time consumed by one discarded
+	// retransmitted response on a stale (QP, page) pair.
+	SpuriousCost = 25 * sim.Microsecond
+	// RetransBase is the requester-side retransmission period after a
+	// client-side ODP drop (≈0.5 ms observed in Figure 1).
+	RetransBase = 500 * sim.Microsecond
+)
+
 // Config tunes the ODP engine. Defaults are calibrated against the
 // paper's ConnectX-4 measurements (see DESIGN.md §4).
 type Config struct {
@@ -48,12 +58,6 @@ type Config struct {
 	// status into one QP context (Figure 11a: ≈128 updates spread over
 	// ≈5 ms).
 	QPUpdateCost sim.Time
-	// SpuriousCost is the pipeline time consumed by one discarded
-	// retransmitted response on a stale (QP, page) pair.
-	SpuriousCost sim.Time
-	// RetransBase is the requester-side retransmission period after a
-	// client-side ODP drop (≈0.5 ms observed in Figure 1).
-	RetransBase sim.Time
 	// UpdatesFIFO switches a page's update batch to oldest-first order;
 	// the default (false) is newest-first, which matches Figure 11a.
 	// Exposed for ablation.
@@ -67,8 +71,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		QPUpdateCost: 40 * sim.Microsecond,
-		SpuriousCost: 25 * sim.Microsecond,
-		RetransBase:  500 * sim.Microsecond,
 	}
 }
 
@@ -428,9 +430,6 @@ func (e *Engine) reset(as *hostmem.AddressSpace, cfg Config) {
 	as.RegisterNotifier(e.notifierFn)
 }
 
-// Config returns the engine's configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // metrics is the engine's counter table under the mlx5 ODP vocabulary,
 // with its load gauges.
 var metrics = telemetry.Table[Engine]{
@@ -458,7 +457,7 @@ func (e *Engine) QueueLen() int { return e.queue.Len() }
 
 // RetransInterval returns the requester retransmission period after a
 // client-side ODP drop: RetransBase, whatever the load.
-func (e *Engine) RetransInterval() sim.Time { return e.cfg.RetransBase }
+func (e *Engine) RetransInterval() sim.Time { return RetransBase }
 
 // Visible reports whether qp's context can translate page.
 func (e *Engine) Visible(qp uint32, page hostmem.PageNo) bool {
@@ -597,7 +596,7 @@ func (e *Engine) kick() {
 	switch it.kind {
 	case kindSpurious:
 		e.queuedSpurious.clear(it.qp, it.page)
-		e.eng.ScheduleAfter(e.eng.Jitter(e.cfg.SpuriousCost, 0.1), e.finishFn)
+		e.eng.ScheduleAfter(e.eng.Jitter(SpuriousCost, 0.1), e.finishFn)
 	case kindResolve:
 		e.curPage = it.page
 		e.as.ResolveFault(it.page, e.resolveFn)

@@ -233,8 +233,8 @@ func TestSpuriousFreeAblation(t *testing.T) {
 func TestRetransIntervalIgnoresLoad(t *testing.T) {
 	cfg := DefaultConfig()
 	_, as, e := setup(t, cfg)
-	if got := e.RetransInterval(); got != cfg.RetransBase {
-		t.Errorf("idle interval = %v, want %v", got, cfg.RetransBase)
+	if got := e.RetransInterval(); got != RetransBase {
+		t.Errorf("idle interval = %v, want %v", got, RetransBase)
 	}
 	a := as.Alloc(100 * hostmem.PageSize)
 	for qp := uint32(0); qp < 100; qp++ {
@@ -243,8 +243,8 @@ func TestRetransIntervalIgnoresLoad(t *testing.T) {
 	if e.StaleCount() != 100 {
 		t.Fatalf("StaleCount = %d, want 100", e.StaleCount())
 	}
-	if got := e.RetransInterval(); got != cfg.RetransBase {
-		t.Errorf("loaded interval = %v, want %v", got, cfg.RetransBase)
+	if got := e.RetransInterval(); got != RetransBase {
+		t.Errorf("loaded interval = %v, want %v", got, RetransBase)
 	}
 }
 

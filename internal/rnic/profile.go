@@ -16,6 +16,23 @@ import (
 	"odpsim/internal/sim"
 )
 
+// Timing and framing every ConnectX generation shares.
+const (
+	// TimeoutFactor k sets the measured timeout T_o = k · T_tr. The
+	// paper's floors (≈500 ms at c0=16, ≈30 ms at c0=12) give k ≈ 1.86.
+	TimeoutFactor = 1.86
+	// TimeoutJitter is the relative spread of each timeout draw.
+	TimeoutJitter = 0.08
+	// TimeoutLoadFactor lengthens each timeout draw per concurrently
+	// busy QP beyond the first, within the spec's [T_tr, 4·T_tr] clamp.
+	// The paper observed that "the timeout interval lengthened with
+	// multiple QPs ... a high load is imposed on the client by managing
+	// the RNR timer and retransmission" (§VI-C).
+	TimeoutLoadFactor = 0.01
+	// MTU is the path MTU in bytes.
+	MTU = 4096
+)
+
 // Profile describes one RNIC model's timing and quirk behaviour. The
 // numbers are estimated from the paper's measurements (Figure 2 for the
 // timeout floors, Figure 1 for the ODP timings) — see DESIGN.md §4.
@@ -29,23 +46,11 @@ type Profile struct {
 	// exponent c0: the effective exponent is max(CACK, MinCACK) for any
 	// non-zero CACK (InfiniBand spec §9.7.6.1.3, quoted in the paper).
 	MinCACK int
-	// TimeoutFactor k sets the measured timeout T_o = k · T_tr. The
-	// paper's floors (≈500 ms at c0=16, ≈30 ms at c0=12) give k ≈ 1.86.
-	TimeoutFactor float64
-	// TimeoutJitter is the relative spread of each timeout draw.
-	TimeoutJitter float64
 
 	// RNRWaitFactor scales the configured minimal RNR NAK delay into the
 	// observed wait before retransmission (the paper configures 1.28 ms
 	// and observes ≈4.5 ms, factor ≈3.5 on ConnectX-4).
 	RNRWaitFactor float64
-
-	// TimeoutLoadFactor lengthens each timeout draw per concurrently
-	// busy QP beyond the first, within the spec's [T_tr, 4·T_tr] clamp.
-	// The paper observed that "the timeout interval lengthened with
-	// multiple QPs ... a high load is imposed on the client by managing
-	// the RNR timer and retransmission" (§VI-C).
-	TimeoutLoadFactor float64
 
 	// DammingQuirk enables the ConnectX-4-specific packet-damming flaw:
 	// requests first posted during a pending window are lost once when
@@ -56,8 +61,6 @@ type Profile struct {
 
 	// MaxRdAtomic bounds outstanding RDMA READs per QP.
 	MaxRdAtomic int
-	// MTU is the path MTU in bytes.
-	MTU int
 
 	// ODP is the ODP-engine calibration for this device.
 	ODP odp.Config
@@ -90,11 +93,11 @@ func (p Profile) DrawTimeout(eng *sim.Engine, cack, busyQPs int) sim.Time {
 	if ttr == 0 {
 		return 0
 	}
-	scale := p.TimeoutFactor
-	if busyQPs > 1 && p.TimeoutLoadFactor > 0 {
-		scale *= 1 + p.TimeoutLoadFactor*float64(busyQPs-1)
+	scale := TimeoutFactor
+	if busyQPs > 1 {
+		scale *= 1 + TimeoutLoadFactor*float64(busyQPs-1)
 	}
-	to := eng.Jitter(sim.Time(float64(ttr)*scale), p.TimeoutJitter)
+	to := eng.Jitter(sim.Time(float64(ttr)*scale), TimeoutJitter)
 	if to < ttr {
 		to = ttr
 	}
@@ -106,16 +109,12 @@ func (p Profile) DrawTimeout(eng *sim.Engine, cack, busyQPs int) sim.Time {
 
 func baseProfile(name string, gbps float64) Profile {
 	return Profile{
-		Name:              name,
-		LinkGbps:          gbps,
-		MinCACK:           16,
-		TimeoutFactor:     1.86,
-		TimeoutJitter:     0.08,
-		RNRWaitFactor:     3.5,
-		TimeoutLoadFactor: 0.01,
-		MaxRdAtomic:       16,
-		MTU:               4096,
-		ODP:               odp.DefaultConfig(),
+		Name:          name,
+		LinkGbps:      gbps,
+		MinCACK:       16,
+		RNRWaitFactor: 3.5,
+		MaxRdAtomic:   16,
+		ODP:           odp.DefaultConfig(),
 	}
 }
 

@@ -171,11 +171,10 @@ func (qp *QP) sendRNRNak(psn uint32) {
 // sendReadResponse streams the READ payload back as one or more response
 // packets with consecutive PSNs.
 func (qp *QP) sendReadResponse(firstPSN uint32, length, npsn int) {
-	mtu := qp.rnic.prof.MTU
 	for i := 0; i < npsn; i++ {
-		chunk := length - i*mtu
-		if chunk > mtu {
-			chunk = mtu
+		chunk := length - i*MTU
+		if chunk > MTU {
+			chunk = MTU
 		}
 		if chunk < 0 {
 			chunk = 0

@@ -260,13 +260,10 @@ func (r *RNIC) countWC(s WCStatus) {
 // Engine returns the simulation engine.
 func (r *RNIC) Engine() *sim.Engine { return r.eng }
 
-// Profile returns the device profile.
-func (r *RNIC) Profile() Profile { return r.prof }
-
 // span is the number of PSNs a READ of length bytes occupies: one per
 // MTU-sized response packet, and at least one.
 func (r *RNIC) span(length int) int {
-	return max(1, (length+r.prof.MTU-1)/r.prof.MTU)
+	return max(1, (length+MTU-1)/MTU)
 }
 
 // LID returns the port LID.

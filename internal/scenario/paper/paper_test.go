@@ -130,7 +130,8 @@ func TestSpecFileEndToEnd(t *testing.T) {
   "system": "Azure VM HC",
   "ops": 200,
   "seed": 7,
-  "faults": {"loss_rate": 0.01, "congestion": true}
+  "faults": {"loss_rate": 0.01},
+  "congestion": {}
 }
 `)
 	path := filepath.Join(t.TempDir(), "lossy.json")

@@ -115,15 +115,13 @@ type Scenario struct {
 	Inner string `json:"inner,omitempty"`
 
 	// Faults bundles the fault-injection knobs routed into the built
-	// clusters (loss, congestion, page-fault latency scale).
+	// clusters (loss, page-fault latency scale).
 	Faults Faults `json:"faults,omitempty"`
 
 	// Congestion, when present, replaces the fabric's analytic latency
 	// model with the switched lossless-fabric model of
 	// internal/congestion (finite switch buffers, optional PFC and ECN,
-	// optional DCQCN rate control). It is independent of
-	// Faults.Congestion, which keeps selecting the legacy analytic
-	// egress-queuing knob.
+	// optional DCQCN rate control).
 	Congestion *CongestionSpec `json:"congestion,omitempty"`
 
 	// Grid is the sweep axis: an interval range in milliseconds or an
@@ -168,8 +166,6 @@ type Faults struct {
 	// LossRate drops each fabric packet independently with this
 	// probability (0 ≤ p < 1).
 	LossRate float64 `json:"loss_rate,omitempty"`
-	// Congestion enables the fabric's per-port egress-queuing model.
-	Congestion bool `json:"congestion,omitempty"`
 	// PageFaultScale multiplies the kernel page-fault resolution latency
 	// (0 = 1.0).
 	PageFaultScale float64 `json:"page_fault_scale,omitempty"`
@@ -630,9 +626,6 @@ func (sc *Scenario) resolveSystem(name string, fallback cluster.System) (cluster
 // Workloads with built-in system tables (sparkucx's Table-13 rows) route
 // each system through this so declared faults reach every built cluster.
 func (sc *Scenario) ApplyFaults(s cluster.System) cluster.System {
-	if sc.Faults.Congestion {
-		s.ModelCongestion = true
-	}
 	if sc.Faults.LossRate > 0 {
 		s.LossRate = sc.Faults.LossRate
 	}

@@ -130,7 +130,7 @@ func TestValidateAccepts(t *testing.T) {
 	sc.System = "KNL" // unambiguous prefix
 	sc.Systems = []string{"Reedbush-H", "ABCI"}
 	sc.Mode = "server"
-	sc.Faults = Faults{LossRate: 0.01, Congestion: true, PageFaultScale: 2}
+	sc.Faults = Faults{LossRate: 0.01, PageFaultScale: 2}
 	sc.Grid = &Grid{ToMs: 6, StepMs: 0.25}
 	sc.Series = []Variant{{Label: "a", Ops: 3, Grid: &Grid{List: []int{1, 2}}}}
 	if err := sc.Validate(); err != nil {
@@ -218,12 +218,12 @@ func TestResolvedVariantsInherit(t *testing.T) {
 
 func TestFaultKnobsReachSystems(t *testing.T) {
 	sc := valid()
-	sc.Faults = Faults{LossRate: 0.05, Congestion: true, PageFaultScale: 3}
+	sc.Faults = Faults{LossRate: 0.05, PageFaultScale: 3}
 	sys, err := sc.ResolvedSystem()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.LossRate != 0.05 || !sys.ModelCongestion || sys.FaultScale != 3 {
+	if sys.LossRate != 0.05 || sys.FaultScale != 3 {
 		t.Errorf("fault knobs not routed: %+v", sys)
 	}
 	many, err := sc.ResolvedSystems(nil)
@@ -435,6 +435,7 @@ func TestSpecRejects(t *testing.T) {
 		{"unknown workload", `{"name":"x","workload":"warp"}`, "unknown workload"},
 		{"malformed grid", `{"name":"x","workload":"fake","trials":1,"grid":{"to_ms":5}}`, "positive step"},
 		{"loss out of range", `{"name":"x","workload":"fake","trials":1,"faults":{"loss_rate":1.5}}`, "loss_rate"},
+		{"faults congestion", `{"name":"x","workload":"fake","trials":1,"faults":{"congestion":true}}`, "congestion"},
 		{"congestion unknown field", `{"name":"x","workload":"fake","trials":1,"congestion":{"buffers_kb":8}}`, "buffers_kb"},
 		{"congestion bad thresholds", `{"name":"x","workload":"fake","trials":1,"congestion":{"pfc":true,"xoff_kb":2,"xon_kb":3}}`, "xoff_kb"},
 		{"memory unknown field", `{"name":"x","workload":"fake","trials":1,"memory":{"mode":"npr","pool":64}}`, "pool"},
